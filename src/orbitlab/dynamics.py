@@ -286,25 +286,61 @@ class Trajectory:
         idx = min(max(idx, 0), len(self.segments) - 1)
         return self.segments[idx]
 
-    def state(self, t: float) -> np.ndarray:
-        t = float(t)
-        if t <= self.t0:
-            return self.states[0].copy()
-        if t >= self.t1:
-            return self.states[-1].copy()
-        return self._segment_at(t).eval(t)
+    def _segments_for(self, ts: np.ndarray):
+        """(t0, h, y0, q) of the segment holding each time of ``ts``."""
+        if not self.segments:
+            raise ValueError("trajectory carries no dense output")
+        stack = getattr(self, "_segment_stack", None)
+        if stack is None or len(stack[0]) != len(self.segments):
+            fields = ("t0", "h", "y0", "q")
+            stack = tuple(np.array([getattr(s, f) for s in self.segments]) for f in fields)
+            self._segment_stack = stack
+        idx = np.searchsorted(stack[0], ts, side="right") - 1
+        idx = np.clip(idx, 0, len(self.segments) - 1)
+        return tuple(a[idx] for a in stack)
 
-    def state_derivative(self, t: float) -> np.ndarray:
-        seg = self._segment_at(min(max(float(t), self.t0), self.t1))
-        return seg.eval_derivative(float(t))
+    def state(self, t):
+        """Dense state at ``t``; a 1-D array of times gives a (K, 2n) array."""
+        if np.ndim(t) == 0:
+            t = float(t)
+            if t <= self.t0:
+                return self.states[0].copy()
+            if t >= self.t1:
+                return self.states[-1].copy()
+            return self._segment_at(t).eval(t)
+        ts = np.asarray(t, dtype=float)
+        out = np.full((len(ts), self.states.shape[1]), np.nan)  # NaN times stay NaN
+        out[ts <= self.t0] = self.states[0]
+        out[ts >= self.t1] = self.states[-1]
+        inside = (ts > self.t0) & (ts < self.t1)
+        if inside.any():
+            ti = ts[inside]
+            t0, h, y0, q = self._segments_for(ti)
+            theta = (ti - t0) / h
+            powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+            out[inside] = y0 + h[:, None] * np.einsum("kdj,kj->kd", q, powers)
+        return out
 
-    def position(self, t: float) -> np.ndarray:
+    def state_derivative(self, t):
+        """Time derivative of the dense interpolant; vectorised like :meth:`state`."""
+        if np.ndim(t) == 0:
+            seg = self._segment_at(min(max(float(t), self.t0), self.t1))
+            return seg.eval_derivative(float(t))
+        ts = np.asarray(t, dtype=float)
+        t0, h, _, q = self._segments_for(np.clip(ts, self.t0, self.t1))
+        theta = (ts - t0) / h
+        powers = np.stack(
+            [np.ones_like(theta), 2.0 * theta, 3.0 * theta**2, 4.0 * theta**3], axis=1
+        )
+        return np.einsum("kdj,kj->kd", q, powers)
+
+    def position(self, t):
         n = self.spec.dimension
-        return self.state(t)[:n]
+        return self.state(t)[..., :n]
 
-    def velocity(self, t: float) -> np.ndarray:
+    def velocity(self, t):
         n = self.spec.dimension
-        return self.state(t)[n:]
+        return self.state(t)[..., n:]
 
     def phase(self, t: float) -> PhaseState:
         return PhaseState.from_flat(self.state(t))

@@ -1,11 +1,15 @@
 """Detection and classification of orbit intersections.
 
 Candidate coincidences come from a uniform spatial hash over a dense
-polyline resampling of the orbit (cell size comparable to the largest
-segment, bounding boxes inflated by the acceptance margin so that no
-near-miss can straddle a cell boundary unseen).  Candidates are refined by a
-damped Newton iteration on the squared separation of the two strands using
-dense trajectory output, then classified by the angle between the refined
+polyline resampling of the orbit (Teschner et al., VMV 2003).  Cells are at
+least as large as the largest segment, boxes are inflated by the acceptance
+margin, and on a torus every axis holds a whole number of cells, so that no
+near-miss straddles a cell boundary or a period unseen.  Hashed pairs pass
+the same minimal-image box test as the O(N^2) all-pairs generator, which
+makes the two candidate lists equal.  Candidates are refined in blocks by a
+masked damped Newton iteration on the squared separation of the two strands
+(time parameters wrap modulo the period), over array-valued dense output,
+then classified in candidate order by the angle between the refined
 velocities:
 
 * ``reversal``     -- antiparallel strands; on a brake orbit these are the
@@ -17,9 +21,8 @@ velocities:
 
 Pairs whose refinement stalls between the acceptance and rejection
 thresholds are reported in ``unresolved`` rather than silently dropped.
-An O(N^2) all-pairs candidate generator doubles as an independent oracle;
-both routes share refinement and classification and must produce identical
-reports.
+The all-pairs generator doubles as an independent oracle; both routes share
+refinement and classification and produce identical reports.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ __all__ = [
 ]
 
 _NEAR_MISS_FACTOR = 10.0
+_REFINE_BLOCK = 256  # candidates per batched refinement; bounds peak memory
+_PAIR_CHUNK = 2048  # hashed pairs per overlap test; bounds peak memory
 
 
 @dataclass
@@ -110,19 +115,21 @@ class _Strand:
 
     def _resample(self, count: int) -> np.ndarray:
         ts = np.linspace(0.0, self.period, count + 1)
-        return np.array([self.orbit.trajectory.position(float(t)) for t in ts])
+        return self.orbit.trajectory.position(ts)
 
-    def position(self, t: float) -> np.ndarray:
-        return self.orbit.trajectory.position(self._clamp(t))
+    def state(self, t):
+        """Dense state at t (scalar or 1-D array), wrapped into one period."""
+        return self.orbit.trajectory.state(np.mod(t, self.period))
 
-    def velocity(self, t: float) -> np.ndarray:
-        return self.orbit.trajectory.velocity(self._clamp(t))
+    def position(self, t):
+        return self.state(t)[..., : self.n]
 
-    def acceleration(self, t: float) -> np.ndarray:
-        return self.orbit.trajectory.state_derivative(self._clamp(t))[self.n :]
+    def velocity(self, t):
+        return self.state(t)[..., self.n :]
 
-    def _clamp(self, t: float) -> float:
-        return float(min(max(t, 0.0), self.period))
+    def acceleration(self, t):
+        state_rate = self.orbit.trajectory.state_derivative(np.mod(t, self.period))
+        return state_rate[..., self.n :]
 
     def wrap_param(self, t: float) -> float:
         return float(np.mod(t, self.period))
@@ -134,8 +141,33 @@ def _segment_boxes(pts: np.ndarray):
     return lo, hi
 
 
+def _box_centres(strand: _Strand):
+    lo, hi = _segment_boxes(strand.pts)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _boxes_overlap(ca, ea, cb, eb, periods, margin):
+    """Minimal-image test that boxes (centre, half-extent) overlap within margin.
+
+    Broadcasts over leading axes; the last axis is the coordinate.
+    """
+    d = ca - cb
+    if periods is not None:
+        d -= periods * np.round(d / periods)
+    return np.all(np.abs(d) <= ea + eb + margin, axis=-1)
+
+
+def _periods(strand: _Strand):
+    space = strand.space
+    return np.asarray(space.periods) if space.kind == "torus" else None
+
+
 def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
-    """Segment index pairs sharing an inflated spatial-hash cell."""
+    """Segment index pairs sharing an inflated spatial-hash cell.
+
+    The hashed pairs are a superset of the overlapping ones and are filtered
+    by :func:`_boxes_overlap`, so the result equals :func:`_brute_candidates`.
+    """
     same = strand_b is None
     if same:
         strand_b = strand_a
@@ -144,47 +176,53 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
     cell = max(
         float(np.max(ha - la)), float(np.max(hb - lb)), 1e-12
     )
-    space = strand_a.space
-    periods = None
-    if space.kind == "torus":
-        periods = np.asarray(space.periods)
-        ncells = np.maximum(np.ceil(periods / cell).astype(int), 1)
+    periods = _periods(strand_a)
+    cells = np.full(la.shape[1], cell)
+    if periods is not None:
+        # a whole number of cells per period keeps keys consistent across images
+        ncells = np.maximum(np.floor(periods / cell).astype(int), 1)
+        cells = periods / ncells
+    na, nb = len(la), len(lb)
+    lo = la if same else np.concatenate([la, lb])
+    hi = ha if same else np.concatenate([ha, hb])
+    lo_c = np.floor((lo - margin) / cells).astype(np.int64)
+    hi_c = np.floor((hi + margin) / cells).astype(np.int64)
+    if periods is None:
+        base = lo_c.min(axis=0)
+        extent = hi_c.max(axis=0) - base + 1
+    else:
+        base, extent = np.zeros_like(ncells), ncells
 
-    grid: dict = {}
+    # one entry (cell, box) per cell that an inflated box touches, sorted so
+    # that each cell's boxes form one run
+    entries = []
+    for offset in np.ndindex(*(np.max(hi_c - lo_c, axis=0) + 1)):
+        c = lo_c + offset
+        box = np.flatnonzero(np.all(c <= hi_c, axis=1))
+        cell_id = np.ravel_multi_index(((c[box] - base) % extent).T, extent)
+        entries.append(np.stack([cell_id, box], axis=1))
+    cell_id, box = np.unique(np.concatenate(entries), axis=0).T
 
-    def insert(tag: int, lo, hi, idx):
-        lo = lo - margin
-        hi = hi + margin
-        lo_c = np.floor(lo / cell).astype(int)
-        hi_c = np.floor(hi / cell).astype(int)
-        ranges = [range(lo_c[d], hi_c[d] + 1) for d in range(len(lo))]
-        keys = [()]
-        for d, rng in enumerate(ranges):
-            keys = [
-                k + ((c % ncells[d]) if periods is not None else c,)
-                for k in keys
-                for c in rng
-            ]
-        for key in keys:
-            grid.setdefault(key, []).append((tag, idx))
-
-    for i in range(len(la)):
-        insert(0, la[i], ha[i], i)
-    if not same:
-        for j in range(len(lb)):
-            insert(1, lb[j], hb[j], j)
-
-    pairs = set()
-    for bucket in grid.values():
-        for a in range(len(bucket)):
-            for b in range(a + 1, len(bucket)):
-                (tag_i, i), (tag_j, j) = bucket[a], bucket[b]
-                if same:
-                    if i != j:
-                        pairs.add((min(i, j), max(i, j)))
-                elif tag_i != tag_j:
-                    pairs.add((i, j) if tag_i == 0 else (j, i))
-    return sorted(pairs)
+    # every two boxes of one cell that overlap, coded as i * nb + j
+    ca, ea = _box_centres(strand_a)
+    cb, eb = _box_centres(strand_b)
+    codes = []
+    for gap in range(1, len(box)):
+        shared = np.flatnonzero(cell_id[gap:] == cell_id[:-gap])
+        if not shared.size:
+            break
+        i, j = box[shared], box[shared + gap]
+        if not same:  # boxes of strand a come first within a cell
+            cross = (i < na) & (j >= na)
+            i, j = i[cross], j[cross] - na
+        for start in range(0, len(i), _PAIR_CHUNK):
+            ic, jc = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
+            keep = _boxes_overlap(ca[ic], ea[ic], cb[jc], eb[jc], periods, margin)
+            codes.append(ic[keep] * nb + jc[keep])
+    if not codes:
+        return []
+    ii, jj = np.divmod(np.unique(np.concatenate(codes)), nb)
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def _brute_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
@@ -195,21 +233,17 @@ def _brute_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float
     same = strand_b is None
     if same:
         strand_b = strand_a
-    la, ha = _segment_boxes(strand_a.pts)
-    lb, hb = _segment_boxes(strand_b.pts)
-    ca, cb = 0.5 * (la + ha), 0.5 * (lb + hb)
-    ea, eb = 0.5 * (ha - la), 0.5 * (hb - lb)
-    space = strand_a.space
-    periods = np.asarray(space.periods) if space.kind == "torus" else None
+    ca, ea = _box_centres(strand_a)
+    cb, eb = _box_centres(strand_b)
+    periods = _periods(strand_a)
     out = []
     chunk = max(1, 2**22 // max(len(cb), 1))
     for start in range(0, len(ca), chunk):
         stop = min(start + chunk, len(ca))
-        d = ca[start:stop, None, :] - cb[None, :, :]
-        if periods is not None:
-            d -= periods * np.round(d / periods)
-        tol = ea[start:stop, None, :] + eb[None, :, :] + margin
-        overlap = np.all(np.abs(d) <= tol, axis=2)
+        overlap = _boxes_overlap(
+            ca[start:stop, None, :], ea[start:stop, None, :], cb[None], eb[None],
+            periods, margin,
+        )
         ii, jj = np.nonzero(overlap)
         ii = ii + start
         if same:
@@ -228,54 +262,98 @@ def _param_gap_circular(a: float, b: float, period: float) -> float:
 # Refinement
 # ---------------------------------------------------------------------------
 
-def _refine_pair(sa: _Strand, sb: _Strand, s0: float, t0: float, max_iter: int = 60):
-    """Damped Newton on half the squared separation; returns (s, t, gap, ok)."""
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _refine_pairs(sa: _Strand, sb: _Strand, s0, t0, max_iter: int = 60):
+    """Damped Newton on half the squared separation, one lane per start.
+
+    Every lane runs the same iteration: Levenberg-damped Newton steps with a
+    25-trial line search that raises the damping on a failed or singular
+    trial and relaxes it on success.  A lane ends converged on a vanishing
+    gradient or a negligible decrease, and ends stalled when its line search
+    fails or ``max_iter`` steps pass.  Returns arrays (s, t, gap, ok).
+    """
     space = sa.space
-    s, t = s0, t0
-    lam = 1e-10
+    n = sa.n
+    s = np.array(s0, dtype=float)
+    t = np.array(t0, dtype=float)
+    k = len(s)
 
-    def gap_at(s, t):
-        d = space.delta(sa.position(s), sb.position(t))
-        return d, float(np.dot(d, d))
+    def at(method, s, t):
+        """``method`` of strand a at s and of strand b at t; one call if a is b."""
+        if sa is sb:
+            z = getattr(sa, method)(np.concatenate([s, t]))
+            return z[: len(s)], z[len(s) :]
+        return getattr(sa, method)(s), getattr(sb, method)(t)
 
-    d, f2 = gap_at(s, t)
-    for _ in range(max_iter):
-        vs = sa.velocity(s)
-        vt = sb.velocity(t)
-        acs = sa.acceleration(s)
-        act = sb.acceleration(t)
-        grad = np.array([float(np.dot(d, vs)), -float(np.dot(d, vt))])
-        hess = np.array(
-            [
-                [float(np.dot(vs, vs) + np.dot(d, acs)), -float(np.dot(vs, vt))],
-                [-float(np.dot(vs, vt)), float(np.dot(vt, vt) - np.dot(d, act))],
-            ]
-        )
-        gnorm = float(np.max(np.abs(grad)))
-        scale = max(np.linalg.norm(vs), np.linalg.norm(vt), 1e-12)
-        if gnorm < 1e-14 * scale * (1.0 + math.sqrt(f2)):
-            return s, t, math.sqrt(f2), True
-        stepped = False
-        for _ in range(25):
-            try:
-                step = np.linalg.solve(hess + lam * np.eye(2), -grad)
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-8)
-                continue
-            s_new, t_new = s + step[0], t + step[1]
-            d_new, f2_new = gap_at(s_new, t_new)
-            if f2_new <= f2 * (1.0 + 1e-15) + 1e-300:
-                improved = f2 - f2_new
-                s, t, d, f2 = s_new, t_new, d_new, f2_new
-                lam = max(lam * 0.3, 1e-12)
-                stepped = True
-                if improved <= 1e-16 * (1.0 + f2):
-                    return s, t, math.sqrt(f2), True
-                break
-            lam = max(lam * 10.0, 1e-8)
-        if not stepped:
-            return s, t, math.sqrt(f2), False
-    return s, t, math.sqrt(f2), False
+    zs, zt = at("state", s, t)
+    d = space.delta(zs[:, :n], zt[:, :n])
+    f2 = _rowdot(d, d)
+    vs, vt = zs[:, n:], zt[:, n:]
+    g1, g2, h11, h12, h22 = np.zeros((5, k))
+    lam = np.full(k, 1e-10)
+    iters, trials = np.zeros((2, k), dtype=int)
+    ok = np.zeros(k, dtype=bool)
+    running = np.ones(k, dtype=bool)
+    fresh = running.copy()  # lanes starting a Newton iteration
+
+    while True:
+        new = np.flatnonzero(fresh)
+        fresh[:] = False
+        running[new[iters[new] >= max_iter]] = False
+        new = new[iters[new] < max_iter]
+        if new.size:
+            iters[new] += 1
+            trials[new] = 0
+            acs, act = at("acceleration", s[new], t[new])
+            dn, vsn, vtn = d[new], vs[new], vt[new]
+            g1[new], g2[new] = _rowdot(dn, vsn), -_rowdot(dn, vtn)
+            h11[new] = _rowdot(vsn, vsn) + _rowdot(dn, acs)
+            h12[new] = -_rowdot(vsn, vtn)
+            h22[new] = _rowdot(vtn, vtn) - _rowdot(dn, act)
+            gnorm = np.maximum(np.abs(g1[new]), np.abs(g2[new]))
+            scale = np.maximum(
+                np.maximum(np.linalg.norm(vsn, axis=1), np.linalg.norm(vtn, axis=1)),
+                1e-12,
+            )
+            done = new[gnorm < 1e-14 * scale * (1.0 + np.sqrt(f2[new]))]
+            ok[done] = True
+            running[done] = False
+
+        lanes = np.flatnonzero(running)
+        if not lanes.size:
+            return s, t, np.sqrt(f2), ok
+        # one line-search trial per running lane: (H + lam I) step = -grad
+        a11, a22, b = h11[lanes] + lam[lanes], h22[lanes] + lam[lanes], h12[lanes]
+        det = a11 * a22 - b * b
+        singular = det == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ds = (b * g2[lanes] - a22 * g1[lanes]) / det
+            dt = (b * g1[lanes] - a11 * g2[lanes]) / det
+        tried = lanes[~singular]
+        s_new, t_new = s[tried] + ds[~singular], t[tried] + dt[~singular]
+        zs, zt = at("state", s_new, t_new)
+        d_new = space.delta(zs[:, :n], zt[:, :n])
+        f2_new = _rowdot(d_new, d_new)
+        better = f2_new <= f2[tried] * (1.0 + 1e-15) + 1e-300
+
+        won = tried[better]
+        improved = f2[won] - f2_new[better]
+        s[won], t[won] = s_new[better], t_new[better]
+        d[won], f2[won] = d_new[better], f2_new[better]
+        vs[won], vt[won] = zs[better, n:], zt[better, n:]
+        lam[won] = np.maximum(lam[won] * 0.3, 1e-12)
+        flat = improved <= 1e-16 * (1.0 + f2[won])
+        ok[won[flat]] = True
+        running[won[flat]] = False
+        fresh[won[~flat]] = True
+
+        lost = np.concatenate([lanes[singular], tried[~better]])
+        lam[lost] = np.maximum(lam[lost] * 10.0, 1e-8)
+        trials[lost] += 1
+        running[lost[trials[lost] >= 25]] = False
 
 
 def _classify_angle(va, vb, tol_angle: float) -> str:
@@ -321,7 +399,6 @@ def _scan(
 
     accepted: list[IntersectionPair] = []
     unresolved: list[IntersectionPair] = []
-    valley_keys: list[float] = []  # (s + t) mod tau of reversal clusters
 
     def near_existing(s_mid: float, t_mid: float) -> bool:
         for p in accepted:
@@ -343,24 +420,15 @@ def _scan(
                 return True
         return False
 
-    for i, j in candidates:
-        if same:
-            ring = min(abs(i - j), n_seg_a - abs(i - j))
-            if ring <= guard:
-                continue
-        s_mid = float(strand_a.ts[i] + 0.5 * dt_a)
-        t_mid = float(sb.ts[j] + 0.5 * dt_b)
-        if near_existing(s_mid, t_mid):
-            continue
-        s, t, gap, ok = _refine_pair(strand_a, sb, s_mid, t_mid)
+    def classify(s: float, t: float, gap: float, ok: bool):
         s = strand_a.wrap_param(s)
         t = sb.wrap_param(t)
         if same and _param_gap_circular(s, t, strand_a.period) < 4 * dt_a:
-            continue  # collapsed onto the diagonal; not a coincidence
+            return  # collapsed onto the diagonal; not a coincidence
         point = strand_a.space.wrap(strand_a.position(s))
         if not ok and gap > tol_space:
             unresolved.append(IntersectionPair(s, t, point, "stalled", gap))
-            continue
+            return
         if gap <= tol_space:
             rel = _classify_angle(strand_a.velocity(s), sb.velocity(t), tol_angle)
             if same:
@@ -382,6 +450,34 @@ def _scan(
         elif gap <= reject_gap:
             unresolved.append(IntersectionPair(s, t, point, "near_miss", gap))
         # gaps beyond the rejection threshold are plain non-intersections
+
+    block: list[tuple[float, float]] = []
+
+    def refine_block():
+        mids = np.array(block)
+        refined = _refine_pairs(strand_a, sb, mids[:, 0], mids[:, 1])
+        s, t, gap, ok = (r.tolist() for r in refined)
+        for k, (s_mid, t_mid) in enumerate(block):
+            # a pair accepted earlier in this block may cover this candidate;
+            # skipping it then keeps the report of a one-at-a-time scan
+            if not near_existing(s_mid, t_mid):
+                classify(s[k], t[k], gap[k], ok[k])
+        block.clear()
+
+    for i, j in candidates:
+        if same:
+            ring = min(abs(i - j), n_seg_a - abs(i - j))
+            if ring <= guard:
+                continue
+        s_mid = float(strand_a.ts[i] + 0.5 * dt_a)
+        t_mid = float(sb.ts[j] + 0.5 * dt_b)
+        if near_existing(s_mid, t_mid):
+            continue
+        block.append((s_mid, t_mid))
+        if len(block) == _REFINE_BLOCK:
+            refine_block()
+    if block:
+        refine_block()
 
     accepted.sort(key=lambda p: (p.s, p.t))
     unresolved.sort(key=lambda p: (p.s, p.t))

@@ -327,17 +327,19 @@ def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
     """First near-return time on a uniform dense grid, or None."""
     n = spec.dimension
     ts = np.linspace(traj.t0, traj.t1, 4096)
-    dt = ts[1] - ts[0]
-    dists = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        z = traj.state(float(t))
-        dists[i] = _closure_residual(spec, z, z0)
-    for k in range(2, len(ts) - 1):
-        if ts[k] < t_guard:
-            continue
-        if dists[k] < threshold and dists[k] <= dists[k - 1] and dists[k] < dists[k + 1]:
-            return float(ts[k])
-    return None
+    z = traj.state(ts)
+    dx = spec.metric.space.delta(z[:, :n], z0[:n])
+    dv = z[:, n:] - z0[n:]
+    dists = np.sqrt(np.sum(dx * dx, axis=1) + np.sum(dv * dv, axis=1))
+    mid = dists[2:-1]
+    hit = (
+        (ts[2:-1] >= t_guard)
+        & (mid < threshold)
+        & (mid <= dists[1:-2])
+        & (mid < dists[3:])
+    )
+    k = np.flatnonzero(hit)
+    return float(ts[k[0] + 2]) if k.size else None
 
 
 def find_rotation(

@@ -8,11 +8,13 @@ dual coefficients transport the sensitivities of the discrete solution map.
 
 Dense output uses the quartic interpolant associated with the pair (local
 order 4), and events are located by sign change plus bisection on the dense
-interpolant down to a 1e-12 time tolerance.
+interpolant down to a 1e-12 time tolerance (four ulps of t where that is
+coarser), with a cap on the number of halvings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +96,7 @@ _EXPO = 0.2 - 0.75 * _BETA
 _MAX_FACTOR = 5.0
 _MIN_FACTOR = 0.1
 _EVENT_TIME_TOL = 1e-12
+_EVENT_MAX_BISECTIONS = 200
 
 
 class IntegrationError(OrbitLabError):
@@ -201,7 +204,11 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step) -> float:
 
 
 def _bisect_event(segment: DenseSegment, g, t_lo: float, t_hi: float, sign_lo: float):
-    while t_hi - t_lo > _EVENT_TIME_TOL:
+    # beyond |t| ~ 8192 the absolute tolerance is below the spacing of floats
+    tol = max(_EVENT_TIME_TOL, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
+    for _ in range(_EVENT_MAX_BISECTIONS):
+        if t_hi - t_lo <= tol:
+            break
         mid = 0.5 * (t_lo + t_hi)
         if np.sign(g(mid, segment.eval(mid))) == sign_lo:
             t_lo = mid

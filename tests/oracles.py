@@ -3,11 +3,14 @@
 Everything here deliberately avoids the library's own differentiation and
 geometry code paths: derivatives come from central finite differences, curve
 scans from dense polylines, so that the main implementations are checked
-against genuinely independent computations.
+against genuinely independent computations.  The vectorised consumers of
+dense trajectory output are checked against the one-point-at-a-time loops
+they replaced, which live here as references.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -115,3 +118,83 @@ def dual_first_vs_fd_samples(n_samples: int, seed: int = 0, h: float = 1e-5):
             continue  # wildly scaled samples drown the fd oracle in rounding
         produced += 1
         yield node, point, direction, d.first[0], fd
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the vectorised dense-output consumers
+# ---------------------------------------------------------------------------
+
+def refine_pair(sa, sb, s0: float, t0: float, max_iter: int = 60):
+    """One-start damped Newton on half the squared separation of two strands.
+
+    The reference for ``intersect._refine_pairs``: one lane at a time, scalar
+    dense-output calls, the 2x2 system solved by ``np.linalg.solve``.
+    Returns (s, t, gap, ok).
+    """
+    space = sa.space
+    s, t = s0, t0
+    lam = 1e-10
+
+    def gap_at(s, t):
+        d = space.delta(sa.position(s), sb.position(t))
+        return d, float(np.dot(d, d))
+
+    d, f2 = gap_at(s, t)
+    for _ in range(max_iter):
+        vs = sa.velocity(s)
+        vt = sb.velocity(t)
+        acs = sa.acceleration(s)
+        act = sb.acceleration(t)
+        grad = np.array([float(np.dot(d, vs)), -float(np.dot(d, vt))])
+        hess = np.array(
+            [
+                [float(np.dot(vs, vs) + np.dot(d, acs)), -float(np.dot(vs, vt))],
+                [-float(np.dot(vs, vt)), float(np.dot(vt, vt) - np.dot(d, act))],
+            ]
+        )
+        gnorm = float(np.max(np.abs(grad)))
+        scale = max(np.linalg.norm(vs), np.linalg.norm(vt), 1e-12)
+        if gnorm < 1e-14 * scale * (1.0 + math.sqrt(f2)):
+            return s, t, math.sqrt(f2), True
+        stepped = False
+        for _ in range(25):
+            try:
+                step = np.linalg.solve(hess + lam * np.eye(2), -grad)
+            except np.linalg.LinAlgError:
+                lam = max(lam * 10.0, 1e-8)
+                continue
+            s_new, t_new = s + step[0], t + step[1]
+            d_new, f2_new = gap_at(s_new, t_new)
+            if f2_new <= f2 * (1.0 + 1e-15) + 1e-300:
+                improved = f2 - f2_new
+                s, t, d, f2 = s_new, t_new, d_new, f2_new
+                lam = max(lam * 0.3, 1e-12)
+                stepped = True
+                if improved <= 1e-16 * (1.0 + f2):
+                    return s, t, math.sqrt(f2), True
+                break
+            lam = max(lam * 10.0, 1e-8)
+        if not stepped:
+            return s, t, math.sqrt(f2), False
+    return s, t, math.sqrt(f2), False
+
+
+def rotation_seed_scan(spec, traj, z0, t_guard, threshold):
+    """First near-return time on a uniform dense grid, one state call per point.
+
+    The reference for ``orbits._rotation_seed_scan``.
+    """
+    n = spec.dimension
+    ts = np.linspace(traj.t0, traj.t1, 4096)
+    dists = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        z = traj.state(float(t))
+        dx = spec.metric.space.delta(z[:n], z0[:n])
+        dv = np.asarray(z[n:]) - np.asarray(z0[n:])
+        dists[i] = float(np.sqrt(np.dot(dx, dx) + np.dot(dv, dv)))
+    for k in range(2, len(ts) - 1):
+        if ts[k] < t_guard:
+            continue
+        if dists[k] < threshold and dists[k] <= dists[k - 1] and dists[k] < dists[k + 1]:
+            return float(ts[k])
+    return None

@@ -134,6 +134,22 @@ class TestIntegrate:
         assert traj.events, "event did not fire"
         assert traj.events[0].t == pytest.approx(math.pi, abs=1e-9)
 
+    def test_kinetic_minimum_event_late_start(self):
+        # at t ~ 9000 the spacing of floats exceeds the 1e-12 bisection
+        # tolerance; the bisection must still end
+        sys = oscillator((1.0, math.sqrt(2.0)), 0.5)
+        ev = dyn.kinetic_minimum_event(sys)
+        traj = dyn.integrate(
+            sys,
+            PhaseState([1.0, 0.0], [0.0, 0.0]),
+            (9000.0, 9010.0),
+            rtol=1e-12,
+            atol=1e-14,
+            events=(ev,),
+        )
+        assert traj.events, "event did not fire"
+        assert traj.events[0].t == pytest.approx(9000.0 + math.pi, abs=1e-9)
+
     def test_energy_drift_long_run(self):
         sys = oscillator((1.0, math.sqrt(2.0)), 0.5)
         traj = dyn.integrate(
@@ -189,6 +205,42 @@ class TestIntegrate:
         # ... while wrapped output lands in [0, L)
         wrapped = traj.wrapped_positions()
         assert np.all(wrapped >= 0.0) and np.all(wrapped < 2.0)
+
+
+class TestDenseArrays:
+    """Array-valued dense output against stacked scalar calls."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        sys = oscillator((1.0, math.sqrt(2.0)), 0.5)
+        return dyn.integrate(
+            sys, PhaseState([0.3, 0.4], [0.5, -0.2]), (0.5, 12.0), rtol=1e-10
+        )
+
+    def times(self, traj):
+        rng = np.random.default_rng(7)
+        starts = np.array([seg.t0 for seg in traj.segments])
+        return np.concatenate(
+            [
+                rng.uniform(traj.t0, traj.t1, 500),
+                starts,
+                [traj.t0, traj.t1, traj.t0 - 1.0, traj.t1 + 1.0, -50.0, 50.0],
+            ]
+        )
+
+    @pytest.mark.parametrize("method", ["state", "state_derivative", "position", "velocity"])
+    def test_matches_scalar_calls(self, traj, method):
+        ts = self.times(traj)
+        batched = getattr(traj, method)(ts)
+        stacked = np.array([getattr(traj, method)(float(t)) for t in ts])
+        assert batched.shape == stacked.shape
+        scale = np.max(np.abs(stacked), axis=1, keepdims=True)
+        assert np.all(np.abs(batched - stacked) <= 1e-15 * scale)
+
+    def test_outside_range_holds_end_states(self, traj):
+        out = traj.state(np.array([traj.t0 - 1.0, traj.t0, traj.t1, traj.t1 + 1.0]))
+        assert np.array_equal(out[:2], traj.states[[0, 0]])
+        assert np.array_equal(out[2:], traj.states[[-1, -1]])
 
 
 class TestSensitivity:

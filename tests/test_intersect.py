@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
@@ -183,3 +185,143 @@ class TestMutualIntersections:
         assert all(
             set(p) == {"s", "t", "point", "kind", "gap"} for p in d["pairs"]
         )
+
+
+def torus_crossing_pair():
+    """Ridge and horizontal rotations on U = 0.1 cos x1 whose one crossing
+    sits within 1e-3 of the horizontal orbit's start point."""
+    metric = geo.MetricModel.euclidean(2, geo.Space.torus([2 * math.pi, 2 * math.pi]))
+    spec = dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 2), 1.0)
+
+    def speed(x1):
+        return math.sqrt(2.0 * (1.0 - 0.1 * math.cos(x1)))
+
+    rx = (3.1694318, 5.6841789)
+    hx = (3.1418294, 0.6689576)
+    ridge = orb.find_rotation(spec, PhaseState(list(rx), [0.0, speed(rx[0])]))
+    horizontal = orb.find_rotation(spec, PhaseState(list(hx), [speed(hx[0]), 0.0]))
+    return ridge, horizontal
+
+
+@pytest.fixture(scope="module")
+def scan_cases():
+    """Name -> (orbit, second orbit or None) for every orbit scanned in this file."""
+    torus = flat_torus()
+    straight = straight_rotation(torus, [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+    shifted = straight_rotation(torus, [0.0, math.pi], [1.0, 0.0], 2 * math.pi)
+    c = 1.0 / math.sqrt(2.0)
+    winding = 2 * math.pi * math.sqrt(2.0)
+    diagonal = straight_rotation(torus, [0.0, 0.0], [c, c], winding)
+    antidiagonal = straight_rotation(torus, [0.0, 0.0], [c, -c], winding)
+    spec, brake_x = nonresonant_brake(1)
+    brake_y = orb.find_brake(spec, [0.0, 1.0 / math.sqrt(2.0)])
+    ridge, horizontal = torus_crossing_pair()
+    return {
+        "straight": (straight, None),
+        "brake": (brake_x, None),
+        "lissajous": (lissajous_orbit(), None),
+        "axis_brakes": (brake_x, brake_y),
+        "parallel_windings": (straight, shifted),
+        "seam_windings": (diagonal, antidiagonal),
+        "start_crossing": (ridge, horizontal),
+    }
+
+
+CASE_NAMES = [
+    "straight",
+    "brake",
+    "lissajous",
+    "axis_brakes",
+    "parallel_windings",
+    "seam_windings",
+    "start_crossing",
+]
+
+
+def scan(case, brute_force):
+    a, b = case
+    if b is None:
+        return isect.self_intersections(a, brute_force=brute_force)
+    return isect.mutual_intersections(a, b, brute_force=brute_force)
+
+
+class TestHashMatchesBruteForce:
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_candidate_lists_equal(self, scan_cases, name):
+        a, b = scan_cases[name]
+        strand_a = isect._Strand(a, None)
+        strand_b = None if b is None else isect._Strand(b, None)
+        diam = max(strand_a.diameter, (strand_b or strand_a).diameter)
+        margin = isect._NEAR_MISS_FACTOR * 1e-6 * diam  # the scan's default margin
+        hashed = isect._hash_candidates(strand_a, strand_b, margin)
+        assert hashed == isect._brute_candidates(strand_a, strand_b, margin)
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_reports_equal(self, scan_cases, name):
+        fast = scan(scan_cases[name], brute_force=False)
+        slow = scan(scan_cases[name], brute_force=True)
+        assert fast.to_dict() == slow.to_dict()
+
+
+class TestStrandWrap:
+    def test_crossing_at_strand_start_found_by_both_routes(self, scan_cases):
+        ridge, horizontal = scan_cases["start_crossing"]
+        for brute_force in (False, True):
+            report = isect.mutual_intersections(
+                ridge, horizontal, brute_force=brute_force
+            )
+            assert report.dp_count == 1
+
+    def test_parameters_wrap_modulo_period(self, scan_cases):
+        orbit, _ = scan_cases["lissajous"]
+        strand = isect._Strand(orbit, None)
+        for t in (0.3, 2.0):
+            shifted = t + orbit.period
+            assert np.allclose(strand.position(shifted), strand.position(t), atol=1e-8)
+            assert np.allclose(strand.velocity(t - orbit.period), strand.velocity(t), atol=1e-8)
+
+
+def on_zero_curve(sa, sb, s, t):
+    """Whether the Hessian of the squared separation is singular at (s, t).
+
+    There the zero-gap points form a curve (the diagonal s = t, or a brake
+    orbit's retrace line s + t = 0), and where along it Newton stops is set
+    by rounding alone.
+    """
+    d = sa.space.delta(sa.position(s), sb.position(t))
+    vs, vt = sa.velocity(s), sb.velocity(t)
+    h11 = vs @ vs + d @ sa.acceleration(s)
+    h22 = vt @ vt - d @ sb.acceleration(t)
+    h12 = -(vs @ vt)
+    return h11 * h22 - h12 * h12 <= 1e-6 * (h11 + h22) ** 2
+
+
+class TestBatchedRefinement:
+    # the brake orbit meets itself only along its diagonal and retrace line
+    @pytest.mark.parametrize(
+        "name, min_isolated", [("lissajous", 40), ("brake", 0), ("seam_windings", 200)]
+    )
+    def test_matches_scalar_reference(self, scan_cases, name, min_isolated):
+        a, b = scan_cases[name]
+        sa = isect._Strand(a, None)
+        sb = sa if b is None else isect._Strand(b, None)
+        rng = np.random.default_rng(20260)
+        s0 = rng.uniform(0.0, sa.period, 200)
+        t0 = rng.uniform(0.0, sb.period, 200)
+        s, t, gap, ok = isect._refine_pairs(sa, sb, s0, t0)
+        isolated = 0
+        for k in range(200):
+            s_ref, t_ref, gap_ref, ok_ref = oracles.refine_pair(sa, sb, s0[k], t0[k])
+            assert ok[k] == ok_ref, k
+            if not on_zero_curve(sa, sb, s_ref, t_ref):
+                isolated += 1
+                assert abs(s[k] - s_ref) <= 1e-10 * sa.period, k
+                assert abs(t[k] - t_ref) <= 1e-10 * sb.period, k
+                continue
+            # on a zero curve: same gap, same curve
+            assert abs(gap[k] - gap_ref) <= 1e-9 * sa.diameter, k
+            for combine in (lambda u, v: u - v, lambda u, v: u + v):
+                off = isect._param_gap_circular(combine(s[k], t[k]), 0.0, sa.period)
+                off_ref = isect._param_gap_circular(combine(s_ref, t_ref), 0.0, sa.period)
+                assert (off < 1e-6) == (off_ref < 1e-6), k
+        assert isolated >= min_isolated

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
@@ -133,6 +135,39 @@ class TestFindRotation:
                 PhaseState([0.0, 0.0], [1.0, 0.0]),
                 section_normal=[0.0, 1.0],
             )
+
+
+def cosine_torus_speed(x1, energy=1.0):
+    return math.sqrt(2.0 * (energy - 0.1 * math.cos(x1)))
+
+
+# every rotation seed that reaches the return-time scan in the suite
+ROTATION_SEEDS = [
+    ("flat_torus", [0.0, 0.0], [1.0, 0.0]),
+    ("cosine_torus", [math.pi + 0.02, 0.0], [0.0, cosine_torus_speed(math.pi + 0.02)]),
+    ("cosine_torus", [math.pi, 0.0], [0.0, cosine_torus_speed(math.pi)]),
+    ("cosine_torus", [3.1694318, 5.6841789], [0.0, cosine_torus_speed(3.1694318)]),
+    ("cosine_torus", [3.1418294, 0.6689576], [cosine_torus_speed(3.1418294), 0.0]),
+]
+
+
+class TestRotationSeedScan:
+    @pytest.mark.parametrize("system, x0, v0", ROTATION_SEEDS)
+    def test_matches_scalar_loop(self, monkeypatch, system, x0, v0):
+        spec = {"flat_torus": flat_torus, "cosine_torus": cosine_torus}[system]()
+        calls = []
+        scan = orb._rotation_seed_scan
+
+        def recording(*args, **kwargs):
+            t_ret = scan(*args, **kwargs)
+            calls.append((t_ret, oracles.rotation_seed_scan(*args, **kwargs)))
+            return t_ret
+
+        monkeypatch.setattr(orb, "_rotation_seed_scan", recording)
+        orb.find_rotation(spec, PhaseState(x0, v0))
+        assert len(calls) == 1
+        t_ret, t_ref = calls[0]
+        assert t_ret is not None and t_ret == t_ref
 
 
 class TestMonodromy:
