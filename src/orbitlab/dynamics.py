@@ -9,7 +9,6 @@ it.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +27,14 @@ __all__ = [
     "SystemSpec",
     "PhaseState",
     "Trajectory",
-    "Event",
     "lagrange_rhs",
     "hamilton_rhs",
     "total_energy",
     "integrate",
     "state_rhs",
+    "state_rhs_jvp",
     "rhs_jacobian",
+    "integrate_sensitivity",
     "kinetic_minimum_event",
     "write_trajectory_csv",
 ]
@@ -177,17 +177,25 @@ def state_rhs(spec: SystemSpec, t, z):
     return list(v) + acc
 
 
-def rhs_jacobian(spec: SystemSpec, z):
-    """2n x 2n Jacobian of the first-order flow at z, via dual seeding."""
-    n = spec.dimension
-    m = 2 * n
-    seeds = [Dual.seed(float(val_of(c)), m, i, 1, tag=0) for i, c in enumerate(z)]
+def state_rhs_jvp(spec: SystemSpec, z, w):
+    """(f(z), J(z) W) for a 2n x m tangent W, from one dual evaluation.
+
+    Component i of the float state z is seeded with row i of W, so the
+    derivative parts of :func:`state_rhs` are the rows of J(z) W.  Every
+    derivative of the flow (shooting, monodromy, the Jacobian) comes from here.
+    """
+    w = np.asarray(w, dtype=float)
+    m = w.shape[1]
+    seeds = [Dual(m, 1, 0, float(c), row) for c, row in zip(z, w.tolist())]
     out = state_rhs(spec, 0.0, seeds)
-    jac = np.zeros((m, m))
-    for i, entry in enumerate(out):
-        if isinstance(entry, Dual):
-            jac[i] = [val_of(g) for g in entry.grad]
-    return jac
+    zero = [0.0] * m
+    jw = np.array([c.grad if isinstance(c, Dual) else zero for c in out], dtype=float)
+    return [val_of(c) for c in out], jw
+
+
+def rhs_jacobian(spec: SystemSpec, z):
+    """2n x 2n Jacobian of the first-order flow at z."""
+    return state_rhs_jvp(spec, z, np.eye(len(z)))[1]
 
 
 def hamilton_rhs(spec: SystemSpec, x, y):
@@ -231,28 +239,19 @@ def total_energy(spec: SystemSpec, x, v=None):
 # Trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Event:
-    """Event over (t, x, v); thin adapter onto the integrator's event spec."""
-
-    fn: object
-    direction: int = 0
-    terminal: bool = False
-    name: str = ""
-
-
-def kinetic_minimum_event(spec: SystemSpec, terminal: bool = False) -> Event:
-    """Fires at minima of the kinetic energy along the flow.
+def kinetic_minimum_event(spec: SystemSpec, terminal: bool = False) -> EventSpec:
+    """Event over (t, z) firing at minima of the kinetic energy along the flow.
 
     Energy conservation makes d(KE)/dt = -grad U . v, so KE minima are the
     downward crossings of g = grad U . v.
     """
+    n = spec.dimension
 
-    def g(t, x, v):
-        grad_u = spec.potential.gradient(list(x))
-        return float(np.dot(grad_u, v))
+    def g(t, z):
+        grad_u = spec.potential.gradient(list(z[:n]))
+        return float(np.dot(grad_u, z[n:]))
 
-    return Event(g, direction=-1, terminal=terminal, name="kinetic_minimum")
+    return EventSpec(g, direction=-1, terminal=terminal, name="kinetic_minimum")
 
 
 @dataclass
@@ -278,13 +277,7 @@ class Trajectory:
     def _segment_at(self, t: float):
         if not self.segments:
             raise ValueError("trajectory carries no dense output")
-        starts = getattr(self, "_segment_starts", None)
-        if starts is None or len(starts) != len(self.segments):
-            starts = [s.t0 for s in self.segments]
-            self._segment_starts = starts
-        idx = bisect.bisect_right(starts, t) - 1
-        idx = min(max(idx, 0), len(self.segments) - 1)
-        return self.segments[idx]
+        return rk.segment_at(self.segments, t)
 
     def _segments_for(self, ts: np.ndarray):
         """(t0, h, y0, q) of the segment holding each time of ``ts``."""
@@ -361,21 +354,15 @@ def integrate(
     max_step: float | None = None,
     dense: bool = True,
 ) -> Trajectory:
-    """Integrate the Lagrangian flow; the torus chart stays in the cover."""
+    """Integrate the Lagrangian flow; the torus chart stays in the cover.
+
+    ``events`` are :class:`~orbitlab.rk.EventSpec` over (t, z), z = (x, v).
+    """
     n = spec.dimension
 
     def f(t, z):
         return state_rhs(spec, t, z)
 
-    rk_events = tuple(
-        EventSpec(
-            fn=lambda t, z, _e=e: _e.fn(t, z[:n], z[n:]),
-            direction=e.direction,
-            terminal=e.terminal,
-            name=e.name,
-        )
-        for e in events
-    )
     res = rk.solve_rk45(
         f,
         t_span,
@@ -383,7 +370,7 @@ def integrate(
         rtol=rtol,
         atol=atol,
         max_step=max_step,
-        events=rk_events,
+        events=tuple(events),
         dense=dense,
     )
     energies = np.array(
@@ -403,27 +390,26 @@ def integrate(
 
 def integrate_sensitivity(
     spec: SystemSpec,
-    x0,
-    v0,
+    z0,
+    w0,
     t_end: float,
     rtol: float = 1e-11,
     atol: float = 1e-13,
 ):
-    """Integrate with dual-valued initial data and return the final state.
+    """Flow z0 over (0, t_end) with a 2n x m tangent; returns (z, W) at t_end.
 
-    Step-size control sees only the float part, so the dual coefficients are
-    the exact derivatives of the discrete solution map along the accepted
-    step sequence.
+    W(t_end) = D phi(z0) W0, where phi is the discrete solution map along the
+    accepted steps.  Step-size control sees the state only, so the steps are
+    those of the plain run and W is the exact derivative Newton needs.
     """
-    z0 = list(x0) + list(v0)
 
-    def f(t, z):
-        return state_rhs(spec, t, z)
+    def f(t, z, w):
+        return state_rhs_jvp(spec, z, w)
 
     res = rk.solve_rk45(
-        f, (0.0, t_end), z0, rtol=rtol, atol=atol, events=(), dense=False
+        f, (0.0, t_end), z0, rtol=rtol, atol=atol, dense=False, w0=w0
     )
-    return res.y_final
+    return np.array(res.y_final), res.w_final
 
 
 def write_trajectory_csv(traj: Trajectory, path):

@@ -278,40 +278,27 @@ def parse(source: str, dimension: int) -> ExprNode:
     return _Parser(source, dimension).parse()
 
 
-def to_source(node: ExprNode) -> str:
-    """Render a tree back to parseable text (fully parenthesized)."""
+def to_source(node: ExprNode, dimension: int | None = None) -> str:
+    """Render a tree as fully parenthesized text.
+
+    With the tree's ``dimension`` variables print as x1../v1.. and the text
+    parses back to the same tree; without it they print as ``__index__``.
+    """
     if isinstance(node, Const):
         return repr(node.value) if node.value >= 0 else f"({node.value!r})"
     if isinstance(node, Var):
-        # printing does not know the dimension; use the convention that
-        # indices below 9 are positions.  Parsing output requires the same
-        # dimension the tree was built with, which callers track anyway.
-        return f"__{node.index}__"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return f"(-{to_source(node.arg)})"
-        return f"{node.op}({to_source(node.arg)})"
-    if node.op == "pow":
-        return f"({to_source(node.left)})^{node.right.value!r}"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
-    return f"({to_source(node.left)} {sym} {to_source(node.right)})"
-
-
-def to_source_dim(node: ExprNode, dimension: int) -> str:
-    """Render with x1../v1.. names for a known dimension."""
-    if isinstance(node, Var):
+        if dimension is None:
+            return f"__{node.index}__"
         if node.index < dimension:
             return f"x{node.index + 1}"
         return f"v{node.index - dimension + 1}"
-    if isinstance(node, Const):
-        return repr(node.value) if node.value >= 0 else f"({node.value!r})"
     if isinstance(node, Unary):
-        inner = to_source_dim(node.arg, dimension)
+        inner = to_source(node.arg, dimension)
         return f"(-{inner})" if node.op == "neg" else f"{node.op}({inner})"
     if node.op == "pow":
-        return f"({to_source_dim(node.left, dimension)})^{node.right.value!r}"
+        return f"({to_source(node.left, dimension)})^{node.right.value!r}"
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
-    return f"({to_source_dim(node.left, dimension)} {sym} {to_source_dim(node.right, dimension)})"
+    return f"({to_source(node.left, dimension)} {sym} {to_source(node.right, dimension)})"
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +357,7 @@ class Dual:
         return Dual(self.m, self.order, self.tag, val, grad, hess, third)
 
     def _check(self, other: "Dual"):
-        if self.m != other.m or self.tag != other.tag:
+        if self.m != other.m or self.tag != other.tag or self.order != other.order:
             raise ValueError("dual arithmetic across incompatible contexts")
 
     def __repr__(self):

@@ -159,17 +159,6 @@ def geodesic_flow_system(jm: JacobiMetric) -> SystemSpec:
 # Reparametrized curves
 # ---------------------------------------------------------------------------
 
-def _dense_scalar(result: rk.RKResult, w: float) -> float:
-    segs = result.segments
-    lo, hi = segs[0].t0, segs[-1].t1
-    w = min(max(w, lo), hi)
-    import bisect as _b
-
-    idx = _b.bisect_right([s.t0 for s in segs], w) - 1
-    idx = min(max(idx, 0), len(segs) - 1)
-    return float(segs[idx].eval(w)[0])
-
-
 @dataclass
 class GeodesicCurve:
     """Arc-length picture of an orbit: positions indexed by Fbar arc length."""
@@ -189,7 +178,7 @@ class GeodesicCurve:
         return self.s_total
 
     def time_at(self, s: float) -> float:
-        return _dense_scalar(self.t_of_s, s)
+        return float(self.t_of_s.value_at(s)[0])
 
     def position(self, s: float) -> np.ndarray:
         return self.source.position(self.time_at(s))
@@ -232,7 +221,7 @@ class OrbitCurve:
         return self.t_total
 
     def arclength_at(self, t: float) -> float:
-        return _dense_scalar(self.s_of_t, t)
+        return float(self.s_of_t.value_at(t)[0])
 
     def position(self, t: float) -> np.ndarray:
         return self.source.position(self.arclength_at(t))
@@ -274,10 +263,10 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
     fwd = rk.solve_rk45(
         ds_dt, (traj.t0, traj.t1), [0.0], rtol=1e-12, atol=1e-14, dense=True
     )
-    s_total = float(val_of(fwd.y_final[0]))
+    s_total = float(fwd.y_final[0])
 
     def dt_ds(s, t):
-        return [1.0 / val_of(jm.psi(traj.position(float(val_of(t[0])))))]
+        return [1.0 / val_of(jm.psi(traj.position(t[0])))]
 
     inv = rk.solve_rk45(
         dt_ds, (0.0, s_total), [traj.t0], rtol=1e-12, atol=1e-14, dense=True
@@ -322,10 +311,10 @@ def geodesic_to_orbit(curve, jm: JacobiMetric) -> OrbitCurve:
     fwd = rk.solve_rk45(
         dt_ds, (s0, s1), [0.0], rtol=1e-12, atol=1e-14, dense=True
     )
-    t_total = float(val_of(fwd.y_final[0]))
+    t_total = float(fwd.y_final[0])
 
     def ds_dt(t, s):
-        x = curve.position(float(val_of(s[0])))
+        x = curve.position(s[0])
         return [val_of(jm.psi(x))]
 
     inv = rk.solve_rk45(

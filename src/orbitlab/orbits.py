@@ -4,12 +4,14 @@ Brake orbits are found by a Newton iteration on a rest point constrained to
 the boundary {U = E} plus the half-period; reversibility closes the orbit.
 Rotations are found by first-return shooting off a section hyperplane with
 the seed velocity re-scaled onto the energy level.  Shooting Jacobians come
-from dual-number sensitivities transported through the integrator's accepted
-steps, so Newton sees the exact derivative of the discrete flow.
+from a tangent matrix carried through the integrator's stages and accepted
+steps (:func:`~orbitlab.dynamics.integrate_sensitivity`), so Newton sees the
+exact derivative of the discrete flow.
 
-Monodromy integrates the variational equations alongside the orbit, with the
-flow Jacobian obtained by dual-number differentiation of the equations of
-motion at every stage.
+Monodromy integrates the variational equations M' = J(z) M alongside the
+orbit as one augmented system, so step-size control watches M as well as the
+orbit; J(z) M comes from one dual evaluation of the equations of motion per
+stage (:func:`~orbitlab.dynamics.state_rhs_jvp`).
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ import numpy as np
 
 from . import geometry as geo
 from .dynamics import (
-    Event,
     PhaseState,
     SystemSpec,
     Trajectory,
     integrate,
+    integrate_sensitivity,
     kinetic_minimum_event,
     lagrange_rhs,
-    rhs_jacobian,
     state_rhs,
+    state_rhs_jvp,
     total_energy,
 )
 from .errors import OrbitLabError
@@ -142,15 +144,6 @@ def _project_to_level(spec: SystemSpec, x, max_iter=50):
     raise ConvergenceError("projection onto {U = E} did not converge")
 
 
-def _dual_initial(values: np.ndarray, tangent_columns: np.ndarray):
-    """Seed duals carrying d(values)/d(parameters) = tangent_columns."""
-    m = tangent_columns.shape[1]
-    return [
-        Dual(m, 1, 0, float(values[i]), [float(c) for c in tangent_columns[i]])
-        for i in range(len(values))
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Brake orbits
 # ---------------------------------------------------------------------------
@@ -224,28 +217,23 @@ def find_brake(
         )
         return float(np.max(np.abs(traj.states[-1][n:])))
 
-    from .dynamics import integrate_sensitivity
-
     res_norm = None
     for _ in range(max_newton):
         grad_p = np.array([val_of(c) for c in spec.potential.gradient(list(p))])
         basis = _complement_basis(grad_p)  # n x (n-1)
-        x0 = _dual_initial(p, basis)
-        final = integrate_sensitivity(
-            spec, x0, [0.0] * n, t_half, rtol=newton_rtol, atol=newton_atol
+        # unknowns move the rest point along the boundary chart
+        w0 = np.vstack([basis, np.zeros((n, n - 1))])
+        zf, wf = integrate_sensitivity(
+            spec, np.concatenate([p, np.zeros(n)]), w0, t_half,
+            rtol=newton_rtol, atol=newton_atol,
         )
-        v_final = final[n:]
-        residual = np.array([val_of(c) for c in v_final])
+        residual = zf[n:]
         res_norm = float(np.max(np.abs(residual)))
         if res_norm <= v_tol:
             break
         jac = np.zeros((n, n))
-        for i in range(n):
-            entry = v_final[i]
-            if isinstance(entry, Dual):
-                jac[i, : n - 1] = [val_of(c) for c in entry.grad]
-        zf = [val_of(c) for c in final]
-        jac[:, n - 1] = lagrange_rhs(spec, zf[:n], zf[n:])
+        jac[:, : n - 1] = wf[n:]
+        jac[:, n - 1] = lagrange_rhs(spec, zf[:n].tolist(), zf[n:].tolist())
         try:
             step = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError as exc:
@@ -435,26 +423,21 @@ def find_rotation(
 
     res_norm = None
     for _ in range(max_newton):
-        seeds = [Dual.seed(0.0, m, i, 1, 0) for i in range(m)]
-        x0_d, v0_d = build_initial(seeds)
-        final = None
-        from .dynamics import integrate_sensitivity
-
-        final = integrate_sensitivity(
-            spec, x0_d, v0_d, t_period, rtol=newton_rtol, atol=newton_atol
+        # (z0, W0) = initial state and its derivative in the m unknowns
+        x0_d, v0_d = build_initial([Dual.seed(0.0, m, i, 1, 0) for i in range(m)])
+        z0 = np.array([val_of(c) for c in x0_d + v0_d])
+        w0 = np.array([[val_of(g) for g in c.grad] for c in x0_d + v0_d])
+        zf, wf = integrate_sensitivity(
+            spec, z0, w0, t_period, rtol=newton_rtol, atol=newton_atol
         )
-        res_dual = [final[i] - x0_d[i] - winding[i] for i in range(n)]
-        res_dual += [final[n + i] - v0_d[i] for i in range(n)]
-        residual = np.array([val_of(c) for c in res_dual])
+        residual = zf - z0
+        residual[:n] -= winding
         res_norm = float(np.max(np.abs(residual)))
         if res_norm <= res_tol:
             break
         jac = np.zeros((2 * n, m + 1))
-        for i, entry in enumerate(res_dual):
-            if isinstance(entry, Dual):
-                jac[i, :m] = [val_of(c) for c in entry.grad]
-        zf = [val_of(c) for c in final]
-        jac[:, m] = state_rhs(spec, 0.0, zf)
+        jac[:, :m] = wf - w0
+        jac[:, m] = state_rhs(spec, 0.0, zf.tolist())
         step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
 
         def trial_norm(u_step, alpha):
@@ -559,8 +542,10 @@ def monodromy(
 ) -> MonodromyReport:
     """Fundamental solution of the variational equations over the period.
 
-    The flow Jacobian feeding the variational equations is evaluated by
-    dual-number differentiation of the equations of motion along the orbit.
+    The orbit and M, with M' = J(z) M and M(0) = I, form one augmented system
+    of 2n + 4n^2 components.  Its error norm covers M: a ridge rotation of the
+    cosine torus is a straight line, and error control on the orbit alone
+    takes so few steps there that det M drifts from 1.
     """
     n = spec.dimension
     if spec.metric.kind == "finsler" and orbit.rest_points:
@@ -568,17 +553,12 @@ def monodromy(
             "monodromy across rest points requires a Riemannian kinetic model"
         )
     dim = 2 * n
-    z0 = list(orbit.trajectory.states[0])
 
     def f(t, y):
-        z = y[:dim]
-        mono = np.array(y[dim:], dtype=float).reshape(dim, dim)
-        dz = state_rhs(spec, t, z)
-        jac = rhs_jacobian(spec, z)
-        dm = jac @ mono
-        return list(dz) + [float(c) for c in dm.ravel()]
+        dz, dm = state_rhs_jvp(spec, y[:dim], np.reshape(y[dim:], (dim, dim)))
+        return dz + dm.ravel().tolist()
 
-    y0 = z0 + [float(c) for c in np.eye(dim).ravel()]
+    y0 = np.concatenate([orbit.trajectory.states[0], np.eye(dim).ravel()])
     res = rk.solve_rk45(
         f,
         (0.0, periods * orbit.period),
@@ -587,7 +567,7 @@ def monodromy(
         atol=atol,
         dense=False,
     )
-    matrix = np.array(res.y_final[dim:], dtype=float).reshape(dim, dim)
+    matrix = np.reshape(res.y_final[dim:], (dim, dim))
     eigenvalues = np.linalg.eigvals(matrix)
     det_error = abs(float(np.linalg.det(matrix)) - 1.0)
     trivial = int(np.sum(np.abs(eigenvalues - 1.0) < tol_eig))

@@ -1,10 +1,12 @@
 """Embedded Dormand-Prince 5(4) integrator with dense output and events.
 
-The stepper operates on states given as Python lists of scalars, which may be
-plain floats or :class:`~orbitlab.expr.Dual` numbers.  Step-size control
-always looks at the float part only, so a run with dual-valued state takes
-exactly the accepted-step sequence of the corresponding float run and the
-dual coefficients transport the sensitivities of the discrete solution map.
+The stepper works on float states, given as sequences of scalars and
+converted to Python floats on entry.  A run may also carry a d x m tangent
+matrix W through the same stages, K_s = J(y_s) (W + h sum_l a_sl K_l), with
+the right-hand side supplying the products J(y) W.  Step-size control looks
+at the state only, so a tangent run takes exactly the accepted-step sequence
+of the plain run and W(t1) is the derivative of the discrete solution map
+along those steps applied to W(t0) (internal numerical differentiation).
 
 Dense output uses the quartic interpolant associated with the pair (local
 order 4), and events are located by sign change plus bisection on the dense
@@ -14,15 +16,16 @@ coarser), with a cap on the number of halvings.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import OrbitLabError
-from .expr import Dual, val_of
 
-__all__ = ["EventSpec", "EventHit", "RKResult", "IntegrationError", "solve_rk45"]
+__all__ = ["EventSpec", "EventHit", "RKResult", "IntegrationError", "segment_at", "solve_rk45"]
 
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 
@@ -146,6 +149,12 @@ class DenseSegment:
         return self.q @ powers
 
 
+def segment_at(segments: list[DenseSegment], t: float) -> DenseSegment:
+    """The segment whose span holds ``t``; the first or last one outside them all."""
+    idx = bisect.bisect_right(segments, t, key=attrgetter("t0")) - 1
+    return segments[min(max(idx, 0), len(segments) - 1)]
+
+
 @dataclass
 class RKResult:
     ts: np.ndarray
@@ -156,25 +165,26 @@ class RKResult:
     t_final: float = 0.0
     n_accepted: int = 0
     n_rejected: int = 0
+    w_final: np.ndarray | None = None  # tangent at t_final, for a tangent run
 
-
-def _float_state(y) -> np.ndarray:
-    return np.array([val_of(c) for c in y], dtype=float)
+    def value_at(self, t: float) -> np.ndarray:
+        """Dense solution at ``t``, clamped to the integrated span."""
+        t = min(max(t, self.segments[0].t0), self.segments[-1].t1)
+        return segment_at(self.segments, t).eval(t)
 
 
 def _error_norm(err, y0, y1, rtol, atol) -> float:
     acc = 0.0
     for e, a, b in zip(err, y0, y1):
-        scale = atol + rtol * max(abs(val_of(a)), abs(val_of(b)))
-        q = val_of(e) / scale
+        q = e / (atol + rtol * max(abs(a), abs(b)))
         acc += q * q
-    return float(np.sqrt(acc / len(err)))
+    return math.sqrt(acc / len(err))
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step) -> float:
     span = t1 - t0
-    y = _float_state(y0)
-    fv = _float_state(f0)
+    y = np.array(y0)
+    fv = np.array(f0)
     scale = atol + rtol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((fv / scale) ** 2)))
@@ -184,15 +194,8 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step) -> float:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = [y0[i] + h0 * f0[i] for i in range(len(y0))]
-    f1 = f(t0 + h0, y1)
-    d2 = (
-        float(
-            np.sqrt(
-                np.mean(((_float_state(f1) - fv) / scale) ** 2)
-            )
-        )
-        / h0
-    )
+    f1 = np.array(f(t0 + h0, y1))
+    d2 = float(np.sqrt(np.mean(((f1 - fv) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -218,6 +221,15 @@ def _bisect_event(segment: DenseSegment, g, t_lo: float, t_hi: float, sign_lo: f
     return t_ev, segment.eval(t_ev)
 
 
+def _tangent_increment(a, kw, s):
+    """sum_l a[l] kw[l] over the stages before s, accumulated in stage order."""
+    acc = a[0] * kw[0]
+    for l in range(1, s):
+        if a[l] != 0.0:
+            acc = acc + a[l] * kw[l]
+    return acc
+
+
 def solve_rk45(
     f,
     t_span,
@@ -227,31 +239,45 @@ def solve_rk45(
     max_step: float | None = None,
     events: tuple = (),
     dense: bool = True,
+    w0=None,
 ) -> RKResult:
     """Integrate y' = f(t, y) over t_span with the 5(4) pair.
 
-    ``y0`` is a sequence of scalars (floats or duals).  Events and dense
-    storage require a pure-float state.
+    With a tangent ``w0`` (d x m), ``f(t, y, w)`` returns the pair
+    (f(t, y), J(t, y) w) and the result carries W(t1) as ``w_final``.  A
+    tangent run stores no dense output and locates no events.  A right-hand
+    side that turns NaN or infinite raises :class:`IntegrationError` with the
+    time and state of the first stage that produced it.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
     if rtol < 1e-13:
         raise ValueError("relative tolerance must be at least 1e-13")
-    y = list(y0)
+    y = [float(c) for c in y0]
     d = len(y)
-    float_mode = not any(isinstance(c, Dual) for c in y)
-    if (events or dense) and not float_mode:
-        raise ValueError("events and dense output need a float state")
+    w = None
+    value = f
+    if w0 is not None:
+        if events or dense:
+            raise ValueError("events and dense output need a run without a tangent")
+        w = np.array(w0, dtype=float)
+        if w.ndim != 2 or w.shape[0] != d:
+            raise ValueError("the tangent needs one row per state component")
+
+        def value(t, y):
+            return f(t, y, w)[0]
 
     result = RKResult(ts=np.empty(0), ys=np.empty((0, d)), segments=[])
     ts = [t0]
-    ys = [_float_state(y)]
+    ys = [np.array(y)]
 
     k = [None] * 7
+    kw = [None] * 7
+    stage_y = [None] * 7
     t = t0
-    fv = f(t, y)
-    h = _initial_step(f, t0, y, fv, t1, rtol, atol, max_step)
+    fv, fw = f(t, y, w) if w is not None else (f(t, y), None)
+    h = _initial_step(value, t0, y, fv, t1, rtol, atol, max_step)
     facold = 1e-4
     g_prev = None
     if events:
@@ -260,33 +286,39 @@ def solve_rk45(
 
     while not finished:
         if h < 1e-14 * max(abs(t), 1.0):
-            raise IntegrationError(
-                f"step size underflow at t={t!r}", t=t, y=_float_state(y)
-            )
+            raise IntegrationError(f"step size underflow at t={t!r}", t=t, y=np.array(y))
         if max_step is not None:
             h = min(h, max_step)
         if t + h >= t1:
             h = t1 - t
             finished = True
 
-        k[0] = fv
+        k[0], kw[0], stage_y[0] = fv, fw, y
         for s in range(1, 7):
             a = _A[s]
             yt = [
                 y[i] + h * sum(a[l] * k[l][i] for l in range(s) if a[l] != 0.0)
                 for i in range(d)
             ]
-            k[s] = f(t + _C[s] * h, yt)
-        # k[6] is f at the 5th-order solution (FSAL)
-        y_new = [
-            y[i] + h * sum(_A[6][l] * k[l][i] for l in range(6) if _A[6][l] != 0.0)
-            for i in range(d)
-        ]
+            stage_y[s] = yt
+            if w is None:
+                k[s] = f(t + _C[s] * h, yt)
+            else:
+                wt = w + h * _tangent_increment(a, kw, s)
+                k[s], kw[s] = f(t + _C[s] * h, yt, wt)
+        # the last stage is taken at the 5th-order solution (FSAL)
+        y_new = stage_y[6]
         err_vec = [
             h * sum(_E[l] * k[l][i] for l in range(7) if _E[l] != 0.0)
             for i in range(d)
         ]
         err = _error_norm(err_vec, y, y_new, rtol, atol)
+        if not math.isfinite(err):
+            s = next((s for s in range(7) if not all(map(math.isfinite, k[s]))), 0)
+            t_bad = t + _C[s] * h
+            raise IntegrationError(
+                f"non-finite right-hand side at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s])
+            )
 
         if err > 1.0:
             # reject: shrink and retry
@@ -298,18 +330,17 @@ def solve_rk45(
 
         result.n_accepted += 1
         t_new = t + h
+        y_new_arr = np.array(y_new)
         segment = None
         if dense or events:
-            kmat = np.array([[val_of(c) for c in stage] for stage in k])
-            q = kmat.T @ _P
+            q = np.array(k).T @ _P
             segment = DenseSegment(t, h, ys[-1].copy(), q)
         if dense:
             result.segments.append(segment)
 
         stop_at = None
         if events:
-            y_new_f = _float_state(y_new)
-            g_new = [ev.fn(t_new, y_new_f) for ev in events]
+            g_new = [ev.fn(t_new, y_new_arr) for ev in events]
             hits_here = []
             for idx, ev in enumerate(events):
                 g0, g1 = g_prev[idx], g_new[idx]
@@ -329,18 +360,19 @@ def solve_rk45(
             g_prev = g_new
 
         if stop_at is not None:
-            t_stop, y_stop = stop_at
-            ts.append(t_stop)
+            t, y_stop = stop_at
+            ts.append(t)
             ys.append(y_stop)
-            y = list(y_stop)
-            t = t_stop
+            y = y_stop.tolist()
             finished = True
         else:
             t = t_new
             y = y_new
             ts.append(t)
-            ys.append(_float_state(y))
+            ys.append(y_new_arr)
             fv = k[6]  # FSAL: stage 7 is f at the accepted solution
+            if w is not None:
+                w, fw = wt, kw[6]
 
         # PI step-size controller
         fac11 = max(err, 1e-10) ** _EXPO
@@ -353,4 +385,5 @@ def solve_rk45(
     result.ys = np.array(ys)
     result.y_final = y
     result.t_final = t
+    result.w_final = w
     return result

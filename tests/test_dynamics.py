@@ -7,6 +7,7 @@ from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
 from orbitlab import reference as ref
+from orbitlab import rk
 from orbitlab.dynamics import PhaseState
 
 
@@ -24,6 +25,11 @@ def quartic_finsler_system():
     f2 = ex.parse("v1^2 + v2^2 + 0.1*sqrt(v1^4 + v2^4)", 2)
     metric = geo.MetricModel.finsler(f2, 2)
     return dyn.SystemSpec(metric, ex.parse("0", 2), 1.0)
+
+
+def cosine_torus():
+    metric = geo.MetricModel.euclidean(2, geo.Space.torus([2 * math.pi, 2 * math.pi]))
+    return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 2), 1.0)
 
 
 class TestLagrangeRHS:
@@ -244,38 +250,119 @@ class TestDenseArrays:
 
 
 class TestSensitivity:
+    # tangent seeded with the x0 directions: W0 = [I; 0]
+    W0 = np.vstack([np.eye(2), np.zeros((2, 2))])
+
     def test_dual_state_matches_float_run(self):
         sys = oscillator((1.0, 2.0), 0.5)
-        from orbitlab.expr import Dual, val_of
-
-        x0 = [Dual.seed(0.5, 2, 0), Dual.seed(0.1, 2, 1)]
-        v0 = [0.0, 0.0]
-        final = dyn.integrate_sensitivity(sys, x0, v0, 1.3)
+        final, _ = dyn.integrate_sensitivity(sys, [0.5, 0.1, 0.0, 0.0], self.W0, 1.3)
         plain = dyn.integrate(
             sys, PhaseState([0.5, 0.1], [0.0, 0.0]), (0.0, 1.3), rtol=1e-11, atol=1e-13
         )
-        got = np.array([val_of(c) for c in final])
+        got = final
         want = plain.state(1.3)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_dual_sensitivities_match_oscillator_linearization(self):
         # linear system: d x(t) / d x0 = diag(cos(alpha_i t))
         sys = oscillator((1.0, 2.0), 0.5)
-        from orbitlab.expr import Dual, val_of
-
         t_end = 0.9
-        x0 = [Dual.seed(0.5, 2, 0), Dual.seed(0.1, 2, 1)]
-        final = dyn.integrate_sensitivity(sys, x0, [0.0, 0.0], t_end)
+        _, w = dyn.integrate_sensitivity(sys, [0.5, 0.1, 0.0, 0.0], self.W0, t_end)
         for i, a in enumerate((1.0, 2.0)):
-            assert val_of(final[i].grad[i]) == pytest.approx(
+            assert w[i, i] == pytest.approx(
                 math.cos(a * t_end), abs=1e-9
             )
-            assert val_of(final[2 + i].grad[i]) == pytest.approx(
+            assert w[2 + i, i] == pytest.approx(
                 -a * math.sin(a * t_end), abs=1e-9
             )
 
+    @pytest.mark.parametrize(
+        "system, z0",
+        [
+            (oscillator, [0.5, 0.1, 0.2, -0.3]),
+            (pendulum_torus, [0.3, 0.8]),
+            (cosine_torus, [3.0, 0.1, 0.2, 1.4]),
+        ],
+    )
+    def test_tangent_run_repeats_float_run(self, system, z0):
+        # Dual values divide by multiplying with the reciprocal, so the value
+        # parts equal a float evaluation bit for bit only where the equations
+        # of motion divide by 1 alone, as with these Euclidean metrics.
+        spec = system()
+        calls = [0]
+
+        def f(t, z):
+            return dyn.state_rhs(spec, t, z)
+
+        def f_tangent(t, z, w):
+            calls[0] += 1
+            return dyn.state_rhs_jvp(spec, z, w)
+
+        plain = rk.solve_rk45(f, (0.0, 3.0), z0, dense=False)
+        tangent = rk.solve_rk45(f_tangent, (0.0, 3.0), z0, dense=False, w0=np.eye(len(z0)))
+        assert tangent.y_final == plain.y_final
+        assert (tangent.n_accepted, tangent.n_rejected) == (plain.n_accepted, plain.n_rejected)
+        assert calls[0] == 6 * (tangent.n_accepted + tangent.n_rejected) + 2
+
+    def test_tangent_matches_finite_differences(self):
+        sys = quartic_finsler_system()
+        z0 = np.array([0.3, -0.2, 0.7, 0.4])
+        _, w = dyn.integrate_sensitivity(sys, z0, np.eye(4), 2.0)
+        eps = 1e-5
+        fd = np.zeros((4, 4))
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = eps
+            ends = [
+                dyn.integrate(
+                    sys, PhaseState.from_flat(z0 + s * e), (0.0, 2.0), rtol=1e-11, atol=1e-13,
+                    dense=False,
+                ).states[-1]
+                for s in (1.0, -1.0)
+            ]
+            fd[:, j] = (ends[0] - ends[1]) / (2 * eps)
+        assert np.max(np.abs(fd - w)) < 1e-8
+
+    def test_tangent_run_refuses_dense_output_and_events(self):
+        def f(t, z, w):
+            return [z[1], -z[0]], np.array([w[1], -w[0]])
+
+        with pytest.raises(ValueError):
+            rk.solve_rk45(f, (0.0, 1.0), [1.0, 0.0], w0=np.eye(2))
+        event = rk.EventSpec(lambda t, z: z[0])
+        with pytest.raises(ValueError):
+            rk.solve_rk45(f, (0.0, 1.0), [1.0, 0.0], dense=False, events=(event,), w0=np.eye(2))
+
+
+class TestStepper:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        def f(t, y):
+            return [bad if t > 0.5 else 1.0]
+
+        with pytest.raises(rk.IntegrationError, match="non-finite right-hand side") as info:
+            rk.solve_rk45(f, (0.0, 2.0), [0.0], dense=False)
+        assert 0.5 < info.value.t < 2.0
+        assert np.all(np.isfinite(info.value.y))
+
 
 class TestJacobianOfRHS:
+    @pytest.mark.parametrize(
+        "system, z",
+        [
+            (oscillator, [0.3, 0.2, 0.1, -0.4]),
+            (quartic_finsler_system, [0.3, -0.2, 0.7, 0.4]),
+            (cosine_torus, [2.5, 0.1, 0.3, 1.4]),
+        ],
+    )
+    def test_jvp_matches_jacobian_product(self, system, z):
+        spec = system()
+        w = np.random.default_rng(5).standard_normal((4, 3))
+        value, jw = dyn.state_rhs_jvp(spec, z, w)
+        assert np.allclose(value, dyn.state_rhs(spec, 0.0, z), rtol=1e-14, atol=1e-15)
+        expect = dyn.rhs_jacobian(spec, z) @ w
+        assert np.allclose(jw, expect, rtol=1e-13, atol=1e-14)
+
     def test_oscillator_block_structure(self):
         sys = oscillator((1.0, 2.0), 0.5)
         jac = dyn.rhs_jacobian(sys, [0.3, 0.2, 0.1, -0.4])

@@ -64,13 +64,13 @@ class TestParse:
         ]
         for s in sources:
             tree = ex.parse(s, 2)
-            assert ex.parse(ex.to_source_dim(tree, 2), 2) == tree
+            assert ex.parse(ex.to_source(tree, 2), 2) == tree
 
     def test_roundtrip_random(self):
         rng = random.Random(7)
         for _ in range(100):
             tree = random_expression(rng, 2, depth=3)
-            assert ex.parse(ex.to_source_dim(tree, 2), 2) == tree
+            assert ex.parse(ex.to_source(tree, 2), 2) == tree
 
 
 class TestEvalDual:
@@ -141,7 +141,7 @@ class TestDerivativeSoundness:
         for node, point, direction, dual, fd in dual_first_vs_fd_samples(200, seed=3):
             value = ex.evaluate(node, point)
             tol = 1e-6 * (1.0 + abs(value)) + 1e-6 * abs(dual)
-            assert abs(dual - fd) < max(tol, 1e-6), ex.to_source_dim(node, 3)
+            assert abs(dual - fd) < max(tol, 1e-6), ex.to_source(node, 3)
 
     def test_pow_edge_cases(self):
         # x^0 and x^1 at x = 0 must not divide by zero in derivative terms
@@ -163,6 +163,15 @@ class TestNestedDuals:
         b = ex.Dual.seed(1.0, 2, 0, tag=1)
         with pytest.raises(ValueError):
             a * b
+
+    def test_mixed_order_arithmetic_guarded(self):
+        # an order-1 factor would silently drop the order-2 factor's Hessian
+        first = ex.Dual.seed(1.0, 2, 0, order=1)
+        second = ex.Dual.seed(1.0, 2, 0, order=2)
+        with pytest.raises(ValueError):
+            first * second
+        with pytest.raises(ValueError):
+            second * first
 
     def test_nested_second_derivative(self):
         # f(x) = x^3: inner grad 3x^2, outer derivative of that 6x

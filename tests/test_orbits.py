@@ -215,6 +215,23 @@ class TestMonodromy:
         assert rep.trivial_multiplicity == 4
         assert not rep.nondegenerate
 
+    def test_cosine_torus_ridge_rotation(self):
+        # the ridge x1 = pi is a straight line: error control on the orbit
+        # alone takes 6 steps instead of 41 and det M - 1 grows to ~5e-5
+        spec = cosine_torus()
+        period = 2 * math.pi / math.sqrt(2.2)
+        traj = dyn.integrate(
+            spec, PhaseState([math.pi, 0.0], [0.0, math.sqrt(2.2)]), (0.0, period),
+            rtol=1e-12, atol=1e-14,
+        )
+        orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=period, kind="rotation")
+        rep = orb.monodromy(spec, orbit)
+        angle = math.sqrt(0.1) * period  # transverse frequency sqrt(U''(pi))
+        assert_eigenvalues_match(
+            rep.eigenvalues, [cmath.exp(1j * angle), cmath.exp(-1j * angle)], tol=1e-6
+        )
+        assert rep.det_error < 1e-6
+
     def test_iterates_are_matrix_powers(self):
         a2 = math.sqrt(2.0)
         spec = oscillator((1.0, a2), 0.5)
