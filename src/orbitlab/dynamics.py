@@ -1,10 +1,10 @@
 """Equations of motion and trajectory integration.
 
 A :class:`SystemSpec` couples a kinetic metric model with a potential and an
-energy level.  The primary flow lives on the velocity chart (x, v); the
-Hamiltonian form is provided for cross-validation and momentum output.  The
-integrator records energy drift along every trajectory but never corrects
-it.
+energy level.  The flow lives on the velocity chart (x, v); its derivatives
+come from one dual evaluation of the right-hand side (:func:`state_rhs_jvp`).
+The integrator records energy drift along every trajectory but never
+corrects it.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import rk
-from .errors import OrbitLabError
 from .expr import Dual, val_of
 from .geometry import MetricModel, solve_linear
-from .rk import EventSpec, IntegrationError
+from .rk import EventSpec
 
 __all__ = [
     "PotentialField",
@@ -28,7 +27,6 @@ __all__ = [
     "PhaseState",
     "Trajectory",
     "lagrange_rhs",
-    "hamilton_rhs",
     "total_energy",
     "integrate",
     "state_rhs",
@@ -120,26 +118,6 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def _finsler_g_and_spray(model: MetricModel, x, v):
-    """(g, G) for a Finsler model from one second-order evaluation of F^2."""
-    n = model.dimension
-    d = geo._finsler_f2_order2(model, x, v)
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = 0.5 * d.hess[n + i][n + j]
-            g[i][j] = entry
-            g[j][i] = entry
-    rhs = []
-    for l in range(n):
-        acc = -d.grad[l]
-        for j in range(n):
-            acc = acc + d.hess[j][n + l] * v[j]
-        rhs.append(acc)
-    spray = [0.25 * s for s in solve_linear(g, rhs)]
-    return g, spray
-
-
 def lagrange_rhs(spec: SystemSpec, x, v):
     """Acceleration of the Lagrangian flow: -2 G(x, v) - g^{-1}(x, v) grad U.
 
@@ -151,20 +129,16 @@ def lagrange_rhs(spec: SystemSpec, x, v):
     model = spec.metric
     n = model.dimension
     grad_u = spec.potential.gradient(x)
-    if model.kind == "riemannian":
-        g = geo.metric_tensor(model, x, v, check=model._const_g is None)
-        spray = geo.geodesic_coefficients(model, x, v)
+    if model.kind == "finsler" and all(val_of(c) == 0.0 for c in v):
+        w = [-c for c in grad_u]
+        if all(val_of(c) == 0.0 for c in w):
+            raise geo.ModelValidityError(
+                "Finsler flow undefined at a rest point with vanishing grad U"
+            )
+        g = geo.metric_tensor(model, x, w, check=False)
+        spray = [0.0] * n
     else:
-        if all(val_of(c) == 0.0 for c in v):
-            w = [-c for c in grad_u]
-            if all(val_of(c) == 0.0 for c in w):
-                raise geo.ModelValidityError(
-                    "Finsler flow undefined at a rest point with vanishing grad U"
-                )
-            g = geo.metric_tensor(model, x, w, check=False)
-            spray = [0.0] * n
-        else:
-            g, spray = _finsler_g_and_spray(model, x, v)
+        g, spray = geo.metric_and_spray(model, x, v)
     pull = solve_linear(g, grad_u)
     return [-2.0 * spray[i] - pull[i] for i in range(n)]
 
@@ -196,35 +170,6 @@ def state_rhs_jvp(spec: SystemSpec, z, w):
 def rhs_jacobian(spec: SystemSpec, z):
     """2n x 2n Jacobian of the first-order flow at z."""
     return state_rhs_jvp(spec, z, np.eye(len(z)))[1]
-
-
-def hamilton_rhs(spec: SystemSpec, x, y):
-    """(xdot, ydot) of the Hamiltonian form; xdot via the Legendre inverse."""
-    model = spec.metric
-    n = model.dimension
-    v = geo.legendre_inverse(model, x, y)
-    grad_u = spec.potential.gradient(x)
-    if model.kind == "riemannian":
-        _, dg = geo._riemannian_g_and_derivs(model, x)
-        df2dx = []
-        for l in range(n):
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + dg[l][i][j] * v[i] * v[j]
-            df2dx.append(acc)
-    else:
-        tag = geo._inner_tag(list(x) + list(v))
-        d = ex.eval_dual(model.f2_expr, list(x) + list(v), list(range(n)), 1, tag)
-        df2dx = list(d.grad)
-    ydot = [0.5 * df2dx[i] - grad_u[i] for i in range(n)]
-    return list(v), ydot
-
-
-def momentum(spec: SystemSpec, state: PhaseState) -> np.ndarray:
-    return np.array(
-        [val_of(c) for c in geo.legendre(spec.metric, list(state.x), list(state.v))]
-    )
 
 
 def total_energy(spec: SystemSpec, x, v=None):

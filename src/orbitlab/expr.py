@@ -14,9 +14,10 @@ Exponents must be numeric constants.  Unary minus binds looser than "^"
 (``sin(x1)^2`` is ``(sin x1)^2``).
 
 Evaluation works over plain floats or over :class:`Dual` scalars, which carry
-directional derivatives up to third order and may be nested (a dual whose
-coefficients are themselves duals), giving exact higher derivatives of any
-composite numerical routine built on them.
+directional derivatives of first or second order.  Duals may be nested (a
+dual whose coefficients are themselves duals): an order-2 dual over order-1
+seeds of another tag gives exact third derivatives of any composite numerical
+routine built on them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "Unary",
     "Binary",
     "Dual",
-    "DualScalar",
     "ExprError",
     "ParseError",
     "EvalDomainError",
@@ -315,35 +315,29 @@ def val_of(x) -> float:
 class Dual:
     """Truncated Taylor scalar: value plus derivatives in ``m`` directions.
 
-    ``grad`` is a list of length m, ``hess`` an m x m list of lists (orders
-    >= 2) and ``third`` an m^3 nested list (order 3).  Coefficients may be
-    floats or further ``Dual`` instances; ``tag`` separates nesting levels so
-    that duals from different levels never silently combine.
+    ``grad`` is a list of length m and ``hess`` an m x m list of lists (order
+    2 only).  Coefficients may be floats or further ``Dual`` instances; ``tag``
+    separates nesting levels so that duals from different levels never
+    silently combine.  Value parts follow float arithmetic operation for
+    operation, so ``val_of`` of a result equals the float evaluation.
     """
 
-    __slots__ = ("m", "order", "tag", "val", "grad", "hess", "third")
+    __slots__ = ("m", "order", "tag", "val", "grad", "hess")
 
-    def __init__(self, m, order, tag, val, grad, hess=None, third=None):
+    def __init__(self, m, order, tag, val, grad, hess=None):
         self.m = m
         self.order = order
         self.tag = tag
         self.val = val
         self.grad = grad
         self.hess = hess
-        self.third = third
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(value, m, order=1, tag=0) -> "Dual":
-        g = [0.0] * m
-        h = [[0.0] * m for _ in range(m)] if order >= 2 else None
-        t = (
-            [[[0.0] * m for _ in range(m)] for _ in range(m)]
-            if order >= 3
-            else None
-        )
-        return Dual(m, order, tag, value, g, h, t)
+        h = [[0.0] * m for _ in range(m)] if order == 2 else None
+        return Dual(m, order, tag, value, [0.0] * m, h)
 
     @staticmethod
     def seed(value, m, direction, order=1, tag=0) -> "Dual":
@@ -353,8 +347,8 @@ class Dual:
 
     # -- helpers -----------------------------------------------------------
 
-    def _like(self, val, grad, hess, third) -> "Dual":
-        return Dual(self.m, self.order, self.tag, val, grad, hess, third)
+    def _like(self, val, grad, hess) -> "Dual":
+        return Dual(self.m, self.order, self.tag, val, grad, hess)
 
     def _check(self, other: "Dual"):
         if self.m != other.m or self.tag != other.tag or self.order != other.order:
@@ -370,37 +364,24 @@ class Dual:
             self._check(other)
             m = self.m
             g = [self.grad[i] + other.grad[i] for i in range(m)]
-            h = t = None
-            if self.order >= 2:
+            h = None
+            if self.order == 2:
                 h = [
                     [self.hess[i][j] + other.hess[i][j] for j in range(m)]
                     for i in range(m)
                 ]
-            if self.order >= 3:
-                t = [
-                    [
-                        [self.third[i][j][k] + other.third[i][j][k] for k in range(m)]
-                        for j in range(m)
-                    ]
-                    for i in range(m)
-                ]
-            return self._like(self.val + other.val, g, h, t)
-        return self._like(self.val + other, list(self.grad), self.hess, self.third)
+            return self._like(self.val + other.val, g, h)
+        return self._like(self.val + other, list(self.grad), self.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
         m = self.m
         g = [-gi for gi in self.grad]
-        h = t = None
-        if self.order >= 2:
+        h = None
+        if self.order == 2:
             h = [[-self.hess[i][j] for j in range(m)] for i in range(m)]
-        if self.order >= 3:
-            t = [
-                [[-self.third[i][j][k] for k in range(m)] for j in range(m)]
-                for i in range(m)
-            ]
-        return self._like(-self.val, g, h, t)
+        return self._like(-self.val, g, h)
 
     def __sub__(self, other):
         return self.__add__(-other if isinstance(other, Dual) else -other)
@@ -415,8 +396,8 @@ class Dual:
             a0, b0 = self.val, other.val
             a1, b1 = self.grad, other.grad
             g = [a1[i] * b0 + a0 * b1[i] for i in range(m)]
-            h = t = None
-            if self.order >= 2:
+            h = None
+            if self.order == 2:
                 a2, b2 = self.hess, other.hess
                 # cross terms grouped so the result is bit-exactly symmetric
                 h = [
@@ -428,47 +409,31 @@ class Dual:
                     ]
                     for i in range(m)
                 ]
-            if self.order >= 3:
-                a3, b3 = self.third, other.third
-                t = [
-                    [
-                        [
-                            a3[i][j][k] * b0
-                            + a0 * b3[i][j][k]
-                            + a2[i][j] * b1[k]
-                            + a2[i][k] * b1[j]
-                            + a2[j][k] * b1[i]
-                            + b2[i][j] * a1[k]
-                            + b2[i][k] * a1[j]
-                            + b2[j][k] * a1[i]
-                            for k in range(m)
-                        ]
-                        for j in range(m)
-                    ]
-                    for i in range(m)
-                ]
-            return self._like(a0 * b0, g, h, t)
+            return self._like(a0 * b0, g, h)
         m = self.m
         g = [gi * other for gi in self.grad]
-        h = t = None
-        if self.order >= 2:
+        h = None
+        if self.order == 2:
             h = [[self.hess[i][j] * other for j in range(m)] for i in range(m)]
-        if self.order >= 3:
-            t = [
-                [[self.third[i][j][k] * other for k in range(m)] for j in range(m)]
-                for i in range(m)
-            ]
-        return self._like(self.val * other, g, h, t)
+        return self._like(self.val * other, g, h)
 
     __rmul__ = __mul__
 
+    # Derivative parts come from the reciprocal; the value part is a true
+    # division so that it matches the float evaluation bit for bit.
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            return self * other._reciprocal()
-        return self * (1.0 / other)
+            q = self * other._reciprocal()
+            q.val = self.val / other.val
+        else:
+            q = self * (1.0 / other)
+            q.val = self.val / other
+        return q
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * other
+        q = self._reciprocal() * other
+        q.val = other / self.val
+        return q
 
     def __pow__(self, exponent):
         if isinstance(exponent, Dual):
@@ -477,84 +442,57 @@ class Dual:
         u = self.val
         f0 = _pow(u, p)
         f1 = 0.0 if p == 0.0 else p * _pow(u, p - 1.0)
-        f2 = f3 = None
-        if self.order >= 2:
+        f2 = None
+        if self.order == 2:
             f2 = 0.0 if p in (0.0, 1.0) else p * (p - 1.0) * _pow(u, p - 2.0)
-        if self.order >= 3:
-            f3 = (
-                0.0
-                if p in (0.0, 1.0, 2.0)
-                else p * (p - 1.0) * (p - 2.0) * _pow(u, p - 3.0)
-            )
-        return self._chain(f0, f1, f2, f3)
+        return self._chain(f0, f1, f2)
 
     # -- chain rule for smooth unary functions ------------------------------
 
-    def _chain(self, f0, f1, f2=None, f3=None) -> "Dual":
+    def _chain(self, f0, f1, f2=None) -> "Dual":
         m = self.m
         g1 = self.grad
         g = [f1 * g1[i] for i in range(m)]
-        h = t = None
-        if self.order >= 2:
+        h = None
+        if self.order == 2:
             h1 = self.hess
             h = [
                 [f1 * h1[i][j] + f2 * (g1[i] * g1[j]) for j in range(m)]
                 for i in range(m)
             ]
-        if self.order >= 3:
-            t1 = self.third
-            t = [
-                [
-                    [
-                        f1 * t1[i][j][k]
-                        + f2 * (g1[i] * h1[j][k] + g1[j] * h1[i][k] + g1[k] * h1[i][j])
-                        + f3 * g1[i] * g1[j] * g1[k]
-                        for k in range(m)
-                    ]
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ]
-        return self._like(f0, g, h, t)
+        return self._like(f0, g, h)
 
     def _reciprocal(self) -> "Dual":
         u = self.val
         if val_of(u) == 0.0:
             raise ZeroDivisionError("division by zero")
         inv = 1.0 / u
-        f2 = 2.0 * inv * inv * inv if self.order >= 2 else None
-        f3 = -6.0 * inv * inv * inv * inv if self.order >= 3 else None
-        return self._chain(inv, -inv * inv, f2, f3)
+        return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv if self.order == 2 else None)
 
     def sin(self):
         s, c = _sin(self.val), _cos(self.val)
-        return self._chain(s, c, -s if self.order >= 2 else None, -c if self.order >= 3 else None)
+        return self._chain(s, c, -s if self.order == 2 else None)
 
     def cos(self):
         s, c = _sin(self.val), _cos(self.val)
-        return self._chain(c, -s, -c if self.order >= 2 else None, s if self.order >= 3 else None)
+        return self._chain(c, -s, -c if self.order == 2 else None)
 
     def exp(self):
         e = _exp(self.val)
-        return self._chain(e, e, e if self.order >= 2 else None, e if self.order >= 3 else None)
+        return self._chain(e, e, e if self.order == 2 else None)
 
     def log(self):
         if val_of(self.val) <= 0.0:
             raise ValueError("log of non-positive value")
         u = self.val
         inv = 1.0 / u
-        f2 = -inv * inv if self.order >= 2 else None
-        f3 = 2.0 * inv * inv * inv if self.order >= 3 else None
-        return self._chain(_log(u), inv, f2, f3)
+        return self._chain(_log(u), inv, -inv * inv if self.order == 2 else None)
 
     def sqrt(self):
         if val_of(self.val) < 0.0:
             raise ValueError("sqrt of negative value")
         r = _sqrt(self.val)
-        f1 = 0.5 / r
-        f2 = -0.25 / (r * r * r) if self.order >= 2 else None
-        f3 = 0.375 / (r * r * r * r * r) if self.order >= 3 else None
-        return self._chain(r, f1, f2, f3)
+        return self._chain(r, 0.5 / r, -0.25 / (r * r * r) if self.order == 2 else None)
 
 
 def _sin(u):
@@ -648,15 +586,6 @@ def evaluate(node: ExprNode, values):
         raise EvalDomainError(str(exc), node) from exc
 
 
-@dataclass
-class DualScalar:
-    """Result of a seeded dual evaluation at a plain-float point."""
-
-    value: float
-    first: list[float]
-    second: list[list[float]] | None = None
-
-
 def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int = 0):
     """Evaluate with derivatives in the chosen variable directions.
 
@@ -666,8 +595,8 @@ def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int =
     themselves be Dual scalars of a different tag, in which case the result
     coefficients nest.
     """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     if directions is None:
         directions = list(range(len(point)))
     directions = list(directions)
@@ -684,12 +613,3 @@ def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int =
         out = Dual.constant(out, m, order, tag)
     return out
 
-
-def dual_scalar(node: ExprNode, point, directions=None, order: int = 1) -> DualScalar:
-    """Like :func:`eval_dual` but packaged as plain-float DualScalar."""
-    d = eval_dual(node, point, directions, order)
-    first = [val_of(g) for g in d.grad]
-    second = None
-    if order >= 2:
-        second = [[val_of(h) for h in row] for row in d.hess]
-    return DualScalar(val_of(d.val), first, second)

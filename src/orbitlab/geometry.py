@@ -2,11 +2,11 @@
 
 A :class:`MetricModel` describes the kinetic energy either through a
 symmetric matrix of coefficient expressions g_ij(x) (Riemannian case) or a
-single expression for F^2(x, v) (Finsler case).  All derived quantities --
-fundamental tensor, Cartan tensor, Christoffel symbols, geodesic
-coefficients, Legendre transform -- are computed from exact dual-number
-derivatives of those expressions.  Finite differences never enter these code
-paths; they are reserved for test oracles.
+single expression for F^2(x, v) (Finsler case).  The flow needs the
+fundamental tensor and the geodesic spray, which come from exact dual-number
+derivatives of those expressions of at most second order.  Finite
+differences never enter these code paths; they are reserved for test
+oracles.
 
 Every operation accepts coordinates as sequences of plain floats or of
 :class:`~orbitlab.expr.Dual` scalars, so sensitivities can be propagated
@@ -27,18 +27,11 @@ __all__ = [
     "Space",
     "MetricModel",
     "ModelValidityError",
-    "LegendreInversionError",
     "SingularMatrixError",
     "f_squared",
     "metric_tensor",
-    "metric_x_derivatives",
-    "cartan_tensor",
-    "christoffel_first",
-    "christoffel_second",
+    "metric_and_spray",
     "geodesic_coefficients",
-    "geodesic_coefficients_via_christoffel",
-    "legendre",
-    "legendre_inverse",
     "solve_linear",
     "mat_vec",
     "dot",
@@ -53,12 +46,6 @@ class ModelValidityError(OrbitLabError):
 
 class SingularMatrixError(OrbitLabError):
     pass
-
-
-class LegendreInversionError(OrbitLabError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +288,6 @@ def _riemannian_g(model: MetricModel, x):
 def _riemannian_g_and_derivs(model: MetricModel, x):
     """(g, dg) with dg[l][i][j] = d g_ij / d x^l, exact via duals."""
     n = model.dimension
-    if model._const_g is not None:
-        g = [[float(e) for e in row] for row in model._const_g]
-        zero = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-        return g, zero
     tag = _inner_tag(x)
     values = list(x) + [0.0] * n
     g = [[None] * n for _ in range(n)]
@@ -321,204 +304,64 @@ def _riemannian_g_and_derivs(model: MetricModel, x):
 
 
 def _finsler_f2_order2(model: MetricModel, x, v):
-    """Order-2 dual evaluation of F^2 in all 2n directions."""
-    tag = _inner_tag(list(x) + list(v))
-    return ex.eval_dual(model.f2_expr, list(x) + list(v), None, 2, tag)
+    """(d, g): order-2 dual of F^2 in all 2n directions, and half its v-Hessian."""
+    n = model.dimension
+    point = list(x) + list(v)
+    d = ex.eval_dual(model.f2_expr, point, None, 2, _inner_tag(point))
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = 0.5 * d.hess[n + i][n + j]
+            g[i][j] = entry
+            g[j][i] = entry
+    return d, g
 
 
 def metric_tensor(model: MetricModel, x, v, check: bool = True):
     """Fundamental tensor g_ij(x, v) = half the v-Hessian of F^2."""
-    n = model.dimension
     _require_nonzero_v(model, v)
     if model.kind == "riemannian":
         g = _riemannian_g(model, x)
     else:
-        d = _finsler_f2_order2(model, x, v)
-        g = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                entry = 0.5 * d.hess[n + i][n + j]
-                g[i][j] = entry
-                g[j][i] = entry
+        g = _finsler_f2_order2(model, x, v)[1]
     if check:
         _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
     return g
 
 
-def metric_x_derivatives(model: MetricModel, x, v):
-    """(g, dg) with dg[l][i][j] = d g_ij(x, v) / d x^l at fixed v."""
-    n = model.dimension
-    if model.kind == "riemannian":
-        return _riemannian_g_and_derivs(model, x)
-    _require_nonzero_v(model, v)
-    tag = _inner_tag(list(x) + list(v))
-    d = ex.eval_dual(model.f2_expr, list(x) + list(v), None, 3, tag)
-    g = [[0.5 * d.hess[n + i][n + j] for j in range(n)] for i in range(n)]
-    dg = [
-        [[0.5 * d.third[l][n + i][n + j] for j in range(n)] for i in range(n)]
-        for l in range(n)
-    ]
-    return g, dg
+def metric_and_spray(model: MetricModel, x, v):
+    """(g, G): fundamental tensor and spray coefficients from one evaluation.
 
-
-def cartan_tensor(model: MetricModel, x, v):
-    """Fully symmetric Cartan tensor, one quarter of the third v-derivatives.
-
-    Vanishes identically exactly for Riemannian models, and contracts to zero
-    against v in every slot.
+    The geodesic equation reads xdd^k + 2 G^k(x, xd) = 0, with G positively
+    2-homogeneous in v.  G solves 4 g G = v^j d_j grad_v F^2 - grad_x F^2,
+    which needs derivatives of F^2 up to second order only.  An
+    x-dependent Riemannian g is checked positive definite; a constant one was
+    checked when the model was built.
     """
     n = model.dimension
+    rhs = []
     if model.kind == "riemannian":
-        return [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    _require_nonzero_v(model, v)
-    tag = _inner_tag(list(x) + list(v))
-    d = ex.eval_dual(model.f2_expr, list(x) + list(v), None, 3, tag)
-    return [
-        [
-            [0.25 * d.third[n + i][n + j][n + k] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def christoffel_first(model: MetricModel, x, v):
-    """gamma_ijl = (d_j g_li + d_i g_jl - d_l g_ij) / 2, indexed [i][j][l]."""
-    n = model.dimension
-    _, dg = metric_x_derivatives(model, x, v)
-    return [
-        [
-            [
-                0.5 * (dg[j][l][i] + dg[i][j][l] - dg[l][i][j])
-                for l in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def christoffel_second(model: MetricModel, x, v):
-    """Gamma^k_ij = g^{kl} gamma_ijl, indexed [k][i][j]."""
-    n = model.dimension
-    g = metric_tensor(model, x, v)
-    gamma = christoffel_first(model, x, v)
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            col = solve_linear(g, [gamma[i][j][l] for l in range(n)])
-            for k in range(n):
-                out[k][i][j] = col[k]
-    return out
-
-
-def geodesic_coefficients(model: MetricModel, x, v):
-    """Spray coefficients G^k(x, v), positively 2-homogeneous in v.
-
-    The geodesic equation reads xdd^k + 2 G^k(x, xd) = 0.  The Finsler branch
-    uses the first-order form built from x-derivatives of F^2 (order-2 duals
-    suffice); the Riemannian branch contracts the Christoffel data directly.
-    """
-    n = model.dimension
-    if model.kind == "riemannian":
-        g, dg = _riemannian_g_and_derivs(model, x)
         if model._const_g is not None:
-            return [0.0] * n
-        rhs = []
+            return _riemannian_g(model, x), [0.0] * n
+        g, dg = _riemannian_g_and_derivs(model, x)
+        _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
         for l in range(n):
             acc = 0.0
             for i in range(n):
                 for j in range(n):
                     acc = acc + (2.0 * dg[j][l][i] - dg[l][i][j]) * v[i] * v[j]
             rhs.append(acc)
-        sol = solve_linear(g, rhs)
-        return [0.25 * s for s in sol]
-    _require_nonzero_v(model, v)
-    d = _finsler_f2_order2(model, x, v)
-    g = [[0.5 * d.hess[n + i][n + j] for j in range(n)] for i in range(n)]
-    rhs = []
-    for l in range(n):
-        acc = -d.grad[l]
-        for j in range(n):
-            acc = acc + d.hess[j][n + l] * v[j]
-        rhs.append(acc)
-    sol = solve_linear(g, rhs)
-    return [0.25 * s for s in sol]
-
-
-def geodesic_coefficients_via_christoffel(model: MetricModel, x, v):
-    """G^k = Gamma^k_ij v^i v^j / 2; independent route used as cross-check."""
-    n = model.dimension
-    gamma2 = christoffel_second(model, x, v)
-    out = []
-    for k in range(n):
-        acc = 0.0
-        for i in range(n):
+    else:
+        _require_nonzero_v(model, v)
+        d, g = _finsler_f2_order2(model, x, v)
+        for l in range(n):
+            acc = -d.grad[l]
             for j in range(n):
-                acc = acc + gamma2[k][i][j] * v[i] * v[j]
-        out.append(0.5 * acc)
-    return out
+                acc = acc + d.hess[j][n + l] * v[j]
+            rhs.append(acc)
+    return g, [0.25 * s for s in solve_linear(g, rhs)]
 
 
-# ---------------------------------------------------------------------------
-# Legendre transform
-# ---------------------------------------------------------------------------
-
-def legendre(model: MetricModel, x, v):
-    """Fiberwise momentum map y_i = g_ij(x, v) v^j."""
-    _require_nonzero_v(model, v)
-    if model.kind == "riemannian":
-        return mat_vec(_riemannian_g(model, x), v)
-    # equal to g(x,v) v by Euler's relation, at half the evaluation order
-    n = model.dimension
-    tag = _inner_tag(list(x) + list(v))
-    d = ex.eval_dual(
-        model.f2_expr, list(x) + list(v), list(range(n, 2 * n)), 1, tag
-    )
-    return [0.5 * gi for gi in d.grad]
-
-
-def legendre_inverse(model: MetricModel, x, y, max_iter: int = 50):
-    """Invert the momentum map.
-
-    Riemannian: one linear solve.  Finsler: damped Newton on
-    y - g(x, v) v = 0, whose Jacobian is g(x, v) itself thanks to the Cartan
-    contraction identity; initialized from the metric frozen at direction y.
-    """
-    n = model.dimension
-    if all(val_of(c) == 0.0 for c in y):
-        raise ModelValidityError("legendre_inverse needs y != 0")
-    if model.kind == "riemannian":
-        return solve_linear(_riemannian_g(model, x), y)
-
-    scale = 1.0 + max(abs(val_of(c)) for c in y)
-    tol = 1e-13 * scale
-
-    def residual(v):
-        yv = legendre(model, x, v)
-        return [y[i] - yv[i] for i in range(n)]
-
-    v = solve_linear(metric_tensor(model, x, y, check=False), y)
-    r = residual(v)
-    rnorm = max(abs(val_of(c)) for c in r)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return v
-        g = metric_tensor(model, x, v, check=False)
-        step = solve_linear(g, r)
-        alpha = 1.0
-        while alpha >= 2.0**-24:
-            v_try = [v[i] + alpha * step[i] for i in range(n)]
-            r_try = residual(v_try)
-            rn_try = max(abs(val_of(c)) for c in r_try)
-            if rn_try < rnorm or rn_try <= tol:
-                v, r, rnorm = v_try, r_try, rn_try
-                break
-            alpha *= 0.5
-        else:
-            raise LegendreInversionError(
-                "damped Newton stalled inverting the Legendre map", rnorm
-            )
-    raise LegendreInversionError(
-        f"Legendre inversion did not converge in {max_iter} iterations", rnorm
-    )
+def geodesic_coefficients(model: MetricModel, x, v):
+    """Spray coefficients G^k(x, v); see :func:`metric_and_spray`."""
+    return metric_and_spray(model, x, v)[1]

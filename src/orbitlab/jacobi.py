@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import rk
-from .dynamics import ExprPotential, SystemSpec, Trajectory, integrate, PhaseState
+from .dynamics import ExprPotential, SystemSpec, Trajectory
 from .errors import OrbitLabError
 from .expr import val_of
 from .geometry import MetricModel
@@ -135,8 +135,7 @@ def jacobi_geodesic_coefficients(jm: JacobiMetric, x, v):
     jm.check_interior(x)
     base = jm.spec.metric
     n = base.dimension
-    g = geo.metric_tensor(base, list(x), list(v), check=False)
-    spray = geo.geodesic_coefficients(base, list(x), list(v))
+    g, spray = geo.metric_and_spray(base, list(x), list(v))
     psi = jm.psi(x)
     dpsi = jm.psi_gradient(x)
     f2 = geo.f_squared(base, list(x), list(v))

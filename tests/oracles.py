@@ -1,21 +1,26 @@
-"""Independent numerical oracles shared across the test suite.
+"""Numerical oracles and reference routes shared across the test suite.
 
-Everything here deliberately avoids the library's own differentiation and
-geometry code paths: derivatives come from central finite differences, curve
-scans from dense polylines, so that the main implementations are checked
-against genuinely independent computations.  The vectorised consumers of
-dense trajectory output are checked against the one-point-at-a-time loops
-they replaced, which live here as references.
+Finite-difference derivatives and random expressions check the library's
+dual numbers against computations that share none of their code.  The
+geometry routes that only tests use -- third derivatives of F^2 (the Cartan
+tensor, x-derivatives of the fundamental tensor), the Christoffel route to
+the spray, the Legendre transform and the Hamiltonian flow -- live here as
+well; they are built on the library's duals and ``f_squared`` but share
+nothing with the flow's (g, spray) routine they cross-check.  The vectorised
+consumers of dense trajectory output are checked against the
+one-point-at-a-time loops they replaced, which live here as references.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from orbitlab import expr as ex
+from orbitlab import geometry as geo
 
 
 def central_diff(f, x: float, h: float = 1e-5) -> float:
@@ -102,7 +107,7 @@ def dual_first_vs_fd_samples(n_samples: int, seed: int = 0, h: float = 1e-5):
         point = [rng.uniform(-1.5, 1.5) for _ in range(2 * dim)]
         direction = rng.randrange(2 * dim)
         try:
-            d = ex.dual_scalar(node, point, [direction], order=1)
+            d = dual_scalar(node, point, [direction], order=1)
 
             def f(t):
                 shifted = list(point)
@@ -118,6 +123,158 @@ def dual_first_vs_fd_samples(n_samples: int, seed: int = 0, h: float = 1e-5):
             continue  # wildly scaled samples drown the fd oracle in rounding
         produced += 1
         yield node, point, direction, d.first[0], fd
+
+
+@dataclass
+class DualScalar:
+    """Result of a seeded dual evaluation at a plain-float point."""
+
+    value: float
+    first: list[float]
+    second: list[list[float]] | None = None
+
+
+def dual_scalar(node: ex.ExprNode, point, directions=None, order: int = 1) -> DualScalar:
+    """Like ``ex.eval_dual`` but packaged as plain floats."""
+    d = ex.eval_dual(node, point, directions, order)
+    first = [ex.val_of(g) for g in d.grad]
+    second = [[ex.val_of(h) for h in row] for row in d.hess] if order == 2 else None
+    return DualScalar(ex.val_of(d.val), first, second)
+
+
+# ---------------------------------------------------------------------------
+# Geometry routes that only the tests use
+# ---------------------------------------------------------------------------
+
+def _f2_nested(model, x, v, inner):
+    """F^2 as an order-2 dual in all 2n coordinates (tag 1) over order-1
+    seeds (tag 0) of the coordinates listed in ``inner``.
+
+    Coefficient [a][b] of the Hessian is then d_a d_b F^2 with its first
+    derivatives along ``inner`` as the inner dual's gradient.
+    """
+    n = model.dimension
+    point = list(x) + list(v)
+    for k, idx in enumerate(inner):
+        point[idx] = ex.Dual.seed(point[idx], len(inner), k)
+    seeds = [ex.Dual.seed(c, 2 * n, i, order=2, tag=1) for i, c in enumerate(point)]
+    return geo.f_squared(model, seeds[:n], seeds[n:])
+
+
+def _inner_grad(c, k):
+    return c.grad[k] if isinstance(c, ex.Dual) else 0.0
+
+
+def metric_x_derivatives(model, x, v):
+    """(g, dg) with dg[l][i][j] = d g_ij(x, v) / d x^l at fixed v."""
+    n = model.dimension
+    hess = _f2_nested(model, x, v, range(n)).hess
+    g = [[0.5 * ex.val_of(hess[n + i][n + j]) for j in range(n)] for i in range(n)]
+    dg = [
+        [[0.5 * _inner_grad(hess[n + i][n + j], l) for j in range(n)] for i in range(n)]
+        for l in range(n)
+    ]
+    return g, dg
+
+
+def cartan_tensor(model, x, v):
+    """Fully symmetric Cartan tensor, one quarter of the third v-derivatives of F^2."""
+    n = model.dimension
+    hess = _f2_nested(model, x, v, range(n, 2 * n)).hess
+    return [
+        [[0.25 * _inner_grad(hess[n + i][n + j], k) for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def christoffel_first(model, x, v):
+    """gamma_ijl = (d_j g_li + d_i g_jl - d_l g_ij) / 2, indexed [i][j][l]."""
+    n = model.dimension
+    _, dg = metric_x_derivatives(model, x, v)
+    return [
+        [
+            [0.5 * (dg[j][l][i] + dg[i][j][l] - dg[l][i][j]) for l in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def christoffel_second(model, x, v):
+    """Gamma^k_ij = g^{kl} gamma_ijl, indexed [k][i][j]."""
+    n = model.dimension
+    g = geo.metric_tensor(model, x, v)
+    gamma = christoffel_first(model, x, v)
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            col = geo.solve_linear(g, [gamma[i][j][l] for l in range(n)])
+            for k in range(n):
+                out[k][i][j] = col[k]
+    return out
+
+
+def geodesic_coefficients_via_christoffel(model, x, v):
+    """G^k = Gamma^k_ij v^i v^j / 2, independent of ``geo.metric_and_spray``."""
+    n = model.dimension
+    gamma2 = christoffel_second(model, x, v)
+    return [
+        0.5 * sum(gamma2[k][i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+        for k in range(n)
+    ]
+
+
+def legendre(model, x, v):
+    """Fiberwise momentum map y = grad_v F^2 / 2, which is g(x, v) v by Euler's relation."""
+    n = model.dimension
+    seeds = [ex.Dual.seed(c, n, i) for i, c in enumerate(v)]
+    return [0.5 * c for c in geo.f_squared(model, list(x), seeds).grad]
+
+
+def legendre_inverse(model, x, y, max_iter: int = 50):
+    """Invert the momentum map by damped Newton on y - g(x, v) v = 0.
+
+    Its Jacobian is g(x, v) itself (the Cartan tensor contracts to zero with
+    v); the start is the metric frozen at direction y, which is exact for a
+    Riemannian model.
+    """
+    n = model.dimension
+    if all(c == 0.0 for c in y):
+        raise geo.ModelValidityError("legendre_inverse needs y != 0")
+    tol = 1e-13 * (1.0 + max(abs(c) for c in y))
+
+    def residual(v):
+        yv = legendre(model, x, v)
+        r = [y[i] - yv[i] for i in range(n)]
+        return r, max(abs(c) for c in r)
+
+    v = geo.solve_linear(geo.metric_tensor(model, x, y, check=False), y)
+    r, rnorm = residual(v)
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            return v
+        step = geo.solve_linear(geo.metric_tensor(model, x, v, check=False), r)
+        alpha = 1.0
+        while alpha >= 2.0**-24:
+            v_try = [v[i] + alpha * step[i] for i in range(n)]
+            r_try, rn_try = residual(v_try)
+            if rn_try < rnorm or rn_try <= tol:
+                v, r, rnorm = v_try, r_try, rn_try
+                break
+            alpha *= 0.5
+        else:
+            raise RuntimeError(f"Legendre inversion stalled (residual {rnorm:.3e})")
+    raise RuntimeError(f"Legendre inversion did not converge (residual {rnorm:.3e})")
+
+
+def hamilton_rhs(spec, x, y):
+    """(xdot, ydot) of the Hamiltonian form; xdot via the Legendre inverse."""
+    n = spec.dimension
+    v = legendre_inverse(spec.metric, x, y)
+    grad_u = spec.potential.gradient(x)
+    f2 = geo.f_squared(spec.metric, [ex.Dual.seed(c, n, i) for i, c in enumerate(x)], v)
+    df2dx = f2.grad if isinstance(f2, ex.Dual) else [0.0] * n
+    return list(v), [0.5 * df2dx[i] - grad_u[i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from orbitlab import reference as ref
 from orbitlab import rk
 from orbitlab.dynamics import PhaseState
 
+from oracles import hamilton_rhs, legendre, legendre_inverse
+
 
 def oscillator(alphas=(1.0, 2.0), energy=0.5):
     return ref.oscillator_system(ref.OscillatorSpec(alphas, energy))
@@ -21,10 +23,21 @@ def pendulum_torus():
     return dyn.SystemSpec(metric, dyn.ExprPotential(u, 1), 0.5)
 
 
-def quartic_finsler_system():
+def quartic_finsler_system(potential="0"):
     f2 = ex.parse("v1^2 + v2^2 + 0.1*sqrt(v1^4 + v2^4)", 2)
     metric = geo.MetricModel.finsler(f2, 2)
-    return dyn.SystemSpec(metric, ex.parse("0", 2), 1.0)
+    return dyn.SystemSpec(metric, ex.parse(potential, 2), 1.0)
+
+
+def quartic_finsler_well():
+    return quartic_finsler_system("0.5*x1^2 + x2^2")
+
+
+def conformal_exp_system():
+    # position-dependent Riemannian metric g = exp(x1) I
+    e, zero = ex.parse("exp(x1)", 2), ex.const(0.0)
+    metric = geo.MetricModel.riemannian([[e, zero], [zero, e]])
+    return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2", 2), 1.0)
 
 
 def cosine_torus():
@@ -64,7 +77,7 @@ class TestLagrangeRHS:
 class TestHamiltonRHS:
     def test_oscillator_quadratic(self):
         sys = oscillator((1.0, 2.0), 0.5)
-        xdot, ydot = dyn.hamilton_rhs(sys, [0.3, -0.1], [0.2, 0.5])
+        xdot, ydot = hamilton_rhs(sys, [0.3, -0.1], [0.2, 0.5])
         assert np.allclose(xdot, [0.2, 0.5], atol=1e-15)
         assert np.allclose(ydot, [-0.3, 0.4], atol=1e-14)
 
@@ -72,7 +85,7 @@ class TestHamiltonRHS:
         sys = dyn.SystemSpec(
             geo.MetricModel.euclidean(2), ex.parse("sin(x1)*x2", 2), 1.0
         )
-        xdot, _ = dyn.hamilton_rhs(sys, [0.4, 0.8], [1.5, -2.5])
+        xdot, _ = hamilton_rhs(sys, [0.4, 0.8], [1.5, -2.5])
         assert np.allclose(xdot, [1.5, -2.5], atol=1e-15)
 
     def test_flows_agree_through_legendre(self):
@@ -80,10 +93,10 @@ class TestHamiltonRHS:
         x0, v0 = [0.6, 0.1], [0.2, -0.3]
         traj = dyn.integrate(sys, PhaseState(x0, v0), (0.0, 5.0), rtol=1e-11)
 
-        y0 = geo.legendre(sys.metric, x0, v0)
+        y0 = legendre(sys.metric, x0, v0)
 
         def ham_f(t, z):
-            xdot, ydot = dyn.hamilton_rhs(sys, z[:2], z[2:])
+            xdot, ydot = hamilton_rhs(sys, z[:2], z[2:])
             return list(xdot) + list(ydot)
 
         from orbitlab import rk
@@ -92,7 +105,7 @@ class TestHamiltonRHS:
                             atol=1e-13, dense=False)
         x_ham = np.array(res.y_final[:2])
         y_ham = np.array(res.y_final[2:])
-        v_ham = np.array(geo.legendre_inverse(sys.metric, list(x_ham), list(y_ham)))
+        v_ham = np.array(legendre_inverse(sys.metric, list(x_ham), list(y_ham)))
         assert np.max(np.abs(x_ham - traj.position(5.0))) < 1e-8
         assert np.max(np.abs(v_ham - traj.velocity(5.0))) < 1e-8
 
@@ -282,12 +295,11 @@ class TestSensitivity:
             (oscillator, [0.5, 0.1, 0.2, -0.3]),
             (pendulum_torus, [0.3, 0.8]),
             (cosine_torus, [3.0, 0.1, 0.2, 1.4]),
+            (quartic_finsler_well, [0.3, -0.2, 0.7, 0.4]),
+            (conformal_exp_system, [0.2, -0.1, 0.5, 0.3]),
         ],
     )
     def test_tangent_run_repeats_float_run(self, system, z0):
-        # Dual values divide by multiplying with the reciprocal, so the value
-        # parts equal a float evaluation bit for bit only where the equations
-        # of motion divide by 1 alone, as with these Euclidean metrics.
         spec = system()
         calls = [0]
 

@@ -6,7 +6,13 @@ import pytest
 
 from orbitlab import expr as ex
 
-from oracles import central_diff, dual_first_vs_fd_samples, fd_second, random_expression
+from oracles import (
+    central_diff,
+    dual_first_vs_fd_samples,
+    dual_scalar,
+    fd_second,
+    random_expression,
+)
 
 
 class TestParse:
@@ -75,18 +81,18 @@ class TestParse:
 
 class TestEvalDual:
     def test_sin_at_zero(self):
-        d = ex.dual_scalar(ex.parse("sin(x1)", 1), [0.0, 0.0], [0])
+        d = dual_scalar(ex.parse("sin(x1)", 1), [0.0, 0.0], [0])
         assert d.value == 0.0
         assert d.first[0] == 1.0
 
     def test_product_rule(self):
-        d = ex.dual_scalar(ex.parse("x1*x2", 2), [2.0, 3.0, 0.0, 0.0], [0, 1])
+        d = dual_scalar(ex.parse("x1*x2", 2), [2.0, 3.0, 0.0, 0.0], [0, 1])
         assert d.value == 6.0
         assert d.first == [3.0, 2.0]
 
     def test_exp_square_matches_fd(self):
         node = ex.parse("exp(x1^2)", 1)
-        d = ex.dual_scalar(node, [0.7, 0.0], [0])
+        d = dual_scalar(node, [0.7, 0.0], [0])
         fd = central_diff(lambda t: ex.evaluate(node, [t, 0.0]), 0.7, 1e-5)
         assert abs(d.first[0] - fd) < 1e-6 * (1.0 + abs(d.value))
         # frozen analytic value: 2*0.7*exp(0.49)
@@ -95,7 +101,7 @@ class TestEvalDual:
     def test_second_derivatives_symmetric_and_match_fd(self):
         node = ex.parse("sin(x1*x2) + x1^3/(2 + x2^2)", 2)
         point = [0.8, -0.4, 0.0, 0.0]
-        d = ex.dual_scalar(node, point, [0, 1], order=2)
+        d = dual_scalar(node, point, [0, 1], order=2)
         sec = np.array(d.second)
         assert np.array_equal(sec, sec.T)
 
@@ -109,7 +115,7 @@ class TestEvalDual:
 
     def test_inactive_directions_are_constants(self):
         node = ex.parse("x1*v1", 1)
-        d = ex.dual_scalar(node, [2.0, 5.0], [0])
+        d = dual_scalar(node, [2.0, 5.0], [0])
         assert d.first == [5.0]
 
     def test_log_domain_error_reports_node(self):
@@ -146,15 +152,37 @@ class TestDerivativeSoundness:
     def test_pow_edge_cases(self):
         # x^0 and x^1 at x = 0 must not divide by zero in derivative terms
         for p, expect_first in [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]:
-            d = ex.dual_scalar(ex.powc(ex.var(0), p), [0.0, 0.0], [0], order=2)
+            d = dual_scalar(ex.powc(ex.var(0), p), [0.0, 0.0], [0], order=2)
             assert d.first[0] == expect_first
 
     def test_third_order_chain(self):
+        # order 2 at tag 1 over an order-1 seed at tag 0: the Hessian entry's
+        # inner gradient is the third derivative
         x = 0.7
         node = ex.parse("exp(x1^2)", 1)
-        d = ex.eval_dual(node, [x, 0.0], [0], order=3)
+        d = ex.eval_dual(node, [ex.Dual.seed(x, 1, 0), 0.0], [0], order=2, tag=1)
         analytic = (12 * x + 8 * x**3) * math.exp(x * x)
-        assert ex.val_of(d.third[0][0][0]) == pytest.approx(analytic, rel=1e-12)
+        assert ex.val_of(d.hess[0][0].grad[0]) == pytest.approx(analytic, rel=1e-12)
+
+    def test_order_three_rejected(self):
+        with pytest.raises(ValueError):
+            ex.eval_dual(ex.parse("exp(x1^2)", 1), [0.7, 0.0], [0], order=3)
+
+    def test_value_part_equals_float_evaluation(self):
+        rng = random.Random(0)
+        compared = 0
+        for _ in range(3000):
+            dim = rng.choice([1, 2, 3])
+            node = random_expression(rng, dim, 4)
+            point = [rng.uniform(-1.5, 1.5) for _ in range(2 * dim)]
+            try:
+                want = ex.evaluate(node, point)
+                got = ex.val_of(ex.eval_dual(node, point, order=2).val)
+            except ex.EvalDomainError:
+                continue
+            assert got == want or (math.isnan(got) and math.isnan(want)), ex.to_source(node, dim)
+            compared += 1
+        assert compared > 2900
 
 
 class TestNestedDuals:

@@ -4,7 +4,18 @@ import pytest
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
 
-from oracles import fd_gradient, fd_second, fd_third
+from oracles import (
+    cartan_tensor,
+    christoffel_first,
+    christoffel_second,
+    fd_gradient,
+    fd_second,
+    fd_third,
+    geodesic_coefficients_via_christoffel,
+    legendre,
+    legendre_inverse,
+    metric_x_derivatives,
+)
 
 
 def quartic_metric(n=2) -> geo.MetricModel:
@@ -113,7 +124,7 @@ class TestModelValidation:
 class TestCartan:
     def test_riemannian_cartan_vanishes(self):
         model = conformal_exp_metric()
-        c = np.array(geo.cartan_tensor(model, [0.4, 0.1], [1.0, 2.0]))
+        c = np.array(cartan_tensor(model, [0.4, 0.1], [1.0, 2.0]))
         assert np.all(c == 0.0)
 
     def test_contraction_identity(self):
@@ -124,7 +135,7 @@ class TestCartan:
             v = list(rng.uniform(-1, 1, 2))
             if abs(v[0]) + abs(v[1]) < 0.2:
                 v = [c + 0.5 for c in v]
-            c = np.array(geo.cartan_tensor(model, x, v))
+            c = np.array(cartan_tensor(model, x, v))
             norm = np.max(np.abs(c)) + 1e-30
             vv = np.asarray(v)
             for axis in range(3):
@@ -135,7 +146,7 @@ class TestCartan:
         model = quartic_metric()
         x = [0.0, 0.0]
         v = np.array([1.0, 0.25])
-        c = np.array(geo.cartan_tensor(model, x, list(v)))
+        c = np.array(cartan_tensor(model, x, list(v)))
         for i, j, k in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]:
             fd = 0.25 * fd_third(lambda w: f2_of(model, x, w), v, i, j, k, h=1e-3)
             assert abs(c[i, j, k] - fd) < 1e-5
@@ -144,14 +155,14 @@ class TestCartan:
 class TestChristoffel:
     def test_flat_euclidean_zero(self):
         model = geo.MetricModel.euclidean(2)
-        gamma = np.array(geo.christoffel_second(model, [0.3, 0.4], [1.0, 0.0]))
+        gamma = np.array(christoffel_second(model, [0.3, 0.4], [1.0, 0.0]))
         assert np.all(gamma == 0.0)
 
     def test_conformal_exp_hand_value(self):
         # g = exp(x1) I in 2d gives Gamma^1_11 = 1/2 at every point
         model = conformal_exp_metric()
         for x in ([0.0, 0.0], [0.7, -0.3]):
-            gamma = np.array(geo.christoffel_second(model, x, [1.0, 0.5]))
+            gamma = np.array(christoffel_second(model, x, [1.0, 0.5]))
             assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
             # remaining hand values for conformal factor phi = x1:
             # Gamma^1_22 = -1/2, Gamma^2_12 = 1/2
@@ -162,8 +173,8 @@ class TestChristoffel:
         # gamma_ijk v^j v^k equals half of d g_jk / d x^i v^j v^k
         model = conformal_exp_metric()
         x, v = [0.3, 0.2], [0.8, -0.5]
-        gamma = np.array(geo.christoffel_first(model, x, v))
-        _, dg = geo.metric_x_derivatives(model, x, v)
+        gamma = np.array(christoffel_first(model, x, v))
+        _, dg = metric_x_derivatives(model, x, v)
         dg = np.array(dg)
         vv = np.asarray(v)
         lhs = np.einsum("ijl,j,l->i", gamma, vv, vv)
@@ -174,7 +185,7 @@ class TestChristoffel:
         model = quartic_metric()
         x = np.array([0.1, -0.2])
         v = [0.9, 0.4]
-        _, dg = geo.metric_x_derivatives(model, list(x), v)
+        _, dg = metric_x_derivatives(model, list(x), v)
         # quartic metric has x-independent coefficients: all derivatives zero
         assert np.max(np.abs(np.array(dg))) == 0.0
 
@@ -195,7 +206,7 @@ class TestGeodesicCoefficients:
                 x = list(rng.uniform(-0.8, 0.8, 2))
                 v = list(rng.uniform(0.2, 1.0, 2))
                 direct = geo.geodesic_coefficients(model, x, v)
-                via = geo.geodesic_coefficients_via_christoffel(model, x, v)
+                via = geodesic_coefficients_via_christoffel(model, x, v)
                 assert np.allclose(direct, via, atol=1e-11)
 
     def test_degree_two_homogeneity(self):
@@ -212,20 +223,20 @@ class TestGeodesicCoefficients:
 class TestLegendre:
     def test_euclidean_identity(self):
         model = geo.MetricModel.euclidean(2)
-        assert geo.legendre(model, [0.0, 0.0], [0.3, -0.7]) == [0.3, -0.7]
+        assert legendre(model, [0.0, 0.0], [0.3, -0.7]) == [0.3, -0.7]
 
     def test_diagonal_riemannian(self):
         model = geo.MetricModel.riemannian(
             [[ex.const(1.0), ex.const(0.0)], [ex.const(0.0), ex.const(2.0)]]
         )
-        assert geo.legendre(model, [0.0, 0.0], [1.0, 1.0]) == [1.0, 2.0]
+        assert legendre(model, [0.0, 0.0], [1.0, 1.0]) == [1.0, 2.0]
 
     def test_riemannian_inverse_is_linear_solve(self):
         model = conformal_exp_metric()
         x = [0.5, 0.1]
         v = [0.4, -1.2]
-        y = geo.legendre(model, x, v)
-        back = geo.legendre_inverse(model, x, y)
+        y = legendre(model, x, v)
+        back = legendre_inverse(model, x, y)
         assert np.allclose(back, v, atol=1e-14)
 
     def test_finsler_round_trip(self):
@@ -236,14 +247,14 @@ class TestLegendre:
             v = list(rng.uniform(-1.5, 1.5, 2))
             if np.linalg.norm(v) < 0.2:
                 v = [c + 0.4 for c in v]
-            y = geo.legendre(model, x, v)
-            back = geo.legendre_inverse(model, x, y)
+            y = legendre(model, x, v)
+            back = legendre_inverse(model, x, y)
             err = np.max(np.abs(np.array(back) - np.array(v)))
             assert err < 1e-10 * (1 + np.max(np.abs(v)))
 
     def test_zero_momentum_rejected(self):
         with pytest.raises(geo.ModelValidityError):
-            geo.legendre_inverse(quartic_metric(), [0.0, 0.0], [0.0, 0.0])
+            legendre_inverse(quartic_metric(), [0.0, 0.0], [0.0, 0.0])
 
 
 class TestSpace:
