@@ -201,12 +201,19 @@ def kinetic_minimum_event(spec: SystemSpec, terminal: bool = False) -> EventSpec
 
 @dataclass
 class Trajectory:
-    """Time-sampled phase curve with dense interpolation between samples."""
+    """Time-sampled phase curve: ``states[k]`` is the state at ``ts[k]``.
+
+    ``dense`` is the integrator's :class:`~orbitlab.rk.DenseOutput` over the
+    same samples, or None for a run without dense output.  :meth:`state` and
+    :meth:`state_derivative` evaluate it at a time or a 1-D array of times,
+    hold the end states outside [t0, t1], and raise ``ValueError`` when there
+    is no dense output.
+    """
 
     spec: SystemSpec
     ts: np.ndarray
     states: np.ndarray  # (N, 2n)
-    segments: list = field(default_factory=list)
+    dense: rk.DenseOutput | None = None
     events: list = field(default_factory=list)
     energy_drift: float = 0.0
     energies: np.ndarray | None = None
@@ -219,58 +226,17 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.ts[-1])
 
-    def _segment_at(self, t: float):
-        if not self.segments:
-            raise ValueError("trajectory carries no dense output")
-        return rk.segment_at(self.segments, t)
-
-    def _segments_for(self, ts: np.ndarray):
-        """(t0, h, y0, q) of the segment holding each time of ``ts``."""
-        if not self.segments:
-            raise ValueError("trajectory carries no dense output")
-        stack = getattr(self, "_segment_stack", None)
-        if stack is None or len(stack[0]) != len(self.segments):
-            fields = ("t0", "h", "y0", "q")
-            stack = tuple(np.array([getattr(s, f) for s in self.segments]) for f in fields)
-            self._segment_stack = stack
-        idx = np.searchsorted(stack[0], ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.segments) - 1)
-        return tuple(a[idx] for a in stack)
-
     def state(self, t):
         """Dense state at ``t``; a 1-D array of times gives a (K, 2n) array."""
-        if np.ndim(t) == 0:
-            t = float(t)
-            if t <= self.t0:
-                return self.states[0].copy()
-            if t >= self.t1:
-                return self.states[-1].copy()
-            return self._segment_at(t).eval(t)
-        ts = np.asarray(t, dtype=float)
-        out = np.full((len(ts), self.states.shape[1]), np.nan)  # NaN times stay NaN
-        out[ts <= self.t0] = self.states[0]
-        out[ts >= self.t1] = self.states[-1]
-        inside = (ts > self.t0) & (ts < self.t1)
-        if inside.any():
-            ti = ts[inside]
-            t0, h, y0, q = self._segments_for(ti)
-            theta = (ti - t0) / h
-            powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
-            out[inside] = y0 + h[:, None] * np.einsum("kdj,kj->kd", q, powers)
-        return out
+        if self.dense is None:
+            raise ValueError("trajectory carries no dense output")
+        return self.dense(t)
 
     def state_derivative(self, t):
         """Time derivative of the dense interpolant; vectorised like :meth:`state`."""
-        if np.ndim(t) == 0:
-            seg = self._segment_at(min(max(float(t), self.t0), self.t1))
-            return seg.eval_derivative(float(t))
-        ts = np.asarray(t, dtype=float)
-        t0, h, _, q = self._segments_for(np.clip(ts, self.t0, self.t1))
-        theta = (ts - t0) / h
-        powers = np.stack(
-            [np.ones_like(theta), 2.0 * theta, 3.0 * theta**2, 4.0 * theta**3], axis=1
-        )
-        return np.einsum("kdj,kj->kd", q, powers)
+        if self.dense is None:
+            raise ValueError("trajectory carries no dense output")
+        return self.dense.derivative(t)
 
     def position(self, t):
         n = self.spec.dimension
@@ -326,7 +292,7 @@ def integrate(
         spec=spec,
         ts=res.ts,
         states=res.ys,
-        segments=res.segments,
+        dense=res.dense,
         events=res.events,
         energy_drift=drift,
         energies=energies,
@@ -354,7 +320,7 @@ def integrate_sensitivity(
     res = rk.solve_rk45(
         f, (0.0, t_end), z0, rtol=rtol, atol=atol, dense=False, w0=w0
     )
-    return np.array(res.y_final), res.w_final
+    return res.ys[-1], res.w_final
 
 
 def write_trajectory_csv(traj: Trajectory, path):

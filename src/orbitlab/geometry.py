@@ -303,15 +303,17 @@ def _riemannian_g_and_derivs(model: MetricModel, x):
     return g, dg
 
 
-def _finsler_f2_order2(model: MetricModel, x, v):
-    """(d, g): order-2 dual of F^2 in all 2n directions, and half its v-Hessian."""
+def _finsler_f2_order2(model: MetricModel, x, v, v_only: bool = False):
+    """(d, g): order-2 dual of F^2 and half its v-Hessian; d is seeded in all 2n
+    directions, or with ``v_only`` in the n velocity ones (same g bit for bit)."""
     n = model.dimension
     point = list(x) + list(v)
-    d = ex.eval_dual(model.f2_expr, point, None, 2, _inner_tag(point))
+    directions, off = (range(n, 2 * n), 0) if v_only else (None, n)
+    d = ex.eval_dual(model.f2_expr, point, directions, 2, _inner_tag(point))
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = 0.5 * d.hess[n + i][n + j]
+            entry = 0.5 * d.hess[off + i][off + j]
             g[i][j] = entry
             g[j][i] = entry
     return d, g
@@ -323,7 +325,7 @@ def metric_tensor(model: MetricModel, x, v, check: bool = True):
     if model.kind == "riemannian":
         g = _riemannian_g(model, x)
     else:
-        g = _finsler_f2_order2(model, x, v)[1]
+        g = _finsler_f2_order2(model, x, v, v_only=True)[1]
     if check:
         _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
     return g

@@ -177,7 +177,7 @@ class GeodesicCurve:
         return self.s_total
 
     def time_at(self, s: float) -> float:
-        return float(self.t_of_s.value_at(s)[0])
+        return float(self.t_of_s.dense(s)[0])
 
     def position(self, s: float) -> np.ndarray:
         return self.source.position(self.time_at(s))
@@ -220,7 +220,7 @@ class OrbitCurve:
         return self.t_total
 
     def arclength_at(self, t: float) -> float:
-        return float(self.s_of_t.value_at(t)[0])
+        return float(self.s_of_t.dense(t)[0])
 
     def position(self, t: float) -> np.ndarray:
         return self.source.position(self.arclength_at(t))
@@ -253,16 +253,16 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
     n = jm.spec.dimension
 
     # interior guard along the whole curve, including between samples
-    for t in np.linspace(traj.t0, traj.t1, 4 * len(traj.ts) + 1):
-        jm.check_interior(traj.position(float(t)))
+    for x in traj.position(np.linspace(traj.t0, traj.t1, 4 * len(traj.ts) + 1)):
+        jm.check_interior(x)
 
     def ds_dt(t, s):
         return [val_of(jm.psi(traj.position(t)))]
 
     fwd = rk.solve_rk45(
-        ds_dt, (traj.t0, traj.t1), [0.0], rtol=1e-12, atol=1e-14, dense=True
+        ds_dt, (traj.t0, traj.t1), [0.0], rtol=1e-12, atol=1e-14, dense=False
     )
-    s_total = float(fwd.y_final[0])
+    s_total = float(fwd.ys[-1, 0])
 
     def dt_ds(s, t):
         return [1.0 / val_of(jm.psi(traj.position(t[0])))]
@@ -308,9 +308,9 @@ def geodesic_to_orbit(curve, jm: JacobiMetric) -> OrbitCurve:
         return [1.0 / val_of(jm.psi(curve.position(float(s))))]
 
     fwd = rk.solve_rk45(
-        dt_ds, (s0, s1), [0.0], rtol=1e-12, atol=1e-14, dense=True
+        dt_ds, (s0, s1), [0.0], rtol=1e-12, atol=1e-14, dense=False
     )
-    t_total = float(fwd.y_final[0])
+    t_total = float(fwd.ys[-1, 0])
 
     def ds_dt(t, s):
         x = curve.position(s[0])

@@ -508,10 +508,8 @@ def _build_rotation(spec, x0, v0, period, rtol, atol, _depth=0) -> PeriodicOrbit
                     spec, x0, v0, period / mdiv, rtol, atol, _depth + 1
                 )
 
-    ke_min = math.inf
-    for t in np.linspace(0.0, period, 257):
-        v = traj.velocity(float(t))
-        ke_min = min(ke_min, 0.5 * float(np.dot(v, v)))
+    v = traj.velocity(np.linspace(0.0, period, 257))
+    ke_min = 0.5 * float(np.min(np.einsum("kd,kd->k", v, v)))
     if ke_min <= 1e-10:
         raise ConvergenceError(
             "orbit grazes a rest point; not a rotation (kinetic energy "
@@ -567,7 +565,7 @@ def monodromy(
         atol=atol,
         dense=False,
     )
-    matrix = np.reshape(res.y_final[dim:], (dim, dim))
+    matrix = np.reshape(res.ys[-1, dim:], (dim, dim))
     eigenvalues = np.linalg.eigvals(matrix)
     det_error = abs(float(np.linalg.det(matrix)) - 1.0)
     trivial = int(np.sum(np.abs(eigenvalues - 1.0) < tol_eig))

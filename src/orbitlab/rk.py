@@ -8,10 +8,13 @@ at the state only, so a tangent run takes exactly the accepted-step sequence
 of the plain run and W(t1) is the derivative of the discrete solution map
 along those steps applied to W(t0) (internal numerical differentiation).
 
-Dense output uses the quartic interpolant associated with the pair (local
-order 4), and events are located by sign change plus bisection on the dense
-interpolant down to a 1e-12 time tolerance (four ulps of t where that is
-coarser), with a cap on the number of halvings.
+Dense output is Shampine's quartic interpolant for the pair, kept as stacked
+arrays in one :class:`DenseOutput`: step k starts at ts[k] from ys[k], has
+length h[k] and coefficients q[k] (d x 4), and y(ts[k] + theta h[k]) = ys[k] +
+h[k] q[k] (theta, ..., theta^4).  At and beyond the ends of the span it gives
+the first or last stored state.  Events are located by sign change plus
+bisection on the current step's interpolant down to a 1e-12 time tolerance
+(four ulps of t where that is coarser), with a cap on the number of halvings.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import OrbitLabError
 
-__all__ = ["EventSpec", "EventHit", "RKResult", "IntegrationError", "segment_at", "solve_rk45"]
+__all__ = ["EventSpec", "EventHit", "DenseOutput", "RKResult", "IntegrationError", "solve_rk45"]
 
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 
@@ -127,50 +129,66 @@ class EventHit:
     y: np.ndarray
 
 
-@dataclass
-class DenseSegment:
-    t0: float
-    h: float
-    y0: np.ndarray
-    q: np.ndarray  # (d, 4) interpolant coefficients
-
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.h
-
-    def eval(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y0 + self.h * (self.q @ powers)
-
-    def eval_derivative(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        powers = np.array([1.0, 2.0 * theta, 3.0 * theta**2, 4.0 * theta**3])
-        return self.q @ powers
+def _interpolate(y0, h, q, theta):
+    """The quartic interpolant of one step at the fraction ``theta`` of it."""
+    return y0 + h * (q @ np.array([theta, theta**2, theta**3, theta**4]))
 
 
-def segment_at(segments: list[DenseSegment], t: float) -> DenseSegment:
-    """The segment whose span holds ``t``; the first or last one outside them all."""
-    idx = bisect.bisect_right(segments, t, key=attrgetter("t0")) - 1
-    return segments[min(max(idx, 0), len(segments) - 1)]
+class DenseOutput:
+    """Dense solution of one run: a scalar time gives a (d,) state, a 1-D
+    array of K times a (K, d) array."""
+
+    def __init__(self, ts, ys, h, q):
+        self.ts, self.ys, self.h, self.q = ts, ys, h, q
+        # the scalar kernel bisects Python floats
+        self._starts = ts[:-1].tolist()
+        self._steps = h.tolist()
+
+    def __call__(self, t):
+        t0, t1 = self._starts[0], float(self.ts[-1])
+        if np.ndim(t) == 0:
+            t = float(t)
+            if t <= t0:
+                return self.ys[0].copy()
+            if t >= t1:
+                return self.ys[-1].copy()
+            k = bisect.bisect_right(self._starts, t) - 1
+            h = self._steps[k]
+            return _interpolate(self.ys[k], h, self.q[k], (t - self._starts[k]) / h)
+        ts = np.asarray(t, dtype=float)
+        out = np.full((len(ts), self.ys.shape[1]), np.nan)  # NaN times stay NaN
+        out[ts <= t0] = self.ys[0]
+        out[ts >= t1] = self.ys[-1]
+        inside = (ts > t0) & (ts < t1)
+        if inside.any():
+            ti = ts[inside]
+            k = np.searchsorted(self.ts[:-1], ti, side="right") - 1
+            h = self.h[k]
+            theta = (ti - self.ts[k]) / h
+            powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+            out[inside] = self.ys[k] + h[:, None] * np.einsum("kdj,kj->kd", self.q[k], powers)
+        return out
+
+    def derivative(self, t):
+        """Time derivative; outside the span the first or last step's polynomial."""
+        ts = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.ts[:-1], ts, side="right") - 1, 0, len(self.h) - 1)
+        theta = (ts - self.ts[k]) / self.h[k]
+        powers = np.stack(
+            [np.ones_like(theta), 2.0 * theta, 3.0 * theta**2, 4.0 * theta**3], axis=-1
+        )
+        return np.einsum("...dj,...j->...d", self.q[k], powers)
 
 
 @dataclass
 class RKResult:
     ts: np.ndarray
     ys: np.ndarray
-    segments: list[DenseSegment]
+    dense: DenseOutput | None = None
     events: list[EventHit] = field(default_factory=list)
-    y_final: list | None = None
-    t_final: float = 0.0
     n_accepted: int = 0
     n_rejected: int = 0
-    w_final: np.ndarray | None = None  # tangent at t_final, for a tangent run
-
-    def value_at(self, t: float) -> np.ndarray:
-        """Dense solution at ``t``, clamped to the integrated span."""
-        t = min(max(t, self.segments[0].t0), self.segments[-1].t1)
-        return segment_at(self.segments, t).eval(t)
+    w_final: np.ndarray | None = None  # tangent at ts[-1], for a tangent run
 
 
 def _error_norm(err, y0, y1, rtol, atol) -> float:
@@ -206,19 +224,21 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step) -> float:
     return max(h, 1e-14 * max(abs(t0), 1.0))
 
 
-def _bisect_event(segment: DenseSegment, g, t_lo: float, t_hi: float, sign_lo: float):
+def _bisect_event(g, t: float, h: float, y0, q, sign_lo: float):
+    """(time, state) where g leaves the sign ``sign_lo`` inside the step [t, t + h]."""
+    t_lo, t_hi = t, t + h
     # beyond |t| ~ 8192 the absolute tolerance is below the spacing of floats
     tol = max(_EVENT_TIME_TOL, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
     for _ in range(_EVENT_MAX_BISECTIONS):
         if t_hi - t_lo <= tol:
             break
         mid = 0.5 * (t_lo + t_hi)
-        if np.sign(g(mid, segment.eval(mid))) == sign_lo:
+        if np.sign(g(mid, _interpolate(y0, h, q, (mid - t) / h))) == sign_lo:
             t_lo = mid
         else:
             t_hi = mid
     t_ev = 0.5 * (t_lo + t_hi)
-    return t_ev, segment.eval(t_ev)
+    return t_ev, _interpolate(y0, h, q, (t_ev - t) / h)
 
 
 def _tangent_increment(a, kw, s):
@@ -245,9 +265,11 @@ def solve_rk45(
 
     With a tangent ``w0`` (d x m), ``f(t, y, w)`` returns the pair
     (f(t, y), J(t, y) w) and the result carries W(t1) as ``w_final``.  A
-    tangent run stores no dense output and locates no events.  A right-hand
-    side that turns NaN or infinite raises :class:`IntegrationError` with the
-    time and state of the first stage that produced it.
+    tangent run stores no dense output and locates no events.  The final
+    state is ``ys[-1]``; with ``dense`` the result carries a
+    :class:`DenseOutput`.  A right-hand side that turns NaN or infinite raises
+    :class:`IntegrationError` with the time and state of the first stage that
+    produced it.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -268,9 +290,10 @@ def solve_rk45(
         def value(t, y):
             return f(t, y, w)[0]
 
-    result = RKResult(ts=np.empty(0), ys=np.empty((0, d)), segments=[])
+    result = RKResult(ts=np.empty(0), ys=np.empty((0, d)))
     ts = [t0]
     ys = [np.array(y)]
+    hs, qs = [], []  # length and interpolant coefficients of each accepted step
 
     k = [None] * 7
     kw = [None] * 7
@@ -331,12 +354,11 @@ def solve_rk45(
         result.n_accepted += 1
         t_new = t + h
         y_new_arr = np.array(y_new)
-        segment = None
         if dense or events:
             q = np.array(k).T @ _P
-            segment = DenseSegment(t, h, ys[-1].copy(), q)
         if dense:
-            result.segments.append(segment)
+            hs.append(h)
+            qs.append(q)
 
         stop_at = None
         if events:
@@ -351,7 +373,7 @@ def solve_rk45(
                     continue
                 if ev.direction == -1 and rising:
                     continue
-                t_ev, y_ev = _bisect_event(segment, ev.fn, t, t_new, np.sign(g0))
+                t_ev, y_ev = _bisect_event(ev.fn, t, h, ys[-1], q, np.sign(g0))
                 hits_here.append((t_ev, idx, y_ev))
             for t_ev, idx, y_ev in sorted(hits_here):
                 result.events.append(EventHit(idx, events[idx].name, t_ev, y_ev))
@@ -363,7 +385,6 @@ def solve_rk45(
             t, y_stop = stop_at
             ts.append(t)
             ys.append(y_stop)
-            y = y_stop.tolist()
             finished = True
         else:
             t = t_new
@@ -383,7 +404,7 @@ def solve_rk45(
 
     result.ts = np.array(ts)
     result.ys = np.array(ys)
-    result.y_final = y
-    result.t_final = t
+    if dense:
+        result.dense = DenseOutput(result.ts, result.ys, np.array(hs), np.array(qs))
     result.w_final = w
     return result

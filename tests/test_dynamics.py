@@ -103,8 +103,8 @@ class TestHamiltonRHS:
 
         res = rk.solve_rk45(ham_f, (0.0, 5.0), list(x0) + list(y0), rtol=1e-11,
                             atol=1e-13, dense=False)
-        x_ham = np.array(res.y_final[:2])
-        y_ham = np.array(res.y_final[2:])
+        x_ham = res.ys[-1, :2]
+        y_ham = res.ys[-1, 2:]
         v_ham = np.array(legendre_inverse(sys.metric, list(x_ham), list(y_ham)))
         assert np.max(np.abs(x_ham - traj.position(5.0))) < 1e-8
         assert np.max(np.abs(v_ham - traj.velocity(5.0))) < 1e-8
@@ -238,7 +238,7 @@ class TestDenseArrays:
 
     def times(self, traj):
         rng = np.random.default_rng(7)
-        starts = np.array([seg.t0 for seg in traj.segments])
+        starts = traj.dense.ts[:-1]
         return np.concatenate(
             [
                 rng.uniform(traj.t0, traj.t1, 500),
@@ -260,6 +260,16 @@ class TestDenseArrays:
         out = traj.state(np.array([traj.t0 - 1.0, traj.t0, traj.t1, traj.t1 + 1.0]))
         assert np.array_equal(out[:2], traj.states[[0, 0]])
         assert np.array_equal(out[2:], traj.states[[-1, -1]])
+
+    def test_without_dense_output_every_time_raises(self):
+        sys = oscillator((1.0, math.sqrt(2.0)), 0.5)
+        traj = dyn.integrate(
+            sys, PhaseState([0.3, 0.4], [0.5, -0.2]), (0.5, 2.0), dense=False
+        )
+        for t in (traj.t0, 1.0, traj.t1, np.array([traj.t0, traj.t1])):
+            for method in (traj.state, traj.position, traj.state_derivative):
+                with pytest.raises(ValueError, match="no dense output"):
+                    method(t)
 
 
 class TestSensitivity:
@@ -312,7 +322,7 @@ class TestSensitivity:
 
         plain = rk.solve_rk45(f, (0.0, 3.0), z0, dense=False)
         tangent = rk.solve_rk45(f_tangent, (0.0, 3.0), z0, dense=False, w0=np.eye(len(z0)))
-        assert tangent.y_final == plain.y_final
+        assert np.array_equal(tangent.ys[-1], plain.ys[-1])
         assert (tangent.n_accepted, tangent.n_rejected) == (plain.n_accepted, plain.n_rejected)
         assert calls[0] == 6 * (tangent.n_accepted + tangent.n_rejected) + 2
 

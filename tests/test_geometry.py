@@ -27,6 +27,18 @@ def quartic_metric(n=2) -> geo.MetricModel:
     )
 
 
+def x_dependent_finsler_metric() -> geo.MetricModel:
+    # position-dependent weights, one of them a divisor that depends on x only
+    return geo.MetricModel.finsler(
+        ex.parse(
+            "(1 + 0.3*sin(x1)*cos(x2))*(v1^2 + v2^2)"
+            " + 0.1*exp(x2)*sqrt(v1^4 + v2^4)/(2 + cos(x1))",
+            2,
+        ),
+        2,
+    )
+
+
 def conformal_exp_metric() -> geo.MetricModel:
     # g = exp(x1) * identity in 2d
     e = ex.parse("exp(x1)", 2)
@@ -85,6 +97,18 @@ class TestMetricTensor:
         )
         with pytest.raises(geo.ModelValidityError):
             geo.metric_tensor(model, [-1.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("make_model", [quartic_metric, x_dependent_finsler_metric])
+    def test_finsler_equals_half_vv_block_of_full_hessian(self, make_model):
+        # metric_tensor seeds the velocity directions only
+        model = make_model()
+        n = model.dimension
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            x, v = list(rng.uniform(-1.5, 1.5, n)), list(rng.uniform(-1.0, 1.0, n))
+            full = ex.eval_dual(model.f2_expr, x + v, None, 2)
+            half_vv = [[0.5 * full.hess[n + i][n + j] for j in range(n)] for i in range(n)]
+            assert geo.metric_tensor(model, x, v) == half_vv
 
     def test_finsler_needs_nonzero_v(self):
         with pytest.raises(geo.ModelValidityError):

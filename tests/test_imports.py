@@ -29,6 +29,34 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module
+    of ``sources`` (module name -> text) loads, by name or as an attribute."""
+    defined = []
+    loaded = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node.lineno) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return sorted(
+        f"{module}.{name} (line {line})"
+        for module, name, line in defined
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    )
+
+
 def test_detects_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math (line 1)",
@@ -39,3 +67,20 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_unused_private_name():
+    sources = {
+        "a": "_USED = 1\n_UNUSED, _ALSO = 2, 3\ndef _helper():\n    return _USED\n"
+        "class _Thing:\n    pass\nclass Public:\n    _attr = 0\n",
+        "b": "import a\na._helper()\n",
+    }
+    assert unused_private_names(sources) == [
+        "a._ALSO (line 2)",
+        "a._Thing (line 5)",
+        "a._UNUSED (line 2)",
+    ]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.stem: p.read_text() for p in MODULES}) == []
