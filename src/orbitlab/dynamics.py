@@ -22,7 +22,6 @@ from .rk import EventSpec
 
 __all__ = [
     "PotentialField",
-    "ExprPotential",
     "SystemSpec",
     "PhaseState",
     "Trajectory",
@@ -39,26 +38,8 @@ __all__ = [
 
 
 class PotentialField:
-    """Scalar field U(x) evaluable over floats or dual scalars."""
-
-    dimension: int
-
-    def value(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def gradient(self, x):
-        """Exact gradient via a seeded dual evaluation of :meth:`value`."""
-        n = self.dimension
-        tag = geo._inner_tag(x)
-        seeds = [Dual.seed(x[i], n, i, 1, tag) for i in range(n)]
-        out = self.value(seeds)
-        if not isinstance(out, Dual) or out.tag != tag:
-            return [0.0] * n
-        return list(out.grad)
-
-
-class ExprPotential(PotentialField):
-    """Potential defined by an expression over position variables."""
+    """Potential U(x) given by an expression over the position variables,
+    evaluable over floats or dual scalars."""
 
     def __init__(self, node: ex.ExprNode, dimension: int):
         bad = [k for k in ex.variables_of(node) if k >= dimension]
@@ -72,6 +53,13 @@ class ExprPotential(PotentialField):
     def value(self, x):
         return ex.evaluate(self.node, list(x) + [0.0] * self.dimension)
 
+    def gradient(self, x):
+        """Exact gradient from one dual evaluation seeded in the position
+        directions, nested over any duals in ``x``."""
+        n = self.dimension
+        point = list(x) + [0.0] * n
+        return list(ex.eval_dual(self.node, point, range(n), 1, geo._inner_tag(x)).grad)
+
 
 @dataclass
 class SystemSpec:
@@ -83,16 +71,13 @@ class SystemSpec:
 
     def __post_init__(self):
         if isinstance(self.potential, (ex.Const, ex.Var, ex.Unary, ex.Binary)):
-            self.potential = ExprPotential(self.potential, self.metric.dimension)
+            self.potential = PotentialField(self.potential, self.metric.dimension)
         if not np.isfinite(self.energy):
             raise geo.ModelValidityError("energy level must be finite")
 
     @property
     def dimension(self) -> int:
         return self.metric.dimension
-
-    def with_potential(self, potential: PotentialField) -> "SystemSpec":
-        return SystemSpec(self.metric, potential, self.energy)
 
 
 @dataclass
@@ -246,9 +231,6 @@ class Trajectory:
         n = self.spec.dimension
         return self.state(t)[..., n:]
 
-    def phase(self, t: float) -> PhaseState:
-        return PhaseState.from_flat(self.state(t))
-
     def wrapped_positions(self) -> np.ndarray:
         n = self.spec.dimension
         space = self.spec.metric.space
@@ -262,7 +244,6 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     events=(),
-    max_step: float | None = None,
     dense: bool = True,
 ) -> Trajectory:
     """Integrate the Lagrangian flow; the torus chart stays in the cover.
@@ -280,7 +261,6 @@ def integrate(
         initial.flat(),
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
         events=tuple(events),
         dense=dense,
     )

@@ -597,17 +597,11 @@ def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int =
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if directions is None:
-        directions = list(range(len(point)))
-    directions = list(directions)
+    directions = list(range(len(point)) if directions is None else directions)
     m = len(directions)
-    pos = {v: i for i, v in enumerate(directions)}
-    seeds = []
-    for idx, value in enumerate(point):
-        if idx in pos:
-            seeds.append(Dual.seed(value, m, pos[idx], order, tag))
-        else:
-            seeds.append(value)
+    seeds = list(point)
+    for k, idx in enumerate(directions):
+        seeds[idx] = Dual.seed(point[idx], m, k, order, tag)
     out = evaluate(node, seeds)
     if not isinstance(out, Dual):
         out = Dual.constant(out, m, order, tag)

@@ -5,8 +5,9 @@ polyline resampling of the orbit (Teschner et al., VMV 2003).  Cells are at
 least as large as the largest segment, boxes are inflated by the acceptance
 margin, and on a torus every axis holds a whole number of cells, so that no
 near-miss straddles a cell boundary or a period unseen.  Hashed pairs pass
-the same minimal-image box test as the O(N^2) all-pairs generator, which
-makes the two candidate lists equal.  Candidates are refined in blocks by a
+a minimal-image box test, so the candidate list equals that of the O(N^2)
+all-pairs generator, which the tests keep as the oracle
+(``oracles.brute_candidates``).  Candidates are refined in blocks by a
 masked damped Newton iteration on the squared separation of the two strands
 (time parameters wrap modulo the period), over array-valued dense output,
 then classified in candidate order by the angle between the refined
@@ -21,8 +22,6 @@ velocities:
 
 Pairs whose refinement stalls between the acceptance and rejection
 thresholds are reported in ``unresolved`` rather than silently dropped.
-The all-pairs generator doubles as an independent oracle; both routes share
-refinement and classification and produce identical reports.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 _NEAR_MISS_FACTOR = 10.0
+_TOL_ANGLE = 1e-3  # radians from (anti)parallel that still count as parallel
 _REFINE_BLOCK = 256  # candidates per batched refinement; bounds peak memory
 _PAIR_CHUNK = 2048  # hashed pairs per overlap test; bounds peak memory
 
@@ -90,7 +90,7 @@ class IntersectionReport:
 class _Strand:
     """Dense-output view of one periodic orbit plus its polyline."""
 
-    def __init__(self, orbit: PeriodicOrbit, max_step: float | None):
+    def __init__(self, orbit: PeriodicOrbit):
         self.orbit = orbit
         self.space = orbit.spec.metric.space
         self.n = orbit.spec.dimension
@@ -100,9 +100,7 @@ class _Strand:
             np.max(np.max(pts, axis=0) - np.min(pts, axis=0))
         )
         self.diameter = max(diam, 1e-12)
-        if max_step is None:
-            max_step = self.diameter / 512.0
-        self.max_step = max_step
+        max_step = self.diameter / 512.0
         count = 1024
         while count < 65536:
             seg = np.linalg.norm(np.diff(pts, axis=0), axis=1).max()
@@ -166,7 +164,7 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
     """Segment index pairs sharing an inflated spatial-hash cell.
 
     The hashed pairs are a superset of the overlapping ones and are filtered
-    by :func:`_boxes_overlap`, so the result equals :func:`_brute_candidates`.
+    by :func:`_boxes_overlap`, so the result equals the all-pairs list.
     """
     same = strand_b is None
     if same:
@@ -223,34 +221,6 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
         return []
     ii, jj = np.divmod(np.unique(np.concatenate(codes)), nb)
     return list(zip(ii.tolist(), jj.tolist()))
-
-
-def _brute_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
-    """All segment pairs whose inflated boxes overlap (minimal-image aware).
-
-    Row-chunked so the N^2 broadcast stays memory-bounded.
-    """
-    same = strand_b is None
-    if same:
-        strand_b = strand_a
-    ca, ea = _box_centres(strand_a)
-    cb, eb = _box_centres(strand_b)
-    periods = _periods(strand_a)
-    out = []
-    chunk = max(1, 2**22 // max(len(cb), 1))
-    for start in range(0, len(ca), chunk):
-        stop = min(start + chunk, len(ca))
-        overlap = _boxes_overlap(
-            ca[start:stop, None, :], ea[start:stop, None, :], cb[None], eb[None],
-            periods, margin,
-        )
-        ii, jj = np.nonzero(overlap)
-        ii = ii + start
-        if same:
-            mask = ii < jj
-            ii, jj = ii[mask], jj[mask]
-        out.extend(zip(ii.tolist(), jj.tolist()))
-    return sorted(out)
 
 
 def _param_gap_circular(a: float, b: float, period: float) -> float:
@@ -356,11 +326,11 @@ def _refine_pairs(sa: _Strand, sb: _Strand, s0, t0, max_iter: int = 60):
         running[lost[trials[lost] >= 25]] = False
 
 
-def _classify_angle(va, vb, tol_angle: float) -> str:
+def _classify_angle(va, vb) -> str:
     ua = va / np.linalg.norm(va)
     ub = vb / np.linalg.norm(vb)
     c = float(np.dot(ua, ub))
-    threshold = math.cos(tol_angle)
+    threshold = math.cos(_TOL_ANGLE)
     if c >= threshold:
         return "parallel"
     if c <= -threshold:
@@ -372,25 +342,13 @@ def _classify_angle(va, vb, tol_angle: float) -> str:
 # Report assembly
 # ---------------------------------------------------------------------------
 
-def _scan(
-    strand_a: _Strand,
-    strand_b: _Strand | None,
-    tol_space: float | None,
-    tol_angle: float,
-    brute_force: bool,
-):
+def _scan(strand_a: _Strand, strand_b: _Strand | None):
     same = strand_b is None
     sb = strand_a if same else strand_b
     diam = max(strand_a.diameter, sb.diameter)
-    if tol_space is None:
-        tol_space = 1e-6 * diam
+    tol_space = 1e-6 * diam
     reject_gap = _NEAR_MISS_FACTOR * tol_space
-    margin = reject_gap
-
-    if brute_force:
-        candidates = _brute_candidates(strand_a, None if same else sb, margin)
-    else:
-        candidates = _hash_candidates(strand_a, None if same else sb, margin)
+    candidates = _hash_candidates(strand_a, strand_b, reject_gap)
 
     n_seg_a = len(strand_a.pts) - 1
     dt_a = strand_a.period / n_seg_a
@@ -430,7 +388,7 @@ def _scan(
             unresolved.append(IntersectionPair(s, t, point, "stalled", gap))
             return
         if gap <= tol_space:
-            rel = _classify_angle(strand_a.velocity(s), sb.velocity(t), tol_angle)
+            rel = _classify_angle(strand_a.velocity(s), sb.velocity(t))
             if same:
                 retrace = (
                     _param_gap_circular(s + t, 0.0, strand_a.period)
@@ -515,34 +473,18 @@ def _scan(
     return report
 
 
-def self_intersections(
-    orbit: PeriodicOrbit,
-    tol_space: float | None = None,
-    tol_angle: float = 1e-3,
-    max_step: float | None = None,
-    brute_force: bool = False,
-) -> IntersectionReport:
+def self_intersections(orbit: PeriodicOrbit) -> IntersectionReport:
     """Self-coincidences of one periodic orbit, classified.
 
     For a rotation, equal positions at different times have linearly
     independent velocities, so tangential hits on rotations indicate a
     tolerance failure; they surface in the report rather than vanish.
     """
-    strand = _Strand(orbit, max_step)
-    return _scan(strand, None, tol_space, tol_angle, brute_force)
+    return _scan(_Strand(orbit), None)
 
 
-def mutual_intersections(
-    a: PeriodicOrbit,
-    b: PeriodicOrbit,
-    tol_space: float | None = None,
-    tol_angle: float = 1e-3,
-    max_step: float | None = None,
-    brute_force: bool = False,
-) -> IntersectionReport:
+def mutual_intersections(a: PeriodicOrbit, b: PeriodicOrbit) -> IntersectionReport:
     """Common points of two geometrically distinct orbits of one system."""
     if a.spec.dimension != b.spec.dimension:
         raise OrbitLabError("orbits must come from the same system")
-    strand_a = _Strand(a, max_step)
-    strand_b = _Strand(b, max_step)
-    return _scan(strand_a, strand_b, tol_space, tol_angle, brute_force)
+    return _scan(_Strand(a), _Strand(b))

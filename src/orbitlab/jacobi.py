@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import rk
-from .dynamics import ExprPotential, SystemSpec, Trajectory
+from .dynamics import PotentialField, SystemSpec, Trajectory
 from .errors import OrbitLabError
 from .expr import val_of
 from .geometry import MetricModel
@@ -57,11 +57,10 @@ class JacobiMetric:
     """Conformal kinetic model 2 (E - U(x)) F^2 with a degeneracy floor."""
 
     spec: SystemSpec
-    delta_floor: float | None = None
 
-    def __post_init__(self):
-        if self.delta_floor is None:
-            self.delta_floor = 1e-8 * (1.0 + abs(self.spec.energy))
+    @property
+    def delta_floor(self) -> float:
+        return 1e-8 * (1.0 + abs(self.spec.energy))
 
     @property
     def energy(self) -> float:
@@ -88,21 +87,14 @@ class JacobiMetric:
 
     @property
     def conformal_model(self) -> MetricModel:
-        """The conformal metric as an expression-level MetricModel.
-
-        Requires an expression-backed potential; the closed form is
-        psi(x) = 2 (E - U(x)) multiplying the base coefficients.
+        """The conformal metric as an expression-level MetricModel: the
+        closed form psi(x) = 2 (E - U(x)) multiplying the base coefficients.
         """
         model = getattr(self, "_conformal_model", None)
         if model is not None:
             return model
-        pot = self.spec.potential
-        if not isinstance(pot, ExprPotential):
-            raise JacobiError(
-                "conformal expression model needs an expression potential"
-            )
         psi = ex.mul(
-            ex.const(2.0), ex.sub(ex.const(self.spec.energy), pot.node)
+            ex.const(2.0), ex.sub(ex.const(self.spec.energy), self.spec.potential.node)
         )
         base = self.spec.metric
         if base.kind == "riemannian":
@@ -150,7 +142,7 @@ def jacobi_geodesic_coefficients(jm: JacobiMetric, x, v):
 def geodesic_flow_system(jm: JacobiMetric) -> SystemSpec:
     """Zero-potential system whose Lagrangian flow is the Fbar geodesic flow."""
     model = jm.conformal_model
-    zero = ExprPotential(ex.const(0.0), model.dimension)
+    zero = PotentialField(ex.const(0.0), model.dimension)
     return SystemSpec(model, zero, 0.5)
 
 

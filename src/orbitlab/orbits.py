@@ -49,9 +49,15 @@ __all__ = [
     "find_brake",
     "find_rotation",
     "monodromy",
-    "verify_degenerate_family",
     "orbit_report_dict",
 ]
+
+_T_MAX = 100.0  # search horizon for the first turning point or section return
+_RTOL, _ATOL = 1e-12, 1e-14  # the returned orbit
+_NEWTON_RTOL, _NEWTON_ATOL = 1e-10, 1e-12  # Newton's runs: looser than the returned orbit
+_BRAKE_MAX_NEWTON = 30
+_ROTATION_MAX_NEWTON = 40
+_TOL_EIG = 1e-6  # distance from 1 below which a multiplier counts as trivial
 
 
 class PreconditionError(OrbitLabError):
@@ -148,16 +154,7 @@ def _project_to_level(spec: SystemSpec, x, max_iter=50):
 # Brake orbits
 # ---------------------------------------------------------------------------
 
-def find_brake(
-    spec: SystemSpec,
-    seed,
-    t_max: float = 100.0,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    v_tol: float | None = None,
-    seed_tol: float | None = None,
-    max_newton: int = 30,
-) -> PeriodicOrbit:
+def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     """Locate a brake orbit from a rest-point seed near {U = E}.
 
     Newton unknowns are a local chart of the boundary (graph over its
@@ -168,10 +165,8 @@ def find_brake(
     n = spec.dimension
     e_level = spec.energy
     seed = np.asarray(seed, dtype=float)
-    if seed_tol is None:
-        seed_tol = 0.5 * (1.0 + abs(e_level))
-    if v_tol is None:
-        v_tol = 1e-10 * (1.0 + math.sqrt(2.0 * abs(e_level)))
+    seed_tol = 0.5 * (1.0 + abs(e_level))
+    v_tol = 1e-10 * (1.0 + math.sqrt(2.0 * abs(e_level)))
 
     u_seed = val_of(spec.potential.value(list(seed)))
     if abs(u_seed - e_level) > seed_tol:
@@ -186,23 +181,18 @@ def find_brake(
 
     p = _project_to_level(spec, seed)
 
-    # Newton works on the discrete flow at a slightly looser tolerance; the
-    # returned orbit is re-integrated at the requested accuracy afterwards.
-    newton_rtol = max(rtol, 1e-10)
-    newton_atol = max(atol, 1e-12)
-
     # first turning time from a terminal kinetic-energy-minimum event
     probe = integrate(
         spec,
         PhaseState(p, np.zeros(n)),
-        (0.0, t_max),
+        (0.0, _T_MAX),
         rtol=1e-9,
         atol=1e-11,
         events=(kinetic_minimum_event(spec, terminal=True),),
         dense=False,
     )
     if not probe.events:
-        raise ConvergenceError(f"no turning event within t_max = {t_max}")
+        raise ConvergenceError(f"no turning event within t = {_T_MAX}")
     t_half = probe.events[0].t
     t_half_init = t_half
 
@@ -211,21 +201,21 @@ def find_brake(
             spec,
             PhaseState(p_try, np.zeros(n)),
             (0.0, t_try),
-            rtol=newton_rtol,
-            atol=newton_atol,
+            rtol=_NEWTON_RTOL,
+            atol=_NEWTON_ATOL,
             dense=False,
         )
         return float(np.max(np.abs(traj.states[-1][n:])))
 
     res_norm = None
-    for _ in range(max_newton):
+    for _ in range(_BRAKE_MAX_NEWTON):
         grad_p = np.array([val_of(c) for c in spec.potential.gradient(list(p))])
         basis = _complement_basis(grad_p)  # n x (n-1)
         # unknowns move the rest point along the boundary chart
         w0 = np.vstack([basis, np.zeros((n, n - 1))])
         zf, wf = integrate_sensitivity(
             spec, np.concatenate([p, np.zeros(n)]), w0, t_half,
-            rtol=newton_rtol, atol=newton_atol,
+            rtol=_NEWTON_RTOL, atol=_NEWTON_ATOL,
         )
         residual = zf[n:]
         res_norm = float(np.max(np.abs(residual)))
@@ -265,8 +255,8 @@ def find_brake(
         spec,
         PhaseState(p, np.zeros(n)),
         (0.0, period),
-        rtol=rtol,
-        atol=atol,
+        rtol=_RTOL,
+        atol=_ATOL,
         events=(kinetic_minimum_event(spec),),
         dense=True,
     )
@@ -330,17 +320,7 @@ def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
     return float(ts[k[0] + 2]) if k.size else None
 
 
-def find_rotation(
-    spec: SystemSpec,
-    seed: PhaseState,
-    section_normal=None,
-    t_max: float = 100.0,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    res_tol: float | None = None,
-    return_threshold: float | None = None,
-    max_newton: int = 40,
-) -> PeriodicOrbit:
+def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> PeriodicOrbit:
     """Locate a rotation by first-return shooting.
 
     Unknowns: position on the section hyperplane, velocity direction (the
@@ -371,21 +351,15 @@ def find_rotation(
         raise TransversalityError("seed velocity is tangent to the section")
 
     scale = 1.0 + float(np.linalg.norm(np.concatenate([x_anchor, v_anchor])))
-    if res_tol is None:
-        res_tol = 1e-10 * scale
-    if return_threshold is None:
-        return_threshold = 0.25 * scale
-
-    newton_rtol = max(rtol, 1e-10)
-    newton_atol = max(atol, 1e-12)
+    res_tol = 1e-10 * scale
 
     z0 = np.concatenate([x_anchor, v_anchor])
     probe = integrate(
-        spec, PhaseState(x_anchor, v_anchor), (0.0, t_max), rtol=1e-9, atol=1e-11
+        spec, PhaseState(x_anchor, v_anchor), (0.0, _T_MAX), rtol=1e-9, atol=1e-11
     )
-    t_ret = _rotation_seed_scan(spec, probe, z0, t_guard=20 * t_max / 4096, threshold=return_threshold)
+    t_ret = _rotation_seed_scan(spec, probe, z0, t_guard=20 * _T_MAX / 4096, threshold=0.25 * scale)
     if t_ret is None:
-        raise ConvergenceError(f"no section return within t_max = {t_max}")
+        raise ConvergenceError(f"no section return within t = {_T_MAX}")
 
     # fixed winding offset for the cover chart
     space = spec.metric.space
@@ -422,13 +396,13 @@ def find_rotation(
         return x0, v0
 
     res_norm = None
-    for _ in range(max_newton):
+    for _ in range(_ROTATION_MAX_NEWTON):
         # (z0, W0) = initial state and its derivative in the m unknowns
         x0_d, v0_d = build_initial([Dual.seed(0.0, m, i, 1, 0) for i in range(m)])
         z0 = np.array([val_of(c) for c in x0_d + v0_d])
         w0 = np.array([[val_of(g) for g in c.grad] for c in x0_d + v0_d])
         zf, wf = integrate_sensitivity(
-            spec, z0, w0, t_period, rtol=newton_rtol, atol=newton_atol
+            spec, z0, w0, t_period, rtol=_NEWTON_RTOL, atol=_NEWTON_ATOL
         )
         residual = zf - z0
         residual[:n] -= winding
@@ -441,25 +415,18 @@ def find_rotation(
         step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
 
         def trial_norm(u_step, alpha):
-            floats = list(alpha * u_step[:m])
-            x0_t, v0_t = build_initial(floats)
+            x0_t, v0_t = map(np.asarray, build_initial(list(alpha * u_step[:m])))
             t_t = t_period + alpha * u_step[m]
             traj_t = integrate(
                 spec,
-                PhaseState(np.array([val_of(c) for c in x0_t]),
-                           np.array([val_of(c) for c in v0_t])),
+                PhaseState(x0_t, v0_t),
                 (0.0, t_t),
-                rtol=newton_rtol,
-                atol=newton_atol,
+                rtol=_NEWTON_RTOL,
+                atol=_NEWTON_ATOL,
                 dense=False,
             )
             zt = traj_t.states[-1]
-            r = np.concatenate(
-                [
-                    zt[:n] - np.array([val_of(c) for c in x0_t]) - winding,
-                    zt[n:] - np.array([val_of(c) for c in v0_t]),
-                ]
-            )
+            r = np.concatenate([zt[:n] - x0_t - winding, zt[n:] - v0_t])
             return float(np.max(np.abs(r))), x0_t, v0_t, t_t
 
         alpha = 1.0
@@ -467,9 +434,8 @@ def find_rotation(
             if 0.2 * t_ret <= t_period + alpha * step[m] <= 5.0 * t_ret:
                 trial, x0_t, v0_t, t_t = trial_norm(step, alpha)
                 if trial < res_norm or trial <= res_tol:
-                    x_anchor = np.array([val_of(c) for c in x0_t])
-                    vt = np.array([val_of(c) for c in v0_t])
-                    vdir_anchor = vt / np.linalg.norm(vt)
+                    x_anchor = x0_t
+                    vdir_anchor = v0_t / np.linalg.norm(v0_t)
                     section_basis = _complement_basis(normal)
                     vdir_basis = _complement_basis(vdir_anchor)
                     t_period = t_t
@@ -484,15 +450,13 @@ def find_rotation(
             f"rotation Newton did not converge (residual {res_norm:.3e})"
         )
 
-    x0f, v0f = build_initial([0.0] * m)
-    x0f = np.array([val_of(c) for c in x0f])
-    v0f = np.array([val_of(c) for c in v0f])
-    return _build_rotation(spec, x0f, v0f, t_period, rtol, atol)
+    x0f, v0f = map(np.asarray, build_initial([0.0] * m))
+    return _build_rotation(spec, x0f, v0f, t_period)
 
 
-def _build_rotation(spec, x0, v0, period, rtol, atol, _depth=0) -> PeriodicOrbit:
+def _build_rotation(spec, x0, v0, period, _depth=0) -> PeriodicOrbit:
     n = spec.dimension
-    traj = integrate(spec, PhaseState(x0, v0), (0.0, period), rtol=rtol, atol=atol)
+    traj = integrate(spec, PhaseState(x0, v0), (0.0, period), rtol=_RTOL, atol=_ATOL)
     z0 = traj.states[0]
     closure = _closure_residual(spec, traj.states[-1], z0)
     scale = 1.0 + float(np.linalg.norm(z0))
@@ -504,9 +468,7 @@ def _build_rotation(spec, x0, v0, period, rtol, atol, _depth=0) -> PeriodicOrbit
         for mdiv in range(2, 7):
             z_frac = traj.state(period / mdiv)
             if _closure_residual(spec, z_frac, z0) < 1e-7 * scale:
-                return _build_rotation(
-                    spec, x0, v0, period / mdiv, rtol, atol, _depth + 1
-                )
+                return _build_rotation(spec, x0, v0, period / mdiv, _depth + 1)
 
     v = traj.velocity(np.linspace(0.0, period, 257))
     ke_min = 0.5 * float(np.min(np.einsum("kd,kd->k", v, v)))
@@ -530,20 +492,14 @@ def _build_rotation(spec, x0, v0, period, rtol, atol, _depth=0) -> PeriodicOrbit
 # Monodromy
 # ---------------------------------------------------------------------------
 
-def monodromy(
-    spec: SystemSpec,
-    orbit: PeriodicOrbit,
-    periods: int = 1,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    tol_eig: float = 1e-6,
-) -> MonodromyReport:
+def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> MonodromyReport:
     """Fundamental solution of the variational equations over the period.
 
     The orbit and M, with M' = J(z) M and M(0) = I, form one augmented system
-    of 2n + 4n^2 components.  Its error norm covers M: a ridge rotation of the
-    cosine torus is a straight line, and error control on the orbit alone
-    takes so few steps there that det M drifts from 1.
+    of 2n + 4n^2 components, run at the integrator's default tolerances.  Its
+    error norm covers M: a ridge rotation of the cosine torus is a straight
+    line, and error control on the orbit alone takes so few steps there that
+    det M drifts from 1.
     """
     n = spec.dimension
     if spec.metric.kind == "finsler" and orbit.rest_points:
@@ -557,74 +513,24 @@ def monodromy(
         return dz + dm.ravel().tolist()
 
     y0 = np.concatenate([orbit.trajectory.states[0], np.eye(dim).ravel()])
-    res = rk.solve_rk45(
-        f,
-        (0.0, periods * orbit.period),
-        y0,
-        rtol=rtol,
-        atol=atol,
-        dense=False,
-    )
+    res = rk.solve_rk45(f, (0.0, periods * orbit.period), y0, dense=False)
     matrix = np.reshape(res.ys[-1, dim:], (dim, dim))
     eigenvalues = np.linalg.eigvals(matrix)
     det_error = abs(float(np.linalg.det(matrix)) - 1.0)
-    trivial = int(np.sum(np.abs(eigenvalues - 1.0) < tol_eig))
+    trivial = int(np.sum(np.abs(eigenvalues - 1.0) < _TOL_EIG))
     return MonodromyReport(
         matrix=matrix,
         eigenvalues=eigenvalues,
         trivial_multiplicity=trivial,
         nondegenerate=trivial == 2,
         det_error=det_error,
-        tol_eig=tol_eig,
+        tol_eig=_TOL_EIG,
     )
 
 
 # ---------------------------------------------------------------------------
-# Degenerate-family verification and reports
+# Reports
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FamilyReport:
-    s_values: tuple
-    max_residual: float
-    energy_spread: float
-    period: float
-    energies: list
-
-
-def verify_degenerate_family(
-    osc, a1: float = 1.0, a2: float = 0.5, s_values=(0.0, 0.3, 0.7), n_samples: int = 33
-) -> FamilyReport:
-    """Check the resonant one-parameter family member-by-member.
-
-    Every member must satisfy the equations of motion pointwise and share
-    one energy and one minimal period across the family.
-    """
-    from . import reference as ref
-
-    spec = ref.oscillator_system(osc)
-    alphas = np.asarray(osc.alphas)
-    period = 2.0 * math.pi / osc.base_frequency
-    max_res = 0.0
-    energies = []
-    for s in s_values:
-        e_here = []
-        for t in np.linspace(0.0, period, n_samples):
-            st = ref.lissajous_family(osc, a1, a2, s, float(t))
-            acc = np.array(lagrange_rhs(spec, list(st.x), list(st.v)))
-            exact = -(alphas**2) * st.x
-            max_res = max(max_res, float(np.max(np.abs(acc - exact))))
-            e_here.append(float(total_energy(spec, st.x, st.v)))
-        energies.append(float(np.mean(e_here)))
-    spread = max(energies) - min(energies)
-    return FamilyReport(
-        s_values=tuple(s_values),
-        max_residual=max_res,
-        energy_spread=spread,
-        period=period,
-        energies=energies,
-    )
-
 
 def orbit_report_dict(orbit: PeriodicOrbit, mono: MonodromyReport | None = None) -> dict:
     out = {

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .dynamics import ExprPotential, PhaseState, SystemSpec
+from .dynamics import PhaseState, PotentialField, SystemSpec
 from .errors import OrbitLabError
 from .geometry import MetricModel
 
@@ -74,7 +74,7 @@ def oscillator_system(osc: OscillatorSpec) -> SystemSpec:
     n = osc.n
     terms = " + ".join(f"{a * a!r}*x{i+1}^2" for i, a in enumerate(osc.alphas))
     u = ex.parse(f"0.5*({terms})", n)
-    return SystemSpec(MetricModel.euclidean(n), ExprPotential(u, n), osc.energy)
+    return SystemSpec(MetricModel.euclidean(n), PotentialField(u, n), osc.energy)
 
 
 def brake_orbit_closed_form(osc: OscillatorSpec, j: int, t: float) -> PhaseState:

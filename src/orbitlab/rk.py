@@ -102,6 +102,7 @@ _MAX_FACTOR = 5.0
 _MIN_FACTOR = 0.1
 _EVENT_TIME_TOL = 1e-12
 _EVENT_MAX_BISECTIONS = 200
+_MAX_STEPS = 1_000_000  # accepted plus rejected steps of one run
 
 
 class IntegrationError(OrbitLabError):
@@ -199,7 +200,7 @@ def _error_norm(err, y0, y1, rtol, atol) -> float:
     return math.sqrt(acc / len(err))
 
 
-def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step) -> float:
+def _initial_step(f, t0, y0, f0, t1, rtol, atol) -> float:
     span = t1 - t0
     y = np.array(y0)
     fv = np.array(f0)
@@ -219,8 +220,6 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h = min(100.0 * h0, h1, span)
-    if max_step is not None:
-        h = min(h, max_step)
     return max(h, 1e-14 * max(abs(t0), 1.0))
 
 
@@ -256,7 +255,6 @@ def solve_rk45(
     y0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float | None = None,
     events: tuple = (),
     dense: bool = True,
     w0=None,
@@ -269,7 +267,8 @@ def solve_rk45(
     state is ``ys[-1]``; with ``dense`` the result carries a
     :class:`DenseOutput`.  A right-hand side that turns NaN or infinite raises
     :class:`IntegrationError` with the time and state of the first stage that
-    produced it.
+    produced it, and so does a run that takes ``_MAX_STEPS`` steps, accepted
+    and rejected, without reaching the end of the span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -300,7 +299,7 @@ def solve_rk45(
     stage_y = [None] * 7
     t = t0
     fv, fw = f(t, y, w) if w is not None else (f(t, y), None)
-    h = _initial_step(value, t0, y, fv, t1, rtol, atol, max_step)
+    h = _initial_step(value, t0, y, fv, t1, rtol, atol)
     facold = 1e-4
     g_prev = None
     if events:
@@ -310,8 +309,10 @@ def solve_rk45(
     while not finished:
         if h < 1e-14 * max(abs(t), 1.0):
             raise IntegrationError(f"step size underflow at t={t!r}", t=t, y=np.array(y))
-        if max_step is not None:
-            h = min(h, max_step)
+        if result.n_accepted + result.n_rejected >= _MAX_STEPS:
+            raise IntegrationError(
+                f"step cap of {_MAX_STEPS} steps reached at t={t!r}", t=t, y=np.array(y)
+            )
         if t + h >= t1:
             h = t1 - t
             finished = True

@@ -8,7 +8,10 @@ the spray, the Legendre transform and the Hamiltonian flow -- live here as
 well; they are built on the library's duals and ``f_squared`` but share
 nothing with the flow's (g, spray) routine they cross-check.  The vectorised
 consumers of dense trajectory output are checked against the
-one-point-at-a-time loops they replaced, which live here as references.
+one-point-at-a-time loops they replaced, which live here as references, and
+the intersection scan's spatial hash against the all-pairs candidate
+generator.  The member-by-member check of the resonant oscillator family
+against its closed form lives here too.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
+from orbitlab import intersect as isect
+from orbitlab import reference as ref
+from orbitlab.dynamics import lagrange_rhs, total_energy
 
 
 def central_diff(f, x: float, h: float = 1e-5) -> float:
@@ -355,3 +361,78 @@ def rotation_seed_scan(spec, traj, z0, t_guard, threshold):
         if dists[k] < threshold and dists[k] <= dists[k - 1] and dists[k] < dists[k + 1]:
             return float(ts[k])
     return None
+
+
+def brute_candidates(strand_a, strand_b, margin: float):
+    """All segment pairs whose inflated boxes overlap (minimal-image aware).
+
+    The reference for ``intersect._hash_candidates``, with the same
+    arguments and result.  Row-chunked so the N^2 broadcast stays
+    memory-bounded.
+    """
+    same = strand_b is None
+    if same:
+        strand_b = strand_a
+    ca, ea = isect._box_centres(strand_a)
+    cb, eb = isect._box_centres(strand_b)
+    periods = isect._periods(strand_a)
+    out = []
+    chunk = max(1, 2**22 // max(len(cb), 1))
+    for start in range(0, len(ca), chunk):
+        stop = min(start + chunk, len(ca))
+        overlap = isect._boxes_overlap(
+            ca[start:stop, None, :], ea[start:stop, None, :], cb[None], eb[None],
+            periods, margin,
+        )
+        ii, jj = np.nonzero(overlap)
+        ii = ii + start
+        if same:
+            mask = ii < jj
+            ii, jj = ii[mask], jj[mask]
+        out.extend(zip(ii.tolist(), jj.tolist()))
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# The resonant oscillator family
+# ---------------------------------------------------------------------------
+
+@dataclass
+class FamilyReport:
+    s_values: tuple
+    max_residual: float
+    energy_spread: float
+    period: float
+    energies: list
+
+
+def verify_degenerate_family(
+    osc, a1: float = 1.0, a2: float = 0.5, s_values=(0.0, 0.3, 0.7), n_samples: int = 33
+) -> FamilyReport:
+    """Check the resonant one-parameter family member-by-member.
+
+    Every member must satisfy the equations of motion pointwise and share
+    one energy and one minimal period across the family.
+    """
+    spec = ref.oscillator_system(osc)
+    alphas = np.asarray(osc.alphas)
+    period = 2.0 * math.pi / osc.base_frequency
+    max_res = 0.0
+    energies = []
+    for s in s_values:
+        e_here = []
+        for t in np.linspace(0.0, period, n_samples):
+            st = ref.lissajous_family(osc, a1, a2, s, float(t))
+            acc = np.array(lagrange_rhs(spec, list(st.x), list(st.v)))
+            exact = -(alphas**2) * st.x
+            max_res = max(max_res, float(np.max(np.abs(acc - exact))))
+            e_here.append(float(total_energy(spec, st.x, st.v)))
+        energies.append(float(np.mean(e_here)))
+    spread = max(energies) - min(energies)
+    return FamilyReport(
+        s_values=tuple(s_values),
+        max_residual=max_res,
+        energy_spread=spread,
+        period=period,
+        energies=energies,
+    )

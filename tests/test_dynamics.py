@@ -20,7 +20,7 @@ def oscillator(alphas=(1.0, 2.0), energy=0.5):
 def pendulum_torus():
     metric = geo.MetricModel.euclidean(1, geo.Space.torus([2 * math.pi]))
     u = ex.parse("-cos(x1)", 1)
-    return dyn.SystemSpec(metric, dyn.ExprPotential(u, 1), 0.5)
+    return dyn.SystemSpec(metric, dyn.PotentialField(u, 1), 0.5)
 
 
 def quartic_finsler_system(potential="0"):
@@ -366,6 +366,13 @@ class TestStepper:
             rk.solve_rk45(f, (0.0, 2.0), [0.0], dense=False)
         assert 0.5 < info.value.t < 2.0
         assert np.all(np.isfinite(info.value.y))
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(rk, "_MAX_STEPS", 50)
+        with pytest.raises(rk.IntegrationError, match="step cap of 50 steps") as info:
+            dyn.integrate(oscillator(), PhaseState([1.0, 0.0], [0.0, 0.0]), (0.0, 100.0))
+        assert 0.0 < info.value.t < 100.0
+        assert len(info.value.y) == 4 and np.all(np.isfinite(info.value.y))
 
 
 class TestJacobianOfRHS:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import orbitlab
 
 MODULES = sorted(Path(orbitlab.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,3 +86,26 @@ def test_detects_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def tracer_targets() -> list[str]:
+    """The benchmark tracer's TARGETS as "module.attribute" strings, read from
+    its source without importing the benchmark."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            targets = ast.literal_eval(node.value)
+            return [f"{module}.{attr}" for module, attrs in targets.items() for attr in attrs]
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("target", tracer_targets())
+def test_tracer_targets_resolve(target):
+    module, _, attr = target.partition(".")
+    owner = importlib.import_module(f"orbitlab.{module}")
+    if "." in attr:  # a method, patched on the class that defines it
+        cls_name, method = attr.split(".")
+        assert method in vars(getattr(owner, cls_name))
+    else:
+        assert callable(getattr(owner, attr))

@@ -92,7 +92,7 @@ class TestSelfIntersections:
     def test_lissajous_matches_brute_force(self):
         orbit = lissajous_orbit()
         fast = isect.self_intersections(orbit)
-        slow = isect.self_intersections(orbit, brute_force=True)
+        slow = scan((orbit, None), brute_force=True)
         assert fast.dp_count == slow.dp_count == 1
         assert fast.reversal_count == slow.reversal_count
         assert fast.tangential_count == slow.tangential_count
@@ -132,7 +132,7 @@ class TestMutualIntersections:
         spec, orbit1 = nonresonant_brake(1)
         orbit2 = orb.find_brake(spec, [0.0, 1.0 / math.sqrt(2.0)])
         fast = isect.mutual_intersections(orbit1, orbit2)
-        slow = isect.mutual_intersections(orbit1, orbit2, brute_force=True)
+        slow = scan((orbit1, orbit2), brute_force=True)
         assert fast.dp_count == slow.dp_count == 1
         assert len(fast.pairs) == len(slow.pairs)
 
@@ -153,7 +153,7 @@ class TestMutualIntersections:
         a = straight_rotation(spec, [0.0, 0.0], [c, c], period)
         b = straight_rotation(spec, [0.0, 0.0], [c, -c], period)
         fast = isect.mutual_intersections(a, b)
-        slow = isect.mutual_intersections(a, b, brute_force=True)
+        slow = scan((a, b), brute_force=True)
         assert fast.dp_count == slow.dp_count
         assert fast.dp_count == 2
         assert len(fast.pairs) == len(slow.pairs)
@@ -239,22 +239,27 @@ CASE_NAMES = [
 
 
 def scan(case, brute_force):
+    """Scan an (orbit, second orbit or None) case; ``brute_force`` swaps the
+    spatial hash for the all-pairs candidate generator."""
     a, b = case
-    if b is None:
-        return isect.self_intersections(a, brute_force=brute_force)
-    return isect.mutual_intersections(a, b, brute_force=brute_force)
+    with pytest.MonkeyPatch.context() as mp:
+        if brute_force:
+            mp.setattr(isect, "_hash_candidates", oracles.brute_candidates)
+        if b is None:
+            return isect.self_intersections(a)
+        return isect.mutual_intersections(a, b)
 
 
 class TestHashMatchesBruteForce:
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_candidate_lists_equal(self, scan_cases, name):
         a, b = scan_cases[name]
-        strand_a = isect._Strand(a, None)
-        strand_b = None if b is None else isect._Strand(b, None)
+        strand_a = isect._Strand(a)
+        strand_b = None if b is None else isect._Strand(b)
         diam = max(strand_a.diameter, (strand_b or strand_a).diameter)
         margin = isect._NEAR_MISS_FACTOR * 1e-6 * diam  # the scan's default margin
         hashed = isect._hash_candidates(strand_a, strand_b, margin)
-        assert hashed == isect._brute_candidates(strand_a, strand_b, margin)
+        assert hashed == oracles.brute_candidates(strand_a, strand_b, margin)
 
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_reports_equal(self, scan_cases, name):
@@ -267,14 +272,12 @@ class TestStrandWrap:
     def test_crossing_at_strand_start_found_by_both_routes(self, scan_cases):
         ridge, horizontal = scan_cases["start_crossing"]
         for brute_force in (False, True):
-            report = isect.mutual_intersections(
-                ridge, horizontal, brute_force=brute_force
-            )
+            report = scan((ridge, horizontal), brute_force=brute_force)
             assert report.dp_count == 1
 
     def test_parameters_wrap_modulo_period(self, scan_cases):
         orbit, _ = scan_cases["lissajous"]
-        strand = isect._Strand(orbit, None)
+        strand = isect._Strand(orbit)
         for t in (0.3, 2.0):
             shifted = t + orbit.period
             assert np.allclose(strand.position(shifted), strand.position(t), atol=1e-8)
@@ -303,8 +306,8 @@ class TestBatchedRefinement:
     )
     def test_matches_scalar_reference(self, scan_cases, name, min_isolated):
         a, b = scan_cases[name]
-        sa = isect._Strand(a, None)
-        sb = sa if b is None else isect._Strand(b, None)
+        sa = isect._Strand(a)
+        sb = sa if b is None else isect._Strand(b)
         rng = np.random.default_rng(20260)
         s0 = rng.uniform(0.0, sa.period, 200)
         t0 = rng.uniform(0.0, sb.period, 200)

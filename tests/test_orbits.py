@@ -261,7 +261,7 @@ class TestMonodromy:
 class TestDegenerateFamily:
     def test_family_report(self):
         osc = ref.OscillatorSpec((1.0, 2.0), 1.0, resonance=(1, 2))
-        rep = orb.verify_degenerate_family(osc, 1.0, 0.5, (0.0, 0.3, 0.7))
+        rep = oracles.verify_degenerate_family(osc, 1.0, 0.5, (0.0, 0.3, 0.7))
         assert rep.max_residual < 1e-10
         assert rep.energy_spread < 1e-12
         assert rep.period == pytest.approx(2 * math.pi)
