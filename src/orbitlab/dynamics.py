@@ -33,7 +33,6 @@ __all__ = [
     "rhs_jacobian",
     "integrate_sensitivity",
     "kinetic_minimum_event",
-    "write_trajectory_csv",
 ]
 
 
@@ -231,11 +230,6 @@ class Trajectory:
         n = self.spec.dimension
         return self.state(t)[..., n:]
 
-    def wrapped_positions(self) -> np.ndarray:
-        n = self.spec.dimension
-        space = self.spec.metric.space
-        return np.array([space.wrap(row[:n]) for row in self.states])
-
 
 def integrate(
     spec: SystemSpec,
@@ -279,53 +273,17 @@ def integrate(
     )
 
 
-def integrate_sensitivity(
-    spec: SystemSpec,
-    z0,
-    w0,
-    t_end: float,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-):
+def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
     """Flow z0 over (0, t_end) with a 2n x m tangent; returns (z, W) at t_end.
 
     W(t_end) = D phi(z0) W0, where phi is the discrete solution map along the
-    accepted steps.  Step-size control sees the state only, so the steps are
-    those of the plain run and W is the exact derivative Newton needs.
+    accepted steps.  It runs at the integrator's default tolerances, and
+    step-size control sees the state only, so the steps are those of the
+    plain run and W is the exact derivative Newton needs.
     """
 
     def f(t, z, w):
         return state_rhs_jvp(spec, z, w)
 
-    res = rk.solve_rk45(
-        f, (0.0, t_end), z0, rtol=rtol, atol=atol, dense=False, w0=w0
-    )
+    res = rk.solve_rk45(f, (0.0, t_end), z0, dense=False, w0=w0)
     return res.ys[-1], res.w_final
-
-
-def write_trajectory_csv(traj: Trajectory, path):
-    """CSV schema: t, x1..xn, v1..vn, H with 17 significant digits."""
-    n = traj.spec.dimension
-    space = traj.spec.metric.space
-    header = (
-        ["t"]
-        + [f"x{i+1}" for i in range(n)]
-        + [f"v{i+1}" for i in range(n)]
-        + ["H"]
-    )
-    lines = [",".join(header)]
-    for idx, t in enumerate(traj.ts):
-        row = traj.states[idx]
-        xw = space.wrap(row[:n])
-        h = traj.energies[idx] if traj.energies is not None else total_energy(
-            traj.spec, row[:n], row[n:]
-        )
-        cells = (
-            [t]
-            + list(xw)
-            + list(row[n:])
-            + [h]
-        )
-        lines.append(",".join(f"{c:.17g}" for c in cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -44,6 +44,7 @@ __all__ = [
 _NEAR_MISS_FACTOR = 10.0
 _TOL_ANGLE = 1e-3  # radians from (anti)parallel that still count as parallel
 _REFINE_BLOCK = 256  # candidates per batched refinement; bounds peak memory
+_REFINE_MAX_ITER = 60  # Newton iterations per refined pair
 _PAIR_CHUNK = 2048  # hashed pairs per overlap test; bounds peak memory
 
 
@@ -236,14 +237,14 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _refine_pairs(sa: _Strand, sb: _Strand, s0, t0, max_iter: int = 60):
+def _refine_pairs(sa: _Strand, sb: _Strand, s0, t0):
     """Damped Newton on half the squared separation, one lane per start.
 
     Every lane runs the same iteration: Levenberg-damped Newton steps with a
     25-trial line search that raises the damping on a failed or singular
     trial and relaxes it on success.  A lane ends converged on a vanishing
     gradient or a negligible decrease, and ends stalled when its line search
-    fails or ``max_iter`` steps pass.  Returns arrays (s, t, gap, ok).
+    fails or ``_REFINE_MAX_ITER`` steps pass.  Returns arrays (s, t, gap, ok).
     """
     space = sa.space
     n = sa.n
@@ -272,8 +273,8 @@ def _refine_pairs(sa: _Strand, sb: _Strand, s0, t0, max_iter: int = 60):
     while True:
         new = np.flatnonzero(fresh)
         fresh[:] = False
-        running[new[iters[new] >= max_iter]] = False
-        new = new[iters[new] < max_iter]
+        running[new[iters[new] >= _REFINE_MAX_ITER]] = False
+        new = new[iters[new] < _REFINE_MAX_ITER]
         if new.size:
             iters[new] += 1
             trials[new] = 0

@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import rk
-from .dynamics import PotentialField, SystemSpec, Trajectory
+from .dynamics import SystemSpec, Trajectory
 from .errors import OrbitLabError
 from .expr import val_of
 from .geometry import MetricModel
@@ -36,7 +36,6 @@ __all__ = [
     "jacobi_geodesic_coefficients",
     "orbit_to_geodesic",
     "geodesic_to_orbit",
-    "geodesic_flow_system",
 ]
 
 
@@ -139,13 +138,6 @@ def jacobi_geodesic_coefficients(jm: JacobiMetric, x, v):
     ]
 
 
-def geodesic_flow_system(jm: JacobiMetric) -> SystemSpec:
-    """Zero-potential system whose Lagrangian flow is the Fbar geodesic flow."""
-    model = jm.conformal_model
-    zero = PotentialField(ex.const(0.0), model.dimension)
-    return SystemSpec(model, zero, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # Reparametrized curves
 # ---------------------------------------------------------------------------
@@ -224,6 +216,24 @@ class OrbitCurve:
         return self.source.velocity(s) * psi
 
 
+def _reparametrize(rate, inverse_rate, a, b):
+    """Exchange of parameters old -> new with d(new)/d(old) = rate(old).
+
+    Integrates the total new-parameter length over old in [a, b], then the
+    inverse map as a dense run of d(old)/d(new) = inverse_rate(old) from
+    old = a.  Returns (total, inverse run).
+    """
+    fwd = rk.solve_rk45(
+        lambda p, y: [rate(p)], (a, b), [0.0], rtol=1e-12, atol=1e-14, dense=False
+    )
+    total = float(fwd.ys[-1, 0])
+    inv = rk.solve_rk45(
+        lambda q, y: [inverse_rate(y[0])], (0.0, total), [a], rtol=1e-12, atol=1e-14,
+        dense=True,
+    )
+    return total, inv
+
+
 def _check_trajectory_energy(jm: JacobiMetric, traj: Trajectory):
     if traj.energies is None:
         raise EnergyMismatchError("trajectory carries no recorded energies")
@@ -242,26 +252,15 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
     integrating dt/ds = 1 / psi over the accumulated length.
     """
     _check_trajectory_energy(jm, traj)
-    n = jm.spec.dimension
 
     # interior guard along the whole curve, including between samples
     for x in traj.position(np.linspace(traj.t0, traj.t1, 4 * len(traj.ts) + 1)):
         jm.check_interior(x)
 
-    def ds_dt(t, s):
-        return [val_of(jm.psi(traj.position(t)))]
+    def psi_at(t):
+        return val_of(jm.psi(traj.position(t)))
 
-    fwd = rk.solve_rk45(
-        ds_dt, (traj.t0, traj.t1), [0.0], rtol=1e-12, atol=1e-14, dense=False
-    )
-    s_total = float(fwd.ys[-1, 0])
-
-    def dt_ds(s, t):
-        return [1.0 / val_of(jm.psi(traj.position(t[0])))]
-
-    inv = rk.solve_rk45(
-        dt_ds, (0.0, s_total), [traj.t0], rtol=1e-12, atol=1e-14, dense=True
-    )
+    s_total, inv = _reparametrize(psi_at, lambda t: 1.0 / psi_at(t), traj.t0, traj.t1)
     curve = GeodesicCurve(jm, traj, inv, s_total)
 
     err = 0.0
@@ -296,19 +295,8 @@ def geodesic_to_orbit(curve, jm: JacobiMetric) -> OrbitCurve:
                 f"input curve is not unit-speed (Fbar^2 = {f2:.8f} at s={s:.3f})"
             )
 
-    def dt_ds(s, t):
-        return [1.0 / val_of(jm.psi(curve.position(float(s))))]
+    def psi_at(s):
+        return val_of(jm.psi(curve.position(s)))
 
-    fwd = rk.solve_rk45(
-        dt_ds, (s0, s1), [0.0], rtol=1e-12, atol=1e-14, dense=False
-    )
-    t_total = float(fwd.ys[-1, 0])
-
-    def ds_dt(t, s):
-        x = curve.position(s[0])
-        return [val_of(jm.psi(x))]
-
-    inv = rk.solve_rk45(
-        ds_dt, (0.0, t_total), [s0], rtol=1e-12, atol=1e-14, dense=True
-    )
+    t_total, inv = _reparametrize(lambda s: 1.0 / psi_at(s), psi_at, s0, s1)
     return OrbitCurve(jm, curve, inv, t_total)

@@ -1,12 +1,21 @@
 """Periodic orbits at fixed energy: shooting, monodromy, classification.
 
-Brake orbits are found by a Newton iteration on a rest point constrained to
-the boundary {U = E} plus the half-period; reversibility closes the orbit.
-Rotations are found by first-return shooting off a section hyperplane with
-the seed velocity re-scaled onto the energy level.  Shooting Jacobians come
-from a tangent matrix carried through the integrator's stages and accepted
-steps (:func:`~orbitlab.dynamics.integrate_sensitivity`), so Newton sees the
-exact derivative of the discrete flow.
+Both orbit kinds are found by one damped Newton driver (:func:`_shoot`) on a
+return residual r = (z(T) - z0 - offset)[rows], whose unknowns are the
+coordinates u of a chart of admissible initial states plus the return time.
+The two kinds differ only in their chart:
+
+- brake orbits: a rest point on the boundary {U = E}, as a graph over its
+  tangent plane (re-anchored every step); the residual is the velocity at the
+  half-period, and reversibility closes the orbit over twice that time;
+- rotations: a point of a section hyperplane and a velocity direction, the
+  speed slaved to the energy level; the residual is the full first-return
+  defect less the torus winding, solved in the least-squares sense.
+
+Shooting Jacobians come from a tangent matrix carried through the
+integrator's stages and accepted steps
+(:func:`~orbitlab.dynamics.integrate_sensitivity`), so Newton sees the exact
+derivative of the discrete flow.
 
 Monodromy integrates the variational equations M' = J(z) M alongside the
 orbit as one augmented system, so step-size control watches M as well as the
@@ -29,7 +38,6 @@ from .dynamics import (
     integrate,
     integrate_sensitivity,
     kinetic_minimum_event,
-    lagrange_rhs,
     state_rhs,
     state_rhs_jvp,
     total_energy,
@@ -54,10 +62,10 @@ __all__ = [
 
 _T_MAX = 100.0  # search horizon for the first turning point or section return
 _RTOL, _ATOL = 1e-12, 1e-14  # the returned orbit
-_NEWTON_RTOL, _NEWTON_ATOL = 1e-10, 1e-12  # Newton's runs: looser than the returned orbit
 _BRAKE_MAX_NEWTON = 30
 _ROTATION_MAX_NEWTON = 40
 _TOL_EIG = 1e-6  # distance from 1 below which a multiplier counts as trivial
+_PROJECT_MAX_ITER = 50  # Newton steps of the projection onto {U = E}
 
 
 class PreconditionError(OrbitLabError):
@@ -132,11 +140,11 @@ def _complement_basis(direction: np.ndarray) -> np.ndarray:
     return vt[1:].T
 
 
-def _project_to_level(spec: SystemSpec, x, max_iter=50):
+def _project_to_level(spec: SystemSpec, x):
     """Newton projection of x onto {U = E} along grad U."""
     x = np.asarray(x, dtype=float).copy()
     target = spec.energy
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_MAX_ITER):
         u = val_of(spec.potential.value(list(x)))
         if abs(u - target) <= 1e-13 * (1.0 + abs(target)):
             return x
@@ -148,6 +156,72 @@ def _project_to_level(spec: SystemSpec, x, max_iter=50):
             )
         x = x - (u - target) / g2 * grad
     raise ConvergenceError("projection onto {U = E} did not converge")
+
+
+def _shoot(spec, chart, z, period, offset, rows, tol, max_newton, kind):
+    """Damped Newton on the return residual r = (z(T) - z0 - offset)[rows].
+
+    ``chart(z)`` anchors the unknowns u at the state z and returns
+    (z0, W0, lift): the state at u = 0, its derivative in u, and the map
+    u -> initial state.  The unknowns are u and the return time T; the
+    Jacobian is ((W(T) - W0)[rows] | f(z(T))[rows]) from one tangent run.  A
+    square Jacobian is solved exactly, a tall one in the least-squares sense.
+    Trials halve the step until the residual drops, keeping T inside
+    [0.2, 5] times its initial value; the accepted trial's state re-anchors
+    the chart.  Returns (z0, T) of the converged tangent run.
+    """
+    t_init = period
+    res_norm = None
+    for _ in range(max_newton):
+        z0, w0, lift = chart(z)
+        zf, wf = integrate_sensitivity(spec, z0, w0, period)
+        residual = (zf - z0 - offset)[rows]
+        res_norm = float(np.max(np.abs(residual)))
+        if res_norm <= tol:
+            return z0, period
+        flow = np.asarray(state_rhs(spec, 0.0, zf.tolist()))
+        jac = np.column_stack([(wf - w0)[rows], flow[rows]])
+        if jac.shape[0] == jac.shape[1]:
+            try:
+                step = np.linalg.solve(jac, -residual)
+            except np.linalg.LinAlgError as exc:
+                raise ShootingSingularError(
+                    "shooting Jacobian is singular; the orbit may belong to a "
+                    "degenerate family"
+                ) from exc
+        else:
+            step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
+        alpha = 1.0
+        while True:
+            t_try = period + alpha * step[-1]
+            if 0.2 * t_init <= t_try <= 5.0 * t_init:
+                z_try = lift(alpha * step[:-1])
+                run = integrate(spec, PhaseState.from_flat(z_try), (0.0, t_try), dense=False)
+                trial = float(np.max(np.abs((run.states[-1] - z_try - offset)[rows])))
+                if trial < res_norm or trial <= tol:
+                    z, period = z_try, t_try
+                    break
+            alpha *= 0.5
+            if alpha < 2.0**-14:
+                raise ConvergenceError(
+                    f"{kind} Newton stalled at residual {res_norm:.3e}"
+                )
+    raise ConvergenceError(
+        f"{kind} Newton did not converge (residual {res_norm:.3e})"
+    )
+
+
+def _closed_run(spec, z0, period, kind, events=()):
+    """The returned orbit: one dense run over the period at the orbit's
+    tolerances, held to the closure bound.  Returns (traj, closure, scale)."""
+    traj = integrate(
+        spec, PhaseState.from_flat(z0), (0.0, period), rtol=_RTOL, atol=_ATOL, events=events
+    )
+    closure = _closure_residual(spec, traj.states[-1], z0)
+    scale = 1.0 + float(np.linalg.norm(z0))
+    if closure >= 1e-8 * scale:
+        raise ConvergenceError(f"{kind} failed the closure bound ({closure:.3e})")
+    return traj, closure, scale
 
 
 # ---------------------------------------------------------------------------
@@ -193,80 +267,25 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     )
     if not probe.events:
         raise ConvergenceError(f"no turning event within t = {_T_MAX}")
-    t_half = probe.events[0].t
-    t_half_init = t_half
 
-    def velocity_norm_at(p_try: np.ndarray, t_try: float) -> float:
-        traj = integrate(
-            spec,
-            PhaseState(p_try, np.zeros(n)),
-            (0.0, t_try),
-            rtol=_NEWTON_RTOL,
-            atol=_NEWTON_ATOL,
-            dense=False,
-        )
-        return float(np.max(np.abs(traj.states[-1][n:])))
-
-    res_norm = None
-    for _ in range(_BRAKE_MAX_NEWTON):
+    def chart(z):
+        """{U = E} as a graph over its tangent plane at the rest point z[:n]."""
+        p = z[:n]
         grad_p = np.array([val_of(c) for c in spec.potential.gradient(list(p))])
         basis = _complement_basis(grad_p)  # n x (n-1)
-        # unknowns move the rest point along the boundary chart
         w0 = np.vstack([basis, np.zeros((n, n - 1))])
-        zf, wf = integrate_sensitivity(
-            spec, np.concatenate([p, np.zeros(n)]), w0, t_half,
-            rtol=_NEWTON_RTOL, atol=_NEWTON_ATOL,
-        )
-        residual = zf[n:]
-        res_norm = float(np.max(np.abs(residual)))
-        if res_norm <= v_tol:
-            break
-        jac = np.zeros((n, n))
-        jac[:, : n - 1] = wf[n:]
-        jac[:, n - 1] = lagrange_rhs(spec, zf[:n].tolist(), zf[n:].tolist())
-        try:
-            step = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ShootingSingularError(
-                "shooting Jacobian is singular; the orbit may belong to a "
-                "degenerate family"
-            ) from exc
-        alpha = 1.0
-        while True:
-            p_try = _project_to_level(spec, p + basis @ (alpha * step[: n - 1]))
-            t_try = t_half + alpha * step[n - 1]
-            if 0.2 * t_half_init <= t_try <= 5.0 * t_half_init:
-                trial = velocity_norm_at(p_try, t_try)
-                if trial < res_norm or trial <= v_tol:
-                    p, t_half = p_try, t_try
-                    break
-            alpha *= 0.5
-            if alpha < 2.0**-14:
-                raise ConvergenceError(
-                    f"brake-orbit Newton stalled at residual {res_norm:.3e}"
-                )
-    else:
-        raise ConvergenceError(
-            f"brake-orbit Newton did not converge (residual {res_norm:.3e})"
+        return z, w0, lambda u: np.concatenate(
+            [_project_to_level(spec, p + basis @ u), np.zeros(n)]
         )
 
-    period = 2.0 * t_half
-    traj = integrate(
-        spec,
-        PhaseState(p, np.zeros(n)),
-        (0.0, period),
-        rtol=_RTOL,
-        atol=_ATOL,
-        events=(kinetic_minimum_event(spec),),
-        dense=True,
+    z0, t_half = _shoot(
+        spec, chart, np.concatenate([p, np.zeros(n)]), probe.events[0].t,
+        0.0, slice(n, None), v_tol, _BRAKE_MAX_NEWTON, "brake orbit",
     )
-    z0, z1 = traj.states[0], traj.states[-1]
-    closure = _closure_residual(spec, z1, z0)
-    scale = 1.0 + float(np.linalg.norm(z0))
-    if closure >= 1e-8 * scale:
-        raise ConvergenceError(
-            f"brake orbit failed the closure bound ({closure:.3e})"
-        )
+    period = 2.0 * t_half
+    traj, closure, scale = _closed_run(
+        spec, z0, period, "brake orbit", events=(kinetic_minimum_event(spec),)
+    )
 
     # rest points: kinetic-energy minima that are actual stops
     ke_floor = 1e-14 * (1.0 + abs(e_level))
@@ -351,13 +370,14 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
         raise TransversalityError("seed velocity is tangent to the section")
 
     scale = 1.0 + float(np.linalg.norm(np.concatenate([x_anchor, v_anchor])))
-    res_tol = 1e-10 * scale
 
-    z0 = np.concatenate([x_anchor, v_anchor])
+    z_seed = np.concatenate([x_anchor, v_anchor])
     probe = integrate(
         spec, PhaseState(x_anchor, v_anchor), (0.0, _T_MAX), rtol=1e-9, atol=1e-11
     )
-    t_ret = _rotation_seed_scan(spec, probe, z0, t_guard=20 * _T_MAX / 4096, threshold=0.25 * scale)
+    t_ret = _rotation_seed_scan(
+        spec, probe, z_seed, t_guard=20 * _T_MAX / 4096, threshold=0.25 * scale
+    )
     if t_ret is None:
         raise ConvergenceError(f"no section return within t = {_T_MAX}")
 
@@ -372,103 +392,53 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
         winding = np.zeros(n)
 
     section_basis = _complement_basis(normal)  # n x (n-1)
-    vdir_anchor = v_anchor / speed
-    vdir_basis = _complement_basis(vdir_anchor)  # n x (n-1)
-    t_period = t_ret
     m = 2 * (n - 1)
 
-    def build_initial(a_b_duals):
-        """Seed state (x0, v0) on section x energy level, generic scalars."""
-        a = a_b_duals[: n - 1]
-        b = a_b_duals[n - 1 :]
-        x0 = [
-            x_anchor[i] + geo.dot(list(section_basis[i]), a) for i in range(n)
-        ]
-        d = [
-            vdir_anchor[i] + geo.dot(list(vdir_basis[i]), b) for i in range(n)
-        ]
-        norm2 = geo.dot(d, d)
-        dn = [c / norm2**0.5 for c in d]
-        u_val = spec.potential.value(x0)
-        f2 = geo.f_squared(spec.metric, x0, dn)
-        c = (2.0 * (e_level - u_val) / f2) ** 0.5
-        v0 = [c * dc for dc in dn]
-        return x0, v0
+    def chart(z):
+        """Section x energy level: (a, b) move x0 = z[:n] on the section and
+        tilt the direction of z[n:]; the speed is slaved to the level."""
+        x_anchor = z[:n]
+        vdir_anchor = z[n:] / np.linalg.norm(z[n:])
+        vdir_basis = _complement_basis(vdir_anchor)  # n x (n-1)
 
-    res_norm = None
-    for _ in range(_ROTATION_MAX_NEWTON):
-        # (z0, W0) = initial state and its derivative in the m unknowns
-        x0_d, v0_d = build_initial([Dual.seed(0.0, m, i, 1, 0) for i in range(m)])
-        z0 = np.array([val_of(c) for c in x0_d + v0_d])
-        w0 = np.array([[val_of(g) for g in c.grad] for c in x0_d + v0_d])
-        zf, wf = integrate_sensitivity(
-            spec, z0, w0, t_period, rtol=_NEWTON_RTOL, atol=_NEWTON_ATOL
-        )
-        residual = zf - z0
-        residual[:n] -= winding
-        res_norm = float(np.max(np.abs(residual)))
-        if res_norm <= res_tol:
-            break
-        jac = np.zeros((2 * n, m + 1))
-        jac[:, :m] = wf - w0
-        jac[:, m] = state_rhs(spec, 0.0, zf.tolist())
-        step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
+        def build_initial(a_b):
+            """Seed state x0 + v0 on section x energy level, generic scalars."""
+            a = a_b[: n - 1]
+            b = a_b[n - 1 :]
+            x0 = [
+                x_anchor[i] + geo.dot(list(section_basis[i]), a) for i in range(n)
+            ]
+            d = [
+                vdir_anchor[i] + geo.dot(list(vdir_basis[i]), b) for i in range(n)
+            ]
+            norm2 = geo.dot(d, d)
+            dn = [c / norm2**0.5 for c in d]
+            u_val = spec.potential.value(x0)
+            f2 = geo.f_squared(spec.metric, x0, dn)
+            c = (2.0 * (e_level - u_val) / f2) ** 0.5
+            return x0 + [c * dc for dc in dn]
 
-        def trial_norm(u_step, alpha):
-            x0_t, v0_t = map(np.asarray, build_initial(list(alpha * u_step[:m])))
-            t_t = t_period + alpha * u_step[m]
-            traj_t = integrate(
-                spec,
-                PhaseState(x0_t, v0_t),
-                (0.0, t_t),
-                rtol=_NEWTON_RTOL,
-                atol=_NEWTON_ATOL,
-                dense=False,
-            )
-            zt = traj_t.states[-1]
-            r = np.concatenate([zt[:n] - x0_t - winding, zt[n:] - v0_t])
-            return float(np.max(np.abs(r))), x0_t, v0_t, t_t
+        z_d = build_initial([Dual.seed(0.0, m, i, 1, 0) for i in range(m)])
+        z0 = np.array([val_of(c) for c in z_d])
+        w0 = np.array([[val_of(g) for g in c.grad] for c in z_d])
+        return z0, w0, lambda u: np.array(build_initial(list(u)), dtype=float)
 
-        alpha = 1.0
-        while True:
-            if 0.2 * t_ret <= t_period + alpha * step[m] <= 5.0 * t_ret:
-                trial, x0_t, v0_t, t_t = trial_norm(step, alpha)
-                if trial < res_norm or trial <= res_tol:
-                    x_anchor = x0_t
-                    vdir_anchor = v0_t / np.linalg.norm(v0_t)
-                    section_basis = _complement_basis(normal)
-                    vdir_basis = _complement_basis(vdir_anchor)
-                    t_period = t_t
-                    break
-            alpha *= 0.5
-            if alpha < 2.0**-14:
-                raise ConvergenceError(
-                    f"rotation Newton stalled at residual {res_norm:.3e}"
-                )
-    else:
-        raise ConvergenceError(
-            f"rotation Newton did not converge (residual {res_norm:.3e})"
-        )
-
-    x0f, v0f = map(np.asarray, build_initial([0.0] * m))
-    return _build_rotation(spec, x0f, v0f, t_period)
+    z0, period = _shoot(
+        spec, chart, z_seed, t_ret, np.concatenate([winding, np.zeros(n)]),
+        slice(None), 1e-10 * scale, _ROTATION_MAX_NEWTON, "rotation",
+    )
+    return _build_rotation(spec, z0, period)
 
 
-def _build_rotation(spec, x0, v0, period, _depth=0) -> PeriodicOrbit:
-    n = spec.dimension
-    traj = integrate(spec, PhaseState(x0, v0), (0.0, period), rtol=_RTOL, atol=_ATOL)
-    z0 = traj.states[0]
-    closure = _closure_residual(spec, traj.states[-1], z0)
-    scale = 1.0 + float(np.linalg.norm(z0))
-    if closure >= 1e-8 * scale:
-        raise ConvergenceError(f"rotation failed the closure bound ({closure:.3e})")
+def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
+    traj, closure, scale = _closed_run(spec, z0, period, "rotation")
 
     # minimality probe: an earlier closure at period/m wins
     if _depth < 4:
         for mdiv in range(2, 7):
             z_frac = traj.state(period / mdiv)
             if _closure_residual(spec, z_frac, z0) < 1e-7 * scale:
-                return _build_rotation(spec, x0, v0, period / mdiv, _depth + 1)
+                return _build_rotation(spec, z0, period / mdiv, _depth + 1)
 
     v = traj.velocity(np.linspace(0.0, period, 257))
     ke_min = 0.5 * float(np.min(np.einsum("kd,kd->k", v, v)))

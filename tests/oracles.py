@@ -4,9 +4,10 @@ Finite-difference derivatives and random expressions check the library's
 dual numbers against computations that share none of their code.  The
 geometry routes that only tests use -- third derivatives of F^2 (the Cartan
 tensor, x-derivatives of the fundamental tensor), the Christoffel route to
-the spray, the Legendre transform and the Hamiltonian flow -- live here as
-well; they are built on the library's duals and ``f_squared`` but share
-nothing with the flow's (g, spray) routine they cross-check.  The vectorised
+the spray, the Legendre transform, the Hamiltonian flow and the Jacobi
+metric's geodesic flow as a system of its own -- live here as well; they are
+built on the library's duals and ``f_squared`` but share nothing with the
+flow's (g, spray) routine they cross-check.  The vectorised
 consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, and
 the intersection scan's spatial hash against the all-pairs candidate
@@ -26,7 +27,7 @@ from orbitlab import expr as ex
 from orbitlab import geometry as geo
 from orbitlab import intersect as isect
 from orbitlab import reference as ref
-from orbitlab.dynamics import lagrange_rhs, total_energy
+from orbitlab.dynamics import PotentialField, SystemSpec, lagrange_rhs, total_energy
 
 
 def central_diff(f, x: float, h: float = 1e-5) -> float:
@@ -281,6 +282,13 @@ def hamilton_rhs(spec, x, y):
     f2 = geo.f_squared(spec.metric, [ex.Dual.seed(c, n, i) for i, c in enumerate(x)], v)
     df2dx = f2.grad if isinstance(f2, ex.Dual) else [0.0] * n
     return list(v), [0.5 * df2dx[i] - grad_u[i] for i in range(n)]
+
+
+def geodesic_flow_system(jm) -> SystemSpec:
+    """Zero-potential system whose Lagrangian flow is the Fbar geodesic flow
+    of the Jacobi metric ``jm``."""
+    model = jm.conformal_model
+    return SystemSpec(model, PotentialField(ex.const(0.0), model.dimension), 0.5)
 
 
 # ---------------------------------------------------------------------------

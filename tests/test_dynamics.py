@@ -222,7 +222,7 @@ class TestIntegrate:
         # internal chart runs in the cover ...
         assert traj.position(3.0)[0] == pytest.approx(4.5, abs=1e-10)
         # ... while wrapped output lands in [0, L)
-        wrapped = traj.wrapped_positions()
+        wrapped = sys.metric.space.wrap(traj.states[:, :1])
         assert np.all(wrapped >= 0.0) and np.all(wrapped < 2.0)
 
 
@@ -279,9 +279,7 @@ class TestSensitivity:
     def test_dual_state_matches_float_run(self):
         sys = oscillator((1.0, 2.0), 0.5)
         final, _ = dyn.integrate_sensitivity(sys, [0.5, 0.1, 0.0, 0.0], self.W0, 1.3)
-        plain = dyn.integrate(
-            sys, PhaseState([0.5, 0.1], [0.0, 0.0]), (0.0, 1.3), rtol=1e-11, atol=1e-13
-        )
+        plain = dyn.integrate(sys, PhaseState([0.5, 0.1], [0.0, 0.0]), (0.0, 1.3))
         got = final
         want = plain.state(1.3)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -400,18 +398,3 @@ class TestJacobianOfRHS:
         expect[2, 0] = -1.0
         expect[3, 1] = -4.0
         assert np.allclose(jac, expect, atol=1e-12)
-
-
-class TestCSV:
-    def test_schema_and_determinism(self, tmp_path):
-        sys = oscillator((1.0, 2.0), 0.5)
-        traj = dyn.integrate(sys, PhaseState([1, 0], [0, 0]), (0.0, 1.0), rtol=1e-10)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        dyn.write_trajectory_csv(traj, p1)
-        dyn.write_trajectory_csv(traj, p2)
-        text = p1.read_text()
-        assert text.splitlines()[0] == "t,x1,x2,v1,v2,H"
-        assert text == p2.read_text()
-        # 17 significant digits survive a parse round-trip
-        row = text.splitlines()[5].split(",")
-        assert float(row[0]) == traj.ts[4]

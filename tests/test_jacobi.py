@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
@@ -181,7 +183,7 @@ class TestPropositionOracle:
                 curve = jac.orbit_to_geodesic(traj, jm)
             except jac.JacobiError:
                 continue  # wandered too close to the boundary within unit time
-            geo_sys = jac.geodesic_flow_system(jm)
+            geo_sys = oracles.geodesic_flow_system(jm)
             psi0 = jm.psi(list(x0))
             geo_traj = dyn.integrate(
                 geo_sys,

@@ -28,6 +28,18 @@ def cosine_torus(energy=1.0):
     return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 2), energy)
 
 
+def finsler_well(energy=0.5):
+    f2 = ex.parse("v1^2 + v2^2 + 0.1*sqrt(v1^4 + v2^4)", 2)
+    metric = geo.MetricModel.finsler(f2, 2)
+    return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2 + 0.1*x1^2*x2^2", 2), energy)
+
+
+def conformal_well(energy=0.5):
+    e, zero = ex.parse("exp(x1)", 2), ex.const(0.0)
+    metric = geo.MetricModel.riemannian([[e, zero], [zero, e]])
+    return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2", 2), energy)
+
+
 def assert_eigenvalues_match(eigs, expected, tol=1e-6):
     remaining = list(eigs)
     for want in expected:
@@ -88,6 +100,28 @@ class TestFindBrake:
             seed[j] = math.sqrt(2 * 0.5) / a
             orbit = orb.find_brake(spec, seed)
             assert orbit.period == pytest.approx(2 * math.pi / a, abs=1e-8)
+
+
+class TestFindBrakeCurved:
+    """Brake orbits under a non-Euclidean kinetic model: a quartic Finsler
+    metric and the conformal metric exp(x1) I."""
+
+    @pytest.mark.parametrize(
+        "system, period", [(finsler_well, 6.58986034487), (conformal_well, 6.68206308937)]
+    )
+    def test_closure_retrace_and_energy(self, system, period):
+        spec = system()
+        orbit = orb.find_brake(spec, [1.0, 0.05])
+        assert orbit.period == pytest.approx(period, abs=1e-9)
+        scale = 1.0 + np.linalg.norm(orbit.trajectory.states[0])
+        assert orbit.closure_residual < 1e-8 * scale
+        half = orbit.period / 2
+        for t in np.linspace(0.05, half - 0.05, 9):
+            ahead = orbit.trajectory.position(half + t)
+            behind = orbit.trajectory.position(half - t)
+            assert np.max(np.abs(ahead - behind)) < 1e-7 * scale
+        assert orbit.energy == pytest.approx(spec.energy, abs=1e-12)
+        assert orbit.trajectory.energy_drift < 1e-8
 
 
 class TestFindRotation:
@@ -168,6 +202,51 @@ class TestRotationSeedScan:
         assert len(calls) == 1
         t_ret, t_ref = calls[0]
         assert t_ret is not None and t_ret == t_ref
+
+
+def rotation_seed(x1, x2, horizontal):
+    speed = cosine_torus_speed(x1)
+    return PhaseState([x1, x2], [speed, 0.0] if horizontal else [0.0, speed])
+
+
+# Newton iterations (tangent runs, the converged one included) per search
+NEWTON_CASES = [
+    ("oscillator brake on axis", lambda: orb.find_brake(oscillator(), [1.0, 0.0]), 1),
+    ("oscillator brake off axis", lambda: orb.find_brake(oscillator(), [1.02, 0.03]), 3),
+    (
+        "3-DOF oscillator brake",
+        lambda: orb.find_brake(oscillator((1.0, 1.23, 1.6)), [1.01, -0.03, 0.02]),
+        3,
+    ),
+    ("Finsler brake", lambda: orb.find_brake(finsler_well(), [1.0, 0.05]), 4),
+    ("conformal brake", lambda: orb.find_brake(conformal_well(), [1.0, 0.05]), 4),
+    (
+        "cosine torus ridge rotation",
+        lambda: orb.find_rotation(cosine_torus(), rotation_seed(math.pi + 0.02, 1.0, False)),
+        4,
+    ),
+    (
+        "cosine torus horizontal rotation",
+        lambda: orb.find_rotation(cosine_torus(), rotation_seed(0.5, 1.0, True)),
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "search, iterations", [c[1:] for c in NEWTON_CASES], ids=[c[0] for c in NEWTON_CASES]
+)
+def test_newton_iterations(monkeypatch, search, iterations):
+    runs = []
+    tangent_run = orb.integrate_sensitivity
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return tangent_run(*args, **kwargs)
+
+    monkeypatch.setattr(orb, "integrate_sensitivity", counting)
+    search()
+    assert len(runs) == iterations
 
 
 class TestMonodromy:
