@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import geometry as geo
 from . import rk
 from .dynamics import SystemSpec, Trajectory
 from .errors import OrbitLabError
 from .expr import val_of
-from .geometry import MetricModel
 
 __all__ = [
     "JacobiError",
@@ -83,31 +81,6 @@ class JacobiMetric:
                 f"point at margin E - U = {m:.3e} is outside the admissible "
                 f"well interior (floor {self.delta_floor:.3e})"
             )
-
-    @property
-    def conformal_model(self) -> MetricModel:
-        """The conformal metric as an expression-level MetricModel: the
-        closed form psi(x) = 2 (E - U(x)) multiplying the base coefficients.
-        """
-        model = getattr(self, "_conformal_model", None)
-        if model is not None:
-            return model
-        psi = ex.mul(
-            ex.const(2.0), ex.sub(ex.const(self.spec.energy), self.spec.potential.node)
-        )
-        base = self.spec.metric
-        if base.kind == "riemannian":
-            entries = [
-                [ex.mul(psi, base.g_exprs[i][j]) for j in range(base.dimension)]
-                for i in range(base.dimension)
-            ]
-            model = MetricModel.riemannian(entries, base.space)
-        else:
-            model = MetricModel.finsler(
-                ex.mul(psi, base.f2_expr), base.dimension, base.space
-            )
-        self._conformal_model = model
-        return model
 
 
 def jacobi_f2(jm: JacobiMetric, x, v):
@@ -170,20 +143,6 @@ class GeodesicCurve:
         t = self.time_at(s)
         psi = val_of(self.jm.psi(self.source.position(t)))
         return self.source.velocity(t) / psi
-
-    def acceleration(self, s: float) -> np.ndarray:
-        """Second s-derivative, from the equations of motion (no differencing)."""
-        from .dynamics import lagrange_rhs
-
-        t = self.time_at(s)
-        x = self.source.position(t)
-        v = self.source.velocity(t)
-        psi = val_of(self.jm.psi(x))
-        dpsi = np.array([val_of(c) for c in self.jm.psi_gradient(x)])
-        acc_t = np.array(
-            [val_of(c) for c in lagrange_rhs(self.jm.spec, list(x), list(v))]
-        )
-        return acc_t / psi**2 - v * float(np.dot(dpsi, v)) / psi**3
 
 
 @dataclass

@@ -15,7 +15,10 @@ The two kinds differ only in their chart:
 Shooting Jacobians come from a tangent matrix carried through the
 integrator's stages and accepted steps
 (:func:`~orbitlab.dynamics.integrate_sensitivity`), so Newton sees the exact
-derivative of the discrete flow.
+derivative of the discrete flow.  Every line-search trial is such a tangent
+run, so an accepted trial is the next iterate and no trajectory is
+integrated twice; the only plain runs of a search are the probe for the
+first return time and the closed run of the returned orbit.
 
 Monodromy integrates the variational equations M' = J(z) M alongside the
 orbit as one augmented system, so step-size control watches M as well as the
@@ -26,6 +29,7 @@ stage (:func:`~orbitlab.dynamics.state_rhs_jvp`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +133,14 @@ def _closure_residual(spec: SystemSpec, z1, z0) -> float:
     return float(np.sqrt(np.dot(dx, dx) + np.dot(dv, dv)))
 
 
+def _finite_vector(name, value, n) -> np.ndarray:
+    """``value`` as n finite floats, or a PreconditionError naming ``name``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (n,) or not np.all(np.isfinite(arr)):
+        raise PreconditionError(f"{name} must be {n} finite numbers, got {value!r}")
+    return arr
+
+
 def _complement_basis(direction: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to ``direction``.
 
@@ -167,14 +179,16 @@ def _shoot(spec, chart, z, period, offset, rows, tol, max_newton, kind):
     Jacobian is ((W(T) - W0)[rows] | f(z(T))[rows]) from one tangent run.  A
     square Jacobian is solved exactly, a tall one in the least-squares sense.
     Trials halve the step until the residual drops, keeping T inside
-    [0.2, 5] times its initial value; the accepted trial's state re-anchors
-    the chart.  Returns (z0, T) of the converged tangent run.
+    [0.2, 5] times its initial value.  Every trial is one tangent run from
+    the chart re-anchored at lift(alpha * step), so an accepted trial is the
+    next iterate as it stands: one tangent run before the first iteration,
+    one per trial, none repeated.  Returns (z0, T) of the converged run.
     """
     t_init = period
+    z0, w0, lift = chart(z)
+    zf, wf = integrate_sensitivity(spec, z0, w0, period)
     res_norm = None
     for _ in range(max_newton):
-        z0, w0, lift = chart(z)
-        zf, wf = integrate_sensitivity(spec, z0, w0, period)
         residual = (zf - z0 - offset)[rows]
         res_norm = float(np.max(np.abs(residual)))
         if res_norm <= tol:
@@ -195,11 +209,11 @@ def _shoot(spec, chart, z, period, offset, rows, tol, max_newton, kind):
         while True:
             t_try = period + alpha * step[-1]
             if 0.2 * t_init <= t_try <= 5.0 * t_init:
-                z_try = lift(alpha * step[:-1])
-                run = integrate(spec, PhaseState.from_flat(z_try), (0.0, t_try), dense=False)
-                trial = float(np.max(np.abs((run.states[-1] - z_try - offset)[rows])))
+                z0_t, w0_t, lift_t = chart(lift(alpha * step[:-1]))
+                zf_t, wf_t = integrate_sensitivity(spec, z0_t, w0_t, t_try)
+                trial = float(np.max(np.abs((zf_t - z0_t - offset)[rows])))
                 if trial < res_norm or trial <= tol:
-                    z, period = z_try, t_try
+                    z0, w0, lift, zf, wf, period = z0_t, w0_t, lift_t, zf_t, wf_t, t_try
                     break
             alpha *= 0.5
             if alpha < 2.0**-14:
@@ -238,7 +252,7 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     """
     n = spec.dimension
     e_level = spec.energy
-    seed = np.asarray(seed, dtype=float)
+    seed = _finite_vector("seed", seed, n)
     seed_tol = 0.5 * (1.0 + abs(e_level))
     v_tol = 1e-10 * (1.0 + math.sqrt(2.0 * abs(e_level)))
 
@@ -348,8 +362,8 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
     the 2n closure equations redundant.
     """
     n = spec.dimension
-    x_anchor = np.asarray(seed.x, dtype=float).copy()
-    v_anchor = np.asarray(seed.v, dtype=float).copy()
+    x_anchor = _finite_vector("seed.x", seed.x, n)
+    v_anchor = _finite_vector("seed.v", seed.v, n)
     e_level = spec.energy
 
     h_seed = float(total_energy(spec, x_anchor, v_anchor))
@@ -363,8 +377,10 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
     normal = (
         v_anchor / speed
         if section_normal is None
-        else np.asarray(section_normal, dtype=float)
+        else _finite_vector("section_normal", section_normal, n)
     )
+    if not np.any(normal):
+        raise PreconditionError("section_normal must be nonzero")
     normal = normal / np.linalg.norm(normal)
     if abs(float(np.dot(normal, v_anchor))) <= 1e-6 * speed:
         raise TransversalityError("seed velocity is tangent to the section")
@@ -471,6 +487,8 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
     line, and error control on the orbit alone takes so few steps there that
     det M drifts from 1.
     """
+    if not isinstance(periods, numbers.Integral) or periods < 1:
+        raise PreconditionError(f"periods must be a positive integer, got {periods!r}")
     n = spec.dimension
     if spec.metric.kind == "finsler" and orbit.rest_points:
         raise UnsupportedModelError(

@@ -4,10 +4,11 @@ Finite-difference derivatives and random expressions check the library's
 dual numbers against computations that share none of their code.  The
 geometry routes that only tests use -- third derivatives of F^2 (the Cartan
 tensor, x-derivatives of the fundamental tensor), the Christoffel route to
-the spray, the Legendre transform, the Hamiltonian flow and the Jacobi
-metric's geodesic flow as a system of its own -- live here as well; they are
-built on the library's duals and ``f_squared`` but share nothing with the
-flow's (g, spray) routine they cross-check.  The vectorised
+the spray, the Legendre transform, the Hamiltonian flow, and the Jacobi
+metric as an expression model with its geodesic flow as a system of its
+own -- live here as well; they are built on the library's duals and
+``f_squared`` but share nothing with the flow's (g, spray) routine they
+cross-check.  The vectorised
 consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, and
 the intersection scan's spatial hash against the all-pairs candidate
@@ -284,10 +285,25 @@ def hamilton_rhs(spec, x, y):
     return list(v), [0.5 * df2dx[i] - grad_u[i] for i in range(n)]
 
 
+def conformal_model(jm) -> geo.MetricModel:
+    """The Jacobi metric ``jm`` as an expression-level MetricModel: the closed
+    form psi(x) = 2 (E - U(x)) multiplying the base coefficients.  The
+    reference route for ``jacobi_geodesic_coefficients``."""
+    psi = ex.mul(ex.const(2.0), ex.sub(ex.const(jm.spec.energy), jm.spec.potential.node))
+    base = jm.spec.metric
+    if base.kind == "riemannian":
+        entries = [
+            [ex.mul(psi, base.g_exprs[i][j]) for j in range(base.dimension)]
+            for i in range(base.dimension)
+        ]
+        return geo.MetricModel.riemannian(entries, base.space)
+    return geo.MetricModel.finsler(ex.mul(psi, base.f2_expr), base.dimension, base.space)
+
+
 def geodesic_flow_system(jm) -> SystemSpec:
     """Zero-potential system whose Lagrangian flow is the Fbar geodesic flow
     of the Jacobi metric ``jm``."""
-    model = jm.conformal_model
+    model = conformal_model(jm)
     return SystemSpec(model, PotentialField(ex.const(0.0), model.dimension), 0.5)
 
 

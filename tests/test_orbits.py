@@ -249,6 +249,53 @@ def test_newton_iterations(monkeypatch, search, iterations):
     assert len(runs) == iterations
 
 
+@pytest.mark.parametrize("search", [c[1] for c in NEWTON_CASES], ids=[c[0] for c in NEWTON_CASES])
+def test_plain_runs_per_search(monkeypatch, search):
+    # the probe and the closed run; every shooting trial is a tangent run
+    runs = []
+    plain_run = orb.integrate
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return plain_run(*args, **kwargs)
+
+    monkeypatch.setattr(orb, "integrate", counting)
+    search()
+    assert len(runs) == 2
+
+
+class TestMalformedInput:
+    """Malformed arguments raise PreconditionError naming the argument."""
+
+    @pytest.mark.parametrize(
+        "seed", [[1.02], [1.02, 0.03, 0.0], [1.02, math.nan]], ids=["short", "long", "nan"]
+    )
+    def test_brake_seed(self, seed):
+        with pytest.raises(orb.PreconditionError, match="seed"):
+            orb.find_brake(oscillator(), seed)
+
+    @pytest.mark.parametrize(
+        "normal", [[0.0, 0.0], [math.nan, 1.0], [0.0, 1.0, 0.0]], ids=["zero", "nan", "long"]
+    )
+    def test_rotation_section_normal(self, normal):
+        with pytest.raises(orb.PreconditionError, match="section_normal"):
+            orb.find_rotation(
+                cosine_torus(), rotation_seed(math.pi + 0.02, 1.0, False), section_normal=normal
+            )
+
+    def test_rotation_seed_length(self):
+        speed = cosine_torus_speed(math.pi)
+        with pytest.raises(orb.PreconditionError, match="seed"):
+            orb.find_rotation(cosine_torus(), PhaseState([math.pi, 0.0, 0.0], [0.0, speed, 0.0]))
+
+    @pytest.mark.parametrize("periods", [1.5, 0, -1])
+    def test_monodromy_periods(self, periods):
+        spec = oscillator()
+        orbit = orb.find_brake(spec, [1.0, 0.0])
+        with pytest.raises(orb.PreconditionError, match="periods"):
+            orb.monodromy(spec, orbit, periods=periods)
+
+
 class TestMonodromy:
     def test_brake_orbit_eigenvalues_nonresonant(self):
         a2 = math.sqrt(2.0)
