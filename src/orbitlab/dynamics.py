@@ -2,9 +2,9 @@
 
 A :class:`SystemSpec` couples a kinetic metric model with a potential and an
 energy level.  The flow lives on the velocity chart (x, v); its derivatives
-come from one dual evaluation of the right-hand side (:func:`state_rhs_jvp`).
-The integrator records energy drift along every trajectory but never
-corrects it.
+come from one run of the system's straight-line code over dual numbers
+(:func:`state_rhs_jvp`).  The integrator records energy drift along every
+trajectory but never corrects it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,33 @@ __all__ = [
 ]
 
 
+_DOMAIN_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _scalars(z):
+    """(z, dual): the scalars as a list, converted to floats unless they hold duals."""
+    if Dual in map(type, z):
+        return list(z), True
+    return list(map(float, z)), False
+
+
+def _run(code, name, z, interpreted):
+    """Straight-line function ``name`` of ``code`` = (floats, duals) at z; a
+    domain failure answers from ``interpreted()`` instead."""
+    z, dual = _scalars(z)
+    try:
+        return code[dual][name](z)
+    except _DOMAIN_FAILURES:
+        return interpreted()
+
+
 class PotentialField:
     """Potential U(x) given by an expression over the position variables,
-    evaluable over floats or dual scalars."""
+    evaluable over floats or dual scalars.
+
+    U and grad U run as straight-line code built on first use from the node
+    the field holds at that time (:class:`~orbitlab.expr.Graph`).
+    """
 
     def __init__(self, node: ex.ExprNode, dimension: int):
         bad = [k for k in ex.variables_of(node) if k >= dimension]
@@ -48,25 +72,90 @@ class PotentialField:
             )
         self.node = node
         self.dimension = dimension
+        self._built = None  # (node, floats, duals)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_built": None}  # generated code is rebuilt on use
+
+    def _code(self):
+        built = self._built
+        if built is None or built[0] is not self.node:
+            graph = ex.Graph(self.dimension)
+            u = graph.tree(self.node)
+            grad = [graph.diff(u, i) for i in range(self.dimension)]
+            built = self._built = (self.node, *graph.build(
+                [("value", self.dimension, u, ()), ("gradient", self.dimension, grad, (u,))]
+            ))
+        return built[1:]
 
     def value(self, x):
-        return ex.evaluate(self.node, list(x) + [0.0] * self.dimension)
+        return _run(self._code(), "value", x, lambda: self._interpreted_value(x))
 
     def gradient(self, x):
-        """Exact gradient from one dual evaluation seeded in the position
-        directions, nested over any duals in ``x``."""
+        """Exact gradient; over dual ``x`` its entries carry the Hessian
+        applied to their seeds."""
+        return _run(self._code(), "gradient", x, lambda: self._interpreted_gradient(x))
+
+    def _interpreted_value(self, x):
+        return ex.evaluate(self.node, list(x) + [0.0] * self.dimension)
+
+    def _interpreted_gradient(self, x):
+        """One dual evaluation seeded in the position directions, nested over
+        any duals in ``x``."""
         n = self.dimension
         point = list(x) + [0.0] * n
         return list(ex.eval_dual(self.node, point, range(n), 1, geo._inner_tag(x)).grad)
 
 
+class _Flow:
+    """Straight-line code of one (metric, potential) pair.
+
+    ``parts(z)`` returns (g, c) with g = (1/2) d_v d_v F^2 and
+    c = (1/2) (v^j d_xj d_v F^2 - d_x F^2) + grad U, so the acceleration is
+    -g^{-1} c; a Riemannian model enters as F^2 = g_ij(x) v^i v^j, and a
+    constant metric folds to c = grad U.  ``energy(z)`` is F^2 / 2 + U.
+    """
+
+    def __init__(self, metric: MetricModel, potential: PotentialField):
+        self.metric, self.potential, self.node = metric, potential, potential.node
+        n = metric.dimension
+        graph = ex.Graph(n)
+        f2 = geo.f_squared_node(graph, metric)
+        u = graph.tree(potential.node)
+        half = graph.const(0.5)
+        dv = [graph.diff(f2, n + l) for l in range(n)]
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = graph.mul(half, graph.diff(dv[i], n + j))
+        c = []
+        for l in range(n):
+            mixed = graph.zero
+            for j in range(n):
+                mixed = graph.add(mixed, graph.mul(graph.var(n + j), graph.diff(dv[l], j)))
+            c.append(graph.add(
+                graph.mul(half, graph.sub(mixed, graph.diff(f2, l))), graph.diff(u, l)
+            ))
+        energy = graph.add(graph.mul(half, f2), u)
+        self.code = graph.build(
+            [("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ())]
+        )
+        self.finsler = metric.kind == "finsler"
+        self.check_definite = metric.kind == "riemannian" and metric._const_g is None
+
+
 @dataclass
 class SystemSpec:
-    """Kinetic metric + potential + fixed energy level."""
+    """Kinetic metric + potential + fixed energy level.
+
+    The flow's straight-line code is built on first use and rebuilt when
+    ``metric`` or ``potential`` is replaced.
+    """
 
     metric: MetricModel
     potential: PotentialField
     energy: float
+    _flow: _Flow | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.potential, (ex.Const, ex.Var, ex.Unary, ex.Binary)):
@@ -77,6 +166,9 @@ class SystemSpec:
     @property
     def dimension(self) -> int:
         return self.metric.dimension
+
+    def __getstate__(self):
+        return {**self.__dict__, "_flow": None}  # generated code is rebuilt on use
 
 
 @dataclass
@@ -102,8 +194,39 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def lagrange_rhs(spec: SystemSpec, x, v):
-    """Acceleration of the Lagrangian flow: -2 G(x, v) - g^{-1}(x, v) grad U.
+def _built_flow(spec: SystemSpec) -> _Flow:
+    """The system's straight-line code, built for its current (metric,
+    potential) pair."""
+    flow = spec._flow
+    if (
+        flow is None
+        or flow.metric is not spec.metric
+        or flow.potential is not spec.potential
+        or flow.node is not spec.potential.node
+    ):
+        flow = spec._flow = _Flow(spec.metric, spec.potential)
+    return flow
+
+
+def _acceleration(spec: SystemSpec, z, dual: bool):
+    """-g^{-1} c from the flow's straight-line code over the scalars z: one
+    solve; the interpreter answers at a Finsler rest point and on a domain
+    failure."""
+    flow = _built_flow(spec)
+    n = spec.dimension
+    if flow.finsler and not any(map(val_of, z[n:])):
+        return _interpreted_acceleration(spec, z[:n], z[n:])
+    try:
+        g, c = flow.code[dual]["parts"](z)
+    except _DOMAIN_FAILURES:
+        return _interpreted_acceleration(spec, z[:n], z[n:])
+    if flow.check_definite:
+        geo._require_positive_definite(geo._as_float_matrix(g), "fundamental tensor")
+    return [-a for a in solve_linear(g, c)]
+
+
+def _interpreted_acceleration(spec: SystemSpec, x, v):
+    """The acceleration by the expression interpreter over (nested) duals.
 
     For a Finsler kinetic model the spray extends continuously by zero to
     v = 0 (degree-2 homogeneity); the metric there is evaluated in the
@@ -112,7 +235,7 @@ def lagrange_rhs(spec: SystemSpec, x, v):
     """
     model = spec.metric
     n = model.dimension
-    grad_u = spec.potential.gradient(x)
+    grad_u = spec.potential._interpreted_gradient(x)
     if model.kind == "finsler" and all(val_of(c) == 0.0 for c in v):
         w = [-c for c in grad_u]
         if all(val_of(c) == 0.0 for c in w):
@@ -127,20 +250,30 @@ def lagrange_rhs(spec: SystemSpec, x, v):
     return [-2.0 * spray[i] - pull[i] for i in range(n)]
 
 
+def lagrange_rhs(spec: SystemSpec, x, v):
+    """Acceleration of the Lagrangian flow: -2 G(x, v) - g^{-1}(x, v) grad U.
+
+    It runs as -g^{-1} c from the system's straight-line code (see
+    :class:`SystemSpec`), over floats or duals.  At a Finsler rest point
+    v = 0 the metric is evaluated in the direction of steepest descent.
+    """
+    return _acceleration(spec, *_scalars(list(x) + list(v)))
+
+
 def state_rhs(spec: SystemSpec, t, z):
     """First-order form over z = (x, v)."""
-    n = spec.dimension
-    x, v = z[:n], z[n:]
-    acc = lagrange_rhs(spec, x, v)
-    return list(v) + acc
+    z, dual = _scalars(z)
+    return z[spec.dimension:] + _acceleration(spec, z, dual)
 
 
 def state_rhs_jvp(spec: SystemSpec, z, w):
-    """(f(z), J(z) W) for a 2n x m tangent W, from one dual evaluation.
+    """(f(z), J(z) W) for a 2n x m tangent W.
 
-    Component i of the float state z is seeded with row i of W, so the
-    derivative parts of :func:`state_rhs` are the rows of J(z) W.  Every
-    derivative of the flow (shooting, monodromy, the Jacobian) comes from here.
+    Component i of the float state z is seeded with row i of W and the
+    flow's straight-line code runs over these order-1 duals, so the
+    derivative parts of the result are the rows of J(z) W and its values
+    are :func:`state_rhs` bit for bit.  Every derivative of the flow
+    (shooting, monodromy, the Jacobian) comes from here.
     """
     w = np.asarray(w, dtype=float)
     m = w.shape[1]
@@ -160,8 +293,12 @@ def total_energy(spec: SystemSpec, x, v=None):
     """H(x, v) = F^2(x, v) / 2 + U(x)."""
     if v is None:
         x, v = x.x, x.v  # PhaseState
-    f2 = geo.f_squared(spec.metric, list(x), list(v))
-    return 0.5 * f2 + spec.potential.value(list(x))
+
+    def interpreted():
+        f2 = geo.f_squared(spec.metric, list(x), list(v))
+        return 0.5 * f2 + spec.potential._interpreted_value(x)
+
+    return _run(_built_flow(spec).code, "energy", list(x) + list(v), interpreted)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,24 @@ directional derivatives of first or second order.  Duals may be nested (a
 dual whose coefficients are themselves duals): an order-2 dual over order-1
 seeds of another tag gives exact third derivatives of any composite numerical
 routine built on them.
+
+:class:`Graph` turns trees into straight-line Python (source transformation,
+Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).  It imports
+trees into one hash-consed DAG, differentiates them symbolically with the
+rules :class:`Dual` applies, folds constants, and compiles the functions it
+is asked for once.  Each compiled function runs over floats, or over duals
+with ``sin``/``cos``/``exp`` bound to the dispatching versions; value parts of
+duals follow float arithmetic, so both runs give the same values.  Every
+imported tree is computed in full, so the generated code raises
+``ValueError``, ``ZeroDivisionError`` or ``OverflowError`` wherever a tree
+leaves its domain, and callers answer those failures from :func:`evaluate`,
+whose errors name the subexpression.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -35,6 +48,7 @@ __all__ = [
     "ExprError",
     "ParseError",
     "EvalDomainError",
+    "Graph",
     "parse",
     "to_source",
     "variables_of",
@@ -607,3 +621,266 @@ def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int =
         out = Dual.constant(out, m, order, tag)
     return out
 
+
+# ---------------------------------------------------------------------------
+# Straight-line code
+# ---------------------------------------------------------------------------
+
+_FOLD = {
+    "neg": operator.neg,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "pow": _pow,
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": _log,
+    "sqrt": _sqrt,
+}
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+# Library of the generated code: math over floats, dispatch over duals.
+# log, sqrt and fractional powers keep the interpreter's domain checks in both.
+_FLOAT_LIB = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": _log, "sqrt": _sqrt, "pw": _pow}
+_DUAL_LIB = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt, "pw": _pow}
+
+
+def _literal(value: float) -> str:
+    if not math.isfinite(value):
+        return f"float({str(value)!r})"
+    return repr(value) if math.copysign(1.0, value) > 0 else f"({value!r})"
+
+
+class Graph:
+    """Hash-consed expression DAG of one code build over variables 0..2n-1.
+
+    A node is an index into ``ops``, whose entries are (op, a, b): a float for
+    "const", a variable index for "var", operand nodes otherwise (b is the
+    exponent of "pow").  One operation on the same operands is one node, so
+    common subexpressions are computed once.  The tables live on the
+    instance: a graph serves one build and is dropped with it.
+
+    :meth:`tree` imports a tree as it stands, folding only constant-only
+    subtrees, so every domain check of the tree runs in the generated code.
+    The arithmetic helpers (:meth:`add` ... :meth:`pow`) also drop zero and
+    unit operands; :meth:`diff` builds derivatives from them.
+    """
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.ops: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._diffs: dict[tuple[int, int], int] = {}
+        self.zero = self.const(0.0)
+        self.one = self.const(1.0)
+
+    # -- nodes -----------------------------------------------------------------
+
+    def _node(self, op, a=None, b=None) -> int:
+        # a constant is keyed by its bits, so -0.0 and 0.0 stay apart
+        key = (op, a.hex() if op == "const" else a, b)
+        k = self._ids.get(key)
+        if k is None:
+            k = self._ids[key] = len(self.ops)
+            self.ops.append((op, a, b))
+        return k
+
+    def const(self, value: float) -> int:
+        return self._node("const", float(value))
+
+    def var(self, index: int) -> int:
+        return self._node("var", index)
+
+    def value(self, k: int) -> float | None:
+        """The float of a constant node, else None."""
+        op, a, _ = self.ops[k]
+        return a if op == "const" else None
+
+    def _apply(self, op, a, b=None) -> int:
+        """Node of one operation; constant operands fold unless that raises."""
+        args = [self.value(a)]
+        if b is not None:
+            args.append(b if op == "pow" else self.value(b))
+        if None not in args:
+            try:
+                return self.const(_FOLD[op](*args))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass  # left to run time, where it raises as the interpreter does
+        return self._node(op, a, b)
+
+    def tree(self, node: ExprNode) -> int:
+        """Import an expression tree as it stands."""
+        if isinstance(node, Const):
+            return self.const(node.value)
+        if isinstance(node, Var):
+            return self.var(node.index)
+        if isinstance(node, Unary):
+            return self._apply(node.op, self.tree(node.arg))
+        if node.op == "pow":
+            return self._apply("pow", self.tree(node.left), node.right.value)
+        return self._apply(node.op, self.tree(node.left), self.tree(node.right))
+
+    # -- arithmetic with zero and unit operands dropped ---------------------
+
+    def _is(self, k: int, c: float) -> bool:
+        return self.value(k) == c
+
+    def add(self, a: int, b: int) -> int:
+        if self._is(a, 0.0):
+            return b
+        return a if self._is(b, 0.0) else self._apply("add", a, b)
+
+    def sub(self, a: int, b: int) -> int:
+        if self._is(b, 0.0):
+            return a
+        return self.neg(b) if self._is(a, 0.0) else self._apply("sub", a, b)
+
+    def mul(self, a: int, b: int) -> int:
+        if self._is(a, 0.0) or self._is(b, 0.0):
+            return self.zero
+        if self._is(a, 1.0):
+            return b
+        return a if self._is(b, 1.0) else self._apply("mul", a, b)
+
+    def div(self, a: int, b: int) -> int:
+        return a if self._is(b, 1.0) else self._apply("div", a, b)
+
+    def neg(self, a: int) -> int:
+        op, inner, _ = self.ops[a]
+        return inner if op == "neg" else self._apply("neg", a)
+
+    def pow(self, a: int, p: float) -> int:
+        if p == 0.0:
+            return self.one
+        return a if p == 1.0 else self._apply("pow", a, p)
+
+    # -- derivatives -------------------------------------------------------------
+
+    def diff(self, k: int, i: int) -> int:
+        """Node of d(node k)/d(variable i).
+
+        The rules are the ones :class:`Dual` applies (product rule as
+        a' b + a b', quotient through the reciprocal, chain rule as
+        f'(u) u'), so a first derivative rounds as a dual evaluation does.
+        """
+        key = (k, i)
+        d = self._diffs.get(key)
+        if d is not None:
+            return d
+        op, a, b = self.ops[k]
+        if op == "const":
+            d = self.zero
+        elif op == "var":
+            d = self.one if a == i else self.zero
+        elif op == "neg":
+            d = self.neg(self.diff(a, i))
+        elif op == "pow":
+            da = self.diff(a, i)
+            d = self.zero if self._is(da, 0.0) else self.mul(
+                self.mul(self.const(b), self.pow(a, b - 1.0)), da
+            )
+        elif b is None:
+            da = self.diff(a, i)
+            d = self.zero if self._is(da, 0.0) else self.mul(self._slope(op, a, k), da)
+        else:
+            da, db = self.diff(a, i), self.diff(b, i)
+            if op == "add":
+                d = self.add(da, db)
+            elif op == "sub":
+                d = self.sub(da, db)
+            elif op == "mul":
+                d = self.add(self.mul(da, b), self.mul(a, db))
+            elif self._is(da, 0.0) and self._is(db, 0.0):
+                d = self.zero
+            else:  # div: a * (1/b), the reciprocal's slope is -(1/b) (1/b)
+                r = self.div(self.one, b)
+                d = self.add(self.mul(da, r), self.mul(a, self.mul(self.mul(self.neg(r), r), db)))
+        self._diffs[key] = d
+        return d
+
+    def _slope(self, op: str, a: int, k: int) -> int:
+        """f'(u) of the unary function node k = f(a)."""
+        if op == "sin":
+            return self._apply("cos", a)
+        if op == "cos":
+            return self.neg(self._apply("sin", a))
+        if op == "exp":
+            return k
+        if op == "log":
+            return self.div(self.one, a)
+        return self.div(self.const(0.5), k)  # sqrt
+
+    # -- code ----------------------------------------------------------------------
+
+    def _name(self, k: int) -> str:
+        op, a, _ = self.ops[k]
+        if op == "const":
+            return _literal(a)
+        return self._var_name(a) if op == "var" else f"t{k}"
+
+    def _var_name(self, i: int) -> str:
+        n = self.dimension
+        return f"x{i + 1}" if i < n else f"v{i - n + 1}"
+
+    def _line(self, k: int) -> str:
+        op, a, b = self.ops[k]
+        x = self._name(a)
+        if op == "neg":
+            return f"-{x}"
+        if op == "pow":  # an integral power of a negative base is real
+            whole = math.isfinite(b) and b == round(b)
+            return f"{x} ** {_literal(b)}" if whole else f"pw({x}, {_literal(b)})"
+        if b is None:
+            return f"{op}({x})"
+        return f"{x} {_INFIX[op]} {self._name(b)}"
+
+    def _render(self, result) -> str:
+        if isinstance(result, (list, tuple)):
+            return "[" + ", ".join(self._render(r) for r in result) + "]"
+        return self._name(result)
+
+    def source(self, functions) -> str:
+        """Python source of ``functions``: (name, arity, result, guards) each.
+
+        A function takes a sequence of ``arity`` variables and returns
+        ``result``, a node or a nested list of nodes.  ``guards`` are nodes
+        computed and dropped, for their domain checks.
+        """
+        lines = []
+        for name, arity, result, guards in functions:
+            roots = list(guards)
+            stack = [result]
+            while stack:
+                r = stack.pop()
+                if isinstance(r, (list, tuple)):
+                    stack.extend(r)
+                else:
+                    roots.append(r)
+            needed = set()
+            while roots:
+                k = roots.pop()
+                op, a, b = self.ops[k]
+                if k in needed or op in ("const", "var"):
+                    continue
+                needed.add(k)
+                roots.append(a)
+                if b is not None and op != "pow":
+                    roots.append(b)
+            args = ", ".join(self._var_name(i) for i in range(arity))
+            lines.append(f"def {name}(z):")
+            lines.append(f"    {args}, = z")
+            lines += [f"    t{k} = {self._line(k)}" for k in sorted(needed)]
+            lines.append(f"    return {self._render(result)}")
+        return "\n".join(lines) + "\n"
+
+    def build(self, functions) -> tuple[dict, dict]:
+        """Compile :meth:`source` once; (floats, duals) map each name to the
+        function run over floats and the same code run with dual dispatch."""
+        code = compile(self.source(functions), "<orbitlab straight-line>", "exec")
+        out = []
+        for lib in (_FLOAT_LIB, _DUAL_LIB):
+            scope = dict(lib)
+            exec(code, scope)
+            out.append({f[0]: scope[f[0]] for f in functions})
+        return out[0], out[1]

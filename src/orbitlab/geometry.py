@@ -2,11 +2,14 @@
 
 A :class:`MetricModel` describes the kinetic energy either through a
 symmetric matrix of coefficient expressions g_ij(x) (Riemannian case) or a
-single expression for F^2(x, v) (Finsler case).  The flow needs the
-fundamental tensor and the geodesic spray, which come from exact dual-number
-derivatives of those expressions of at most second order.  Finite
-differences never enter these code paths; they are reserved for test
-oracles.
+single expression for F^2(x, v) (Finsler case).  The flow compiles F^2
+(:func:`f_squared_node`) into straight-line code with its symbolic
+derivatives (see :mod:`orbitlab.dynamics`).  The routines here evaluate the
+fundamental tensor and the geodesic spray by the interpreter, from exact
+dual-number derivatives of those expressions of at most second order; they
+serve this module's public API, the flow's answer to a domain failure or a
+Finsler rest point, and the test oracles.  Finite differences never enter
+these code paths; they are reserved for test oracles.
 
 Every operation accepts coordinates as sequences of plain floats or of
 :class:`~orbitlab.expr.Dual` scalars, so sensitivities can be propagated
@@ -29,6 +32,7 @@ __all__ = [
     "ModelValidityError",
     "SingularMatrixError",
     "f_squared",
+    "f_squared_node",
     "metric_tensor",
     "metric_and_spray",
     "geodesic_coefficients",
@@ -68,10 +72,14 @@ def solve_linear(a, b):
     n = len(b)
     m = [list(row) for row in a]
     r = list(b)
-    scale = max(max(abs(val_of(e)) for e in row) for row in m) or 1.0
+    scale = max([abs(val_of(e)) for row in m for e in row]) or 1.0
     for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(val_of(m[i][col])))
-        if abs(val_of(m[piv][col])) <= 1e-14 * scale:
+        piv, big = col, abs(val_of(m[col][col]))
+        for i in range(col + 1, n):
+            size = abs(val_of(m[i][col]))
+            if size > big:
+                piv, big = i, size
+        if big <= 1e-14 * scale:
             raise SingularMatrixError("matrix is singular to working precision")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
@@ -272,6 +280,24 @@ def f_squared(model: MetricModel, x, v):
         return ex.evaluate(model.f2_expr, list(x) + list(v))
     g = _riemannian_g(model, x)
     return dot(v, mat_vec(g, v))
+
+
+def f_squared_node(graph: ex.Graph, model: MetricModel) -> int:
+    """F^2 as a node of ``graph``: the Finsler expression, or g_ij(x) v^i v^j
+    summed in the order :func:`f_squared` sums it."""
+    if model.kind == "finsler":
+        return graph.tree(model.f2_expr)
+    n = model.dimension
+    v = [graph.var(n + i) for i in range(n)]
+
+    def dot_nodes(a, b):
+        acc = graph.mul(a[0], b[0])
+        for i in range(1, n):
+            acc = graph.add(acc, graph.mul(a[i], b[i]))
+        return acc
+
+    g = [[graph.tree(e) for e in row] for row in model.g_exprs]
+    return dot_nodes(v, [dot_nodes(row, v) for row in g])
 
 
 def _riemannian_g(model: MetricModel, x):

@@ -22,8 +22,8 @@ first return time and the closed run of the returned orbit.
 
 Monodromy integrates the variational equations M' = J(z) M alongside the
 orbit as one augmented system, so step-size control watches M as well as the
-orbit; J(z) M comes from one dual evaluation of the equations of motion per
-stage (:func:`~orbitlab.dynamics.state_rhs_jvp`).
+orbit; J(z) M comes from one run of the system's straight-line code over dual
+numbers per stage (:func:`~orbitlab.dynamics.state_rhs_jvp`).
 """
 
 from __future__ import annotations

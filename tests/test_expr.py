@@ -209,3 +209,74 @@ class TestNestedDuals:
         assert ex.val_of(f.val) == pytest.approx(x0**3)
         assert ex.val_of(f.grad[0]) == pytest.approx(3 * x0**2)
         assert f.grad[0].grad[0] == pytest.approx(6 * x0)
+
+
+class TestGraph:
+    def compile_one(self, source, dimension=2, outputs=None):
+        graph = ex.Graph(dimension)
+        node = graph.tree(ex.parse(source, dimension))
+        result = node if outputs is None else outputs(graph, node)
+        floats, duals = graph.build([("f", 2 * dimension, result, (node,))])
+        return graph, floats["f"], duals["f"]
+
+    def test_common_subexpressions_are_one_node(self):
+        graph = ex.Graph(1)
+        node = graph.tree(ex.parse("sin(x1)*sin(x1) + sin(x1)", 1))
+        assert [op for op, _, _ in graph.ops].count("sin") == 1
+        assert node == graph.tree(ex.parse("sin(x1)*sin(x1) + sin(x1)", 1))
+
+    def test_constants_fold_and_keep_the_sign_of_zero(self):
+        graph = ex.Graph(1)
+        assert graph.value(graph.tree(ex.parse("2*3 - 2^0.5", 1))) == 6.0 - 2.0**0.5
+        assert graph.const(-0.0) != graph.const(0.0)
+        assert graph.mul(graph.var(0), graph.one) == graph.var(0)
+        assert graph.add(graph.zero, graph.var(1)) == graph.var(1)
+
+    def test_failing_constant_is_left_to_run_time(self):
+        _, f, _ = self.compile_one("x1 + log(0 - 1)")
+        with pytest.raises(ValueError):
+            f([1.0, 0.0, 0.0, 0.0])
+
+    def test_floats_and_duals_run_one_code_object(self):
+        _, f, fd = self.compile_one("sin(x1)*exp(x2) + cos(x1)")
+        assert f.__code__ is fd.__code__
+        point = [0.3, -0.7, 0.0, 0.0]
+        d = fd([ex.Dual.seed(c, 4, i) for i, c in enumerate(point)])
+        assert d.val == f(point)
+        assert d.grad == ex.eval_dual(ex.parse("sin(x1)*exp(x2) + cos(x1)", 2), point).grad
+
+    @pytest.mark.parametrize(
+        "source",
+        ["-x1*x2", "x1 + x2", "x1 - x2", "x1*x2", "x1/x2", "3/x2", "x1/3", "x1^3",
+         "x2^-2", "x2^2.5", "sin(x1*x2)", "cos(x1)", "exp(x1 - x2)", "log(x2)",
+         "sqrt(x2 + x1^2)", "0.5*x1^2*x2 + sin(x1)/x2"],
+    )
+    def test_first_derivatives_round_as_duals(self, source):
+        def gradient(graph, node):
+            return [graph.diff(node, i) for i in range(4)]
+
+        _, f, _ = self.compile_one(source, outputs=gradient)
+        point = [0.7, 1.3, 0.0, 0.0]
+        assert f(point) == ex.eval_dual(ex.parse(source, 2), point).grad
+
+    def test_second_derivatives_match_duals(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            node = random_expression(rng, 1, depth=3)
+
+            def hessian(graph, k):
+                return [[graph.diff(graph.diff(k, i), j) for j in range(2)] for i in range(2)]
+
+            graph = ex.Graph(1)
+            k = graph.tree(node)
+            f = graph.build([("h", 2, hessian(graph, k), (k,))])[0]["h"]
+            point = [rng.uniform(-1.5, 1.5) for _ in range(2)]
+            expect = np.array(dual_scalar(node, point, order=2).second)
+            assert np.allclose(f(point), expect, rtol=1e-12, atol=1e-12)
+
+    def test_fractional_power_keeps_the_domain_check(self):
+        graph, f, _ = self.compile_one("x1^0.5")
+        assert "pw(" in graph.source([("f", 4, graph.tree(ex.parse("x1^0.5", 2)), ())])
+        with pytest.raises(ValueError, match="fractional power of negative base"):
+            f([-4.0, 0.0, 0.0, 0.0])
+        assert f([4.0, 0.0, 0.0, 0.0]) == 2.0

@@ -1,0 +1,270 @@
+"""The flow's straight-line code against the interpreter over dual numbers.
+
+The interpreter route (``expr.evaluate``/``eval_dual`` and the geometry
+kernel over nested duals) is the oracle.  Compiled U, grad U, ``state_rhs``
+and J W must agree with it within ``REL`` relative to 1 + |oracle| (measured:
+at most 9e-16; first derivatives of a potential round exactly as the duals
+do).  A tangent run's values must equal the plain run's bit for bit, and a
+domain failure must raise the interpreter's error.
+"""
+
+import copy
+import pickle
+import random
+
+import numpy as np
+import pytest
+
+from orbitlab import dynamics as dyn
+from orbitlab import expr as ex
+from orbitlab import geometry as geo
+
+from oracles import random_expression
+from test_dynamics import conformal_exp_system, cosine_torus, oscillator, quartic_finsler_well
+
+REL = 1e-13
+N_POTENTIALS = 200
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= REL * (1.0 + np.abs(expected)))
+
+
+def parse2(source):
+    return ex.parse(source, 2)
+
+
+def position_dependent_riemannian():
+    metric = geo.MetricModel.riemannian(
+        [[parse2("2 + sin(x1)*x2"), parse2("0.3*x1*x2")], [None, parse2("1.5 + x1^2")]]
+    )
+    return dyn.SystemSpec(metric, parse2("0.5*x1^2 + x2^2 + 0.1*x1*x2"), 1.0)
+
+
+def position_dependent_finsler():
+    f2 = parse2("(1 + 0.2*x1^2)*(v1^2 + v2^2) + 0.1*sqrt(v1^4 + v2^4 + x2^2*v1^2*v2^2)")
+    return dyn.SystemSpec(geo.MetricModel.finsler(f2, 2), parse2("0.5*x1^2 + x2^2"), 1.0)
+
+
+METRIC_SYSTEMS = [
+    oscillator,
+    cosine_torus,
+    position_dependent_riemannian,
+    conformal_exp_system,
+    quartic_finsler_well,
+    position_dependent_finsler,
+]
+
+
+def interpreted_state_rhs(spec, z):
+    n = spec.dimension
+    return list(z[n:]) + dyn._interpreted_acceleration(spec, list(z[:n]), list(z[n:]))
+
+
+def interpreted_jvp(spec, z, w):
+    """J(z) W from the interpreter route over order-1 duals seeded with W."""
+    m = w.shape[1]
+    seeds = [ex.Dual(m, 1, 0, float(c), row) for c, row in zip(z, w.tolist())]
+    out = interpreted_state_rhs(spec, seeds)
+    return np.array([c.grad if isinstance(c, ex.Dual) else [0.0] * m for c in out])
+
+
+def random_potentials():
+    """(spec, points): Euclidean systems of dimension 2 or 4 whose potential
+    is a random expression over all of their coordinates."""
+    rng = random.Random(2024)
+    for _ in range(N_POTENTIALS):
+        k = rng.choice([1, 2])
+        n = 2 * k  # random_expression draws from 2k variables: all positions here
+        spec = dyn.SystemSpec(
+            geo.MetricModel.euclidean(n), dyn.PotentialField(random_expression(rng, k), n), 0.0
+        )
+        points = [[rng.uniform(-1.5, 1.5) for _ in range(2 * n)] for _ in range(2)]
+        yield spec, points
+
+
+def test_random_potentials_match_interpreter():
+    checked = 0
+    for spec, points in random_potentials():
+        n, pf = spec.dimension, spec.potential
+        w = np.random.default_rng(checked).standard_normal((2 * n, 3))
+        for z in points:
+            x = z[:n]
+            assert_close(pf.value(x), ex.evaluate(pf.node, x + [0.0] * n))
+            assert_close(pf.gradient(x), pf._interpreted_gradient(x))
+            value = dyn.state_rhs(spec, 0.0, z)
+            assert_close(value, interpreted_state_rhs(spec, z))
+            tangent_value, jw = dyn.state_rhs_jvp(spec, z, w)
+            assert tangent_value == value
+            assert_close(jw, interpreted_jvp(spec, z, w))
+        checked += 1
+    assert checked == N_POTENTIALS
+
+
+@pytest.mark.parametrize("system", METRIC_SYSTEMS, ids=lambda s: s.__name__)
+def test_metric_models_match_interpreter(system):
+    spec = system()
+    n = spec.dimension
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        z = np.concatenate([rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)]).tolist()
+        value = dyn.state_rhs(spec, 0.0, z)
+        assert_close(value, interpreted_state_rhs(spec, z))
+        assert_close(dyn.total_energy(spec, z[:n], z[n:]),
+                     0.5 * geo.f_squared(spec.metric, z[:n], z[n:])
+                     + spec.potential._interpreted_value(z[:n]))
+        w = rng.standard_normal((2 * n, 2))
+        assert_close(dyn.state_rhs_jvp(spec, z, w)[1], interpreted_jvp(spec, z, w))
+        assert_close(dyn.rhs_jacobian(spec, z), interpreted_jvp(spec, z, np.eye(2 * n)))
+
+
+@pytest.mark.parametrize("system", METRIC_SYSTEMS, ids=lambda s: s.__name__)
+def test_tangent_values_are_the_plain_values(system):
+    spec = system()
+    n = spec.dimension
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        z = rng.uniform(-1.0, 1.0, 2 * n).tolist()
+        w = rng.standard_normal((2 * n, 3))
+        assert dyn.state_rhs_jvp(spec, z, w)[0] == dyn.state_rhs(spec, 0.0, z)
+
+
+# ---------------------------------------------------------------------------
+# Domain failures
+# ---------------------------------------------------------------------------
+
+# (potential term, bad x1, failing subexpression); U = x2^2 + term
+DOMAIN_CASES = [
+    ("log(x1)", -1.0, "log(x1)"),
+    ("sqrt(x1)", -1.0, "sqrt(x1)"),
+    ("1/x1", 0.0, "1/x1"),
+    ("exp(x1)", 1000.0, "exp(x1)"),
+    # float ** returns a complex number here instead of raising
+    ("x1^0.3333333333333333", -8.0, "x1^0.3333333333333333"),
+]
+DOMAIN_IDS = ["log", "sqrt", "division", "exp_overflow", "fractional_power"]
+
+
+def _route(name, spec, z):
+    n = spec.dimension
+    if name == "state_rhs":
+        return dyn.state_rhs(spec, 0.0, z)
+    if name == "state_rhs_jvp":
+        return dyn.state_rhs_jvp(spec, z, np.eye(len(z)))
+    if name == "gradient":
+        return spec.potential.gradient(z[:n])
+    if name == "value":
+        return spec.potential.value(z[:n])
+    return dyn.total_energy(spec, z[:n], z[n:])
+
+
+@pytest.mark.parametrize("route", ["state_rhs", "state_rhs_jvp", "gradient", "value", "total_energy"])
+@pytest.mark.parametrize("term, x1, culprit", DOMAIN_CASES, ids=DOMAIN_IDS)
+def test_domain_failure_names_the_subexpression(route, term, x1, culprit):
+    spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), parse2(f"x2^2 + {term}"), 1.0)
+    z = [x1, 0.5, 0.25, -0.5]
+    with pytest.raises(ex.EvalDomainError) as err:
+        _route(route, spec, z)
+    assert err.value.node == parse2(culprit)
+    # the interpreter raises the same error
+    with pytest.raises(ex.EvalDomainError) as interpreted:
+        if route in ("value", "total_energy"):
+            spec.potential._interpreted_value(z[:2])
+        else:
+            spec.potential._interpreted_gradient(z[:2])
+    assert str(err.value) == str(interpreted.value)
+
+
+def test_fractional_power_of_negative_base_is_not_complex():
+    assert isinstance((-8.0) ** (1 / 3), complex)
+    pf = dyn.PotentialField(parse2("x1^0.5"), 2)
+    with pytest.raises(ex.EvalDomainError, match="fractional power of negative base"):
+        pf.value([-4.0, 0.0])
+    assert pf.value([4.0, 0.0]) == 2.0
+
+
+def test_metric_domain_failure_falls_back():
+    # F^2 = exp(x1) (v1^2 + v2^2) overflows far out in x1
+    f2 = parse2("exp(x1)*(v1^2 + v2^2)")
+    spec = dyn.SystemSpec(geo.MetricModel.finsler(f2, 2), parse2("x2^2"), 1.0)
+    with pytest.raises(ex.EvalDomainError) as err:
+        dyn.state_rhs(spec, 0.0, [1000.0, 0.0, 1.0, 0.0])
+    assert err.value.node == parse2("exp(x1)")
+
+
+def test_indefinite_position_dependent_metric_is_rejected():
+    metric = geo.MetricModel.riemannian([[ex.const(1.0), ex.const(0.0)], [None, parse2("x1")]])
+    spec = dyn.SystemSpec(metric, parse2("x2^2"), 1.0)
+    for run in (lambda z: dyn.state_rhs(spec, 0.0, z), lambda z: dyn.rhs_jacobian(spec, z)):
+        with pytest.raises(geo.ModelValidityError, match="not positive definite"):
+            run([-1.0, 0.0, 1.0, 1.0])
+
+
+def test_singular_finsler_metric_is_reported():
+    # g = diag(1, x1^2) is singular on x1 = 0
+    spec = dyn.SystemSpec(geo.MetricModel.finsler(parse2("v1^2 + x1^2*v2^2"), 2), parse2("x2^2"), 1.0)
+    with pytest.raises(geo.SingularMatrixError):
+        dyn.state_rhs(spec, 0.0, [0.0, 0.5, 1.0, 1.0])
+    with pytest.raises(geo.SingularMatrixError):
+        dyn.rhs_jacobian(spec, [0.0, 0.5, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Building and rebuilding
+# ---------------------------------------------------------------------------
+
+def test_build_is_lazy():
+    spec = oscillator()
+    assert spec._flow is None
+    dyn.state_rhs(spec, 0.0, [0.1, 0.2, 0.3, 0.4])
+    flow = spec._flow
+    dyn.state_rhs(spec, 0.0, [0.2, 0.2, 0.3, 0.4])
+    assert spec._flow is flow
+
+
+def test_new_potential_gives_new_flow():
+    spec = oscillator((1.0, 2.0))
+    z = [0.5, 0.25, 0.1, -0.2]
+    assert dyn.state_rhs(spec, 0.0, z)[2:] == [-0.5, -1.0]
+    for k in range(1, 12):
+        # each replaced field is freed, so its id may come back for the next
+        spec.potential = dyn.PotentialField(parse2(f"{k}*x1 + x2^2"), 2)
+        assert dyn.state_rhs(spec, 0.0, z)[2:] == [-float(k), -0.5]
+        assert dyn.total_energy(spec, z[:2], z[2:]) == pytest.approx(0.5 * k + 0.0625 + 0.025)
+        assert spec.potential.gradient(z[:2]) == [float(k), 0.5]
+
+
+def test_new_metric_gives_new_flow():
+    spec = oscillator((1.0, 1.0))
+    z = [0.5, 0.25, 0.1, -0.2]
+    assert dyn.total_energy(spec, z[:2], z[2:]) == pytest.approx(0.025 + 0.15625)
+    spec.metric = geo.MetricModel.riemannian([[ex.const(2.0), ex.const(0.0)], [None, ex.const(2.0)]])
+    assert dyn.state_rhs(spec, 0.0, z)[2:] == [-0.25, -0.125]
+    assert dyn.total_energy(spec, z[:2], z[2:]) == pytest.approx(0.05 + 0.15625)
+
+
+def test_replaced_node_gives_new_code():
+    pf = dyn.PotentialField(parse2("x1^2"), 2)
+    assert pf.gradient([3.0, 1.0]) == [6.0, 0.0]
+    pf.node = parse2("x1*x2")
+    assert pf.gradient([3.0, 1.0]) == [1.0, 3.0]
+    assert pf.value([3.0, 1.0]) == 3.0
+
+
+def test_finsler_rest_point_answers_from_the_interpreter():
+    spec = quartic_finsler_well()
+    z = [0.3, -0.2, 0.0, 0.0]
+    assert dyn.state_rhs(spec, 0.0, z) == interpreted_state_rhs(spec, z)
+
+
+def test_used_system_pickles_and_copies():
+    spec = quartic_finsler_well()
+    z = [0.3, -0.2, 0.7, 0.4]
+    value = dyn.state_rhs(spec, 0.0, z)
+    energy = dyn.total_energy(spec, z[:2], z[2:])
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert clone._flow is None and clone.potential._built is None
+        assert dyn.state_rhs(clone, 0.0, z) == value
+        assert dyn.total_energy(clone, z[:2], z[2:]) == energy
