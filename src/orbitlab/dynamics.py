@@ -1,10 +1,14 @@
 """Equations of motion and trajectory integration.
 
 A :class:`SystemSpec` couples a kinetic metric model with a potential and an
-energy level.  The flow lives on the velocity chart (x, v); its derivatives
-come from one run of the system's straight-line code over dual numbers
-(:func:`state_rhs_jvp`).  The integrator records energy drift along every
-trajectory but never corrects it.
+energy level.  The flow lives on the velocity chart (x, v) and runs as the
+system's straight-line code (:func:`orbitlab.geometry.metric_nodes` plus the
+potential, compiled once per system); its derivatives come from one run of
+that code over dual numbers (:func:`state_rhs_jvp`).  A domain failure in it
+raises the interpreter's error naming the subexpression
+(:func:`orbitlab.expr.run`); the interpreter never supplies a value of the
+flow.  The integrator records energy drift along every trajectory but never
+corrects it.
 """
 
 from __future__ import annotations
@@ -36,26 +40,6 @@ __all__ = [
 ]
 
 
-_DOMAIN_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
-
-
-def _scalars(z):
-    """(z, dual): the scalars as a list, converted to floats unless they hold duals."""
-    if Dual in map(type, z):
-        return list(z), True
-    return list(map(float, z)), False
-
-
-def _run(code, name, z, interpreted):
-    """Straight-line function ``name`` of ``code`` = (floats, duals) at z; a
-    domain failure answers from ``interpreted()`` instead."""
-    z, dual = _scalars(z)
-    try:
-        return code[dual][name](z)
-    except _DOMAIN_FAILURES:
-        return interpreted()
-
-
 class PotentialField:
     """Potential U(x) given by an expression over the position variables,
     evaluable over floats or dual scalars.
@@ -72,74 +56,54 @@ class PotentialField:
             )
         self.node = node
         self.dimension = dimension
-        self._built = None  # (node, floats, duals)
+        self._built = None  # (node, code, trees)
 
     def __getstate__(self):
         return {**self.__dict__, "_built": None}  # generated code is rebuilt on use
 
-    def _code(self):
+    def _run(self, name, x):
         built = self._built
         if built is None or built[0] is not self.node:
             graph = ex.Graph(self.dimension)
             u = graph.tree(self.node)
             grad = [graph.diff(u, i) for i in range(self.dimension)]
-            built = self._built = (self.node, *graph.build(
+            code = graph.build(
                 [("value", self.dimension, u, ()), ("gradient", self.dimension, grad, (u,))]
-            ))
-        return built[1:]
+            )
+            built = self._built = (self.node, code, graph.trees)
+        return ex.run(built[1], name, *ex.scalars(x), built[2])
 
     def value(self, x):
-        return _run(self._code(), "value", x, lambda: self._interpreted_value(x))
+        return self._run("value", x)
 
     def gradient(self, x):
         """Exact gradient; over dual ``x`` its entries carry the Hessian
         applied to their seeds."""
-        return _run(self._code(), "gradient", x, lambda: self._interpreted_gradient(x))
-
-    def _interpreted_value(self, x):
-        return ex.evaluate(self.node, list(x) + [0.0] * self.dimension)
-
-    def _interpreted_gradient(self, x):
-        """One dual evaluation seeded in the position directions, nested over
-        any duals in ``x``."""
-        n = self.dimension
-        point = list(x) + [0.0] * n
-        return list(ex.eval_dual(self.node, point, range(n), 1, geo._inner_tag(x)).grad)
+        return self._run("gradient", x)
 
 
 class _Flow:
     """Straight-line code of one (metric, potential) pair.
 
-    ``parts(z)`` returns (g, c) with g = (1/2) d_v d_v F^2 and
-    c = (1/2) (v^j d_xj d_v F^2 - d_x F^2) + grad U, so the acceleration is
-    -g^{-1} c; a Riemannian model enters as F^2 = g_ij(x) v^i v^j, and a
-    constant metric folds to c = grad U.  ``energy(z)`` is F^2 / 2 + U.
+    ``parts(z)`` returns (g, c): the nodes of
+    :func:`~orbitlab.geometry.metric_nodes` with grad U added to c, so the
+    acceleration is -g^{-1} c and a constant metric folds to c = grad U.
+    ``energy(z)`` is F^2 / 2 + U.  The metric and the potential are one
+    build, so their common subexpressions are computed once.
     """
 
     def __init__(self, metric: MetricModel, potential: PotentialField):
         self.metric, self.potential, self.node = metric, potential, potential.node
         n = metric.dimension
         graph = ex.Graph(n)
-        f2 = geo.f_squared_node(graph, metric)
+        f2, g, c = geo.metric_nodes(graph, metric)
         u = graph.tree(potential.node)
-        half = graph.const(0.5)
-        dv = [graph.diff(f2, n + l) for l in range(n)]
-        g = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                g[i][j] = g[j][i] = graph.mul(half, graph.diff(dv[i], n + j))
-        c = []
-        for l in range(n):
-            mixed = graph.zero
-            for j in range(n):
-                mixed = graph.add(mixed, graph.mul(graph.var(n + j), graph.diff(dv[l], j)))
-            c.append(graph.add(
-                graph.mul(half, graph.sub(mixed, graph.diff(f2, l))), graph.diff(u, l)
-            ))
-        energy = graph.add(graph.mul(half, f2), u)
+        c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
+        energy = graph.add(graph.mul(graph.const(0.5), f2), u)
         self.code = graph.build(
             [("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ())]
         )
+        self.trees = graph.trees
         self.finsler = metric.kind == "finsler"
         self.check_definite = metric.kind == "riemannian" and metric._const_g is None
 
@@ -210,44 +174,27 @@ def _built_flow(spec: SystemSpec) -> _Flow:
 
 def _acceleration(spec: SystemSpec, z, dual: bool):
     """-g^{-1} c from the flow's straight-line code over the scalars z: one
-    solve; the interpreter answers at a Finsler rest point and on a domain
-    failure."""
+    solve.
+
+    For a Finsler kinetic model the spray extends continuously by zero to
+    v = 0 (degree-2 homogeneity); the metric there is taken in the direction
+    of steepest descent w = -grad U, which is the direction the flow leaves
+    a rest point along, so the acceleration is -g(x, w)^{-1} grad U.
+    """
     flow = _built_flow(spec)
     n = spec.dimension
     if flow.finsler and not any(map(val_of, z[n:])):
-        return _interpreted_acceleration(spec, z[:n], z[n:])
-    try:
-        g, c = flow.code[dual]["parts"](z)
-    except _DOMAIN_FAILURES:
-        return _interpreted_acceleration(spec, z[:n], z[n:])
-    if flow.check_definite:
-        geo._require_positive_definite(geo._as_float_matrix(g), "fundamental tensor")
-    return [-a for a in solve_linear(g, c)]
-
-
-def _interpreted_acceleration(spec: SystemSpec, x, v):
-    """The acceleration by the expression interpreter over (nested) duals.
-
-    For a Finsler kinetic model the spray extends continuously by zero to
-    v = 0 (degree-2 homogeneity); the metric there is evaluated in the
-    direction of steepest descent w = -grad U, which is the direction the
-    flow leaves a rest point along.
-    """
-    model = spec.metric
-    n = model.dimension
-    grad_u = spec.potential._interpreted_gradient(x)
-    if model.kind == "finsler" and all(val_of(c) == 0.0 for c in v):
-        w = [-c for c in grad_u]
-        if all(val_of(c) == 0.0 for c in w):
+        grad_u = spec.potential.gradient(z[:n])
+        if not any(map(val_of, grad_u)):
             raise geo.ModelValidityError(
                 "Finsler flow undefined at a rest point with vanishing grad U"
             )
-        g = geo.metric_tensor(model, x, w, check=False)
-        spray = [0.0] * n
-    else:
-        g, spray = geo.metric_and_spray(model, x, v)
-    pull = solve_linear(g, grad_u)
-    return [-2.0 * spray[i] - pull[i] for i in range(n)]
+        g = ex.run(flow.code, "parts", z[:n] + [-c for c in grad_u], dual, flow.trees)[0]
+        return [-a for a in solve_linear(g, grad_u)]
+    g, c = ex.run(flow.code, "parts", z, dual, flow.trees)
+    if flow.check_definite:
+        geo._require_positive_definite(geo._as_float_matrix(g), "fundamental tensor")
+    return [-a for a in solve_linear(g, c)]
 
 
 def lagrange_rhs(spec: SystemSpec, x, v):
@@ -257,12 +204,12 @@ def lagrange_rhs(spec: SystemSpec, x, v):
     :class:`SystemSpec`), over floats or duals.  At a Finsler rest point
     v = 0 the metric is evaluated in the direction of steepest descent.
     """
-    return _acceleration(spec, *_scalars(list(x) + list(v)))
+    return _acceleration(spec, *ex.scalars(list(x) + list(v)))
 
 
 def state_rhs(spec: SystemSpec, t, z):
     """First-order form over z = (x, v)."""
-    z, dual = _scalars(z)
+    z, dual = ex.scalars(z)
     return z[spec.dimension:] + _acceleration(spec, z, dual)
 
 
@@ -293,12 +240,8 @@ def total_energy(spec: SystemSpec, x, v=None):
     """H(x, v) = F^2(x, v) / 2 + U(x)."""
     if v is None:
         x, v = x.x, x.v  # PhaseState
-
-    def interpreted():
-        f2 = geo.f_squared(spec.metric, list(x), list(v))
-        return 0.5 * f2 + spec.potential._interpreted_value(x)
-
-    return _run(_built_flow(spec).code, "energy", list(x) + list(v), interpreted)
+    flow = _built_flow(spec)
+    return ex.run(flow.code, "energy", *ex.scalars(list(x) + list(v)), flow.trees)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ with ``sin``/``cos``/``exp`` bound to the dispatching versions; value parts of
 duals follow float arithmetic, so both runs give the same values.  Every
 imported tree is computed in full, so the generated code raises
 ``ValueError``, ``ZeroDivisionError`` or ``OverflowError`` wherever a tree
-leaves its domain, and callers answer those failures from :func:`evaluate`,
-whose errors name the subexpression.
+leaves its domain.  :func:`run` calls the compiled code and names such a
+failure, never answers it: it re-runs the imported trees at the failing
+point through :func:`evaluate` and :func:`eval_dual`, whose errors name the
+subexpression.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "Graph",
+    "run",
+    "scalars",
     "parse",
     "to_source",
     "variables_of",
@@ -63,6 +67,9 @@ __all__ = [
     "neg",
     "powc",
 ]
+
+
+_DOMAIN_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class ExprError(Exception):
@@ -596,7 +603,7 @@ def evaluate(node: ExprNode, values):
         raise ValueError(f"unknown binary op {node.op!r}")
     except EvalDomainError:
         raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except _DOMAIN_FAILURES as exc:
         raise EvalDomainError(str(exc), node) from exc
 
 
@@ -669,6 +676,7 @@ class Graph:
 
     def __init__(self, dimension: int):
         self.dimension = dimension
+        self.trees: list[ExprNode] = []  # imported by :meth:`tree`, for :func:`run`
         self.ops: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         self._diffs: dict[tuple[int, int], int] = {}
@@ -705,21 +713,25 @@ class Graph:
         if None not in args:
             try:
                 return self.const(_FOLD[op](*args))
-            except (ValueError, ZeroDivisionError, OverflowError):
+            except _DOMAIN_FAILURES:
                 pass  # left to run time, where it raises as the interpreter does
         return self._node(op, a, b)
 
     def tree(self, node: ExprNode) -> int:
-        """Import an expression tree as it stands."""
+        """Import an expression tree as it stands and record it in ``trees``."""
+        self.trees.append(node)
+        return self._import(node)
+
+    def _import(self, node: ExprNode) -> int:
         if isinstance(node, Const):
             return self.const(node.value)
         if isinstance(node, Var):
             return self.var(node.index)
         if isinstance(node, Unary):
-            return self._apply(node.op, self.tree(node.arg))
+            return self._apply(node.op, self._import(node.arg))
         if node.op == "pow":
-            return self._apply("pow", self.tree(node.left), node.right.value)
-        return self._apply(node.op, self.tree(node.left), self.tree(node.right))
+            return self._apply("pow", self._import(node.left), node.right.value)
+        return self._apply(node.op, self._import(node.left), self._import(node.right))
 
     # -- arithmetic with zero and unit operands dropped ---------------------
 
@@ -884,3 +896,34 @@ class Graph:
             exec(code, scope)
             out.append({f[0]: scope[f[0]] for f in functions})
         return out[0], out[1]
+
+
+def scalars(z) -> tuple[list, bool]:
+    """(z, dual): the scalars as a list, converted to floats unless one of
+    them is a :class:`Dual`."""
+    if Dual in map(type, z):
+        return list(z), True
+    return list(map(float, z)), False
+
+
+def run(code, name: str, z: list, dual: bool, trees):
+    """Straight-line function ``name`` of ``code`` = (floats, duals), built by
+    :meth:`Graph.build` from the imported ``trees``, at the scalars ``z``,
+    over duals if ``dual`` (see :func:`scalars`).
+
+    A domain failure of the generated code is named, never answered: the
+    trees are re-run at the float point of z by :func:`evaluate`, then by
+    :func:`eval_dual` of order 1 and of order 2 (the generated code holds
+    derivatives up to second order), and the first :class:`EvalDomainError`
+    is raised.  If none raises, the original exception propagates.
+    """
+    try:
+        return code[dual][name](z)
+    except _DOMAIN_FAILURES:
+        point = list(map(val_of, z))
+        for tree in trees:
+            evaluate(tree, point)
+        for order in (1, 2):
+            for tree in trees:
+                eval_dual(tree, point, None, order)
+        raise

@@ -2,18 +2,18 @@
 
 A :class:`MetricModel` describes the kinetic energy either through a
 symmetric matrix of coefficient expressions g_ij(x) (Riemannian case) or a
-single expression for F^2(x, v) (Finsler case).  The flow compiles F^2
-(:func:`f_squared_node`) into straight-line code with its symbolic
-derivatives (see :mod:`orbitlab.dynamics`).  The routines here evaluate the
-fundamental tensor and the geodesic spray by the interpreter, from exact
-dual-number derivatives of those expressions of at most second order; they
-serve this module's public API, the flow's answer to a domain failure or a
-Finsler rest point, and the test oracles.  Finite differences never enter
-these code paths; they are reserved for test oracles.
+single expression for F^2(x, v) (Finsler case).  :func:`metric_nodes` is the
+one construction of F^2, the fundamental tensor and the spray's right-hand
+side as symbolic derivatives in an :class:`~orbitlab.expr.Graph`.  The flow
+compiles it together with the potential (see :mod:`orbitlab.dynamics`);
+:func:`metric_tensor`, :func:`metric_and_spray` and
+:func:`geodesic_coefficients` run a metric-only build of it, made on first
+use and cached on the model.  Finite differences never enter these code
+paths; they are reserved for test oracles.
 
-Every operation accepts coordinates as sequences of plain floats or of
-:class:`~orbitlab.expr.Dual` scalars, so sensitivities can be propagated
-through the whole kernel by seeding the inputs.
+:func:`f_squared` evaluates F^2 by the interpreter and, like the small
+linear algebra here, accepts plain floats or :class:`~orbitlab.expr.Dual`
+scalars; the compiled routines run over floats or order-1 duals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import OrbitLabError
 from . import expr as ex
-from .expr import Dual, val_of
+from .expr import val_of
 
 __all__ = [
     "Space",
@@ -32,7 +32,7 @@ __all__ = [
     "ModelValidityError",
     "SingularMatrixError",
     "f_squared",
-    "f_squared_node",
+    "metric_nodes",
     "metric_tensor",
     "metric_and_spray",
     "geodesic_coefficients",
@@ -99,11 +99,6 @@ def solve_linear(a, b):
     return out
 
 
-def _inner_tag(scalars) -> int:
-    tags = [s.tag for s in scalars if isinstance(s, Dual)]
-    return max(tags) + 1 if tags else 0
-
-
 def _as_float_matrix(g):
     return np.array([[val_of(e) for e in row] for row in g], dtype=float)
 
@@ -126,8 +121,8 @@ class Space:
     @staticmethod
     def torus(periods) -> "Space":
         periods = tuple(float(p) for p in periods)
-        if any(p <= 0 for p in periods):
-            raise ModelValidityError("torus periods must be positive")
+        if not all(0.0 < p < np.inf for p in periods):
+            raise ModelValidityError("torus periods must be positive and finite")
         return Space("torus", periods)
 
     def wrap(self, x):
@@ -161,6 +156,11 @@ class MetricModel:
     g_exprs: list | None = None
     f2_expr: ex.ExprNode | None = None
     _const_g: np.ndarray | None = field(default=None, repr=False)
+    # (f2_expr, g_exprs, code, trees) of the metric-only build, see _run
+    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_built": None}  # generated code is rebuilt on use
 
     # -- constructors --------------------------------------------------------
 
@@ -205,6 +205,10 @@ class MetricModel:
         n = self.dimension
         if not 1 <= n <= 9:
             raise ModelValidityError("dimension must be between 1 and 9")
+        if self.space.kind == "torus" and len(self.space.periods) != n:
+            raise ModelValidityError(
+                f"torus has {len(self.space.periods)} periods for dimension {n}"
+            )
         if self.kind == "riemannian":
             for row in self.g_exprs:
                 for entry in row:
@@ -275,83 +279,66 @@ def _require_nonzero_v(model: MetricModel, v):
 # ---------------------------------------------------------------------------
 
 def f_squared(model: MetricModel, x, v):
-    """F^2(x, v); for Riemannian models this is g_ij(x) v^i v^j."""
+    """F^2(x, v) by the interpreter; for Riemannian models g_ij(x) v^i v^j."""
     if model.kind == "finsler":
         return ex.evaluate(model.f2_expr, list(x) + list(v))
-    g = _riemannian_g(model, x)
+    values = list(x) + [0.0] * model.dimension
+    g = [[ex.evaluate(e, values) for e in row] for row in model.g_exprs]
     return dot(v, mat_vec(g, v))
 
 
-def f_squared_node(graph: ex.Graph, model: MetricModel) -> int:
-    """F^2 as a node of ``graph``: the Finsler expression, or g_ij(x) v^i v^j
-    summed in the order :func:`f_squared` sums it."""
-    if model.kind == "finsler":
-        return graph.tree(model.f2_expr)
+def metric_nodes(graph: ex.Graph, model: MetricModel):
+    """(F^2, g, c) as nodes of ``graph``: F^2 (the Finsler expression, or
+    g_ij(x) v^i v^j summed in the order :func:`f_squared` sums it), the
+    fundamental tensor g = (1/2) d_v d_v F^2 as an n x n list, and
+    c = (1/2) (v^j d_xj d_v F^2 - d_x F^2), so that the spray is
+    G = (1/2) g^{-1} c.  A constant metric folds to c = 0."""
     n = model.dimension
     v = [graph.var(n + i) for i in range(n)]
+    if model.kind == "finsler":
+        f2 = graph.tree(model.f2_expr)
+    else:
+        def dot_nodes(a, b):
+            acc = graph.mul(a[0], b[0])
+            for i in range(1, n):
+                acc = graph.add(acc, graph.mul(a[i], b[i]))
+            return acc
 
-    def dot_nodes(a, b):
-        acc = graph.mul(a[0], b[0])
-        for i in range(1, n):
-            acc = graph.add(acc, graph.mul(a[i], b[i]))
-        return acc
-
-    g = [[graph.tree(e) for e in row] for row in model.g_exprs]
-    return dot_nodes(v, [dot_nodes(row, v) for row in g])
-
-
-def _riemannian_g(model: MetricModel, x):
-    if model._const_g is not None:
-        return [[float(e) for e in row] for row in model._const_g]
-    n = model.dimension
-    values = list(x) + [0.0] * n
-    return [
-        [ex.evaluate(model.g_exprs[i][j], values) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _riemannian_g_and_derivs(model: MetricModel, x):
-    """(g, dg) with dg[l][i][j] = d g_ij / d x^l, exact via duals."""
-    n = model.dimension
-    tag = _inner_tag(x)
-    values = list(x) + [0.0] * n
-    g = [[None] * n for _ in range(n)]
-    dg = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            d = ex.eval_dual(model.g_exprs[i][j], values, list(range(n)), 1, tag)
-            g[i][j] = d.val
-            g[j][i] = d.val
-            for l in range(n):
-                dg[l][i][j] = d.grad[l]
-                dg[l][j][i] = d.grad[l]
-    return g, dg
-
-
-def _finsler_f2_order2(model: MetricModel, x, v, v_only: bool = False):
-    """(d, g): order-2 dual of F^2 and half its v-Hessian; d is seeded in all 2n
-    directions, or with ``v_only`` in the n velocity ones (same g bit for bit)."""
-    n = model.dimension
-    point = list(x) + list(v)
-    directions, off = (range(n, 2 * n), 0) if v_only else (None, n)
-    d = ex.eval_dual(model.f2_expr, point, directions, 2, _inner_tag(point))
+        rows = [[graph.tree(e) for e in row] for row in model.g_exprs]
+        f2 = dot_nodes(v, [dot_nodes(row, v) for row in rows])
+    half = graph.const(0.5)
+    dv = [graph.diff(f2, n + l) for l in range(n)]
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = 0.5 * d.hess[off + i][off + j]
-            g[i][j] = entry
-            g[j][i] = entry
-    return d, g
+            g[i][j] = g[j][i] = graph.mul(half, graph.diff(dv[i], n + j))
+    c = []
+    for l in range(n):
+        mixed = graph.zero
+        for j in range(n):
+            mixed = graph.add(mixed, graph.mul(v[j], graph.diff(dv[l], j)))
+        c.append(graph.mul(half, graph.sub(mixed, graph.diff(f2, l))))
+    return f2, g, c
+
+
+def _run(model: MetricModel, name: str, x, v):
+    """The model's metric-only straight-line function ``name`` ("tensor": g;
+    "parts": (g, c)) at (x, v), built on first use and again when
+    ``f2_expr`` or ``g_exprs`` is replaced."""
+    built = model._built
+    if built is None or built[0] is not model.f2_expr or built[1] is not model.g_exprs:
+        graph = ex.Graph(model.dimension)
+        f2, g, c = metric_nodes(graph, model)
+        arity = 2 * model.dimension
+        code = graph.build([("tensor", arity, g, (f2,)), ("parts", arity, [g, c], (f2,))])
+        built = model._built = (model.f2_expr, model.g_exprs, code, graph.trees)
+    return ex.run(built[2], name, *ex.scalars(list(x) + list(v)), built[3])
 
 
 def metric_tensor(model: MetricModel, x, v, check: bool = True):
     """Fundamental tensor g_ij(x, v) = half the v-Hessian of F^2."""
     _require_nonzero_v(model, v)
-    if model.kind == "riemannian":
-        g = _riemannian_g(model, x)
-    else:
-        g = _finsler_f2_order2(model, x, v, v_only=True)[1]
+    g = _run(model, "tensor", x, v)
     if check:
         _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
     return g
@@ -361,33 +348,16 @@ def metric_and_spray(model: MetricModel, x, v):
     """(g, G): fundamental tensor and spray coefficients from one evaluation.
 
     The geodesic equation reads xdd^k + 2 G^k(x, xd) = 0, with G positively
-    2-homogeneous in v.  G solves 4 g G = v^j d_j grad_v F^2 - grad_x F^2,
-    which needs derivatives of F^2 up to second order only.  An
-    x-dependent Riemannian g is checked positive definite; a constant one was
-    checked when the model was built.
+    2-homogeneous in v.  G solves 2 g G = c (see :func:`metric_nodes`), which
+    needs derivatives of F^2 up to second order only.  An x-dependent
+    Riemannian g is checked positive definite; a constant one was checked
+    when the model was built.
     """
-    n = model.dimension
-    rhs = []
-    if model.kind == "riemannian":
-        if model._const_g is not None:
-            return _riemannian_g(model, x), [0.0] * n
-        g, dg = _riemannian_g_and_derivs(model, x)
+    _require_nonzero_v(model, v)
+    g, c = _run(model, "parts", x, v)
+    if model.kind == "riemannian" and model._const_g is None:
         _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
-        for l in range(n):
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + (2.0 * dg[j][l][i] - dg[l][i][j]) * v[i] * v[j]
-            rhs.append(acc)
-    else:
-        _require_nonzero_v(model, v)
-        d, g = _finsler_f2_order2(model, x, v)
-        for l in range(n):
-            acc = -d.grad[l]
-            for j in range(n):
-                acc = acc + d.hess[j][n + l] * v[j]
-            rhs.append(acc)
-    return g, [0.25 * s for s in solve_linear(g, rhs)]
+    return g, [0.5 * s for s in solve_linear(g, c)]
 
 
 def geodesic_coefficients(model: MetricModel, x, v):

@@ -201,12 +201,22 @@ def _error_norm(err, y0, y1, rtol, atol) -> float:
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol) -> float:
+    """First step from the scaled norms of y0, f0 and a difference quotient
+    of f.  A non-finite f0, or one whose scaled norm overflows (no step above
+    the floor could resolve it), raises :class:`IntegrationError`."""
+    if not all(map(math.isfinite, f0)):
+        raise IntegrationError(f"non-finite right-hand side at t={t0!r}", t=t0, y=np.array(y0))
     span = t1 - t0
     y = np.array(y0)
     fv = np.array(f0)
     scale = atol + rtol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((fv / scale) ** 2)))
+    with np.errstate(over="ignore"):
+        d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((fv / scale) ** 2)))
+    if d1 == math.inf:
+        raise IntegrationError(
+            f"right-hand side too large for any step at t={t0!r}", t=t0, y=np.array(y0)
+        )
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -214,7 +224,8 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol) -> float:
     h0 = min(h0, span)
     y1 = [y0[i] + h0 * f0[i] for i in range(len(y0))]
     f1 = np.array(f(t0 + h0, y1))
-    d2 = float(np.sqrt(np.mean(((f1 - fv) / scale) ** 2))) / h0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = float(np.sqrt(np.mean(((f1 - fv) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

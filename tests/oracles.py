@@ -6,9 +6,12 @@ geometry routes that only tests use -- third derivatives of F^2 (the Cartan
 tensor, x-derivatives of the fundamental tensor), the Christoffel route to
 the spray, the Legendre transform, the Hamiltonian flow, and the Jacobi
 metric as an expression model with its geodesic flow as a system of its
-own -- live here as well; they are built on the library's duals and
-``f_squared`` but share nothing with the flow's (g, spray) routine they
-cross-check.  The vectorised
+own -- live here as well, and so does the interpreter route to the flow:
+U, grad U, the fundamental tensor, the spray and the acceleration from the
+expression interpreter over order-2 and nested duals.  Apart from the
+Jacobi geodesic flow, which the library integrates, they are built on the
+library's duals and ``f_squared`` and share nothing with the straight-line
+code of ``geometry.metric_nodes`` that they cross-check.  The vectorised
 consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, and
 the intersection scan's spatial hash against the all-pairs candidate
@@ -211,7 +214,7 @@ def christoffel_first(model, x, v):
 def christoffel_second(model, x, v):
     """Gamma^k_ij = g^{kl} gamma_ijl, indexed [k][i][j]."""
     n = model.dimension
-    g = geo.metric_tensor(model, x, v)
+    g = interpreted_metric_and_spray(model, x, v)[0]
     gamma = christoffel_first(model, x, v)
     out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -256,12 +259,12 @@ def legendre_inverse(model, x, y, max_iter: int = 50):
         r = [y[i] - yv[i] for i in range(n)]
         return r, max(abs(c) for c in r)
 
-    v = geo.solve_linear(geo.metric_tensor(model, x, y, check=False), y)
+    v = geo.solve_linear(interpreted_metric_and_spray(model, x, y)[0], y)
     r, rnorm = residual(v)
     for _ in range(max_iter):
         if rnorm <= tol:
             return v
-        step = geo.solve_linear(geo.metric_tensor(model, x, v, check=False), r)
+        step = geo.solve_linear(interpreted_metric_and_spray(model, x, v)[0], r)
         alpha = 1.0
         while alpha >= 2.0**-24:
             v_try = [v[i] + alpha * step[i] for i in range(n)]
@@ -283,6 +286,77 @@ def hamilton_rhs(spec, x, y):
     f2 = geo.f_squared(spec.metric, [ex.Dual.seed(c, n, i) for i, c in enumerate(x)], v)
     df2dx = f2.grad if isinstance(f2, ex.Dual) else [0.0] * n
     return list(v), [0.5 * df2dx[i] - grad_u[i] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# The interpreter route to the flow
+# ---------------------------------------------------------------------------
+
+def _inner_tag(scalars) -> int:
+    """A dual tag above every tag among ``scalars``, so seeds nest over them."""
+    tags = [s.tag for s in scalars if isinstance(s, ex.Dual)]
+    return max(tags) + 1 if tags else 0
+
+
+def interpreted_value(potential, x):
+    """U(x) by the interpreter."""
+    return ex.evaluate(potential.node, list(x) + [0.0] * potential.dimension)
+
+
+def interpreted_gradient(potential, x):
+    """grad U(x) from one dual evaluation seeded in the position directions,
+    nested over any duals in ``x``."""
+    n = potential.dimension
+    point = list(x) + [0.0] * n
+    return list(ex.eval_dual(potential.node, point, range(n), 1, _inner_tag(x)).grad)
+
+
+def interpreted_metric_and_spray(model, x, v):
+    """(g, G) by the interpreter over (nested) duals.
+
+    A Riemannian model gives g and its x-derivatives from order-1 duals of
+    the coefficients, and 4 g G = (2 d_j g_li - d_l g_ij) v^i v^j; a Finsler
+    model gives g and 4 g G = v^j d_j grad_v F^2 - grad_x F^2 from one
+    order-2 dual of F^2 in all 2n directions.
+    """
+    n = model.dimension
+    rhs = []
+    if model.kind == "riemannian":
+        values = list(x) + [0.0] * n
+        tag = _inner_tag(x)
+        duals = [[ex.eval_dual(e, values, range(n), 1, tag) for e in row] for row in model.g_exprs]
+        g = [[d.val for d in row] for row in duals]
+        for l in range(n):
+            acc = 0.0
+            for i in range(n):
+                for j in range(n):
+                    acc = acc + (2.0 * duals[l][i].grad[j] - duals[i][j].grad[l]) * v[i] * v[j]
+            rhs.append(acc)
+    else:
+        point = list(x) + list(v)
+        d = ex.eval_dual(model.f2_expr, point, None, 2, _inner_tag(point))
+        g = [[0.5 * d.hess[n + i][n + j] for j in range(n)] for i in range(n)]
+        for l in range(n):
+            acc = -d.grad[l]
+            for j in range(n):
+                acc = acc + d.hess[j][n + l] * v[j]
+            rhs.append(acc)
+    return g, [0.25 * s for s in geo.solve_linear(g, rhs)]
+
+
+def interpreted_acceleration(spec, x, v):
+    """-2 G(x, v) - g^{-1}(x, v) grad U by the interpreter; at a Finsler rest
+    point the spray is zero and g is taken in the direction -grad U."""
+    model = spec.metric
+    n = model.dimension
+    grad_u = interpreted_gradient(spec.potential, x)
+    if model.kind == "finsler" and all(ex.val_of(c) == 0.0 for c in v):
+        g = interpreted_metric_and_spray(model, x, [-c for c in grad_u])[0]
+        spray = [0.0] * n
+    else:
+        g, spray = interpreted_metric_and_spray(model, x, v)
+    pull = geo.solve_linear(g, grad_u)
+    return [-2.0 * spray[i] - pull[i] for i in range(n)]
 
 
 def conformal_model(jm) -> geo.MetricModel:

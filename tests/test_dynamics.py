@@ -365,6 +365,27 @@ class TestStepper:
         assert 0.5 < info.value.t < 2.0
         assert np.all(np.isfinite(info.value.y))
 
+    @pytest.mark.parametrize(
+        "potential, message",
+        [
+            ("1e308*x1^2", "non-finite right-hand side"),  # acceleration -inf
+            ("-1e300*x1^2", "right-hand side too large"),  # acceleration 2e300
+        ],
+    )
+    def test_rhs_beyond_range_at_start_raises(self, potential, message):
+        spec = dyn.SystemSpec(geo.MetricModel.euclidean(1), ex.parse(potential, 1), 0.0)
+        with pytest.raises(rk.IntegrationError, match=message) as info:
+            dyn.integrate(spec, PhaseState([1.0], [0.0]), (0.0, 1.0))
+        assert info.value.t == 0.0
+        assert list(info.value.y) == [1.0, 0.0]
+
+    def test_rhs_near_overflow_after_start_raises(self):
+        def f(t, y):
+            return [1e300 if t > 0.0 else 1.0]
+
+        with pytest.raises(rk.IntegrationError):
+            rk.solve_rk45(f, (0.0, 1.0), [0.0], dense=False)
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(rk, "_MAX_STEPS", 50)
         with pytest.raises(rk.IntegrationError, match="step cap of 50 steps") as info:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from oracles import (
     legendre_inverse,
     metric_x_derivatives,
 )
+from test_straight_line import REL
 
 
 def quartic_metric(n=2) -> geo.MetricModel:
@@ -100,15 +103,17 @@ class TestMetricTensor:
 
     @pytest.mark.parametrize("make_model", [quartic_metric, x_dependent_finsler_metric])
     def test_finsler_equals_half_vv_block_of_full_hessian(self, make_model):
-        # metric_tensor seeds the velocity directions only
+        # compiled code against one order-2 dual in all 2n directions
         model = make_model()
         n = model.dimension
         rng = np.random.default_rng(11)
         for _ in range(100):
             x, v = list(rng.uniform(-1.5, 1.5, n)), list(rng.uniform(-1.0, 1.0, n))
             full = ex.eval_dual(model.f2_expr, x + v, None, 2)
-            half_vv = [[0.5 * full.hess[n + i][n + j] for j in range(n)] for i in range(n)]
-            assert geo.metric_tensor(model, x, v) == half_vv
+            half_vv = np.array([[0.5 * full.hess[n + i][n + j] for j in range(n)]
+                                for i in range(n)])
+            g = np.array(geo.metric_tensor(model, x, v))
+            assert np.all(np.abs(g - half_vv) <= REL * (1.0 + np.abs(half_vv)))
 
     def test_finsler_needs_nonzero_v(self):
         with pytest.raises(geo.ModelValidityError):
@@ -290,6 +295,18 @@ class TestSpace:
         sp = geo.Space.torus([2.0, 2.0])
         d = sp.delta([1.9, 0.0], [0.1, 0.0])
         assert np.allclose(d, [-0.2, 0.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_period_rejected(self, bad):
+        with pytest.raises(geo.ModelValidityError, match="positive and finite"):
+            geo.Space.torus([1.0, bad])
+
+    @pytest.mark.parametrize("periods", [[1.0], [1.0, 1.0, 1.0]])
+    def test_period_count_must_match_dimension(self, periods):
+        with pytest.raises(geo.ModelValidityError, match="periods for dimension 2"):
+            geo.MetricModel.euclidean(2, geo.Space.torus(periods))
+        with pytest.raises(geo.ModelValidityError, match="periods for dimension 2"):
+            geo.MetricModel.finsler(ex.parse("v1^2 + v2^2", 2), 2, geo.Space.torus(periods))
 
     def test_euclidean_passthrough(self):
         sp = geo.Space.euclidean()

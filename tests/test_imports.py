@@ -32,29 +32,36 @@ def unused_imports(source: str) -> list[str]:
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions, classes and constants that no module
-    of ``sources`` (module name -> text) loads, by name or as an attribute."""
+    """Module-level private functions, classes and constants, and private
+    methods of module-level classes, that no module of ``sources`` (module
+    name -> text) loads, by name or as an attribute."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []
     loaded = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, f"{node.name}.{item.name}", item.name, item.lineno)
+                    for item in node.body if isinstance(item, functions)
+                ]
+            if isinstance(node, (*functions, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            defined += [(module, name, node.lineno) for name in names]
+            defined += [(module, name, name, node.lineno) for name in names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     return sorted(
-        f"{module}.{name} (line {line})"
-        for module, name, line in defined
+        f"{module}.{qualified} (line {line})"
+        for module, qualified, name, line in defined
         if name.startswith("_") and not name.startswith("__") and name not in loaded
     )
 
@@ -82,6 +89,16 @@ def test_detects_unused_private_name():
         "a._Thing (line 5)",
         "a._UNUSED (line 2)",
     ]
+
+
+def test_detects_unused_private_method():
+    sources = {
+        "a": "class Public:\n    def _used(self):\n        return self._helper()\n"
+        "    def _helper(self):\n        return 0\n    def _unused(self):\n        return 1\n"
+        "    def __repr__(self):\n        return ''\n",
+        "b": "import a\na.Public()._used()\n",
+    }
+    assert unused_private_names(sources) == ["a.Public._unused (line 6)"]
 
 
 def test_no_unused_private_names():

@@ -1,11 +1,14 @@
-"""The flow's straight-line code against the interpreter over dual numbers.
+"""The straight-line code against the interpreter over dual numbers.
 
 The interpreter route (``expr.evaluate``/``eval_dual`` and the geometry
-kernel over nested duals) is the oracle.  Compiled U, grad U, ``state_rhs``
-and J W must agree with it within ``REL`` relative to 1 + |oracle| (measured:
-at most 9e-16; first derivatives of a potential round exactly as the duals
-do).  A tangent run's values must equal the plain run's bit for bit, and a
-domain failure must raise the interpreter's error.
+routes of ``oracles`` over order-2 and nested duals) is the oracle.
+Compiled U, grad U, ``state_rhs``, J W and the geometry kernel's
+``metric_tensor``, ``metric_and_spray`` and ``geodesic_coefficients`` must
+agree with it within ``REL`` relative to 1 + |oracle| (measured: at most
+9e-16; first derivatives of a potential round exactly as the duals do).  A
+tangent run's values must equal the plain run's bit for bit, and a domain
+failure, of a value or of a derivative only, must raise the interpreter's
+error naming the subexpression.
 """
 
 import copy
@@ -19,7 +22,13 @@ from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
 
-from oracles import random_expression
+from oracles import (
+    interpreted_acceleration,
+    interpreted_gradient,
+    interpreted_metric_and_spray,
+    interpreted_value,
+    random_expression,
+)
 from test_dynamics import conformal_exp_system, cosine_torus, oscillator, quartic_finsler_well
 
 REL = 1e-13
@@ -60,7 +69,7 @@ METRIC_SYSTEMS = [
 
 def interpreted_state_rhs(spec, z):
     n = spec.dimension
-    return list(z[n:]) + dyn._interpreted_acceleration(spec, list(z[:n]), list(z[n:]))
+    return list(z[n:]) + interpreted_acceleration(spec, list(z[:n]), list(z[n:]))
 
 
 def interpreted_jvp(spec, z, w):
@@ -93,7 +102,7 @@ def test_random_potentials_match_interpreter():
         for z in points:
             x = z[:n]
             assert_close(pf.value(x), ex.evaluate(pf.node, x + [0.0] * n))
-            assert_close(pf.gradient(x), pf._interpreted_gradient(x))
+            assert_close(pf.gradient(x), interpreted_gradient(pf, x))
             value = dyn.state_rhs(spec, 0.0, z)
             assert_close(value, interpreted_state_rhs(spec, z))
             tangent_value, jw = dyn.state_rhs_jvp(spec, z, w)
@@ -114,10 +123,27 @@ def test_metric_models_match_interpreter(system):
         assert_close(value, interpreted_state_rhs(spec, z))
         assert_close(dyn.total_energy(spec, z[:n], z[n:]),
                      0.5 * geo.f_squared(spec.metric, z[:n], z[n:])
-                     + spec.potential._interpreted_value(z[:n]))
+                     + interpreted_value(spec.potential, z[:n]))
         w = rng.standard_normal((2 * n, 2))
         assert_close(dyn.state_rhs_jvp(spec, z, w)[1], interpreted_jvp(spec, z, w))
         assert_close(dyn.rhs_jacobian(spec, z), interpreted_jvp(spec, z, np.eye(2 * n)))
+
+
+@pytest.mark.parametrize("system", METRIC_SYSTEMS, ids=lambda s: s.__name__)
+def test_geometry_kernel_matches_interpreter(system):
+    model = system().metric
+    n = model.dimension
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        x, v = rng.uniform(-1.0, 1.0, n).tolist(), rng.uniform(-1.0, 1.0, n).tolist()
+        g_ref, spray_ref = interpreted_metric_and_spray(model, x, v)
+        g, spray = geo.metric_and_spray(model, x, v)
+        assert_close(g, g_ref)
+        assert_close(spray, spray_ref)
+        assert_close(geo.metric_tensor(model, x, v), g_ref)
+        assert_close(geo.geodesic_coefficients(model, x, v), spray_ref)
+        if model.kind == "riemannian":  # (g_ij + g_ji) / 2 of one node is g_ij exactly
+            assert g == g_ref
 
 
 @pytest.mark.parametrize("system", METRIC_SYSTEMS, ids=lambda s: s.__name__)
@@ -171,10 +197,53 @@ def test_domain_failure_names_the_subexpression(route, term, x1, culprit):
     # the interpreter raises the same error
     with pytest.raises(ex.EvalDomainError) as interpreted:
         if route in ("value", "total_energy"):
-            spec.potential._interpreted_value(z[:2])
+            interpreted_value(spec.potential, z[:2])
         else:
-            spec.potential._interpreted_gradient(z[:2])
+            interpreted_gradient(spec.potential, z[:2])
     assert str(err.value) == str(interpreted.value)
+
+
+@pytest.mark.parametrize("route", ["gradient", "state_rhs", "state_rhs_jvp"])
+def test_failure_of_a_potential_derivative_only_is_named(route):
+    # sqrt(x1^2) = |x1| has a value at x1 = 0 but no derivative there
+    spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), parse2("x2^2 + sqrt(x1^2)"), 1.0)
+    z = [0.0, 0.5, 0.25, -0.5]
+    assert spec.potential.value(z[:2]) == 0.25
+    with pytest.raises(ex.EvalDomainError) as err:
+        _route(route, spec, z)
+    assert err.value.node == parse2("sqrt(x1^2)")
+
+
+def test_failure_of_a_metric_derivative_only_is_named():
+    # d/dx1 of (x1^2)^0.75 holds (x1^2)^-0.25, which has no value at x1 = 0
+    f2 = parse2("(1 + (x1^2)^0.75)*(v1^2 + v2^2)")
+    spec = dyn.SystemSpec(geo.MetricModel.finsler(f2, 2), parse2("x2^2"), 1.0)
+    x, v = [0.0, 0.5], [0.25, -0.5]
+    assert geo.metric_tensor(spec.metric, x, v) == [[1.0, 0.0], [0.0, 1.0]]
+    runs = [lambda: dyn.state_rhs(spec, 0.0, x + v), lambda: geo.metric_and_spray(spec.metric, x, v)]
+    for run in runs:
+        with pytest.raises(ex.EvalDomainError) as err:
+            run()
+        assert err.value.node == parse2("(x1^2)^0.75")
+
+
+def test_failure_of_a_second_derivative_only_is_named():
+    # (v1^2)^1.5 has value and slope at v1 = 0, its second derivative holds (v1^2)^-0.5
+    f2 = parse2("v1^2 + v2^2 + (v1^2)^1.5/sqrt(v1^2 + v2^2)")
+    model = geo.MetricModel.finsler(f2, 2)
+    point = [0.0, 0.0, 0.0, 1.0]
+    ex.eval_dual(f2, point, None, 1)  # order 1 does not meet it
+    with pytest.raises(ex.EvalDomainError) as err:
+        geo.metric_tensor(model, point[:2], point[2:])
+    assert err.value.node == parse2("(v1^2)^1.5")
+
+
+def test_failure_no_tree_reproduces_propagates():
+    def fail(z):
+        raise OverflowError("from the generated code")
+
+    with pytest.raises(OverflowError, match="from the generated code"):
+        ex.run(({"f": fail}, {"f": fail}), "f", [1.0, 0.5, 0.0, 0.0], False, [parse2("x1/x2")])
 
 
 def test_fractional_power_of_negative_base_is_not_complex():
@@ -253,10 +322,35 @@ def test_replaced_node_gives_new_code():
     assert pf.value([3.0, 1.0]) == 3.0
 
 
-def test_finsler_rest_point_answers_from_the_interpreter():
+def test_finsler_rest_point_takes_the_metric_in_the_descent_direction():
     spec = quartic_finsler_well()
     z = [0.3, -0.2, 0.0, 0.0]
-    assert dyn.state_rhs(spec, 0.0, z) == interpreted_state_rhs(spec, z)
+    assert_close(dyn.state_rhs(spec, 0.0, z), interpreted_state_rhs(spec, z))
+
+
+def test_metric_build_is_lazy_and_follows_its_expressions():
+    model = geo.MetricModel.finsler(parse2("v1^2 + v2^2"), 2)
+    x, v = [0.1, 0.2], [0.3, 0.4]
+    assert model._built is None
+    assert geo.metric_tensor(model, x, v) == [[1.0, 0.0], [0.0, 1.0]]
+    built = model._built
+    geo.metric_and_spray(model, x, v)
+    assert model._built is built
+    model.f2_expr = parse2("2*v1^2 + v2^2")
+    assert geo.metric_tensor(model, x, v) == [[2.0, 0.0], [0.0, 1.0]]
+    riemannian = geo.MetricModel.euclidean(2)
+    assert geo.metric_tensor(riemannian, x, v) == [[1.0, 0.0], [0.0, 1.0]]
+    riemannian.g_exprs = [[ex.const(3.0), ex.const(0.0)], [ex.const(0.0), ex.const(1.0)]]
+    assert geo.metric_tensor(riemannian, x, v) == [[3.0, 0.0], [0.0, 1.0]]
+
+
+def test_used_metric_pickles_and_copies():
+    model = quartic_finsler_well().metric
+    x, v = [0.3, -0.2], [0.7, 0.4]
+    g, spray = geo.metric_and_spray(model, x, v)
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone._built is None
+        assert geo.metric_and_spray(clone, x, v) == (g, spray)
 
 
 def test_used_system_pickles_and_copies():
