@@ -14,6 +14,7 @@ corrects it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,38 +41,41 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class PotentialField:
     """Potential U(x) given by an expression over the position variables,
     evaluable over floats or dual scalars.
 
-    U and grad U run as straight-line code built on first use from the node
-    the field holds at that time (:class:`~orbitlab.expr.Graph`).
+    U and grad U run as straight-line code built once, on first use
+    (:class:`~orbitlab.expr.Graph`).
     """
 
-    def __init__(self, node: ex.ExprNode, dimension: int):
-        bad = [k for k in ex.variables_of(node) if k >= dimension]
+    node: ex.ExprNode
+    dimension: int
+
+    def __post_init__(self):
+        bad = [k for k in ex.variables_of(self.node) if k >= self.dimension]
         if bad:
             raise geo.ModelValidityError(
                 "potential may depend on position variables only"
             )
-        self.node = node
-        self.dimension = dimension
-        self._built = None  # (node, code, trees)
 
     def __getstate__(self):
-        return {**self.__dict__, "_built": None}  # generated code is rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}  # rebuilt on use
+
+    @cached_property
+    def _code(self):
+        graph = ex.Graph(self.dimension)
+        u = graph.tree(self.node)
+        grad = [graph.diff(u, i) for i in range(self.dimension)]
+        code = graph.build(
+            [("value", self.dimension, u, ()), ("gradient", self.dimension, grad, (u,))]
+        )
+        return code, graph.trees
 
     def _run(self, name, x):
-        built = self._built
-        if built is None or built[0] is not self.node:
-            graph = ex.Graph(self.dimension)
-            u = graph.tree(self.node)
-            grad = [graph.diff(u, i) for i in range(self.dimension)]
-            code = graph.build(
-                [("value", self.dimension, u, ()), ("gradient", self.dimension, grad, (u,))]
-            )
-            built = self._built = (self.node, code, graph.trees)
-        return ex.run(built[1], name, *ex.scalars(x), built[2])
+        code, trees = self._code
+        return ex.run(code, name, *ex.scalars(x), trees)
 
     def value(self, x):
         return self._run("value", x)
@@ -82,48 +86,32 @@ class PotentialField:
         return self._run("gradient", x)
 
 
-class _Flow:
-    """Straight-line code of one (metric, potential) pair.
-
-    ``parts(z)`` returns (g, c): the nodes of
-    :func:`~orbitlab.geometry.metric_nodes` with grad U added to c, so the
-    acceleration is -g^{-1} c and a constant metric folds to c = grad U.
-    ``energy(z)`` is F^2 / 2 + U.  The metric and the potential are one
-    build, so their common subexpressions are computed once.
-    """
-
-    def __init__(self, metric: MetricModel, potential: PotentialField):
-        self.metric, self.potential, self.node = metric, potential, potential.node
-        n = metric.dimension
-        graph = ex.Graph(n)
-        f2, g, c = geo.metric_nodes(graph, metric)
-        u = graph.tree(potential.node)
-        c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
-        energy = graph.add(graph.mul(graph.const(0.5), f2), u)
-        self.code = graph.build(
-            [("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ())]
-        )
-        self.trees = graph.trees
-        self.finsler = metric.kind == "finsler"
-        self.check_definite = metric.kind == "riemannian" and metric._const_g is None
-
-
-@dataclass
+@dataclass(frozen=True)
 class SystemSpec:
     """Kinetic metric + potential + fixed energy level.
 
-    The flow's straight-line code is built on first use and rebuilt when
-    ``metric`` or ``potential`` is replaced.
+    The flow runs as straight-line code built once, on first use.  Its
+    ``parts(z)`` returns (g, c): the nodes of
+    :func:`~orbitlab.geometry.metric_nodes` with grad U added to c, so the
+    acceleration is -g^{-1} c and a constant metric folds to c = grad U.
+    Its ``energy(z)`` is F^2 / 2 + U.  The metric and the potential are one
+    build, so their common subexpressions are computed once.
     """
 
     metric: MetricModel
     potential: PotentialField
     energy: float
-    _flow: _Flow | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.potential, (ex.Const, ex.Var, ex.Unary, ex.Binary)):
-            self.potential = PotentialField(self.potential, self.metric.dimension)
+            object.__setattr__(
+                self, "potential", PotentialField(self.potential, self.metric.dimension)
+            )
+        if self.potential.dimension != self.metric.dimension:
+            raise geo.ModelValidityError(
+                f"potential of dimension {self.potential.dimension} for a metric of "
+                f"dimension {self.metric.dimension}"
+            )
         if not np.isfinite(self.energy):
             raise geo.ModelValidityError("energy level must be finite")
 
@@ -132,7 +120,18 @@ class SystemSpec:
         return self.metric.dimension
 
     def __getstate__(self):
-        return {**self.__dict__, "_flow": None}  # generated code is rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}  # rebuilt on use
+
+    @cached_property
+    def _code(self):
+        n = self.dimension
+        graph = ex.Graph(n)
+        f2, g, c = geo.metric_nodes(graph, self.metric)
+        u = graph.tree(self.potential.node)
+        c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
+        energy = graph.add(graph.mul(graph.const(0.5), f2), u)
+        code = graph.build([("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ())])
+        return code, graph.trees
 
 
 @dataclass
@@ -158,20 +157,6 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def _built_flow(spec: SystemSpec) -> _Flow:
-    """The system's straight-line code, built for its current (metric,
-    potential) pair."""
-    flow = spec._flow
-    if (
-        flow is None
-        or flow.metric is not spec.metric
-        or flow.potential is not spec.potential
-        or flow.node is not spec.potential.node
-    ):
-        flow = spec._flow = _Flow(spec.metric, spec.potential)
-    return flow
-
-
 def _acceleration(spec: SystemSpec, z, dual: bool):
     """-g^{-1} c from the flow's straight-line code over the scalars z: one
     solve.
@@ -181,18 +166,18 @@ def _acceleration(spec: SystemSpec, z, dual: bool):
     of steepest descent w = -grad U, which is the direction the flow leaves
     a rest point along, so the acceleration is -g(x, w)^{-1} grad U.
     """
-    flow = _built_flow(spec)
+    code, trees = spec._code
     n = spec.dimension
-    if flow.finsler and not any(map(val_of, z[n:])):
+    if spec.metric.kind == "finsler" and not any(map(val_of, z[n:])):
         grad_u = spec.potential.gradient(z[:n])
         if not any(map(val_of, grad_u)):
             raise geo.ModelValidityError(
                 "Finsler flow undefined at a rest point with vanishing grad U"
             )
-        g = ex.run(flow.code, "parts", z[:n] + [-c for c in grad_u], dual, flow.trees)[0]
+        g = ex.run(code, "parts", z[:n] + [-c for c in grad_u], dual, trees)[0]
         return [-a for a in solve_linear(g, grad_u)]
-    g, c = ex.run(flow.code, "parts", z, dual, flow.trees)
-    if flow.check_definite:
+    g, c = ex.run(code, "parts", z, dual, trees)
+    if spec.metric.varying:
         geo._require_positive_definite(geo._as_float_matrix(g), "fundamental tensor")
     return [-a for a in solve_linear(g, c)]
 
@@ -240,8 +225,8 @@ def total_energy(spec: SystemSpec, x, v=None):
     """H(x, v) = F^2(x, v) / 2 + U(x)."""
     if v is None:
         x, v = x.x, x.v  # PhaseState
-    flow = _built_flow(spec)
-    return ex.run(flow.code, "energy", *ex.scalars(list(x) + list(v)), flow.trees)
+    code, trees = spec._code
+    return ex.run(code, "energy", *ex.scalars(list(x) + list(v)), trees)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ scalars; the compiled routines run over floats or order-1 duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,15 +115,23 @@ class Space:
     kind: str  # "euclidean" | "torus"
     periods: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind == "torus":
+            periods = () if self.periods is None else tuple(float(p) for p in self.periods)
+            if not periods or not all(0.0 < p < np.inf for p in periods):
+                raise ModelValidityError("torus periods must be positive and finite")
+            object.__setattr__(self, "periods", periods)
+        elif self.kind != "euclidean":
+            raise ModelValidityError(f"unknown space kind {self.kind!r}")
+        elif self.periods is not None:
+            raise ModelValidityError("a euclidean space has no periods")
+
     @staticmethod
     def euclidean() -> "Space":
         return Space("euclidean")
 
     @staticmethod
     def torus(periods) -> "Space":
-        periods = tuple(float(p) for p in periods)
-        if not all(0.0 < p < np.inf for p in periods):
-            raise ModelValidityError("torus periods must be positive and finite")
         return Space("torus", periods)
 
     def wrap(self, x):
@@ -141,49 +150,70 @@ class Space:
         return d - ls * np.round(d / ls)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricModel:
     """Kinetic-energy model: Riemannian coefficient matrix or Finsler F^2.
 
-    Riemannian entries may depend on positions only; a Finsler F^2 expression
-    uses both positions and velocities and must be positively homogeneous of
-    degree 2 and reversible in v (spot-checked at construction).
+    Riemannian entries may depend on positions only; the n x n matrix is
+    symmetrized from its upper triangle, and an entry given as None is taken
+    from its mirror.  A Finsler F^2 expression uses both positions and
+    velocities and must be positively homogeneous of degree 2 and reversible
+    in v (spot-checked at construction).  Every construction is validated.
     """
 
     kind: str  # "riemannian" | "finsler"
     dimension: int
     space: Space
-    g_exprs: list | None = None
+    g_exprs: tuple | None = None
     f2_expr: ex.ExprNode | None = None
-    _const_g: np.ndarray | None = field(default=None, repr=False)
-    # (f2_expr, g_exprs, code, trees) of the metric-only build, see _run
-    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.dimension
+        if not 1 <= n <= 9:
+            raise ModelValidityError("dimension must be between 1 and 9")
+        if self.space.kind == "torus" and len(self.space.periods) != n:
+            raise ModelValidityError(
+                f"torus has {len(self.space.periods)} periods for dimension {n}"
+            )
+        if self.kind == "riemannian":
+            object.__setattr__(self, "g_exprs", _symmetrized(self.g_exprs, n))
+            if any(k >= n for row in self.g_exprs for e in row for k in ex.variables_of(e)):
+                raise ModelValidityError("riemannian coefficients may depend on positions only")
+            if not self.varying:
+                g = np.array([[e.value for e in row] for row in self.g_exprs], dtype=float)
+                _require_positive_definite(g, "constant metric")
+        elif self.kind == "finsler":
+            self._spot_check_finsler()
+        else:
+            raise ModelValidityError(f"unknown metric kind {self.kind!r}")
 
     def __getstate__(self):
-        return {**self.__dict__, "_built": None}  # generated code is rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}  # rebuilt on use
+
+    @cached_property
+    def varying(self) -> bool:
+        """A Riemannian g that depends on x, so it is checked positive
+        definite where it is evaluated; a constant g is checked once, at
+        construction."""
+        return self.kind == "riemannian" and not all(
+            isinstance(e, ex.Const) for row in self.g_exprs for e in row
+        )
+
+    @cached_property
+    def _code(self):
+        """(code, trees) of the metric-only straight-line build, see :func:`_run`."""
+        graph = ex.Graph(self.dimension)
+        f2, g, c = metric_nodes(graph, self)
+        arity = 2 * self.dimension
+        code = graph.build([("tensor", arity, g, (f2,)), ("parts", arity, [g, c], (f2,))])
+        return code, graph.trees
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def riemannian(entries, space: Space | None = None) -> "MetricModel":
-        """Build from a full or upper-triangular matrix of expressions.
-
-        The stored matrix is symmetrized from the upper triangle, so symmetry
-        holds by construction.
-        """
-        n = len(entries)
-        space = space or Space.euclidean()
-        g = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                entry = entries[i][j]
-                if entry is None:
-                    entry = entries[j][i]
-                g[i][j] = entry
-                g[j][i] = entry
-        model = MetricModel("riemannian", n, space, g_exprs=g)
-        model._validate()
-        return model
+        """Build from a full or upper-triangular n x n matrix of expressions."""
+        return MetricModel("riemannian", len(entries), space or Space.euclidean(), g_exprs=entries)
 
     @staticmethod
     def euclidean(dimension: int, space: Space | None = None) -> "MetricModel":
@@ -195,40 +225,9 @@ class MetricModel:
 
     @staticmethod
     def finsler(f2: ex.ExprNode, dimension: int, space: Space | None = None) -> "MetricModel":
-        model = MetricModel("finsler", dimension, space or Space.euclidean(), f2_expr=f2)
-        model._validate()
-        return model
+        return MetricModel("finsler", dimension, space or Space.euclidean(), f2_expr=f2)
 
     # -- validation ----------------------------------------------------------
-
-    def _validate(self):
-        n = self.dimension
-        if not 1 <= n <= 9:
-            raise ModelValidityError("dimension must be between 1 and 9")
-        if self.space.kind == "torus" and len(self.space.periods) != n:
-            raise ModelValidityError(
-                f"torus has {len(self.space.periods)} periods for dimension {n}"
-            )
-        if self.kind == "riemannian":
-            for row in self.g_exprs:
-                for entry in row:
-                    bad = [k for k in ex.variables_of(entry) if k >= n]
-                    if bad:
-                        raise ModelValidityError(
-                            "riemannian coefficients may depend on positions only"
-                        )
-            if all(
-                isinstance(e, ex.Const) for row in self.g_exprs for e in row
-            ):
-                g = np.array(
-                    [[e.value for e in row] for row in self.g_exprs], dtype=float
-                )
-                _require_positive_definite(g, "constant metric")
-                self._const_g = g
-        elif self.kind == "finsler":
-            self._spot_check_finsler()
-        else:
-            raise ModelValidityError(f"unknown metric kind {self.kind!r}")
 
     def _spot_check_finsler(self):
         rng = np.random.default_rng(20240331)
@@ -267,6 +266,23 @@ def _require_positive_definite(g: np.ndarray, what: str):
         raise ModelValidityError(
             f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})"
         )
+
+
+def _symmetrized(entries, n: int) -> tuple:
+    """n x n tuple of entries[i][j] for i <= j (else entries[j][i]) and its mirror."""
+    rows = [len(row) for row in entries or ()]
+    if rows != [n] * n:
+        raise ModelValidityError(
+            f"riemannian entries must be {n} rows of {n}, got row lengths {rows}"
+        )
+
+    def upper(i, j):
+        entry = entries[i][j] if entries[i][j] is not None else entries[j][i]
+        if entry is None:
+            raise ModelValidityError(f"riemannian entry ({i + 1}, {j + 1}) is missing")
+        return entry
+
+    return tuple(tuple(upper(min(i, j), max(i, j)) for j in range(n)) for i in range(n))
 
 
 def _require_nonzero_v(model: MetricModel, v):
@@ -323,16 +339,9 @@ def metric_nodes(graph: ex.Graph, model: MetricModel):
 
 def _run(model: MetricModel, name: str, x, v):
     """The model's metric-only straight-line function ``name`` ("tensor": g;
-    "parts": (g, c)) at (x, v), built on first use and again when
-    ``f2_expr`` or ``g_exprs`` is replaced."""
-    built = model._built
-    if built is None or built[0] is not model.f2_expr or built[1] is not model.g_exprs:
-        graph = ex.Graph(model.dimension)
-        f2, g, c = metric_nodes(graph, model)
-        arity = 2 * model.dimension
-        code = graph.build([("tensor", arity, g, (f2,)), ("parts", arity, [g, c], (f2,))])
-        built = model._built = (model.f2_expr, model.g_exprs, code, graph.trees)
-    return ex.run(built[2], name, *ex.scalars(list(x) + list(v)), built[3])
+    "parts": (g, c)) at (x, v), built once, on first use."""
+    code, trees = model._code
+    return ex.run(code, name, *ex.scalars(list(x) + list(v)), trees)
 
 
 def metric_tensor(model: MetricModel, x, v, check: bool = True):
@@ -355,7 +364,7 @@ def metric_and_spray(model: MetricModel, x, v):
     """
     _require_nonzero_v(model, v)
     g, c = _run(model, "parts", x, v)
-    if model.kind == "riemannian" and model._const_g is None:
+    if model.varying:
         _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
     return g, [0.5 * s for s in solve_linear(g, c)]
 

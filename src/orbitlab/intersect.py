@@ -486,6 +486,6 @@ def self_intersections(orbit: PeriodicOrbit) -> IntersectionReport:
 
 def mutual_intersections(a: PeriodicOrbit, b: PeriodicOrbit) -> IntersectionReport:
     """Common points of two geometrically distinct orbits of one system."""
-    if a.spec.dimension != b.spec.dimension:
+    if a.spec != b.spec:
         raise OrbitLabError("orbits must come from the same system")
     return _scan(_Strand(a), _Strand(b))

@@ -138,6 +138,27 @@ class TestModelValidation:
                 [[ex.parse("1 + v1^2", 1)]]
             )
 
+    def test_non_square_riemannian_entries_rejected(self):
+        # a third column used to be dropped silently
+        row = [ex.const(1.0), ex.const(0.0), ex.const(0.0)]
+        with pytest.raises(geo.ModelValidityError, match=r"2 rows of 2, got row lengths \[3, 3\]"):
+            geo.MetricModel.riemannian([row, row])
+
+    def test_ragged_riemannian_entries_rejected(self):
+        # a short row used to raise IndexError
+        one, zero = ex.const(1.0), ex.const(0.0)
+        with pytest.raises(geo.ModelValidityError, match=r"2 rows of 2, got row lengths \[2, 1\]"):
+            geo.MetricModel.riemannian([[one, zero], [one]])
+        with pytest.raises(geo.ModelValidityError, match=r"entry \(1, 2\) is missing"):
+            geo.MetricModel.riemannian([[one, None], [None, one]])
+
+    def test_lower_triangle_may_be_left_out(self):
+        one, half = ex.const(1.0), ex.const(0.5)
+        full = geo.MetricModel.riemannian([[one, half], [half, one]])
+        assert geo.MetricModel.riemannian([[one, half], [None, one]]) == full
+        assert geo.MetricModel.riemannian([[one, None], [half, one]]) == full
+        assert full.g_exprs == ((one, half), (half, one))
+
     def test_homogeneity_property_sweep(self):
         model = quartic_metric()
         rng = np.random.default_rng(11)
@@ -307,6 +328,25 @@ class TestSpace:
             geo.MetricModel.euclidean(2, geo.Space.torus(periods))
         with pytest.raises(geo.ModelValidityError, match="periods for dimension 2"):
             geo.MetricModel.finsler(ex.parse("v1^2 + v2^2", 2), 2, geo.Space.torus(periods))
+
+    @pytest.mark.parametrize("periods", [None, (), []])
+    def test_torus_needs_periods(self, periods):
+        with pytest.raises(geo.ModelValidityError, match="positive and finite"):
+            geo.Space("torus", periods)
+
+    def test_direct_torus_is_checked_and_stored_as_floats(self):
+        with pytest.raises(geo.ModelValidityError, match="positive and finite"):
+            geo.Space("torus", (1.0, -1.0))
+        assert geo.Space("torus", [1, 2]) == geo.Space.torus([1.0, 2.0])
+        assert geo.Space("torus", [1, 2]).periods == (1.0, 2.0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(geo.ModelValidityError, match="unknown space kind 'klein'"):
+            geo.Space("klein")
+
+    def test_euclidean_space_takes_no_periods(self):
+        with pytest.raises(geo.ModelValidityError, match="no periods"):
+            geo.Space("euclidean", (1.0, 1.0))
 
     def test_euclidean_passthrough(self):
         sp = geo.Space.euclidean()

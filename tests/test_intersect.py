@@ -12,6 +12,7 @@ from orbitlab import intersect as isect
 from orbitlab import orbits as orb
 from orbitlab import reference as ref
 from orbitlab.dynamics import PhaseState
+from orbitlab.errors import OrbitLabError
 
 
 def flat_torus(periods=(2 * math.pi, 2 * math.pi), energy=0.5):
@@ -157,6 +158,22 @@ class TestMutualIntersections:
         assert fast.dp_count == slow.dp_count
         assert fast.dp_count == 2
         assert len(fast.pairs) == len(slow.pairs)
+
+    def test_orbits_of_different_systems_rejected(self):
+        # a plane orbit used to be scanned with the torus minimal image
+        torus = straight_rotation(flat_torus(), [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        plane_spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), ex.parse("0", 2), 0.5)
+        plane = straight_rotation(plane_spec, [0.0, 0.0], [0.0, 1.0], 2 * math.pi)
+        other_energy = straight_rotation(flat_torus(energy=2.0), [0.0, 0.0], [0.0, 2.0], math.pi)
+        for a, b in ((torus, plane), (plane, torus), (torus, other_energy)):
+            with pytest.raises(OrbitLabError, match="same system"):
+                isect.mutual_intersections(a, b)
+
+    def test_equal_systems_built_apart_are_one_system(self):
+        a = straight_rotation(flat_torus(), [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        b = straight_rotation(flat_torus(), [0.0, 0.0], [0.0, 1.0], 2 * math.pi)
+        assert a.spec is not b.spec
+        assert isect.mutual_intersections(a, b).dp_count == 1
 
     def test_symmetry_under_swap(self):
         spec, orbit1 = nonresonant_brake(1)

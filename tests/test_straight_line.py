@@ -14,6 +14,7 @@ error naming the subexpression.
 import copy
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -281,45 +282,77 @@ def test_singular_finsler_metric_is_reported():
 
 
 # ---------------------------------------------------------------------------
-# Building and rebuilding
+# Building once: immutable models
 # ---------------------------------------------------------------------------
 
 def test_build_is_lazy():
     spec = oscillator()
-    assert spec._flow is None
+    assert "_code" not in vars(spec)
     dyn.state_rhs(spec, 0.0, [0.1, 0.2, 0.3, 0.4])
-    flow = spec._flow
+    code = spec._code
     dyn.state_rhs(spec, 0.0, [0.2, 0.2, 0.3, 0.4])
-    assert spec._flow is flow
+    assert spec._code is code
 
 
-def test_new_potential_gives_new_flow():
-    spec = oscillator((1.0, 2.0))
-    z = [0.5, 0.25, 0.1, -0.2]
-    assert dyn.state_rhs(spec, 0.0, z)[2:] == [-0.5, -1.0]
-    for k in range(1, 12):
-        # each replaced field is freed, so its id may come back for the next
-        spec.potential = dyn.PotentialField(parse2(f"{k}*x1 + x2^2"), 2)
-        assert dyn.state_rhs(spec, 0.0, z)[2:] == [-float(k), -0.5]
-        assert dyn.total_energy(spec, z[:2], z[2:]) == pytest.approx(0.5 * k + 0.0625 + 0.025)
-        assert spec.potential.gradient(z[:2]) == [float(k), 0.5]
+@pytest.mark.parametrize(
+    "target, field, value",
+    [
+        (oscillator, "potential", dyn.PotentialField(parse2("x1 + x2^2"), 2)),
+        (oscillator, "metric", geo.MetricModel.euclidean(2)),
+        (oscillator, "energy", 2.0),
+        (lambda: dyn.PotentialField(parse2("x1^2"), 2), "node", parse2("x1*x2")),
+        (lambda: geo.MetricModel.finsler(parse2("v1^2 + v2^2"), 2), "f2_expr", parse2("2*v1^2")),
+        (lambda: geo.MetricModel.euclidean(2), "g_exprs", ((ex.const(2.0),),)),
+        (lambda: geo.Space.torus([1.0, 2.0]), "periods", (3.0, 4.0)),
+    ],
+    ids=[
+        "spec.potential", "spec.metric", "spec.energy", "pf.node",
+        "model.f2_expr", "model.g_exprs", "space.periods",
+    ],
+)
+def test_replacing_a_field_raises(target, field, value):
+    with pytest.raises(FrozenInstanceError):
+        setattr(target(), field, value)
 
 
-def test_new_metric_gives_new_flow():
+def test_replacing_a_metric_entry_raises():
+    model = geo.MetricModel.euclidean(2)
+    with pytest.raises(TypeError):
+        model.g_exprs[0] = (ex.const(2.0), ex.const(0.0))
+    with pytest.raises(TypeError):
+        model.g_exprs[0][0] = ex.const(2.0)
+
+
+def test_flow_and_metric_tensor_read_one_metric():
+    # a replaced g used to reach metric_tensor but not the compiled flow
     spec = oscillator((1.0, 1.0))
     z = [0.5, 0.25, 0.1, -0.2]
-    assert dyn.total_energy(spec, z[:2], z[2:]) == pytest.approx(0.025 + 0.15625)
-    spec.metric = geo.MetricModel.riemannian([[ex.const(2.0), ex.const(0.0)], [None, ex.const(2.0)]])
-    assert dyn.state_rhs(spec, 0.0, z)[2:] == [-0.25, -0.125]
-    assert dyn.total_energy(spec, z[:2], z[2:]) == pytest.approx(0.05 + 0.15625)
+    with pytest.raises(FrozenInstanceError):
+        spec.metric.g_exprs = (
+            (ex.const(2.0), ex.const(0.0)), (ex.const(0.0), ex.const(2.0))
+        )
+    assert geo.metric_tensor(spec.metric, z[:2], z[2:]) == [[1.0, 0.0], [0.0, 1.0]]
+    assert dyn.state_rhs(spec, 0.0, z)[2:] == [-0.5, -0.25]
+    doubled = dyn.SystemSpec(
+        geo.MetricModel.riemannian([[ex.const(2.0), ex.const(0.0)], [None, ex.const(2.0)]]),
+        spec.potential,
+        spec.energy,
+    )
+    assert geo.metric_tensor(doubled.metric, z[:2], z[2:]) == [[2.0, 0.0], [0.0, 2.0]]
+    assert dyn.state_rhs(doubled, 0.0, z)[2:] == [-0.25, -0.125]
 
 
-def test_replaced_node_gives_new_code():
-    pf = dyn.PotentialField(parse2("x1^2"), 2)
-    assert pf.gradient([3.0, 1.0]) == [6.0, 0.0]
-    pf.node = parse2("x1*x2")
-    assert pf.gradient([3.0, 1.0]) == [1.0, 3.0]
-    assert pf.value([3.0, 1.0]) == 3.0
+def test_x_dependent_entries_are_checked_definite():
+    # x-dependent entries given to a constant metric used to skip the check
+    model = geo.MetricModel.euclidean(2)
+    varying = ((parse2("x1"), ex.const(0.0)), (ex.const(0.0), ex.const(1.0)))
+    with pytest.raises(FrozenInstanceError):
+        model.g_exprs = varying
+    assert not model.varying
+    model = geo.MetricModel.riemannian(varying)
+    assert model.varying
+    with pytest.raises(geo.ModelValidityError, match="not positive definite"):
+        geo.metric_and_spray(model, [-1.0, 0.0], [1.0, 1.0])
 
 
 def test_finsler_rest_point_takes_the_metric_in_the_descent_direction():
@@ -328,20 +361,14 @@ def test_finsler_rest_point_takes_the_metric_in_the_descent_direction():
     assert_close(dyn.state_rhs(spec, 0.0, z), interpreted_state_rhs(spec, z))
 
 
-def test_metric_build_is_lazy_and_follows_its_expressions():
+def test_metric_build_is_lazy():
     model = geo.MetricModel.finsler(parse2("v1^2 + v2^2"), 2)
     x, v = [0.1, 0.2], [0.3, 0.4]
-    assert model._built is None
+    assert "_code" not in vars(model)
     assert geo.metric_tensor(model, x, v) == [[1.0, 0.0], [0.0, 1.0]]
-    built = model._built
+    code = model._code
     geo.metric_and_spray(model, x, v)
-    assert model._built is built
-    model.f2_expr = parse2("2*v1^2 + v2^2")
-    assert geo.metric_tensor(model, x, v) == [[2.0, 0.0], [0.0, 1.0]]
-    riemannian = geo.MetricModel.euclidean(2)
-    assert geo.metric_tensor(riemannian, x, v) == [[1.0, 0.0], [0.0, 1.0]]
-    riemannian.g_exprs = [[ex.const(3.0), ex.const(0.0)], [ex.const(0.0), ex.const(1.0)]]
-    assert geo.metric_tensor(riemannian, x, v) == [[3.0, 0.0], [0.0, 1.0]]
+    assert model._code is code
 
 
 def test_used_metric_pickles_and_copies():
@@ -349,7 +376,7 @@ def test_used_metric_pickles_and_copies():
     x, v = [0.3, -0.2], [0.7, 0.4]
     g, spray = geo.metric_and_spray(model, x, v)
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
-        assert clone._built is None
+        assert "_code" not in vars(clone)
         assert geo.metric_and_spray(clone, x, v) == (g, spray)
 
 
@@ -359,6 +386,41 @@ def test_used_system_pickles_and_copies():
     value = dyn.state_rhs(spec, 0.0, z)
     energy = dyn.total_energy(spec, z[:2], z[2:])
     for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
-        assert clone._flow is None and clone.potential._built is None
+        assert "_code" not in vars(clone) and "_code" not in vars(clone.potential)
         assert dyn.state_rhs(clone, 0.0, z) == value
         assert dyn.total_energy(clone, z[:2], z[2:]) == energy
+
+
+def test_models_compare_and_hash_by_value():
+    assert geo.MetricModel.euclidean(2) == geo.MetricModel.euclidean(2)
+    assert hash(geo.MetricModel.euclidean(2)) == hash(geo.MetricModel.euclidean(2))
+    torus = geo.Space.torus([1.0, 1.0])
+    assert geo.MetricModel.euclidean(2) != geo.MetricModel.euclidean(2, torus)
+    assert geo.MetricModel.euclidean(2) != geo.MetricModel.euclidean(3)
+    assert oscillator((1.0, 2.0)) == oscillator((1.0, 2.0))
+    assert oscillator((1.0, 2.0)) != oscillator((1.0, 3.0))
+    spec = quartic_finsler_well()
+    dyn.state_rhs(spec, 0.0, [0.3, -0.2, 0.7, 0.4])
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert clone == spec and hash(clone) == hash(spec)
+        assert clone.metric == spec.metric and clone.potential == spec.potential
+
+
+def test_direct_construction_is_validated():
+    indefinite = ((ex.const(-1.0), ex.const(0.0)), (ex.const(0.0), ex.const(1.0)))
+    with pytest.raises(geo.ModelValidityError, match="not positive definite"):
+        geo.MetricModel("riemannian", 2, geo.Space.euclidean(), g_exprs=indefinite)
+    with pytest.raises(geo.ModelValidityError, match="homogeneous"):
+        geo.MetricModel("finsler", 2, geo.Space.euclidean(), f2_expr=parse2("v1^2 + v2^3"))
+    with pytest.raises(geo.ModelValidityError, match="unknown metric kind"):
+        geo.MetricModel("lorentzian", 2, geo.Space.euclidean())
+
+
+def test_potential_and_metric_dimensions_must_agree():
+    # x3 of a 3-D potential used to be read from the v1 slot of a 2-D flow
+    with pytest.raises(geo.ModelValidityError, match="dimension"):
+        dyn.SystemSpec(
+            geo.MetricModel.euclidean(2), dyn.PotentialField(ex.parse("x1^2 + x3^2", 3), 3), 1.0
+        )
+    with pytest.raises(geo.ModelValidityError, match="dimension"):
+        dyn.SystemSpec(geo.MetricModel.euclidean(3), dyn.PotentialField(parse2("x1^2"), 2), 1.0)
