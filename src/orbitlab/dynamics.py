@@ -2,13 +2,13 @@
 
 A :class:`SystemSpec` couples a kinetic metric model with a potential and an
 energy level.  The flow lives on the velocity chart (x, v) and runs as the
-system's straight-line code (:func:`orbitlab.geometry.metric_nodes` plus the
-potential, compiled once per system); its derivatives come from one run of
-that code over dual numbers (:func:`state_rhs_jvp`).  A domain failure in it
-raises the interpreter's error naming the subexpression
-(:func:`orbitlab.expr.run`); the interpreter never supplies a value of the
-flow.  The integrator records energy drift along every trajectory but never
-corrects it.
+system's straight-line code over floats (:func:`orbitlab.geometry.metric_nodes`
+plus the potential and their derivatives in every state variable, compiled
+once per system), which also gives its tangent (:func:`state_rhs_jvp`).  A
+domain failure in the code raises the interpreter's error naming the
+subexpression (:func:`orbitlab.expr.run`); the interpreter never supplies a
+value of the flow.  The integrator records energy drift along every
+trajectory but never corrects it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import rk
-from .expr import Dual, val_of
 from .geometry import MetricModel, solve_linear
 from .rk import EventSpec
 
@@ -43,11 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Potential U(x) given by an expression over the position variables,
-    evaluable over floats or dual scalars.
+    """Potential U(x) given by an expression over the position variables.
 
-    U and grad U run as straight-line code built once, on first use
-    (:class:`~orbitlab.expr.Graph`).
+    U, grad U and the Hessian of U run as straight-line code over floats,
+    built once, on first use (:class:`~orbitlab.expr.Graph`).
     """
 
     node: ex.ExprNode
@@ -65,25 +63,29 @@ class PotentialField:
 
     @cached_property
     def _code(self):
-        graph = ex.Graph(self.dimension)
+        n = self.dimension
+        graph = ex.Graph(n)
         u = graph.tree(self.node)
-        grad = [graph.diff(u, i) for i in range(self.dimension)]
+        grad = [graph.diff(u, i) for i in range(n)]
+        hessian = [[graph.diff(d, j) for j in range(n)] for d in grad]
         code = graph.build(
-            [("value", self.dimension, u, ()), ("gradient", self.dimension, grad, (u,))]
+            [("value", n, u, ()), ("gradient", n, grad, (u,)), ("hessian", n, hessian, (u,))]
         )
         return code, graph.trees
 
     def _run(self, name, x):
         code, trees = self._code
-        return ex.run(code, name, *ex.scalars(x), trees)
+        return ex.run(code, name, list(map(float, x)), trees)
 
     def value(self, x):
         return self._run("value", x)
 
     def gradient(self, x):
-        """Exact gradient; over dual ``x`` its entries carry the Hessian
-        applied to their seeds."""
         return self._run("gradient", x)
+
+    def hessian(self, x):
+        """n x n list whose row i is the gradient of dU/dx_i."""
+        return self._run("hessian", x)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,9 @@ class SystemSpec:
     ``parts(z)`` returns (g, c): the nodes of
     :func:`~orbitlab.geometry.metric_nodes` with grad U added to c, so the
     acceleration is -g^{-1} c and a constant metric folds to c = grad U.
-    Its ``energy(z)`` is F^2 / 2 + U.  The metric and the potential are one
+    Its ``tangent(z)`` returns (g, c, dg, dc) with dg[l][k][j] = d g_lj / d z_k
+    and dc[l][k] = d c_l / d z_k over the 2n state variables z = (x, v).  Its
+    ``energy(z)`` is F^2 / 2 + U.  The metric and the potential are one
     build, so their common subexpressions are computed once.
     """
 
@@ -130,7 +134,11 @@ class SystemSpec:
         u = graph.tree(self.potential.node)
         c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
         energy = graph.add(graph.mul(graph.const(0.5), f2), u)
-        code = graph.build([("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ())])
+        zs = range(2 * n)
+        dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
+        dc = [[graph.diff(e, k) for k in zs] for e in c]
+        code = graph.build([("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ()),
+                            ("tangent", 2 * n, [g, c, dg, dc], (f2, u))])
         return code, graph.trees
 
 
@@ -157,63 +165,69 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def _acceleration(spec: SystemSpec, z, dual: bool):
-    """-g^{-1} c from the flow's straight-line code over the scalars z: one
-    solve.
+def _acceleration(spec: SystemSpec, z: list, name: str = "parts"):
+    """(a, rest, out): a = -g^{-1} c at the float state z, whether z is a
+    Finsler rest point, and the output of the flow's function ``name`` that
+    gave g.
 
     For a Finsler kinetic model the spray extends continuously by zero to
-    v = 0 (degree-2 homogeneity); the metric there is taken in the direction
-    of steepest descent w = -grad U, which is the direction the flow leaves
-    a rest point along, so the acceleration is -g(x, w)^{-1} grad U.
+    v = 0 (degree-2 homogeneity); g there is taken in the direction of
+    steepest descent w = -grad U, along which the flow leaves a rest point,
+    so ``out`` is taken at (x, w) and a = -g(x, w)^{-1} grad U.
     """
     code, trees = spec._code
     n = spec.dimension
-    if spec.metric.kind == "finsler" and not any(map(val_of, z[n:])):
+    rest = spec.metric.kind == "finsler" and not any(z[n:])
+    if rest:
         grad_u = spec.potential.gradient(z[:n])
-        if not any(map(val_of, grad_u)):
+        if not any(grad_u):
             raise geo.ModelValidityError(
                 "Finsler flow undefined at a rest point with vanishing grad U"
             )
-        g = ex.run(code, "parts", z[:n] + [-c for c in grad_u], dual, trees)[0]
-        return [-a for a in solve_linear(g, grad_u)]
-    g, c = ex.run(code, "parts", z, dual, trees)
+        z = z[:n] + [-c for c in grad_u]
+    out = ex.run(code, name, z, trees)
     if spec.metric.varying:
-        geo._require_positive_definite(geo._as_float_matrix(g), "fundamental tensor")
-    return [-a for a in solve_linear(g, c)]
+        geo._require_positive_definite(out[0], "fundamental tensor")
+    return [-a for a in solve_linear(out[0], grad_u if rest else out[1])], rest, out
 
 
 def lagrange_rhs(spec: SystemSpec, x, v):
     """Acceleration of the Lagrangian flow: -2 G(x, v) - g^{-1}(x, v) grad U.
 
     It runs as -g^{-1} c from the system's straight-line code (see
-    :class:`SystemSpec`), over floats or duals.  At a Finsler rest point
-    v = 0 the metric is evaluated in the direction of steepest descent.
+    :class:`SystemSpec`).  At a Finsler rest point v = 0 the metric is
+    evaluated in the direction of steepest descent.
     """
-    return _acceleration(spec, *ex.scalars(list(x) + list(v)))
+    return _acceleration(spec, [*map(float, x), *map(float, v)])[0]
 
 
 def state_rhs(spec: SystemSpec, t, z):
     """First-order form over z = (x, v)."""
-    z, dual = ex.scalars(z)
-    return z[spec.dimension:] + _acceleration(spec, z, dual)
+    z = list(map(float, z))
+    return z[spec.dimension:] + _acceleration(spec, z)[0]
 
 
 def state_rhs_jvp(spec: SystemSpec, z, w):
-    """(f(z), J(z) W) for a 2n x m tangent W.
+    """(f(z), J(z) W) for a 2n x m tangent W, with f(z) :func:`state_rhs`'s
+    bit for bit.  Every derivative of the flow (shooting, monodromy, the
+    Jacobian) comes from here.
 
-    Component i of the float state z is seeded with row i of W and the
-    flow's straight-line code runs over these order-1 duals, so the
-    derivative parts of the result are the rows of J(z) W and its values
-    are :func:`state_rhs` bit for bit.  Every derivative of the flow
-    (shooting, monodromy, the Jacobian) comes from here.
+    J W = [W_v; DA W].  From g a = -c, DA = -g^{-1} (dc + dg a) with the
+    flow's ``tangent`` derivatives (see :class:`SystemSpec`).  At a Finsler
+    rest point a = -g(x, -grad U)^{-1} grad U, so DA is -g^{-1} (H + (dg_x -
+    dg_v H) a) in x, with H the Hessian of U, and zero in v.
     """
+    z = list(map(float, z))
     w = np.asarray(w, dtype=float)
-    m = w.shape[1]
-    seeds = [Dual(m, 1, 0, float(c), row) for c, row in zip(z, w.tolist())]
-    out = state_rhs(spec, 0.0, seeds)
-    zero = [0.0] * m
-    jw = np.array([c.grad if isinstance(c, Dual) else zero for c in out], dtype=float)
-    return [val_of(c) for c in out], jw
+    n = spec.dimension
+    a, rest, (g, _, dg, dc) = _acceleration(spec, z, "tangent")
+    dga = np.array(dg) @ a
+    if rest:
+        h = np.array(spec.potential.hessian(z[:n]))
+        da = np.hstack([h + dga[:, :n] - dga[:, n:] @ h, np.zeros((n, n))])
+    else:
+        da = np.array(dc) + dga
+    return z[n:] + a, np.vstack([w[n:], -np.linalg.solve(g, da @ w)])
 
 
 def rhs_jacobian(spec: SystemSpec, z):
@@ -226,7 +240,7 @@ def total_energy(spec: SystemSpec, x, v=None):
     if v is None:
         x, v = x.x, x.v  # PhaseState
     code, trees = spec._code
-    return ex.run(code, "energy", *ex.scalars(list(x) + list(v)), trees)
+    return ex.run(code, "energy", [*map(float, x), *map(float, v)], trees)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +310,14 @@ class Trajectory:
         return self.state(t)[..., n:]
 
 
+def _state(spec: SystemSpec, z) -> list[float]:
+    """z as floats, checked to hold the 2n entries of a state."""
+    z, n = list(map(float, z)), spec.dimension
+    if len(z) != 2 * n:
+        raise ValueError(f"state has {len(z)} entries; a system of dimension {n} needs {2 * n}")
+    return z
+
+
 def integrate(
     spec: SystemSpec,
     initial: PhaseState,
@@ -317,7 +339,7 @@ def integrate(
     res = rk.solve_rk45(
         f,
         t_span,
-        initial.flat(),
+        _state(spec, initial.flat()),
         rtol=rtol,
         atol=atol,
         events=tuple(events),
@@ -350,5 +372,5 @@ def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
     def f(t, z, w):
         return state_rhs_jvp(spec, z, w)
 
-    res = rk.solve_rk45(f, (0.0, t_end), z0, dense=False, w0=w0)
+    res = rk.solve_rk45(f, (0.0, t_end), _state(spec, z0), dense=False, w0=w0)
     return res.ys[-1], res.w_final

@@ -13,25 +13,23 @@ Exponents must be numeric constants.  Unary minus binds looser than "^"
 (``-x1^2`` is ``-(x1^2)``), function application binds tighter
 (``sin(x1)^2`` is ``(sin x1)^2``).
 
-Evaluation works over plain floats or over :class:`Dual` scalars, which carry
-directional derivatives of first or second order.  Duals may be nested (a
-dual whose coefficients are themselves duals): an order-2 dual over order-1
-seeds of another tag gives exact third derivatives of any composite numerical
-routine built on them.
+The interpreter (:func:`evaluate`, :func:`eval_dual`) works over plain
+floats or over :class:`Dual` scalars, which carry directional derivatives of
+first or second order.  Duals may be nested (a dual whose coefficients are
+themselves duals): an order-2 dual over order-1 seeds of another tag gives
+exact third derivatives of any composite numerical routine built on them.
 
 :class:`Graph` turns trees into straight-line Python (source transformation,
 Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).  It imports
 trees into one hash-consed DAG, differentiates them symbolically with the
 rules :class:`Dual` applies, folds constants, and compiles the functions it
-is asked for once.  Each compiled function runs over floats, or over duals
-with ``sin``/``cos``/``exp`` bound to the dispatching versions; value parts of
-duals follow float arithmetic, so both runs give the same values.  Every
-imported tree is computed in full, so the generated code raises
-``ValueError``, ``ZeroDivisionError`` or ``OverflowError`` wherever a tree
-leaves its domain.  :func:`run` calls the compiled code and names such a
-failure, never answers it: it re-runs the imported trees at the failing
-point through :func:`evaluate` and :func:`eval_dual`, whose errors name the
-subexpression.
+is asked for once.  The compiled functions run over floats only; every
+derivative they return is a node of the graph.  Every imported tree is
+computed in full, so the generated code raises ``ValueError``,
+``ZeroDivisionError`` or ``OverflowError`` wherever a tree leaves its domain.
+:func:`run` calls the compiled code and names such a failure, never answers
+it: it re-runs the imported trees at the failing point through
+:func:`evaluate` and :func:`eval_dual`, whose errors name the subexpression.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "EvalDomainError",
     "Graph",
     "run",
-    "scalars",
     "parse",
     "to_source",
     "variables_of",
@@ -647,10 +644,9 @@ _FOLD = {
     "sqrt": _sqrt,
 }
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-# Library of the generated code: math over floats, dispatch over duals.
-# log, sqrt and fractional powers keep the interpreter's domain checks in both.
-_FLOAT_LIB = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": _log, "sqrt": _sqrt, "pw": _pow}
-_DUAL_LIB = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt, "pw": _pow}
+# Library of the generated code; log, sqrt and fractional powers keep the
+# interpreter's domain checks.
+_LIB = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": _log, "sqrt": _sqrt, "pw": _pow}
 
 
 def _literal(value: float) -> str:
@@ -886,44 +882,30 @@ class Graph:
             lines.append(f"    return {self._render(result)}")
         return "\n".join(lines) + "\n"
 
-    def build(self, functions) -> tuple[dict, dict]:
-        """Compile :meth:`source` once; (floats, duals) map each name to the
-        function run over floats and the same code run with dual dispatch."""
-        code = compile(self.source(functions), "<orbitlab straight-line>", "exec")
-        out = []
-        for lib in (_FLOAT_LIB, _DUAL_LIB):
-            scope = dict(lib)
-            exec(code, scope)
-            out.append({f[0]: scope[f[0]] for f in functions})
-        return out[0], out[1]
+    def build(self, functions) -> dict:
+        """Compile and run :meth:`source` once; map each name to its function."""
+        scope = dict(_LIB)
+        exec(compile(self.source(functions), "<orbitlab straight-line>", "exec"), scope)
+        return {f[0]: scope[f[0]] for f in functions}
 
 
-def scalars(z) -> tuple[list, bool]:
-    """(z, dual): the scalars as a list, converted to floats unless one of
-    them is a :class:`Dual`."""
-    if Dual in map(type, z):
-        return list(z), True
-    return list(map(float, z)), False
-
-
-def run(code, name: str, z: list, dual: bool, trees):
-    """Straight-line function ``name`` of ``code`` = (floats, duals), built by
-    :meth:`Graph.build` from the imported ``trees``, at the scalars ``z``,
-    over duals if ``dual`` (see :func:`scalars`).
+def run(code: dict, name: str, z: list, trees):
+    """Straight-line function ``name`` of ``code``, built by
+    :meth:`Graph.build` from the imported ``trees``, at the floats ``z``.
 
     A domain failure of the generated code is named, never answered: the
-    trees are re-run at the float point of z by :func:`evaluate`, then by
-    :func:`eval_dual` of order 1 and of order 2 (the generated code holds
-    derivatives up to second order), and the first :class:`EvalDomainError`
-    is raised.  If none raises, the original exception propagates.
+    trees are re-run at z by :func:`evaluate`, then by :func:`eval_dual` of
+    order 1 and of order 2, and the first :class:`EvalDomainError` is raised.
+    If none raises, the original exception propagates; so does a failure
+    that only a third derivative meets (the flow's tangent holds third
+    derivatives of F^2).
     """
     try:
-        return code[dual][name](z)
+        return code[name](z)
     except _DOMAIN_FAILURES:
-        point = list(map(val_of, z))
         for tree in trees:
-            evaluate(tree, point)
+            evaluate(tree, z)
         for order in (1, 2):
             for tree in trees:
-                eval_dual(tree, point, None, order)
+                eval_dual(tree, z, None, order)
         raise

@@ -11,9 +11,9 @@ compiles it together with the potential (see :mod:`orbitlab.dynamics`);
 use and cached on the model.  Finite differences never enter these code
 paths; they are reserved for test oracles.
 
-:func:`f_squared` evaluates F^2 by the interpreter and, like the small
-linear algebra here, accepts plain floats or :class:`~orbitlab.expr.Dual`
-scalars; the compiled routines run over floats or order-1 duals.
+The compiled routines run over floats only.  :func:`f_squared` evaluates
+F^2 by the interpreter and, like the small linear algebra here, accepts
+plain floats or :class:`~orbitlab.expr.Dual` scalars.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ def solve_linear(a, b):
     return out
 
 
-def _as_float_matrix(g):
-    return np.array([[val_of(e) for e in row] for row in g], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Spaces and models
 # ---------------------------------------------------------------------------
@@ -158,7 +154,8 @@ class MetricModel:
     symmetrized from its upper triangle, and an entry given as None is taken
     from its mirror.  A Finsler F^2 expression uses both positions and
     velocities and must be positively homogeneous of degree 2 and reversible
-    in v (spot-checked at construction).  Every construction is validated.
+    in v (spot-checked at construction).  A model takes no field of the other
+    kind.  Every construction is validated.
     """
 
     kind: str  # "riemannian" | "finsler"
@@ -176,6 +173,8 @@ class MetricModel:
                 f"torus has {len(self.space.periods)} periods for dimension {n}"
             )
         if self.kind == "riemannian":
+            if self.f2_expr is not None:
+                raise ModelValidityError("a riemannian model takes no F^2 expression")
             object.__setattr__(self, "g_exprs", _symmetrized(self.g_exprs, n))
             if any(k >= n for row in self.g_exprs for e in row for k in ex.variables_of(e)):
                 raise ModelValidityError("riemannian coefficients may depend on positions only")
@@ -183,6 +182,10 @@ class MetricModel:
                 g = np.array([[e.value for e in row] for row in self.g_exprs], dtype=float)
                 _require_positive_definite(g, "constant metric")
         elif self.kind == "finsler":
+            if self.f2_expr is None or self.g_exprs is not None:
+                raise ModelValidityError("a finsler model takes an F^2 expression and no entries")
+            if any(k >= 2 * n for k in ex.variables_of(self.f2_expr)):
+                raise ModelValidityError(f"F^2 may use only the {2 * n} state variables")
             self._spot_check_finsler()
         else:
             raise ModelValidityError(f"unknown metric kind {self.kind!r}")
@@ -259,7 +262,7 @@ class MetricModel:
         return rng.uniform(-1.5, 1.5, n)
 
 
-def _require_positive_definite(g: np.ndarray, what: str):
+def _require_positive_definite(g, what: str):
     eigs = np.linalg.eigvalsh(g)
     trace = float(np.trace(g))
     if trace <= 0.0 or eigs[0] <= _PD_RELATIVE_FLOOR * trace:
@@ -286,7 +289,7 @@ def _symmetrized(entries, n: int) -> tuple:
 
 
 def _require_nonzero_v(model: MetricModel, v):
-    if model.kind == "finsler" and all(val_of(c) == 0.0 for c in v):
+    if model.kind == "finsler" and not any(v):
         raise ModelValidityError("Finsler metric quantities need v != 0")
 
 
@@ -341,15 +344,15 @@ def _run(model: MetricModel, name: str, x, v):
     """The model's metric-only straight-line function ``name`` ("tensor": g;
     "parts": (g, c)) at (x, v), built once, on first use."""
     code, trees = model._code
-    return ex.run(code, name, *ex.scalars(list(x) + list(v)), trees)
+    return ex.run(code, name, [*map(float, x), *map(float, v)], trees)
 
 
-def metric_tensor(model: MetricModel, x, v, check: bool = True):
-    """Fundamental tensor g_ij(x, v) = half the v-Hessian of F^2."""
+def metric_tensor(model: MetricModel, x, v):
+    """Fundamental tensor g_ij(x, v) = half the v-Hessian of F^2, checked
+    positive definite."""
     _require_nonzero_v(model, v)
     g = _run(model, "tensor", x, v)
-    if check:
-        _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
+    _require_positive_definite(g, "fundamental tensor")
     return g
 
 
@@ -365,7 +368,7 @@ def metric_and_spray(model: MetricModel, x, v):
     _require_nonzero_v(model, v)
     g, c = _run(model, "parts", x, v)
     if model.varying:
-        _require_positive_definite(_as_float_matrix(g), "fundamental tensor")
+        _require_positive_definite(g, "fundamental tensor")
     return g, [0.5 * s for s in solve_linear(g, c)]
 
 

@@ -21,7 +21,6 @@ from . import geometry as geo
 from . import rk
 from .dynamics import SystemSpec, Trajectory
 from .errors import OrbitLabError
-from .expr import val_of
 
 __all__ = [
     "JacobiError",
@@ -64,7 +63,7 @@ class JacobiMetric:
         return self.spec.energy
 
     def psi(self, x):
-        """Conformal factor 2 (E - U(x)); generic over scalar type."""
+        """Conformal factor 2 (E - U(x))."""
         return 2.0 * (self.spec.energy - self.spec.potential.value(list(x)))
 
     def psi_gradient(self, x):
@@ -72,7 +71,7 @@ class JacobiMetric:
         return [-2.0 * g for g in grad_u]
 
     def margin(self, x) -> float:
-        return self.spec.energy - val_of(self.spec.potential.value(list(x)))
+        return self.spec.energy - self.spec.potential.value(x)
 
     def check_interior(self, x):
         m = self.margin(x)
@@ -141,7 +140,7 @@ class GeodesicCurve:
 
     def velocity(self, s: float) -> np.ndarray:
         t = self.time_at(s)
-        psi = val_of(self.jm.psi(self.source.position(t)))
+        psi = self.jm.psi(self.source.position(t))
         return self.source.velocity(t) / psi
 
 
@@ -171,7 +170,7 @@ class OrbitCurve:
     def velocity(self, t: float) -> np.ndarray:
         s = self.arclength_at(t)
         x = self.source.position(s)
-        psi = val_of(self.jm.psi(x))
+        psi = self.jm.psi(x)
         return self.source.velocity(s) * psi
 
 
@@ -217,7 +216,7 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
         jm.check_interior(x)
 
     def psi_at(t):
-        return val_of(jm.psi(traj.position(t)))
+        return jm.psi(traj.position(t))
 
     s_total, inv = _reparametrize(psi_at, lambda t: 1.0 / psi_at(t), traj.t0, traj.t1)
     curve = GeodesicCurve(jm, traj, inv, s_total)
@@ -226,7 +225,7 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
     for s in np.linspace(0.0, s_total, 65):
         x = curve.position(float(s))
         xp = curve.velocity(float(s))
-        f2 = val_of(jacobi_f2(jm, list(x), list(xp)))
+        f2 = float(jacobi_f2(jm, list(x), list(xp)))
         err = max(err, abs(f2 - 1.0))
     curve.max_unit_speed_error = err
     if err > 1e-6:
@@ -248,14 +247,14 @@ def geodesic_to_orbit(curve, jm: JacobiMetric) -> OrbitCurve:
     for s in np.linspace(s0, s1, 33):
         x = curve.position(float(s))
         xp = curve.velocity(float(s))
-        f2 = val_of(jacobi_f2(jm, list(x), list(xp)))
+        f2 = float(jacobi_f2(jm, list(x), list(xp)))
         if abs(f2 - 1.0) > 1e-6:
             raise EnergyMismatchError(
                 f"input curve is not unit-speed (Fbar^2 = {f2:.8f} at s={s:.3f})"
             )
 
     def psi_at(s):
-        return val_of(jm.psi(curve.position(s)))
+        return jm.psi(curve.position(s))
 
     t_total, inv = _reparametrize(lambda s: 1.0 / psi_at(s), psi_at, s0, s1)
     return OrbitCurve(jm, curve, inv, t_total)

@@ -22,8 +22,8 @@ first return time and the closed run of the returned orbit.
 
 Monodromy integrates the variational equations M' = J(z) M alongside the
 orbit as one augmented system, so step-size control watches M as well as the
-orbit; J(z) M comes from one run of the system's straight-line code over dual
-numbers per stage (:func:`~orbitlab.dynamics.state_rhs_jvp`).
+orbit; J(z) M comes from the derivatives in the system's straight-line code,
+one run per stage (:func:`~orbitlab.dynamics.state_rhs_jvp`).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expr as ex
 from . import geometry as geo
 from .dynamics import (
     PhaseState,
@@ -157,10 +158,10 @@ def _project_to_level(spec: SystemSpec, x):
     x = np.asarray(x, dtype=float).copy()
     target = spec.energy
     for _ in range(_PROJECT_MAX_ITER):
-        u = val_of(spec.potential.value(list(x)))
+        u = spec.potential.value(x)
         if abs(u - target) <= 1e-13 * (1.0 + abs(target)):
             return x
-        grad = np.array([val_of(c) for c in spec.potential.gradient(list(x))])
+        grad = np.array(spec.potential.gradient(x))
         g2 = float(np.dot(grad, grad))
         if g2 < 1e-12:
             raise PreconditionError(
@@ -256,12 +257,12 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     seed_tol = 0.5 * (1.0 + abs(e_level))
     v_tol = 1e-10 * (1.0 + math.sqrt(2.0 * abs(e_level)))
 
-    u_seed = val_of(spec.potential.value(list(seed)))
+    u_seed = spec.potential.value(seed)
     if abs(u_seed - e_level) > seed_tol:
         raise PreconditionError(
             f"seed potential U = {u_seed:.6g} too far from E = {e_level:.6g}"
         )
-    grad = np.array([val_of(c) for c in spec.potential.gradient(list(seed))])
+    grad = np.array(spec.potential.gradient(seed))
     if np.linalg.norm(grad) <= 1e-6:
         raise PreconditionError(
             "E is not regular for U near the seed (grad U below 1e-6)"
@@ -285,7 +286,7 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     def chart(z):
         """{U = E} as a graph over its tangent plane at the rest point z[:n]."""
         p = z[:n]
-        grad_p = np.array([val_of(c) for c in spec.potential.gradient(list(p))])
+        grad_p = np.array(spec.potential.gradient(p))
         basis = _complement_basis(grad_p)  # n x (n-1)
         w0 = np.vstack([basis, np.zeros((n, n - 1))])
         return z, w0, lambda u: np.concatenate(
@@ -429,7 +430,7 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
             ]
             norm2 = geo.dot(d, d)
             dn = [c / norm2**0.5 for c in d]
-            u_val = spec.potential.value(x0)
+            u_val = ex.evaluate(spec.potential.node, x0)
             f2 = geo.f_squared(spec.metric, x0, dn)
             c = (2.0 * (e_level - u_val) / f2) ** 0.5
             return x0 + [c * dc for dc in dn]

@@ -215,6 +215,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             dyn.integrate(sys, PhaseState([1, 0], [0, 0]), (0.0, 1.0), rtol=1e-14)
 
+    def test_state_of_the_wrong_size_rejected(self):
+        # used to fail inside the generated code with an unpacking error
+        sys = oscillator()
+        with pytest.raises(ValueError, match="state has 3 entries; a system of dimension 2 needs 4"):
+            dyn.integrate(sys, PhaseState([1.0], [0.0, 0.0]), (0.0, 1.0))
+        with pytest.raises(ValueError, match="state has 5 entries; a system of dimension 2 needs 4"):
+            dyn.integrate_sensitivity(sys, [1.0, 0.0, 0.0, 0.0, 0.0], np.ones((5, 1)), 1.0)
+
     def test_torus_cover_and_wrap(self):
         metric = geo.MetricModel.euclidean(1, geo.Space.torus([2.0]))
         sys = dyn.SystemSpec(metric, ex.parse("0", 1), 0.5)

@@ -216,8 +216,7 @@ class TestGraph:
         graph = ex.Graph(dimension)
         node = graph.tree(ex.parse(source, dimension))
         result = node if outputs is None else outputs(graph, node)
-        floats, duals = graph.build([("f", 2 * dimension, result, (node,))])
-        return graph, floats["f"], duals["f"]
+        return graph, graph.build([("f", 2 * dimension, result, (node,))])["f"]
 
     def test_common_subexpressions_are_one_node(self):
         graph = ex.Graph(1)
@@ -233,17 +232,9 @@ class TestGraph:
         assert graph.add(graph.zero, graph.var(1)) == graph.var(1)
 
     def test_failing_constant_is_left_to_run_time(self):
-        _, f, _ = self.compile_one("x1 + log(0 - 1)")
+        _, f = self.compile_one("x1 + log(0 - 1)")
         with pytest.raises(ValueError):
             f([1.0, 0.0, 0.0, 0.0])
-
-    def test_floats_and_duals_run_one_code_object(self):
-        _, f, fd = self.compile_one("sin(x1)*exp(x2) + cos(x1)")
-        assert f.__code__ is fd.__code__
-        point = [0.3, -0.7, 0.0, 0.0]
-        d = fd([ex.Dual.seed(c, 4, i) for i, c in enumerate(point)])
-        assert d.val == f(point)
-        assert d.grad == ex.eval_dual(ex.parse("sin(x1)*exp(x2) + cos(x1)", 2), point).grad
 
     @pytest.mark.parametrize(
         "source",
@@ -255,7 +246,7 @@ class TestGraph:
         def gradient(graph, node):
             return [graph.diff(node, i) for i in range(4)]
 
-        _, f, _ = self.compile_one(source, outputs=gradient)
+        _, f = self.compile_one(source, outputs=gradient)
         point = [0.7, 1.3, 0.0, 0.0]
         assert f(point) == ex.eval_dual(ex.parse(source, 2), point).grad
 
@@ -269,13 +260,13 @@ class TestGraph:
 
             graph = ex.Graph(1)
             k = graph.tree(node)
-            f = graph.build([("h", 2, hessian(graph, k), (k,))])[0]["h"]
+            f = graph.build([("h", 2, hessian(graph, k), (k,))])["h"]
             point = [rng.uniform(-1.5, 1.5) for _ in range(2)]
             expect = np.array(dual_scalar(node, point, order=2).second)
             assert np.allclose(f(point), expect, rtol=1e-12, atol=1e-12)
 
     def test_fractional_power_keeps_the_domain_check(self):
-        graph, f, _ = self.compile_one("x1^0.5")
+        graph, f = self.compile_one("x1^0.5")
         assert "pw(" in graph.source([("f", 4, graph.tree(ex.parse("x1^0.5", 2)), ())])
         with pytest.raises(ValueError, match="fractional power of negative base"):
             f([-4.0, 0.0, 0.0, 0.0])

@@ -159,6 +159,27 @@ class TestModelValidation:
         assert geo.MetricModel.riemannian([[one, None], [half, one]]) == full
         assert full.g_exprs == ((one, half), (half, one))
 
+    def test_finsler_model_needs_its_f2(self):
+        # used to raise AttributeError from the spot check
+        with pytest.raises(geo.ModelValidityError, match="F\\^2 expression"):
+            geo.MetricModel("finsler", 2, geo.Space.euclidean())
+
+    def test_f2_beyond_the_state_variables_rejected(self):
+        # v2 of a 3-D parse is variable 4, past the four of dimension 2; used
+        # to raise IndexError from the spot check
+        with pytest.raises(geo.ModelValidityError, match="only the 4 state variables"):
+            geo.MetricModel.finsler(ex.parse("v1^2 + v2^2 + x3^2*v1^2", 3), 2)
+
+    def test_field_of_the_other_kind_rejected(self):
+        # a riemannian model used to keep and ignore an F^2 expression
+        one, zero = ex.const(1.0), ex.const(0.0)
+        f2 = ex.parse("v1^2 + v2^2", 2)
+        entries = ((one, zero), (zero, one))
+        with pytest.raises(geo.ModelValidityError, match="takes no F\\^2"):
+            geo.MetricModel("riemannian", 2, geo.Space.euclidean(), g_exprs=entries, f2_expr=f2)
+        with pytest.raises(geo.ModelValidityError, match="no entries"):
+            geo.MetricModel("finsler", 2, geo.Space.euclidean(), g_exprs=entries, f2_expr=f2)
+
     def test_homogeneity_property_sweep(self):
         model = quartic_metric()
         rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,12 @@ def unused_imports(source: str) -> list[str]:
         ):
             used.update(ast.literal_eval(node.value))
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def missing_exports(module) -> list[str]:
+    """``__all__`` entries that name no attribute of ``module``;
+    :func:`unused_imports` counts them as used."""
+    return sorted(name for name in getattr(module, "__all__", ()) if not hasattr(module, name))
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
@@ -76,6 +83,18 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_missing_export():
+    module = types.ModuleType("a")
+    exec("__all__ = ['kept', 'gone']\nkept = 1\n", vars(module))
+    assert missing_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_missing_exports(path):
+    name = "orbitlab" if path.stem == "__init__" else f"orbitlab.{path.stem}"
+    assert missing_exports(importlib.import_module(name)) == []
 
 
 def test_detects_unused_private_name():

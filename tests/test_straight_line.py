@@ -2,10 +2,11 @@
 
 The interpreter route (``expr.evaluate``/``eval_dual`` and the geometry
 routes of ``oracles`` over order-2 and nested duals) is the oracle.
-Compiled U, grad U, ``state_rhs``, J W and the geometry kernel's
-``metric_tensor``, ``metric_and_spray`` and ``geodesic_coefficients`` must
-agree with it within ``REL`` relative to 1 + |oracle| (measured: at most
-9e-16; first derivatives of a potential round exactly as the duals do).  A
+Compiled U, grad U and its Hessian, ``state_rhs``, J W (also at Finsler
+rest points) and the geometry kernel's ``metric_tensor``,
+``metric_and_spray`` and ``geodesic_coefficients`` must agree with it within
+``REL`` relative to 1 + |oracle| (measured: at most 9.8e-16; first
+derivatives of a potential round exactly as the duals do).  A
 tangent run's values must equal the plain run's bit for bit, and a domain
 failure, of a value or of a derivative only, must raise the interpreter's
 error naming the subexpression.
@@ -111,6 +112,30 @@ def test_random_potentials_match_interpreter():
             assert_close(jw, interpreted_jvp(spec, z, w))
         checked += 1
     assert checked == N_POTENTIALS
+
+
+def test_potential_hessian_matches_interpreter():
+    for spec, points in random_potentials():
+        n, pf = spec.dimension, spec.potential
+        for z in points:
+            seeds = [ex.Dual.seed(c, n, i) for i, c in enumerate(z[:n])]
+            rows = [d.grad if isinstance(d, ex.Dual) else [0.0] * n
+                    for d in interpreted_gradient(pf, seeds)]
+            assert_close(pf.hessian(z[:n]), rows)
+
+
+@pytest.mark.parametrize("system", [quartic_finsler_well, position_dependent_finsler],
+                         ids=lambda s: s.__name__)
+def test_finsler_rest_point_tangent_matches_interpreter(system):
+    spec = system()
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        z = rng.uniform(-1.0, 1.0, 2).tolist() + [0.0, 0.0]
+        w = rng.standard_normal((4, 3))
+        value, jw = dyn.state_rhs_jvp(spec, z, w)
+        assert value == dyn.state_rhs(spec, 0.0, z)
+        assert_close(jw, interpreted_jvp(spec, z, w))
+        assert_close(dyn.rhs_jacobian(spec, z), interpreted_jvp(spec, z, np.eye(4)))
 
 
 @pytest.mark.parametrize("system", METRIC_SYSTEMS, ids=lambda s: s.__name__)
@@ -244,7 +269,7 @@ def test_failure_no_tree_reproduces_propagates():
         raise OverflowError("from the generated code")
 
     with pytest.raises(OverflowError, match="from the generated code"):
-        ex.run(({"f": fail}, {"f": fail}), "f", [1.0, 0.5, 0.0, 0.0], False, [parse2("x1/x2")])
+        ex.run({"f": fail}, "f", [1.0, 0.5, 0.0, 0.0], [parse2("x1/x2")])
 
 
 def test_fractional_power_of_negative_base_is_not_complex():
