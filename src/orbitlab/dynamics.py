@@ -31,6 +31,7 @@ __all__ = [
     "Trajectory",
     "lagrange_rhs",
     "total_energy",
+    "energy_gradient",
     "integrate",
     "state_rhs",
     "state_rhs_jvp",
@@ -98,8 +99,9 @@ class SystemSpec:
     acceleration is -g^{-1} c and a constant metric folds to c = grad U.
     Its ``tangent(z)`` returns (g, c, dg, dc) with dg[l][k][j] = d g_lj / d z_k
     and dc[l][k] = d c_l / d z_k over the 2n state variables z = (x, v).  Its
-    ``energy(z)`` is F^2 / 2 + U.  The metric and the potential are one
-    build, so their common subexpressions are computed once.
+    ``energy(z)`` is H = F^2 / 2 + U and ``energy_gradient(z)`` grad_z H.
+    The metric and the potential are one build, so their common
+    subexpressions are computed once.
     """
 
     metric: MetricModel
@@ -137,7 +139,9 @@ class SystemSpec:
         zs = range(2 * n)
         dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
         dc = [[graph.diff(e, k) for k in zs] for e in c]
+        dh = [graph.diff(energy, k) for k in zs]
         code = graph.build([("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ()),
+                            ("energy_gradient", 2 * n, dh, (f2, u)),
                             ("tangent", 2 * n, [g, c, dg, dc], (f2, u))])
         return code, graph.trees
 
@@ -243,6 +247,12 @@ def total_energy(spec: SystemSpec, x, v=None):
     return ex.run(code, "energy", [*map(float, x), *map(float, v)], trees)
 
 
+def energy_gradient(spec: SystemSpec, z) -> list[float]:
+    """Gradient of H = F^2 / 2 + U in the 2n state variables z = (x, v)."""
+    code, trees = spec._code
+    return ex.run(code, "energy_gradient", _state(spec, z), trees)
+
+
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
@@ -332,6 +342,9 @@ def integrate(
     ``events`` are :class:`~orbitlab.rk.EventSpec` over (t, z), z = (x, v).
     """
     n = spec.dimension
+    z0 = _state(spec, initial.flat())
+    if initial.x.size != initial.v.size:
+        raise ValueError(f"state has {initial.x.size} positions and {initial.v.size} velocities")
 
     def f(t, z):
         return state_rhs(spec, t, z)
@@ -339,7 +352,7 @@ def integrate(
     res = rk.solve_rk45(
         f,
         t_span,
-        _state(spec, initial.flat()),
+        z0,
         rtol=rtol,
         atol=atol,
         events=tuple(events),

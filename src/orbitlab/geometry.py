@@ -11,9 +11,8 @@ compiles it together with the potential (see :mod:`orbitlab.dynamics`);
 use and cached on the model.  Finite differences never enter these code
 paths; they are reserved for test oracles.
 
-The compiled routines run over floats only.  :func:`f_squared` evaluates
-F^2 by the interpreter and, like the small linear algebra here, accepts
-plain floats or :class:`~orbitlab.expr.Dual` scalars.
+F^2 itself (:func:`f_squared`) is one more function of that build.  The
+compiled routines and :func:`solve_linear` run over floats only.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from .errors import OrbitLabError
 from . import expr as ex
-from .expr import val_of
 
 __all__ = [
     "Space",
@@ -38,8 +36,6 @@ __all__ = [
     "metric_and_spray",
     "geodesic_coefficients",
     "solve_linear",
-    "mat_vec",
-    "dot",
 ]
 
 _PD_RELATIVE_FLOOR = 1e-12
@@ -54,30 +50,19 @@ class SingularMatrixError(OrbitLabError):
 
 
 # ---------------------------------------------------------------------------
-# Generic small linear algebra (works over floats and Dual scalars)
+# Small linear algebra over floats
 # ---------------------------------------------------------------------------
 
-def dot(u, v):
-    acc = u[0] * v[0]
-    for i in range(1, len(u)):
-        acc = acc + u[i] * v[i]
-    return acc
-
-
-def mat_vec(a, x):
-    return [dot(row, x) for row in a]
-
-
 def solve_linear(a, b):
-    """Gaussian elimination with partial pivoting on the float part."""
+    """Gaussian elimination with partial pivoting."""
     n = len(b)
     m = [list(row) for row in a]
     r = list(b)
-    scale = max([abs(val_of(e)) for row in m for e in row]) or 1.0
+    scale = max([abs(e) for row in m for e in row]) or 1.0
     for col in range(n):
-        piv, big = col, abs(val_of(m[col][col]))
+        piv, big = col, abs(m[col][col])
         for i in range(col + 1, n):
-            size = abs(val_of(m[i][col]))
+            size = abs(m[i][col])
             if size > big:
                 piv, big = i, size
         if big <= 1e-14 * scale:
@@ -208,7 +193,8 @@ class MetricModel:
         graph = ex.Graph(self.dimension)
         f2, g, c = metric_nodes(graph, self)
         arity = 2 * self.dimension
-        code = graph.build([("tensor", arity, g, (f2,)), ("parts", arity, [g, c], (f2,))])
+        code = graph.build([("f2", arity, f2, ()), ("tensor", arity, g, (f2,)),
+                            ("parts", arity, [g, c], (f2,))])
         return code, graph.trees
 
     # -- constructors --------------------------------------------------------
@@ -241,17 +227,17 @@ class MetricModel:
             if np.linalg.norm(v) < 0.3:
                 v = v + 0.5
             point = list(x) + list(v)
-            f2 = val_of(ex.evaluate(self.f2_expr, point))
+            f2 = ex.evaluate(self.f2_expr, point)
             tol = 1e-10 * (1.0 + abs(f2))
             for lam in (0.5, 2.0, 3.0):
                 scaled = list(x) + list(lam * v)
-                f2s = val_of(ex.evaluate(self.f2_expr, scaled))
+                f2s = ex.evaluate(self.f2_expr, scaled)
                 if abs(f2s - lam * lam * f2) > tol * lam * lam:
                     raise ModelValidityError(
                         "F^2 is not positively homogeneous of degree 2"
                     )
             mirrored = list(x) + list(-v)
-            f2m = val_of(ex.evaluate(self.f2_expr, mirrored))
+            f2m = ex.evaluate(self.f2_expr, mirrored)
             if abs(f2m - f2) > tol:
                 raise ModelValidityError("F^2 is not reversible")
 
@@ -297,19 +283,15 @@ def _require_nonzero_v(model: MetricModel, v):
 # Core evaluations
 # ---------------------------------------------------------------------------
 
-def f_squared(model: MetricModel, x, v):
-    """F^2(x, v) by the interpreter; for Riemannian models g_ij(x) v^i v^j."""
-    if model.kind == "finsler":
-        return ex.evaluate(model.f2_expr, list(x) + list(v))
-    values = list(x) + [0.0] * model.dimension
-    g = [[ex.evaluate(e, values) for e in row] for row in model.g_exprs]
-    return dot(v, mat_vec(g, v))
+def f_squared(model: MetricModel, x, v) -> float:
+    """F^2(x, v); for Riemannian models g_ij(x) v^i v^j."""
+    return _run(model, "f2", x, v)
 
 
 def metric_nodes(graph: ex.Graph, model: MetricModel):
     """(F^2, g, c) as nodes of ``graph``: F^2 (the Finsler expression, or
-    g_ij(x) v^i v^j summed in the order :func:`f_squared` sums it), the
-    fundamental tensor g = (1/2) d_v d_v F^2 as an n x n list, and
+    g_ij(x) v^i v^j summed as v . (g v)), the fundamental tensor
+    g = (1/2) d_v d_v F^2 as an n x n list, and
     c = (1/2) (v^j d_xj d_v F^2 - d_x F^2), so that the spray is
     G = (1/2) g^{-1} c.  A constant metric folds to c = 0."""
     n = model.dimension
@@ -341,8 +323,8 @@ def metric_nodes(graph: ex.Graph, model: MetricModel):
 
 
 def _run(model: MetricModel, name: str, x, v):
-    """The model's metric-only straight-line function ``name`` ("tensor": g;
-    "parts": (g, c)) at (x, v), built once, on first use."""
+    """The model's metric-only straight-line function ``name`` ("f2": F^2;
+    "tensor": g; "parts": (g, c)) at (x, v), built once, on first use."""
     code, trees = model._code
     return ex.run(code, name, [*map(float, x), *map(float, v)], trees)
 

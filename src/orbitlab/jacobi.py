@@ -102,7 +102,7 @@ def jacobi_geodesic_coefficients(jm: JacobiMetric, x, v):
     psi = jm.psi(x)
     dpsi = jm.psi_gradient(x)
     f2 = geo.f_squared(base, list(x), list(v))
-    dpsi_v = geo.dot(dpsi, v)
+    dpsi_v = np.dot(dpsi, v)
     pull = geo.solve_linear(g, dpsi)
     return [
         spray[i] + (2.0 * dpsi_v * v[i] - pull[i] * f2) / (4.0 * psi)

@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from . import geometry as geo
 from .dynamics import (
     PhaseState,
     SystemSpec,
     Trajectory,
+    energy_gradient,
     integrate,
     integrate_sensitivity,
     kinetic_minimum_event,
@@ -48,7 +48,6 @@ from .dynamics import (
     total_energy,
 )
 from .errors import OrbitLabError
-from .expr import Dual, val_of
 from . import rk
 
 __all__ = [
@@ -69,7 +68,8 @@ _T_MAX = 100.0  # search horizon for the first turning point or section return
 _RTOL, _ATOL = 1e-12, 1e-14  # the returned orbit
 _BRAKE_MAX_NEWTON = 30
 _ROTATION_MAX_NEWTON = 40
-_TOL_EIG = 1e-6  # distance from 1 below which a multiplier counts as trivial
+_TOL_EIG = 1e-6  # distance from 1 below which a reported multiplier is trivial
+_TOL_NULL = 1e-7  # singular values of (M - I)^2 below this times (1 + |M|_2)^2 are zero
 _PROJECT_MAX_ITER = 50  # Newton steps of the projection onto {U = E}
 
 
@@ -358,9 +358,9 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
     """Locate a rotation by first-return shooting.
 
     Unknowns: position on the section hyperplane, velocity direction (the
-    magnitude is slaved to the energy level), and the return time.  Closure
-    is solved in the least-squares sense; energy conservation makes one of
-    the 2n closure equations redundant.
+    magnitude is slaved to the energy level, see :func:`_rotation_chart`),
+    and the return time.  Closure is solved in the least-squares sense;
+    energy conservation makes one of the 2n closure equations redundant.
     """
     n = spec.dimension
     x_anchor = _finite_vector("seed.x", seed.x, n)
@@ -409,42 +409,37 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
         winding = np.zeros(n)
 
     section_basis = _complement_basis(normal)  # n x (n-1)
-    m = 2 * (n - 1)
-
-    def chart(z):
-        """Section x energy level: (a, b) move x0 = z[:n] on the section and
-        tilt the direction of z[n:]; the speed is slaved to the level."""
-        x_anchor = z[:n]
-        vdir_anchor = z[n:] / np.linalg.norm(z[n:])
-        vdir_basis = _complement_basis(vdir_anchor)  # n x (n-1)
-
-        def build_initial(a_b):
-            """Seed state x0 + v0 on section x energy level, generic scalars."""
-            a = a_b[: n - 1]
-            b = a_b[n - 1 :]
-            x0 = [
-                x_anchor[i] + geo.dot(list(section_basis[i]), a) for i in range(n)
-            ]
-            d = [
-                vdir_anchor[i] + geo.dot(list(vdir_basis[i]), b) for i in range(n)
-            ]
-            norm2 = geo.dot(d, d)
-            dn = [c / norm2**0.5 for c in d]
-            u_val = ex.evaluate(spec.potential.node, x0)
-            f2 = geo.f_squared(spec.metric, x0, dn)
-            c = (2.0 * (e_level - u_val) / f2) ** 0.5
-            return x0 + [c * dc for dc in dn]
-
-        z_d = build_initial([Dual.seed(0.0, m, i, 1, 0) for i in range(m)])
-        z0 = np.array([val_of(c) for c in z_d])
-        w0 = np.array([[val_of(g) for g in c.grad] for c in z_d])
-        return z0, w0, lambda u: np.array(build_initial(list(u)), dtype=float)
-
     z0, period = _shoot(
-        spec, chart, z_seed, t_ret, np.concatenate([winding, np.zeros(n)]),
-        slice(None), 1e-10 * scale, _ROTATION_MAX_NEWTON, "rotation",
+        spec, lambda z: _rotation_chart(spec, section_basis, z), z_seed, t_ret,
+        np.concatenate([winding, np.zeros(n)]), slice(None), 1e-10 * scale,
+        _ROTATION_MAX_NEWTON, "rotation",
     )
     return _build_rotation(spec, z0, period)
+
+
+def _rotation_chart(spec, section_basis, z):
+    """Section x energy level at z for :func:`_shoot`: u = (a, b) lifts to
+    x0 = z[:n] + S a (S = ``section_basis``) and v0 = d sqrt(2 (E - U(x0)) /
+    F^2(x0, d)) with d = d_a + B b, d_a = z[n:] / |z[n:]| and B spanning its
+    complement.  W0 is the linear move L = [[S, 0], [0, |v0| B]] at u = 0
+    projected onto the level along e = (0, v0), the direction in which the
+    slaved speed moves v0: W0 = L - e (grad H^T L) / (grad H . e)."""
+    n = spec.dimension
+    d_anchor = z[n:] / np.linalg.norm(z[n:])
+    d_basis = _complement_basis(d_anchor)  # n x (n-1)
+
+    def lift(u):
+        x0 = z[:n] + section_basis @ u[: n - 1]
+        d = d_anchor + d_basis @ u[n - 1 :]
+        u_x0, f2 = spec.potential.value(x0), geo.f_squared(spec.metric, x0, d)
+        return np.concatenate([x0, math.sqrt(2.0 * (spec.energy - u_x0) / f2) * d])
+
+    z0 = lift(np.zeros(2 * (n - 1)))
+    zeros = np.zeros((n, n - 1))
+    move = np.block([[section_basis, zeros], [zeros, np.linalg.norm(z0[n:]) * d_basis]])
+    e = np.concatenate([np.zeros(n), z0[n:]])
+    grad_h = np.array(energy_gradient(spec, z0))
+    return z0, move - np.outer(e, grad_h @ move) / (grad_h @ e), lift
 
 
 def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
@@ -487,9 +482,16 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
     error norm covers M: a ridge rotation of the cosine torus is a straight
     line, and error control on the orbit alone takes so few steps there that
     det M drifts from 1.
+
+    The trivial multiplicity is the nullity of (M - I)^2 (Jordan blocks of the
+    multiplier 1 up to size 2), not a count of eigenvalues near 1: round-off
+    delta splits a 2 x 2 block's eigenvalue by ~sqrt(delta) (Moro, Burke &
+    Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).
     """
     if not isinstance(periods, numbers.Integral) or periods < 1:
         raise PreconditionError(f"periods must be a positive integer, got {periods!r}")
+    if spec != orbit.spec:
+        raise PreconditionError("the orbit belongs to another system")
     n = spec.dimension
     if spec.metric.kind == "finsler" and orbit.rest_points:
         raise UnsupportedModelError(
@@ -506,7 +508,8 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
     matrix = np.reshape(res.ys[-1, dim:], (dim, dim))
     eigenvalues = np.linalg.eigvals(matrix)
     det_error = abs(float(np.linalg.det(matrix)) - 1.0)
-    trivial = int(np.sum(np.abs(eigenvalues - 1.0) < _TOL_EIG))
+    sigma = np.linalg.svd(np.linalg.matrix_power(matrix - np.eye(dim), 2), compute_uv=False)
+    trivial = int(np.sum(sigma < _TOL_NULL * (1.0 + np.linalg.norm(matrix, 2)) ** 2))
     return MonodromyReport(
         matrix=matrix,
         eigenvalues=eigenvalues,

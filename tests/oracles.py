@@ -7,12 +7,13 @@ tensor, x-derivatives of the fundamental tensor), the Christoffel route to
 the spray, the Legendre transform, the Hamiltonian flow, and the Jacobi
 metric as an expression model with its geodesic flow as a system of its
 own -- live here as well, and so does the interpreter route to the flow:
-U, grad U, the fundamental tensor, the spray and the acceleration from the
-expression interpreter over order-2 and nested duals.  Apart from the
-Jacobi geodesic flow, which the library integrates, they are built on the
-library's duals and ``f_squared`` and share nothing with the straight-line
-code of ``geometry.metric_nodes`` that they cross-check.  The vectorised
-consumers of dense trajectory output are checked against the
+U, grad U, F^2, the fundamental tensor, the spray and the acceleration from
+the expression interpreter over order-2 and nested duals, with a linear
+solve generic over duals, and the rotation chart seeded with duals.  Apart
+from the Jacobi geodesic flow, which the library integrates, they are built
+on the library's duals and interpreter and share nothing with the
+straight-line code of ``geometry.metric_nodes`` that they cross-check.  The
+vectorised consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, and
 the intersection scan's spatial hash against the all-pairs candidate
 generator.  The member-by-member check of the resonant oscillator family
@@ -30,6 +31,7 @@ import numpy as np
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
 from orbitlab import intersect as isect
+from orbitlab import orbits as orb
 from orbitlab import reference as ref
 from orbitlab.dynamics import PotentialField, SystemSpec, lagrange_rhs, total_energy
 
@@ -157,6 +159,57 @@ def dual_scalar(node: ex.ExprNode, point, directions=None, order: int = 1) -> Du
 # Geometry routes that only the tests use
 # ---------------------------------------------------------------------------
 
+def _dot(u, v):
+    acc = u[0] * v[0]
+    for i in range(1, len(u)):
+        acc = acc + u[i] * v[i]
+    return acc
+
+
+def interpreted_f_squared(model, x, v):
+    """F^2(x, v) by the interpreter over floats or (nested) duals; for a
+    Riemannian model g_ij(x) v^i v^j, summed as v . (g v).  The reference for
+    ``geo.f_squared``."""
+    if model.kind == "finsler":
+        return ex.evaluate(model.f2_expr, list(x) + list(v))
+    values = list(x) + [0.0] * model.dimension
+    g = [[ex.evaluate(e, values) for e in row] for row in model.g_exprs]
+    return _dot(v, [_dot(row, v) for row in g])
+
+
+def dual_solve_linear(a, b):
+    """``geo.solve_linear`` over floats or (nested) duals: Gaussian
+    elimination with partial pivoting on the float part."""
+    n = len(b)
+    m = [list(row) for row in a]
+    r = list(b)
+    scale = max([abs(ex.val_of(e)) for row in m for e in row]) or 1.0
+    for col in range(n):
+        piv, big = col, abs(ex.val_of(m[col][col]))
+        for i in range(col + 1, n):
+            size = abs(ex.val_of(m[i][col]))
+            if size > big:
+                piv, big = i, size
+        if big <= 1e-14 * scale:
+            raise geo.SingularMatrixError("matrix is singular to working precision")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            r[col], r[piv] = r[piv], r[col]
+        inv = 1.0 / m[col][col]
+        for i in range(col + 1, n):
+            f = m[i][col] * inv
+            for j in range(col + 1, n):
+                m[i][j] = m[i][j] - f * m[col][j]
+            r[i] = r[i] - f * r[col]
+    out = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        acc = r[i]
+        for j in range(i + 1, n):
+            acc = acc - m[i][j] * out[j]
+        out[i] = acc / m[i][i]
+    return out
+
+
 def _f2_nested(model, x, v, inner):
     """F^2 as an order-2 dual in all 2n coordinates (tag 1) over order-1
     seeds (tag 0) of the coordinates listed in ``inner``.
@@ -169,7 +222,7 @@ def _f2_nested(model, x, v, inner):
     for k, idx in enumerate(inner):
         point[idx] = ex.Dual.seed(point[idx], len(inner), k)
     seeds = [ex.Dual.seed(c, 2 * n, i, order=2, tag=1) for i, c in enumerate(point)]
-    return geo.f_squared(model, seeds[:n], seeds[n:])
+    return interpreted_f_squared(model, seeds[:n], seeds[n:])
 
 
 def _inner_grad(c, k):
@@ -219,7 +272,7 @@ def christoffel_second(model, x, v):
     out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            col = geo.solve_linear(g, [gamma[i][j][l] for l in range(n)])
+            col = dual_solve_linear(g, [gamma[i][j][l] for l in range(n)])
             for k in range(n):
                 out[k][i][j] = col[k]
     return out
@@ -239,7 +292,7 @@ def legendre(model, x, v):
     """Fiberwise momentum map y = grad_v F^2 / 2, which is g(x, v) v by Euler's relation."""
     n = model.dimension
     seeds = [ex.Dual.seed(c, n, i) for i, c in enumerate(v)]
-    return [0.5 * c for c in geo.f_squared(model, list(x), seeds).grad]
+    return [0.5 * c for c in interpreted_f_squared(model, list(x), seeds).grad]
 
 
 def legendre_inverse(model, x, y, max_iter: int = 50):
@@ -259,12 +312,12 @@ def legendre_inverse(model, x, y, max_iter: int = 50):
         r = [y[i] - yv[i] for i in range(n)]
         return r, max(abs(c) for c in r)
 
-    v = geo.solve_linear(interpreted_metric_and_spray(model, x, y)[0], y)
+    v = dual_solve_linear(interpreted_metric_and_spray(model, x, y)[0], y)
     r, rnorm = residual(v)
     for _ in range(max_iter):
         if rnorm <= tol:
             return v
-        step = geo.solve_linear(interpreted_metric_and_spray(model, x, v)[0], r)
+        step = dual_solve_linear(interpreted_metric_and_spray(model, x, v)[0], r)
         alpha = 1.0
         while alpha >= 2.0**-24:
             v_try = [v[i] + alpha * step[i] for i in range(n)]
@@ -283,7 +336,7 @@ def hamilton_rhs(spec, x, y):
     n = spec.dimension
     v = legendre_inverse(spec.metric, x, y)
     grad_u = spec.potential.gradient(x)
-    f2 = geo.f_squared(spec.metric, [ex.Dual.seed(c, n, i) for i, c in enumerate(x)], v)
+    f2 = interpreted_f_squared(spec.metric, [ex.Dual.seed(c, n, i) for i, c in enumerate(x)], v)
     df2dx = f2.grad if isinstance(f2, ex.Dual) else [0.0] * n
     return list(v), [0.5 * df2dx[i] - grad_u[i] for i in range(n)]
 
@@ -341,7 +394,7 @@ def interpreted_metric_and_spray(model, x, v):
             for j in range(n):
                 acc = acc + d.hess[j][n + l] * v[j]
             rhs.append(acc)
-    return g, [0.25 * s for s in geo.solve_linear(g, rhs)]
+    return g, [0.25 * s for s in dual_solve_linear(g, rhs)]
 
 
 def interpreted_acceleration(spec, x, v):
@@ -355,7 +408,7 @@ def interpreted_acceleration(spec, x, v):
         spray = [0.0] * n
     else:
         g, spray = interpreted_metric_and_spray(model, x, v)
-    pull = geo.solve_linear(g, grad_u)
+    pull = dual_solve_linear(g, grad_u)
     return [-2.0 * spray[i] - pull[i] for i in range(n)]
 
 
@@ -459,6 +512,33 @@ def rotation_seed_scan(spec, traj, z0, t_guard, threshold):
         if dists[k] < threshold and dists[k] <= dists[k - 1] and dists[k] < dists[k + 1]:
             return float(ts[k])
     return None
+
+
+def dual_rotation_chart(spec, section_basis, z):
+    """(z0, W0, lift) of ``orbits._rotation_chart`` from order-1 dual seeds of
+    the unknowns u = (a, b): the lift x0 = x_a + S a, v0 = c d / |d| with
+    d = d_a + B b and c = sqrt(2 (E - U(x0)) / F^2(x0, d / |d|)), evaluated
+    by the interpreter, and W0 its dual gradient at u = 0."""
+    n = spec.dimension
+    m = 2 * (n - 1)
+    x_anchor = z[:n]
+    d_anchor = z[n:] / np.linalg.norm(z[n:])
+    d_basis = orb._complement_basis(d_anchor)
+
+    def build_initial(u):
+        a, b = u[: n - 1], u[n - 1 :]
+        x0 = [x_anchor[i] + _dot(list(section_basis[i]), a) for i in range(n)]
+        d = [d_anchor[i] + _dot(list(d_basis[i]), b) for i in range(n)]
+        norm = _dot(d, d) ** 0.5
+        dn = [c / norm for c in d]
+        u_val = ex.evaluate(spec.potential.node, x0)
+        c = (2.0 * (spec.energy - u_val) / interpreted_f_squared(spec.metric, x0, dn)) ** 0.5
+        return x0 + [c * dc for dc in dn]
+
+    z_d = build_initial([ex.Dual.seed(0.0, m, i) for i in range(m)])
+    z0 = np.array([ex.val_of(c) for c in z_d])
+    w0 = np.array([[ex.val_of(g) for g in c.grad] for c in z_d])
+    return z0, w0, lambda u: np.array(build_initial(list(u)), dtype=float)
 
 
 def brute_candidates(strand_a, strand_b, margin: float):

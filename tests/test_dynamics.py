@@ -203,11 +203,9 @@ class TestIntegrate:
         traj = dyn.integrate(
             sys, PhaseState([0.0, 0.0], [0.8, 0.5]), (0.0, 3.0), rtol=1e-9
         )
-        f2_0 = geo.val_of(geo.f_squared(sys.metric, [0.0, 0.0], [0.8, 0.5]))
+        f2_0 = geo.f_squared(sys.metric, [0.0, 0.0], [0.8, 0.5])
         for t in np.linspace(0.2, 3.0, 15):
-            f2 = geo.val_of(
-                geo.f_squared(sys.metric, list(traj.position(t)), list(traj.velocity(t)))
-            )
+            f2 = geo.f_squared(sys.metric, list(traj.position(t)), list(traj.velocity(t)))
             assert abs(f2 - f2_0) < 1e-8
 
     def test_rtol_floor_enforced(self):
@@ -222,6 +220,8 @@ class TestIntegrate:
             dyn.integrate(sys, PhaseState([1.0], [0.0, 0.0]), (0.0, 1.0))
         with pytest.raises(ValueError, match="state has 5 entries; a system of dimension 2 needs 4"):
             dyn.integrate_sensitivity(sys, [1.0, 0.0, 0.0, 0.0, 0.0], np.ones((5, 1)), 1.0)
+        with pytest.raises(ValueError, match="state has 3 positions and 1 velocities"):
+            dyn.integrate(sys, PhaseState([0.1, 0.2, 0.3], [0.4]), (0.0, 1.0))
 
     def test_torus_cover_and_wrap(self):
         metric = geo.MetricModel.euclidean(1, geo.Space.torus([2.0]))

@@ -50,7 +50,7 @@ def conformal_exp_metric() -> geo.MetricModel:
 
 
 def f2_of(model, x, v):
-    return geo.val_of(geo.f_squared(model, list(x), list(v)))
+    return geo.f_squared(model, list(x), list(v))
 
 
 class TestMetricTensor:

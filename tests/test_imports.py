@@ -124,6 +124,39 @@ def test_no_unused_private_names():
     assert unused_private_names({p.stem: p.read_text() for p in MODULES}) == []
 
 
+INTERPRETER_DUALS = ("Dual", "val_of", "eval_dual")
+
+
+def dual_names(source: str) -> list[str]:
+    """Names of the interpreter's dual numbers (:data:`INTERPRETER_DUALS`)
+    that a module imports, binds, loads or reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [name for alias in node.names for name in (alias.name, alias.asname)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in dict.fromkeys(names)
+                  if name in INTERPRETER_DUALS]
+    return sorted(found)
+
+
+def test_detects_dual_names():
+    source = "from .expr import Dual as D\nimport x\nx.val_of(1)\neval_dual = 2\n"
+    assert dual_names(source) == ["Dual (line 1)", "eval_dual (line 4)", "val_of (line 3)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "expr"], ids=lambda p: p.name)
+def test_only_expr_names_duals(path):
+    # the library runs over floats; the interpreter's duals serve failure
+    # naming in expr and the test oracles
+    assert dual_names(path.read_text()) == []
+
+
 def tracer_targets() -> list[str]:
     """The benchmark tracer's TARGETS as "module.attribute" strings, read from
     its source without importing the benchmark."""

@@ -34,6 +34,33 @@ def finsler_well(energy=0.5):
     return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2 + 0.1*x1^2*x2^2", 2), energy)
 
 
+def finsler_torus(energy=1.0):
+    f2 = ex.parse("(1 + 0.2*cos(x1))*(v1^2 + v2^2) + 0.1*sqrt(v1^4 + v2^4)", 2)
+    metric = geo.MetricModel.finsler(f2, 2, geo.Space.torus([2 * math.pi, 2 * math.pi]))
+    return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 2), energy)
+
+
+def riemannian_torus(energy=1.0):
+    entries = [
+        [ex.parse("2 + sin(x1)", 2), ex.parse("0.3*cos(x2)", 2)],
+        [None, ex.parse("1.5 + 0.5*cos(x1)", 2)],
+    ]
+    metric = geo.MetricModel.riemannian(entries, geo.Space.torus([2 * math.pi, 2 * math.pi]))
+    return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 2), energy)
+
+
+def cosine_torus_3d():
+    metric = geo.MetricModel.euclidean(3, geo.Space.torus([2 * math.pi] * 3))
+    return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1) + 0.05*cos(x2)*cos(x3)", 3), 1.0)
+
+
+def on_level(spec, x, d):
+    """The state (x, c d) with the speed c that puts it on the energy level."""
+    x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+    c = math.sqrt(2.0 * (spec.energy - spec.potential.value(x)) / geo.f_squared(spec.metric, x, d))
+    return np.concatenate([x, c * d])
+
+
 def conformal_well(energy=0.5):
     e, zero = ex.parse("exp(x1)", 2), ex.const(0.0)
     metric = geo.MetricModel.riemannian([[e, zero], [zero, e]])
@@ -204,6 +231,41 @@ class TestRotationSeedScan:
         assert t_ret is not None and t_ret == t_ref
 
 
+class TestRotationChart:
+    """The chart's z0, W0 and lift against the oracles' chart, whose lift is
+    evaluated by the interpreter over dual seeds of the unknowns."""
+
+    @pytest.mark.parametrize(
+        "system", [cosine_torus, finsler_torus, riemannian_torus, cosine_torus_3d],
+        ids=lambda s: s.__name__,
+    )
+    def test_matches_dual_chart(self, system):
+        spec = system()
+        n = spec.dimension
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            z = on_level(spec, rng.uniform(0.0, 2 * math.pi, n), rng.standard_normal(n))
+            basis = orb._complement_basis(rng.standard_normal(n))
+            z0, w0, lift = orb._rotation_chart(spec, basis, z)
+            z0_ref, w0_ref, lift_ref = oracles.dual_rotation_chart(spec, basis, z)
+            u = 1e-2 * rng.standard_normal(2 * (n - 1))
+            for got, want in ((z0, z0_ref), (w0, w0_ref), (lift(u), lift_ref(u))):
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+
+    def test_finsler_torus_ridge_rotation(self):
+        # x1 -> 2 pi - x1 maps the system to itself, so the line x1 = pi is a
+        # rotation; along it F^2 = 0.9 v2^2 and U = -0.1
+        spec = finsler_torus()
+        seed = PhaseState.from_flat(on_level(spec, [math.pi + 0.02, 1.0], [0.0, 1.0]))
+        orbit = orb.find_rotation(spec, seed)
+        assert orbit.period == pytest.approx(2 * math.pi / math.sqrt(2.2 / 0.9), abs=1e-9)
+        assert orbit.trajectory.states[0][0] == pytest.approx(math.pi, abs=1e-9)
+        rep = orb.monodromy(spec, orbit)
+        assert rep.trivial_multiplicity == 2
+        assert rep.nondegenerate
+
+
 def rotation_seed(x1, x2, horizontal):
     speed = cosine_torus_speed(x1)
     return PhaseState([x1, x2], [speed, 0.0] if horizontal else [0.0, speed])
@@ -366,6 +428,22 @@ class TestMonodromy:
         for m in (2, 3):
             repm = orb.monodromy(spec, orbit, periods=m)
             assert np.max(np.abs(repm.matrix - np.linalg.matrix_power(rep1.matrix, m))) < 1e-5
+
+    @pytest.mark.parametrize("x1", [0.5, 1.0, 2.0, 3.0])
+    def test_horizontal_rotation_family_degenerate(self, x1):
+        # U = 0.1 cos x1 is invariant under x2-translations, so the multiplier
+        # 1 has two 2 x 2 Jordan blocks; round-off splits their eigenvalues by
+        # ~1e-6 around 1, on either side of tol_eig depending on x1
+        spec = cosine_torus()
+        orbit = orb.find_rotation(spec, rotation_seed(x1, 1.0, True))
+        rep = orb.monodromy(spec, orbit)
+        assert rep.trivial_multiplicity == 4
+        assert not rep.nondegenerate
+
+    def test_orbit_of_another_system_rejected(self):
+        orbit = orb.find_brake(oscillator(), [1.0, 0.0])
+        with pytest.raises(orb.PreconditionError, match="another system"):
+            orb.monodromy(oscillator((1.3, 1.7)), orbit)
 
     def test_finsler_rest_points_unsupported(self):
         f2 = ex.parse("v1^2 + v2^2 + 0.1*sqrt(v1^4 + v2^4)", 2)

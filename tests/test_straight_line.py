@@ -3,7 +3,7 @@
 The interpreter route (``expr.evaluate``/``eval_dual`` and the geometry
 routes of ``oracles`` over order-2 and nested duals) is the oracle.
 Compiled U, grad U and its Hessian, ``state_rhs``, J W (also at Finsler
-rest points) and the geometry kernel's ``metric_tensor``,
+rest points) and the geometry kernel's ``f_squared``, ``metric_tensor``,
 ``metric_and_spray`` and ``geodesic_coefficients`` must agree with it within
 ``REL`` relative to 1 + |oracle| (measured: at most 9.8e-16; first
 derivatives of a potential round exactly as the duals do).  A
@@ -26,6 +26,7 @@ from orbitlab import geometry as geo
 
 from oracles import (
     interpreted_acceleration,
+    interpreted_f_squared,
     interpreted_gradient,
     interpreted_metric_and_spray,
     interpreted_value,
@@ -148,7 +149,7 @@ def test_metric_models_match_interpreter(system):
         value = dyn.state_rhs(spec, 0.0, z)
         assert_close(value, interpreted_state_rhs(spec, z))
         assert_close(dyn.total_energy(spec, z[:n], z[n:]),
-                     0.5 * geo.f_squared(spec.metric, z[:n], z[n:])
+                     0.5 * interpreted_f_squared(spec.metric, z[:n], z[n:])
                      + interpreted_value(spec.potential, z[:n]))
         w = rng.standard_normal((2 * n, 2))
         assert_close(dyn.state_rhs_jvp(spec, z, w)[1], interpreted_jvp(spec, z, w))
@@ -168,6 +169,7 @@ def test_geometry_kernel_matches_interpreter(system):
         assert_close(spray, spray_ref)
         assert_close(geo.metric_tensor(model, x, v), g_ref)
         assert_close(geo.geodesic_coefficients(model, x, v), spray_ref)
+        assert_close(geo.f_squared(model, x, v), interpreted_f_squared(model, x, v))
         if model.kind == "riemannian":  # (g_ij + g_ji) / 2 of one node is g_ij exactly
             assert g == g_ref
 
