@@ -7,6 +7,8 @@ the right-hand side supplying the products J(y) W.  Step-size control looks
 at the state only, so a tangent run takes exactly the accepted-step sequence
 of the plain run and W(t1) is the derivative of the discrete solution map
 along those steps applied to W(t0) (internal numerical differentiation).
+A matrix that step-size control must cover, such as a monodromy matrix,
+goes into the state itself.
 
 Dense output is Shampine's quartic interpolant for the pair, kept as stacked
 arrays in one :class:`DenseOutput`: step k starts at ts[k] from ys[k], has
@@ -272,14 +274,14 @@ def solve_rk45(
 ) -> RKResult:
     """Integrate y' = f(t, y) over t_span with the 5(4) pair.
 
-    With a tangent ``w0`` (d x m), ``f(t, y, w)`` returns the pair
+    With a finite tangent ``w0`` (d x m), ``f(t, y, w)`` returns the pair
     (f(t, y), J(t, y) w) and the result carries W(t1) as ``w_final``.  A
     tangent run stores no dense output and locates no events.  The final
     state is ``ys[-1]``; with ``dense`` the result carries a
-    :class:`DenseOutput`.  A right-hand side that turns NaN or infinite raises
-    :class:`IntegrationError` with the time and state of the first stage that
-    produced it, and so does a run that takes ``_MAX_STEPS`` steps, accepted
-    and rejected, without reaching the end of the span.
+    :class:`DenseOutput`.  A right-hand side or a tangent that turns NaN or
+    infinite raises :class:`IntegrationError` with the time and state of the
+    first stage that produced it, and so does a run that takes ``_MAX_STEPS``
+    steps, accepted and rejected, without reaching the end of the span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -296,6 +298,8 @@ def solve_rk45(
         w = np.array(w0, dtype=float)
         if w.ndim != 2 or w.shape[0] != d:
             raise ValueError("the tangent needs one row per state component")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("the tangent must be finite")
 
         def value(t, y):
             return f(t, y, w)[0]
@@ -362,6 +366,13 @@ def solve_rk45(
             finished = False
             result.n_rejected += 1
             continue
+        # the state's error norm does not see W, so check it on acceptance
+        if w is not None and not np.all(np.isfinite(wt)):
+            s = next((s for s in range(6) if not np.all(np.isfinite(kw[s]))), 6)
+            t_bad = t + _C[s] * h
+            raise IntegrationError(
+                f"non-finite tangent at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s])
+            )
 
         result.n_accepted += 1
         t_new = t + h

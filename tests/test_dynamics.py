@@ -284,7 +284,7 @@ class TestSensitivity:
     # tangent seeded with the x0 directions: W0 = [I; 0]
     W0 = np.vstack([np.eye(2), np.zeros((2, 2))])
 
-    def test_dual_state_matches_float_run(self):
+    def test_final_state_matches_integrate(self):
         sys = oscillator((1.0, 2.0), 0.5)
         final, _ = dyn.integrate_sensitivity(sys, [0.5, 0.1, 0.0, 0.0], self.W0, 1.3)
         plain = dyn.integrate(sys, PhaseState([0.5, 0.1], [0.0, 0.0]), (0.0, 1.3))
@@ -292,7 +292,7 @@ class TestSensitivity:
         want = plain.state(1.3)
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_dual_sensitivities_match_oscillator_linearization(self):
+    def test_tangent_matches_oscillator_linearization(self):
         # linear system: d x(t) / d x0 = diag(cos(alpha_i t))
         sys = oscillator((1.0, 2.0), 0.5)
         t_end = 0.9
@@ -360,6 +360,25 @@ class TestSensitivity:
         event = rk.EventSpec(lambda t, z: z[0])
         with pytest.raises(ValueError):
             rk.solve_rk45(f, (0.0, 1.0), [1.0, 0.0], dense=False, events=(event,), w0=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tangent_rejected(self, bad):
+        w0 = np.eye(4)
+        w0[0, 0] = bad
+        with pytest.raises(ValueError, match="tangent must be finite"):
+            dyn.integrate_sensitivity(oscillator(), [0.5, 0.1, 0.0, 0.0], w0, 1.0)
+
+    def test_tangent_overflow_raises(self):
+        # the state stays finite while J w turns infinite from t = 0.5 on
+        def f(t, y, w):
+            return [y[1], -y[0]], w if t < 0.5 else np.full_like(w, math.inf)
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+            rk.IntegrationError, match="non-finite tangent"
+        ) as info:
+            rk.solve_rk45(f, (0.0, 1.0), [1.0, 0.0], dense=False, w0=np.eye(2))
+        assert info.value.t >= 0.5
+        assert np.all(np.isfinite(info.value.y))
 
 
 class TestStepper:
