@@ -20,10 +20,13 @@ run, so an accepted trial is the next iterate and no trajectory is
 integrated twice; the only plain runs of a search are the probe for the
 first return time and the closed run of the returned orbit.
 
-Monodromy integrates the variational equations M' = J(z) M alongside the
-orbit as one augmented system, so step-size control watches M as well as the
-orbit; J(z) M comes from the derivatives in the system's straight-line code,
-one run per stage (:func:`~orbitlab.dynamics.state_rhs_jvp`).
+Monodromy is one tangent run of the integrator from W0 = I, with step-size
+control watching W as well as the orbit; J(z) W comes from the derivatives in
+the system's straight-line code, one run per stage
+(:func:`~orbitlab.dynamics.state_rhs_jvp`).  A brake orbit is symmetric under
+the reversor R(x, v) = (x, -v) and starts at a fixed point of it, so its run
+stops at the half period: with A = W(T/2), M = R A^{-1} R A (Lamb & Roberts,
+Physica D 112 (1998)).
 """
 
 from __future__ import annotations
@@ -121,6 +124,7 @@ class MonodromyReport:
     nondegenerate: bool
     det_error: float
     tol_eig: float
+    flow_defect: float  # |M f(z0) - f(z0)| / |f(z0)|: M must fix the flow direction
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +481,17 @@ def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
 def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> MonodromyReport:
     """Fundamental solution of the variational equations over the period.
 
-    The orbit and M, with M' = J(z) M and M(0) = I, form one augmented system
-    of 2n + 4n^2 components, run at the integrator's default tolerances.  Its
-    error norm covers M: a ridge rotation of the cosine torus is a straight
-    line, and error control on the orbit alone takes so few steps there that
-    det M drifts from 1.
+    M' = J(z) M with M(0) = I is one tangent run at the integrator's default
+    tolerances, with M under step-size control: a ridge rotation of the
+    cosine torus is a straight line, and error control on the orbit alone
+    takes so few steps there that det M drifts from 1.  A brake orbit at
+    ``periods`` = 1 runs over the half period only.  It starts at rest, z0 =
+    R z0 for the reversor R = diag(I, -I), and R maps the flow to its time
+    reversal, so the second half is the first run backwards in R and M = R
+    A^{-1} R A with A = W(T/2) (Lamb & Roberts, Physica D 112 (1998)); det M
+    = 1 then holds by construction, and ``flow_defect`` checks M instead.
+    Several periods run in full, so their M is an integration of its own and
+    not a power of one period's.
 
     The trivial multiplicity is the nullity of (M - I)^2 (Jordan blocks of the
     multiplier 1 up to size 2), not a count of eigenvalues near 1: round-off
@@ -497,19 +507,25 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
         raise UnsupportedModelError(
             "monodromy across rest points requires a Riemannian kinetic model"
         )
+    z0 = orbit.trajectory.states[0]
+    if orbit.kind == "brake" and np.any(z0[n:]):
+        raise PreconditionError("a brake orbit starts at rest")
     dim = 2 * n
-
-    def f(t, y):
-        dz, dm = state_rhs_jvp(spec, y[:dim], np.reshape(y[dim:], (dim, dim)))
-        return dz + dm.ravel().tolist()
-
-    y0 = np.concatenate([orbit.trajectory.states[0], np.eye(dim).ravel()])
-    res = rk.solve_rk45(f, (0.0, periods * orbit.period), y0, dense=False)
-    matrix = np.reshape(res.ys[-1, dim:], (dim, dim))
+    half = orbit.kind == "brake" and periods == 1
+    res = rk.solve_rk45(
+        lambda t, z, w: state_rhs_jvp(spec, z, w),
+        (0.0, orbit.period / 2 if half else periods * orbit.period),
+        z0, dense=False, w0=np.eye(dim), control_tangent=True,
+    )
+    matrix = res.w_final
+    if half:
+        reversor = np.diag(np.repeat([1.0, -1.0], n))
+        matrix = reversor @ np.linalg.solve(matrix, reversor @ matrix)
     eigenvalues = np.linalg.eigvals(matrix)
     det_error = abs(float(np.linalg.det(matrix)) - 1.0)
     sigma = np.linalg.svd(np.linalg.matrix_power(matrix - np.eye(dim), 2), compute_uv=False)
     trivial = int(np.sum(sigma < _TOL_NULL * (1.0 + np.linalg.norm(matrix, 2)) ** 2))
+    flow = np.asarray(state_rhs(spec, 0.0, z0.tolist()))
     return MonodromyReport(
         matrix=matrix,
         eigenvalues=eigenvalues,
@@ -517,6 +533,7 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
         nondegenerate=trivial == 2,
         det_error=det_error,
         tol_eig=_TOL_EIG,
+        flow_defect=float(np.linalg.norm(matrix @ flow - flow) / np.linalg.norm(flow)),
     )
 
 
@@ -542,4 +559,5 @@ def orbit_report_dict(orbit: PeriodicOrbit, mono: MonodromyReport | None = None)
         out["trivial_multiplicity"] = mono.trivial_multiplicity
         out["nondegenerate"] = mono.nondegenerate
         out["det_error"] = mono.det_error
+        out["flow_defect"] = mono.flow_defect
     return out

@@ -3,12 +3,14 @@
 The stepper works on float states, given as sequences of scalars and
 converted to Python floats on entry.  A run may also carry a d x m tangent
 matrix W through the same stages, K_s = J(y_s) (W + h sum_l a_sl K_l), with
-the right-hand side supplying the products J(y) W.  Step-size control looks
-at the state only, so a tangent run takes exactly the accepted-step sequence
-of the plain run and W(t1) is the derivative of the discrete solution map
-along those steps applied to W(t0) (internal numerical differentiation).
-A matrix that step-size control must cover, such as a monodromy matrix,
-goes into the state itself.
+the right-hand side supplying the products J(y) W.  By default step-size
+control looks at the state only, so a tangent run takes exactly the
+accepted-step sequence of the plain run and W(t1) is the derivative of the
+discrete solution map along those steps applied to W(t0) (internal numerical
+differentiation).  With ``control_tangent`` the error norm and the initial
+step see [y; W row by row] instead, so the run takes the steps of the plain
+run of that stacked system and W is held to the same tolerances as y, as a
+monodromy matrix must be.
 
 Dense output is Shampine's quartic interpolant for the pair, kept as stacked
 arrays in one :class:`DenseOutput`: step k starts at ts[k] from ys[k], has
@@ -194,12 +196,20 @@ class RKResult:
     w_final: np.ndarray | None = None  # tangent at ts[-1], for a tangent run
 
 
-def _error_norm(err, y0, y1, rtol, atol) -> float:
+def _error_norm(err, y0, y1, rtol, atol, tangent=None) -> float:
+    """RMS of the scaled error.  ``tangent`` = (error, W0, W1) appends W row
+    by row, accumulated in the same order as the state's components."""
     acc = 0.0
     for e, a, b in zip(err, y0, y1):
         q = e / (atol + rtol * max(abs(a), abs(b)))
         acc += q * q
-    return math.sqrt(acc / len(err))
+    size = len(err)
+    if tangent is not None:
+        e, a, b = (np.ravel(x) for x in tangent)
+        q = e / (atol + rtol * np.maximum(np.abs(a), np.abs(b)))
+        acc = np.add.accumulate(np.concatenate(([acc], q * q)))[-1]
+        size += q.size
+    return math.sqrt(acc / size)
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol) -> float:
@@ -253,6 +263,22 @@ def _bisect_event(g, t: float, h: float, y0, q, sign_lo: float):
     return t_ev, _interpolate(y0, h, q, (t_ev - t) / h)
 
 
+def _non_finite_stage(t, h, k, kw, stage_y, default):
+    """IntegrationError at the first stage whose f, or else J W, is not
+    finite; ``default`` = (stage, what) when none is (an overflow in the sums)."""
+    for s in range(7):
+        if not all(map(math.isfinite, k[s])):
+            what = "right-hand side"
+            break
+        if kw[s] is not None and not np.all(np.isfinite(kw[s])):
+            what = "tangent"
+            break
+    else:
+        s, what = default
+    t_bad = t + _C[s] * h
+    return IntegrationError(f"non-finite {what} at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s]))
+
+
 def _tangent_increment(a, kw, s):
     """sum_l a[l] kw[l] over the stages before s, accumulated in stage order."""
     acc = a[0] * kw[0]
@@ -271,17 +297,20 @@ def solve_rk45(
     events: tuple = (),
     dense: bool = True,
     w0=None,
+    control_tangent: bool = False,
 ) -> RKResult:
     """Integrate y' = f(t, y) over t_span with the 5(4) pair.
 
     With a finite tangent ``w0`` (d x m), ``f(t, y, w)`` returns the pair
     (f(t, y), J(t, y) w) and the result carries W(t1) as ``w_final``.  A
-    tangent run stores no dense output and locates no events.  The final
-    state is ``ys[-1]``; with ``dense`` the result carries a
-    :class:`DenseOutput`.  A right-hand side or a tangent that turns NaN or
-    infinite raises :class:`IntegrationError` with the time and state of the
-    first stage that produced it, and so does a run that takes ``_MAX_STEPS``
-    steps, accepted and rejected, without reaching the end of the span.
+    tangent run stores no dense output and locates no events.  With
+    ``control_tangent`` its error norm and initial step cover W as well as
+    the state.  The final state is ``ys[-1]``; with ``dense`` the result
+    carries a :class:`DenseOutput`.  A right-hand side or a tangent that
+    turns NaN or infinite raises :class:`IntegrationError` with the time and
+    state of the first stage that produced it, and so does a run that takes
+    ``_MAX_STEPS`` steps, accepted and rejected, without reaching the end of
+    the span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -291,7 +320,8 @@ def solve_rk45(
     y = [float(c) for c in y0]
     d = len(y)
     w = None
-    value = f
+    if control_tangent and w0 is None:
+        raise ValueError("control_tangent needs a tangent w0")
     if w0 is not None:
         if events or dense:
             raise ValueError("events and dense output need a run without a tangent")
@@ -300,9 +330,6 @@ def solve_rk45(
             raise ValueError("the tangent needs one row per state component")
         if not np.all(np.isfinite(w)):
             raise ValueError("the tangent must be finite")
-
-        def value(t, y):
-            return f(t, y, w)[0]
 
     result = RKResult(ts=np.empty(0), ys=np.empty((0, d)))
     ts = [t0]
@@ -314,7 +341,17 @@ def solve_rk45(
     stage_y = [None] * 7
     t = t0
     fv, fw = f(t, y, w) if w is not None else (f(t, y), None)
-    h = _initial_step(value, t0, y, fv, t1, rtol, atol)
+    if w is None:
+        h = _initial_step(f, t0, y, fv, t1, rtol, atol)
+    elif control_tangent:
+
+        def stacked(t, yw):
+            fy, fw = f(t, yw[:d], np.reshape(yw[d:], w.shape))
+            return [*fy, *np.ravel(fw)]
+
+        h = _initial_step(stacked, t0, [*y, *np.ravel(w)], [*fv, *np.ravel(fw)], t1, rtol, atol)
+    else:
+        h = _initial_step(lambda t, y: f(t, y, w)[0], t0, y, fv, t1, rtol, atol)
     facold = 1e-4
     g_prev = None
     if events:
@@ -351,13 +388,10 @@ def solve_rk45(
             h * sum(_E[l] * k[l][i] for l in range(7) if _E[l] != 0.0)
             for i in range(d)
         ]
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
+        tangent_err = (h * _tangent_increment(_E, kw, 7), w, wt) if control_tangent else None
+        err = _error_norm(err_vec, y, y_new, rtol, atol, tangent_err)
         if not math.isfinite(err):
-            s = next((s for s in range(7) if not all(map(math.isfinite, k[s]))), 0)
-            t_bad = t + _C[s] * h
-            raise IntegrationError(
-                f"non-finite right-hand side at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s])
-            )
+            raise _non_finite_stage(t, h, k, kw, stage_y, (0, "right-hand side"))
 
         if err > 1.0:
             # reject: shrink and retry
@@ -366,13 +400,10 @@ def solve_rk45(
             finished = False
             result.n_rejected += 1
             continue
-        # the state's error norm does not see W, so check it on acceptance
+        # a state-only error norm does not see W, and an infinite W scales its
+        # own error to zero, so check it on acceptance
         if w is not None and not np.all(np.isfinite(wt)):
-            s = next((s for s in range(6) if not np.all(np.isfinite(kw[s]))), 6)
-            t_bad = t + _C[s] * h
-            raise IntegrationError(
-                f"non-finite tangent at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s])
-            )
+            raise _non_finite_stage(t, h, k, kw, stage_y, (6, "tangent"))
 
         result.n_accepted += 1
         t_new = t + h

@@ -14,10 +14,11 @@ from the Jacobi geodesic flow, which the library integrates, they are built
 on the library's duals and interpreter and share nothing with the
 straight-line code of ``geometry.metric_nodes`` that they cross-check.  The
 vectorised consumers of dense trajectory output are checked against the
-one-point-at-a-time loops they replaced, which live here as references, and
-the intersection scan's spatial hash against the all-pairs candidate
-generator.  The member-by-member check of the resonant oscillator family
-against its closed form lives here too.
+one-point-at-a-time loops they replaced, which live here as references, the
+monodromy matrix against the augmented system that carried the variational
+equations in the state, and the intersection scan's spatial hash against the
+all-pairs candidate generator.  The member-by-member check of the resonant
+oscillator family against its closed form lives here too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ from orbitlab import geometry as geo
 from orbitlab import intersect as isect
 from orbitlab import orbits as orb
 from orbitlab import reference as ref
-from orbitlab.dynamics import PotentialField, SystemSpec, lagrange_rhs, total_energy
+from orbitlab import rk
+from orbitlab.dynamics import (
+    PotentialField,
+    SystemSpec,
+    lagrange_rhs,
+    state_rhs_jvp,
+    total_energy,
+)
 
 
 def central_diff(f, x: float, h: float = 1e-5) -> float:
@@ -539,6 +547,24 @@ def dual_rotation_chart(spec, section_basis, z):
     z0 = np.array([ex.val_of(c) for c in z_d])
     w0 = np.array([[ex.val_of(g) for g in c.grad] for c in z_d])
     return z0, w0, lambda u: np.array(build_initial(list(u)), dtype=float)
+
+
+def augmented_monodromy(spec, orbit, periods: int = 1):
+    """M over ``periods`` full periods from one plain run, at the integrator's
+    default tolerances, of the augmented system: M' = J(z) M stacked under
+    the flow as one state [z; M row by row] of 2n + 4n^2 components.
+
+    The reference for ``orbits.monodromy``.
+    """
+    dim = 2 * spec.dimension
+
+    def f(t, y):
+        dz, dm = state_rhs_jvp(spec, y[:dim], np.reshape(y[dim:], (dim, dim)))
+        return dz + dm.ravel().tolist()
+
+    y0 = np.concatenate([orbit.trajectory.states[0], np.eye(dim).ravel()])
+    res = rk.solve_rk45(f, (0.0, periods * orbit.period), y0, dense=False)
+    return np.reshape(res.ys[-1, dim:], (dim, dim))
 
 
 def brute_candidates(strand_a, strand_b, margin: float):

@@ -380,6 +380,53 @@ class TestSensitivity:
         assert info.value.t >= 0.5
         assert np.all(np.isfinite(info.value.y))
 
+    @pytest.mark.parametrize("m", [4, 2], ids=["square", "tall"])
+    def test_control_tangent_matches_stacked_run(self, m):
+        # error control over [y; W row by row] is the plain run of that stacked
+        # state, step for step and bit for bit
+        spec = oscillator()
+        z0 = [0.5, 0.1, 0.2, -0.3]
+        w0 = np.eye(4)[:, :m]
+
+        def stacked(t, y):
+            dz, dw = dyn.state_rhs_jvp(spec, y[:4], np.reshape(y[4:], (4, m)))
+            return dz + dw.ravel().tolist()
+
+        plain = rk.solve_rk45(stacked, (0.0, 3.0), [*z0, *w0.ravel()], dense=False)
+        run = rk.solve_rk45(
+            lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, 3.0), z0,
+            dense=False, w0=w0, control_tangent=True,
+        )
+        assert np.array_equal(run.ys[-1], plain.ys[-1, :4])
+        assert np.array_equal(run.w_final, np.reshape(plain.ys[-1, 4:], (4, m)))
+        assert (run.n_accepted, run.n_rejected) == (plain.n_accepted, plain.n_rejected)
+        state_only = rk.solve_rk45(
+            lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, 3.0), z0, dense=False, w0=w0
+        )
+        assert run.n_accepted > state_only.n_accepted
+
+    def test_control_tangent_needs_a_tangent(self):
+        with pytest.raises(ValueError, match="control_tangent needs a tangent"):
+            rk.solve_rk45(
+                lambda t, y: [y[1], -y[0]], (0.0, 1.0), [1.0, 0.0], dense=False,
+                control_tangent=True,
+            )
+
+    def test_tangent_overflow_under_control_tangent_names_the_stage(self):
+        # J w turns infinite from t = 0.5 on while the state stays finite: the
+        # error norm, which covers W, is not finite, and the stage that made
+        # it is a tangent stage
+        def f(t, y, w):
+            return [y[1], -y[0]], w if t < 0.5 else np.full_like(w, math.inf)
+
+        with np.errstate(invalid="ignore"), pytest.raises(rk.IntegrationError) as info:
+            rk.solve_rk45(
+                f, (0.0, 1.0), [1.0, 0.0], dense=False, w0=np.eye(2), control_tangent=True
+            )
+        assert str(info.value) == f"non-finite tangent at t={info.value.t!r}"
+        assert info.value.t >= 0.5
+        assert np.all(np.isfinite(info.value.y))
+
 
 class TestStepper:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

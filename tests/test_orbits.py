@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -256,9 +257,7 @@ class TestRotationChart:
     def test_finsler_torus_ridge_rotation(self):
         # x1 -> 2 pi - x1 maps the system to itself, so the line x1 = pi is a
         # rotation; along it F^2 = 0.9 v2^2 and U = -0.1
-        spec = finsler_torus()
-        seed = PhaseState.from_flat(on_level(spec, [math.pi + 0.02, 1.0], [0.0, 1.0]))
-        orbit = orb.find_rotation(spec, seed)
+        spec, orbit = monodromy_case("Finsler torus ridge rotation")
         assert orbit.period == pytest.approx(2 * math.pi / math.sqrt(2.2 / 0.9), abs=1e-9)
         assert orbit.trajectory.states[0][0] == pytest.approx(math.pi, abs=1e-9)
         rep = orb.monodromy(spec, orbit)
@@ -358,11 +357,87 @@ class TestMalformedInput:
             orb.monodromy(spec, orbit, periods=periods)
 
 
+def ridge_rotation():
+    spec = cosine_torus()
+    period = 2 * math.pi / math.sqrt(2.2)
+    traj = dyn.integrate(
+        spec, PhaseState([math.pi, 0.0], [0.0, math.sqrt(2.2)]), (0.0, period),
+        rtol=1e-12, atol=1e-14,
+    )
+    return spec, orb.PeriodicOrbit(spec=spec, trajectory=traj, period=period, kind="rotation")
+
+
+def found(search, spec, seed):
+    return spec, search(spec, seed)
+
+
+MONODROMY_CASES = {
+    "oscillator brake": lambda: found(orb.find_brake, oscillator(), [1.0, 0.0]),
+    "oscillator brake off axis": lambda: found(
+        orb.find_brake, oscillator((1.0, 1.37)), [1.02, 0.03]
+    ),
+    "3-DOF oscillator brake": lambda: found(
+        orb.find_brake, oscillator((1.0, 1.23, 1.6)), [1.01, -0.03, 0.02]
+    ),
+    "conformal brake": lambda: found(orb.find_brake, conformal_well(), [1.0, 0.05]),
+    "cosine torus ridge rotation": ridge_rotation,
+    "cosine torus horizontal rotation": lambda: found(
+        orb.find_rotation, cosine_torus(), rotation_seed(0.5, 1.0, True)
+    ),
+    "Finsler torus ridge rotation": lambda: found(
+        orb.find_rotation, finsler_torus(),
+        PhaseState.from_flat(on_level(finsler_torus(), [math.pi + 0.02, 1.0], [0.0, 1.0])),
+    ),
+}
+MONODROMY_BRAKES = [name for name in MONODROMY_CASES if "brake" in name]
+MONODROMY_ROTATIONS = [name for name in MONODROMY_CASES if "rotation" in name]
+
+
+@functools.cache
+def monodromy_case(name):
+    """(spec, orbit), built once per session."""
+    return MONODROMY_CASES[name]()
+
+
+def trivial_multiplicity(matrix):
+    """``orbits.monodromy``'s count: the nullity of (M - I)^2."""
+    sigma = np.linalg.svd(
+        np.linalg.matrix_power(matrix - np.eye(len(matrix)), 2), compute_uv=False
+    )
+    return int(np.sum(sigma < orb._TOL_NULL * (1.0 + np.linalg.norm(matrix, 2)) ** 2))
+
+
+class TestMonodromyAgainstAugmentedRoute:
+    """The tangent run against the augmented system it replaced
+    (``oracles.augmented_monodromy``): the same steps over a full period, so
+    the same M bit for bit; half a period and the reversor for a brake orbit."""
+
+    @pytest.mark.parametrize("name", MONODROMY_ROTATIONS)
+    def test_rotation_bit_identical(self, name):
+        spec, orbit = monodromy_case(name)
+        rep = orb.monodromy(spec, orbit)
+        assert np.array_equal(rep.matrix, oracles.augmented_monodromy(spec, orbit))
+
+    @pytest.mark.parametrize("periods", [2, 3])
+    def test_brake_periods_bit_identical(self, periods):
+        spec, orbit = monodromy_case("oscillator brake")
+        rep = orb.monodromy(spec, orbit, periods=periods)
+        assert np.array_equal(rep.matrix, oracles.augmented_monodromy(spec, orbit, periods))
+
+    @pytest.mark.parametrize("name", MONODROMY_BRAKES)
+    def test_brake_half_period(self, name):
+        spec, orbit = monodromy_case(name)
+        rep = orb.monodromy(spec, orbit)
+        want = oracles.augmented_monodromy(spec, orbit)
+        assert np.max(np.abs(rep.matrix - want)) <= 1e-8 * (1.0 + np.linalg.norm(want))
+        assert rep.det_error <= 1e-14
+        assert rep.trivial_multiplicity == trivial_multiplicity(want)
+
+
 class TestMonodromy:
     def test_brake_orbit_eigenvalues_nonresonant(self):
         a2 = math.sqrt(2.0)
-        spec = oscillator((1.0, a2), 0.5)
-        orbit = orb.find_brake(spec, [1.0, 0.0])
+        spec, orbit = monodromy_case("oscillator brake")
         rep = orb.monodromy(spec, orbit)
         expected = [1.0, 1.0, cmath.exp(2j * math.pi * a2), cmath.exp(-2j * math.pi * a2)]
         assert_eigenvalues_match(rep.eigenvalues, expected, tol=1e-6)
@@ -406,24 +481,16 @@ class TestMonodromy:
     def test_cosine_torus_ridge_rotation(self):
         # the ridge x1 = pi is a straight line: error control on the orbit
         # alone takes 6 steps instead of 41 and det M - 1 grows to ~5e-5
-        spec = cosine_torus()
-        period = 2 * math.pi / math.sqrt(2.2)
-        traj = dyn.integrate(
-            spec, PhaseState([math.pi, 0.0], [0.0, math.sqrt(2.2)]), (0.0, period),
-            rtol=1e-12, atol=1e-14,
-        )
-        orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=period, kind="rotation")
+        spec, orbit = monodromy_case("cosine torus ridge rotation")
         rep = orb.monodromy(spec, orbit)
-        angle = math.sqrt(0.1) * period  # transverse frequency sqrt(U''(pi))
+        angle = math.sqrt(0.1) * orbit.period  # transverse frequency sqrt(U''(pi))
         assert_eigenvalues_match(
             rep.eigenvalues, [cmath.exp(1j * angle), cmath.exp(-1j * angle)], tol=1e-6
         )
         assert rep.det_error < 1e-6
 
     def test_iterates_are_matrix_powers(self):
-        a2 = math.sqrt(2.0)
-        spec = oscillator((1.0, a2), 0.5)
-        orbit = orb.find_brake(spec, [1.0, 0.0])
+        spec, orbit = monodromy_case("oscillator brake")
         rep1 = orb.monodromy(spec, orbit)
         for m in (2, 3):
             repm = orb.monodromy(spec, orbit, periods=m)
@@ -439,6 +506,29 @@ class TestMonodromy:
         rep = orb.monodromy(spec, orbit)
         assert rep.trivial_multiplicity == 4
         assert not rep.nondegenerate
+
+    @pytest.mark.parametrize(
+        "name",
+        ["oscillator brake", "cosine torus ridge rotation", "cosine torus horizontal rotation"],
+    )
+    def test_flow_direction_fixed(self, name):
+        # f(z0) is an eigenvector of M with multiplier 1
+        spec, orbit = monodromy_case(name)
+        assert orb.monodromy(spec, orbit).flow_defect <= 1e-8
+
+    def test_brake_orbit_must_start_at_rest(self):
+        spec, orbit = monodromy_case("oscillator brake")
+        moving = orb.PeriodicOrbit(
+            spec=spec,
+            trajectory=dyn.integrate(
+                spec, PhaseState([0.9, 0.0], [0.1, 0.0]), (0.0, orbit.period), rtol=1e-9
+            ),
+            period=orbit.period,
+            kind="brake",
+            rest_points=orbit.rest_points,
+        )
+        with pytest.raises(orb.PreconditionError, match="a brake orbit starts at rest"):
+            orb.monodromy(spec, moving)
 
     def test_orbit_of_another_system_rejected(self):
         orbit = orb.find_brake(oscillator(), [1.0, 0.0])
@@ -492,5 +582,8 @@ class TestReportDict:
             "rest_points",
             "eigenvalues",
             "nondegenerate",
+            "det_error",
+            "flow_defect",
         }
+        assert d["flow_defect"] == rep.flow_defect
         assert len(d["eigenvalues"]) == 4
