@@ -7,10 +7,10 @@ margin, and on a torus every axis holds a whole number of cells, so that no
 near-miss straddles a cell boundary or a period unseen.  Hashed pairs pass
 a minimal-image box test, so the candidate list equals that of the O(N^2)
 all-pairs generator, which the tests keep as the oracle
-(``oracles.brute_candidates``).  Candidates are refined in blocks by a
-masked damped Newton iteration on the squared separation of the two strands
-(time parameters wrap modulo the period), over array-valued dense output,
-then classified in candidate order by the angle between the refined
+(``oracles.brute_candidates``).  Candidates are taken in order; each one not
+already covered by a reported pair is refined by a damped Newton iteration
+on the squared separation of the two strands (time parameters wrap modulo
+the period) and classified at once by the angle between the refined
 velocities:
 
 * ``reversal``     -- antiparallel strands; on a brake orbit these are the
@@ -43,7 +43,6 @@ __all__ = [
 
 _NEAR_MISS_FACTOR = 10.0
 _TOL_ANGLE = 1e-3  # radians from (anti)parallel that still count as parallel
-_REFINE_BLOCK = 256  # candidates per batched refinement; bounds peak memory
 _REFINE_MAX_ITER = 60  # Newton iterations per refined pair
 _PAIR_CHUNK = 2048  # hashed pairs per overlap test; bounds peak memory
 
@@ -237,94 +236,54 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _refine_pairs(sa: _Strand, sb: _Strand, s0, t0):
-    """Damped Newton on half the squared separation, one lane per start.
+def _refine_pair(sa: _Strand, sb: _Strand, s: float, t: float):
+    """Damped Newton on half the squared separation of a at s and b at t.
 
-    Every lane runs the same iteration: Levenberg-damped Newton steps with a
-    25-trial line search that raises the damping on a failed or singular
-    trial and relaxes it on success.  A lane ends converged on a vanishing
-    gradient or a negligible decrease, and ends stalled when its line search
-    fails or ``_REFINE_MAX_ITER`` steps pass.  Returns arrays (s, t, gap, ok).
+    Levenberg-damped Newton steps with a 25-trial line search that raises
+    the damping on a failed or singular trial and relaxes it on success.
+    Ends converged on a vanishing gradient or a negligible decrease, and
+    stalled when the line search fails or ``_REFINE_MAX_ITER`` steps pass.
+    Dense lookups are 1-row array calls, not scalar ones, which round
+    differently: on a zero curve (a brake orbit's retrace line) where Newton
+    stops is set by rounding alone.  Returns (s, t, gap, ok).
     """
-    space = sa.space
-    n = sa.n
-    s = np.array(s0, dtype=float)
-    t = np.array(t0, dtype=float)
-    k = len(s)
+    space, n = sa.space, sa.n
 
-    def at(method, s, t):
-        """``method`` of strand a at s and of strand b at t; one call if a is b."""
-        if sa is sb:
-            z = getattr(sa, method)(np.concatenate([s, t]))
-            return z[: len(s)], z[len(s) :]
-        return getattr(sa, method)(s), getattr(sb, method)(t)
+    def separation(s, t):
+        zs, zt = sa.state(np.array([s])), sb.state(np.array([t]))
+        d = space.delta(zs[:, :n], zt[:, :n])
+        return d, _rowdot(d, d)[0], zs[:, n:], zt[:, n:]
 
-    zs, zt = at("state", s, t)
-    d = space.delta(zs[:, :n], zt[:, :n])
-    f2 = _rowdot(d, d)
-    vs, vt = zs[:, n:], zt[:, n:]
-    g1, g2, h11, h12, h22 = np.zeros((5, k))
-    lam = np.full(k, 1e-10)
-    iters, trials = np.zeros((2, k), dtype=int)
-    ok = np.zeros(k, dtype=bool)
-    running = np.ones(k, dtype=bool)
-    fresh = running.copy()  # lanes starting a Newton iteration
-
-    while True:
-        new = np.flatnonzero(fresh)
-        fresh[:] = False
-        running[new[iters[new] >= _REFINE_MAX_ITER]] = False
-        new = new[iters[new] < _REFINE_MAX_ITER]
-        if new.size:
-            iters[new] += 1
-            trials[new] = 0
-            acs, act = at("acceleration", s[new], t[new])
-            dn, vsn, vtn = d[new], vs[new], vt[new]
-            g1[new], g2[new] = _rowdot(dn, vsn), -_rowdot(dn, vtn)
-            h11[new] = _rowdot(vsn, vsn) + _rowdot(dn, acs)
-            h12[new] = -_rowdot(vsn, vtn)
-            h22[new] = _rowdot(vtn, vtn) - _rowdot(dn, act)
-            gnorm = np.maximum(np.abs(g1[new]), np.abs(g2[new]))
-            scale = np.maximum(
-                np.maximum(np.linalg.norm(vsn, axis=1), np.linalg.norm(vtn, axis=1)),
-                1e-12,
-            )
-            done = new[gnorm < 1e-14 * scale * (1.0 + np.sqrt(f2[new]))]
-            ok[done] = True
-            running[done] = False
-
-        lanes = np.flatnonzero(running)
-        if not lanes.size:
-            return s, t, np.sqrt(f2), ok
-        # one line-search trial per running lane: (H + lam I) step = -grad
-        a11, a22, b = h11[lanes] + lam[lanes], h22[lanes] + lam[lanes], h12[lanes]
-        det = a11 * a22 - b * b
-        singular = det == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ds = (b * g2[lanes] - a22 * g1[lanes]) / det
-            dt = (b * g1[lanes] - a11 * g2[lanes]) / det
-        tried = lanes[~singular]
-        s_new, t_new = s[tried] + ds[~singular], t[tried] + dt[~singular]
-        zs, zt = at("state", s_new, t_new)
-        d_new = space.delta(zs[:, :n], zt[:, :n])
-        f2_new = _rowdot(d_new, d_new)
-        better = f2_new <= f2[tried] * (1.0 + 1e-15) + 1e-300
-
-        won = tried[better]
-        improved = f2[won] - f2_new[better]
-        s[won], t[won] = s_new[better], t_new[better]
-        d[won], f2[won] = d_new[better], f2_new[better]
-        vs[won], vt[won] = zs[better, n:], zt[better, n:]
-        lam[won] = np.maximum(lam[won] * 0.3, 1e-12)
-        flat = improved <= 1e-16 * (1.0 + f2[won])
-        ok[won[flat]] = True
-        running[won[flat]] = False
-        fresh[won[~flat]] = True
-
-        lost = np.concatenate([lanes[singular], tried[~better]])
-        lam[lost] = np.maximum(lam[lost] * 10.0, 1e-8)
-        trials[lost] += 1
-        running[lost[trials[lost] >= 25]] = False
+    d, f2, vs, vt = separation(s, t)
+    lam = 1e-10
+    for _ in range(_REFINE_MAX_ITER):
+        acs, act = sa.acceleration(np.array([s])), sb.acceleration(np.array([t]))
+        g1, g2 = _rowdot(d, vs)[0], -_rowdot(d, vt)[0]
+        h11 = _rowdot(vs, vs)[0] + _rowdot(d, acs)[0]
+        h12 = -_rowdot(vs, vt)[0]
+        h22 = _rowdot(vt, vt)[0] - _rowdot(d, act)[0]
+        scale = max(np.linalg.norm(vs, axis=1)[0], np.linalg.norm(vt, axis=1)[0], 1e-12)
+        if max(abs(g1), abs(g2)) < 1e-14 * scale * (1.0 + math.sqrt(f2)):
+            return s, t, math.sqrt(f2), True
+        for _ in range(25):
+            # one line-search trial: (H + lam I) step = -grad
+            a11, a22 = h11 + lam, h22 + lam
+            det = a11 * a22 - h12 * h12
+            if det != 0.0:
+                s_new = s + (h12 * g2 - a22 * g1) / det
+                t_new = t + (h12 * g1 - a11 * g2) / det
+                trial = separation(s_new, t_new)
+                if trial[1] <= f2 * (1.0 + 1e-15) + 1e-300:
+                    break
+            lam = max(lam * 10.0, 1e-8)
+        else:
+            return s, t, math.sqrt(f2), False
+        improved = f2 - trial[1]
+        s, t, (d, f2, vs, vt) = s_new, t_new, trial
+        lam = max(lam * 0.3, 1e-12)
+        if improved <= 1e-16 * (1.0 + f2):
+            return s, t, math.sqrt(f2), True
+    return s, t, math.sqrt(f2), False
 
 
 def _classify_angle(va, vb) -> str:
@@ -410,19 +369,6 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
             unresolved.append(IntersectionPair(s, t, point, "near_miss", gap))
         # gaps beyond the rejection threshold are plain non-intersections
 
-    block: list[tuple[float, float]] = []
-
-    def refine_block():
-        mids = np.array(block)
-        refined = _refine_pairs(strand_a, sb, mids[:, 0], mids[:, 1])
-        s, t, gap, ok = (r.tolist() for r in refined)
-        for k, (s_mid, t_mid) in enumerate(block):
-            # a pair accepted earlier in this block may cover this candidate;
-            # skipping it then keeps the report of a one-at-a-time scan
-            if not near_existing(s_mid, t_mid):
-                classify(s[k], t[k], gap[k], ok[k])
-        block.clear()
-
     for i, j in candidates:
         if same:
             ring = min(abs(i - j), n_seg_a - abs(i - j))
@@ -430,13 +376,8 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
                 continue
         s_mid = float(strand_a.ts[i] + 0.5 * dt_a)
         t_mid = float(sb.ts[j] + 0.5 * dt_b)
-        if near_existing(s_mid, t_mid):
-            continue
-        block.append((s_mid, t_mid))
-        if len(block) == _REFINE_BLOCK:
-            refine_block()
-    if block:
-        refine_block()
+        if not near_existing(s_mid, t_mid):
+            classify(*_refine_pair(strand_a, sb, s_mid, t_mid))
 
     accepted.sort(key=lambda p: (p.s, p.t))
     unresolved.sort(key=lambda p: (p.s, p.t))
@@ -485,7 +426,16 @@ def self_intersections(orbit: PeriodicOrbit) -> IntersectionReport:
 
 
 def mutual_intersections(a: PeriodicOrbit, b: PeriodicOrbit) -> IntersectionReport:
-    """Common points of two geometrically distinct orbits of one system."""
+    """Common points of two geometrically distinct orbits of one system.
+
+    An orbit passed twice (the same object, or the same period and start
+    state) is rejected: its coincidences with itself are a whole curve.
+    """
     if a.spec != b.spec:
         raise OrbitLabError("orbits must come from the same system")
+    if a is b or (
+        a.period == b.period
+        and np.array_equal(a.trajectory.states[0], b.trajectory.states[0])
+    ):
+        raise OrbitLabError("one orbit passed twice; use self_intersections")
     return _scan(_Strand(a), _Strand(b))

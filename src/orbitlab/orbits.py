@@ -112,9 +112,6 @@ class PeriodicOrbit:
         n = self.spec.dimension
         return float(total_energy(self.spec, st[:n], st[n:]))
 
-    def state(self, t: float) -> np.ndarray:
-        return self.trajectory.state(t)
-
 
 @dataclass
 class MonodromyReport:

@@ -449,8 +449,8 @@ def geodesic_flow_system(jm) -> SystemSpec:
 def refine_pair(sa, sb, s0: float, t0: float, max_iter: int = 60):
     """One-start damped Newton on half the squared separation of two strands.
 
-    The reference for ``intersect._refine_pairs``: one lane at a time, scalar
-    dense-output calls, the 2x2 system solved by ``np.linalg.solve``.
+    The reference for ``intersect._refine_pair``: scalar dense-output calls,
+    ``np.dot`` products, the 2x2 system solved by ``np.linalg.solve``.
     Returns (s, t, gap, ok).
     """
     space = sa.space

@@ -159,6 +159,15 @@ class TestMutualIntersections:
         assert fast.dp_count == 2
         assert len(fast.pairs) == len(slow.pairs)
 
+    def test_same_orbit_rejected(self, scan_cases):
+        brake, _ = scan_cases["brake"]
+        a = straight_rotation(flat_torus(), [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        rebuilt = straight_rotation(flat_torus(), [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        assert rebuilt is not a
+        for x, y in ((brake, brake), (a, rebuilt)):
+            with pytest.raises(OrbitLabError, match="self_intersections"):
+                isect.mutual_intersections(x, y)
+
     def test_orbits_of_different_systems_rejected(self):
         # a plane orbit used to be scanned with the torus minimal image
         torus = straight_rotation(flat_torus(), [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
@@ -285,6 +294,30 @@ class TestHashMatchesBruteForce:
         assert fast.to_dict() == slow.to_dict()
 
 
+@pytest.mark.parametrize("brute_force", [False, True])
+class TestScanExits:
+    def test_parallel_rotations_close_together_are_near_misses(self, brute_force):
+        # 2e-5 apart: beyond the acceptance gap, within the rejection gap
+        spec = flat_torus()
+        a = straight_rotation(spec, [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        b = straight_rotation(spec, [0.0, 2e-5], [1.0, 0.0], 2 * math.pi)
+        report = scan((a, b), brute_force=brute_force)
+        assert report.pairs == []
+        assert len(report.unresolved) == 170
+        for p in report.unresolved:
+            assert p.kind == "near_miss"
+            assert p.gap == pytest.approx(2e-5, rel=1e-6)
+
+    def test_refinement_out_of_iterations_is_stalled(self, scan_cases, brute_force):
+        orbit, _ = scan_cases["lissajous"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(isect, "_REFINE_MAX_ITER", 0)
+            report = scan((orbit, None), brute_force=brute_force)
+        assert report.pairs == []
+        assert [p.kind for p in report.unresolved] == ["stalled"]
+        assert report.unresolved[0].gap == pytest.approx(1.534e-3, rel=1e-3)
+
+
 class TestStrandWrap:
     def test_crossing_at_strand_start_found_by_both_routes(self, scan_cases):
         ridge, horizontal = scan_cases["start_crossing"]
@@ -316,7 +349,7 @@ def on_zero_curve(sa, sb, s, t):
     return h11 * h22 - h12 * h12 <= 1e-6 * (h11 + h22) ** 2
 
 
-class TestBatchedRefinement:
+class TestRefinePair:
     # the brake orbit meets itself only along its diagonal and retrace line
     @pytest.mark.parametrize(
         "name, min_isolated", [("lissajous", 40), ("brake", 0), ("seam_windings", 200)]
@@ -328,20 +361,20 @@ class TestBatchedRefinement:
         rng = np.random.default_rng(20260)
         s0 = rng.uniform(0.0, sa.period, 200)
         t0 = rng.uniform(0.0, sb.period, 200)
-        s, t, gap, ok = isect._refine_pairs(sa, sb, s0, t0)
         isolated = 0
         for k in range(200):
+            s, t, gap, ok = isect._refine_pair(sa, sb, s0[k], t0[k])
             s_ref, t_ref, gap_ref, ok_ref = oracles.refine_pair(sa, sb, s0[k], t0[k])
-            assert ok[k] == ok_ref, k
+            assert ok == ok_ref, k
             if not on_zero_curve(sa, sb, s_ref, t_ref):
                 isolated += 1
-                assert abs(s[k] - s_ref) <= 1e-10 * sa.period, k
-                assert abs(t[k] - t_ref) <= 1e-10 * sb.period, k
+                assert abs(s - s_ref) <= 1e-10 * sa.period, k
+                assert abs(t - t_ref) <= 1e-10 * sb.period, k
                 continue
             # on a zero curve: same gap, same curve
-            assert abs(gap[k] - gap_ref) <= 1e-9 * sa.diameter, k
+            assert abs(gap - gap_ref) <= 1e-9 * sa.diameter, k
             for combine in (lambda u, v: u - v, lambda u, v: u + v):
-                off = isect._param_gap_circular(combine(s[k], t[k]), 0.0, sa.period)
+                off = isect._param_gap_circular(combine(s, t), 0.0, sa.period)
                 off_ref = isect._param_gap_circular(combine(s_ref, t_ref), 0.0, sa.period)
                 assert (off < 1e-6) == (off_ref < 1e-6), k
         assert isolated >= min_isolated
