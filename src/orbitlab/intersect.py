@@ -428,14 +428,33 @@ def self_intersections(orbit: PeriodicOrbit) -> IntersectionReport:
 def mutual_intersections(a: PeriodicOrbit, b: PeriodicOrbit) -> IntersectionReport:
     """Common points of two geometrically distinct orbits of one system.
 
-    An orbit passed twice (the same object, or the same period and start
-    state) is rejected: its coincidences with itself are a whole curve.
+    One orbit passed twice is rejected, its coincidences with itself being a
+    whole curve: the same object, or b a time-shifted copy of a (periods equal
+    within the closure bound 1e-8 * scale, and b's start state on a's phase
+    curve within 1e-7 * scale, scale = 1 + |a's start state|).
     """
     if a.spec != b.spec:
         raise OrbitLabError("orbits must come from the same system")
-    if a is b or (
-        a.period == b.period
-        and np.array_equal(a.trajectory.states[0], b.trajectory.states[0])
-    ):
+    if _time_shifted_copy(a, b):
         raise OrbitLabError("one orbit passed twice; use self_intersections")
     return _scan(_Strand(a), _Strand(b))
+
+
+def _time_shifted_copy(a: PeriodicOrbit, b: PeriodicOrbit) -> bool:
+    za, zb = a.trajectory.states[0], b.trajectory.states[0]
+    scale = 1.0 + float(np.linalg.norm(za))
+    if abs(a.period - b.period) > 1e-8 * scale:
+        return False
+    n, space = a.spec.dimension, a.spec.metric.space
+
+    def gap(t):
+        z = a.trajectory.state(t)
+        return np.concatenate([space.delta(z[..., :n], zb[:n]), z[..., n:] - zb[n:]], axis=-1)
+
+    # the nearest of 1025 samples, then Gauss-Newton on |gap(t)|^2
+    ts = np.linspace(0.0, a.period, 1025)
+    t = float(ts[np.argmin(np.linalg.norm(gap(ts), axis=1))])
+    for _ in range(8):
+        rate = a.trajectory.state_derivative(t)
+        t = float(np.mod(t - gap(t) @ rate / (rate @ rate), a.period))
+    return float(np.linalg.norm(gap(t))) <= 1e-7 * scale

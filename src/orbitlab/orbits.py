@@ -18,7 +18,9 @@ integrator's stages and accepted steps
 derivative of the discrete flow.  Every line-search trial is such a tangent
 run, so an accepted trial is the next iterate and no trajectory is
 integrated twice; the only plain runs of a search are the probe for the
-first return time and the closed run of the returned orbit.
+first turning point or section return and the closed run of the returned
+orbit.  A rotation's probe is one run per horizon, the horizon doubling from
+_T_MAX / 16 until the scan of a run finds a return.
 
 Monodromy is one tangent run of the integrator from W0 = I, with step-size
 control watching W as well as the orbit; J(z) W comes from the derivatives in
@@ -67,7 +69,9 @@ __all__ = [
     "orbit_report_dict",
 ]
 
-_T_MAX = 100.0  # search horizon for the first turning point or section return
+# search horizon for the first turning point or section return; the section
+# scan's grid spans it whatever the horizon of the probe run
+_T_MAX = 100.0
 _RTOL, _ATOL = 1e-12, 1e-14  # the returned orbit
 _BRAKE_MAX_NEWTON = 30
 _ROTATION_MAX_NEWTON = 40
@@ -337,9 +341,23 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
 # ---------------------------------------------------------------------------
 
 def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
-    """First near-return time on a uniform dense grid, or None."""
+    """First near-return time on the grid np.linspace(0, _T_MAX, 4096), or None.
+
+    A run's accepted steps and dense output do not depend on the end t1 of its
+    span until an attempt is cut short to land on t1, and an attempt is at
+    most rk._MAX_FACTOR times the step before it.  So a probe that ends
+    before _T_MAX is scanned strictly before the first step start s with s +
+    rk._MAX_FACTOR * (previous step) >= t1, where it is the probe to _T_MAX
+    bit for bit.  (The initial step reads the span only when the span is
+    shorter than its trial steps.)
+    """
     n = spec.dimension
-    ts = np.linspace(traj.t0, traj.t1, 4096)
+    ts = np.linspace(0.0, _T_MAX, 4096)
+    if traj.t1 < _T_MAX:
+        starts = traj.ts[:-1]
+        reach = starts[1:] + rk._MAX_FACTOR * traj.dense.h[:-1]
+        cut = np.flatnonzero(reach >= traj.t1)
+        ts = ts[ts < (starts[1 + cut[0]] if cut.size else starts[-1])]
     z = traj.state(ts)
     dx = spec.metric.space.delta(z[:, :n], z0[:n])
     dv = z[:, n:] - z0[n:]
@@ -390,14 +408,19 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
     scale = 1.0 + float(np.linalg.norm(np.concatenate([x_anchor, v_anchor])))
 
     z_seed = np.concatenate([x_anchor, v_anchor])
-    probe = integrate(
-        spec, PhaseState(x_anchor, v_anchor), (0.0, _T_MAX), rtol=1e-9, atol=1e-11
-    )
-    t_ret = _rotation_seed_scan(
-        spec, probe, z_seed, t_guard=20 * _T_MAX / 4096, threshold=0.25 * scale
-    )
-    if t_ret is None:
-        raise ConvergenceError(f"no section return within t = {_T_MAX}")
+    horizon = _T_MAX / 16
+    while True:
+        probe = integrate(
+            spec, PhaseState(x_anchor, v_anchor), (0.0, horizon), rtol=1e-9, atol=1e-11
+        )
+        t_ret = _rotation_seed_scan(
+            spec, probe, z_seed, t_guard=20 * _T_MAX / 4096, threshold=0.25 * scale
+        )
+        if t_ret is not None:
+            break
+        if horizon >= _T_MAX:
+            raise ConvergenceError(f"no section return within t = {_T_MAX}")
+        horizon *= 2
 
     # fixed winding offset for the cover chart
     space = spec.metric.space

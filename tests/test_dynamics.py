@@ -460,6 +460,25 @@ class TestStepper:
         with pytest.raises(rk.IntegrationError):
             rk.solve_rk45(f, (0.0, 1.0), [0.0], dense=False)
 
+    def test_steps_do_not_depend_on_the_span_end(self):
+        # until an attempt is cut short to land on t1, a run takes the steps
+        # of any longer run; find_rotation's doubling probe relies on it
+        spec = cosine_torus()
+        x1 = math.pi + 0.02
+        z0 = [x1, 0.0, 0.0, math.sqrt(2.0 * (1.0 - 0.1 * math.cos(x1)))]
+        short, full = (
+            rk.solve_rk45(
+                lambda t, z: dyn.state_rhs(spec, t, z), (0.0, t1), z0, rtol=1e-9, atol=1e-11
+            )
+            for t1 in (6.25, 100.0)
+        )
+        last = len(short.ts) - 2  # the short run's last step starts at ts[last]
+        assert last > 10 and short.ts[-1] == 6.25
+        assert np.array_equal(short.ts[: last + 1], full.ts[: last + 1])
+        assert np.array_equal(short.ys[: last + 1], full.ys[: last + 1])
+        assert np.array_equal(short.dense.h[:last], full.dense.h[:last])
+        assert np.array_equal(short.dense.q[:last], full.dense.q[:last])
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(rk, "_MAX_STEPS", 50)
         with pytest.raises(rk.IntegrationError, match="step cap of 50 steps") as info:

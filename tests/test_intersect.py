@@ -168,6 +168,21 @@ class TestMutualIntersections:
             with pytest.raises(OrbitLabError, match="self_intersections"):
                 isect.mutual_intersections(x, y)
 
+    def test_time_shifted_copy_rejected(self):
+        # the x-rotation from (1, 0) is the one from (0, 0) started a time 1 later
+        spec = flat_torus()
+        a = straight_rotation(spec, [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        b = straight_rotation(spec, [1.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        with pytest.raises(OrbitLabError, match="self_intersections"):
+            isect.mutual_intersections(a, b)
+
+    def test_parallel_distinct_rotation_scanned(self):
+        spec = flat_torus()
+        a = straight_rotation(spec, [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        b = straight_rotation(spec, [0.0, 1.0], [1.0, 0.0], 2 * math.pi)
+        report = isect.mutual_intersections(a, b)
+        assert report.pairs == [] and report.unresolved == []
+
     def test_orbits_of_different_systems_rejected(self):
         # a plane orbit used to be scanned with the torus minimal image
         torus = straight_rotation(flat_torus(), [0.0, 0.0], [1.0, 0.0], 2 * math.pi)

@@ -216,20 +216,54 @@ ROTATION_SEEDS = [
 class TestRotationSeedScan:
     @pytest.mark.parametrize("system, x0, v0", ROTATION_SEEDS)
     def test_matches_scalar_loop(self, monkeypatch, system, x0, v0):
+        # the return time find_rotation uses is the scalar scan of one probe
+        # run to _T_MAX; the probe horizon doubles from _T_MAX / 16, and every
+        # scan before the last finds no return
         spec = {"flat_torus": flat_torus, "cosine_torus": cosine_torus}[system]()
+        z0 = np.concatenate([x0, v0])
+        full = dyn.integrate(spec, PhaseState(x0, v0), (0.0, orb._T_MAX), rtol=1e-9, atol=1e-11)
+        t_ref = oracles.rotation_seed_scan(
+            spec, full, z0, t_guard=20 * orb._T_MAX / 4096, threshold=0.25 * (1 + np.linalg.norm(z0))
+        )
         calls = []
         scan = orb._rotation_seed_scan
 
-        def recording(*args, **kwargs):
-            t_ret = scan(*args, **kwargs)
-            calls.append((t_ret, oracles.rotation_seed_scan(*args, **kwargs)))
+        def recording(spec, traj, *args, **kwargs):
+            t_ret = scan(spec, traj, *args, **kwargs)
+            calls.append((traj.t1, t_ret))
             return t_ret
 
         monkeypatch.setattr(orb, "_rotation_seed_scan", recording)
         orb.find_rotation(spec, PhaseState(x0, v0))
-        assert len(calls) == 1
-        t_ret, t_ref = calls[0]
-        assert t_ret is not None and t_ret == t_ref
+        assert [h for h, _ in calls] == [orb._T_MAX / 16 * 2**k for k in range(len(calls))]
+        assert all(t_ret is None for _, t_ret in calls[:-1])
+        assert t_ref is not None and calls[-1][1] == t_ref
+
+    @pytest.mark.parametrize(
+        "system, x0, v0", [ROTATION_SEEDS[0], ROTATION_SEEDS[2]], ids=["flat", "exact ridge"]
+    )
+    def test_seeds_that_double_the_horizon(self, monkeypatch, system, x0, v0):
+        # the flat torus returns at 2 pi > _T_MAX / 16; on the exact ridge the
+        # steps grow fivefold, so the first probe is read only up to t = 2.08
+        spec = {"flat_torus": flat_torus, "cosine_torus": cosine_torus}[system]()
+        horizons = []
+        scan = orb._rotation_seed_scan
+
+        def recording(spec, traj, *args, **kwargs):
+            horizons.append(traj.t1)
+            return scan(spec, traj, *args, **kwargs)
+
+        monkeypatch.setattr(orb, "_rotation_seed_scan", recording)
+        orb.find_rotation(spec, PhaseState(x0, v0))
+        assert horizons == [orb._T_MAX / 16, orb._T_MAX / 8]
+
+    def test_late_return_needs_the_full_horizon(self):
+        orbit = orb.find_rotation(flat_torus(energy=0.005), PhaseState([0.0, 0.0], [0.1, 0.0]))
+        assert orbit.period == 62.83185307179586
+
+    def test_no_return_within_t_max(self):
+        with pytest.raises(orb.ConvergenceError, match=r"no section return within t = 100\.0"):
+            orb.find_rotation(flat_torus(energy=0.00125), PhaseState([0.0, 0.0], [0.05, 0.0]))
 
 
 class TestRotationChart:
@@ -312,7 +346,8 @@ def test_newton_iterations(monkeypatch, search, iterations):
 
 @pytest.mark.parametrize("search", [c[1] for c in NEWTON_CASES], ids=[c[0] for c in NEWTON_CASES])
 def test_plain_runs_per_search(monkeypatch, search):
-    # the probe and the closed run; every shooting trial is a tangent run
+    # one probe (each of these seeds returns within the first horizon,
+    # _T_MAX / 16) and the closed run; every shooting trial is a tangent run
     runs = []
     plain_run = orb.integrate
 
