@@ -4,14 +4,18 @@ Candidate coincidences come from a uniform spatial hash over a dense
 polyline resampling of the orbit (Teschner et al., VMV 2003).  Cells are at
 least as large as the largest segment, boxes are inflated by the acceptance
 margin, and on a torus every axis holds a whole number of cells, so that no
-near-miss straddles a cell boundary or a period unseen.  Hashed pairs pass
-a minimal-image box test, so the candidate list equals that of the O(N^2)
+near-miss straddles a cell boundary or a period unseen.  A cell is keyed by
+a wrapping int64 hash of its integer coordinates, so grids of any size
+index; cells sharing a key only add pairs.  Hashed pairs pass a
+minimal-image box test, so the candidate list equals that of the O(N^2)
 all-pairs generator, which the tests keep as the oracle
-(``oracles.brute_candidates``).  Candidates are taken in order; each one not
-already covered by a reported pair is refined by a damped Newton iteration
-on the squared separation of the two strands (time parameters wrap modulo
-the period) and classified at once by the angle between the refined
-velocities:
+(``oracles.brute_candidates``).  The candidates become arrays of segment
+indices and midpoint times with one live flag each.  Each live candidate,
+in order, is refined by a damped Newton iteration on the squared separation
+of the two strands (time parameters wrap modulo the period), and the pair it
+records retires every candidate it covers: for a reversal those whose s + t
+lies within 6 segments of its own, else those within 6 segments of it in
+both s and t.  Pairs are classified by the angle between their velocities:
 
 * ``reversal``     -- antiparallel strands; on a brake orbit these are the
                       retrace coincidences with s + t = tau (mod tau) and are
@@ -20,8 +24,9 @@ velocities:
 * ``tangential``   -- parallel within the angular tolerance; reported as an
                       ambiguity because transversality cannot be certified.
 
-Pairs whose refinement stalls between the acceptance and rejection
-thresholds are reported in ``unresolved`` rather than silently dropped.
+Pairs whose refinement stalls, and near misses between the acceptance and
+rejection thresholds, are reported in ``unresolved`` rather than silently
+dropped; a run of near misses along one strand pair is one entry.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ _NEAR_MISS_FACTOR = 10.0
 _TOL_ANGLE = 1e-3  # radians from (anti)parallel that still count as parallel
 _REFINE_MAX_ITER = 60  # Newton iterations per refined pair
 _PAIR_CHUNK = 2048  # hashed pairs per overlap test; bounds peak memory
+_CELL_KEYS = np.array([  # odd 62-bit multipliers: a cell's key is its coordinates @ these
+    0x296D9B5E597EE325, 0x3C3274321E5023F9, 0x34D7D31C923C999D, 0x3FF302B571F50C97,
+    0x3F6D963108AE2791, 0x248B15133BBB5E07, 0x2685054B6E12E21D, 0x279FCCD1DC0CD3C1,
+    0x287FD6215282EF49,
+])
 
 
 @dataclass
@@ -185,20 +195,16 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
     hi = ha if same else np.concatenate([ha, hb])
     lo_c = np.floor((lo - margin) / cells).astype(np.int64)
     hi_c = np.floor((hi + margin) / cells).astype(np.int64)
-    if periods is None:
-        base = lo_c.min(axis=0)
-        extent = hi_c.max(axis=0) - base + 1
-    else:
-        base, extent = np.zeros_like(ncells), ncells
 
-    # one entry (cell, box) per cell that an inflated box touches, sorted so
-    # that each cell's boxes form one run
+    # one entry (cell key, box) per cell that an inflated box touches, sorted
+    # so that each key's boxes form one run; cells sharing a key only add
+    # pairs, which the overlap test removes
     entries = []
     for offset in np.ndindex(*(np.max(hi_c - lo_c, axis=0) + 1)):
         c = lo_c + offset
         box = np.flatnonzero(np.all(c <= hi_c, axis=1))
-        cell_id = np.ravel_multi_index(((c[box] - base) % extent).T, extent)
-        entries.append(np.stack([cell_id, box], axis=1))
+        c = c[box] if periods is None else c[box] % ncells
+        entries.append(np.stack([c @ _CELL_KEYS[: c.shape[1]], box], axis=1))
     cell_id, box = np.unique(np.concatenate(entries), axis=0).T
 
     # every two boxes of one cell that overlap, coded as i * nb + j
@@ -223,17 +229,20 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
     return list(zip(ii.tolist(), jj.tolist()))
 
 
-def _param_gap_circular(a: float, b: float, period: float) -> float:
-    d = abs(math.fmod(a - b, period))
-    return min(d, period - d)
+def _param_gap_circular(a, b, period: float):
+    """Distance of a and b modulo the period; a and b may be arrays."""
+    d = np.abs(np.fmod(a - b, period))
+    return np.minimum(d, period - d)
 
 
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+def _dot(a: np.ndarray, b: np.ndarray):
+    # not np.dot: BLAS sums in another order, and on a zero curve where Newton
+    # stops is set by rounding alone
+    return np.einsum("i,i->", a, b)
 
 
 def _refine_pair(sa: _Strand, sb: _Strand, s: float, t: float):
@@ -243,26 +252,23 @@ def _refine_pair(sa: _Strand, sb: _Strand, s: float, t: float):
     the damping on a failed or singular trial and relaxes it on success.
     Ends converged on a vanishing gradient or a negligible decrease, and
     stalled when the line search fails or ``_REFINE_MAX_ITER`` steps pass.
-    Dense lookups are 1-row array calls, not scalar ones, which round
-    differently: on a zero curve (a brake orbit's retrace line) where Newton
-    stops is set by rounding alone.  Returns (s, t, gap, ok).
+    Returns (s, t, gap, ok).
     """
     space, n = sa.space, sa.n
 
     def separation(s, t):
-        zs, zt = sa.state(np.array([s])), sb.state(np.array([t]))
-        d = space.delta(zs[:, :n], zt[:, :n])
-        return d, _rowdot(d, d)[0], zs[:, n:], zt[:, n:]
+        zs, zt = sa.state(s), sb.state(t)
+        d = space.delta(zs[:n], zt[:n])
+        return d, _dot(d, d), zs[n:], zt[n:]
 
     d, f2, vs, vt = separation(s, t)
     lam = 1e-10
     for _ in range(_REFINE_MAX_ITER):
-        acs, act = sa.acceleration(np.array([s])), sb.acceleration(np.array([t]))
-        g1, g2 = _rowdot(d, vs)[0], -_rowdot(d, vt)[0]
-        h11 = _rowdot(vs, vs)[0] + _rowdot(d, acs)[0]
-        h12 = -_rowdot(vs, vt)[0]
-        h22 = _rowdot(vt, vt)[0] - _rowdot(d, act)[0]
-        scale = max(np.linalg.norm(vs, axis=1)[0], np.linalg.norm(vt, axis=1)[0], 1e-12)
+        acs, act = sa.acceleration(s), sb.acceleration(t)
+        g1, g2 = _dot(d, vs), -_dot(d, vt)
+        vv, ww = _dot(vs, vs), _dot(vt, vt)
+        h11, h12, h22 = vv + _dot(d, acs), -_dot(vs, vt), ww - _dot(d, act)
+        scale = max(math.sqrt(vv), math.sqrt(ww), 1e-12)
         if max(abs(g1), abs(g2)) < 1e-14 * scale * (1.0 + math.sqrt(f2)):
             return s, t, math.sqrt(f2), True
         for _ in range(25):
@@ -302,51 +308,63 @@ def _classify_angle(va, vb) -> str:
 # Report assembly
 # ---------------------------------------------------------------------------
 
+def _merge_near_misses(unresolved: list, pa: float, pb: float, win_a: float, win_b: float):
+    """Unresolved pairs in (s, t) order, each run of near misses as its least gap.
+
+    A near miss continues the run of the entry before it when within win_a in
+    s and win_b in t of it (circular gaps).
+    """
+    merged, prev = [], None
+    for p in sorted(unresolved, key=lambda p: (p.s, p.t)):
+        if (
+            prev is not None
+            and p.kind == prev.kind == "near_miss"
+            and _param_gap_circular(p.s, prev.s, pa) < win_a
+            and _param_gap_circular(p.t, prev.t, pb) < win_b
+        ):
+            merged[-1] = min(merged[-1], p, key=lambda q: q.gap)
+        else:
+            merged.append(p)
+        prev = p
+    return merged
+
+
 def _scan(strand_a: _Strand, strand_b: _Strand | None):
     same = strand_b is None
     sb = strand_a if same else strand_b
     diam = max(strand_a.diameter, sb.diameter)
     tol_space = 1e-6 * diam
     reject_gap = _NEAR_MISS_FACTOR * tol_space
-    candidates = _hash_candidates(strand_a, strand_b, reject_gap)
-
+    pa, pb = strand_a.period, sb.period
     n_seg_a = len(strand_a.pts) - 1
     dt_a = strand_a.period / n_seg_a
     dt_b = sb.period / (len(sb.pts) - 1)
-    guard = 4
 
-    accepted: list[IntersectionPair] = []
-    unresolved: list[IntersectionPair] = []
+    candidates = _hash_candidates(strand_a, strand_b, reject_gap)
+    i, j = np.array(candidates, dtype=np.int64).reshape(-1, 2).T
+    if same:  # drop segments within 4 of each other around the ring
+        ring = np.abs(i - j)
+        keep = np.minimum(ring, n_seg_a - ring) > 4
+        i, j = i[keep], j[keep]
+    s_mid = strand_a.ts[i] + 0.5 * dt_a
+    t_mid = sb.ts[j] + 0.5 * dt_b
 
-    def near_existing(s_mid: float, t_mid: float) -> bool:
-        for p in accepted:
-            if p.kind == "reversal" and same:
-                key = math.fmod(s_mid + t_mid, strand_a.period)
-                if _param_gap_circular(key, p.s + p.t, strand_a.period) < 6 * dt_a:
-                    return True
-            else:
-                if (
-                    _param_gap_circular(s_mid, p.s, strand_a.period) < 6 * dt_a
-                    and _param_gap_circular(t_mid, p.t, sb.period) < 6 * dt_b
-                ):
-                    return True
-        for p in unresolved:
-            if (
-                _param_gap_circular(s_mid, p.s, strand_a.period) < 6 * dt_a
-                and _param_gap_circular(t_mid, p.t, sb.period) < 6 * dt_b
-            ):
-                return True
-        return False
+    def covers(p: IntersectionPair) -> np.ndarray:
+        """The candidates whose midpoints the recorded pair p stands for."""
+        if p.kind == "reversal":  # the whole retrace line s + t = const
+            key = np.fmod(s_mid + t_mid, pa)
+            return _param_gap_circular(key, p.s + p.t, pa) < 6 * dt_a
+        near_s = _param_gap_circular(s_mid, p.s, pa) < 6 * dt_a
+        return near_s & (_param_gap_circular(t_mid, p.t, pb) < 6 * dt_b)
 
-    def classify(s: float, t: float, gap: float, ok: bool):
+    def classify(s: float, t: float, gap: float, ok: bool) -> IntersectionPair | None:
         s = strand_a.wrap_param(s)
         t = sb.wrap_param(t)
         if same and _param_gap_circular(s, t, strand_a.period) < 4 * dt_a:
-            return  # collapsed onto the diagonal; not a coincidence
+            return None  # collapsed onto the diagonal; not a coincidence
         point = strand_a.space.wrap(strand_a.position(s))
         if not ok and gap > tol_space:
-            unresolved.append(IntersectionPair(s, t, point, "stalled", gap))
-            return
+            return IntersectionPair(s, t, point, "stalled", gap)
         if gap <= tol_space:
             rel = _classify_angle(strand_a.velocity(s), sb.velocity(t))
             if same:
@@ -364,23 +382,23 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
                     kind = "double_point"
             else:
                 kind = "tangential" if rel != "transversal" else "double_point"
-            accepted.append(IntersectionPair(s, t, point, kind, gap))
-        elif gap <= reject_gap:
-            unresolved.append(IntersectionPair(s, t, point, "near_miss", gap))
-        # gaps beyond the rejection threshold are plain non-intersections
+            return IntersectionPair(s, t, point, kind, gap)
+        if gap <= reject_gap:
+            return IntersectionPair(s, t, point, "near_miss", gap)
+        return None  # gaps beyond the rejection threshold are non-intersections
 
-    for i, j in candidates:
-        if same:
-            ring = min(abs(i - j), n_seg_a - abs(i - j))
-            if ring <= guard:
-                continue
-        s_mid = float(strand_a.ts[i] + 0.5 * dt_a)
-        t_mid = float(sb.ts[j] + 0.5 * dt_b)
-        if not near_existing(s_mid, t_mid):
-            classify(*_refine_pair(strand_a, sb, s_mid, t_mid))
-
+    # refine, in order, each candidate that no pair recorded so far covers
+    live = np.ones(len(s_mid), dtype=bool)
+    accepted: list[IntersectionPair] = []
+    unresolved: list[IntersectionPair] = []
+    for c in range(len(s_mid)):
+        if live[c]:
+            p = classify(*_refine_pair(strand_a, sb, float(s_mid[c]), float(t_mid[c])))
+            if p is not None:
+                (unresolved if p.kind in ("stalled", "near_miss") else accepted).append(p)
+                live &= ~covers(p)
     accepted.sort(key=lambda p: (p.s, p.t))
-    unresolved.sort(key=lambda p: (p.s, p.t))
+    unresolved = _merge_near_misses(unresolved, pa, pb, 12 * dt_a, 12 * dt_b)
 
     # distinct double points by location (minimal-image metric)
     space = strand_a.space

@@ -518,7 +518,7 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
     delta splits a 2 x 2 block's eigenvalue by ~sqrt(delta) (Moro, Burke &
     Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).
     """
-    if not isinstance(periods, numbers.Integral) or periods < 1:
+    if isinstance(periods, bool) or not isinstance(periods, numbers.Integral) or periods < 1:
         raise PreconditionError(f"periods must be a positive integer, got {periods!r}")
     if spec != orbit.spec:
         raise PreconditionError("the orbit belongs to another system")

@@ -310,13 +310,18 @@ def solve_rk45(
     turns NaN or infinite raises :class:`IntegrationError` with the time and
     state of the first stage that produced it, and so does a run that takes
     ``_MAX_STEPS`` steps, accepted and rejected, without reaching the end of
-    the span.
+    the span.  A span that is not finite and increasing, rtol outside
+    [1e-13, inf) or atol outside (0, inf) raises ``ValueError`` at entry.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0!r}, {t1!r})")
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
-    if rtol < 1e-13:
-        raise ValueError("relative tolerance must be at least 1e-13")
+    if not 1e-13 <= rtol < math.inf:
+        raise ValueError(f"relative tolerance must be finite and at least 1e-13, got {rtol!r}")
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"absolute tolerance must be finite and positive, got {atol!r}")
     y = [float(c) for c in y0]
     d = len(y)
     w = None

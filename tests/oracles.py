@@ -16,8 +16,9 @@ straight-line code of ``geometry.metric_nodes`` that they cross-check.  The
 vectorised consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, the
 monodromy matrix against the augmented system that carried the variational
-equations in the state, and the intersection scan's spatial hash against the
-all-pairs candidate generator.  The member-by-member check of the resonant
+equations in the state, the intersection scan's spatial hash against the
+all-pairs candidate generator, and its cover rule against the candidate
+search it replaced.  The member-by-member check of the resonant
 oscillator family against its closed form lives here too.
 """
 
@@ -595,6 +596,101 @@ def brute_candidates(strand_a, strand_b, margin: float):
             ii, jj = ii[mask], jj[mask]
         out.extend(zip(ii.tolist(), jj.tolist()))
     return sorted(out)
+
+
+def _circular_gap(a: float, b: float, period: float) -> float:
+    d = abs(math.fmod(a - b, period))
+    return min(d, period - d)
+
+
+def scan_by_search(strand_a, strand_b):
+    """The intersection scan that tests each candidate against every pair
+    recorded so far when the candidate comes up.
+
+    The reference for ``intersect._scan``, which instead retires the
+    candidates a pair covers when the pair is recorded.  It shares the
+    candidate generator (looked up at call time, so a test may swap it),
+    the refinement and the angle test with the library, and reports every
+    near miss as found, without merging runs.
+    """
+    same = strand_b is None
+    sb = strand_a if same else strand_b
+    diam = max(strand_a.diameter, sb.diameter)
+    tol_space = 1e-6 * diam
+    reject_gap = isect._NEAR_MISS_FACTOR * tol_space
+    candidates = isect._hash_candidates(strand_a, strand_b, reject_gap)
+    pa, pb = strand_a.period, sb.period
+    n_seg_a = len(strand_a.pts) - 1
+    dt_a = pa / n_seg_a
+    dt_b = pb / (len(sb.pts) - 1)
+    accepted, unresolved = [], []
+
+    def near_existing(s_mid, t_mid):
+        def windows(p):
+            near_s = _circular_gap(s_mid, p.s, pa) < 6 * dt_a
+            return near_s and _circular_gap(t_mid, p.t, pb) < 6 * dt_b
+
+        for p in accepted:
+            if p.kind == "reversal" and same:
+                key = math.fmod(s_mid + t_mid, pa)
+                if _circular_gap(key, p.s + p.t, pa) < 6 * dt_a:
+                    return True
+            elif windows(p):
+                return True
+        return any(windows(p) for p in unresolved)
+
+    def classify(s, t, gap, ok):
+        s, t = strand_a.wrap_param(s), sb.wrap_param(t)
+        if same and _circular_gap(s, t, pa) < 4 * dt_a:
+            return
+        point = strand_a.space.wrap(strand_a.position(s))
+        if not ok and gap > tol_space:
+            unresolved.append(isect.IntersectionPair(s, t, point, "stalled", gap))
+        elif gap <= tol_space:
+            rel = isect._classify_angle(strand_a.velocity(s), sb.velocity(t))
+            if same:
+                retrace = _circular_gap(s + t, 0.0, pa) < 1e-6 * pa
+                if rel == "antiparallel" or (strand_a.orbit.kind == "brake" and retrace):
+                    kind = "reversal"
+                elif rel == "parallel":
+                    kind = "tangential"
+                else:
+                    kind = "double_point"
+            else:
+                kind = "tangential" if rel != "transversal" else "double_point"
+            accepted.append(isect.IntersectionPair(s, t, point, kind, gap))
+        elif gap <= reject_gap:
+            unresolved.append(isect.IntersectionPair(s, t, point, "near_miss", gap))
+
+    for i, j in candidates:
+        if same and min(abs(i - j), n_seg_a - abs(i - j)) <= 4:
+            continue
+        s_mid = float(strand_a.ts[i] + 0.5 * dt_a)
+        t_mid = float(sb.ts[j] + 0.5 * dt_b)
+        if not near_existing(s_mid, t_mid):
+            classify(*isect._refine_pair(strand_a, sb, s_mid, t_mid))
+    accepted.sort(key=lambda p: (p.s, p.t))
+    unresolved.sort(key=lambda p: (p.s, p.t))
+
+    dp_points = []
+    cluster_tol = max(8.0 * tol_space, 1e-9 * diam)
+    for p in accepted:
+        if p.kind == "double_point" and all(
+            np.linalg.norm(strand_a.space.delta(p.point, q)) > cluster_tol for q in dp_points
+        ):
+            dp_points.append(p.point)
+    keys = []
+    for p in accepted:
+        key = math.fmod(p.s + p.t, pa)
+        if p.kind == "reversal" and all(_circular_gap(key, k, pa) > 6 * dt_a for k in keys):
+            keys.append(key)
+    return isect.IntersectionReport(
+        pairs=accepted,
+        unresolved=unresolved,
+        dp_count=len(dp_points),
+        reversal_count=len(keys),
+        tangential_count=sum(1 for p in accepted if p.kind == "tangential"),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,27 @@ class TestIntegrate:
             f2 = geo.f_squared(sys.metric, list(traj.position(t)), list(traj.velocity(t)))
             assert abs(f2 - f2_0) < 1e-8
 
-    def test_rtol_floor_enforced(self):
-        sys = oscillator()
-        with pytest.raises(ValueError):
-            dyn.integrate(sys, PhaseState([1, 0], [0, 0]), (0.0, 1.0), rtol=1e-14)
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"rtol": 1e-14},
+            {"rtol": math.nan},
+            {"rtol": math.inf},
+            {"atol": 0.0},
+            {"atol": -1e-12},
+            {"atol": math.nan},
+            {"atol": math.inf},
+            {"t_span": (0.0, math.inf)},
+            {"t_span": (-math.inf, 1.0)},
+            {"t_span": (0.0, math.nan)},
+        ],
+        ids=lambda options: "{}={}".format(*next(iter(options.items()))).replace(" ", ""),
+    )
+    def test_span_and_tolerances_checked(self, options):
+        # the zero velocity component makes atol = 0 divide by zero
+        options = {"t_span": (0.0, 1.0), **options}
+        with pytest.raises(ValueError, match="t_span|tolerance"):
+            dyn.integrate(oscillator(), PhaseState([1, 0], [0, 0]), **options)
 
     def test_state_of_the_wrong_size_rejected(self):
         # used to fail inside the generated code with an unpacking error

@@ -309,6 +309,32 @@ class TestHashMatchesBruteForce:
         assert fast.to_dict() == slow.to_dict()
 
 
+class TestCellKeys:
+    """Cells are keyed by a hash, so grids with more than 2^63 cells scan."""
+
+    def test_six_dof_torus_rotation(self):
+        n = 6
+        metric = geo.MetricModel.euclidean(n, geo.Space.torus([2 * math.pi] * n))
+        spec = dyn.SystemSpec(metric, ex.parse("0", n), 0.5)
+        period = 2 * math.pi * math.sqrt(n)  # one closed winding along (1, ..., 1)
+        orbit = straight_rotation(spec, [0.0] * n, [1 / math.sqrt(n)] * n, period)
+        strand = isect._Strand(orbit)
+        assert len(strand.pts) - 1 == 2048
+        report = isect.self_intersections(orbit)
+        assert report.pairs == [] and report.unresolved == []
+        margin = isect._NEAR_MISS_FACTOR * 1e-6 * strand.diameter
+        hashed = isect._hash_candidates(strand, None, margin)
+        assert hashed == oracles.brute_candidates(strand, None, margin)
+
+    def test_seven_dof_oscillator_orbit(self):
+        n = 7
+        spec = ref.oscillator_system(ref.OscillatorSpec(tuple(range(1, n + 1)), 1.0))
+        traj = dyn.integrate(spec, PhaseState([0.1] * n, [0.05] * n), (0.0, 2 * math.pi))
+        orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="rotation")
+        report = isect.self_intersections(orbit)
+        assert report.pairs == [] and report.unresolved == []
+
+
 @pytest.mark.parametrize("brute_force", [False, True])
 class TestScanExits:
     def test_parallel_rotations_close_together_are_near_misses(self, brute_force):
@@ -318,7 +344,7 @@ class TestScanExits:
         b = straight_rotation(spec, [0.0, 2e-5], [1.0, 0.0], 2 * math.pi)
         report = scan((a, b), brute_force=brute_force)
         assert report.pairs == []
-        assert len(report.unresolved) == 170
+        assert len(report.unresolved) == 1
         for p in report.unresolved:
             assert p.kind == "near_miss"
             assert p.gap == pytest.approx(2e-5, rel=1e-6)
@@ -331,6 +357,83 @@ class TestScanExits:
         assert report.pairs == []
         assert [p.kind for p in report.unresolved] == ["stalled"]
         assert report.unresolved[0].gap == pytest.approx(1.534e-3, rel=1e-3)
+
+
+def scan_by_search(case, brute_force):
+    """``scan`` through ``oracles.scan_by_search``, the candidate-by-candidate
+    search for a covering pair that the scan's cover rule replaced."""
+    a, b = case
+    with pytest.MonkeyPatch.context() as mp:
+        if brute_force:
+            mp.setattr(isect, "_hash_candidates", oracles.brute_candidates)
+        return oracles.scan_by_search(isect._Strand(a), None if b is None else isect._Strand(b))
+
+
+@pytest.fixture(scope="module")
+def survey_brakes():
+    """Brake orbits like the benchmark's survey items: a non-resonant
+    oscillator at E = 0.5, seeded near the x1-axis turning point."""
+
+    def brake(alphas, offsets):
+        spec = ref.oscillator_system(ref.OscillatorSpec(alphas, 0.5))
+        return orb.find_brake(spec, [1.012 / alphas[0], *offsets])
+
+    return {
+        "2-DOF": brake((1.02, 1.02 * 1.47), [-0.025]),
+        "3-DOF": brake((0.97, 0.97 * 1.22, 0.97 * 1.6), [0.02, -0.03]),
+    }
+
+
+def refined(run, case, brute_force):
+    """The report of ``run(case, brute_force)`` and the (s, t) starts it refined."""
+    starts = []
+    refine = isect._refine_pair
+
+    def recording(sa, sb, s, t):
+        starts.append((s, t))
+        return refine(sa, sb, s, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isect, "_refine_pair", recording)
+        return run(case, brute_force).to_dict(), starts
+
+
+@pytest.mark.parametrize("brute_force", [False, True])
+class TestCoverRule:
+    """Retiring the candidates a recorded pair covers refines the starts, and
+    reports the pairs, that testing each candidate against the recorded
+    pairs did."""
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_scan_cases(self, scan_cases, name, brute_force):
+        case = scan_cases[name]
+        assert refined(scan, case, brute_force) == refined(scan_by_search, case, brute_force)
+
+    def test_stalled_refinement(self, scan_cases, brute_force):
+        case = scan_cases["lissajous"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(isect, "_REFINE_MAX_ITER", 0)
+            expected = refined(scan_by_search, case, brute_force)
+            assert refined(scan, case, brute_force) == expected
+
+    @pytest.mark.parametrize("dof", ["2-DOF", "3-DOF"])
+    def test_survey_brake(self, survey_brakes, dof, brute_force):
+        case = (survey_brakes[dof], None)
+        report, starts = refined(scan, case, brute_force)
+        assert report["pairs"] and all(p["kind"] == "reversal" for p in report["pairs"])
+        assert (report, starts) == refined(scan_by_search, case, brute_force)
+
+    def test_near_misses_merge_to_the_least_gap(self, brute_force):
+        spec = flat_torus()
+        a = straight_rotation(spec, [0.0, 0.0], [1.0, 0.0], 2 * math.pi)
+        b = straight_rotation(spec, [0.0, 2e-5], [1.0, 0.0], 2 * math.pi)
+        merged, starts = refined(scan, (a, b), brute_force)
+        expected, expected_starts = refined(scan_by_search, (a, b), brute_force)
+        assert starts == expected_starts
+        assert merged["pairs"] == expected["pairs"]
+        assert len(expected["unresolved"]) == 170
+        least = min(expected["unresolved"], key=lambda p: (p["gap"], p["s"], p["t"]))
+        assert merged["unresolved"] == [least]
 
 
 class TestStrandWrap:

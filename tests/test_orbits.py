@@ -384,7 +384,7 @@ class TestMalformedInput:
         with pytest.raises(orb.PreconditionError, match="seed"):
             orb.find_rotation(cosine_torus(), PhaseState([math.pi, 0.0, 0.0], [0.0, speed, 0.0]))
 
-    @pytest.mark.parametrize("periods", [1.5, 0, -1])
+    @pytest.mark.parametrize("periods", [1.5, 0, -1, True])
     def test_monodromy_periods(self, periods):
         spec = oscillator()
         orbit = orb.find_brake(spec, [1.0, 0.0])
