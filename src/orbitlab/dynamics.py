@@ -6,15 +6,14 @@ system's straight-line code over floats (:func:`orbitlab.geometry.metric_nodes`
 plus the potential and their derivatives in every state variable, compiled
 once per system), which also gives its tangent (:func:`state_rhs_jvp`).  A
 domain failure in the code raises the interpreter's error naming the
-subexpression (:func:`orbitlab.expr.run`); the interpreter never supplies a
-value of the flow.  The integrator records energy drift along every
-trajectory but never corrects it.
+subexpression (:meth:`orbitlab.expr.Compiled.run`); the interpreter never
+supplies a value of the flow.  The integrator records energy drift along
+every trajectory but never corrects it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +41,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PotentialField:
+class PotentialField(ex.Compiled):
     """Potential U(x) given by an expression over the position variables.
 
     U, grad U and the Hessian of U run as straight-line code over floats,
-    built once, on first use (:class:`~orbitlab.expr.Graph`).
+    built once, on first use (:class:`~orbitlab.expr.Compiled`).
     """
 
     node: ex.ExprNode
@@ -59,38 +58,26 @@ class PotentialField:
                 "potential may depend on position variables only"
             )
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_code"}  # rebuilt on use
-
-    @cached_property
-    def _code(self):
+    def _functions(self, graph):
         n = self.dimension
-        graph = ex.Graph(n)
         u = graph.tree(self.node)
         grad = [graph.diff(u, i) for i in range(n)]
         hessian = [[graph.diff(d, j) for j in range(n)] for d in grad]
-        code = graph.build(
-            [("value", n, u, ()), ("gradient", n, grad, (u,)), ("hessian", n, hessian, (u,))]
-        )
-        return code, graph.trees
-
-    def _run(self, name, x):
-        code, trees = self._code
-        return ex.run(code, name, list(map(float, x)), trees)
+        return [("value", n, u, ()), ("gradient", n, grad, (u,)), ("hessian", n, hessian, (u,))]
 
     def value(self, x):
-        return self._run("value", x)
+        return self.run("value", list(map(float, x)))
 
     def gradient(self, x):
-        return self._run("gradient", x)
+        return self.run("gradient", list(map(float, x)))
 
     def hessian(self, x):
         """n x n list whose row i is the gradient of dU/dx_i."""
-        return self._run("hessian", x)
+        return self.run("hessian", list(map(float, x)))
 
 
 @dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(ex.Compiled):
     """Kinetic metric + potential + fixed energy level.
 
     The flow runs as straight-line code built once, on first use.  Its
@@ -125,13 +112,8 @@ class SystemSpec:
     def dimension(self) -> int:
         return self.metric.dimension
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_code"}  # rebuilt on use
-
-    @cached_property
-    def _code(self):
+    def _functions(self, graph):
         n = self.dimension
-        graph = ex.Graph(n)
         f2, g, c = geo.metric_nodes(graph, self.metric)
         u = graph.tree(self.potential.node)
         c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
@@ -140,10 +122,9 @@ class SystemSpec:
         dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
         dc = [[graph.diff(e, k) for k in zs] for e in c]
         dh = [graph.diff(energy, k) for k in zs]
-        code = graph.build([("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ()),
-                            ("energy_gradient", 2 * n, dh, (f2, u)),
-                            ("tangent", 2 * n, [g, c, dg, dc], (f2, u))])
-        return code, graph.trees
+        return [("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ()),
+                ("energy_gradient", 2 * n, dh, (f2, u)),
+                ("tangent", 2 * n, [g, c, dg, dc], (f2, u))]
 
 
 @dataclass
@@ -179,7 +160,6 @@ def _acceleration(spec: SystemSpec, z: list, name: str = "parts"):
     steepest descent w = -grad U, along which the flow leaves a rest point,
     so ``out`` is taken at (x, w) and a = -g(x, w)^{-1} grad U.
     """
-    code, trees = spec._code
     n = spec.dimension
     rest = spec.metric.kind == "finsler" and not any(z[n:])
     if rest:
@@ -189,9 +169,9 @@ def _acceleration(spec: SystemSpec, z: list, name: str = "parts"):
                 "Finsler flow undefined at a rest point with vanishing grad U"
             )
         z = z[:n] + [-c for c in grad_u]
-    out = ex.run(code, name, z, trees)
+    out = spec.run(name, z)
     if spec.metric.varying:
-        geo._require_positive_definite(out[0], "fundamental tensor")
+        geo.require_positive_definite(out[0], "fundamental tensor")
     return [-a for a in solve_linear(out[0], grad_u if rest else out[1])], rest, out
 
 
@@ -239,18 +219,14 @@ def rhs_jacobian(spec: SystemSpec, z):
     return state_rhs_jvp(spec, z, np.eye(len(z)))[1]
 
 
-def total_energy(spec: SystemSpec, x, v=None):
+def total_energy(spec: SystemSpec, x, v):
     """H(x, v) = F^2(x, v) / 2 + U(x)."""
-    if v is None:
-        x, v = x.x, x.v  # PhaseState
-    code, trees = spec._code
-    return ex.run(code, "energy", [*map(float, x), *map(float, v)], trees)
+    return spec.run("energy", [*map(float, x), *map(float, v)])
 
 
 def energy_gradient(spec: SystemSpec, z) -> list[float]:
     """Gradient of H = F^2 / 2 + U in the 2n state variables z = (x, v)."""
-    code, trees = spec._code
-    return ex.run(code, "energy_gradient", _state(spec, z), trees)
+    return spec.run("energy_gradient", _state(spec, z))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +245,7 @@ def kinetic_minimum_event(spec: SystemSpec, terminal: bool = False) -> EventSpec
         grad_u = spec.potential.gradient(list(z[:n]))
         return float(np.dot(grad_u, z[n:]))
 
-    return EventSpec(g, direction=-1, terminal=terminal, name="kinetic_minimum")
+    return EventSpec(g, direction=-1, terminal=terminal)
 
 
 @dataclass

@@ -27,9 +27,14 @@ is asked for once.  The compiled functions run over floats only; every
 derivative they return is a node of the graph.  Every imported tree is
 computed in full, so the generated code raises ``ValueError``,
 ``ZeroDivisionError`` or ``OverflowError`` wherever a tree leaves its domain.
-:func:`run` calls the compiled code and names such a failure, never answers
-it: it re-runs the imported trees at the failing point through
-:func:`evaluate` and :func:`eval_dual`, whose errors name the subexpression.
+
+:class:`Compiled` is the one owner of a model's compiled code.  A model
+(the potential, the metric, the system) lists its functions over a fresh
+graph; the base builds them once, on first use, keeps them out of pickles
+and copies, and runs one by name.  :meth:`Compiled.run` names a failure of
+the generated code, never answers it: it re-runs the imported trees at the
+failing point through :func:`evaluate` and :func:`eval_dual`, whose errors
+name the subexpression.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Const",
@@ -49,7 +55,7 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "Graph",
-    "run",
+    "Compiled",
     "parse",
     "to_source",
     "variables_of",
@@ -672,7 +678,7 @@ class Graph:
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.trees: list[ExprNode] = []  # imported by :meth:`tree`, for :func:`run`
+        self.trees: list[ExprNode] = []  # imported by :meth:`tree`, for :meth:`Compiled.run`
         self.ops: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         self._diffs: dict[tuple[int, int], int] = {}
@@ -889,23 +895,42 @@ class Graph:
         return {f[0]: scope[f[0]] for f in functions}
 
 
-def run(code: dict, name: str, z: list, trees):
-    """Straight-line function ``name`` of ``code``, built by
-    :meth:`Graph.build` from the imported ``trees``, at the floats ``z``.
+class Compiled:
+    """Base of a model whose functions run as straight-line code.
 
-    A domain failure of the generated code is named, never answered: the
-    trees are re-run at z by :func:`evaluate`, then by :func:`eval_dual` of
-    order 1 and of order 2, and the first :class:`EvalDomainError` is raised.
-    If none raises, the original exception propagates; so does a failure
-    that only a third derivative meets (the flow's tangent holds third
-    derivatives of F^2).
+    A subclass has a ``dimension`` and lists its functions in
+    ``_functions(graph)``, as :meth:`Graph.source` takes them, with nodes of
+    ``graph``, a fresh :class:`Graph` of that dimension.  They are built once,
+    on first use, and left out of pickles and copies, which build them again
+    when used.
     """
-    try:
-        return code[name](z)
-    except _DOMAIN_FAILURES:
-        for tree in trees:
-            evaluate(tree, z)
-        for order in (1, 2):
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}
+
+    @cached_property
+    def _code(self):
+        """(functions by name, the trees the graph imported)."""
+        graph = Graph(self.dimension)
+        return graph.build(self._functions(graph)), graph.trees
+
+    def run(self, name: str, z: list):
+        """Function ``name`` at the floats ``z``.
+
+        A domain failure of the generated code is named, never answered: the
+        imported trees are re-run at z by :func:`evaluate`, then by
+        :func:`eval_dual` of order 1 and of order 2, and the first
+        :class:`EvalDomainError` is raised.  If none raises, the original
+        exception propagates; so does a failure that only a third derivative
+        meets (the flow's tangent holds third derivatives of F^2).
+        """
+        code, trees = self._code
+        try:
+            return code[name](z)
+        except _DOMAIN_FAILURES:
             for tree in trees:
-                eval_dual(tree, z, None, order)
-        raise
+                evaluate(tree, z)
+            for order in (1, 2):
+                for tree in trees:
+                    eval_dual(tree, z, None, order)
+            raise

@@ -7,9 +7,10 @@ one construction of F^2, the fundamental tensor and the spray's right-hand
 side as symbolic derivatives in an :class:`~orbitlab.expr.Graph`.  The flow
 compiles it together with the potential (see :mod:`orbitlab.dynamics`);
 :func:`metric_tensor`, :func:`metric_and_spray` and
-:func:`geodesic_coefficients` run a metric-only build of it, made on first
-use and cached on the model.  Finite differences never enter these code
-paths; they are reserved for test oracles.
+:func:`geodesic_coefficients` run the model's own metric-only build of it
+(:class:`~orbitlab.expr.Compiled`).  :func:`require_positive_definite` is
+the one definiteness check of a tensor.  Finite differences never enter
+these code paths; they are reserved for test oracles.
 
 F^2 itself (:func:`f_squared`) is one more function of that build.  The
 compiled routines and :func:`solve_linear` run over floats only.
@@ -36,6 +37,7 @@ __all__ = [
     "metric_and_spray",
     "geodesic_coefficients",
     "solve_linear",
+    "require_positive_definite",
 ]
 
 _PD_RELATIVE_FLOOR = 1e-12
@@ -132,7 +134,7 @@ class Space:
 
 
 @dataclass(frozen=True)
-class MetricModel:
+class MetricModel(ex.Compiled):
     """Kinetic-energy model: Riemannian coefficient matrix or Finsler F^2.
 
     Riemannian entries may depend on positions only; the n x n matrix is
@@ -165,7 +167,7 @@ class MetricModel:
                 raise ModelValidityError("riemannian coefficients may depend on positions only")
             if not self.varying:
                 g = np.array([[e.value for e in row] for row in self.g_exprs], dtype=float)
-                _require_positive_definite(g, "constant metric")
+                require_positive_definite(g, "constant metric")
         elif self.kind == "finsler":
             if self.f2_expr is None or self.g_exprs is not None:
                 raise ModelValidityError("a finsler model takes an F^2 expression and no entries")
@@ -174,9 +176,6 @@ class MetricModel:
             self._spot_check_finsler()
         else:
             raise ModelValidityError(f"unknown metric kind {self.kind!r}")
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_code"}  # rebuilt on use
 
     @cached_property
     def varying(self) -> bool:
@@ -187,15 +186,11 @@ class MetricModel:
             isinstance(e, ex.Const) for row in self.g_exprs for e in row
         )
 
-    @cached_property
-    def _code(self):
-        """(code, trees) of the metric-only straight-line build, see :func:`_run`."""
-        graph = ex.Graph(self.dimension)
+    def _functions(self, graph):
+        """Functions "f2" (F^2), "tensor" (g) and "parts" ((g, c)) of z = (x, v)."""
         f2, g, c = metric_nodes(graph, self)
         arity = 2 * self.dimension
-        code = graph.build([("f2", arity, f2, ()), ("tensor", arity, g, (f2,)),
-                            ("parts", arity, [g, c], (f2,))])
-        return code, graph.trees
+        return [("f2", arity, f2, ()), ("tensor", arity, g, (f2,)), ("parts", arity, [g, c], (f2,))]
 
     # -- constructors --------------------------------------------------------
 
@@ -248,7 +243,9 @@ class MetricModel:
         return rng.uniform(-1.5, 1.5, n)
 
 
-def _require_positive_definite(g, what: str):
+def require_positive_definite(g, what: str):
+    """Raise :class:`ModelValidityError` naming ``what`` unless the symmetric
+    matrix g has a positive trace and a least eigenvalue above 1e-12 times it."""
     eigs = np.linalg.eigvalsh(g)
     trace = float(np.trace(g))
     if trace <= 0.0 or eigs[0] <= _PD_RELATIVE_FLOOR * trace:
@@ -285,7 +282,7 @@ def _require_nonzero_v(model: MetricModel, v):
 
 def f_squared(model: MetricModel, x, v) -> float:
     """F^2(x, v); for Riemannian models g_ij(x) v^i v^j."""
-    return _run(model, "f2", x, v)
+    return model.run("f2", [*map(float, x), *map(float, v)])
 
 
 def metric_nodes(graph: ex.Graph, model: MetricModel):
@@ -322,19 +319,12 @@ def metric_nodes(graph: ex.Graph, model: MetricModel):
     return f2, g, c
 
 
-def _run(model: MetricModel, name: str, x, v):
-    """The model's metric-only straight-line function ``name`` ("f2": F^2;
-    "tensor": g; "parts": (g, c)) at (x, v), built once, on first use."""
-    code, trees = model._code
-    return ex.run(code, name, [*map(float, x), *map(float, v)], trees)
-
-
 def metric_tensor(model: MetricModel, x, v):
     """Fundamental tensor g_ij(x, v) = half the v-Hessian of F^2, checked
     positive definite."""
     _require_nonzero_v(model, v)
-    g = _run(model, "tensor", x, v)
-    _require_positive_definite(g, "fundamental tensor")
+    g = model.run("tensor", [*map(float, x), *map(float, v)])
+    require_positive_definite(g, "fundamental tensor")
     return g
 
 
@@ -348,9 +338,9 @@ def metric_and_spray(model: MetricModel, x, v):
     when the model was built.
     """
     _require_nonzero_v(model, v)
-    g, c = _run(model, "parts", x, v)
+    g, c = model.run("parts", [*map(float, x), *map(float, v)])
     if model.varying:
-        _require_positive_definite(g, "fundamental tensor")
+        require_positive_definite(g, "fundamental tensor")
     return g, [0.5 * s for s in solve_linear(g, c)]
 
 

@@ -1,14 +1,18 @@
 """Detection and classification of orbit intersections.
 
 Candidate coincidences come from a uniform spatial hash over a dense
-polyline resampling of the orbit (Teschner et al., VMV 2003).  Cells are at
-least as large as the largest segment, boxes are inflated by the acceptance
-margin, and on a torus every axis holds a whole number of cells, so that no
-near-miss straddles a cell boundary or a period unseen.  A cell is keyed by
-a wrapping int64 hash of its integer coordinates, so grids of any size
-index; cells sharing a key only add pairs.  Hashed pairs pass a
-minimal-image box test, so the candidate list equals that of the O(N^2)
-all-pairs generator, which the tests keep as the oracle
+polyline resampling of the orbit (Teschner et al., VMV 2003).  Segment boxes
+are inflated by the acceptance margin and entered in every cell they touch,
+so two boxes that overlap share a cell; on a torus every axis holds a whole
+number of cells, so that this holds across a period too.  A cell is n times
+the largest box extent E in n dimensions: an inflated box, at most E plus
+twice the margin wide, then touches about 1 + 1/n cells per axis on average,
+(1 + 1/n)^n < e cells in all, whatever n (cells of size E would be entered up
+to 2^n times per box).  A cell is keyed by a wrapping int64 hash of its
+integer coordinates, so grids of any size index; cells sharing a key only
+add pairs.  Hashed pairs pass a minimal-image box test (:meth:`Space.delta
+<orbitlab.geometry.Space.delta>`), so the candidate list equals that of the
+O(N^2) all-pairs generator, which the tests keep as the oracle
 (``oracles.brute_candidates``).  The candidates become arrays of segment
 indices and midpoint times with one live flag each.  Each live candidate,
 in order, is refined by a damped Newton iteration on the squared separation
@@ -154,20 +158,12 @@ def _box_centres(strand: _Strand):
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def _boxes_overlap(ca, ea, cb, eb, periods, margin):
+def _boxes_overlap(ca, ea, cb, eb, space, margin):
     """Minimal-image test that boxes (centre, half-extent) overlap within margin.
 
     Broadcasts over leading axes; the last axis is the coordinate.
     """
-    d = ca - cb
-    if periods is not None:
-        d -= periods * np.round(d / periods)
-    return np.all(np.abs(d) <= ea + eb + margin, axis=-1)
-
-
-def _periods(strand: _Strand):
-    space = strand.space
-    return np.asarray(space.periods) if space.kind == "torus" else None
+    return np.all(np.abs(space.delta(ca, cb)) <= ea + eb + margin, axis=-1)
 
 
 def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
@@ -181,13 +177,12 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
         strand_b = strand_a
     la, ha = _segment_boxes(strand_a.pts)
     lb, hb = _segment_boxes(strand_b.pts)
-    cell = max(
-        float(np.max(ha - la)), float(np.max(hb - lb)), 1e-12
-    )
-    periods = _periods(strand_a)
+    cell = la.shape[1] * max(float(np.max(ha - la)), float(np.max(hb - lb)), 1e-12)
+    torus = strand_a.space.kind == "torus"
     cells = np.full(la.shape[1], cell)
-    if periods is not None:
+    if torus:
         # a whole number of cells per period keeps keys consistent across images
+        periods = np.asarray(strand_a.space.periods)
         ncells = np.maximum(np.floor(periods / cell).astype(int), 1)
         cells = periods / ncells
     na, nb = len(la), len(lb)
@@ -203,7 +198,7 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
     for offset in np.ndindex(*(np.max(hi_c - lo_c, axis=0) + 1)):
         c = lo_c + offset
         box = np.flatnonzero(np.all(c <= hi_c, axis=1))
-        c = c[box] if periods is None else c[box] % ncells
+        c = c[box] % ncells if torus else c[box]
         entries.append(np.stack([c @ _CELL_KEYS[: c.shape[1]], box], axis=1))
     cell_id, box = np.unique(np.concatenate(entries), axis=0).T
 
@@ -221,7 +216,7 @@ def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float)
             i, j = i[cross], j[cross] - na
         for start in range(0, len(i), _PAIR_CHUNK):
             ic, jc = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
-            keep = _boxes_overlap(ca[ic], ea[ic], cb[jc], eb[jc], periods, margin)
+            keep = _boxes_overlap(ca[ic], ea[ic], cb[jc], eb[jc], strand_a.space, margin)
             codes.append(ic[keep] * nb + jc[keep])
     if not codes:
         return []

@@ -343,21 +343,14 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
 def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
     """First near-return time on the grid np.linspace(0, _T_MAX, 4096), or None.
 
-    A run's accepted steps and dense output do not depend on the end t1 of its
-    span until an attempt is cut short to land on t1, and an attempt is at
-    most rk._MAX_FACTOR times the step before it.  So a probe that ends
-    before _T_MAX is scanned strictly before the first step start s with s +
-    rk._MAX_FACTOR * (previous step) >= t1, where it is the probe to _T_MAX
-    bit for bit.  (The initial step reads the span only when the span is
-    shorter than its trial steps.)
+    A probe that ends before _T_MAX is scanned strictly before its settled
+    time (:attr:`~orbitlab.rk.DenseOutput.settled`), where it is the probe to
+    _T_MAX bit for bit.
     """
     n = spec.dimension
     ts = np.linspace(0.0, _T_MAX, 4096)
     if traj.t1 < _T_MAX:
-        starts = traj.ts[:-1]
-        reach = starts[1:] + rk._MAX_FACTOR * traj.dense.h[:-1]
-        cut = np.flatnonzero(reach >= traj.t1)
-        ts = ts[ts < (starts[1 + cut[0]] if cut.size else starts[-1])]
+        ts = ts[ts < traj.dense.settled]
     z = traj.state(ts)
     dx = spec.metric.space.delta(z[:, :n], z0[:n])
     dv = z[:, n:] - z0[n:]

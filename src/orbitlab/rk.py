@@ -19,6 +19,15 @@ h[k] q[k] (theta, ..., theta^4).  At and beyond the ends of the span it gives
 the first or last stored state.  Events are located by sign change plus
 bisection on the current step's interpolant down to a 1e-12 time tolerance
 (four ulps of t where that is coarser), with a cap on the number of halvings.
+
+A run's accepted steps and dense output do not depend on the end t1 of its
+span until an attempt is cut short to land on t1, and an attempt is at most
+_MAX_FACTOR times the step before it.  So they equal those of any longer run
+from the same start strictly before the run's settled time
+(:attr:`DenseOutput.settled`): the first step start s with
+s + _MAX_FACTOR * (the step before s) >= t1, or else the last step start.
+(The initial step reads the span only when the span is shorter than its
+trial steps.)
 """
 
 from __future__ import annotations
@@ -123,13 +132,11 @@ class EventSpec:
     fn: object
     direction: int = 0  # +1 upward crossings, -1 downward, 0 both
     terminal: bool = False
-    name: str = ""
 
 
 @dataclass
 class EventHit:
     index: int
-    name: str
     t: float
     y: np.ndarray
 
@@ -183,6 +190,15 @@ class DenseOutput:
             [np.ones_like(theta), 2.0 * theta, 3.0 * theta**2, 4.0 * theta**3], axis=-1
         )
         return np.einsum("...dj,...j->...d", self.q[k], powers)
+
+    @property
+    def settled(self) -> float:
+        """Time before which the run's steps and dense output are those of any
+        longer run from the same start (see the module docstring)."""
+        starts = self.ts[:-1]
+        reach = starts[1:] + _MAX_FACTOR * self.h[:-1]
+        cut = np.flatnonzero(reach >= self.ts[-1])
+        return float(starts[1 + cut[0]] if cut.size else starts[-1])
 
 
 @dataclass
@@ -435,7 +451,7 @@ def solve_rk45(
                 t_ev, y_ev = _bisect_event(ev.fn, t, h, ys[-1], q, np.sign(g0))
                 hits_here.append((t_ev, idx, y_ev))
             for t_ev, idx, y_ev in sorted(hits_here):
-                result.events.append(EventHit(idx, events[idx].name, t_ev, y_ev))
+                result.events.append(EventHit(idx, t_ev, y_ev))
                 if events[idx].terminal and stop_at is None:
                     stop_at = (t_ev, y_ev)
             g_prev = g_new

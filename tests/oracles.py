@@ -580,14 +580,13 @@ def brute_candidates(strand_a, strand_b, margin: float):
         strand_b = strand_a
     ca, ea = isect._box_centres(strand_a)
     cb, eb = isect._box_centres(strand_b)
-    periods = isect._periods(strand_a)
     out = []
     chunk = max(1, 2**22 // max(len(cb), 1))
     for start in range(0, len(ca), chunk):
         stop = min(start + chunk, len(ca))
         overlap = isect._boxes_overlap(
             ca[start:stop, None, :], ea[start:stop, None, :], cb[None], eb[None],
-            periods, margin,
+            strand_a.space, margin,
         )
         ii, jj = np.nonzero(overlap)
         ii = ii + start

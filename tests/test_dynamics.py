@@ -495,6 +495,16 @@ class TestStepper:
         assert np.array_equal(short.ys[: last + 1], full.ys[: last + 1])
         assert np.array_equal(short.dense.h[:last], full.dense.h[:last])
         assert np.array_equal(short.dense.q[:last], full.dense.q[:last])
+        # every step that starts before the short run's settled time, and its
+        # dense output, is the long run's
+        settled = short.dense.settled
+        before = np.flatnonzero(short.ts[:-1] < settled)
+        assert settled in short.ts[: last + 1] and before.size > 10
+        for a, b in ((short.ts, full.ts), (short.ys, full.ys), (short.dense.h, full.dense.h),
+                     (short.dense.q, full.dense.q)):
+            assert np.array_equal(a[before], b[before])
+        grid = np.linspace(0.0, settled, 1001)[:-1]
+        assert np.array_equal(short.dense(grid), full.dense(grid))
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(rk, "_MAX_STEPS", 50)

@@ -124,6 +124,45 @@ def test_no_unused_private_names():
     assert unused_private_names({p.stem: p.read_text() for p in MODULES}) == []
 
 
+def foreign_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names that a module of ``sources`` (module name -> text) loads
+    or sets through the alias under which it imported another module of
+    ``sources`` (``from . import geometry as geo``, then ``geo._name``)."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, None), (0, "orbitlab"))
+            for alias in node.names
+            if alias.name in sources
+        }
+        found += [
+            f"{module}: {aliases[node.value.id]}.{node.attr} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+        ]
+    return sorted(found)
+
+
+def test_detects_foreign_private_name():
+    sources = {
+        "a": "_HIDDEN = 1\nPUBLIC = 2\n",
+        "b": "from . import a as alias\nfrom orbitlab import a\nimport numpy as np\n"
+        "alias._HIDDEN\na.PUBLIC\na.__name__\nnp._private\na._HIDDEN = 3\n",
+    }
+    assert foreign_private_names(sources) == ["b: a._HIDDEN (line 4)", "b: a._HIDDEN (line 8)"]
+
+
+def test_no_foreign_private_names():
+    # a module's private names are its own: what another module needs has a public name
+    assert foreign_private_names({p.stem: p.read_text() for p in MODULES}) == []
+
+
 INTERPRETER_DUALS = ("Dual", "val_of", "eval_dual")
 
 

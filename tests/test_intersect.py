@@ -312,8 +312,8 @@ class TestHashMatchesBruteForce:
 class TestCellKeys:
     """Cells are keyed by a hash, so grids with more than 2^63 cells scan."""
 
-    def test_six_dof_torus_rotation(self):
-        n = 6
+    @staticmethod
+    def check_diagonal_rotation(n):
         metric = geo.MetricModel.euclidean(n, geo.Space.torus([2 * math.pi] * n))
         spec = dyn.SystemSpec(metric, ex.parse("0", n), 0.5)
         period = 2 * math.pi * math.sqrt(n)  # one closed winding along (1, ..., 1)
@@ -325,6 +325,13 @@ class TestCellKeys:
         margin = isect._NEAR_MISS_FACTOR * 1e-6 * strand.diameter
         hashed = isect._hash_candidates(strand, None, margin)
         assert hashed == oracles.brute_candidates(strand, None, margin)
+
+    def test_six_dof_torus_rotation(self):
+        self.check_diagonal_rotation(6)
+
+    def test_nine_dof_torus_rotation(self):
+        # cells of 9 box extents: a box enters fewer than e cells, not up to 2^9
+        self.check_diagonal_rotation(9)
 
     def test_seven_dof_oscillator_orbit(self):
         n = 7

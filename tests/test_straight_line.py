@@ -267,11 +267,15 @@ def test_failure_of_a_second_derivative_only_is_named():
 
 
 def test_failure_no_tree_reproduces_propagates():
-    def fail(z):
-        raise OverflowError("from the generated code")
+    class Reciprocal(ex.Compiled):
+        dimension = 1
 
-    with pytest.raises(OverflowError, match="from the generated code"):
-        ex.run({"f": fail}, "f", [1.0, 0.5, 0.0, 0.0], [parse2("x1/x2")])
+        def _functions(self, graph):
+            # the code divides by x1; the one imported tree is x1 itself
+            return [("f", 1, graph.div(graph.one, graph.tree(ex.var(0))), ())]
+
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+        Reciprocal().run("f", [0.0])
 
 
 def test_fractional_power_of_negative_base_is_not_complex():
