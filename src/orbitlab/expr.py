@@ -321,7 +321,7 @@ def to_source(node: ExprNode, dimension: int | None = None) -> str:
         return f"(-{inner})" if node.op == "neg" else f"{node.op}({inner})"
     if node.op == "pow":
         return f"({to_source(node.left, dimension)})^{node.right.value!r}"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
+    sym = _INFIX[node.op]
     return f"({to_source(node.left, dimension)} {sym} {to_source(node.right, dimension)})"
 
 
@@ -555,6 +555,29 @@ def _pow(u, p):
     return u**p
 
 
+def _div(a, b):
+    if val_of(b) == 0.0:
+        raise ZeroDivisionError("division by zero")
+    return a / b
+
+
+# the meaning of each operation, for the interpreter and for constant folding
+_OPS = {
+    "neg": operator.neg,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": _div,
+    "pow": _pow,
+    "sin": _sin,
+    "cos": _cos,
+    "exp": _exp,
+    "log": _log,
+    "sqrt": _sqrt,
+}
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -572,38 +595,14 @@ def evaluate(node: ExprNode, values):
         return values[node.index]
     try:
         if isinstance(node, Unary):
-            u = evaluate(node.arg, values)
-            if node.op == "neg":
-                return -u
-            if node.op == "sin":
-                return _sin(u)
-            if node.op == "cos":
-                return _cos(u)
-            if node.op == "exp":
-                return _exp(u)
-            if node.op == "log":
-                return _log(u)
-            if node.op == "sqrt":
-                return _sqrt(u)
-            raise ValueError(f"unknown unary op {node.op!r}")
-        a = evaluate(node.left, values)
-        if node.op == "pow":
-            return _pow(a, node.right.value)
-        b = evaluate(node.right, values)
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
-        if node.op == "div":
-            if isinstance(b, Dual):
-                if val_of(b.val) == 0.0:
-                    raise ZeroDivisionError("division by zero")
-            elif b == 0.0:
-                raise ZeroDivisionError("division by zero")
-            return a / b
-        raise ValueError(f"unknown binary op {node.op!r}")
+            args = (evaluate(node.arg, values),)
+        elif node.op == "pow":
+            args = (evaluate(node.left, values), node.right.value)
+        else:
+            args = (evaluate(node.left, values), evaluate(node.right, values))
+        if node.op not in _OPS:
+            raise ValueError(f"unknown op {node.op!r}")
+        return _OPS[node.op](*args)
     except EvalDomainError:
         raise
     except _DOMAIN_FAILURES as exc:
@@ -636,20 +635,6 @@ def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int =
 # Straight-line code
 # ---------------------------------------------------------------------------
 
-_FOLD = {
-    "neg": operator.neg,
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-    "pow": _pow,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": _log,
-    "sqrt": _sqrt,
-}
-_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # Library of the generated code; log, sqrt and fractional powers keep the
 # interpreter's domain checks.
 _LIB = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": _log, "sqrt": _sqrt, "pw": _pow}
@@ -714,7 +699,7 @@ class Graph:
             args.append(b if op == "pow" else self.value(b))
         if None not in args:
             try:
-                return self.const(_FOLD[op](*args))
+                return self.const(_OPS[op](*args))
             except _DOMAIN_FAILURES:
                 pass  # left to run time, where it raises as the interpreter does
         return self._node(op, a, b)

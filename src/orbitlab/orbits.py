@@ -19,8 +19,10 @@ derivative of the discrete flow.  Every line-search trial is such a tangent
 run, so an accepted trial is the next iterate and no trajectory is
 integrated twice; the only plain runs of a search are the probe for the
 first turning point or section return and the closed run of the returned
-orbit.  A rotation's probe is one run per horizon, the horizon doubling from
-_T_MAX / 16 until the scan of a run finds a return.
+orbit.  A probe is one run over (0, _T_MAX) that a terminal event ends: for
+a brake orbit the kinetic-energy minimum, for a rotation the current
+horizon, which doubles from _T_MAX / 16 until the scan of a run finds a
+return.
 
 Monodromy is one tangent run of the integrator from W0 = I, with step-size
 control watching W as well as the orbit; J(z) W comes from the derivatives in
@@ -231,6 +233,12 @@ def _shoot(spec, chart, z, period, offset, rows, tol, max_newton, kind):
     )
 
 
+def _probe(spec, initial: PhaseState, events=()) -> Trajectory:
+    """One plain run over (0, _T_MAX) at the probe tolerances; a terminal
+    event among ``events`` ends it, so it is the run to _T_MAX up to there."""
+    return integrate(spec, initial, (0.0, _T_MAX), rtol=1e-9, atol=1e-11, events=events)
+
+
 def _closed_run(spec, z0, period, kind, events=()):
     """The returned orbit: one dense run over the period at the orbit's
     tolerances, held to the closure bound.  Returns (traj, closure, scale)."""
@@ -276,15 +284,8 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     p = _project_to_level(spec, seed)
 
     # first turning time from a terminal kinetic-energy-minimum event
-    probe = integrate(
-        spec,
-        PhaseState(p, np.zeros(n)),
-        (0.0, _T_MAX),
-        rtol=1e-9,
-        atol=1e-11,
-        events=(kinetic_minimum_event(spec, terminal=True),),
-        dense=False,
-    )
+    turn = kinetic_minimum_event(spec, terminal=True)
+    probe = _probe(spec, PhaseState(p, np.zeros(n)), (turn,))
     if not probe.events:
         raise ConvergenceError(f"no turning event within t = {_T_MAX}")
 
@@ -343,14 +344,13 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
 def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
     """First near-return time on the grid np.linspace(0, _T_MAX, 4096), or None.
 
-    A probe that ends before _T_MAX is scanned strictly before its settled
-    time (:attr:`~orbitlab.rk.DenseOutput.settled`), where it is the probe to
-    _T_MAX bit for bit.
+    A probe that its stop event ended before _T_MAX is scanned strictly
+    before its end, where it is the probe to _T_MAX bit for bit.
     """
     n = spec.dimension
     ts = np.linspace(0.0, _T_MAX, 4096)
     if traj.t1 < _T_MAX:
-        ts = ts[ts < traj.dense.settled]
+        ts = ts[ts < traj.t1]
     z = traj.state(ts)
     dx = spec.metric.space.delta(z[:, :n], z0[:n])
     dv = z[:, n:] - z0[n:]
@@ -403,9 +403,8 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
     z_seed = np.concatenate([x_anchor, v_anchor])
     horizon = _T_MAX / 16
     while True:
-        probe = integrate(
-            spec, PhaseState(x_anchor, v_anchor), (0.0, horizon), rtol=1e-9, atol=1e-11
-        )
+        stop = (rk.EventSpec(lambda t, z: t - horizon, terminal=True),) if horizon < _T_MAX else ()
+        probe = _probe(spec, PhaseState(x_anchor, v_anchor), stop)
         t_ret = _rotation_seed_scan(
             spec, probe, z_seed, t_guard=20 * _T_MAX / 4096, threshold=0.25 * scale
         )

@@ -19,15 +19,6 @@ h[k] q[k] (theta, ..., theta^4).  At and beyond the ends of the span it gives
 the first or last stored state.  Events are located by sign change plus
 bisection on the current step's interpolant down to a 1e-12 time tolerance
 (four ulps of t where that is coarser), with a cap on the number of halvings.
-
-A run's accepted steps and dense output do not depend on the end t1 of its
-span until an attempt is cut short to land on t1, and an attempt is at most
-_MAX_FACTOR times the step before it.  So they equal those of any longer run
-from the same start strictly before the run's settled time
-(:attr:`DenseOutput.settled`): the first step start s with
-s + _MAX_FACTOR * (the step before s) >= t1, or else the last step start.
-(The initial step reads the span only when the span is shorter than its
-trial steps.)
 """
 
 from __future__ import annotations
@@ -191,15 +182,6 @@ class DenseOutput:
         )
         return np.einsum("...dj,...j->...d", self.q[k], powers)
 
-    @property
-    def settled(self) -> float:
-        """Time before which the run's steps and dense output are those of any
-        longer run from the same start (see the module docstring)."""
-        starts = self.ts[:-1]
-        reach = starts[1:] + _MAX_FACTOR * self.h[:-1]
-        cut = np.flatnonzero(reach >= self.ts[-1])
-        return float(starts[1 + cut[0]] if cut.size else starts[-1])
-
 
 @dataclass
 class RKResult:
@@ -326,8 +308,8 @@ def solve_rk45(
     turns NaN or infinite raises :class:`IntegrationError` with the time and
     state of the first stage that produced it, and so does a run that takes
     ``_MAX_STEPS`` steps, accepted and rejected, without reaching the end of
-    the span.  A span that is not finite and increasing, rtol outside
-    [1e-13, inf) or atol outside (0, inf) raises ``ValueError`` at entry.
+    the span.  An empty state, a span that is not finite and increasing,
+    rtol outside [1e-13, inf) or atol outside (0, inf) raises ``ValueError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -340,6 +322,8 @@ def solve_rk45(
         raise ValueError(f"absolute tolerance must be finite and positive, got {atol!r}")
     y = [float(c) for c in y0]
     d = len(y)
+    if d == 0:
+        raise ValueError("the state needs at least one component")
     w = None
     if control_tangent and w0 is None:
         raise ValueError("control_tangent needs a tangent w0")
@@ -374,9 +358,7 @@ def solve_rk45(
     else:
         h = _initial_step(lambda t, y: f(t, y, w)[0], t0, y, fv, t1, rtol, atol)
     facold = 1e-4
-    g_prev = None
-    if events:
-        g_prev = [ev.fn(t, ys[0]) for ev in events]
+    g_prev = [ev.fn(t, ys[0]) for ev in events]
     finished = False
 
     while not finished:
@@ -452,8 +434,9 @@ def solve_rk45(
                 hits_here.append((t_ev, idx, y_ev))
             for t_ev, idx, y_ev in sorted(hits_here):
                 result.events.append(EventHit(idx, t_ev, y_ev))
-                if events[idx].terminal and stop_at is None:
+                if events[idx].terminal:
                     stop_at = (t_ev, y_ev)
+                    break
             g_prev = g_new
 
         if stop_at is not None:

@@ -479,7 +479,7 @@ class TestStepper:
 
     def test_steps_do_not_depend_on_the_span_end(self):
         # until an attempt is cut short to land on t1, a run takes the steps
-        # of any longer run; find_rotation's doubling probe relies on it
+        # of any longer run
         spec = cosine_torus()
         x1 = math.pi + 0.02
         z0 = [x1, 0.0, 0.0, math.sqrt(2.0 * (1.0 - 0.1 * math.cos(x1)))]
@@ -495,16 +495,40 @@ class TestStepper:
         assert np.array_equal(short.ys[: last + 1], full.ys[: last + 1])
         assert np.array_equal(short.dense.h[:last], full.dense.h[:last])
         assert np.array_equal(short.dense.q[:last], full.dense.q[:last])
-        # every step that starts before the short run's settled time, and its
-        # dense output, is the long run's
-        settled = short.dense.settled
-        before = np.flatnonzero(short.ts[:-1] < settled)
-        assert settled in short.ts[: last + 1] and before.size > 10
-        for a, b in ((short.ts, full.ts), (short.ys, full.ys), (short.dense.h, full.dense.h),
-                     (short.dense.q, full.dense.q)):
-            assert np.array_equal(a[before], b[before])
-        grid = np.linspace(0.0, settled, 1001)[:-1]
-        assert np.array_equal(short.dense(grid), full.dense(grid))
+        # a run over the same span that a terminal event stops is the long
+        # run up to the stop, every step and its dense output; find_rotation's
+        # doubling probe relies on it
+        stopped = rk.solve_rk45(
+            lambda t, z: dyn.state_rhs(spec, t, z), (0.0, 100.0), z0, rtol=1e-9, atol=1e-11,
+            events=(rk.EventSpec(lambda t, z: t - 6.25, terminal=True),),
+        )
+        steps = len(stopped.dense.h)
+        assert steps > 10 and stopped.ts[-1] == pytest.approx(6.25, abs=1e-9)
+        assert np.array_equal(stopped.ts[:-1], full.ts[:steps])
+        assert np.array_equal(stopped.ys[:-1], full.ys[:steps])
+        assert np.array_equal(stopped.dense.h, full.dense.h[:steps])
+        assert np.array_equal(stopped.dense.q, full.dense.q[:steps])
+        grid = np.linspace(0.0, stopped.ts[-1], 1001)[:-1]
+        assert np.array_equal(stopped.dense(grid), full.dense(grid))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["listed in time order", "listed reversed"])
+    def test_terminal_event_ends_the_event_list(self, order):
+        # one step crosses all three levels; the hits after the first terminal
+        # one lie beyond the run's end (reversed, the 0.6 level is terminal too)
+        levels = [(0.4, False), (0.5, True), (0.6, order == -1)][::order]
+        events = tuple(
+            rk.EventSpec(lambda t, y, c=c: y[0] - c, terminal=terminal) for c, terminal in levels
+        )
+        res = rk.solve_rk45(lambda t, y: [1.0], (0.0, 10.0), [0.0], events=events)
+        assert res.ts[-1] == pytest.approx(0.5, abs=1e-9)
+        assert all(hit.t <= res.ts[-1] for hit in res.events)
+        hits = [(levels[hit.index][0], hit.t) for hit in res.events]
+        assert [c for c, _ in hits] == [0.4, 0.5]
+        assert all(t == pytest.approx(c, abs=1e-9) for c, t in hits)
+
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            rk.solve_rk45(lambda t, y: [], (0.0, 1.0), [])
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(rk, "_MAX_STEPS", 50)

@@ -132,6 +132,12 @@ class TestEvalDual:
         with pytest.raises(ex.EvalDomainError):
             ex.evaluate(ex.parse("1/x1", 1), [0.0, 0.0])
 
+    def test_unknown_op_is_a_domain_error(self):
+        node = ex.Unary("tan", ex.Var(0))
+        with pytest.raises(ex.EvalDomainError, match="unknown op") as err:
+            ex.evaluate(node, [1.0, 0.0])
+        assert err.value.node == node
+
     def test_evaluation_deterministic(self):
         node = ex.parse("sin(x1)*exp(x2) - x1/(1+x2^2)", 2)
         pt = [0.3, 0.7, 0.0, 0.0]

@@ -218,7 +218,8 @@ class TestRotationSeedScan:
     def test_matches_scalar_loop(self, monkeypatch, system, x0, v0):
         # the return time find_rotation uses is the scalar scan of one probe
         # run to _T_MAX; the probe horizon doubles from _T_MAX / 16, and every
-        # scan before the last finds no return
+        # scan before the last finds no return; a probe stopped by its event
+        # ends within the event's time tolerance of its horizon
         spec = {"flat_torus": flat_torus, "cosine_torus": cosine_torus}[system]()
         z0 = np.concatenate([x0, v0])
         full = dyn.integrate(spec, PhaseState(x0, v0), (0.0, orb._T_MAX), rtol=1e-9, atol=1e-11)
@@ -235,16 +236,19 @@ class TestRotationSeedScan:
 
         monkeypatch.setattr(orb, "_rotation_seed_scan", recording)
         orb.find_rotation(spec, PhaseState(x0, v0))
-        assert [h for h, _ in calls] == [orb._T_MAX / 16 * 2**k for k in range(len(calls))]
+        horizons = [orb._T_MAX / 16 * 2**k for k in range(len(calls))]
+        assert [h for h, _ in calls] == pytest.approx(horizons, abs=1e-9)
         assert all(t_ret is None for _, t_ret in calls[:-1])
         assert t_ref is not None and calls[-1][1] == t_ref
 
     @pytest.mark.parametrize(
-        "system, x0, v0", [ROTATION_SEEDS[0], ROTATION_SEEDS[2]], ids=["flat", "exact ridge"]
+        "system, x0, v0, expected",
+        [(*ROTATION_SEEDS[0], [6.25, 12.5]), (*ROTATION_SEEDS[2], [6.25])],
+        ids=["flat", "exact ridge"],
     )
-    def test_seeds_that_double_the_horizon(self, monkeypatch, system, x0, v0):
-        # the flat torus returns at 2 pi > _T_MAX / 16; on the exact ridge the
-        # steps grow fivefold, so the first probe is read only up to t = 2.08
+    def test_seeds_that_double_the_horizon(self, monkeypatch, system, x0, v0, expected):
+        # the flat torus returns at 2 pi > _T_MAX / 16; the exact ridge returns
+        # at 4.24, inside the first probe, which its stop event ends at 6.25
         spec = {"flat_torus": flat_torus, "cosine_torus": cosine_torus}[system]()
         horizons = []
         scan = orb._rotation_seed_scan
@@ -255,7 +259,7 @@ class TestRotationSeedScan:
 
         monkeypatch.setattr(orb, "_rotation_seed_scan", recording)
         orb.find_rotation(spec, PhaseState(x0, v0))
-        assert horizons == [orb._T_MAX / 16, orb._T_MAX / 8]
+        assert horizons == pytest.approx(expected, abs=1e-9)
 
     def test_late_return_needs_the_full_horizon(self):
         orbit = orb.find_rotation(flat_torus(energy=0.005), PhaseState([0.0, 0.0], [0.1, 0.0]))

@@ -9,7 +9,9 @@ rest points) and the geometry kernel's ``f_squared``, ``metric_tensor``,
 derivatives of a potential round exactly as the duals do).  A
 tangent run's values must equal the plain run's bit for bit, and a domain
 failure, of a value or of a derivative only, must raise the interpreter's
-error naming the subexpression.
+error naming the subexpression.  Fuzzed trees at points whose coordinates
+are often exactly 0.0 hold the generated code to the same bound, and to
+raising only where the interpreter raises.
 """
 
 import copy
@@ -19,6 +21,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
@@ -123,6 +127,48 @@ def test_potential_hessian_matches_interpreter():
             rows = [d.grad if isinstance(d, ex.Dual) else [0.0] * n
                     for d in interpreted_gradient(pf, seeds)]
             assert_close(pf.hessian(z[:n]), rows)
+
+
+# coordinates and constants: exact zeros often, else magnitudes in [0.25, 2];
+# reciprocals of smaller ones grow the cancelled terms of a Hessian that is
+# exactly 0, such as that of c / (0.01^2.5 / x1), until their rounding exceeds REL
+SCALARS = st.one_of(st.just(0.0), st.floats(0.25, 2.0), st.floats(-2.0, -0.25))
+DOMAIN_FAILURES = (ex.EvalDomainError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def unguarded_trees(depth):
+    """Trees over x1, x2 of depth at most ``depth``, with no domain guards."""
+    leaves = st.one_of(SCALARS.map(ex.Const), st.sampled_from([ex.Var(0), ex.Var(1)]))
+    if depth == 0:
+        return leaves
+    sub = unguarded_trees(depth - 1)
+    exponents = st.sampled_from([-1.0, 0.5, 1.5, 2.0, 2.5, 3.0])
+    return st.one_of(
+        leaves,
+        st.builds(ex.Binary, st.sampled_from(["add", "sub", "mul", "div"]), sub, sub),
+        st.builds(lambda u, p: ex.Binary("pow", u, ex.Const(p)), sub, exponents),
+        st.builds(ex.Unary, st.sampled_from(["neg", "sin", "cos", "exp", "log", "sqrt"]), sub),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(unguarded_trees(3), st.lists(SCALARS, min_size=2, max_size=2))
+def test_fuzzed_potentials_match_interpreter_at_exact_zeros(node, x):
+    # the interpreter may raise alone: a structurally zero derivative, as of
+    # (x2 - x2)^0.5, is never computed by the generated code
+    pf = dyn.PotentialField(node, 2)
+    try:
+        oracle = ex.eval_dual(node, x, None, 2)
+    except ex.EvalDomainError:
+        oracle = None
+    try:
+        got = (pf.value(x), pf.gradient(x), pf.hessian(x))
+    except DOMAIN_FAILURES:
+        assert oracle is None
+        return
+    if oracle is not None:
+        for actual, expected in zip(got, (oracle.val, oracle.grad, oracle.hess)):
+            assert_close(actual, expected)
 
 
 @pytest.mark.parametrize("system", [quartic_finsler_well, position_dependent_finsler],
