@@ -5,6 +5,7 @@ energy level.  The flow lives on the velocity chart (x, v) and runs as the
 system's straight-line code over floats (:func:`orbitlab.geometry.metric_nodes`
 plus the potential and their derivatives in every state variable, compiled
 once per system), which also gives its tangent (:func:`state_rhs_jvp`).  A
+constant metric's inverse is folded into that code: neither solves g a = -c.  A
 domain failure in the code raises the interpreter's error naming the
 subexpression (:meth:`orbitlab.expr.Compiled.run`); the interpreter never
 supplies a value of the flow.  The integrator records energy drift along
@@ -14,13 +15,14 @@ every trajectory but never corrects it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
 from . import rk
-from .geometry import MetricModel, solve_linear
+from .geometry import MetricModel
 from .rk import EventSpec
 
 __all__ = [
@@ -80,15 +82,17 @@ class PotentialField(ex.Compiled):
 class SystemSpec(ex.Compiled):
     """Kinetic metric + potential + fixed energy level.
 
-    The flow runs as straight-line code built once, on first use.  Its
-    ``parts(z)`` returns (g, c): the nodes of
-    :func:`~orbitlab.geometry.metric_nodes` with grad U added to c, so the
-    acceleration is -g^{-1} c and a constant metric folds to c = grad U.
-    Its ``tangent(z)`` returns (g, c, dg, dc) with dg[l][k][j] = d g_lj / d z_k
-    and dc[l][k] = d c_l / d z_k over the 2n state variables z = (x, v).  Its
-    ``energy(z)`` is H = F^2 / 2 + U and ``energy_gradient(z)`` grad_z H.
-    The metric and the potential are one build, so their common
-    subexpressions are computed once.
+    The flow runs as straight-line code built once, on first use, from the
+    nodes (g, c) of :func:`~orbitlab.geometry.metric_nodes` with grad U added
+    to c, so the acceleration is a = -g^{-1} c.  For a varying or Finsler
+    metric ``parts(z)`` returns (g, c) and ``tangent(z)`` (g, c, dg, dc), with
+    dg[l][k][j] = d g_lj / d z_k and dc[l][k] = d c_l / d z_k over the 2n state
+    variables z = (x, v).  A constant g is inverted once, at build time, and
+    g^{-1} folded into the code: ``parts(z)`` is the flow f = [v; a] and
+    ``tangent(z)`` (f, DA) with DA = -g^{-1} dc (n x 2n); g = I folds to
+    a = -c and DA = -dc.  Its ``energy(z)`` is H = F^2 / 2 + U and
+    ``energy_gradient(z)`` grad_z H.  The metric and the potential are one
+    build, so their common subexpressions are computed once.
     """
 
     metric: MetricModel
@@ -119,12 +123,22 @@ class SystemSpec(ex.Compiled):
         c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
         energy = graph.add(graph.mul(graph.const(0.5), f2), u)
         zs = range(2 * n)
-        dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
         dc = [[graph.diff(e, k) for k in zs] for e in c]
         dh = [graph.diff(energy, k) for k in zs]
-        return [("parts", 2 * n, [g, c], (f2, u)), ("energy", 2 * n, energy, ()),
+        if _constant(self.metric):  # -g^{-1} b folds to sums over constants, -b for g = I
+            g_value = [[graph.value(e) for e in row] for row in g]
+            g_inv = list(zip(*[geo.solve_linear(g_value, e) for e in np.eye(n).tolist()]))
+            def minus_g_inv(b):
+                return [graph.neg(reduce(graph.add, map(graph.mul, map(graph.const, row), b)))
+                        for row in g_inv]
+            parts = [graph.var(n + i) for i in range(n)] + minus_g_inv(c)
+            tangent = [parts, list(zip(*[minus_g_inv(col) for col in zip(*dc)]))]
+        else:
+            dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
+            parts, tangent = [g, c], [g, c, dg, dc]
+        return [("parts", 2 * n, parts, (f2, u)), ("energy", 2 * n, energy, ()),
                 ("energy_gradient", 2 * n, dh, (f2, u)),
-                ("tangent", 2 * n, [g, c, dg, dc], (f2, u))]
+                ("tangent", 2 * n, tangent, (f2, u))]
 
 
 @dataclass
@@ -150,10 +164,15 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
+def _constant(metric: MetricModel) -> bool:
+    """A Riemannian g free of x, whose inverse the flow's code folds in."""
+    return metric.kind == "riemannian" and not metric.varying
+
+
 def _acceleration(spec: SystemSpec, z: list, name: str = "parts"):
     """(a, rest, out): a = -g^{-1} c at the float state z, whether z is a
     Finsler rest point, and the output of the flow's function ``name`` that
-    gave g.
+    gave g (None for a constant metric, whose ``parts`` is f = [v; a]).
 
     For a Finsler kinetic model the spray extends continuously by zero to
     v = 0 (degree-2 homogeneity); g there is taken in the direction of
@@ -161,6 +180,8 @@ def _acceleration(spec: SystemSpec, z: list, name: str = "parts"):
     so ``out`` is taken at (x, w) and a = -g(x, w)^{-1} grad U.
     """
     n = spec.dimension
+    if _constant(spec.metric):
+        return spec.run("parts", z)[n:], False, None
     rest = spec.metric.kind == "finsler" and not any(z[n:])
     if rest:
         grad_u = spec.potential.gradient(z[:n])
@@ -172,7 +193,7 @@ def _acceleration(spec: SystemSpec, z: list, name: str = "parts"):
     out = spec.run(name, z)
     if spec.metric.varying:
         geo.require_positive_definite(out[0], "fundamental tensor")
-    return [-a for a in solve_linear(out[0], grad_u if rest else out[1])], rest, out
+    return [-a for a in geo.solve_linear(out[0], grad_u if rest else out[1])], rest, out
 
 
 def lagrange_rhs(spec: SystemSpec, x, v):
@@ -197,13 +218,17 @@ def state_rhs_jvp(spec: SystemSpec, z, w):
     Jacobian) comes from here.
 
     J W = [W_v; DA W].  From g a = -c, DA = -g^{-1} (dc + dg a) with the
-    flow's ``tangent`` derivatives (see :class:`SystemSpec`).  At a Finsler
-    rest point a = -g(x, -grad U)^{-1} grad U, so DA is -g^{-1} (H + (dg_x -
-    dg_v H) a) in x, with H the Hessian of U, and zero in v.
+    flow's ``tangent`` derivatives (see :class:`SystemSpec`).  A constant
+    metric has dg = 0, and its ``tangent`` returns DA = -g^{-1} dc itself.  At
+    a Finsler rest point a = -g(x, -grad U)^{-1} grad U, so DA is -g^{-1} (H +
+    (dg_x - dg_v H) a) in x, with H the Hessian of U, and zero in v.
     """
     z = list(map(float, z))
     w = np.asarray(w, dtype=float)
     n = spec.dimension
+    if _constant(spec.metric):
+        f, da = spec.run("tangent", z)
+        return f, np.vstack([w[n:], np.array(da) @ w])
     a, rest, (g, _, dg, dc) = _acceleration(spec, z, "tangent")
     dga = np.array(dg) @ a
     if rest:

@@ -321,8 +321,10 @@ def to_source(node: ExprNode, dimension: int | None = None) -> str:
         return f"(-{inner})" if node.op == "neg" else f"{node.op}({inner})"
     if node.op == "pow":
         return f"({to_source(node.left, dimension)})^{node.right.value!r}"
-    sym = _INFIX[node.op]
-    return f"({to_source(node.left, dimension)} {sym} {to_source(node.right, dimension)})"
+    left, right = to_source(node.left, dimension), to_source(node.right, dimension)
+    if node.op not in _INFIX:  # an unknown op, named by the evaluation that fails on it
+        return f"{node.op}({left}, {right})"
+    return f"({left} {_INFIX[node.op]} {right})"
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,15 @@ one-point-at-a-time loops they replaced, which live here as references, the
 monodromy matrix against the augmented system that carried the variational
 equations in the state, the intersection scan's spatial hash against the
 all-pairs candidate generator, and its cover rule against the candidate
-search it replaced.  The member-by-member check of the resonant
-oscillator family against its closed form lives here too.
+search it replaced.  The flow's solve route, which solves g a = -c and
+g DA = -(dc + dg a) at every call, is the reference for the code into which
+a constant metric's g^{-1} is folded.  The member-by-member check of the
+resonant oscillator family against its closed form lives here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -419,6 +422,72 @@ def interpreted_acceleration(spec, x, v):
         g, spray = interpreted_metric_and_spray(model, x, v)
     pull = dual_solve_linear(g, grad_u)
     return [-2.0 * spray[i] - pull[i] for i in range(n)]
+
+
+@dataclass(frozen=True)
+class _SolvedFlow(ex.Compiled):
+    """A system's flow functions ``parts`` = (g, c) and ``tangent`` =
+    (g, c, dg, dc) for every metric kind, as ``SystemSpec`` built them before
+    a constant metric's inverse was folded into its code."""
+
+    spec: SystemSpec
+
+    @property
+    def dimension(self) -> int:
+        return self.spec.dimension
+
+    def _functions(self, graph):
+        n = self.dimension
+        f2, g, c = geo.metric_nodes(graph, self.spec.metric)
+        u = graph.tree(self.spec.potential.node)
+        c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
+        zs = range(2 * n)
+        dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
+        dc = [[graph.diff(e, k) for k in zs] for e in c]
+        return [("parts", 2 * n, [g, c], (f2, u)), ("tangent", 2 * n, [g, c, dg, dc], (f2, u))]
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_flow(spec: SystemSpec) -> _SolvedFlow:
+    return _SolvedFlow(spec)
+
+
+def _solved_acceleration(spec, z: list, name: str = "parts"):
+    """``dynamics._acceleration`` as it was before the fold: g a = -c solved
+    by ``geo.solve_linear`` at every call, for every metric."""
+    n = spec.dimension
+    rest = spec.metric.kind == "finsler" and not any(z[n:])
+    if rest:
+        grad_u = spec.potential.gradient(z[:n])
+        if not any(grad_u):
+            raise geo.ModelValidityError(
+                "Finsler flow undefined at a rest point with vanishing grad U"
+            )
+        z = z[:n] + [-c for c in grad_u]
+    out = _solved_flow(spec).run(name, z)
+    if spec.metric.varying:
+        geo.require_positive_definite(out[0], "fundamental tensor")
+    return [-a for a in geo.solve_linear(out[0], grad_u if rest else out[1])], rest, out
+
+
+def solved_state_rhs_jvp(spec, z, w):
+    """(f(z), J(z) W) by the solve route: ``dynamics.state_rhs_jvp`` as it was
+    before a constant metric's inverse was folded into the flow's code, with
+    DA = -g^{-1} (dc + dg a) from ``np.linalg.solve`` at every call.
+
+    The reference for the folded route of constant metrics.
+    """
+    z = list(map(float, z))
+    w = np.asarray(w, dtype=float)
+    n = spec.dimension
+    a, rest, (g, _, dg, dc) = _solved_acceleration(spec, z, "tangent")
+    dga = np.array(dg) @ a
+    if rest:
+        h = np.array(spec.potential.hessian(z[:n]))
+        da = np.hstack([h + dga[:, :n] - dga[:, n:] @ h, np.zeros((n, n))])
+    else:
+        da = np.array(dc) + dga
+    return z[n:] + a, np.vstack([w[n:], -np.linalg.solve(g, da @ w)])
 
 
 def conformal_model(jm) -> geo.MetricModel:

@@ -10,7 +10,7 @@ from orbitlab import reference as ref
 from orbitlab import rk
 from orbitlab.dynamics import PhaseState
 
-from oracles import hamilton_rhs, legendre, legendre_inverse
+from oracles import hamilton_rhs, legendre, legendre_inverse, solved_state_rhs_jvp
 
 
 def oscillator(alphas=(1.0, 2.0), energy=0.5):
@@ -43,6 +43,33 @@ def conformal_exp_system():
 def cosine_torus():
     metric = geo.MetricModel.euclidean(2, geo.Space.torus([2 * math.pi, 2 * math.pi]))
     return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 2), 1.0)
+
+
+def sheared_torus():
+    # a constant metric other than the identity, on the torus
+    g = [[ex.const(1.5), ex.const(0.4)], [None, ex.const(0.8)]]
+    metric = geo.MetricModel.riemannian(g, geo.Space.torus([2 * math.pi, 2 * math.pi]))
+    return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1) + 0.05*sin(x1 - x2)", 2), 1.0)
+
+
+def euclidean_system(n):
+    """Identity metric on R^n, n <= 9, with a potential that couples every coordinate."""
+    xs = [f"x{i + 1}" for i in range(n)]
+    source = " + ".join(f"{0.5 + 0.1 * i}*{x}^2" for i, x in enumerate(xs))
+    source += f" + 0.1*cos({' + '.join(xs)})"
+    if n > 1:
+        source += f" + 0.2*{xs[0]}*{xs[-1]}*exp(-{xs[1]}^2)"
+    return dyn.SystemSpec(geo.MetricModel.euclidean(n), ex.parse(source, n), 1.0)
+
+
+def spd_system(n, seed):
+    """A random symmetric positive definite constant metric on R^n with
+    ``euclidean_system``'s potential."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-1.0, 1.0, (n, n))
+    g = b @ b.T + 0.5 * np.eye(n)
+    metric = geo.MetricModel.riemannian([[ex.const(e) for e in row] for row in g])
+    return dyn.SystemSpec(metric, euclidean_system(n).potential, 1.0)
 
 
 class TestLagrangeRHS:
@@ -545,13 +572,14 @@ class TestJacobianOfRHS:
             (oscillator, [0.3, 0.2, 0.1, -0.4]),
             (quartic_finsler_system, [0.3, -0.2, 0.7, 0.4]),
             (cosine_torus, [2.5, 0.1, 0.3, 1.4]),
+            (sheared_torus, [2.5, 0.1, 0.3, 1.4]),
         ],
     )
     def test_jvp_matches_jacobian_product(self, system, z):
         spec = system()
         w = np.random.default_rng(5).standard_normal((4, 3))
         value, jw = dyn.state_rhs_jvp(spec, z, w)
-        assert np.allclose(value, dyn.state_rhs(spec, 0.0, z), rtol=1e-14, atol=1e-15)
+        assert value == dyn.state_rhs(spec, 0.0, z)
         expect = dyn.rhs_jacobian(spec, z) @ w
         assert np.allclose(jw, expect, rtol=1e-13, atol=1e-14)
 
@@ -563,3 +591,92 @@ class TestJacobianOfRHS:
         expect[2, 0] = -1.0
         expect[3, 1] = -4.0
         assert np.allclose(jac, expect, atol=1e-12)
+
+
+class TestConstantMetricFold:
+    """A constant metric's g^{-1} is folded into the flow's code; the solve
+    route (``oracles.solved_state_rhs_jvp``) is the reference."""
+
+    @staticmethod
+    def points(spec, seed, count=10):
+        rng = np.random.default_rng(seed)
+        n = spec.dimension
+        for _ in range(count):
+            yield rng.uniform(-1.5, 1.5, 2 * n).tolist(), rng.standard_normal((2 * n, 3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_identity_fold_is_the_solve_route(self, n):
+        # g = I folds to a = -c and DA = -dc, which equal -solve(I, c) and
+        # -solve(I, dc W); only the sign of an exact zero in J W may differ
+        spec = euclidean_system(n)
+        for z, w in self.points(spec, n):
+            f, jw = dyn.state_rhs_jvp(spec, z, w)
+            f_ref, jw_ref = solved_state_rhs_jvp(spec, z, w)
+            assert f == f_ref
+            assert dyn.state_rhs(spec, 0.0, z) == f
+            assert np.array_equal(jw, jw_ref)
+            assert np.array_equal(dyn.rhs_jacobian(spec, z),
+                                  solved_state_rhs_jvp(spec, z, np.eye(2 * n))[1])
+
+    @pytest.mark.parametrize("system", [
+        sheared_torus,
+        lambda: spd_system(3, 31),
+        lambda: spd_system(9, 91),
+    ], ids=["torus-2", "spd-3", "spd-9"])
+    def test_spd_fold_matches_solve_route(self, system):
+        spec = system()
+        assert spec.metric.kind == "riemannian" and not spec.metric.varying
+        for z, w in self.points(spec, 7):
+            f, jw = dyn.state_rhs_jvp(spec, z, w)
+            f_ref, jw_ref = solved_state_rhs_jvp(spec, z, w)
+            assert dyn.state_rhs(spec, 0.0, z) == f
+            for got, ref_ in ((f, f_ref), (jw, jw_ref)):
+                got, ref_ = np.asarray(got), np.asarray(ref_)
+                assert np.all(np.abs(got - ref_) <= 1e-14 * (1.0 + np.abs(ref_)))
+
+    @staticmethod
+    def routes(spec, z):
+        n = spec.dimension
+        w = np.ones((2 * n, 2))
+        return [
+            lambda: dyn.state_rhs(spec, 0.0, z),
+            lambda: dyn.state_rhs_jvp(spec, z, w),
+            lambda: dyn.rhs_jacobian(spec, z),
+            lambda: dyn.lagrange_rhs(spec, z[:n], z[n:]),
+        ]
+
+    def test_constant_metric_calls_no_solve(self, monkeypatch):
+        class Solved(Exception):
+            pass
+
+        def solve(*args):
+            raise Solved
+
+        z = [0.3, -0.2, 0.7, 0.4]
+        constant = [oscillator(), sheared_torus()]
+        solving = [conformal_exp_system(), quartic_finsler_well()]
+        for spec in constant + solving:
+            dyn.state_rhs(spec, 0.0, z)  # builds the code, which inverts a constant g
+        monkeypatch.setattr(geo, "solve_linear", solve)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for spec in constant:
+            for route in self.routes(spec, z):
+                route()
+        for spec in solving:
+            for route in self.routes(spec, z):
+                with pytest.raises(Solved):
+                    route()
+
+    def test_varying_metric_is_checked_on_every_call(self, monkeypatch):
+        calls = []
+        check = geo.require_positive_definite
+        monkeypatch.setattr(geo, "require_positive_definite",
+                            lambda g, what: calls.append(what) or check(g, what))
+        z = [0.3, -0.2, 0.7, 0.4]
+        for spec, per_route in ((conformal_exp_system(), 1), (oscillator(), 0)):
+            routes = self.routes(spec, z)
+            calls.clear()
+            for _ in range(3):
+                for route in routes:
+                    route()
+            assert calls == ["fundamental tensor"] * (3 * len(routes) * per_route)

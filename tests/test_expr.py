@@ -137,6 +137,15 @@ class TestEvalDual:
         with pytest.raises(ex.EvalDomainError, match="unknown op") as err:
             ex.evaluate(node, [1.0, 0.0])
         assert err.value.node == node
+        node = ex.Binary("mod", ex.Var(0), ex.Const(2.0))
+        runs = [lambda: ex.evaluate(node, [1.0])] + [
+            lambda order=order: ex.eval_dual(node, [1.0], None, order) for order in (1, 2)
+        ]
+        named = r"unknown op 'mod' in subexpression 'mod\(__0__, 2\.0\)'"
+        for run in runs:
+            with pytest.raises(ex.EvalDomainError, match=named) as err:
+                run()
+            assert err.value.node == node
 
     def test_evaluation_deterministic(self):
         node = ex.parse("sin(x1)*exp(x2) - x1/(1+x2^2)", 2)
