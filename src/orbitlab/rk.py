@@ -19,11 +19,30 @@ h[k] q[k] (theta, ..., theta^4).  At and beyond the ends of the span it gives
 the first or last stored state.  Events are located by sign change plus
 bisection on the current step's interpolant down to a 1e-12 time tolerance
 (four ulps of t where that is coarser), with a cap on the number of halvings.
+
+A step is one generated straight-line function, built on first use for its
+key (d, m, control_tangent) -- d the state's size, m the tangent's column
+count, 0 without one -- and cached.  It holds y, the six stage states, the
+error vector and the error norm's running sum as float locals and calls the
+right-hand side once per stage.  Its results equal a loop over the stages
+bit for bit because every sum keeps that loop's order: terms in stage order,
+zero coefficients skipped; a state sum starts from 0.0, as the builtin
+``sum`` does from 0, so a leading -0.0 becomes 0.0; a sum over W starts at
+its first term; the norm under ``control_tangent`` adds W row by row after
+the state.  Up to ``_FLOAT_W_MAX`` = 20 entries d m the step holds W as
+floats too and builds an array only for the right-hand side; above it W's
+stage sums are numpy expressions.  Measured per step on the oscillator's
+flow (2-core x86-64 host, CPython 3.11, numpy 2.4), floats break even with
+numpy at d m = 18 for a tangent and about 28 under ``control_tangent``, and
+at d m = 324 (a 9-DOF monodromy) they are 3.3x slower and take 0.13 s to
+build.  The driver loop of :func:`solve_rk45` keeps the step-size checks
+and controller, the naming of a non-finite stage, dense output and events.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -107,6 +126,7 @@ _MIN_FACTOR = 0.1
 _EVENT_TIME_TOL = 1e-12
 _EVENT_MAX_BISECTIONS = 200
 _MAX_STEPS = 1_000_000  # accepted plus rejected steps of one run
+_FLOAT_W_MAX = 20  # tangent entries d * m that the generated step holds as floats
 
 
 class IntegrationError(OrbitLabError):
@@ -194,22 +214,6 @@ class RKResult:
     w_final: np.ndarray | None = None  # tangent at ts[-1], for a tangent run
 
 
-def _error_norm(err, y0, y1, rtol, atol, tangent=None) -> float:
-    """RMS of the scaled error.  ``tangent`` = (error, W0, W1) appends W row
-    by row, accumulated in the same order as the state's components."""
-    acc = 0.0
-    for e, a, b in zip(err, y0, y1):
-        q = e / (atol + rtol * max(abs(a), abs(b)))
-        acc += q * q
-    size = len(err)
-    if tangent is not None:
-        e, a, b = (np.ravel(x) for x in tangent)
-        q = e / (atol + rtol * np.maximum(np.abs(a), np.abs(b)))
-        acc = np.add.accumulate(np.concatenate(([acc], q * q)))[-1]
-        size += q.size
-    return math.sqrt(acc / size)
-
-
 def _initial_step(f, t0, y0, f0, t1, rtol, atol) -> float:
     """First step from the scaled norms of y0, f0 and a difference quotient
     of f.  A non-finite f0, or one whose scaled norm overflows (no step above
@@ -277,13 +281,103 @@ def _non_finite_stage(t, h, k, kw, stage_y, default):
     return IntegrationError(f"non-finite {what} at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s]))
 
 
-def _tangent_increment(a, kw, s):
-    """sum_l a[l] kw[l] over the stages before s, accumulated in stage order."""
-    acc = a[0] * kw[0]
-    for l in range(1, s):
-        if a[l] != 0.0:
-            acc = acc + a[l] * kw[l]
-    return acc
+def _terms(coefficients, names) -> str:
+    """c * name over the nonzero coefficients, in stage order."""
+    return " + ".join(f"{c!r} * {name}" for c, name in zip(coefficients, names) if c != 0.0)
+
+
+def _step_source(d: int, m: int, control_tangent: bool) -> str:
+    """Source of ``step(f, t, h, y, k0, w, kw0, rtol, atol)`` for a state of d
+    entries and a d x m tangent (m = 0 for none).  It returns (error norm,
+    the seven stage states, the seven f values, the seven J W values, W at
+    the 5th-order solution); the J W values are None and W is None without a
+    tangent.  The state's locals are ``y<stage>_<i>`` and ``k<stage>_<i>``,
+    W's ``w<stage>_<i>_<j>`` and ``kw<stage>_<i>_<j>``."""
+    float_w = d * m <= _FLOAT_W_MAX
+    cells = [f"{i}_{j}" for i in range(d) for j in range(m)]
+
+    def state(prefix):
+        return ", ".join(f"{prefix}_{i}" for i in range(d))
+
+    def tangent(prefix):
+        return ", ".join(f"{prefix}_{c}" for c in cells)
+
+    out = [
+        "def step(f, t, h, y, k0, w, kw0, rtol, atol):",
+        f"{state('y0')}, = y",
+        f"{state('k0')}, = k0",
+    ]
+    if m and float_w:
+        out += [
+            f"{tangent('w0')}, = w.ravel().tolist()",
+            f"{tangent('kw0')}, = kw0.ravel().tolist()",
+        ]
+    for s in range(1, 7):
+        a = _A[s]
+        out += [
+            f"y{s}_{i} = y0_{i} + h * (0.0 + {_terms(a, [f'k{l}_{i}' for l in range(s)])})"
+            for i in range(d)
+        ]
+        out.append(f"y{s} = [{state(f'y{s}')}]")
+        if not m:
+            out.append(f"k{s} = f(t + {_C[s]!r} * h, y{s})")
+        elif float_w:
+            out += [
+                f"w{s}_{c} = w0_{c} + h * ({_terms(a, [f'kw{l}_{c}' for l in range(s)])})"
+                for c in cells
+            ]
+            out += [
+                f"w{s} = np.array([{tangent(f'w{s}')}]).reshape({d}, {m})",
+                f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s})",
+                f"{tangent(f'kw{s}')}, = kw{s}.ravel().tolist()",
+            ]
+        else:
+            out += [
+                f"w{s} = w + h * ({_terms(a, [f'kw{l}' for l in range(s)])})",
+                f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s})",
+            ]
+        out.append(f"{state(f'k{s}')}, = k{s}")
+    out.append("acc = 0.0")
+    for i in range(d):
+        out += [
+            f"a, b = abs(y0_{i}), abs(y6_{i})",
+            f"q = h * (0.0 + {_terms(_E, [f'k{l}_{i}' for l in range(7)])})"
+            " / (atol + rtol * (b if b > a else a))",
+            "acc += q * q",
+        ]
+    if control_tangent and float_w:
+        for c in cells:
+            # as np.maximum: a NaN in the new W wins (W at the step's start is finite)
+            out += [
+                f"a, b = abs(w0_{c}), abs(w6_{c})",
+                f"q = h * ({_terms(_E, [f'kw{l}_{c}' for l in range(7)])})"
+                " / (atol + rtol * (a if b <= a else b))",
+                "acc += q * q",
+            ]
+    elif control_tangent:
+        out += [
+            f"q = h * ({_terms(_E, [f'kw{l}' for l in range(7)])})"
+            " / (atol + rtol * np.maximum(np.abs(w), np.abs(w6)))",
+            "acc = np.add.accumulate(np.concatenate(([acc], np.ravel(q * q))))[-1]",
+        ]
+    size = d + d * m if control_tangent else d
+
+    def stages(prefix, first):
+        return "(" + ", ".join([first] + [f"{prefix}{s}" for s in range(1, 7)]) + ")"
+
+    kws, w6 = (stages("kw", "kw0"), "w6") if m else ("(None,) * 7", "None")
+    out.append(
+        f"return math.sqrt(acc / {size}), {stages('y', 'y')}, {stages('k', 'k0')}, {kws}, {w6}"
+    )
+    return "\n    ".join(out) + "\n"
+
+
+@functools.cache
+def _step_function(d: int, m: int, control_tangent: bool):
+    """The generated step for (d, m, control_tangent), built on first use."""
+    scope = {"np": np, "math": math}
+    exec(compile(_step_source(d, m, control_tangent), "<rk step>", "exec"), scope)
+    return scope["step"]
 
 
 def solve_rk45(
@@ -308,8 +402,10 @@ def solve_rk45(
     turns NaN or infinite raises :class:`IntegrationError` with the time and
     state of the first stage that produced it, and so does a run that takes
     ``_MAX_STEPS`` steps, accepted and rejected, without reaching the end of
-    the span.  An empty state, a span that is not finite and increasing,
-    rtol outside [1e-13, inf) or atol outside (0, inf) raises ``ValueError``.
+    the span.  An empty state or tangent, a span that is not finite and
+    increasing, rtol outside [1e-13, inf), atol outside (0, inf), or a first
+    f(t0, y0) whose shape is not the state's or a J W that is not an array
+    of the tangent's shape raises ``ValueError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -333,6 +429,8 @@ def solve_rk45(
         w = np.array(w0, dtype=float)
         if w.ndim != 2 or w.shape[0] != d:
             raise ValueError("the tangent needs one row per state component")
+        if w.shape[1] == 0:
+            raise ValueError("the tangent needs at least one column")
         if not np.all(np.isfinite(w)):
             raise ValueError("the tangent must be finite")
 
@@ -341,11 +439,17 @@ def solve_rk45(
     ys = [np.array(y)]
     hs, qs = [], []  # length and interpolant coefficients of each accepted step
 
-    k = [None] * 7
-    kw = [None] * 7
-    stage_y = [None] * 7
     t = t0
     fv, fw = f(t, y, w) if w is not None else (f(t, y), None)
+    if np.shape(fv) != (d,):
+        raise ValueError(
+            f"the right-hand side has shape {np.shape(fv)} for a state of shape ({d},)"
+        )
+    if w is not None and not (isinstance(fw, np.ndarray) and fw.shape == w.shape):
+        raise ValueError(
+            f"J W must be an array of shape {w.shape}, got {type(fw).__name__} {np.shape(fw)}"
+        )
+    step = _step_function(d, 0 if w is None else w.shape[1], control_tangent)
     if w is None:
         h = _initial_step(f, t0, y, fv, t1, rtol, atol)
     elif control_tangent:
@@ -372,27 +476,7 @@ def solve_rk45(
             h = t1 - t
             finished = True
 
-        k[0], kw[0], stage_y[0] = fv, fw, y
-        for s in range(1, 7):
-            a = _A[s]
-            yt = [
-                y[i] + h * sum(a[l] * k[l][i] for l in range(s) if a[l] != 0.0)
-                for i in range(d)
-            ]
-            stage_y[s] = yt
-            if w is None:
-                k[s] = f(t + _C[s] * h, yt)
-            else:
-                wt = w + h * _tangent_increment(a, kw, s)
-                k[s], kw[s] = f(t + _C[s] * h, yt, wt)
-        # the last stage is taken at the 5th-order solution (FSAL)
-        y_new = stage_y[6]
-        err_vec = [
-            h * sum(_E[l] * k[l][i] for l in range(7) if _E[l] != 0.0)
-            for i in range(d)
-        ]
-        tangent_err = (h * _tangent_increment(_E, kw, 7), w, wt) if control_tangent else None
-        err = _error_norm(err_vec, y, y_new, rtol, atol, tangent_err)
+        err, stage_y, k, kw, wt = step(f, t, h, y, fv, w, fw, rtol, atol)
         if not math.isfinite(err):
             raise _non_finite_stage(t, h, k, kw, stage_y, (0, "right-hand side"))
 
@@ -409,6 +493,7 @@ def solve_rk45(
             raise _non_finite_stage(t, h, k, kw, stage_y, (6, "tangent"))
 
         result.n_accepted += 1
+        y_new = stage_y[6]  # the last stage is taken at the 5th-order solution (FSAL)
         t_new = t + h
         y_new_arr = np.array(y_new)
         if dense or events:

@@ -20,8 +20,11 @@ equations in the state, the intersection scan's spatial hash against the
 all-pairs candidate generator, and its cover rule against the candidate
 search it replaced.  The flow's solve route, which solves g a = -c and
 g DA = -(dc + dg a) at every call, is the reference for the code into which
-a constant metric's g^{-1} is folded.  The member-by-member check of the
-resonant oscillator family against its closed form lives here too.
+a constant metric's g^{-1} is folded.  The Dormand-Prince stepper as a loop
+over the stages, with W's stage sums and the error norm in numpy, is the
+reference for the generated step that replaced it.  The member-by-member
+check of the resonant oscillator family against its closed form lives here
+too.
 """
 
 from __future__ import annotations
@@ -635,6 +638,205 @@ def augmented_monodromy(spec, orbit, periods: int = 1):
     y0 = np.concatenate([orbit.trajectory.states[0], np.eye(dim).ravel()])
     res = rk.solve_rk45(f, (0.0, periods * orbit.period), y0, dense=False)
     return np.reshape(res.ys[-1, dim:], (dim, dim))
+
+
+def error_norm(err, y0, y1, rtol, atol, tangent=None) -> float:
+    """RMS of the scaled error.  ``tangent`` = (error, W0, W1) appends W row
+    by row, accumulated in the same order as the state's components."""
+    acc = 0.0
+    for e, a, b in zip(err, y0, y1):
+        q = e / (atol + rtol * max(abs(a), abs(b)))
+        acc += q * q
+    size = len(err)
+    if tangent is not None:
+        e, a, b = (np.ravel(x) for x in tangent)
+        q = e / (atol + rtol * np.maximum(np.abs(a), np.abs(b)))
+        acc = np.add.accumulate(np.concatenate(([acc], q * q)))[-1]
+        size += q.size
+    return math.sqrt(acc / size)
+
+
+def tangent_increment(a, kw, s):
+    """sum_l a[l] kw[l] over the stages before s, accumulated in stage order."""
+    acc = a[0] * kw[0]
+    for l in range(1, s):
+        if a[l] != 0.0:
+            acc = acc + a[l] * kw[l]
+    return acc
+
+
+def stage_loop_rk45(
+    f,
+    t_span,
+    y0,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    events: tuple = (),
+    dense: bool = True,
+    w0=None,
+    control_tangent: bool = False,
+) -> rk.RKResult:
+    """``rk.solve_rk45`` as a loop over the stages, with W's stage sums and
+    the error norm in numpy: the reference for the generated step.
+
+    Same arguments and result; it lacks the entry checks on the shapes of
+    f(t0, y0) and J W and on an empty tangent.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0!r}, {t1!r})")
+    if not t1 > t0:
+        raise ValueError("t_span must be increasing")
+    if not 1e-13 <= rtol < math.inf:
+        raise ValueError(f"relative tolerance must be finite and at least 1e-13, got {rtol!r}")
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"absolute tolerance must be finite and positive, got {atol!r}")
+    y = [float(c) for c in y0]
+    d = len(y)
+    if d == 0:
+        raise ValueError("the state needs at least one component")
+    w = None
+    if control_tangent and w0 is None:
+        raise ValueError("control_tangent needs a tangent w0")
+    if w0 is not None:
+        if events or dense:
+            raise ValueError("events and dense output need a run without a tangent")
+        w = np.array(w0, dtype=float)
+        if w.ndim != 2 or w.shape[0] != d:
+            raise ValueError("the tangent needs one row per state component")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("the tangent must be finite")
+
+    result = rk.RKResult(ts=np.empty(0), ys=np.empty((0, d)))
+    ts = [t0]
+    ys = [np.array(y)]
+    hs, qs = [], []  # length and interpolant coefficients of each accepted step
+
+    k = [None] * 7
+    kw = [None] * 7
+    stage_y = [None] * 7
+    t = t0
+    fv, fw = f(t, y, w) if w is not None else (f(t, y), None)
+    if w is None:
+        h = rk._initial_step(f, t0, y, fv, t1, rtol, atol)
+    elif control_tangent:
+
+        def stacked(t, yw):
+            fy, fw = f(t, yw[:d], np.reshape(yw[d:], w.shape))
+            return [*fy, *np.ravel(fw)]
+
+        h = rk._initial_step(stacked, t0, [*y, *np.ravel(w)], [*fv, *np.ravel(fw)], t1, rtol, atol)
+    else:
+        h = rk._initial_step(lambda t, y: f(t, y, w)[0], t0, y, fv, t1, rtol, atol)
+    facold = 1e-4
+    g_prev = [ev.fn(t, ys[0]) for ev in events]
+    finished = False
+
+    while not finished:
+        if h < 1e-14 * max(abs(t), 1.0):
+            raise rk.IntegrationError(f"step size underflow at t={t!r}", t=t, y=np.array(y))
+        if result.n_accepted + result.n_rejected >= rk._MAX_STEPS:
+            raise rk.IntegrationError(
+                f"step cap of {rk._MAX_STEPS} steps reached at t={t!r}", t=t, y=np.array(y)
+            )
+        if t + h >= t1:
+            h = t1 - t
+            finished = True
+
+        k[0], kw[0], stage_y[0] = fv, fw, y
+        for s in range(1, 7):
+            a = rk._A[s]
+            yt = [
+                y[i] + h * sum(a[l] * k[l][i] for l in range(s) if a[l] != 0.0)
+                for i in range(d)
+            ]
+            stage_y[s] = yt
+            if w is None:
+                k[s] = f(t + rk._C[s] * h, yt)
+            else:
+                wt = w + h * tangent_increment(a, kw, s)
+                k[s], kw[s] = f(t + rk._C[s] * h, yt, wt)
+        # the last stage is taken at the 5th-order solution (FSAL)
+        y_new = stage_y[6]
+        err_vec = [
+            h * sum(rk._E[l] * k[l][i] for l in range(7) if rk._E[l] != 0.0)
+            for i in range(d)
+        ]
+        tangent_err = (h * tangent_increment(rk._E, kw, 7), w, wt) if control_tangent else None
+        err = error_norm(err_vec, y, y_new, rtol, atol, tangent_err)
+        if not math.isfinite(err):
+            raise rk._non_finite_stage(t, h, k, kw, stage_y, (0, "right-hand side"))
+
+        if err > 1.0:
+            # reject: shrink and retry
+            fac11 = err**rk._EXPO
+            h = h / min(1.0 / rk._MIN_FACTOR, fac11 / rk._SAFETY)
+            finished = False
+            result.n_rejected += 1
+            continue
+        # a state-only error norm does not see W, and an infinite W scales its
+        # own error to zero, so check it on acceptance
+        if w is not None and not np.all(np.isfinite(wt)):
+            raise rk._non_finite_stage(t, h, k, kw, stage_y, (6, "tangent"))
+
+        result.n_accepted += 1
+        t_new = t + h
+        y_new_arr = np.array(y_new)
+        if dense or events:
+            q = np.array(k).T @ rk._P
+        if dense:
+            hs.append(h)
+            qs.append(q)
+
+        stop_at = None
+        if events:
+            g_new = [ev.fn(t_new, y_new_arr) for ev in events]
+            hits_here = []
+            for idx, ev in enumerate(events):
+                g0, g1 = g_prev[idx], g_new[idx]
+                if g0 == 0.0 or np.sign(g0) == np.sign(g1):
+                    continue
+                rising = g1 > g0
+                if ev.direction == 1 and not rising:
+                    continue
+                if ev.direction == -1 and rising:
+                    continue
+                t_ev, y_ev = rk._bisect_event(ev.fn, t, h, ys[-1], q, np.sign(g0))
+                hits_here.append((t_ev, idx, y_ev))
+            for t_ev, idx, y_ev in sorted(hits_here):
+                result.events.append(rk.EventHit(idx, t_ev, y_ev))
+                if events[idx].terminal:
+                    stop_at = (t_ev, y_ev)
+                    break
+            g_prev = g_new
+
+        if stop_at is not None:
+            t, y_stop = stop_at
+            ts.append(t)
+            ys.append(y_stop)
+            finished = True
+        else:
+            t = t_new
+            y = y_new
+            ts.append(t)
+            ys.append(y_new_arr)
+            fv = k[6]  # FSAL: stage 7 is f at the accepted solution
+            if w is not None:
+                w, fw = wt, kw[6]
+
+        # PI step-size controller
+        fac11 = max(err, 1e-10) ** rk._EXPO
+        fac = fac11 / (facold**rk._BETA)
+        fac = max(1.0 / rk._MAX_FACTOR, min(1.0 / rk._MIN_FACTOR, fac / rk._SAFETY))
+        h = h / fac
+        facold = max(err, 1e-4)
+
+    result.ts = np.array(ts)
+    result.ys = np.array(ys)
+    if dense:
+        result.dense = rk.DenseOutput(result.ts, result.ys, np.array(hs), np.array(qs))
+    result.w_final = w
+    return result
 
 
 def brute_candidates(strand_a, strand_b, margin: float):

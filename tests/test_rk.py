@@ -1,0 +1,233 @@
+"""The generated Dormand-Prince step against the loop over the stages it
+replaced (``oracles.stage_loop_rk45``), its cache, and the shape checks at
+the entry of ``rk.solve_rk45``."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from orbitlab import dynamics as dyn
+from orbitlab import expr as ex
+from orbitlab import geometry as geo
+from orbitlab import orbits as orb
+from orbitlab import reference as ref
+from orbitlab import rk
+
+from oracles import stage_loop_rk45
+
+
+def bits(x):
+    """dtype, shape and bytes: equal only when every entry is, signed zeros included."""
+    a = np.asarray(x)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def assert_same_run(got, want):
+    assert bits(got.ts) == bits(want.ts)
+    assert bits(got.ys) == bits(want.ys)
+    assert (got.n_accepted, got.n_rejected) == (want.n_accepted, want.n_rejected)
+    assert (got.w_final is None) == (want.w_final is None)
+    if want.w_final is not None:
+        assert bits(got.w_final) == bits(want.w_final)
+    assert (got.dense is None) == (want.dense is None)
+    if want.dense is not None:
+        assert bits(got.dense.h) == bits(want.dense.h)
+        assert bits(got.dense.q) == bits(want.dense.q)
+    assert [(e.index, bits(e.t), bits(e.y)) for e in got.events] == [
+        (e.index, bits(e.t), bits(e.y)) for e in want.events
+    ]
+
+
+def both(f, *args, **kwargs):
+    """The run of ``rk.solve_rk45`` and of the oracle, checked equal, and so
+    is every (t, y[, W]) they pass to f; the first run."""
+    calls = ([], [])
+
+    def recording(log):
+        def g(t, *state):
+            log.append((bits(t), *(bits(x) for x in state)))
+            return f(t, *state)
+
+        return g
+
+    got = rk.solve_rk45(recording(calls[0]), *args, **kwargs)
+    assert_same_run(got, stage_loop_rk45(recording(calls[1]), *args, **kwargs))
+    assert calls[0] == calls[1]
+    return got
+
+
+def oscillator(n):
+    return ref.oscillator_system(ref.OscillatorSpec((1.0, 1.4142, 1.61, 1.83, 2.05,
+                                                     2.27, 2.49, 2.71, 2.93)[:n], 0.5))
+
+
+def cosine_torus():
+    metric = geo.MetricModel.euclidean(2, geo.Space.torus([2 * math.pi, 2 * math.pi]))
+    return dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 2), 1.0)
+
+
+def quartic_finsler():
+    metric = geo.MetricModel.finsler(ex.parse("v1^2 + v2^2 + 0.1*sqrt(v1^4 + v2^4)", 2), 2)
+    return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2 + 0.1*x1^2*x2^2", 2), 0.5)
+
+
+# the three benchmark workloads' systems, each from a point of its energy level
+WORKLOAD_RUNS = {
+    "brake_classify": (lambda: oscillator(2), [1.0, 0.03, 0.0, 0.0]),
+    "torus_rotation": (cosine_torus, [0.5, 1.0, math.sqrt(2.0 * (1.0 - 0.1 * math.cos(0.5))), 0.0]),
+    "finsler_flow": (quartic_finsler, [0.4, -0.3, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_RUNS))
+def test_workload_runs_match_the_stage_loop(name):
+    build, z0 = WORKLOAD_RUNS[name]
+    spec = build()
+    run = both(
+        lambda t, z: dyn.state_rhs(spec, t, z), (0.0, 20.0), z0,
+        events=(dyn.kinetic_minimum_event(spec),), dense=True,
+    )
+    assert len(run.events) >= 2
+
+
+def test_sensitivity_run_matches_the_stage_loop():
+    spec = oscillator(2)
+    w0 = np.array([[0.0], [1.0], [0.0], [0.0]])  # the brake chart's m = 1 tangent
+    both(lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, 3.1), [1.0, 0.03, 0.0, 0.0],
+         dense=False, w0=w0)
+
+
+@pytest.mark.parametrize(
+    "n, t_end", [(2, 6.3), (3, 6.3), (9, 1.0)], ids=["2-DOF", "3-DOF", "9-DOF"]
+)
+def test_monodromy_run_matches_the_stage_loop(n, t_end):
+    # d m = 16 and 36 lie either side of the float-W cut, 324 far above it
+    spec = oscillator(n)
+    z0 = [1.0] + [0.02] * (n - 1) + [0.0] * n
+    both(lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, t_end), z0, dense=False,
+         w0=np.eye(2 * n), control_tangent=True)
+
+
+SCALARS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+def linear(a, tangent):
+    """y' = A y, and J W = A W with a tangent.  Each entry is summed from its
+    first product, so that a -0.0 can reach the stepper (numpy's products
+    start from +0.0)."""
+    rows = a.tolist()
+
+    def dot(row, column):
+        acc = row[0] * column[0]
+        for x, c in zip(row[1:], column[1:]):
+            acc = acc + x * c
+        return acc
+
+    def f(t, y):
+        return [dot(row, y) for row in rows]
+
+    def f_tangent(t, y, w):
+        columns = list(zip(*w.tolist()))
+        return f(t, y), np.array([[dot(row, c) for c in columns] for row in rows])
+
+    return f_tangent if tangent else f
+
+
+@st.composite
+def linear_runs(draw):
+    """(f, t_span, y0, keyword arguments) of a random y' = A y."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 4))
+    a = np.array(draw(st.lists(SCALARS, min_size=d * d, max_size=d * d))).reshape(d, d)
+    y0 = draw(st.lists(SCALARS, min_size=d, max_size=d))
+    kwargs = {"rtol": draw(st.floats(1e-12, 1e-6)), "atol": 1e-12}
+    if m:
+        kwargs.update(
+            dense=False,
+            w0=np.array(draw(st.lists(SCALARS, min_size=d * m, max_size=d * m))).reshape(d, m),
+            control_tangent=draw(st.booleans()),
+        )
+        return linear(a, True), (0.0, 1.0), y0, kwargs
+    kwargs["dense"] = draw(st.booleans())
+    if draw(st.booleans()):
+        level = draw(st.floats(-1.0, 1.0))
+        kwargs["events"] = (
+            rk.EventSpec(lambda t, y: y[0] - level, terminal=draw(st.booleans())),
+        )
+    return linear(a, False), (0.0, 1.0), y0, kwargs
+
+
+def _square_tangent(d, m, control_tangent):
+    a = np.diag(np.linspace(1.0, -1.0, d))
+    w0 = np.ones((d, m))
+    w0[:, 0] = -0.0
+    return (linear(a, True), (0.0, 1.0), [-0.0] + [1.0] * (d - 1),
+            {"rtol": 1e-9, "atol": 1e-12, "dense": False, "w0": w0,
+             "control_tangent": control_tangent})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(linear_runs())
+@example(_square_tangent(6, 4, True))  # d m = 24, above the float-W cut
+@example(_square_tangent(6, 4, False))
+@example(_square_tangent(5, 4, True))  # d m = 20, at the cut
+def test_linear_runs_match_the_stage_loop(case):
+    f, span, y0, kwargs = case
+    both(f, span, y0, **kwargs)
+
+
+def test_both_sides_of_the_float_w_cut_are_drawn():
+    # the examples above put d m = 24 above the cut and 20 at it
+    assert 20 <= rk._FLOAT_W_MAX < 24
+
+
+def test_one_step_function_per_shape():
+    spec = oscillator(2)
+    rk._step_function.cache_clear()
+    for _ in range(2):
+        orbit = orb.find_brake(spec, [1.01, 0.02])  # plain runs and m = 1 tangent runs
+        orb.monodromy(spec, orbit)  # a control-tangent run with m = 4
+    info = rk._step_function.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    # the generated source is not kept: no line cache holds it
+    with pytest.raises(OSError):
+        inspect.getsource(rk._step_function(4, 1, False))
+
+
+class TestShapesCheckedAtEntry:
+    @pytest.mark.parametrize(
+        "rhs, y0, message",
+        [
+            (lambda t, y: [-y[0], 5.0], [1.0], "shape (2,) for a state of shape (1,)"),
+            (lambda t, y: [y[1]], [1.0, 0.0], "shape (1,) for a state of shape (2,)"),
+            (lambda t, y: -y[0], [1.0], "shape () for a state of shape (1,)"),
+        ],
+        ids=["too long", "too short", "scalar"],
+    )
+    def test_rhs_of_the_wrong_length(self, rhs, y0, message):
+        with pytest.raises(ValueError) as info:
+            rk.solve_rk45(rhs, (0.0, 1.0), y0)
+        assert str(info.value) == f"the right-hand side has {message}"
+
+    @pytest.mark.parametrize(
+        "product, got",
+        [(lambda w: np.vstack([w, w]), "ndarray (2, 1)"), (lambda w: w.tolist(), "list (1, 1)")],
+        ids=["too tall", "not an array"],
+    )
+    def test_tangent_product_of_the_wrong_shape(self, product, got):
+        def f(t, y, w):
+            return [-y[0]], product(w)
+
+        with pytest.raises(ValueError) as info:
+            rk.solve_rk45(f, (0.0, 1.0), [1.0], dense=False, w0=[[1.0]])
+        assert str(info.value) == f"J W must be an array of shape (1, 1), got {got}"
+
+    def test_empty_tangent(self):
+        with pytest.raises(ValueError, match="the tangent needs at least one column"):
+            rk.solve_rk45(
+                lambda t, y, w: ([-y[0]], -w), (0.0, 1.0), [1.0], dense=False, w0=np.zeros((1, 0))
+            )
