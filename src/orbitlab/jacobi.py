@@ -6,9 +6,12 @@ of the conformal metric Fbar^2 = 2 (E - U) F^2 on the interior of the well
 {U = E}, so every operation here guards a positive floor on E - U;
 boundary-touching work (brake orbits) stays in the time parametrization.
 
-Both reparametrizations integrate the scalar exchange rate with the same
-embedded Runge-Kutta scheme used for the flows, never by quadrature of
-samples.
+Each reparametrization trades an old parameter on [a, b] for a new one by
+one dense run of d(old)/d(new) from old = a, in the flows' Runge-Kutta
+scheme, never by quadrature of samples.  A terminal event at old = b ends the
+run, so the event's time is the total new length; the span ``_SPAN`` is only
+a finite stand-in.  The rate is read at min(old, b): the source curve is never
+read past b, and the rate held there carries the last step past it.
 """
 
 from __future__ import annotations
@@ -174,22 +177,42 @@ class OrbitCurve:
         return self.source.velocity(s) * psi
 
 
-def _reparametrize(rate, inverse_rate, a, b):
-    """Exchange of parameters old -> new with d(new)/d(old) = rate(old).
+# span of a reparametrization run: a finite stand-in that the event cuts short
+_SPAN = 1e300
 
-    Integrates the total new-parameter length over old in [a, b], then the
-    inverse map as a dense run of d(old)/d(new) = inverse_rate(old) from
-    old = a.  Returns (total, inverse run).
+
+def _reparametrize(inverse_rate, a, b):
+    """Exchange of parameters old -> new over old in [a, b].
+
+    One dense run of d(old)/d(new) = inverse_rate(min(old, b)) from old = a,
+    stopped by the terminal event old = b.  Returns (total new-parameter
+    length, the run).  A run that ends without the event -- a rate that is
+    not positive, or b <= a -- raises :class:`JacobiError`.
     """
-    fwd = rk.solve_rk45(
-        lambda p, y: [rate(p)], (a, b), [0.0], rtol=1e-12, atol=1e-14, dense=False
+    run = rk.solve_rk45(
+        lambda q, y: [inverse_rate(min(y[0], b))], (0.0, _SPAN), [a], rtol=1e-12, atol=1e-14,
+        events=(rk.EventSpec(lambda q, y: y[0] - b, direction=1, terminal=True),),
     )
-    total = float(fwd.ys[-1, 0])
-    inv = rk.solve_rk45(
-        lambda q, y: [inverse_rate(y[0])], (0.0, total), [a], rtol=1e-12, atol=1e-14,
-        dense=True,
-    )
-    return total, inv
+    if not run.events:
+        raise JacobiError(
+            f"the reparametrization from {a!r} never reached {b!r}: it needs a "
+            "positive exchange rate over an increasing range"
+        )
+    return run.events[0].t, run
+
+
+def _check_unit_speed(curve, jm: JacobiMetric, samples: int, what: str) -> float:
+    """Largest |Fbar^2 - 1| over ``samples`` evenly spaced curve parameters;
+    above 1e-6, or NaN, it raises :class:`EnergyMismatchError` naming ``what``."""
+    gaps = []
+    for s in np.linspace(curve.t0, curve.t1, samples):
+        x = curve.position(float(s))
+        xp = curve.velocity(float(s))
+        gaps.append(abs(float(jacobi_f2(jm, list(x), list(xp))) - 1.0))
+    err = float(np.max(gaps))
+    if not err <= 1e-6:
+        raise EnergyMismatchError(f"{what} fails the unit-speed condition by {err:.3e}")
+    return err
 
 
 def _check_trajectory_energy(jm: JacobiMetric, traj: Trajectory):
@@ -205,33 +228,21 @@ def _check_trajectory_energy(jm: JacobiMetric, traj: Trajectory):
 def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
     """Reparametrize an energy-E orbit by Fbar arc length.
 
-    The exchange rate ds/dt = 2 (E - U(x(t))) is integrated with the same
-    Runge-Kutta scheme as the flow; the monotone inverse t(s) is produced by
-    integrating dt/ds = 1 / psi over the accumulated length.
+    One run of dt/ds = 1 / psi(x(t)), psi = 2 (E - U), from t0 gives the
+    monotone inverse t(s), and its event at t1 the total length s_total.  A
+    trajectory of another system raises :class:`JacobiError`.
     """
+    if traj.spec != jm.spec:
+        raise JacobiError("the trajectory belongs to another system")
     _check_trajectory_energy(jm, traj)
 
     # interior guard along the whole curve, including between samples
     for x in traj.position(np.linspace(traj.t0, traj.t1, 4 * len(traj.ts) + 1)):
         jm.check_interior(x)
 
-    def psi_at(t):
-        return jm.psi(traj.position(t))
-
-    s_total, inv = _reparametrize(psi_at, lambda t: 1.0 / psi_at(t), traj.t0, traj.t1)
+    s_total, inv = _reparametrize(lambda t: 1.0 / jm.psi(traj.position(t)), traj.t0, traj.t1)
     curve = GeodesicCurve(jm, traj, inv, s_total)
-
-    err = 0.0
-    for s in np.linspace(0.0, s_total, 65):
-        x = curve.position(float(s))
-        xp = curve.velocity(float(s))
-        f2 = float(jacobi_f2(jm, list(x), list(xp)))
-        err = max(err, abs(f2 - 1.0))
-    curve.max_unit_speed_error = err
-    if err > 1e-6:
-        raise EnergyMismatchError(
-            f"mapped curve fails the unit-speed condition by {err:.3e}"
-        )
+    curve.max_unit_speed_error = _check_unit_speed(curve, jm, 65, "mapped curve")
     return curve
 
 
@@ -241,20 +252,6 @@ def geodesic_to_orbit(curve, jm: JacobiMetric) -> OrbitCurve:
     ``curve`` needs position(s)/velocity(s) over [curve.t0, curve.t1]; a
     Trajectory of the conformal flow or a GeodesicCurve both qualify.
     """
-    s0, s1 = curve.t0, curve.t1
-
-    # precondition: unit Fbar speed within 1e-6
-    for s in np.linspace(s0, s1, 33):
-        x = curve.position(float(s))
-        xp = curve.velocity(float(s))
-        f2 = float(jacobi_f2(jm, list(x), list(xp)))
-        if abs(f2 - 1.0) > 1e-6:
-            raise EnergyMismatchError(
-                f"input curve is not unit-speed (Fbar^2 = {f2:.8f} at s={s:.3f})"
-            )
-
-    def psi_at(s):
-        return jm.psi(curve.position(s))
-
-    t_total, inv = _reparametrize(lambda s: 1.0 / psi_at(s), psi_at, s0, s1)
+    _check_unit_speed(curve, jm, 33, "input curve")
+    t_total, inv = _reparametrize(lambda s: jm.psi(curve.position(s)), curve.t0, curve.t1)
     return OrbitCurve(jm, curve, inv, t_total)

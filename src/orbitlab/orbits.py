@@ -414,15 +414,9 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
             raise ConvergenceError(f"no section return within t = {_T_MAX}")
         horizon *= 2
 
-    # fixed winding offset for the cover chart
-    space = spec.metric.space
+    # fixed winding offset for the cover chart: whole periods on a torus
     x_ret = probe.position(t_ret)
-    if space.kind == "torus":
-        winding = np.asarray(space.periods) * np.round(
-            (x_ret - x_anchor) / np.asarray(space.periods)
-        )
-    else:
-        winding = np.zeros(n)
+    winding = (x_ret - x_anchor) - spec.metric.space.delta(x_ret, x_anchor)
 
     section_basis = _complement_basis(normal)  # n x (n-1)
     z0, period = _shoot(

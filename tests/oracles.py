@@ -5,14 +5,16 @@ dual numbers against computations that share none of their code.  The
 geometry routes that only tests use -- third derivatives of F^2 (the Cartan
 tensor, x-derivatives of the fundamental tensor), the Christoffel route to
 the spray, the Legendre transform, the Hamiltonian flow, and the Jacobi
-metric as an expression model with its geodesic flow as a system of its
-own -- live here as well, and so does the interpreter route to the flow:
-U, grad U, F^2, the fundamental tensor, the spray and the acceleration from
-the expression interpreter over order-2 and nested duals, with a linear
-solve generic over duals, and the rotation chart seeded with duals.  Apart
-from the Jacobi geodesic flow, which the library integrates, they are built
-on the library's duals and interpreter and share nothing with the
-straight-line code of ``geometry.metric_nodes`` that they cross-check.  The
+metric as an expression model with its geodesic flow as a system of its own,
+and the Jacobi reparametrization as a forward run for the total length
+followed by the inverse run -- live here as well, and so does the
+interpreter route to the flow: U, grad U, F^2, the fundamental tensor, the
+spray and the acceleration from the expression interpreter over order-2 and
+nested duals, with a linear solve generic over duals, and the rotation chart
+seeded with duals.  Apart from the Jacobi geodesic flow and
+reparametrization, which the library integrates, they are built on the
+library's duals and interpreter and share nothing with the straight-line
+code of ``geometry.metric_nodes`` that they cross-check.  The
 vectorised consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, the
 monodromy matrix against the augmented system that carried the variational
@@ -513,6 +515,27 @@ def geodesic_flow_system(jm) -> SystemSpec:
     of the Jacobi metric ``jm``."""
     model = conformal_model(jm)
     return SystemSpec(model, PotentialField(ex.const(0.0), model.dimension), 0.5)
+
+
+def two_run_reparametrize(rate, inverse_rate, a, b):
+    """Exchange of parameters old -> new with d(new)/d(old) = rate(old).
+
+    Integrates the total new-parameter length over old in [a, b], then the
+    inverse map as a dense run of d(old)/d(new) = inverse_rate(old) from
+    old = a.  Returns (total, inverse run).
+
+    The reference for ``jacobi._reparametrize``, which makes the inverse run
+    alone and stops it with an event at old = b.
+    """
+    fwd = rk.solve_rk45(
+        lambda p, y: [rate(p)], (a, b), [0.0], rtol=1e-12, atol=1e-14, dense=False
+    )
+    total = float(fwd.ys[-1, 0])
+    inv = rk.solve_rk45(
+        lambda q, y: [inverse_rate(y[0])], (0.0, total), [a], rtol=1e-12, atol=1e-14,
+        dense=True,
+    )
+    return total, inv
 
 
 # ---------------------------------------------------------------------------
