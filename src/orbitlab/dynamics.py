@@ -4,12 +4,16 @@ A :class:`SystemSpec` couples a kinetic metric model with a potential and an
 energy level.  The flow lives on the velocity chart (x, v) and runs as the
 system's straight-line code over floats (:func:`orbitlab.geometry.metric_nodes`
 plus the potential and their derivatives in every state variable, compiled
-once per system), which also gives its tangent (:func:`state_rhs_jvp`).  A
-constant metric's inverse is folded into that code: neither solves g a = -c.  A
-domain failure in the code raises the interpreter's error naming the
-subexpression (:meth:`orbitlab.expr.Compiled.run`); the interpreter never
-supplies a value of the flow.  The integrator records energy drift along
-every trajectory but never corrects it.
+once per system), which also gives its tangent.  A tangent run's right-hand
+side comes from :func:`tangent_rhs`, one per (system, column count m), on
+flat lists of floats; :func:`state_rhs_jvp` is the same function over arrays.
+A constant metric's inverse is folded into that code, and its J W is one
+generated function of (z, W) per m: neither solves g a = -c, and no J W of
+such a metric goes through numpy.  A domain failure in the code raises the
+interpreter's error naming the subexpression
+(:meth:`orbitlab.expr.Compiled.run`); the interpreter never supplies a value
+of the flow.  The integrator records energy drift along every trajectory but
+never corrects it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "integrate",
     "state_rhs",
     "state_rhs_jvp",
+    "tangent_rhs",
     "rhs_jacobian",
     "integrate_sensitivity",
     "kinetic_minimum_event",
@@ -93,6 +98,12 @@ class SystemSpec(ex.Compiled):
     a = -c and DA = -dc.  Its ``energy(z)`` is H = F^2 / 2 + U and
     ``energy_gradient(z)`` grad_z H.  The metric and the potential are one
     build, so their common subexpressions are computed once.
+
+    For a constant metric and a 2n x m tangent W there is also ``jvp(z, w)``
+    = (f, J W), W and J W flat, row by row, built for each m on first use
+    (:meth:`~orbitlab.expr.Compiled.tangent_function`): J W = [W_v; DA W]
+    with each entry of DA W a sum of products over DA's nonzero entries, so
+    for g = I and a potential separable in x it is one product per entry.
     """
 
     metric: MetricModel
@@ -121,10 +132,8 @@ class SystemSpec(ex.Compiled):
         f2, g, c = geo.metric_nodes(graph, self.metric)
         u = graph.tree(self.potential.node)
         c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
-        energy = graph.add(graph.mul(graph.const(0.5), f2), u)
         zs = range(2 * n)
         dc = [[graph.diff(e, k) for k in zs] for e in c]
-        dh = [graph.diff(energy, k) for k in zs]
         if _constant(self.metric):  # -g^{-1} b folds to sums over constants, -b for g = I
             g_value = [[graph.value(e) for e in row] for row in g]
             g_inv = list(zip(*[geo.solve_linear(g_value, e) for e in np.eye(n).tolist()]))
@@ -132,10 +141,18 @@ class SystemSpec(ex.Compiled):
                 return [graph.neg(reduce(graph.add, map(graph.mul, map(graph.const, row), b)))
                         for row in g_inv]
             parts = [graph.var(n + i) for i in range(n)] + minus_g_inv(c)
-            tangent = [parts, list(zip(*[minus_g_inv(col) for col in zip(*dc)]))]
+            da = list(zip(*[minus_g_inv(col) for col in zip(*dc)]))
+            tangent = [parts, da]
+            if graph.width:  # J W = [W_v; DA W], flat row by row
+                w = graph.tangent()
+                jw = [e for row in w[n:] for e in row]
+                jw += [graph.dot(row, column) for row in da for column in zip(*w)]
+                return [("jvp", 2 * n, [parts, jw], (f2, u))]
         else:
             dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
             parts, tangent = [g, c], [g, c, dg, dc]
+        energy = graph.add(graph.mul(graph.const(0.5), f2), u)
+        dh = [graph.diff(energy, k) for k in zs]
         return [("parts", 2 * n, parts, (f2, u)), ("energy", 2 * n, energy, ()),
                 ("energy_gradient", 2 * n, dh, (f2, u)),
                 ("tangent", 2 * n, tangent, (f2, u))]
@@ -212,31 +229,59 @@ def state_rhs(spec: SystemSpec, t, z):
     return z[spec.dimension:] + _acceleration(spec, z)[0]
 
 
-def state_rhs_jvp(spec: SystemSpec, z, w):
-    """(f(z), J(z) W) for a 2n x m tangent W, with f(z) :func:`state_rhs`'s
-    bit for bit.  Every derivative of the flow (shooting, monodromy, the
+def _tangent(spec: SystemSpec, w) -> np.ndarray:
+    """W as a float array, checked to be 2n x m with m >= 1."""
+    w, rows = np.asarray(w, dtype=float), 2 * spec.dimension
+    if w.ndim != 2 or w.shape[0] != rows or w.shape[1] == 0:
+        raise ValueError(
+            f"tangent has shape {w.shape}; a system of dimension {spec.dimension} needs "
+            f"{rows} x m with m >= 1"
+        )
+    return w
+
+
+def tangent_rhs(spec: SystemSpec, m: int):
+    """f(t, z, w) = (f(z), J(z) W) for a 2n x m tangent W, the right-hand
+    side of a tangent run of :func:`orbitlab.rk.solve_rk45`: w and J W are
+    flat, row by row, lists of 2n m floats.  f(z) is :func:`state_rhs`'s bit
+    for bit.  Every derivative of the flow (shooting, monodromy, the
     Jacobian) comes from here.
 
-    J W = [W_v; DA W].  From g a = -c, DA = -g^{-1} (dc + dg a) with the
-    flow's ``tangent`` derivatives (see :class:`SystemSpec`).  A constant
-    metric has dg = 0, and its ``tangent`` returns DA = -g^{-1} dc itself.  At
-    a Finsler rest point a = -g(x, -grad U)^{-1} grad U, so DA is -g^{-1} (H +
-    (dg_x - dg_v H) a) in x, with H the Hessian of U, and zero in v.
+    J W = [W_v; DA W].  A constant metric's is one generated function of
+    (z, W), built once per m (:class:`SystemSpec`), with DA = -g^{-1} dc
+    expanded entry by entry, so DA's constant zeros drop out.  Otherwise,
+    from g a = -c, DA = -g^{-1} (dc + dg a) with the flow's ``tangent``
+    derivatives, in numpy.  At a Finsler rest point a = -g(x, -grad U)^{-1}
+    grad U, so DA is -g^{-1} (H + (dg_x - dg_v H) a) in x, with H the
+    Hessian of U, and zero in v.
     """
-    z = list(map(float, z))
-    w = np.asarray(w, dtype=float)
-    n = spec.dimension
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"a tangent needs a positive whole number of columns, got {m!r}")
     if _constant(spec.metric):
-        f, da = spec.run("tangent", z)
-        return f, np.vstack([w[n:], np.array(da) @ w])
-    a, rest, (g, _, dg, dc) = _acceleration(spec, z, "tangent")
-    dga = np.array(dg) @ a
-    if rest:
-        h = np.array(spec.potential.hessian(z[:n]))
-        da = np.hstack([h + dga[:, :n] - dga[:, n:] @ h, np.zeros((n, n))])
-    else:
-        da = np.array(dc) + dga
-    return z[n:] + a, np.vstack([w[n:], -np.linalg.solve(g, da @ w)])
+        jvp = spec.tangent_function("jvp", m)
+        return lambda t, z, w: jvp(z, w)
+    n = spec.dimension
+
+    def f(t, z, w):
+        a, rest, (g, _, dg, dc) = _acceleration(spec, z, "tangent")
+        w = np.reshape(w, (2 * n, m))
+        dga = np.array(dg) @ a
+        if rest:
+            h = np.array(spec.potential.hessian(z[:n]))
+            da = np.hstack([h + dga[:, :n] - dga[:, n:] @ h, np.zeros((n, n))])
+        else:
+            da = np.array(dc) + dga
+        return z[n:] + a, np.vstack([w[n:], -np.linalg.solve(g, da @ w)]).ravel().tolist()
+
+    return f
+
+
+def state_rhs_jvp(spec: SystemSpec, z, w):
+    """(f(z), J(z) W) for a 2n x m tangent array W: :func:`tangent_rhs`
+    over arrays.  A state or tangent of the wrong shape raises ``ValueError``."""
+    z, w = _state(spec, z), _tangent(spec, w)
+    f, jw = tangent_rhs(spec, w.shape[1])(0.0, z, w.ravel().tolist())
+    return f, np.reshape(jw, w.shape)
 
 
 def rhs_jacobian(spec: SystemSpec, z):
@@ -383,8 +428,6 @@ def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
     plain run and W is the exact derivative Newton needs.
     """
 
-    def f(t, z, w):
-        return state_rhs_jvp(spec, z, w)
-
-    res = rk.solve_rk45(f, (0.0, t_end), _state(spec, z0), dense=False, w0=w0)
+    z0, w0 = _state(spec, z0), _tangent(spec, w0)
+    res = rk.solve_rk45(tangent_rhs(spec, w0.shape[1]), (0.0, t_end), z0, dense=False, w0=w0)
     return res.ys[-1], res.w_final

@@ -31,7 +31,9 @@ computed in full, so the generated code raises ``ValueError``,
 :class:`Compiled` is the one owner of a model's compiled code.  A model
 (the potential, the metric, the system) lists its functions over a fresh
 graph; the base builds them once, on first use, keeps them out of pickles
-and copies, and runs one by name.  :meth:`Compiled.run` names a failure of
+and copies, and runs one by name.  Functions that also take a tangent
+matrix W are built the same way, once per column count of W, from a graph
+that names W's entries as inputs.  :meth:`Compiled.run` names a failure of
 the generated code, never answers it: it re-runs the imported trees at the
 failing point through :func:`evaluate` and :func:`eval_dual`, whose errors
 name the subexpression.
@@ -657,14 +659,20 @@ class Graph:
     common subexpressions are computed once.  The tables live on the
     instance: a graph serves one build and is dropped with it.
 
+    A graph of ``width`` m > 0 also has the entries of a 2n x m tangent W as
+    inputs: variable 2n + i m + j is W's entry (i, j), named ``w<i>_<j>``
+    (:meth:`tangent`), and every function it builds takes (z, w), w being W
+    flat, row by row.
+
     :meth:`tree` imports a tree as it stands, folding only constant-only
     subtrees, so every domain check of the tree runs in the generated code.
     The arithmetic helpers (:meth:`add` ... :meth:`pow`) also drop zero and
     unit operands; :meth:`diff` builds derivatives from them.
     """
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, width: int = 0):
         self.dimension = dimension
+        self.width = width
         self.trees: list[ExprNode] = []  # imported by :meth:`tree`, for :meth:`Compiled.run`
         self.ops: list[tuple] = []
         self._ids: dict[tuple, int] = {}
@@ -688,6 +696,11 @@ class Graph:
 
     def var(self, index: int) -> int:
         return self._node("var", index)
+
+    def tangent(self) -> list[list[int]]:
+        """The nodes of W's entries, row by row (none for width 0)."""
+        base, m = 2 * self.dimension, self.width
+        return [[self.var(base + i * m + j) for j in range(m)] for i in range(base if m else 0)]
 
     def value(self, k: int) -> float | None:
         """The float of a constant node, else None."""
@@ -756,6 +769,19 @@ class Graph:
             return self.one
         return a if p == 1.0 else self._apply("pow", a, p)
 
+    def dot(self, row, column) -> int:
+        """sum_k row_k column_k added in k order from +0.0, terms with a zero
+        constant factor dropped.  For finite operands it is numpy's ``row @
+        column`` bit for bit where at most one term is left, signed zeros
+        included (BLAS sums from +0.0 too); with more, BLAS may fuse a
+        multiply-add and round differently."""
+        acc = self.zero
+        for a, b in zip(row, column):
+            p = self.mul(a, b)
+            if not self._is(p, 0.0):
+                acc = self._apply("add", acc, p)  # not add(): 0.0 + -0.0 is 0.0
+        return acc
+
     # -- derivatives -------------------------------------------------------------
 
     def diff(self, k: int, i: int) -> int:
@@ -822,6 +848,9 @@ class Graph:
 
     def _var_name(self, i: int) -> str:
         n = self.dimension
+        if i >= 2 * n:
+            row, column = divmod(i - 2 * n, self.width)
+            return f"w{row}_{column}"
         return f"x{i + 1}" if i < n else f"v{i - n + 1}"
 
     def _line(self, k: int) -> str:
@@ -844,10 +873,12 @@ class Graph:
     def source(self, functions) -> str:
         """Python source of ``functions``: (name, arity, result, guards) each.
 
-        A function takes a sequence of ``arity`` variables and returns
-        ``result``, a node or a nested list of nodes.  ``guards`` are nodes
-        computed and dropped, for their domain checks.
+        A function takes a sequence of ``arity`` variables, and W flat for a
+        graph of nonzero width, and returns ``result``, a node or a nested
+        list of nodes.  ``guards`` are nodes computed and dropped, for their
+        domain checks.
         """
+        w = [self._name(k) for row in self.tangent() for k in row]
         lines = []
         for name, arity, result, guards in functions:
             roots = list(guards)
@@ -869,8 +900,10 @@ class Graph:
                 if b is not None and op != "pow":
                     roots.append(b)
             args = ", ".join(self._var_name(i) for i in range(arity))
-            lines.append(f"def {name}(z):")
+            lines.append(f"def {name}(z{', w' if w else ''}):")
             lines.append(f"    {args}, = z")
+            if w:
+                lines.append(f"    {', '.join(w)}, = w")
             lines += [f"    t{k} = {self._line(k)}" for k in sorted(needed)]
             lines.append(f"    return {self._render(result)}")
         return "\n".join(lines) + "\n"
@@ -889,16 +922,26 @@ class Compiled:
     ``_functions(graph)``, as :meth:`Graph.source` takes them, with nodes of
     ``graph``, a fresh :class:`Graph` of that dimension.  They are built once,
     on first use, and left out of pickles and copies, which build them again
-    when used.
+    when used.  Asked for a graph of width m > 0, ``_functions`` lists the
+    functions of (z, W) for a 2n x m tangent W; :meth:`tangent_function`
+    builds them once per m, on first use, and keeps them as ``_code``.
     """
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_code"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_code", "_tangent_code")}
 
     @cached_property
     def _code(self):
         """(functions by name, the trees the graph imported)."""
-        graph = Graph(self.dimension)
+        return self._build(0)
+
+    @cached_property
+    def _tangent_code(self) -> dict:
+        """``_code`` of each tangent width built so far."""
+        return {}
+
+    def _build(self, width: int):
+        graph = Graph(self.dimension, width)
         return graph.build(self._functions(graph)), graph.trees
 
     def run(self, name: str, z: list):
@@ -915,9 +958,34 @@ class Compiled:
         try:
             return code[name](z)
         except _DOMAIN_FAILURES:
-            for tree in trees:
-                evaluate(tree, z)
-            for order in (1, 2):
-                for tree in trees:
-                    eval_dual(tree, z, None, order)
+            _name_failure(trees, z)
             raise
+
+    def tangent_function(self, name: str, m: int):
+        """Function ``name`` of (z, w) for a 2n x m tangent, w flat, row by
+        row, built for m on first use; a domain failure is named as
+        :meth:`run` names it (the tangent enters only sums of products)."""
+        built = self._tangent_code.get(m)
+        if built is None:
+            built = self._tangent_code[m] = self._build(m)
+        code, trees = built
+        function = code[name]
+
+        def call(z, w):
+            try:
+                return function(z, w)
+            except _DOMAIN_FAILURES:
+                _name_failure(trees, z)
+                raise
+
+        return call
+
+
+def _name_failure(trees, z):
+    """Raise the first :class:`EvalDomainError` the interpreter meets on
+    ``trees`` at z, in values, then first and second derivatives."""
+    for tree in trees:
+        evaluate(tree, z)
+    for order in (1, 2):
+        for tree in trees:
+            eval_dual(tree, z, None, order)

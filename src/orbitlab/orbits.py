@@ -25,9 +25,9 @@ horizon, which doubles from _T_MAX / 16 until the scan of a run finds a
 return.
 
 Monodromy is one tangent run of the integrator from W0 = I, with step-size
-control watching W as well as the orbit; J(z) W comes from the derivatives in
-the system's straight-line code, one run per stage
-(:func:`~orbitlab.dynamics.state_rhs_jvp`).  A brake orbit is symmetric under
+control watching W as well as the orbit; J(z) W comes from the system's
+tangent right-hand side for m = 2n columns, one call per stage
+(:func:`~orbitlab.dynamics.tangent_rhs`).  A brake orbit is symmetric under
 the reversor R(x, v) = (x, -v) and starts at a fixed point of it, so its run
 stops at the half period: with A = W(T/2), M = R A^{-1} R A (Lamb & Roberts,
 Physica D 112 (1998)).
@@ -51,7 +51,7 @@ from .dynamics import (
     integrate_sensitivity,
     kinetic_minimum_event,
     state_rhs,
-    state_rhs_jvp,
+    tangent_rhs,
     total_energy,
 )
 from .errors import OrbitLabError
@@ -519,7 +519,7 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
     dim = 2 * n
     half = orbit.kind == "brake" and periods == 1
     res = rk.solve_rk45(
-        lambda t, z, w: state_rhs_jvp(spec, z, w),
+        tangent_rhs(spec, dim),
         (0.0, orbit.period / 2 if half else periods * orbit.period),
         z0, dense=False, w0=np.eye(dim), control_tangent=True,
     )

@@ -3,14 +3,17 @@
 The stepper works on float states, given as sequences of scalars and
 converted to Python floats on entry.  A run may also carry a d x m tangent
 matrix W through the same stages, K_s = J(y_s) (W + h sum_l a_sl K_l), with
-the right-hand side supplying the products J(y) W.  By default step-size
-control looks at the state only, so a tangent run takes exactly the
-accepted-step sequence of the plain run and W(t1) is the derivative of the
-discrete solution map along those steps applied to W(t0) (internal numerical
-differentiation).  With ``control_tangent`` the error norm and the initial
-step see [y; W row by row] instead, so the run takes the steps of the plain
-run of that stacked system and W is held to the same tolerances as y, as a
-monodromy matrix must be.
+the right-hand side supplying the products J(y) W.  Its right-hand side
+``f(t, y, w)`` receives W flat, row by row, as a list of d m floats and
+returns the pair (f(t, y), J(t, y) W), J W flat in the same order; the result
+carries W(t1) as a d x m array.  By default step-size control looks at the
+state only, so a tangent run takes exactly the accepted-step sequence of the
+plain run and W(t1) is the derivative of the discrete solution map along
+those steps applied to W(t0) (internal numerical differentiation).  With
+``control_tangent`` the error norm and the initial step see [y; W row by
+row] instead, so the run takes the steps of the plain run of that stacked
+system and W is held to the same tolerances as y, as a monodromy matrix
+must be.
 
 Dense output is Shampine's quartic interpolant for the pair, kept as stacked
 arrays in one :class:`DenseOutput`: step k starts at ts[k] from ys[k], has
@@ -29,14 +32,18 @@ bit for bit because every sum keeps that loop's order: terms in stage order,
 zero coefficients skipped; a state sum starts from 0.0, as the builtin
 ``sum`` does from 0, so a leading -0.0 becomes 0.0; a sum over W starts at
 its first term; the norm under ``control_tangent`` adds W row by row after
-the state.  Up to ``_FLOAT_W_MAX`` = 20 entries d m the step holds W as
-floats too and builds an array only for the right-hand side; above it W's
-stage sums are numpy expressions.  Measured per step on the oscillator's
-flow (2-core x86-64 host, CPython 3.11, numpy 2.4), floats break even with
-numpy at d m = 18 for a tangent and about 28 under ``control_tangent``, and
-at d m = 324 (a 9-DOF monodromy) they are 3.3x slower and take 0.13 s to
-build.  The driver loop of :func:`solve_rk45` keeps the step-size checks
-and controller, the naming of a non-finite stage, dense output and events.
+the state.  Up to ``_FLOAT_W_MAX`` = 64 entries d m the step holds W as
+floats too, from the run's start to its end, and hands the right-hand side
+its own list; above it W is a flat array whose stage sums are numpy
+expressions, converted to a list for each call and back.  Measured per step
+of an oscillator's monodromy run (control_tangent, m = d; 2-core x86-64
+host, CPython 3.11, numpy 2.4, best of 7 by process time), floats against
+numpy: 24 against 54 us at d m = 16 (2 DOF), 46 against 67 us at 36
+(3 DOF), 77 against 86 us at 64 (4 DOF), even from about 70 to 90, and
+1.6x slower from 100 on (392 against 231 us at 324, 9 DOF, which takes
+0.09 s to build).  The driver loop of :func:`solve_rk45` keeps the
+step-size checks and controller, the naming of a non-finite stage, dense
+output and events.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ _MIN_FACTOR = 0.1
 _EVENT_TIME_TOL = 1e-12
 _EVENT_MAX_BISECTIONS = 200
 _MAX_STEPS = 1_000_000  # accepted plus rejected steps of one run
-_FLOAT_W_MAX = 20  # tangent entries d * m that the generated step holds as floats
+_FLOAT_W_MAX = 64  # tangent entries d * m that the generated step holds as floats
 
 
 class IntegrationError(OrbitLabError):
@@ -265,6 +272,13 @@ def _bisect_event(g, t: float, h: float, y0, q, sign_lo: float):
     return t_ev, _interpolate(y0, h, q, (t_ev - t) / h)
 
 
+def _finite(v) -> bool:
+    """Whether every entry of a list or a 1-D array of floats is finite."""
+    if isinstance(v, np.ndarray):
+        return bool(np.isfinite(v).all())
+    return all(map(math.isfinite, v))
+
+
 def _non_finite_stage(t, h, k, kw, stage_y, default):
     """IntegrationError at the first stage whose f, or else J W, is not
     finite; ``default`` = (stage, what) when none is (an overflow in the sums)."""
@@ -272,7 +286,7 @@ def _non_finite_stage(t, h, k, kw, stage_y, default):
         if not all(map(math.isfinite, k[s])):
             what = "right-hand side"
             break
-        if kw[s] is not None and not np.all(np.isfinite(kw[s])):
+        if kw[s] is not None and not _finite(kw[s]):
             what = "tangent"
             break
     else:
@@ -288,11 +302,12 @@ def _terms(coefficients, names) -> str:
 
 def _step_source(d: int, m: int, control_tangent: bool) -> str:
     """Source of ``step(f, t, h, y, k0, w, kw0, rtol, atol)`` for a state of d
-    entries and a d x m tangent (m = 0 for none).  It returns (error norm,
-    the seven stage states, the seven f values, the seven J W values, W at
-    the 5th-order solution); the J W values are None and W is None without a
-    tangent.  The state's locals are ``y<stage>_<i>`` and ``k<stage>_<i>``,
-    W's ``w<stage>_<i>_<j>`` and ``kw<stage>_<i>_<j>``."""
+    entries and a d x m tangent (m = 0 for none), W and J W flat: lists of
+    floats up to ``_FLOAT_W_MAX`` entries, 1-D arrays above.  It returns
+    (error norm, the seven stage states, the seven f values, the seven J W
+    values, W at the 5th-order solution); the J W values are None and W is
+    None without a tangent.  The state's locals are ``y<stage>_<i>`` and
+    ``k<stage>_<i>``, W's ``w<stage>_<i>_<j>`` and ``kw<stage>_<i>_<j>``."""
     float_w = d * m <= _FLOAT_W_MAX
     cells = [f"{i}_{j}" for i in range(d) for j in range(m)]
 
@@ -308,10 +323,7 @@ def _step_source(d: int, m: int, control_tangent: bool) -> str:
         f"{state('k0')}, = k0",
     ]
     if m and float_w:
-        out += [
-            f"{tangent('w0')}, = w.ravel().tolist()",
-            f"{tangent('kw0')}, = kw0.ravel().tolist()",
-        ]
+        out += [f"{tangent('w0')}, = w", f"{tangent('kw0')}, = kw0"]
     for s in range(1, 7):
         a = _A[s]
         out += [
@@ -327,14 +339,15 @@ def _step_source(d: int, m: int, control_tangent: bool) -> str:
                 for c in cells
             ]
             out += [
-                f"w{s} = np.array([{tangent(f'w{s}')}]).reshape({d}, {m})",
+                f"w{s} = [{tangent(f'w{s}')}]",
                 f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s})",
-                f"{tangent(f'kw{s}')}, = kw{s}.ravel().tolist()",
+                f"{tangent(f'kw{s}')}, = kw{s}",
             ]
         else:
             out += [
                 f"w{s} = w + h * ({_terms(a, [f'kw{l}' for l in range(s)])})",
-                f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s})",
+                f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s}.tolist())",
+                f"kw{s} = np.array(kw{s})",
             ]
         out.append(f"{state(f'k{s}')}, = k{s}")
     out.append("acc = 0.0")
@@ -393,8 +406,10 @@ def solve_rk45(
 ) -> RKResult:
     """Integrate y' = f(t, y) over t_span with the 5(4) pair.
 
-    With a finite tangent ``w0`` (d x m), ``f(t, y, w)`` returns the pair
-    (f(t, y), J(t, y) w) and the result carries W(t1) as ``w_final``.  A
+    With a finite tangent ``w0`` (d x m), ``f(t, y, w)`` gets W as a flat
+    list of d m floats, row by row, and returns the pair (f(t, y), J(t, y)
+    W), J W flat in the same order; the result carries W(t1) as the d x m
+    array ``w_final``.  A
     tangent run stores no dense output and locates no events.  With
     ``control_tangent`` its error norm and initial step cover W as well as
     the state.  The final state is ``ys[-1]``; with ``dense`` the result
@@ -404,8 +419,8 @@ def solve_rk45(
     ``_MAX_STEPS`` steps, accepted and rejected, without reaching the end of
     the span.  An empty state or tangent, a span that is not finite and
     increasing, rtol outside [1e-13, inf), atol outside (0, inf), or a first
-    f(t0, y0) whose shape is not the state's or a J W that is not an array
-    of the tangent's shape raises ``ValueError``.
+    f(t0, y0) whose shape is not the state's or a J W that is not a flat
+    sequence of d m entries raises ``ValueError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -421,6 +436,7 @@ def solve_rk45(
     if d == 0:
         raise ValueError("the state needs at least one component")
     w = None
+    m = 0
     if control_tangent and w0 is None:
         raise ValueError("control_tangent needs a tangent w0")
     if w0 is not None:
@@ -429,10 +445,12 @@ def solve_rk45(
         w = np.array(w0, dtype=float)
         if w.ndim != 2 or w.shape[0] != d:
             raise ValueError("the tangent needs one row per state component")
-        if w.shape[1] == 0:
+        m = w.shape[1]
+        if m == 0:
             raise ValueError("the tangent needs at least one column")
         if not np.all(np.isfinite(w)):
             raise ValueError("the tangent must be finite")
+        w = w.ravel().tolist()
 
     result = RKResult(ts=np.empty(0), ys=np.empty((0, d)))
     ts = [t0]
@@ -445,22 +463,25 @@ def solve_rk45(
         raise ValueError(
             f"the right-hand side has shape {np.shape(fv)} for a state of shape ({d},)"
         )
-    if w is not None and not (isinstance(fw, np.ndarray) and fw.shape == w.shape):
+    if w is not None and np.shape(fw) != (d * m,):
         raise ValueError(
-            f"J W must be an array of shape {w.shape}, got {type(fw).__name__} {np.shape(fw)}"
+            f"J W must have the {d * m} entries of a {d} x {m} tangent, flat, got "
+            f"{type(fw).__name__} of shape {np.shape(fw)}"
         )
-    step = _step_function(d, 0 if w is None else w.shape[1], control_tangent)
+    step = _step_function(d, m, control_tangent)
     if w is None:
         h = _initial_step(f, t0, y, fv, t1, rtol, atol)
     elif control_tangent:
 
         def stacked(t, yw):
-            fy, fw = f(t, yw[:d], np.reshape(yw[d:], w.shape))
-            return [*fy, *np.ravel(fw)]
+            fy, fw = f(t, yw[:d], yw[d:])
+            return [*fy, *fw]
 
-        h = _initial_step(stacked, t0, [*y, *np.ravel(w)], [*fv, *np.ravel(fw)], t1, rtol, atol)
+        h = _initial_step(stacked, t0, [*y, *w], [*fv, *fw], t1, rtol, atol)
     else:
         h = _initial_step(lambda t, y: f(t, y, w)[0], t0, y, fv, t1, rtol, atol)
+    if d * m > _FLOAT_W_MAX:  # the step's sums over W are numpy expressions
+        w, fw = np.array(w), np.array(fw)
     facold = 1e-4
     g_prev = [ev.fn(t, ys[0]) for ev in events]
     finished = False
@@ -489,7 +510,7 @@ def solve_rk45(
             continue
         # a state-only error norm does not see W, and an infinite W scales its
         # own error to zero, so check it on acceptance
-        if w is not None and not np.all(np.isfinite(wt)):
+        if w is not None and not _finite(wt):
             raise _non_finite_stage(t, h, k, kw, stage_y, (6, "tangent"))
 
         result.n_accepted += 1
@@ -549,5 +570,6 @@ def solve_rk45(
     result.ys = np.array(ys)
     if dense:
         result.dense = DenseOutput(result.ts, result.ys, np.array(hs), np.array(qs))
-    result.w_final = w
+    if w is not None:
+        result.w_final = np.reshape(w, (d, m))
     return result

@@ -495,6 +495,20 @@ def solved_state_rhs_jvp(spec, z, w):
     return z[n:] + a, np.vstack([w[n:], -np.linalg.solve(g, da @ w)])
 
 
+def folded_state_rhs_jvp(spec, z, w):
+    """(f(z), J(z) W) of a constant metric in numpy: the flow's generated
+    ``tangent`` gives f and DA = -g^{-1} dc, and J W = [W_v; DA W] is
+    ``np.vstack`` over ``np.array(DA) @ W``, as ``dynamics.state_rhs_jvp``
+    computed it before J W was generated per tangent width.
+
+    The reference for the generated J W.
+    """
+    z = list(map(float, z))
+    w = np.asarray(w, dtype=float)
+    f, da = spec.run("tangent", z)
+    return f, np.vstack([w[spec.dimension:], np.array(da) @ w])
+
+
 def conformal_model(jm) -> geo.MetricModel:
     """The Jacobi metric ``jm`` as an expression-level MetricModel: the closed
     form psi(x) = 2 (E - U(x)) multiplying the base coefficients.  The
@@ -700,7 +714,9 @@ def stage_loop_rk45(
     control_tangent: bool = False,
 ) -> rk.RKResult:
     """``rk.solve_rk45`` as a loop over the stages, with W's stage sums and
-    the error norm in numpy: the reference for the generated step.
+    the error norm in numpy: the reference for the generated step.  W is a
+    d x m array here; f receives it and returns J W flat, row by row, as
+    ``rk.solve_rk45``'s f does.
 
     Same arguments and result; it lacks the entry checks on the shapes of
     f(t0, y0) and J W and on an empty tangent.
@@ -739,18 +755,20 @@ def stage_loop_rk45(
     kw = [None] * 7
     stage_y = [None] * 7
     t = t0
-    fv, fw = f(t, y, w) if w is not None else (f(t, y), None)
+    fv, fw = f(t, y, w.ravel().tolist()) if w is not None else (f(t, y), None)
     if w is None:
         h = rk._initial_step(f, t0, y, fv, t1, rtol, atol)
     elif control_tangent:
 
         def stacked(t, yw):
-            fy, fw = f(t, yw[:d], np.reshape(yw[d:], w.shape))
-            return [*fy, *np.ravel(fw)]
+            fy, fw = f(t, yw[:d], yw[d:])
+            return [*fy, *fw]
 
-        h = rk._initial_step(stacked, t0, [*y, *np.ravel(w)], [*fv, *np.ravel(fw)], t1, rtol, atol)
+        h = rk._initial_step(stacked, t0, [*y, *w.ravel().tolist()], [*fv, *fw], t1, rtol, atol)
     else:
-        h = rk._initial_step(lambda t, y: f(t, y, w)[0], t0, y, fv, t1, rtol, atol)
+        h = rk._initial_step(lambda t, y: f(t, y, w.ravel().tolist())[0], t0, y, fv, t1, rtol, atol)
+    if w is not None:
+        fw = np.reshape(fw, w.shape)
     facold = 1e-4
     g_prev = [ev.fn(t, ys[0]) for ev in events]
     finished = False
@@ -778,7 +796,8 @@ def stage_loop_rk45(
                 k[s] = f(t + rk._C[s] * h, yt)
             else:
                 wt = w + h * tangent_increment(a, kw, s)
-                k[s], kw[s] = f(t + rk._C[s] * h, yt, wt)
+                k[s], kw[s] = f(t + rk._C[s] * h, yt, wt.ravel().tolist())
+                kw[s] = np.reshape(kw[s], w.shape)
         # the last stage is taken at the 5th-order solution (FSAL)
         y_new = stage_y[6]
         err_vec = [

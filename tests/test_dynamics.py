@@ -1,16 +1,27 @@
+import collections
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
+from orbitlab import orbits as orb
 from orbitlab import reference as ref
 from orbitlab import rk
 from orbitlab.dynamics import PhaseState
 
-from oracles import hamilton_rhs, legendre, legendre_inverse, solved_state_rhs_jvp
+from oracles import (
+    folded_state_rhs_jvp,
+    hamilton_rhs,
+    legendre,
+    legendre_inverse,
+    solved_state_rhs_jvp,
+)
 
 
 def oscillator(alphas=(1.0, 2.0), energy=0.5):
@@ -366,9 +377,11 @@ class TestSensitivity:
         def f(t, z):
             return dyn.state_rhs(spec, t, z)
 
+        jvp = dyn.tangent_rhs(spec, len(z0))
+
         def f_tangent(t, z, w):
             calls[0] += 1
-            return dyn.state_rhs_jvp(spec, z, w)
+            return jvp(t, z, w)
 
         plain = rk.solve_rk45(f, (0.0, 3.0), z0, dense=False)
         tangent = rk.solve_rk45(f_tangent, (0.0, 3.0), z0, dense=False, w0=np.eye(len(z0)))
@@ -397,7 +410,7 @@ class TestSensitivity:
 
     def test_tangent_run_refuses_dense_output_and_events(self):
         def f(t, z, w):
-            return [z[1], -z[0]], np.array([w[1], -w[0]])
+            return [z[1], -z[0]], [w[2], w[3], -w[0], -w[1]]
 
         with pytest.raises(ValueError):
             rk.solve_rk45(f, (0.0, 1.0), [1.0, 0.0], w0=np.eye(2))
@@ -438,15 +451,12 @@ class TestSensitivity:
 
         plain = rk.solve_rk45(stacked, (0.0, 3.0), [*z0, *w0.ravel()], dense=False)
         run = rk.solve_rk45(
-            lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, 3.0), z0,
-            dense=False, w0=w0, control_tangent=True,
+            dyn.tangent_rhs(spec, m), (0.0, 3.0), z0, dense=False, w0=w0, control_tangent=True,
         )
         assert np.array_equal(run.ys[-1], plain.ys[-1, :4])
         assert np.array_equal(run.w_final, np.reshape(plain.ys[-1, 4:], (4, m)))
         assert (run.n_accepted, run.n_rejected) == (plain.n_accepted, plain.n_rejected)
-        state_only = rk.solve_rk45(
-            lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, 3.0), z0, dense=False, w0=w0
-        )
+        state_only = rk.solve_rk45(dyn.tangent_rhs(spec, m), (0.0, 3.0), z0, dense=False, w0=w0)
         assert run.n_accepted > state_only.n_accepted
 
     def test_control_tangent_needs_a_tangent(self):
@@ -583,6 +593,25 @@ class TestJacobianOfRHS:
         expect = dyn.rhs_jacobian(spec, z) @ w
         assert np.allclose(jw, expect, rtol=1e-13, atol=1e-14)
 
+    @pytest.mark.parametrize("system", [oscillator, conformal_exp_system],
+                             ids=["constant", "varying"])
+    def test_bad_shapes_are_named(self, system):
+        spec = system()
+        z = [0.3, 0.2, 0.1, -0.4]
+        needs = "a system of dimension 2 needs 4 x m with m >= 1"
+        for w in (np.ones(4), np.ones((3, 1)), np.ones((4, 0)), np.ones((4, 1, 1))):
+            with pytest.raises(ValueError) as info:
+                dyn.state_rhs_jvp(spec, z, w)
+            assert str(info.value) == f"tangent has shape {w.shape}; {needs}"
+        with pytest.raises(ValueError) as info:
+            dyn.state_rhs_jvp(spec, z[:3], np.ones((4, 1)))
+        assert str(info.value) == "state has 3 entries; a system of dimension 2 needs 4"
+        with pytest.raises(ValueError, match=r"tangent has shape \(3, 1\)"):
+            dyn.integrate_sensitivity(spec, z, np.ones((3, 1)), 1.0)
+        for m in (0, -1, 1.0, True):
+            with pytest.raises(ValueError, match="positive whole number of columns"):
+                dyn.tangent_rhs(spec, m)
+
     def test_oscillator_block_structure(self):
         sys = oscillator((1.0, 2.0), 0.5)
         jac = dyn.rhs_jacobian(sys, [0.3, 0.2, 0.1, -0.4])
@@ -607,10 +636,12 @@ class TestConstantMetricFold:
     @pytest.mark.parametrize("n", [1, 2, 3, 9])
     def test_identity_fold_is_the_solve_route(self, n):
         # g = I folds to a = -c and DA = -dc, which equal -solve(I, c) and
-        # -solve(I, dc W); only the sign of an exact zero in J W may differ
+        # -solve(I, dc W); only the sign of an exact zero in J W may differ.
+        # The fold's J W in numpy is the reference of the generated J W
+        # (TestGeneratedJW)
         spec = euclidean_system(n)
         for z, w in self.points(spec, n):
-            f, jw = dyn.state_rhs_jvp(spec, z, w)
+            f, jw = folded_state_rhs_jvp(spec, z, w)
             f_ref, jw_ref = solved_state_rhs_jvp(spec, z, w)
             assert f == f_ref
             assert dyn.state_rhs(spec, 0.0, z) == f
@@ -656,7 +687,8 @@ class TestConstantMetricFold:
         constant = [oscillator(), sheared_torus()]
         solving = [conformal_exp_system(), quartic_finsler_well()]
         for spec in constant + solving:
-            dyn.state_rhs(spec, 0.0, z)  # builds the code, which inverts a constant g
+            for route in self.routes(spec, z):  # builds the code, which inverts a constant g
+                route()
         monkeypatch.setattr(geo, "solve_linear", solve)
         monkeypatch.setattr(np.linalg, "solve", solve)
         for spec in constant:
@@ -680,3 +712,107 @@ class TestConstantMetricFold:
                 for route in routes:
                     route()
             assert calls == ["fundamental tensor"] * (3 * len(routes) * per_route)
+
+    def test_constant_metric_tangent_runs_are_generated(self, monkeypatch):
+        # shooting (m = 1) and monodromy (m = 4) never take the numpy J W,
+        # which runs the flow's ``tangent``, and build one function per width
+        spec = oscillator()
+        builds, runs = collections.Counter(), collections.Counter()
+        build, run = ex.Compiled._build, ex.Compiled.run
+        monkeypatch.setattr(ex.Compiled, "_build", lambda self, width: (
+            builds.update([(type(self).__name__, width)]) or build(self, width)))
+        monkeypatch.setattr(ex.Compiled, "run", lambda self, name, z: (
+            runs.update([name]) or run(self, name, z)))
+        for _ in range(2):
+            orbit = orb.find_brake(spec, [1.01, 0.02])
+            orb.monodromy(spec, orbit)
+        assert runs["tangent"] == 0 and runs["parts"] > 0
+        assert {k: v for k, v in builds.items() if k[0] == "SystemSpec"} == {
+            ("SystemSpec", 0): 1, ("SystemSpec", 1): 1, ("SystemSpec", 4): 1,
+        }
+        assert sorted(spec._tangent_code) == [1, 4]
+
+
+def u_with_cross_terms():
+    # g = I and U with x1 x2 terms: DA rows with two nonzeros
+    return dyn.SystemSpec(geo.MetricModel.euclidean(2),
+                          ex.parse("0.5*x1^2 + x2^2 + 0.3*x1*x2 + 0.1*x1^2*x2", 2), 1.0)
+
+
+# constant-metric systems whose DA rows have one nonzero (exact) or several
+GENERATED_JW_SYSTEMS = {
+    "oscillator-2": oscillator,
+    "oscillator-3": lambda: ref.oscillator_system(ref.OscillatorSpec((1.0, 1.4142, 1.61), 0.5)),
+    "cosine-torus": cosine_torus,
+    "cross-terms": u_with_cross_terms,
+    "sheared-torus": sheared_torus,
+    "spd-3": lambda: spd_system(3, 31),
+    "euclidean-3": lambda: euclidean_system(3),
+}
+SCALARS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+def bits(x):
+    a = np.asarray(x, dtype=float)
+    return a.shape, a.tobytes()
+
+
+class TestGeneratedJW:
+    """The generated J W of a constant metric against the numpy fold route
+    it replaced (``oracles.folded_state_rhs_jvp``) and the solve route
+    (``oracles.solved_state_rhs_jvp``)."""
+
+    @pytest.mark.parametrize("name", list(GENERATED_JW_SYSTEMS))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_against_the_numpy_routes(self, name, data):
+        spec = GENERATED_JW_SYSTEMS[name]()
+        n = spec.dimension
+        m = data.draw(st.integers(1, 2 * n + 1))
+        z = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=2 * n, max_size=2 * n))
+        w = np.reshape(data.draw(st.lists(SCALARS, min_size=2 * n * m, max_size=2 * n * m)),
+                       (2 * n, m))
+        f, jw = dyn.state_rhs_jvp(spec, z, w)
+        f_ref, jw_ref = folded_state_rhs_jvp(spec, z, w)
+        assert bits(f) == bits(f_ref) == bits(dyn.state_rhs(spec, 0.0, z))
+        assert bits(jw[:n]) == bits(jw_ref[:n])  # W_v, signed zeros included
+        da = np.array(spec.run("tangent", z)[1])
+        terms = np.count_nonzero(da, axis=1)
+        # a row of DA with one nonzero is one product, summed from +0.0 as
+        # BLAS sums: bit for bit; with k > 1 BLAS may fuse a multiply-add,
+        # so each sum may round apart by up to k eps sum_l |DA_il W_lj|
+        bound = terms[:, None] * np.finfo(float).eps * (np.abs(da) @ np.abs(w))
+        for i in range(n):
+            if terms[i] <= 1:
+                assert bits(jw[n + i]) == bits(jw_ref[n + i])
+            else:
+                assert np.all(np.abs(jw[n + i] - jw_ref[n + i]) <= bound[i])
+        f_solved, jw_solved = solved_state_rhs_jvp(spec, z, w)
+        assert np.all(np.abs(np.array(f) - f_solved) <= 1e-14 * (1.0 + np.abs(f_solved)))
+        assert np.all(np.abs(jw - jw_solved) <= 1e-14 * (1.0 + np.abs(jw_solved)))
+
+    def test_identity_rows_are_bit_exact(self):
+        # every DA row of the oscillators and the cosine torus has one nonzero
+        for name in ("oscillator-2", "oscillator-3", "cosine-torus"):
+            spec = GENERATED_JW_SYSTEMS[name]()
+            da = np.array(spec.run("tangent", [0.3] * (2 * spec.dimension))[1])
+            assert np.all(np.count_nonzero(da, axis=1) <= 1)
+
+    def test_pickle_drops_the_built_functions(self):
+        spec = sheared_torus()
+        z, w = [0.3, -0.2, 0.7, 0.4], np.arange(8.0).reshape(4, 2) - 3.5
+        f, jw = dyn.state_rhs_jvp(spec, z, w)
+        assert sorted(spec._tangent_code) == [2]
+        clone = pickle.loads(pickle.dumps(spec))
+        assert "_tangent_code" not in vars(clone) and "_code" not in vars(clone)
+        assert clone == spec
+        f_clone, jw_clone = dyn.state_rhs_jvp(clone, z, w)
+        assert bits(f_clone) == bits(f) and bits(jw_clone) == bits(jw)
+        assert sorted(clone._tangent_code) == [2]
+
+    def test_domain_failure_is_named(self):
+        spec = dyn.SystemSpec(geo.MetricModel.euclidean(1), ex.parse("sqrt(x1)", 1), 1.0)
+        f = dyn.tangent_rhs(spec, 1)
+        assert f(0.0, [1.0, 0.5], [1.0, 0.0])[1] == [0.0, 0.25]  # DA = -(0.5 x1^-0.5)'
+        with pytest.raises(ex.EvalDomainError, match="sqrt"):
+            f(0.0, [-1.0, 0.5], [1.0, 0.0])

@@ -97,28 +97,27 @@ def test_workload_runs_match_the_stage_loop(name):
 def test_sensitivity_run_matches_the_stage_loop():
     spec = oscillator(2)
     w0 = np.array([[0.0], [1.0], [0.0], [0.0]])  # the brake chart's m = 1 tangent
-    both(lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, 3.1), [1.0, 0.03, 0.0, 0.0],
-         dense=False, w0=w0)
+    both(dyn.tangent_rhs(spec, 1), (0.0, 3.1), [1.0, 0.03, 0.0, 0.0], dense=False, w0=w0)
 
 
 @pytest.mark.parametrize(
     "n, t_end", [(2, 6.3), (3, 6.3), (9, 1.0)], ids=["2-DOF", "3-DOF", "9-DOF"]
 )
 def test_monodromy_run_matches_the_stage_loop(n, t_end):
-    # d m = 16 and 36 lie either side of the float-W cut, 324 far above it
+    # d m = 16 and 36 lie below the float-W cut, 324 far above it
     spec = oscillator(n)
     z0 = [1.0] + [0.02] * (n - 1) + [0.0] * n
-    both(lambda t, z, w: dyn.state_rhs_jvp(spec, z, w), (0.0, t_end), z0, dense=False,
-         w0=np.eye(2 * n), control_tangent=True)
+    both(dyn.tangent_rhs(spec, 2 * n), (0.0, t_end), z0, dense=False, w0=np.eye(2 * n),
+         control_tangent=True)
 
 
 SCALARS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
 
 
 def linear(a, tangent):
-    """y' = A y, and J W = A W with a tangent.  Each entry is summed from its
-    first product, so that a -0.0 can reach the stepper (numpy's products
-    start from +0.0)."""
+    """y' = A y, and J W = A W with a tangent, W and J W flat, row by row.
+    Each entry is summed from its first product, so that a -0.0 can reach
+    the stepper (numpy's products start from +0.0)."""
     rows = a.tolist()
 
     def dot(row, column):
@@ -131,8 +130,9 @@ def linear(a, tangent):
         return [dot(row, y) for row in rows]
 
     def f_tangent(t, y, w):
-        columns = list(zip(*w.tolist()))
-        return f(t, y), np.array([[dot(row, c) for c in columns] for row in rows])
+        m = len(w) // len(rows)
+        columns = [w[j::m] for j in range(m)]
+        return f(t, y), [dot(row, c) for row in rows for c in columns]
 
     return f_tangent if tangent else f
 
@@ -172,17 +172,17 @@ def _square_tangent(d, m, control_tangent):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(linear_runs())
-@example(_square_tangent(6, 4, True))  # d m = 24, above the float-W cut
-@example(_square_tangent(6, 4, False))
-@example(_square_tangent(5, 4, True))  # d m = 20, at the cut
+@example(_square_tangent(8, 9, True))  # d m = 72, above the float-W cut
+@example(_square_tangent(8, 9, False))
+@example(_square_tangent(8, 8, True))  # d m = 64, at the cut
 def test_linear_runs_match_the_stage_loop(case):
     f, span, y0, kwargs = case
     both(f, span, y0, **kwargs)
 
 
 def test_both_sides_of_the_float_w_cut_are_drawn():
-    # the examples above put d m = 24 above the cut and 20 at it
-    assert 20 <= rk._FLOAT_W_MAX < 24
+    # the examples above put d m = 72 above the cut and 64 at it
+    assert 64 <= rk._FLOAT_W_MAX < 72
 
 
 def test_one_step_function_per_shape():
@@ -215,8 +215,12 @@ class TestShapesCheckedAtEntry:
 
     @pytest.mark.parametrize(
         "product, got",
-        [(lambda w: np.vstack([w, w]), "ndarray (2, 1)"), (lambda w: w.tolist(), "list (1, 1)")],
-        ids=["too tall", "not an array"],
+        [
+            (lambda w: w + w, "list of shape (2,)"),
+            (lambda w: w[0], "float of shape ()"),
+            (lambda w: np.array([w]), "ndarray of shape (1, 1)"),
+        ],
+        ids=["too tall", "not an array", "not flat"],
     )
     def test_tangent_product_of_the_wrong_shape(self, product, got):
         def f(t, y, w):
@@ -224,7 +228,7 @@ class TestShapesCheckedAtEntry:
 
         with pytest.raises(ValueError) as info:
             rk.solve_rk45(f, (0.0, 1.0), [1.0], dense=False, w0=[[1.0]])
-        assert str(info.value) == f"J W must be an array of shape (1, 1), got {got}"
+        assert str(info.value) == f"J W must have the 1 entries of a 1 x 1 tangent, flat, got {got}"
 
     def test_empty_tangent(self):
         with pytest.raises(ValueError, match="the tangent needs at least one column"):
