@@ -4,22 +4,20 @@ A :class:`SystemSpec` couples a kinetic metric model with a potential and an
 energy level.  The flow lives on the velocity chart (x, v) and runs as the
 system's straight-line code over floats (:func:`orbitlab.geometry.metric_nodes`
 plus the potential and their derivatives in every state variable, compiled
-once per system), which also gives its tangent.  A tangent run's right-hand
-side comes from :func:`tangent_rhs`, one per (system, column count m), on
-flat lists of floats; :func:`state_rhs_jvp` is the same function over arrays.
-A constant metric's inverse is folded into that code, and its J W is one
-generated function of (z, W) per m: neither solves g a = -c, and no J W of
-such a metric goes through numpy.  A domain failure in the code raises the
-interpreter's error naming the subexpression
-(:meth:`orbitlab.expr.Compiled.run`); the interpreter never supplies a value
-of the flow.  The integrator records energy drift along every trajectory but
-never corrects it.
+once per system), which solves g a = -c by elimination for every metric
+(:meth:`orbitlab.expr.Graph.negated_solve`).  Its tangent J W is one generated
+function of (z, W) per column count m: :func:`tangent_rhs` on flat lists of
+floats, :func:`state_rhs_jvp` over arrays.  Each call checks a g that varies
+with the state; a constant g is checked once, when its code is built.  A
+domain failure in the code raises the interpreter's error naming the
+subexpression (:meth:`orbitlab.expr.Compiled.run`); the interpreter never
+supplies a value of the flow.  The integrator records energy drift along
+every trajectory but never corrects it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -87,23 +85,17 @@ class PotentialField(ex.Compiled):
 class SystemSpec(ex.Compiled):
     """Kinetic metric + potential + fixed energy level.
 
-    The flow runs as straight-line code built once, on first use, from the
-    nodes (g, c) of :func:`~orbitlab.geometry.metric_nodes` with grad U added
-    to c, so the acceleration is a = -g^{-1} c.  For a varying or Finsler
-    metric ``parts(z)`` returns (g, c) and ``tangent(z)`` (g, c, dg, dc), with
-    dg[l][k][j] = d g_lj / d z_k and dc[l][k] = d c_l / d z_k over the 2n state
-    variables z = (x, v).  A constant g is inverted once, at build time, and
-    g^{-1} folded into the code: ``parts(z)`` is the flow f = [v; a] and
-    ``tangent(z)`` (f, DA) with DA = -g^{-1} dc (n x 2n); g = I folds to
-    a = -c and DA = -dc.  Its ``energy(z)`` is H = F^2 / 2 + U and
-    ``energy_gradient(z)`` grad_z H.  The metric and the potential are one
-    build, so their common subexpressions are computed once.
-
-    For a constant metric and a 2n x m tangent W there is also ``jvp(z, w)``
-    = (f, J W), W and J W flat, row by row, built for each m on first use
-    (:meth:`~orbitlab.expr.Compiled.tangent_function`): J W = [W_v; DA W]
-    with each entry of DA W a sum of products over DA's nonzero entries, so
-    for g = I and a potential separable in x it is one product per entry.
+    The flow is straight-line code built once, on first use, from the nodes
+    (g, c) of :func:`~orbitlab.geometry.metric_nodes`, grad U added to c, and
+    U: ``parts(z)`` = (f, checks), f = [v; a] with a = -g^{-1} c, checks =
+    (g, pivots) or none for a constant g, checked at build.  Per tangent
+    width m (:meth:`~orbitlab.expr.Compiled.tangent_function`), ``jvp(z, w)``
+    = (f, J W, checks), W and J W flat, row by row: J W = [W_v; DA W] with
+    DA = -g^{-1} (dc + dg a) (derivatives in z) solved with the same factors.
+    A Finsler model adds ``rest(z)`` = (a, checks) and ``rest_jvp(z, w)``,
+    z carrying -grad U for v = 0: a = -g^{-1} grad U, DA = -g^{-1} (H_U +
+    dg_x a - (dg_v a) H_U) in x and 0 in v, H_U the Hessian of U.
+    ``energy(z)`` is H = F^2 / 2 + U and ``energy_gradient(z)`` grad_z H.
     """
 
     metric: MetricModel
@@ -112,9 +104,7 @@ class SystemSpec(ex.Compiled):
 
     def __post_init__(self):
         if isinstance(self.potential, (ex.Const, ex.Var, ex.Unary, ex.Binary)):
-            object.__setattr__(
-                self, "potential", PotentialField(self.potential, self.metric.dimension)
-            )
+            object.__setattr__(self, "potential", PotentialField(self.potential, self.dimension))
         if self.potential.dimension != self.metric.dimension:
             raise geo.ModelValidityError(
                 f"potential of dimension {self.potential.dimension} for a metric of "
@@ -128,34 +118,39 @@ class SystemSpec(ex.Compiled):
         return self.metric.dimension
 
     def _functions(self, graph):
-        n = self.dimension
+        n, zs, rest = self.dimension, range(2 * self.dimension), self.metric.kind == "finsler"
         f2, g, c = geo.metric_nodes(graph, self.metric)
         u = graph.tree(self.potential.node)
         c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
-        zs = range(2 * n)
-        dc = [[graph.diff(e, k) for k in zs] for e in c]
-        if _constant(self.metric):  # -g^{-1} b folds to sums over constants, -b for g = I
-            g_value = [[graph.value(e) for e in row] for row in g]
-            g_inv = list(zip(*[geo.solve_linear(g_value, e) for e in np.eye(n).tolist()]))
-            def minus_g_inv(b):
-                return [graph.neg(reduce(graph.add, map(graph.mul, map(graph.const, row), b)))
-                        for row in g_inv]
-            parts = [graph.var(n + i) for i in range(n)] + minus_g_inv(c)
-            da = list(zip(*[minus_g_inv(col) for col in zip(*dc)]))
-            tangent = [parts, da]
-            if graph.width:  # J W = [W_v; DA W], flat row by row
-                w = graph.tangent()
-                jw = [e for row in w[n:] for e in row]
-                jw += [graph.dot(row, column) for row in da for column in zip(*w)]
-                return [("jvp", 2 * n, [parts, jw], (f2, u))]
-        else:
-            dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
-            parts, tangent = [g, c], [g, c, dg, dc]
-        energy = graph.add(graph.mul(graph.const(0.5), f2), u)
-        dh = [graph.diff(energy, k) for k in zs]
-        return [("parts", 2 * n, parts, (f2, u)), ("energy", 2 * n, energy, ()),
-                ("energy_gradient", 2 * n, dh, (f2, u)),
-                ("tangent", 2 * n, tangent, (f2, u))]
+        grad_u, guards = [graph.diff(u, l) for l in range(n)], (f2, u)
+        (a, a_rest), pivots = graph.negated_solve(g, [c, grad_u])  # -g^{-1} b for b = c, grad U
+        f, checks = [graph.var(n + i) for i in range(n)] + a, [g, pivots]
+        if all(graph.value(e) is not None for row in g for e in row):  # checked once, here
+            _check(self, [list(map(graph.value, row)) for row in g])
+            checks = []
+        if not graph.width:
+            energy = graph.add(graph.mul(graph.const(0.5), f2), u)
+            functions = [("parts", 2 * n, [f, checks], guards), ("energy", 2 * n, energy, ()),
+                         ("energy_gradient", 2 * n, [graph.diff(energy, k) for k in zs], guards)]
+            return functions + [("rest", 2 * n, [a_rest, checks], guards)] if rest else functions
+
+        w, dg = graph.tangent(), [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
+        def jw(columns):  # [W_v; DA W] flat, row by row, for DA = -g^{-1} B by columns
+            da = list(zip(*graph.negated_solve(g, columns)[0]))
+            return [e for row in w[n:] for e in row] + [
+                graph.dot(row, column) for row in da for column in zip(*w)]
+        def dg_dot(a):  # (dg a)_lk = sum_j d g_lj / d z_k a_j
+            return [[graph.dot(column, a) for column in row] for row in dg]
+        b = dg_dot(a)
+        jvp = jw([[graph.add(graph.diff(c[l], k), b[l][k]) for l in range(n)] for k in zs])
+        if not rest:
+            return [("jvp", 2 * n, [f, jvp, checks], guards)]
+        b, h = dg_dot(a_rest), [[graph.diff(e, k) for k in range(n)] for e in grad_u]
+        jvp_rest = jw([[graph.sub(graph.add(h[l][k], b[l][k]),
+                                  graph.dot(b[l][n:], [row[k] for row in h])) for l in range(n)]
+                       for k in range(n)] + [[graph.zero] * n] * n)
+        return [("jvp", 2 * n, [f, jvp, checks], guards),
+                ("rest_jvp", 2 * n, [a_rest, jvp_rest, checks], guards)]
 
 
 @dataclass
@@ -173,6 +168,8 @@ class PhaseState:
     @staticmethod
     def from_flat(z) -> "PhaseState":
         z = np.asarray(z, dtype=float)
+        if z.ndim != 1 or z.size % 2:
+            raise ValueError(f"a state (x, v) needs an even number of entries, got shape {z.shape}")
         n = z.size // 2
         return PhaseState(z[:n], z[n:])
 
@@ -181,52 +178,60 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def _constant(metric: MetricModel) -> bool:
-    """A Riemannian g free of x, whose inverse the flow's code folds in."""
-    return metric.kind == "riemannian" and not metric.varying
-
-
-def _acceleration(spec: SystemSpec, z: list, name: str = "parts"):
-    """(a, rest, out): a = -g^{-1} c at the float state z, whether z is a
-    Finsler rest point, and the output of the flow's function ``name`` that
-    gave g (None for a constant metric, whose ``parts`` is f = [v; a]).
-
-    For a Finsler kinetic model the spray extends continuously by zero to
-    v = 0 (degree-2 homogeneity); g there is taken in the direction of
-    steepest descent w = -grad U, along which the flow leaves a rest point,
-    so ``out`` is taken at (x, w) and a = -g(x, w)^{-1} grad U.
-    """
-    n = spec.dimension
-    if _constant(spec.metric):
-        return spec.run("parts", z)[n:], False, None
-    rest = spec.metric.kind == "finsler" and not any(z[n:])
-    if rest:
-        grad_u = spec.potential.gradient(z[:n])
-        if not any(grad_u):
-            raise geo.ModelValidityError(
-                "Finsler flow undefined at a rest point with vanishing grad U"
-            )
-        z = z[:n] + [-c for c in grad_u]
-    out = spec.run(name, z)
+def _check(spec: SystemSpec, g, pivots=None):
+    """Raise unless the flow may solve with g: a varying Riemannian g must pass
+    :func:`~orbitlab.geometry.require_positive_definite`; each pivot (by
+    default, of g's elimination folded over its floats) must exceed 1e-14 max
+    |g_ij| (else ``SingularMatrixError``, as in geometry) and be positive."""
     if spec.metric.varying:
-        geo.require_positive_definite(out[0], "fundamental tensor")
-    return [-a for a in geo.solve_linear(out[0], grad_u if rest else out[1])], rest, out
+        geo.require_positive_definite(g, "fundamental tensor")
+    if pivots is None:
+        graph = ex.Graph(len(g))
+        pivots = map(graph.value, graph.negated_solve([[*map(graph.const, r)] for r in g], [])[1])
+    floor = 1e-14 * max(abs(e) for row in g for e in row)
+    for p in pivots:
+        if abs(p) <= floor:
+            raise geo.SingularMatrixError("fundamental tensor is singular to working precision")
+        if p < 0.0:
+            raise geo.ModelValidityError(
+                f"fundamental tensor is not positive definite (pivot {p:.3e})")
+
+
+def _rest_state(spec: SystemSpec, z: list):
+    """None, or at a Finsler rest point v = 0 the state (x, -grad U) for the
+    ``rest`` functions: the spray extends by zero to v = 0 (degree-2
+    homogeneity), and g is taken along -grad U, where the flow leaves."""
+    n = spec.dimension
+    if spec.metric.kind != "finsler" or any(z[n:]):
+        return None
+    grad_u = spec.potential.gradient(z[:n])
+    if not any(grad_u):
+        raise geo.ModelValidityError("Finsler flow undefined at a rest point with vanishing grad U")
+    return z[:n] + [-c for c in grad_u]
 
 
 def lagrange_rhs(spec: SystemSpec, x, v):
-    """Acceleration of the Lagrangian flow: -2 G(x, v) - g^{-1}(x, v) grad U.
-
-    It runs as -g^{-1} c from the system's straight-line code (see
-    :class:`SystemSpec`).  At a Finsler rest point v = 0 the metric is
-    evaluated in the direction of steepest descent.
-    """
-    return _acceleration(spec, [*map(float, x), *map(float, v)])[0]
+    """Acceleration -2 G(x, v) - g^{-1}(x, v) grad U: :func:`state_rhs`'s v'."""
+    return state_rhs(spec, 0.0, [*x, *v])[spec.dimension:]
 
 
 def state_rhs(spec: SystemSpec, t, z):
-    """First-order form over z = (x, v)."""
+    """First-order form over z = (x, v).  A g unfit to solve with raises
+    ``SingularMatrixError`` or ``ModelValidityError``."""
     z = list(map(float, z))
-    return z[spec.dimension:] + _acceleration(spec, z)[0]
+    at = _rest_state(spec, z)
+    try:
+        if at is None:
+            f, checks = spec.run("parts", z)
+        else:
+            a, checks = spec.run("rest", at)
+            f = z[spec.dimension:] + a
+    except ZeroDivisionError:  # a zero pivot is divided by before the checks see it
+        _check(spec, spec.metric.run("tensor", at or z))
+        raise
+    if checks:
+        _check(spec, *checks)
+    return f
 
 
 def _tangent(spec: SystemSpec, w) -> np.ndarray:
@@ -245,33 +250,28 @@ def tangent_rhs(spec: SystemSpec, m: int):
     side of a tangent run of :func:`orbitlab.rk.solve_rk45`: w and J W are
     flat, row by row, lists of 2n m floats.  f(z) is :func:`state_rhs`'s bit
     for bit.  Every derivative of the flow (shooting, monodromy, the
-    Jacobian) comes from here.
-
-    J W = [W_v; DA W].  A constant metric's is one generated function of
-    (z, W), built once per m (:class:`SystemSpec`), with DA = -g^{-1} dc
-    expanded entry by entry, so DA's constant zeros drop out.  Otherwise,
-    from g a = -c, DA = -g^{-1} (dc + dg a) with the flow's ``tangent``
-    derivatives, in numpy.  At a Finsler rest point a = -g(x, -grad U)^{-1}
-    grad U, so DA is -g^{-1} (H + (dg_x - dg_v H) a) in x, with H the
-    Hessian of U, and zero in v.
-    """
+    Jacobian) comes from here: the system's ``jvp``, or at a Finsler rest
+    point ``rest_jvp``, built once per m (:class:`SystemSpec`), with g
+    checked as :func:`state_rhs` checks it."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"a tangent needs a positive whole number of columns, got {m!r}")
-    if _constant(spec.metric):
-        jvp = spec.tangent_function("jvp", m)
-        return lambda t, z, w: jvp(z, w)
-    n = spec.dimension
+    n, jvp = spec.dimension, spec.tangent_function("jvp", m)
+    rest_jvp = spec.tangent_function("rest_jvp", m) if spec.metric.kind == "finsler" else None
 
     def f(t, z, w):
-        a, rest, (g, _, dg, dc) = _acceleration(spec, z, "tangent")
-        w = np.reshape(w, (2 * n, m))
-        dga = np.array(dg) @ a
-        if rest:
-            h = np.array(spec.potential.hessian(z[:n]))
-            da = np.hstack([h + dga[:, :n] - dga[:, n:] @ h, np.zeros((n, n))])
-        else:
-            da = np.array(dc) + dga
-        return z[n:] + a, np.vstack([w[n:], -np.linalg.solve(g, da @ w)]).ravel().tolist()
+        at = _rest_state(spec, z) if rest_jvp else None
+        try:
+            if at is None:
+                fz, jw, checks = jvp(z, w)
+            else:
+                a, jw, checks = rest_jvp(at, w)
+                fz = z[n:] + a
+        except ZeroDivisionError:  # as in state_rhs
+            _check(spec, spec.metric.run("tensor", at or z))
+            raise
+        if checks:
+            _check(spec, *checks)
+        return fz, jw
 
     return f
 
@@ -374,15 +374,8 @@ def _state(spec: SystemSpec, z) -> list[float]:
     return z
 
 
-def integrate(
-    spec: SystemSpec,
-    initial: PhaseState,
-    t_span,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    events=(),
-    dense: bool = True,
-) -> Trajectory:
+def integrate(spec: SystemSpec, initial: PhaseState, t_span, rtol: float = 1e-10,
+              atol: float = 1e-12, events=(), dense: bool = True) -> Trajectory:
     """Integrate the Lagrangian flow; the torus chart stays in the cover.
 
     ``events`` are :class:`~orbitlab.rk.EventSpec` over (t, z), z = (x, v).
@@ -392,31 +385,11 @@ def integrate(
     if initial.x.size != initial.v.size:
         raise ValueError(f"state has {initial.x.size} positions and {initial.v.size} velocities")
 
-    def f(t, z):
-        return state_rhs(spec, t, z)
-
-    res = rk.solve_rk45(
-        f,
-        t_span,
-        z0,
-        rtol=rtol,
-        atol=atol,
-        events=tuple(events),
-        dense=dense,
-    )
-    energies = np.array(
-        [total_energy(spec, row[:n], row[n:]) for row in res.ys]
-    )
+    res = rk.solve_rk45(lambda t, z: state_rhs(spec, t, z), t_span, z0, rtol=rtol, atol=atol,
+                        events=tuple(events), dense=dense)
+    energies = np.array([total_energy(spec, row[:n], row[n:]) for row in res.ys])
     drift = float(np.max(np.abs(energies - energies[0])))
-    return Trajectory(
-        spec=spec,
-        ts=res.ts,
-        states=res.ys,
-        dense=res.dense,
-        events=res.events,
-        energy_drift=drift,
-        energies=energies,
-    )
+    return Trajectory(spec, res.ts, res.ys, res.dense, res.events, drift, energies)
 
 
 def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
@@ -427,7 +400,6 @@ def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
     step-size control sees the state only, so the steps are those of the
     plain run and W is the exact derivative Newton needs.
     """
-
     z0, w0 = _state(spec, z0), _tangent(spec, w0)
     res = rk.solve_rk45(tangent_rhs(spec, w0.shape[1]), (0.0, t_end), z0, dense=False, w0=w0)
     return res.ys[-1], res.w_final

@@ -782,6 +782,33 @@ class Graph:
                 acc = self._apply("add", acc, p)  # not add(): 0.0 + -0.0 is 0.0
         return acc
 
+    def negated_solve(self, matrix, columns):
+        """(-x for each b of ``columns``, pivots): matrix x = b by elimination
+        without pivoting, for a symmetric positive definite matrix (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+        section 10.1), in :func:`orbitlab.geometry.solve_linear`'s operations
+        when it swaps no rows, less products with a constant zero factor and
+        constant zeros divided by a pivot: exact for the positive pivots the
+        caller checks."""
+        n = len(matrix)
+        m = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)]  # [matrix | b]
+
+        def minus(a, b, c):  # a - b c, not sub(): 0.0 - x is not -x
+            p = self.mul(b, c)
+            return a if self._is(p, 0.0) else self._apply("sub", a, p)
+
+        for col in range(n):
+            inv = self.div(self.one, m[col][col])
+            for i in range(col + 1, n):
+                f = self.mul(m[i][col], inv)
+                m[i][col + 1:] = [minus(e, f, p) for e, p in zip(m[i][col + 1:], m[col][col + 1:])]
+        for i in reversed(range(n)):  # back substitution: row i's b part becomes x_i
+            for j in range(i + 1, n):
+                m[i][n:] = [minus(e, m[i][j], x) for e, x in zip(m[i][n:], m[j][n:])]
+            m[i][n:] = [e if self._is(e, 0.0) else self.div(e, m[i][i]) for e in m[i][n:]]
+        solutions = [[self.neg(row[k]) for row in m] for k in range(n, n + len(columns))]
+        return solutions, [m[i][i] for i in range(n)]
+
     # -- derivatives -------------------------------------------------------------
 
     def diff(self, k: int, i: int) -> int:

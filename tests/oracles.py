@@ -21,8 +21,10 @@ monodromy matrix against the augmented system that carried the variational
 equations in the state, the intersection scan's spatial hash against the
 all-pairs candidate generator, and its cover rule against the candidate
 search it replaced.  The flow's solve route, which solves g a = -c and
-g DA = -(dc + dg a) at every call, is the reference for the code into which
-a constant metric's g^{-1} is folded.  The Dormand-Prince stepper as a loop
+g DA = -(dc + dg a) by a pivoting solve at every call, is the reference for
+the generated flow and J W, which eliminate in the code; the fold that
+inverted a constant g at build time is the reference for the identity
+metric's generated lines.  The Dormand-Prince stepper as a loop
 over the stages, with W's stage sums and the error norm in numpy, is the
 reference for the generated step that replaced it.  The member-by-member
 check of the resonant oscillator family against its closed form lives here
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -477,10 +480,10 @@ def _solved_acceleration(spec, z: list, name: str = "parts"):
 
 def solved_state_rhs_jvp(spec, z, w):
     """(f(z), J(z) W) by the solve route: ``dynamics.state_rhs_jvp`` as it was
-    before a constant metric's inverse was folded into the flow's code, with
+    before the flow solved g a = -c in its generated code, with
     DA = -g^{-1} (dc + dg a) from ``np.linalg.solve`` at every call.
 
-    The reference for the folded route of constant metrics.
+    The reference for the generated flow and J W.
     """
     z = list(map(float, z))
     w = np.asarray(w, dtype=float)
@@ -495,18 +498,99 @@ def solved_state_rhs_jvp(spec, z, w):
     return z[n:] + a, np.vstack([w[n:], -np.linalg.solve(g, da @ w)])
 
 
+@dataclass(frozen=True)
+class _FoldedFlow(ex.Compiled):
+    """A constant metric's ``tangent`` = (f, DA), f = [v; a] and
+    DA = -g^{-1} dc, solved as ``SystemSpec`` solves them in its code
+    (``expr.Graph.negated_solve``): the matrix whose products with W the
+    generated J W expands."""
+
+    spec: SystemSpec
+
+    @property
+    def dimension(self) -> int:
+        return self.spec.dimension
+
+    def _functions(self, graph):
+        n = self.dimension
+        f2, g, c = geo.metric_nodes(graph, self.spec.metric)
+        u = graph.tree(self.spec.potential.node)
+        c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
+        (a,), _ = graph.negated_solve(g, [c])
+        columns, _ = graph.negated_solve(g, [[graph.diff(e, k) for e in c] for k in range(2 * n)])
+        f = [graph.var(n + i) for i in range(n)] + a
+        da = [list(row) for row in zip(*columns)]
+        return [("tangent", 2 * n, [f, da], (f2, u))]
+
+
+@functools.lru_cache(maxsize=None)
+def folded_flow(spec: SystemSpec) -> _FoldedFlow:
+    return _FoldedFlow(spec)
+
+
 def folded_state_rhs_jvp(spec, z, w):
-    """(f(z), J(z) W) of a constant metric in numpy: the flow's generated
-    ``tangent`` gives f and DA = -g^{-1} dc, and J W = [W_v; DA W] is
-    ``np.vstack`` over ``np.array(DA) @ W``, as ``dynamics.state_rhs_jvp``
-    computed it before J W was generated per tangent width.
+    """(f(z), J(z) W) of a constant metric in numpy: the fold build's
+    ``tangent`` (``folded_flow``) gives f and DA = -g^{-1} dc, and
+    J W = [W_v; DA W] is ``np.vstack`` over ``np.array(DA) @ W``, as
+    ``dynamics.state_rhs_jvp`` computed it before J W was generated per
+    tangent width.
 
     The reference for the generated J W.
     """
     z = list(map(float, z))
     w = np.asarray(w, dtype=float)
-    f, da = spec.run("tangent", z)
+    f, da = folded_flow(spec).run("tangent", z)
     return f, np.vstack([w[spec.dimension:], np.array(da) @ w])
+
+
+def inverse_fold_source(spec, width: int = 0) -> str:
+    """``expr.Graph.source`` of a constant metric's ``parts`` (width 0) or
+    ``jvp`` (width m) as ``SystemSpec`` built them when it inverted g once,
+    at build time, and folded g^{-1} into the code: a = -g^{-1} c and
+    DA = -g^{-1} dc as sums of products with constants, which for g = I fold
+    to -c and -dc; J W = [W_v; DA W] expanded entry by entry."""
+    n = spec.dimension
+    graph = ex.Graph(n, width)
+    f2, g, c = geo.metric_nodes(graph, spec.metric)
+    u = graph.tree(spec.potential.node)
+    c = [graph.add(c[l], graph.diff(u, l)) for l in range(n)]
+    dc = [[graph.diff(e, k) for k in range(2 * n)] for e in c]
+    g_value = [[graph.value(e) for e in row] for row in g]
+    g_inv = list(zip(*[geo.solve_linear(g_value, e) for e in np.eye(n).tolist()]))
+
+    def minus_g_inv(b):
+        return [graph.neg(functools.reduce(graph.add, map(graph.mul, map(graph.const, row), b)))
+                for row in g_inv]
+
+    parts = [graph.var(n + i) for i in range(n)] + minus_g_inv(c)
+    if not width:
+        return graph.source([("parts", 2 * n, parts, (f2, u))])
+    da = list(zip(*[minus_g_inv(column) for column in zip(*dc)]))
+    w = graph.tangent()
+    jw = [e for row in w[n:] for e in row]
+    jw += [graph.dot(row, column) for row in da for column in zip(*w)]
+    return graph.source([("jvp", 2 * n, [parts, jw], (f2, u))])
+
+
+def inlined_source(source: str, name: str) -> tuple[list[str], str]:
+    """Function ``name`` of ``expr.Graph.source`` text with every ``t<k>``
+    replaced by its line's expression, recursively: (the sorted expressions
+    of its lines, its return expression).  Two builds of one computation
+    give the same, whatever order they made their nodes in."""
+    block = source.split(f"def {name}(")[1].split("\ndef ")[0]
+    lines = dict(re.findall(r"^    (t\d+) = (.*)$", block, re.M))
+    done: dict[str, str] = {}
+
+    def expand(text):
+        return re.sub(r"\bt\d+\b", lambda match: node(match.group()), text)
+
+    def node(name):
+        if name not in done:
+            done[name] = f"({expand(lines[name])})"
+        return done[name]
+
+    returned = re.search(r"^    return (.*)$", block, re.M).group(1)
+    return sorted(node(k) for k in lines), expand(returned)
 
 
 def conformal_model(jm) -> geo.MetricModel:

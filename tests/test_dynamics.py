@@ -16,8 +16,11 @@ from orbitlab import rk
 from orbitlab.dynamics import PhaseState
 
 from oracles import (
+    folded_flow,
     folded_state_rhs_jvp,
     hamilton_rhs,
+    inlined_source,
+    inverse_fold_source,
     legendre,
     legendre_inverse,
     solved_state_rhs_jvp,
@@ -49,6 +52,19 @@ def conformal_exp_system():
     e, zero = ex.parse("exp(x1)", 2), ex.const(0.0)
     metric = geo.MetricModel.riemannian([[e, zero], [zero, e]])
     return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2", 2), 1.0)
+
+
+def position_dependent_riemannian():
+    metric = geo.MetricModel.riemannian([
+        [ex.parse("2 + sin(x1)*x2", 2), ex.parse("0.3*x1*x2", 2)],
+        [None, ex.parse("1.5 + x1^2", 2)],
+    ])
+    return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2 + 0.1*x1*x2", 2), 1.0)
+
+
+def position_dependent_finsler():
+    f2 = ex.parse("(1 + 0.2*x1^2)*(v1^2 + v2^2) + 0.1*sqrt(v1^4 + v2^4 + x2^2*v1^2*v2^2)", 2)
+    return dyn.SystemSpec(geo.MetricModel.finsler(f2, 2), ex.parse("0.5*x1^2 + x2^2", 2), 1.0)
 
 
 def cosine_torus():
@@ -676,7 +692,8 @@ class TestConstantMetricFold:
             lambda: dyn.lagrange_rhs(spec, z[:n], z[n:]),
         ]
 
-    def test_constant_metric_calls_no_solve(self, monkeypatch):
+    def test_no_metric_calls_a_solve(self, monkeypatch):
+        # every metric's flow and J W eliminate in the generated code; builds too
         class Solved(Exception):
             pass
 
@@ -685,19 +702,12 @@ class TestConstantMetricFold:
 
         z = [0.3, -0.2, 0.7, 0.4]
         constant = [oscillator(), sheared_torus()]
-        solving = [conformal_exp_system(), quartic_finsler_well()]
-        for spec in constant + solving:
-            for route in self.routes(spec, z):  # builds the code, which inverts a constant g
-                route()
+        varying = [conformal_exp_system(), quartic_finsler_well()]
         monkeypatch.setattr(geo, "solve_linear", solve)
         monkeypatch.setattr(np.linalg, "solve", solve)
-        for spec in constant:
-            for route in self.routes(spec, z):
+        for spec in constant + varying:
+            for route in self.routes(spec, z) + self.routes(spec, z[:2] + [0.0, 0.0]):
                 route()
-        for spec in solving:
-            for route in self.routes(spec, z):
-                with pytest.raises(Solved):
-                    route()
 
     def test_varying_metric_is_checked_on_every_call(self, monkeypatch):
         calls = []
@@ -776,7 +786,7 @@ class TestGeneratedJW:
         f_ref, jw_ref = folded_state_rhs_jvp(spec, z, w)
         assert bits(f) == bits(f_ref) == bits(dyn.state_rhs(spec, 0.0, z))
         assert bits(jw[:n]) == bits(jw_ref[:n])  # W_v, signed zeros included
-        da = np.array(spec.run("tangent", z)[1])
+        da = np.array(folded_flow(spec).run("tangent", z)[1])
         terms = np.count_nonzero(da, axis=1)
         # a row of DA with one nonzero is one product, summed from +0.0 as
         # BLAS sums: bit for bit; with k > 1 BLAS may fuse a multiply-add,
@@ -795,7 +805,7 @@ class TestGeneratedJW:
         # every DA row of the oscillators and the cosine torus has one nonzero
         for name in ("oscillator-2", "oscillator-3", "cosine-torus"):
             spec = GENERATED_JW_SYSTEMS[name]()
-            da = np.array(spec.run("tangent", [0.3] * (2 * spec.dimension))[1])
+            da = np.array(folded_flow(spec).run("tangent", [0.3] * (2 * spec.dimension))[1])
             assert np.all(np.count_nonzero(da, axis=1) <= 1)
 
     def test_pickle_drops_the_built_functions(self):
@@ -816,3 +826,157 @@ class TestGeneratedJW:
         assert f(0.0, [1.0, 0.5], [1.0, 0.0])[1] == [0.0, 0.25]  # DA = -(0.5 x1^-0.5)'
         with pytest.raises(ex.EvalDomainError, match="sqrt"):
             f(0.0, [-1.0, 0.5], [1.0, 0.0])
+
+
+def varying_metric_3():
+    """A 3-DOF x-dependent Riemannian metric, diagonally dominant on [-1, 1]^3."""
+    entries = [
+        ["2 + 0.3*sin(x1)", "0.2*x2", "0.1*x1*x3"],
+        [None, "1.5 + 0.2*x3^2", "0.1*cos(x2)"],
+        [None, None, "1 + 0.1*x1^2"],
+    ]
+    metric = geo.MetricModel.riemannian(
+        [[None if e is None else ex.parse(e, 3) for e in row] for row in entries]
+    )
+    return dyn.SystemSpec(metric, ex.parse("0.5*x1^2 + x2^2 + 0.7*x3^2 + 0.1*x1*x2*x3", 3), 1.0)
+
+
+# metrics whose g varies with the state; every g is diagonally dominant on [-1, 1]^2n
+ONE_ROUTE_SYSTEMS = {
+    "conformal": conformal_exp_system,
+    "varying-riemannian": position_dependent_riemannian,
+    "varying-riemannian-3": varying_metric_3,
+    "quartic-finsler": quartic_finsler_well,
+    "varying-finsler": position_dependent_finsler,
+}
+# J W: DA solved first, then DA W, against g X = -(B W) solved by numpy
+# (measured: at most 3.8 eps (1 + |ref|) over 200 points of each system)
+JW_TOL = 16 * np.finfo(float).eps
+
+
+def diagonally_dominant(g) -> bool:
+    # partial pivoting swaps no rows of a diagonally dominant matrix (Golub &
+    # Van Loan, Matrix Computations, 4th ed., 2013, Theorem 3.4.3)
+    g = np.abs(np.asarray(g))
+    return bool(np.all(2.0 * np.diag(g) >= g.sum(axis=1)))
+
+
+class TestOneRoute:
+    """Every metric's generated flow and J W against the solve route
+    (``oracles.solved_state_rhs_jvp``), which solves with partial pivoting
+    at every call: the flow bit for bit where that solve swaps no rows, J W
+    within ``JW_TOL`` (1 + |ref|)."""
+
+    @staticmethod
+    def points(spec, seed, count=25):
+        rng = np.random.default_rng(seed)
+        n = spec.dimension
+        for k in range(count):
+            z = rng.uniform(-1.0, 1.0, 2 * n)
+            if spec.metric.kind == "finsler" and k % 3 == 0:
+                z[n:] = 0.0  # a rest point: g in the direction of steepest descent
+            yield z.tolist(), rng
+
+    @pytest.mark.parametrize("name", list(ONE_ROUTE_SYSTEMS))
+    def test_against_the_solve_route(self, name):
+        spec = ONE_ROUTE_SYSTEMS[name]()
+        n = spec.dimension
+        rests = 0
+        for z, rng in self.points(spec, 3):
+            x, v = z[:n], z[n:]
+            if not any(v):
+                v, rests = [-c for c in spec.potential.gradient(x)], rests + 1
+            assert diagonally_dominant(spec.metric.run("tensor", x + v))
+            f = dyn.state_rhs(spec, 0.0, z)
+            for m in (1, 2 * n):
+                w = rng.standard_normal((2 * n, m))
+                f_jvp, jw = dyn.state_rhs_jvp(spec, z, w)
+                f_ref, jw_ref = solved_state_rhs_jvp(spec, z, w)
+                assert bits(f) == bits(f_jvp) == bits(f_ref)
+                assert np.all(np.abs(jw - jw_ref) <= JW_TOL * (1.0 + np.abs(jw_ref)))
+            ref_jac = solved_state_rhs_jvp(spec, z, np.eye(2 * n))[1]
+            assert np.all(np.abs(dyn.rhs_jacobian(spec, z) - ref_jac)
+                          <= JW_TOL * (1.0 + np.abs(ref_jac)))
+        assert rests == (9 if spec.metric.kind == "finsler" else 0)
+
+    @pytest.mark.parametrize("name", ["oscillator-2", "cosine-torus", "cross-terms", "euclidean-3"])
+    def test_identity_metric_lines_are_the_inverse_fold(self, name):
+        # for g = I every multiplier folds to 0 and every pivot to 1: the
+        # flow's and J W's lines are those of the fold that inverted g at
+        # build time, and their checks are none
+        spec = GENERATED_JW_SYSTEMS[name]()
+        n = spec.dimension
+        for width, function in ((0, "parts"), (1, "jvp"), (2 * n, "jvp")):
+            graph = ex.Graph(n, width)
+            lines, returned = inlined_source(graph.source(spec._functions(graph)), function)
+            fold_lines, fold_returned = inlined_source(inverse_fold_source(spec, width), function)
+            assert lines == fold_lines
+            assert returned == (f"{fold_returned[:-1]}, []]" if width else f"[{fold_returned}, []]")
+
+
+class TestPivots:
+    """The flow solves without pivoting and checks the pivots it divided by."""
+
+    @staticmethod
+    def finsler(f2, potential="x2^2"):
+        metric = geo.MetricModel.finsler(ex.parse(f2, 2), 2)
+        return dyn.SystemSpec(metric, ex.parse(potential, 2), 1.0)
+
+    @staticmethod
+    def routes(spec, z):
+        return [
+            lambda: dyn.state_rhs(spec, 0.0, z),
+            lambda: dyn.state_rhs_jvp(spec, z, np.ones((4, 1))),
+            lambda: dyn.rhs_jacobian(spec, z),
+        ]
+
+    def test_negative_pivot_is_named(self):
+        # g = diag(1, x1 - 1) is indefinite at x1 = 0; a pivoting solve
+        # returned a value there
+        spec = self.finsler("v1^2 + (x1 - 1)*v2^2")
+        for z in ([0.0, 0.5, 1.0, 1.0], [0.0, 0.5, 0.0, 0.0]):
+            for route in self.routes(spec, z):
+                with pytest.raises(geo.ModelValidityError,
+                                   match=r"fundamental tensor is not positive definite \(pivot -1"):
+                    route()
+
+    def test_zero_pivot_is_singular(self):
+        # g = diag(1, x1^2): the generated code divides by the zero pivot
+        spec = self.finsler("v1^2 + x1^2*v2^2")
+        for route in self.routes(spec, [0.0, 0.5, 1.0, 1.0]):
+            with pytest.raises(geo.SingularMatrixError, match="fundamental tensor is singular"):
+                route()
+        for route in self.routes(spec, [1e-8, 0.5, 1.0, 1.0]):  # pivot 1e-16 <= 1e-14 max |g|
+            with pytest.raises(geo.SingularMatrixError):
+                route()
+        # pivot 1e-12 passes: a_2 = -c_2 / g_22 with c_2 = 2 x2 + 2 x1 v1 v2
+        a_2 = dyn.state_rhs(spec, 0.0, [1e-6, 0.5, 1.0, 1.0])[3]
+        assert a_2 == pytest.approx(-(1 + 2e-6) / 1e-12)
+
+    @pytest.mark.parametrize("f2, error", [
+        ("v1^2 - v2^2", geo.ModelValidityError),
+        ("v1^2", geo.SingularMatrixError),
+    ])
+    def test_constant_finsler_tensor_is_checked_at_build(self, f2, error):
+        spec = self.finsler(f2)
+        for _ in range(2):
+            for route in self.routes(spec, [0.1, 0.5, 1.0, 1.0]):
+                with pytest.raises(error):
+                    route()
+
+    def test_other_zero_divisions_are_not_a_pivot(self):
+        # a third derivative of F^2 meets 0.0 ** -0.5 at v1 = 0 (open:
+        # powers at zero in generated derivatives); g there is regular
+        spec = self.finsler("v1^2 + v2^2 + (v1^2)^2.5/(v1^2 + v2^2)^1.5", "0.5*x1^2 + 0.5*x2^2")
+        z = [0.3, 0.2, 0.0, 1.0]
+        assert dyn.state_rhs(spec, 0.0, z) == [0.0, 1.0, -0.3, -0.2]
+        with pytest.raises(ZeroDivisionError, match="0.0 cannot be raised to a negative power"):
+            dyn.state_rhs_jvp(spec, z, np.eye(4))
+
+
+def test_from_flat_needs_an_even_length():
+    state = PhaseState.from_flat([1.0, 2.0, 3.0, 4.0])
+    assert state.x.tolist() == [1.0, 2.0] and state.v.tolist() == [3.0, 4.0]
+    for z in ([1.0, 2.0, 3.0], np.ones((2, 2))):
+        with pytest.raises(ValueError, match="even number of entries"):
+            PhaseState.from_flat(z)

@@ -164,36 +164,52 @@ def test_no_foreign_private_names():
 
 
 INTERPRETER_DUALS = ("Dual", "val_of", "eval_dual")
+# a pivoting float solve: the geometry kernel's and numpy's
+SOLVES = ("solve_linear", "linalg")
 
 
-def dual_names(source: str) -> list[str]:
-    """Names of the interpreter's dual numbers (:data:`INTERPRETER_DUALS`)
-    that a module imports, binds, loads or reads as an attribute."""
+def names_used(source: str, wanted) -> list[str]:
+    """Names of ``wanted`` (:data:`INTERPRETER_DUALS`, :data:`SOLVES`) that a
+    module imports (as any part of a dotted name), binds, loads or reads as
+    an attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [name for alias in node.names for name in (alias.name, alias.asname)]
+            names = [part for alias in node.names for name in (alias.name, alias.asname)
+                     if name for part in name.split(".")]
         elif isinstance(node, ast.Name):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
         else:
             continue
-        found += [f"{name} (line {node.lineno})" for name in dict.fromkeys(names)
-                  if name in INTERPRETER_DUALS]
+        found += [f"{name} (line {node.lineno})" for name in dict.fromkeys(names) if name in wanted]
     return sorted(found)
 
 
 def test_detects_dual_names():
     source = "from .expr import Dual as D\nimport x\nx.val_of(1)\neval_dual = 2\n"
-    assert dual_names(source) == ["Dual (line 1)", "eval_dual (line 4)", "val_of (line 3)"]
+    assert names_used(source, INTERPRETER_DUALS) == [
+        "Dual (line 1)", "eval_dual (line 4)", "val_of (line 3)"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "expr"], ids=lambda p: p.name)
 def test_only_expr_names_duals(path):
     # the library runs over floats; the interpreter's duals serve failure
     # naming in expr and the test oracles
-    assert dual_names(path.read_text()) == []
+    assert names_used(path.read_text(), INTERPRETER_DUALS) == []
+
+
+def test_detects_solve_names():
+    source = "import numpy.linalg\nfrom .geometry import solve_linear as s\nnp.linalg.solve(a, b)\n"
+    assert names_used(source, SOLVES) == [
+        "linalg (line 1)", "linalg (line 3)", "solve_linear (line 2)"]
+
+
+def test_dynamics_names_no_solve():
+    # the flow and its J W eliminate in the generated code (expr.Graph.negated_solve)
+    path = next(p for p in MODULES if p.stem == "dynamics")
+    assert names_used(path.read_text(), SOLVES) == []
 
 
 def tracer_targets() -> list[str]:

@@ -36,7 +36,14 @@ from oracles import (
     interpreted_value,
     random_expression,
 )
-from test_dynamics import conformal_exp_system, cosine_torus, oscillator, quartic_finsler_well
+from test_dynamics import (
+    conformal_exp_system,
+    cosine_torus,
+    oscillator,
+    position_dependent_finsler,
+    position_dependent_riemannian,
+    quartic_finsler_well,
+)
 
 REL = 1e-13
 N_POTENTIALS = 200
@@ -50,18 +57,6 @@ def assert_close(actual, expected):
 
 def parse2(source):
     return ex.parse(source, 2)
-
-
-def position_dependent_riemannian():
-    metric = geo.MetricModel.riemannian(
-        [[parse2("2 + sin(x1)*x2"), parse2("0.3*x1*x2")], [None, parse2("1.5 + x1^2")]]
-    )
-    return dyn.SystemSpec(metric, parse2("0.5*x1^2 + x2^2 + 0.1*x1*x2"), 1.0)
-
-
-def position_dependent_finsler():
-    f2 = parse2("(1 + 0.2*x1^2)*(v1^2 + v2^2) + 0.1*sqrt(v1^4 + v2^4 + x2^2*v1^2*v2^2)")
-    return dyn.SystemSpec(geo.MetricModel.finsler(f2, 2), parse2("0.5*x1^2 + x2^2"), 1.0)
 
 
 METRIC_SYSTEMS = [
