@@ -49,8 +49,8 @@ __all__ = [
 class PotentialField(ex.Compiled):
     """Potential U(x) given by an expression over the position variables.
 
-    U, grad U and the Hessian of U run as straight-line code over floats,
-    built once, on first use (:class:`~orbitlab.expr.Compiled`).
+    U and grad U run as straight-line code over floats, built once, on
+    first use (:class:`~orbitlab.expr.Compiled`).
     """
 
     node: ex.ExprNode
@@ -66,19 +66,13 @@ class PotentialField(ex.Compiled):
     def _functions(self, graph):
         n = self.dimension
         u = graph.tree(self.node)
-        grad = [graph.diff(u, i) for i in range(n)]
-        hessian = [[graph.diff(d, j) for j in range(n)] for d in grad]
-        return [("value", n, u, ()), ("gradient", n, grad, (u,)), ("hessian", n, hessian, (u,))]
+        return [("value", n, u, ()), ("gradient", n, [graph.diff(u, i) for i in range(n)], (u,))]
 
     def value(self, x):
         return self.run("value", list(map(float, x)))
 
     def gradient(self, x):
         return self.run("gradient", list(map(float, x)))
-
-    def hessian(self, x):
-        """n x n list whose row i is the gradient of dU/dx_i."""
-        return self.run("hessian", list(map(float, x)))
 
 
 @dataclass(frozen=True)
@@ -398,8 +392,14 @@ def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
     W(t_end) = D phi(z0) W0, where phi is the discrete solution map along the
     accepted steps.  It runs at the integrator's default tolerances, and
     step-size control sees the state only, so the steps are those of the
-    plain run and W is the exact derivative Newton needs.
+    plain run and W is the exact derivative Newton needs.  A 2n x 0 tangent
+    (a chart with no coordinates, as of a one-dimensional system) takes
+    that plain run.
     """
-    z0, w0 = _state(spec, z0), _tangent(spec, w0)
+    z0 = _state(spec, z0)
+    if np.shape(w0) == (len(z0), 0):
+        res = rk.solve_rk45(lambda t, z: state_rhs(spec, t, z), (0.0, t_end), z0, dense=False)
+        return res.ys[-1], np.zeros((len(z0), 0))
+    w0 = _tangent(spec, w0)
     res = rk.solve_rk45(tangent_rhs(spec, w0.shape[1]), (0.0, t_end), z0, dense=False, w0=w0)
     return res.ys[-1], res.w_final

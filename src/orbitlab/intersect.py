@@ -1,16 +1,16 @@
 """Detection and classification of orbit intersections.
 
-Candidate coincidences come from a uniform spatial hash over a dense
-polyline resampling of the orbit (Teschner et al., VMV 2003).  Segment boxes
-are inflated by the acceptance margin and entered in every cell they touch,
-so two boxes that overlap share a cell; on a torus every axis holds a whole
-number of cells, so that this holds across a period too.  A cell is n times
-the largest box extent E in n dimensions: an inflated box, at most E plus
-twice the margin wide, then touches about 1 + 1/n cells per axis on average,
-(1 + 1/n)^n < e cells in all, whatever n (cells of size E would be entered up
-to 2^n times per box).  A cell is keyed by a wrapping int64 hash of its
-integer coordinates, so grids of any size index; cells sharing a key only
-add pairs.  Hashed pairs pass a minimal-image box test (:meth:`Space.delta
+Candidate coincidences come from a sort-and-sweep broad phase over a dense
+polyline resampling of the orbit (Cohen, Lin, Manocha & Ponamgi, I-COLLIDE,
+1995).  Boxes of two segments overlap within the acceptance margin only if
+their centres lie, on every axis, within reach = the largest half-extents of
+both strands plus the margin.  One axis is swept: two binary searches in the
+sorted centres of b give each box of a its run of b's boxes within reach (on
+a torus the centres wrap into one period, unrolled once on either side).  It
+is the axis whose runs hold the fewest boxes, found on every call; the axis
+of largest spread fails on a torus, where a winding axis spans many periods
+of the cover while its wrapped centres crowd one.  The pairs of the runs
+pass a minimal-image box test (:meth:`Space.delta
 <orbitlab.geometry.Space.delta>`), so the candidate list equals that of the
 O(N^2) all-pairs generator, which the tests keep as the oracle
 (``oracles.brute_candidates``).  The candidates become arrays of segment
@@ -53,12 +53,7 @@ __all__ = [
 _NEAR_MISS_FACTOR = 10.0
 _TOL_ANGLE = 1e-3  # radians from (anti)parallel that still count as parallel
 _REFINE_MAX_ITER = 60  # Newton iterations per refined pair
-_PAIR_CHUNK = 2048  # hashed pairs per overlap test; bounds peak memory
-_CELL_KEYS = np.array([  # odd 62-bit multipliers: a cell's key is its coordinates @ these
-    0x296D9B5E597EE325, 0x3C3274321E5023F9, 0x34D7D31C923C999D, 0x3FF302B571F50C97,
-    0x3F6D963108AE2791, 0x248B15133BBB5E07, 0x2685054B6E12E21D, 0x279FCCD1DC0CD3C1,
-    0x287FD6215282EF49,
-])
+_PAIR_CHUNK = 2048  # swept pairs per overlap test, or one longer run; bounds peak memory
 
 
 @dataclass
@@ -147,80 +142,65 @@ class _Strand:
         return float(np.mod(t, self.period))
 
 
-def _segment_boxes(pts: np.ndarray):
-    lo = np.minimum(pts[:-1], pts[1:])
-    hi = np.maximum(pts[:-1], pts[1:])
-    return lo, hi
-
-
 def _box_centres(strand: _Strand):
-    lo, hi = _segment_boxes(strand.pts)
+    lo = np.minimum(strand.pts[:-1], strand.pts[1:])
+    hi = np.maximum(strand.pts[:-1], strand.pts[1:])
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def _boxes_overlap(ca, ea, cb, eb, space, margin):
-    """Minimal-image test that boxes (centre, half-extent) overlap within margin.
-
-    Broadcasts over leading axes; the last axis is the coordinate.
-    """
+    """Minimal-image test that boxes (centre, half-extent) overlap within
+    margin; broadcasts over leading axes, the last axis the coordinate."""
     return np.all(np.abs(space.delta(ca, cb)) <= ea + eb + margin, axis=-1)
 
 
-def _hash_candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
-    """Segment index pairs sharing an inflated spatial-hash cell.
+def _runs(a, b, reach, period):
+    """Each a's run [lo, hi) of b's sorted values within reach, and ``order``,
+    the index in b of each sorted value.  With a period, values wrap into
+    [0, period), unrolled once on either side, and a run is cut to one
+    period, which holds each value of b once."""
+    if period is not None:
+        a, b = np.mod(a, period), np.mod(b, period)
+    order = np.argsort(b, kind="stable")
+    keys = b[order]
+    if period is not None:
+        keys = np.concatenate([keys - period, keys, keys + period])
+        order = np.tile(order, 3)
+    lo = np.searchsorted(keys, a - reach)
+    return lo, np.minimum(np.searchsorted(keys, a + reach, "right"), lo + len(b)), order
 
-    The hashed pairs are a superset of the overlapping ones and are filtered
-    by :func:`_boxes_overlap`, so the result equals the all-pairs list.
-    """
+
+def _candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
+    """Sorted segment index pairs (i, j) whose boxes overlap within margin,
+    i < j for a self-scan (``strand_b`` None): one sweep (module docstring)."""
     same = strand_b is None
-    if same:
-        strand_b = strand_a
-    la, ha = _segment_boxes(strand_a.pts)
-    lb, hb = _segment_boxes(strand_b.pts)
-    cell = la.shape[1] * max(float(np.max(ha - la)), float(np.max(hb - lb)), 1e-12)
-    torus = strand_a.space.kind == "torus"
-    cells = np.full(la.shape[1], cell)
-    if torus:
-        # a whole number of cells per period keeps keys consistent across images
-        periods = np.asarray(strand_a.space.periods)
-        ncells = np.maximum(np.floor(periods / cell).astype(int), 1)
-        cells = periods / ncells
-    na, nb = len(la), len(lb)
-    lo = la if same else np.concatenate([la, lb])
-    hi = ha if same else np.concatenate([ha, hb])
-    lo_c = np.floor((lo - margin) / cells).astype(np.int64)
-    hi_c = np.floor((hi + margin) / cells).astype(np.int64)
-
-    # one entry (cell key, box) per cell that an inflated box touches, sorted
-    # so that each key's boxes form one run; cells sharing a key only add
-    # pairs, which the overlap test removes
-    entries = []
-    for offset in np.ndindex(*(np.max(hi_c - lo_c, axis=0) + 1)):
-        c = lo_c + offset
-        box = np.flatnonzero(np.all(c <= hi_c, axis=1))
-        c = c[box] % ncells if torus else c[box]
-        entries.append(np.stack([c @ _CELL_KEYS[: c.shape[1]], box], axis=1))
-    cell_id, box = np.unique(np.concatenate(entries), axis=0).T
-
-    # every two boxes of one cell that overlap, coded as i * nb + j
     ca, ea = _box_centres(strand_a)
-    cb, eb = _box_centres(strand_b)
-    codes = []
-    for gap in range(1, len(box)):
-        shared = np.flatnonzero(cell_id[gap:] == cell_id[:-gap])
-        if not shared.size:
-            break
-        i, j = box[shared], box[shared + gap]
-        if not same:  # boxes of strand a come first within a cell
-            cross = (i < na) & (j >= na)
-            i, j = i[cross], j[cross] - na
-        for start in range(0, len(i), _PAIR_CHUNK):
-            ic, jc = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
-            keep = _boxes_overlap(ca[ic], ea[ic], cb[jc], eb[jc], strand_a.space, margin)
-            codes.append(ic[keep] * nb + jc[keep])
-    if not codes:
-        return []
-    ii, jj = np.divmod(np.unique(np.concatenate(codes)), nb)
+    cb, eb = (ca, ea) if same else _box_centres(strand_b)
+    space, n, nb = strand_a.space, ca.shape[1], len(cb)
+    periods = space.periods if space.kind == "torus" else (None,) * n
+    # runs reach a few ulps of the largest coordinate or period further, past
+    # the rounding of the wrap and of the minimal-image difference
+    big = np.max(np.abs(np.concatenate([ca, cb, [[p or 0.0 for p in periods]]])), axis=0)
+    reach = np.max(ea, axis=0) + np.max(eb, axis=0) + margin + 8 * np.spacing(big)
+    runs = [_runs(ca[:, k], cb[:, k], reach[k], periods[k]) for k in range(n)]
+    lo, hi, order = min(runs, key=lambda run: int(np.sum(run[1] - run[0])))
+    sizes = hi - lo
+    first = np.concatenate([[0], np.cumsum(sizes)])  # pairs before each box of a
+    codes, start = [], 0
+    while start < len(ca):
+        # the next boxes whose runs hold at most _PAIR_CHUNK pairs, or one box
+        stop = max(int(np.searchsorted(first, first[start] + _PAIR_CHUNK, "right")) - 1,
+                   start + 1)
+        i = np.repeat(np.arange(start, stop), sizes[start:stop])
+        at = np.arange(first[start], first[stop])
+        j = order[at - np.repeat(first[start:stop] - lo[start:stop], sizes[start:stop])]
+        if same:
+            upper = i < j
+            i, j = i[upper], j[upper]
+        keep = _boxes_overlap(ca[i], ea[i], cb[j], eb[j], space, margin)
+        codes.append(i[keep] * nb + j[keep])
+        start = stop
+    ii, jj = np.divmod(np.sort(np.concatenate(codes)), nb)
     return list(zip(ii.tolist(), jj.tolist()))
 
 
@@ -335,7 +315,7 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
     dt_a = strand_a.period / n_seg_a
     dt_b = sb.period / (len(sb.pts) - 1)
 
-    candidates = _hash_candidates(strand_a, strand_b, reject_gap)
+    candidates = _candidates(strand_a, strand_b, reject_gap)
     i, j = np.array(candidates, dtype=np.int64).reshape(-1, 2).T
     if same:  # drop segments within 4 of each other around the ring
         ring = np.abs(i - j)

@@ -30,6 +30,7 @@ __all__ = [
     "brake_orbit_closed_form",
     "jacobi_field_closed_form",
     "lissajous_family",
+    "lissajous_energy",
 ]
 
 

@@ -18,7 +18,7 @@ code of ``geometry.metric_nodes`` that they cross-check.  The
 vectorised consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, the
 monodromy matrix against the augmented system that carried the variational
-equations in the state, the intersection scan's spatial hash against the
+equations in the state, the intersection scan's sort-and-sweep against the
 all-pairs candidate generator, and its cover rule against the candidate
 search it replaced.  The flow's solve route, which solves g a = -c and
 g DA = -(dc + dg a) by a pivoting solve at every call, is the reference for
@@ -478,6 +478,29 @@ def _solved_acceleration(spec, z: list, name: str = "parts"):
     return [-a for a in geo.solve_linear(out[0], grad_u if rest else out[1])], rest, out
 
 
+@dataclass(frozen=True)
+class _PotentialHessian(ex.Compiled):
+    """The Hessian of U, row i the gradient of dU/dx_i, as
+    ``PotentialField`` built it while the library had a use for it."""
+
+    potential: PotentialField
+
+    @property
+    def dimension(self) -> int:
+        return self.potential.dimension
+
+    def _functions(self, graph):
+        n = self.dimension
+        u = graph.tree(self.potential.node)
+        grad = [graph.diff(u, i) for i in range(n)]
+        return [("hessian", n, [[graph.diff(d, j) for j in range(n)] for d in grad], (u,))]
+
+
+@functools.lru_cache(maxsize=None)
+def _potential_hessian(potential: PotentialField) -> _PotentialHessian:
+    return _PotentialHessian(potential)
+
+
 def solved_state_rhs_jvp(spec, z, w):
     """(f(z), J(z) W) by the solve route: ``dynamics.state_rhs_jvp`` as it was
     before the flow solved g a = -c in its generated code, with
@@ -491,7 +514,7 @@ def solved_state_rhs_jvp(spec, z, w):
     a, rest, (g, _, dg, dc) = _solved_acceleration(spec, z, "tangent")
     dga = np.array(dg) @ a
     if rest:
-        h = np.array(spec.potential.hessian(z[:n]))
+        h = np.array(_potential_hessian(spec.potential).run("hessian", z[:n]))
         da = np.hstack([h + dga[:, :n] - dga[:, n:] @ h, np.zeros((n, n))])
     else:
         da = np.array(dc) + dga
@@ -968,7 +991,7 @@ def stage_loop_rk45(
 def brute_candidates(strand_a, strand_b, margin: float):
     """All segment pairs whose inflated boxes overlap (minimal-image aware).
 
-    The reference for ``intersect._hash_candidates``, with the same
+    The reference for ``intersect._candidates``, with the same
     arguments and result.  Row-chunked so the N^2 broadcast stays
     memory-bounded.
     """
@@ -1014,7 +1037,7 @@ def scan_by_search(strand_a, strand_b):
     diam = max(strand_a.diameter, sb.diameter)
     tol_space = 1e-6 * diam
     reject_gap = isect._NEAR_MISS_FACTOR * tol_space
-    candidates = isect._hash_candidates(strand_a, strand_b, reject_gap)
+    candidates = isect._candidates(strand_a, strand_b, reject_gap)
     pa, pb = strand_a.period, sb.period
     n_seg_a = len(strand_a.pts) - 1
     dt_a = pa / n_seg_a

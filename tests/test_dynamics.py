@@ -363,6 +363,13 @@ class TestSensitivity:
         want = plain.state(1.3)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_empty_tangent_takes_the_plain_run(self):
+        sys = oscillator((1.0, 2.0), 0.5)
+        z0 = [0.5, 0.1, 0.0, 0.0]
+        final, w = dyn.integrate_sensitivity(sys, z0, np.zeros((4, 0)), 1.3)
+        assert w.shape == (4, 0)
+        assert final.tolist() == dyn.integrate_sensitivity(sys, z0, self.W0, 1.3)[0].tolist()
+
     def test_tangent_matches_oscillator_linearization(self):
         # linear system: d x(t) / d x0 = diag(cos(alpha_i t))
         sys = oscillator((1.0, 2.0), 0.5)

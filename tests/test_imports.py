@@ -38,6 +38,25 @@ def missing_exports(module) -> list[str]:
     return sorted(name for name in getattr(module, "__all__", ()) if not hasattr(module, name))
 
 
+def unlisted_exports(source: str) -> list[str]:
+    """Public module-level functions and classes that a module with an
+    ``__all__`` leaves out of it."""
+    tree = ast.parse(source)
+    listed = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            listed = set(ast.literal_eval(node.value))
+    if listed is None:
+        return []
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in listed
+    )
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private functions, classes and constants, and private
     methods of module-level classes, that no module of ``sources`` (module
@@ -95,6 +114,18 @@ def test_detects_missing_export():
 def test_no_missing_exports(path):
     name = "orbitlab" if path.stem == "__init__" else f"orbitlab.{path.stem}"
     assert missing_exports(importlib.import_module(name)) == []
+
+
+def test_detects_unlisted_export():
+    source = "__all__ = ['Listed']\nclass Listed:\n    def method(self):\n        pass\n" \
+        "def gone():\n    def inner():\n        pass\nclass Gone:\n    pass\ndef _private():\n    pass\n"
+    assert unlisted_exports(source) == ["Gone", "gone"]
+    assert unlisted_exports("def anything():\n    pass\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unlisted_exports(path):
+    assert unlisted_exports(path.read_text()) == []
 
 
 def test_detects_unused_private_name():

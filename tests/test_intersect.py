@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -281,26 +282,43 @@ CASE_NAMES = [
 
 def scan(case, brute_force):
     """Scan an (orbit, second orbit or None) case; ``brute_force`` swaps the
-    spatial hash for the all-pairs candidate generator."""
+    sweep for the all-pairs candidate generator."""
     a, b = case
     with pytest.MonkeyPatch.context() as mp:
         if brute_force:
-            mp.setattr(isect, "_hash_candidates", oracles.brute_candidates)
+            mp.setattr(isect, "_candidates", oracles.brute_candidates)
         if b is None:
             return isect.self_intersections(a)
         return isect.mutual_intersections(a, b)
 
 
-class TestHashMatchesBruteForce:
+def scan_margin(strand_a, strand_b=None):
+    """The scan's rejection gap, the margin its candidates are found at."""
+    return isect._NEAR_MISS_FACTOR * 1e-6 * max(strand_a.diameter, (strand_b or strand_a).diameter)
+
+
+def assert_candidates_match(strand_a, strand_b=None):
+    """The sweep's candidates at the scan's margin are the all-pairs list."""
+    margin = scan_margin(strand_a, strand_b)
+    swept = isect._candidates(strand_a, strand_b, margin)
+    assert swept == oracles.brute_candidates(strand_a, strand_b, margin)
+    return swept
+
+
+def straight_winding(turns, period=2 * math.pi):
+    """The straight closed winding of the flat torus T^n along ``turns``."""
+    n = len(turns)
+    spec = flat_torus((period,) * n) if n == 2 else dyn.SystemSpec(
+        geo.MetricModel.euclidean(n, geo.Space.torus([period] * n)), ex.parse("0", n), 0.5)
+    length = period * math.sqrt(sum(k * k for k in turns))
+    return straight_rotation(spec, [0.0] * n, [k * period / length for k in turns], length)
+
+
+class TestCandidatesMatchBruteForce:
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_candidate_lists_equal(self, scan_cases, name):
         a, b = scan_cases[name]
-        strand_a = isect._Strand(a)
-        strand_b = None if b is None else isect._Strand(b)
-        diam = max(strand_a.diameter, (strand_b or strand_a).diameter)
-        margin = isect._NEAR_MISS_FACTOR * 1e-6 * diam  # the scan's default margin
-        hashed = isect._hash_candidates(strand_a, strand_b, margin)
-        assert hashed == oracles.brute_candidates(strand_a, strand_b, margin)
+        assert_candidates_match(isect._Strand(a), None if b is None else isect._Strand(b))
 
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_reports_equal(self, scan_cases, name):
@@ -308,29 +326,19 @@ class TestHashMatchesBruteForce:
         slow = scan(scan_cases[name], brute_force=True)
         assert fast.to_dict() == slow.to_dict()
 
-
-class TestCellKeys:
-    """Cells are keyed by a hash, so grids with more than 2^63 cells scan."""
-
     @staticmethod
     def check_diagonal_rotation(n):
-        metric = geo.MetricModel.euclidean(n, geo.Space.torus([2 * math.pi] * n))
-        spec = dyn.SystemSpec(metric, ex.parse("0", n), 0.5)
-        period = 2 * math.pi * math.sqrt(n)  # one closed winding along (1, ..., 1)
-        orbit = straight_rotation(spec, [0.0] * n, [1 / math.sqrt(n)] * n, period)
+        orbit = straight_winding([1] * n)
         strand = isect._Strand(orbit)
         assert len(strand.pts) - 1 == 2048
         report = isect.self_intersections(orbit)
         assert report.pairs == [] and report.unresolved == []
-        margin = isect._NEAR_MISS_FACTOR * 1e-6 * strand.diameter
-        hashed = isect._hash_candidates(strand, None, margin)
-        assert hashed == oracles.brute_candidates(strand, None, margin)
+        assert_candidates_match(strand)
 
     def test_six_dof_torus_rotation(self):
         self.check_diagonal_rotation(6)
 
     def test_nine_dof_torus_rotation(self):
-        # cells of 9 box extents: a box enters fewer than e cells, not up to 2^9
         self.check_diagonal_rotation(9)
 
     def test_seven_dof_oscillator_orbit(self):
@@ -340,6 +348,63 @@ class TestCellKeys:
         orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="rotation")
         report = isect.self_intersections(orbit)
         assert report.pairs == [] and report.unresolved == []
+        # every 8th of its 16,384 segments keeps the all-pairs oracle fast
+        strand = isect._Strand(orbit)
+        strand.pts = strand.pts[::8]
+        assert_candidates_match(strand)
+
+    @pytest.mark.parametrize("turns", [(1, 20), (1, 60), (1, 20, 7.4)], ids=str)
+    def test_windings(self, turns):
+        # the winding axis spans many periods in cover coordinates
+        assert_candidates_match(isect._Strand(straight_winding(turns)))
+
+    def test_boxes_longer_than_half_a_period(self):
+        # (1, 1000): a segment spans almost a whole period of x2
+        strand = isect._Strand(straight_winding((1, 1000)))
+        assert 2 * np.max(isect._box_centres(strand)[1][:, 1]) > math.pi
+        assert_candidates_match(strand)
+        # (999, 1000): segments span almost a period on both axes, so on
+        # either axis the runs reach across more than a period and are cut
+        strand = isect._Strand(straight_winding((999, 1000)))
+        assert np.all(2 * np.min(isect._box_centres(strand)[1], axis=0) > math.pi)
+        assert assert_candidates_match(strand)
+
+    def test_mutual_scan_of_unequal_strands(self, scan_cases):
+        brake = isect._Strand(scan_cases["brake"][0])
+        lissajous = isect._Strand(scan_cases["lissajous"][0])
+        assert len(brake.pts) != len(lissajous.pts)
+        assert assert_candidates_match(lissajous, brake)
+
+    def test_runs_reach_past_rounding(self):
+        # on the circle of length 2 pi these boxes overlap within the margin
+        # to the last bit; runs of max extents plus the margin alone miss
+        # them, as the wrap and the minimal-image difference round apart
+        width, margin = 0.47752279114035545, 0.1145049517737946
+        strands = [
+            types.SimpleNamespace(pts=np.array([[x], [x + width]]),
+                                  space=geo.Space.torus([2 * math.pi]))
+            for x in (1565.7746694754533, -230.62430063499423)
+        ]
+        assert isect._candidates(*strands, margin) == [(0, 0)]
+        assert oracles.brute_candidates(*strands, margin) == [(0, 0)]
+
+    @pytest.mark.parametrize("chunk", [isect._PAIR_CHUNK, 64])
+    def test_overlap_tests_are_chunked(self, monkeypatch, scan_cases, chunk):
+        strand = isect._Strand(scan_cases["lissajous"][0])
+        margin = scan_margin(strand)
+        expected = isect._candidates(strand, None, margin)
+        sizes = []
+        overlap = isect._boxes_overlap
+
+        def counting(ca, *args):
+            sizes.append(len(ca))
+            return overlap(ca, *args)
+
+        monkeypatch.setattr(isect, "_boxes_overlap", counting)
+        monkeypatch.setattr(isect, "_PAIR_CHUNK", chunk)
+        assert isect._candidates(strand, None, margin) == expected
+        # at most one chunk, or one run, which holds each box at most once
+        assert len(sizes) > 1 and max(sizes) <= max(chunk, len(strand.pts) - 1)
 
 
 @pytest.mark.parametrize("brute_force", [False, True])
@@ -372,7 +437,7 @@ def scan_by_search(case, brute_force):
     a, b = case
     with pytest.MonkeyPatch.context() as mp:
         if brute_force:
-            mp.setattr(isect, "_hash_candidates", oracles.brute_candidates)
+            mp.setattr(isect, "_candidates", oracles.brute_candidates)
         return oracles.scan_by_search(isect._Strand(a), None if b is None else isect._Strand(b))
 
 

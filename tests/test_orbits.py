@@ -606,6 +606,32 @@ class TestDegenerateFamily:
         assert st.x[0] == pytest.approx(x1, abs=1e-14)
 
 
+class TestOneDegreeOfFreedom:
+    """The shooting chart has no coordinates: W0 is 2 x 0 and Newton's only
+    unknown is the period."""
+
+    def test_brake_orbit_of_the_oscillator(self):
+        orbit = orb.find_brake(ref.oscillator_system(ref.OscillatorSpec((1.0,), 0.5)), [1.01])
+        assert abs(orbit.period - 2 * math.pi) < 1e-9
+        assert orb.monodromy(orbit.spec, orbit).trivial_multiplicity == 2
+
+    def test_rotation_of_the_circle(self):
+        metric = geo.MetricModel.euclidean(1, geo.Space.torus([2 * math.pi]))
+        spec = dyn.SystemSpec(metric, ex.parse("0.1*cos(x1)", 1), 1.0)
+
+        def speed(x):
+            return np.sqrt(2.0 * (1.0 - 0.1 * np.cos(x)))
+
+        orbit = orb.find_rotation(spec, PhaseState([0.3], [speed(0.3)]))
+        # T = integral of dx / speed over one turn: the periodic trapezoid
+        # rule converges geometrically for a smooth periodic integrand
+        xs = np.linspace(0.0, 2 * math.pi, 257)[:-1]
+        period = 2 * math.pi * float(np.mean(1.0 / speed(xs)))
+        assert period == pytest.approx(4.4512592, abs=1e-7)
+        assert abs(orbit.period - period) < 1e-9
+        assert orb.monodromy(spec, orbit).trivial_multiplicity == 2
+
+
 class TestReportDict:
     def test_json_fields(self):
         spec = oscillator()

@@ -2,7 +2,7 @@
 
 The interpreter route (``expr.evaluate``/``eval_dual`` and the geometry
 routes of ``oracles`` over order-2 and nested duals) is the oracle.
-Compiled U, grad U and its Hessian, ``state_rhs``, J W (also at Finsler
+Compiled U and grad U, ``state_rhs``, J W (also at Finsler
 rest points) and the geometry kernel's ``f_squared``, ``metric_tensor``,
 ``metric_and_spray`` and ``geodesic_coefficients`` must agree with it within
 ``REL`` relative to 1 + |oracle| (measured: at most 9.8e-16; first
@@ -114,16 +114,6 @@ def test_random_potentials_match_interpreter():
     assert checked == N_POTENTIALS
 
 
-def test_potential_hessian_matches_interpreter():
-    for spec, points in random_potentials():
-        n, pf = spec.dimension, spec.potential
-        for z in points:
-            seeds = [ex.Dual.seed(c, n, i) for i, c in enumerate(z[:n])]
-            rows = [d.grad if isinstance(d, ex.Dual) else [0.0] * n
-                    for d in interpreted_gradient(pf, seeds)]
-            assert_close(pf.hessian(z[:n]), rows)
-
-
 # coordinates and constants: exact zeros often, else magnitudes in [0.25, 2];
 # reciprocals of smaller ones grow the cancelled terms of a Hessian that is
 # exactly 0, such as that of c / (0.01^2.5 / x1), until their rounding exceeds REL
@@ -157,12 +147,12 @@ def test_fuzzed_potentials_match_interpreter_at_exact_zeros(node, x):
     except ex.EvalDomainError:
         oracle = None
     try:
-        got = (pf.value(x), pf.gradient(x), pf.hessian(x))
+        got = (pf.value(x), pf.gradient(x))
     except DOMAIN_FAILURES:
         assert oracle is None
         return
     if oracle is not None:
-        for actual, expected in zip(got, (oracle.val, oracle.grad, oracle.hess)):
+        for actual, expected in zip(got, (oracle.val, oracle.grad)):
             assert_close(actual, expected)
 
 
