@@ -1,4 +1,4 @@
-"""Common exception base so callers (and the CLI) can classify failures."""
+"""Common exception base so callers can classify failures."""
 
 
 class OrbitLabError(Exception):

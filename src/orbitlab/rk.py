@@ -32,18 +32,13 @@ bit for bit because every sum keeps that loop's order: terms in stage order,
 zero coefficients skipped; a state sum starts from 0.0, as the builtin
 ``sum`` does from 0, so a leading -0.0 becomes 0.0; a sum over W starts at
 its first term; the norm under ``control_tangent`` adds W row by row after
-the state.  Up to ``_FLOAT_W_MAX`` = 64 entries d m the step holds W as
-floats too, from the run's start to its end, and hands the right-hand side
-its own list; above it W is a flat array whose stage sums are numpy
-expressions, converted to a list for each call and back.  Measured per step
-of an oscillator's monodromy run (control_tangent, m = d; 2-core x86-64
-host, CPython 3.11, numpy 2.4, best of 7 by process time), floats against
-numpy: 24 against 54 us at d m = 16 (2 DOF), 46 against 67 us at 36
-(3 DOF), 77 against 86 us at 64 (4 DOF), even from about 70 to 90, and
-1.6x slower from 100 on (392 against 231 us at 324, 9 DOF, which takes
-0.09 s to build).  The driver loop of :func:`solve_rk45` keeps the
-step-size checks and controller, the naming of a non-finite stage, dense
-output and events.
+the state.  W is held as floats at every width, from the run's start to its
+end, and the step hands the right-hand side its own list: one representation
+serves every shape, at a cost only to wide tangents that no workload builds
+(a 9-DOF monodromy, d m = 324, runs about 1.8x slower than with numpy sums
+over W, and its step takes about 0.08 s to build).  The driver loop of
+:func:`solve_rk45` keeps the step-size checks and controller, the naming of a
+non-finite stage, dense output and events.
 """
 
 from __future__ import annotations
@@ -133,7 +128,6 @@ _MIN_FACTOR = 0.1
 _EVENT_TIME_TOL = 1e-12
 _EVENT_MAX_BISECTIONS = 200
 _MAX_STEPS = 1_000_000  # accepted plus rejected steps of one run
-_FLOAT_W_MAX = 64  # tangent entries d * m that the generated step holds as floats
 
 
 class IntegrationError(OrbitLabError):
@@ -272,13 +266,6 @@ def _bisect_event(g, t: float, h: float, y0, q, sign_lo: float):
     return t_ev, _interpolate(y0, h, q, (t_ev - t) / h)
 
 
-def _finite(v) -> bool:
-    """Whether every entry of a list or a 1-D array of floats is finite."""
-    if isinstance(v, np.ndarray):
-        return bool(np.isfinite(v).all())
-    return all(map(math.isfinite, v))
-
-
 def _non_finite_stage(t, h, k, kw, stage_y, default):
     """IntegrationError at the first stage whose f, or else J W, is not
     finite; ``default`` = (stage, what) when none is (an overflow in the sums)."""
@@ -286,7 +273,7 @@ def _non_finite_stage(t, h, k, kw, stage_y, default):
         if not all(map(math.isfinite, k[s])):
             what = "right-hand side"
             break
-        if kw[s] is not None and not _finite(kw[s]):
+        if kw[s] is not None and not all(map(math.isfinite, kw[s])):
             what = "tangent"
             break
     else:
@@ -302,13 +289,12 @@ def _terms(coefficients, names) -> str:
 
 def _step_source(d: int, m: int, control_tangent: bool) -> str:
     """Source of ``step(f, t, h, y, k0, w, kw0, rtol, atol)`` for a state of d
-    entries and a d x m tangent (m = 0 for none), W and J W flat: lists of
-    floats up to ``_FLOAT_W_MAX`` entries, 1-D arrays above.  It returns
-    (error norm, the seven stage states, the seven f values, the seven J W
-    values, W at the 5th-order solution); the J W values are None and W is
-    None without a tangent.  The state's locals are ``y<stage>_<i>`` and
-    ``k<stage>_<i>``, W's ``w<stage>_<i>_<j>`` and ``kw<stage>_<i>_<j>``."""
-    float_w = d * m <= _FLOAT_W_MAX
+    entries and a d x m tangent (m = 0 for none), W and J W flat lists of
+    floats.  It returns (error norm, the seven stage states, the seven f
+    values, the seven J W values, W at the 5th-order solution); the J W
+    values are None and W is None without a tangent.  The state's locals are
+    ``y<stage>_<i>`` and ``k<stage>_<i>``, W's ``w<stage>_<i>_<j>`` and
+    ``kw<stage>_<i>_<j>``."""
     cells = [f"{i}_{j}" for i in range(d) for j in range(m)]
 
     def state(prefix):
@@ -322,7 +308,7 @@ def _step_source(d: int, m: int, control_tangent: bool) -> str:
         f"{state('y0')}, = y",
         f"{state('k0')}, = k0",
     ]
-    if m and float_w:
+    if m:
         out += [f"{tangent('w0')}, = w", f"{tangent('kw0')}, = kw0"]
     for s in range(1, 7):
         a = _A[s]
@@ -333,7 +319,7 @@ def _step_source(d: int, m: int, control_tangent: bool) -> str:
         out.append(f"y{s} = [{state(f'y{s}')}]")
         if not m:
             out.append(f"k{s} = f(t + {_C[s]!r} * h, y{s})")
-        elif float_w:
+        else:
             out += [
                 f"w{s}_{c} = w0_{c} + h * ({_terms(a, [f'kw{l}_{c}' for l in range(s)])})"
                 for c in cells
@@ -342,12 +328,6 @@ def _step_source(d: int, m: int, control_tangent: bool) -> str:
                 f"w{s} = [{tangent(f'w{s}')}]",
                 f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s})",
                 f"{tangent(f'kw{s}')}, = kw{s}",
-            ]
-        else:
-            out += [
-                f"w{s} = w + h * ({_terms(a, [f'kw{l}' for l in range(s)])})",
-                f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s}.tolist())",
-                f"kw{s} = np.array(kw{s})",
             ]
         out.append(f"{state(f'k{s}')}, = k{s}")
     out.append("acc = 0.0")
@@ -358,21 +338,15 @@ def _step_source(d: int, m: int, control_tangent: bool) -> str:
             " / (atol + rtol * (b if b > a else a))",
             "acc += q * q",
         ]
-    if control_tangent and float_w:
+    if control_tangent:
         for c in cells:
-            # as np.maximum: a NaN in the new W wins (W at the step's start is finite)
+            # a NaN in the new W wins the max (W at the step's start is finite)
             out += [
                 f"a, b = abs(w0_{c}), abs(w6_{c})",
                 f"q = h * ({_terms(_E, [f'kw{l}_{c}' for l in range(7)])})"
                 " / (atol + rtol * (a if b <= a else b))",
                 "acc += q * q",
             ]
-    elif control_tangent:
-        out += [
-            f"q = h * ({_terms(_E, [f'kw{l}' for l in range(7)])})"
-            " / (atol + rtol * np.maximum(np.abs(w), np.abs(w6)))",
-            "acc = np.add.accumulate(np.concatenate(([acc], np.ravel(q * q))))[-1]",
-        ]
     size = d + d * m if control_tangent else d
 
     def stages(prefix, first):
@@ -388,7 +362,7 @@ def _step_source(d: int, m: int, control_tangent: bool) -> str:
 @functools.cache
 def _step_function(d: int, m: int, control_tangent: bool):
     """The generated step for (d, m, control_tangent), built on first use."""
-    scope = {"np": np, "math": math}
+    scope = {"math": math}
     exec(compile(_step_source(d, m, control_tangent), "<rk step>", "exec"), scope)
     return scope["step"]
 
@@ -480,8 +454,6 @@ def solve_rk45(
         h = _initial_step(stacked, t0, [*y, *w], [*fv, *fw], t1, rtol, atol)
     else:
         h = _initial_step(lambda t, y: f(t, y, w)[0], t0, y, fv, t1, rtol, atol)
-    if d * m > _FLOAT_W_MAX:  # the step's sums over W are numpy expressions
-        w, fw = np.array(w), np.array(fw)
     facold = 1e-4
     g_prev = [ev.fn(t, ys[0]) for ev in events]
     finished = False
@@ -510,7 +482,7 @@ def solve_rk45(
             continue
         # a state-only error norm does not see W, and an infinite W scales its
         # own error to zero, so check it on acceptance
-        if w is not None and not _finite(wt):
+        if w is not None and not all(map(math.isfinite, wt)):
             raise _non_finite_stage(t, h, k, kw, stage_y, (6, "tangent"))
 
         result.n_accepted += 1

@@ -1001,7 +1001,7 @@ def brute_candidates(strand_a, strand_b, margin: float):
     ca, ea = isect._box_centres(strand_a)
     cb, eb = isect._box_centres(strand_b)
     out = []
-    chunk = max(1, 2**22 // max(len(cb), 1))
+    chunk = max(1, 2**22 // max(len(cb) * cb.shape[1], 1))  # rows x columns x dimension
     for start in range(0, len(ca), chunk):
         stop = min(start + chunk, len(ca))
         overlap = isect._boxes_overlap(
