@@ -16,17 +16,31 @@ O(N^2) all-pairs generator, which the tests keep as the oracle
 (``oracles.brute_candidates``).  The candidates become arrays of segment
 indices and midpoint times with one live flag each.  Each live candidate,
 in order, is refined by a damped Newton iteration on the squared separation
-of the two strands (time parameters wrap modulo the period), and the pair it
-records retires every candidate it covers: for a reversal those whose s + t
-lies within 6 segments of its own, else those within 6 segments of it in
-both s and t.  Pairs are classified by the angle between their velocities:
+of the two strands (time parameters wrap modulo the period, and fold onto
+the arc of a brake orbit), and the pair it records retires every candidate
+it covers: for a reversal those whose s + t lies within 6 segments of its
+own, else those within 6 segments of it in both s and t.  The acceptance
+gap is 1e-6 of the strands' largest extent, each axis capped at its period
+on a torus, so that a winding orbit's tolerances do not grow with the
+winding.  Pairs, each image on its own, are classified by the angle between
+their velocities:
 
-* ``reversal``     -- antiparallel strands; on a brake orbit these are the
-                      retrace coincidences with s + t = tau (mod tau) and are
-                      never double points,
+* ``reversal``     -- antiparallel strands; on a brake orbit these include
+                      the retrace coincidences with s + t = T (mod T), which
+                      are never double points,
 * ``double_point`` -- genuinely transversal crossings,
 * ``tangential``   -- parallel within the angular tolerance; reported as an
                       ambiguity because transversality cannot be certified.
+
+A rotation's polyline is a closed ring over its period T.  A brake orbit's
+is its arc x([0, T/2]), an open polyline: the second half retraces the arc,
+x(T - t) = x(t), so the arc holds every point of the orbit, and a pair (a,
+b) found on arcs stands for its images {a, T - a} x {b, T - b} over the
+full periods (one image where T - a lies within 6 segments of a).  This
+holds for self and mutual scans alike.  On a self-scan a brake orbit meets
+itself along the whole retrace line s + t = 0 (mod T); the scan records
+that line by construction, as one ``reversal`` pair at (T/4, 3T/4), and
+never searches for it.
 
 Pairs whose refinement stalls, and near misses between the acceptance and
 rejection thresholds, are reported in ``unresolved`` rather than silently
@@ -35,6 +49,7 @@ dropped; a run of near misses along one strand pair is one entry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -97,18 +112,28 @@ class IntersectionReport:
 # ---------------------------------------------------------------------------
 
 class _Strand:
-    """Dense-output view of one periodic orbit plus its polyline."""
+    """Dense-output view of one periodic orbit plus its polyline.
+
+    The polyline of a rotation is a closed ring over [0, T].  That of a
+    brake orbit is its arc over [0, T/2], an open one (``arc``): the second
+    half retraces it, and :meth:`images` gives the times of the full period
+    at which the orbit passes a point of the arc.  Times wrap modulo T.
+    """
 
     def __init__(self, orbit: PeriodicOrbit):
         self.orbit = orbit
         self.space = orbit.spec.metric.space
         self.n = orbit.spec.dimension
         self.period = orbit.period
+        self.arc = orbit.kind == "brake"
+        self.span = self.period / 2 if self.arc else self.period
         pts = self._resample(1024)
-        diam = float(
-            np.max(np.max(pts, axis=0) - np.min(pts, axis=0))
-        )
-        self.diameter = max(diam, 1e-12)
+        extent = np.max(pts, axis=0) - np.min(pts, axis=0)
+        self.diameter = max(float(np.max(extent)), 1e-12)
+        # the tolerances' length: on a torus an axis spans at most one period,
+        # however often the orbit winds around it
+        periods = self.space.periods if self.space.kind == "torus" else math.inf
+        self.scale = max(float(np.max(np.minimum(extent, periods))), 1e-12)
         max_step = self.diameter / 512.0
         count = 1024
         while count < 65536:
@@ -117,11 +142,12 @@ class _Strand:
                 break
             count *= 2
             pts = self._resample(count)
-        self.ts = np.linspace(0.0, self.period, len(pts))
+        self.ts = np.linspace(0.0, self.span, len(pts))
+        self.dt = self.span / count
         self.pts = pts
 
     def _resample(self, count: int) -> np.ndarray:
-        ts = np.linspace(0.0, self.period, count + 1)
+        ts = np.linspace(0.0, self.span, count + 1)
         return self.orbit.trajectory.position(ts)
 
     def state(self, t):
@@ -138,8 +164,17 @@ class _Strand:
         state_rate = self.orbit.trajectory.state_derivative(np.mod(t, self.period))
         return state_rate[..., self.n :]
 
-    def wrap_param(self, t: float) -> float:
-        return float(np.mod(t, self.period))
+    def fold(self, t: float) -> float:
+        """t wrapped into one period, and for an arc its time on the arc."""
+        t = float(np.mod(t, self.period))
+        return min(t, self.period - t) if self.arc else t
+
+    def images(self, t: float) -> list[float]:
+        """The times of one period at which the orbit passes the polyline's
+        point at t: t, and on an arc T - t too, unless within 6 segments of t."""
+        if self.arc and min(2.0 * t, self.period - 2.0 * t) >= 6 * self.dt:
+            return [t, self.period - t]
+        return [t]
 
 
 def _box_centres(strand: _Strand):
@@ -304,22 +339,28 @@ def _merge_near_misses(unresolved: list, pa: float, pb: float, win_a: float, win
     return merged
 
 
+def _kind(rel: str, same: bool) -> str:
+    """The kind of an accepted pair whose velocities stand in relation ``rel``."""
+    if rel == "transversal":
+        return "double_point"
+    return "reversal" if same and rel == "antiparallel" else "tangential"
+
+
 def _scan(strand_a: _Strand, strand_b: _Strand | None):
     same = strand_b is None
     sb = strand_a if same else strand_b
-    diam = max(strand_a.diameter, sb.diameter)
-    tol_space = 1e-6 * diam
+    space = strand_a.space
+    tol_space = 1e-6 * max(strand_a.scale, sb.scale)
     reject_gap = _NEAR_MISS_FACTOR * tol_space
     pa, pb = strand_a.period, sb.period
     n_seg_a = len(strand_a.pts) - 1
-    dt_a = strand_a.period / n_seg_a
-    dt_b = sb.period / (len(sb.pts) - 1)
+    dt_a, dt_b = strand_a.dt, sb.dt
 
     candidates = _candidates(strand_a, strand_b, reject_gap)
     i, j = np.array(candidates, dtype=np.int64).reshape(-1, 2).T
-    if same:  # drop segments within 4 of each other around the ring
+    if same:  # drop segments within 4 of each other (around the ring if closed)
         ring = np.abs(i - j)
-        keep = np.minimum(ring, n_seg_a - ring) > 4
+        keep = (ring if strand_a.arc else np.minimum(ring, n_seg_a - ring)) > 4
         i, j = i[keep], j[keep]
     s_mid = strand_a.ts[i] + 0.5 * dt_a
     t_mid = sb.ts[j] + 0.5 * dt_b
@@ -332,35 +373,30 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
         near_s = _param_gap_circular(s_mid, p.s, pa) < 6 * dt_a
         return near_s & (_param_gap_circular(t_mid, p.t, pb) < 6 * dt_b)
 
-    def classify(s: float, t: float, gap: float, ok: bool) -> IntersectionPair | None:
-        s = strand_a.wrap_param(s)
-        t = sb.wrap_param(t)
-        if same and _param_gap_circular(s, t, strand_a.period) < 4 * dt_a:
-            return None  # collapsed onto the diagonal; not a coincidence
-        point = strand_a.space.wrap(strand_a.position(s))
+    def classify(s: float, t: float, gap: float, ok: bool) -> list[IntersectionPair]:
+        """The pairs a refined (s, t) stands for: none, or the one on the
+        polylines, then its other images over the full periods."""
+        s, t = strand_a.fold(s), sb.fold(t)
+        if same and _param_gap_circular(s, t, pa) < 4 * dt_a:
+            return []  # collapsed onto the diagonal; not a coincidence
         if not ok and gap > tol_space:
-            return IntersectionPair(s, t, point, "stalled", gap)
-        if gap <= tol_space:
-            rel = _classify_angle(strand_a.velocity(s), sb.velocity(t))
-            if same:
-                retrace = (
-                    _param_gap_circular(s + t, 0.0, strand_a.period)
-                    < 1e-6 * strand_a.period
-                )
-                if rel == "antiparallel" or (
-                    strand_a.orbit.kind == "brake" and retrace
-                ):
-                    kind = "reversal"
-                elif rel == "parallel":
-                    kind = "tangential"
-                else:
-                    kind = "double_point"
-            else:
-                kind = "tangential" if rel != "transversal" else "double_point"
-            return IntersectionPair(s, t, point, kind, gap)
-        if gap <= reject_gap:
-            return IntersectionPair(s, t, point, "near_miss", gap)
-        return None  # gaps beyond the rejection threshold are non-intersections
+            kind = "stalled"
+        elif gap <= tol_space:
+            kind = None  # by the velocities at each image
+        elif gap <= reject_gap:
+            kind = "near_miss"
+        else:
+            return []  # gaps beyond the rejection threshold are non-intersections
+        point = space.wrap(strand_a.position(s))
+        pairs = []
+        for s_image, t_image in itertools.product(strand_a.images(s), sb.images(t)):
+            if same and strand_a.arc:  # one pair per crossing: s < t
+                s_image, t_image = sorted((s_image, t_image))
+            image_kind = kind or _kind(
+                _classify_angle(strand_a.velocity(s_image), sb.velocity(t_image)), same
+            )
+            pairs.append(IntersectionPair(s_image, t_image, point, image_kind, gap))
+        return pairs
 
     # refine, in order, each candidate that no pair recorded so far covers
     live = np.ones(len(s_mid), dtype=bool)
@@ -368,22 +404,26 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
     unresolved: list[IntersectionPair] = []
     for c in range(len(s_mid)):
         if live[c]:
-            p = classify(*_refine_pair(strand_a, sb, float(s_mid[c]), float(t_mid[c])))
-            if p is not None:
-                (unresolved if p.kind in ("stalled", "near_miss") else accepted).append(p)
-                live &= ~covers(p)
+            pairs = classify(*_refine_pair(strand_a, sb, float(s_mid[c]), float(t_mid[c])))
+            if pairs:
+                found = unresolved if pairs[0].kind in ("stalled", "near_miss") else accepted
+                found += pairs
+                live &= ~covers(pairs[0])
+    if same and strand_a.arc:  # the second half retraces the arc: s + t = T
+        s, t = 0.25 * pa, 0.75 * pa
+        x_s = strand_a.position(s)
+        gap = float(np.linalg.norm(space.delta(x_s, strand_a.position(t))))
+        accepted.append(IntersectionPair(s, t, space.wrap(x_s), "reversal", gap))
     accepted.sort(key=lambda p: (p.s, p.t))
     unresolved = _merge_near_misses(unresolved, pa, pb, 12 * dt_a, 12 * dt_b)
 
     # distinct double points by location (minimal-image metric)
-    space = strand_a.space
     dp_points: list[np.ndarray] = []
-    cluster_tol = max(8.0 * tol_space, 1e-9 * diam)
     for p in accepted:
         if p.kind != "double_point":
             continue
         if all(
-            np.linalg.norm(space.delta(p.point, q)) > cluster_tol for q in dp_points
+            np.linalg.norm(space.delta(p.point, q)) > 8.0 * tol_space for q in dp_points
         ):
             dp_points.append(p.point)
 
@@ -413,7 +453,9 @@ def self_intersections(orbit: PeriodicOrbit) -> IntersectionReport:
 
     For a rotation, equal positions at different times have linearly
     independent velocities, so tangential hits on rotations indicate a
-    tolerance failure; they surface in the report rather than vanish.
+    tolerance failure; they surface in the report rather than vanish.  A
+    brake orbit is scanned on its arc over [0, T/2], and its retrace line is
+    one ``reversal`` pair, by construction (module docstring).
     """
     return _scan(_Strand(orbit), None)
 

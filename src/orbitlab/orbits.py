@@ -22,7 +22,10 @@ first turning point or section return and the closed run of the returned
 orbit.  A probe is one run over (0, _T_MAX) that a terminal event ends: for
 a brake orbit the kinetic-energy minimum, for a rotation the current
 horizon, which doubles from _T_MAX / 16 until the scan of a run finds a
-return.
+return.  A brake orbit's closed run covers the half period [0, T/2]: the
+second half retraces the first under the reversor R(x, v) = (x, -v), so the
+returned trajectory appends the run's steps reflected in time and in R, and
+its one closure defect is z(T/2) against R z(T/2), i.e. 2 |v(T/2)|.
 
 Monodromy is one tangent run of the integrator from W0 = I, with step-size
 control watching W as well as the orbit; J(z) W comes from the system's
@@ -239,22 +242,28 @@ def _probe(spec, initial: PhaseState, events=()) -> Trajectory:
     return integrate(spec, initial, (0.0, _T_MAX), rtol=1e-9, atol=1e-11, events=events)
 
 
-def _closed_run(spec, z0, period, kind, events=()):
-    """The returned orbit: one dense run over the period at the orbit's
-    tolerances, held to the closure bound.  Returns (traj, closure, scale)."""
-    traj = integrate(
-        spec, PhaseState.from_flat(z0), (0.0, period), rtol=_RTOL, atol=_ATOL, events=events
-    )
-    closure = _closure_residual(spec, traj.states[-1], z0)
-    scale = 1.0 + float(np.linalg.norm(z0))
-    if closure >= 1e-8 * scale:
-        raise ConvergenceError(f"{kind} failed the closure bound ({closure:.3e})")
-    return traj, closure, scale
-
-
 # ---------------------------------------------------------------------------
 # Brake orbits
 # ---------------------------------------------------------------------------
+
+def _retraced(spec, half: Trajectory) -> Trajectory:
+    """The brake orbit of period T = 2 t1 from its run ``half`` over [0, t1]:
+    the run, then its reflection z(T - t) = R z(t) under the reversor R(x, v)
+    = (x, -v) (:meth:`~orbitlab.rk.DenseOutput.reflected`).  Energies are the
+    run's, mirrored; events are the run's hits inside (0, t1), the turning at
+    t1 (a hit within 1e-6 of t1 is that turning) and the mirrored hits."""
+    n, t_half = spec.dimension, half.t1
+    signs = np.repeat([1.0, -1.0], n)
+    dense = half.dense.reflected(signs)
+    inner = [hit for hit in half.events if hit.t < t_half - 1e-6]
+    events = [
+        *inner,
+        rk.EventHit(0, t_half, half.states[-1].copy()),
+        *(rk.EventHit(hit.index, 2.0 * t_half - hit.t, hit.y * signs) for hit in reversed(inner)),
+    ]
+    energies = np.concatenate([half.energies, half.energies[-2::-1]])
+    return Trajectory(spec, dense.ts, dense.ys, dense, events, half.energy_drift, energies)
+
 
 def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     """Locate a brake orbit from a rest-point seed near {U = E}.
@@ -262,7 +271,9 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     Newton unknowns are a local chart of the boundary (graph over its
     tangent plane, re-anchored every step) and the half-period; the residual
     is the full velocity at the half-period.  Reversibility then closes the
-    orbit over twice the half-period.
+    orbit over twice the half-period: the closed run covers [0, T/2], and
+    the returned trajectory is that run and its reflection
+    (:func:`_retraced`), held to the closure bound on 2 |v(T/2)|.
     """
     n = spec.dimension
     e_level = spec.energy
@@ -304,27 +315,22 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
         0.0, slice(n, None), v_tol, _BRAKE_MAX_NEWTON, "brake orbit",
     )
     period = 2.0 * t_half
-    traj, closure, scale = _closed_run(
-        spec, z0, period, "brake orbit", events=(kinetic_minimum_event(spec),)
-    )
+    half = integrate(spec, PhaseState.from_flat(z0), (0.0, t_half), rtol=_RTOL, atol=_ATOL,
+                     events=(kinetic_minimum_event(spec),))
+    # the glued orbit's one defect: z(T/2) against R z(T/2), which the
+    # reflected half starts from
+    closure = 2.0 * float(np.linalg.norm(half.states[-1][n:]))
+    if closure >= 1e-8 * (1.0 + float(np.linalg.norm(z0))):
+        raise ConvergenceError(f"brake orbit failed the closure bound ({closure:.3e})")
+    traj = _retraced(spec, half)
 
-    # rest points: kinetic-energy minima that are actual stops
+    # a stop strictly inside (0, T/2) means the orbit closes earlier
     ke_floor = 1e-14 * (1.0 + abs(e_level))
-    interior_rests = []
-    for hit in traj.events:
-        v = hit.y[n:]
-        if 0.5 * float(np.dot(v, v)) < ke_floor and 1e-6 < hit.t < period - 1e-6:
-            interior_rests.append(hit.t)
+    minimal = not any(
+        0.5 * float(np.dot(hit.y[n:], hit.y[n:])) < ke_floor
+        for hit in traj.events if 0.0 < hit.t < t_half
+    )
     rest_points = [(0.0, traj.position(0.0).copy()), (t_half, traj.position(t_half).copy())]
-    minimal = len(interior_rests) == 1
-
-    # reversibility: the second half retraces the first
-    for f in (0.1, 0.25, 0.4):
-        dt = f * period / 2.0
-        ahead = traj.position(t_half + dt)
-        behind = traj.position(t_half - dt)
-        if float(np.max(np.abs(ahead - behind))) > 1e-7 * scale:
-            raise ConvergenceError("brake orbit violates the retrace symmetry")
 
     return PeriodicOrbit(
         spec=spec,
@@ -453,7 +459,11 @@ def _rotation_chart(spec, section_basis, z):
 
 
 def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
-    traj, closure, scale = _closed_run(spec, z0, period, "rotation")
+    traj = integrate(spec, PhaseState.from_flat(z0), (0.0, period), rtol=_RTOL, atol=_ATOL)
+    closure = _closure_residual(spec, traj.states[-1], z0)
+    scale = 1.0 + float(np.linalg.norm(z0))
+    if closure >= 1e-8 * scale:
+        raise ConvergenceError(f"rotation failed the closure bound ({closure:.3e})")
 
     # minimality probe: an earlier closure at period/m wins
     if _depth < 4:

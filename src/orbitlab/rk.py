@@ -19,9 +19,12 @@ Dense output is Shampine's quartic interpolant for the pair, kept as stacked
 arrays in one :class:`DenseOutput`: step k starts at ts[k] from ys[k], has
 length h[k] and coefficients q[k] (d x 4), and y(ts[k] + theta h[k]) = ys[k] +
 h[k] q[k] (theta, ..., theta^4).  At and beyond the ends of the span it gives
-the first or last stored state.  Events are located by sign change plus
-bisection on the current step's interpolant down to a 1e-12 time tolerance
-(four ulps of t where that is coarser), with a cap on the number of halvings.
+the first or last stored state.  :meth:`DenseOutput.reflected` appends a
+run's steps reflected in time and in a diagonal reversor, exactly in this
+basis; it and :func:`solve_rk45` are the only code that builds one.  Events
+are located by sign change plus bisection on the current step's interpolant
+down to a 1e-12 time tolerance (four ulps of t where that is coarser), with a
+cap on the number of halvings.
 
 A step is one generated straight-line function, built on first use for its
 key (d, m, control_tangent) -- d the state's size, m the tangent's column
@@ -192,6 +195,24 @@ class DenseOutput:
             powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
             out[inside] = self.ys[k] + h[:, None] * np.einsum("kdj,kj->kd", self.q[k], powers)
         return out
+
+    def reflected(self, reversor):
+        """This output over [t0, t1], then its steps reflected through t1 and
+        mapped by the diagonal reversor R (``reversor`` its diagonal), over
+        [t1, 2 t1 - t0]: the solution of a reversible flow from a state
+        that R fixes at t1.  Step k reflected runs over [2 t1 - ts[k+1],
+        2 t1 - ts[k]] from R ys[k+1] with coefficients R q[k] C, C_ji =
+        binom(j, i) (-1)^i, which is theta -> 1 - theta in the power basis.
+        The knot at t1 keeps ys[-1], which the first reflected step starts
+        from."""
+        signs = np.asarray(reversor, dtype=float)
+        flip = np.array([[math.comb(j, i) * (-1.0) ** i for i in range(1, 5)] for j in range(1, 5)])
+        return DenseOutput(
+            np.concatenate([self.ts, 2.0 * self.ts[-1] - self.ts[-2::-1]]),
+            np.concatenate([self.ys, self.ys[-2::-1] * signs]),
+            np.concatenate([self.h, self.h[::-1]]),
+            np.concatenate([self.q, (self.q @ flip)[::-1] * signs[:, None]]),
+        )
 
     def derivative(self, t):
         """Time derivative; outside the span the first or last step's polynomial."""

@@ -26,7 +26,9 @@ the generated flow and J W, which eliminate in the code; the fold that
 inverted a constant g at build time is the reference for the identity
 metric's generated lines.  The Dormand-Prince stepper as a loop
 over the stages, with W's stage sums and the error norm in numpy, is the
-reference for the generated step that replaced it.  The member-by-member
+reference for the generated step that replaced it.  A brake orbit's closed
+run and self-scan over its full period are the references for the half run
+with its reflection and for the scan of its arc.  The member-by-member
 check of the resonant oscillator family against its closed form lives here
 too.
 """
@@ -37,7 +39,7 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,8 +50,11 @@ from orbitlab import orbits as orb
 from orbitlab import reference as ref
 from orbitlab import rk
 from orbitlab.dynamics import (
+    PhaseState,
     PotentialField,
     SystemSpec,
+    integrate,
+    kinetic_minimum_event,
     lagrange_rhs,
     state_rhs_jvp,
     total_energy,
@@ -1029,19 +1034,22 @@ def scan_by_search(strand_a, strand_b):
     The reference for ``intersect._scan``, which instead retires the
     candidates a pair covers when the pair is recorded.  It shares the
     candidate generator (looked up at call time, so a test may swap it),
-    the refinement and the angle test with the library, and reports every
-    near miss as found, without merging runs.
+    the refinement, the angle test and the strands' image map
+    (``_Strand.images``) with the library.  It records the pairs found on
+    the polylines and maps them to their images over the full periods at
+    the end, and reports every near miss as found, without merging runs.
+    On a ring strand of a brake orbit (:func:`full_period_strand`) it is
+    the full-period scan, which tells the retrace line s + t = 0 by its
+    position as well as by antiparallel velocities.
     """
     same = strand_b is None
     sb = strand_a if same else strand_b
-    diam = max(strand_a.diameter, sb.diameter)
-    tol_space = 1e-6 * diam
+    tol_space = 1e-6 * max(strand_a.scale, sb.scale)
     reject_gap = isect._NEAR_MISS_FACTOR * tol_space
     candidates = isect._candidates(strand_a, strand_b, reject_gap)
     pa, pb = strand_a.period, sb.period
     n_seg_a = len(strand_a.pts) - 1
-    dt_a = pa / n_seg_a
-    dt_b = pb / (len(sb.pts) - 1)
+    dt_a, dt_b = strand_a.dt, sb.dt
     accepted, unresolved = [], []
 
     def near_existing(s_mid, t_mid):
@@ -1058,44 +1066,63 @@ def scan_by_search(strand_a, strand_b):
                 return True
         return any(windows(p) for p in unresolved)
 
+    def kind_at(s, t):
+        rel = isect._classify_angle(strand_a.velocity(s), sb.velocity(t))
+        if not same:
+            return "tangential" if rel != "transversal" else "double_point"
+        retrace = _circular_gap(s + t, 0.0, pa) < 1e-6 * pa
+        if rel == "antiparallel" or (strand_a.orbit.kind == "brake" and retrace):
+            return "reversal"
+        return "tangential" if rel == "parallel" else "double_point"
+
     def classify(s, t, gap, ok):
-        s, t = strand_a.wrap_param(s), sb.wrap_param(t)
+        s, t = strand_a.fold(s), sb.fold(t)
+        if same and strand_a.arc:
+            s, t = min(s, t), max(s, t)
         if same and _circular_gap(s, t, pa) < 4 * dt_a:
             return
         point = strand_a.space.wrap(strand_a.position(s))
         if not ok and gap > tol_space:
             unresolved.append(isect.IntersectionPair(s, t, point, "stalled", gap))
         elif gap <= tol_space:
-            rel = isect._classify_angle(strand_a.velocity(s), sb.velocity(t))
-            if same:
-                retrace = _circular_gap(s + t, 0.0, pa) < 1e-6 * pa
-                if rel == "antiparallel" or (strand_a.orbit.kind == "brake" and retrace):
-                    kind = "reversal"
-                elif rel == "parallel":
-                    kind = "tangential"
-                else:
-                    kind = "double_point"
-            else:
-                kind = "tangential" if rel != "transversal" else "double_point"
-            accepted.append(isect.IntersectionPair(s, t, point, kind, gap))
+            accepted.append(isect.IntersectionPair(s, t, point, kind_at(s, t), gap))
         elif gap <= reject_gap:
             unresolved.append(isect.IntersectionPair(s, t, point, "near_miss", gap))
 
     for i, j in candidates:
-        if same and min(abs(i - j), n_seg_a - abs(i - j)) <= 4:
+        ring = abs(i - j) if strand_a.arc else min(abs(i - j), n_seg_a - abs(i - j))
+        if same and ring <= 4:
             continue
         s_mid = float(strand_a.ts[i] + 0.5 * dt_a)
         t_mid = float(sb.ts[j] + 0.5 * dt_b)
         if not near_existing(s_mid, t_mid):
             classify(*isect._refine_pair(strand_a, sb, s_mid, t_mid))
+
+    def images(pairs):
+        out = []
+        for p in pairs:
+            for s_image in strand_a.images(p.s):
+                for t_image in sb.images(p.t):
+                    s, t = s_image, t_image
+                    if same and strand_a.arc:
+                        s, t = min(s, t), max(s, t)
+                    kind = p.kind if p.kind in ("stalled", "near_miss") else kind_at(s, t)
+                    out.append(isect.IntersectionPair(s, t, p.point, kind, p.gap))
+        return out
+
+    accepted, unresolved = images(accepted), images(unresolved)
+    if same and strand_a.arc:
+        s, t = 0.25 * pa, 0.75 * pa
+        xs, xt = strand_a.position(s), strand_a.position(t)
+        gap = float(np.linalg.norm(strand_a.space.delta(xs, xt)))
+        accepted.append(isect.IntersectionPair(s, t, strand_a.space.wrap(xs), "reversal", gap))
     accepted.sort(key=lambda p: (p.s, p.t))
     unresolved.sort(key=lambda p: (p.s, p.t))
 
     dp_points = []
-    cluster_tol = max(8.0 * tol_space, 1e-9 * diam)
     for p in accepted:
         if p.kind == "double_point" and all(
-            np.linalg.norm(strand_a.space.delta(p.point, q)) > cluster_tol for q in dp_points
+            np.linalg.norm(strand_a.space.delta(p.point, q)) > 8.0 * tol_space for q in dp_points
         ):
             dp_points.append(p.point)
     keys = []
@@ -1109,6 +1136,32 @@ def scan_by_search(strand_a, strand_b):
         dp_count=len(dp_points),
         reversal_count=len(keys),
         tangential_count=sum(1 for p in accepted if p.kind == "tangential"),
+    )
+
+
+def full_period_strand(orbit):
+    """A brake orbit's strand as the closed ring over its full period, the
+    polyline the scan swept before a brake strand became its arc."""
+    strand = isect._Strand(replace(orbit, kind="rotation"))
+    strand.orbit = orbit
+    return strand
+
+
+def full_period_self_scan(orbit):
+    """A brake orbit's self-scan over its full period: the reference for
+    the scan of its arc and the arc's images."""
+    return scan_by_search(full_period_strand(orbit), None)
+
+
+def full_period_brake_run(orbit):
+    """A brake orbit's closed run as one dense run over its full period at
+    the orbit's tolerances, with the kinetic-energy-minimum event: the
+    reference for the half run and its reflection that ``find_brake``
+    returns."""
+    spec = orbit.spec
+    return integrate(
+        spec, PhaseState.from_flat(orbit.trajectory.states[0]), (0.0, orbit.period),
+        rtol=orb._RTOL, atol=orb._ATOL, events=(kinetic_minimum_event(spec),),
     )
 
 

@@ -243,6 +243,35 @@ def test_dynamics_names_no_solve():
     assert names_used(path.read_text(), SOLVES) == []
 
 
+def dense_output_builds(source: str) -> list[str]:
+    """Calls of ``DenseOutput``, by name or as an attribute, and imports
+    that rename it, in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "DenseOutput":
+                found.append(f"DenseOutput (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"DenseOutput as {alias.asname} (line {node.lineno})"
+                      for alias in node.names if alias.name == "DenseOutput" and alias.asname]
+    return sorted(found)
+
+
+def test_detects_dense_output_builds():
+    source = "from .rk import DenseOutput as D\nimport x\nx.DenseOutput(1)\n" \
+        "y: x.DenseOutput | None = None\nDenseOutput(a, b)\n"
+    assert dense_output_builds(source) == [
+        "DenseOutput (line 3)", "DenseOutput (line 5)", "DenseOutput as D (line 1)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "rk"], ids=lambda p: p.name)
+def test_only_rk_builds_dense_output(path):
+    # one owner of the dense format: the integrator's runs and their reflection
+    assert dense_output_builds(path.read_text()) == []
+
+
 def tracer_targets() -> list[str]:
     """The benchmark tracer's TARGETS as "module.attribute" strings, read from
     its source without importing the benchmark."""

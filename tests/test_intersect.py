@@ -52,6 +52,16 @@ def lissajous_orbit(s_phase=math.pi / 4, a1=1.0, a2=0.5):
     )
 
 
+def crossing_brake():
+    """The 2:3 brake orbit of U = (4 x1^2 + 9 x2^2) / 2 from rest at (0.3,
+    0.2), x = (0.3 cos 2t, 0.2 cos 3t): its arc over [0, pi] crosses itself
+    at (0.15, 0), at t = pi/6 and 5 pi/6."""
+    spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), ex.parse("0.5*(4*x1^2 + 9*x2^2)", 2), 0.36)
+    traj = dyn.integrate(spec, PhaseState([0.3, 0.2], [0.0, 0.0]), (0.0, 2 * math.pi),
+                         rtol=1e-12, atol=1e-14)
+    return orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="brake")
+
+
 def nonresonant_brake(axis=1):
     spec = ref.oscillator_system(ref.OscillatorSpec((1.0, math.sqrt(2.0)), 0.5))
     amp = [1.0, 1.0 / math.sqrt(2.0)][axis - 1]
@@ -80,6 +90,33 @@ class TestSelfIntersections:
             offset = math.fmod(p.s + p.t, orbit.period)
             offset = min(offset, orbit.period - offset)
             assert offset < 1e-6 * orbit.period
+
+    def test_brake_arc_crossing_itself(self):
+        # the arc's one crossing (a, b) stands for four pairs of the period,
+        # {a, T - a} x {b, T - b}; the retrace line is one reversal
+        orbit = crossing_brake()
+        arc = isect.self_intersections(orbit)
+        full = oracles.full_period_self_scan(orbit)
+        assert (arc.dp_count, arc.reversal_count) == (full.dp_count, full.reversal_count) == (1, 1)
+        assert sorted(p.kind for p in arc.pairs) == sorted(p.kind for p in full.pairs)
+        assert arc.unresolved == full.unresolved == []
+        tol_space = 1e-6 * isect._Strand(orbit).scale
+        crossings = [(p.s, p.t) for p in arc.pairs if p.kind == "double_point"]
+        expected = [(p.s, p.t) for p in full.pairs if p.kind == "double_point"]
+        assert np.allclose(np.array(crossings) * 6 / math.pi, [(1, 5), (1, 7), (5, 11), (7, 11)])
+        for s, t in crossings:
+            gaps = [max(abs(s - s_ref), abs(t - t_ref)) for s_ref, t_ref in expected]
+            assert min(gaps) <= tol_space
+        (reversal,) = [p for p in arc.pairs if p.kind == "reversal"]
+        assert isect._param_gap_circular(reversal.s + reversal.t, 0.0, orbit.period) <= tol_space
+
+    def test_winding_tolerances_take_one_period_per_axis(self):
+        # the (1, 1500) winding's strands lie 2 pi / 1500 apart; tolerances
+        # scaled by its extent in the cover (9,425) reported 131 near misses
+        orbit = straight_winding((1, 1500))
+        assert isect._Strand(orbit).scale == 2 * math.pi
+        report = isect.self_intersections(orbit)
+        assert report.pairs == [] and report.unresolved == []
 
     def test_lissajous_one_double_point_at_origin(self):
         orbit = lissajous_orbit()
@@ -294,7 +331,7 @@ def scan(case, brute_force):
 
 def scan_margin(strand_a, strand_b=None):
     """The scan's rejection gap, the margin its candidates are found at."""
-    return isect._NEAR_MISS_FACTOR * 1e-6 * max(strand_a.diameter, (strand_b or strand_a).diameter)
+    return isect._NEAR_MISS_FACTOR * 1e-6 * max(strand_a.scale, (strand_b or strand_a).scale)
 
 
 def assert_candidates_match(strand_a, strand_b=None):

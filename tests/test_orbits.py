@@ -152,6 +152,82 @@ class TestFindBrakeCurved:
         assert orbit.trajectory.energy_drift < 1e-8
 
 
+HALF_RUN_BRAKES = {
+    "2-DOF oscillator": lambda: (oscillator(), [1.01, -0.03]),
+    "3-DOF oscillator": lambda: (oscillator((1.0, 1.23, 1.6)), [1.01, -0.03, 0.02]),
+    "Finsler well": lambda: (finsler_well(), [1.0, 0.05]),
+    "conformal well": lambda: (conformal_well(), [1.0, 0.05]),
+}
+
+
+@functools.cache
+def half_run_brake(name):
+    """(orbit, its full-period run, times 0 .. T at 5,001 points, scale)."""
+    orbit = orb.find_brake(*HALF_RUN_BRAKES[name]())
+    scale = 1.0 + np.linalg.norm(orbit.trajectory.states[0])
+    ts = np.linspace(0.0, orbit.period, 5001)
+    return orbit, oracles.full_period_brake_run(orbit), ts, scale
+
+
+class TestBrakeHalfRun:
+    """``find_brake`` integrates [0, T/2] and appends the run reflected by
+    R(x, v) = (x, -v); the run over the full period is the reference."""
+
+    @pytest.mark.parametrize("name", HALF_RUN_BRAKES)
+    def test_states_match_full_run(self, name):
+        orbit, full, ts, scale = half_run_brake(name)
+        traj = orbit.trajectory
+        assert traj.t1 == orbit.period and len(traj.energies) == len(traj.ts)
+        assert np.max(np.abs(traj.state(ts) - full.state(ts))) <= 5e-10 * scale
+
+    @pytest.mark.parametrize("name", [name for name in HALF_RUN_BRAKES if "Finsler" not in name])
+    def test_derivatives_match_full_run(self, name):
+        orbit, full, ts, scale = half_run_brake(name)
+        gap = orbit.trajectory.state_derivative(ts) - full.state_derivative(ts)
+        assert np.max(np.abs(gap)) <= 1e-8 * scale
+
+    def test_finsler_derivative_is_the_flow(self):
+        # the full run's step across the rest at T/2 is 4.5e-2 off the flow
+        # there; each reflected step lies on one side of it
+        orbit, _, ts, scale = half_run_brake("Finsler well")
+        traj = orbit.trajectory
+        flow = [dyn.state_rhs(orbit.spec, 0.0, z.tolist()) for z in traj.state(ts)]
+        assert np.max(np.abs(traj.state_derivative(ts) - flow)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("name", HALF_RUN_BRAKES)
+    def test_second_half_retraces_first(self, name):
+        # the knot at T/2 keeps the run's state, which the first reflected
+        # step starts from: 2 |v(T/2)| off R z(T/2), the closure residual
+        orbit, _, ts, scale = half_run_brake(name)
+        n, traj = orbit.spec.dimension, orbit.trajectory
+        mirrored = traj.state(orbit.period - ts) * np.repeat([1.0, -1.0], n)
+        gap = np.linalg.norm(traj.state(ts) - mirrored, axis=1)
+        assert orbit.closure_residual == 2.0 * np.linalg.norm(traj.state(orbit.period / 2)[n:])
+        assert np.max(gap) <= orbit.closure_residual + 1e-14 * scale
+
+    @pytest.mark.parametrize("name", HALF_RUN_BRAKES)
+    def test_turning_event_at_half_period(self, name):
+        orbit, full, _, _ = half_run_brake(name)
+        times = [hit.t for hit in orbit.trajectory.events]
+        assert times == [orbit.period / 2]
+        assert full.events[0].t == pytest.approx(orbit.period / 2, abs=1e-9)
+
+    def test_events_inside_the_half_are_mirrored(self):
+        # x = (cos t, 0.3 cos 3t), at rest at t = 0 and pi, passes kinetic
+        # energy minima inside (0, pi) that are no stops
+        spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), ex.parse("0.5*(x1^2 + 9*x2^2)", 2),
+                              0.905)
+        half = dyn.integrate(spec, PhaseState([1.0, 0.3], [0.0, 0.0]), (0.0, math.pi),
+                             rtol=1e-12, atol=1e-14, events=(dyn.kinetic_minimum_event(spec),))
+        traj = orb._retraced(spec, half)
+        inner = [hit.t for hit in half.events if hit.t < math.pi - 1e-6]
+        assert inner
+        times = [hit.t for hit in traj.events]
+        assert times == [*inner, math.pi, *(2 * math.pi - t for t in reversed(inner))]
+        for hit in traj.events:
+            assert np.max(np.abs(hit.y - traj.state(hit.t))) < 1e-9
+
+
 class TestFindRotation:
     def test_flat_torus_straight_line(self):
         spec = flat_torus()
