@@ -7,12 +7,14 @@ plus the potential and their derivatives in every state variable, compiled
 once per system), which solves g a = -c by elimination for every metric
 (:meth:`orbitlab.expr.Graph.negated_solve`).  Its tangent J W is one generated
 function of (z, W) per column count m: :func:`tangent_rhs` on flat lists of
-floats, :func:`state_rhs_jvp` over arrays.  Each call checks a g that varies
-with the state; a constant g is checked once, when its code is built.  A
-domain failure in the code raises the interpreter's error naming the
-subexpression (:meth:`orbitlab.expr.Compiled.run`); the interpreter never
-supplies a value of the flow.  The integrator records energy drift along
-every trajectory but never corrects it.
+floats, :func:`state_rhs_jvp` over arrays.  Each call passes the pivots of a
+g that varies with the state to geometry's one definiteness rule
+(:func:`orbitlab.geometry.require_positive_definite`); a constant g is
+checked once, when its code is built.  A domain failure in the code raises
+the interpreter's error naming the subexpression
+(:meth:`orbitlab.expr.Compiled.run`); the interpreter never supplies a value
+of the flow.  The integrator records energy drift along every trajectory but
+never corrects it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class SystemSpec(ex.Compiled):
     The flow is straight-line code built once, on first use, from the nodes
     (g, c) of :func:`~orbitlab.geometry.metric_nodes`, grad U added to c, and
     U: ``parts(z)`` = (f, checks), f = [v; a] with a = -g^{-1} c, checks =
-    (g, pivots) or none for a constant g, checked at build.  Per tangent
+    (g, pivots) or none for a constant g, whose folded pivots are checked at
+    build (:func:`~orbitlab.geometry.require_positive_definite`).  Per tangent
     width m (:meth:`~orbitlab.expr.Compiled.tangent_function`), ``jvp(z, w)``
     = (f, J W, checks), W and J W flat, row by row: J W = [W_v; DA W] with
     DA = -g^{-1} (dc + dg a) (derivatives in z) solved with the same factors.
@@ -120,7 +123,8 @@ class SystemSpec(ex.Compiled):
         (a, a_rest), pivots = graph.negated_solve(g, [c, grad_u])  # -g^{-1} b for b = c, grad U
         f, checks = [graph.var(n + i) for i in range(n)] + a, [g, pivots]
         if all(graph.value(e) is not None for row in g for e in row):  # checked once, here
-            _check(self, [list(map(graph.value, row)) for row in g])
+            geo.require_positive_definite([[*map(graph.value, row)] for row in g],
+                                          "fundamental tensor", map(graph.value, pivots))
             checks = []
         if not graph.width:
             energy = graph.add(graph.mul(graph.const(0.5), f2), u)
@@ -172,25 +176,6 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def _check(spec: SystemSpec, g, pivots=None):
-    """Raise unless the flow may solve with g: a varying Riemannian g must pass
-    :func:`~orbitlab.geometry.require_positive_definite`; each pivot (by
-    default, of g's elimination folded over its floats) must exceed 1e-14 max
-    |g_ij| (else ``SingularMatrixError``, as in geometry) and be positive."""
-    if spec.metric.varying:
-        geo.require_positive_definite(g, "fundamental tensor")
-    if pivots is None:
-        graph = ex.Graph(len(g))
-        pivots = map(graph.value, graph.negated_solve([[*map(graph.const, r)] for r in g], [])[1])
-    floor = 1e-14 * max(abs(e) for row in g for e in row)
-    for p in pivots:
-        if abs(p) <= floor:
-            raise geo.SingularMatrixError("fundamental tensor is singular to working precision")
-        if p < 0.0:
-            raise geo.ModelValidityError(
-                f"fundamental tensor is not positive definite (pivot {p:.3e})")
-
-
 def _rest_state(spec: SystemSpec, z: list):
     """None, or at a Finsler rest point v = 0 the state (x, -grad U) for the
     ``rest`` functions: the spray extends by zero to v = 0 (degree-2
@@ -220,11 +205,11 @@ def state_rhs(spec: SystemSpec, t, z):
         else:
             a, checks = spec.run("rest", at)
             f = z[spec.dimension:] + a
-    except ZeroDivisionError:  # a zero pivot is divided by before the checks see it
-        _check(spec, spec.metric.run("tensor", at or z))
+    except ZeroDivisionError:  # a zero pivot is divided by before the rule sees it
+        geo.require_positive_definite(spec.metric.run("tensor", at or z), "fundamental tensor")
         raise
     if checks:
-        _check(spec, *checks)
+        geo.require_positive_definite(checks[0], "fundamental tensor", checks[1])
     return f
 
 
@@ -261,10 +246,10 @@ def tangent_rhs(spec: SystemSpec, m: int):
                 a, jw, checks = rest_jvp(at, w)
                 fz = z[n:] + a
         except ZeroDivisionError:  # as in state_rhs
-            _check(spec, spec.metric.run("tensor", at or z))
+            geo.require_positive_definite(spec.metric.run("tensor", at or z), "fundamental tensor")
             raise
         if checks:
-            _check(spec, *checks)
+            geo.require_positive_definite(checks[0], "fundamental tensor", checks[1])
         return fz, jw
 
     return f

@@ -786,10 +786,10 @@ class Graph:
         """(-x for each b of ``columns``, pivots): matrix x = b by elimination
         without pivoting, for a symmetric positive definite matrix (Higham,
         *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
-        section 10.1), in :func:`orbitlab.geometry.solve_linear`'s operations
-        when it swaps no rows, less products with a constant zero factor and
-        constant zeros divided by a pivot: exact for the positive pivots the
-        caller checks."""
+        section 10.1), in :func:`orbitlab.geometry.solve_linear`'s operations,
+        less products with a constant zero factor and constant zeros divided
+        by a pivot: exact for the positive pivots the caller passes to
+        :func:`orbitlab.geometry.require_positive_definite`."""
         n = len(matrix)
         m = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)]  # [matrix | b]
 

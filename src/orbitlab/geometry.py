@@ -9,8 +9,11 @@ compiles it together with the potential (see :mod:`orbitlab.dynamics`);
 :func:`metric_tensor`, :func:`metric_and_spray` and
 :func:`geodesic_coefficients` run the model's own metric-only build of it
 (:class:`~orbitlab.expr.Compiled`).  :func:`require_positive_definite` is
-the one definiteness check of a tensor.  Finite differences never enter
-these code paths; they are reserved for test oracles.
+the one definiteness rule for every g, at construction, in these routes and
+in the flow: the pivots of g's elimination without row swaps
+(:func:`solve_linear`, or the flow's generated twin of it) must be positive
+and clear of zero.  Finite differences never enter these code paths; they
+are reserved for test oracles.
 
 F^2 itself (:func:`f_squared`) is one more function of that build.  The
 compiled routines and :func:`solve_linear` run over floats only.
@@ -19,7 +22,6 @@ compiled routines and :func:`solve_linear` run over floats only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,51 +42,68 @@ __all__ = [
     "require_positive_definite",
 ]
 
-_PD_RELATIVE_FLOOR = 1e-12
-
 
 class ModelValidityError(OrbitLabError):
     """Metric model violates its contract (symmetry, homogeneity, definiteness)."""
 
 
-class SingularMatrixError(OrbitLabError):
-    pass
+class SingularMatrixError(ModelValidityError):
+    """A pivot of g's elimination is zero to working precision."""
 
 
 # ---------------------------------------------------------------------------
 # Small linear algebra over floats
 # ---------------------------------------------------------------------------
 
-def solve_linear(a, b):
-    """Gaussian elimination with partial pivoting."""
+def _eliminate(a, b):
+    """(x, pivots) of a x = b by elimination without row swaps; at a zero
+    pivot, which it cannot divide by, (None, the pivots up to it)."""
     n = len(b)
-    m = [list(row) for row in a]
-    r = list(b)
-    scale = max([abs(e) for row in m for e in row]) or 1.0
+    m = [[*row, r] for row, r in zip(a, b)]  # [a | b]
+    pivots = []
     for col in range(n):
-        piv, big = col, abs(m[col][col])
-        for i in range(col + 1, n):
-            size = abs(m[i][col])
-            if size > big:
-                piv, big = i, size
-        if big <= 1e-14 * scale:
-            raise SingularMatrixError("matrix is singular to working precision")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            r[col], r[piv] = r[piv], r[col]
+        pivots.append(m[col][col])
+        if not pivots[-1]:
+            return None, pivots
         inv = 1.0 / m[col][col]
         for i in range(col + 1, n):
             f = m[i][col] * inv
-            for j in range(col + 1, n):
-                m[i][j] = m[i][j] - f * m[col][j]
-            r[i] = r[i] - f * r[col]
-    out = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        acc = r[i]
+            m[i][col + 1:] = [e - f * p for e, p in zip(m[i][col + 1:], m[col][col + 1:])]
+    x = [0.0] * n
+    for i in reversed(range(n)):  # back substitution
+        acc = m[i][n]
         for j in range(i + 1, n):
-            acc = acc - m[i][j] * out[j]
-        out[i] = acc / m[i][i]
-    return out
+            acc = acc - m[i][j] * x[j]
+        x[i] = acc / m[i][i]
+    return x, pivots
+
+
+def solve_linear(a, b):
+    """x with a x = b for a symmetric positive definite a, which
+    :func:`require_positive_definite` checks on this solve's pivots.  It
+    eliminates without row swaps (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., SIAM 2002, section 10.1): the float twin
+    of :meth:`orbitlab.expr.Graph.negated_solve`, whose solution is x
+    negated."""
+    x, pivots = _eliminate(a, b)
+    require_positive_definite(a, "matrix", pivots)
+    return x
+
+
+def require_positive_definite(g, what: str, pivots=None):
+    """Raise unless the symmetric matrix g is fit to solve with, the one
+    definiteness rule: each pivot of its elimination without row swaps
+    (``pivots``, in order; by default :func:`solve_linear`'s) must exceed
+    1e-14 max |g_ij|, else :class:`SingularMatrixError`, and be positive,
+    else :class:`ModelValidityError` naming ``what`` and the pivot."""
+    if pivots is None:
+        pivots = _eliminate(g, [0.0] * len(g))[1]
+    floor = 1e-14 * max(abs(e) for row in g for e in row)
+    for p in pivots:
+        if abs(p) <= floor:
+            raise SingularMatrixError(f"{what} is singular to working precision")
+        if p < 0.0:
+            raise ModelValidityError(f"{what} is not positive definite (pivot {p:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +161,10 @@ class MetricModel(ex.Compiled):
     from its mirror.  A Finsler F^2 expression uses both positions and
     velocities and must be positively homogeneous of degree 2 and reversible
     in v (spot-checked at construction).  A model takes no field of the other
-    kind.  Every construction is validated.
+    kind.  Every construction is validated; a Riemannian g whose entries fold
+    to constants in a :class:`~orbitlab.expr.Graph` is checked by
+    :func:`require_positive_definite` there, and any other g where it is
+    evaluated.
     """
 
     kind: str  # "riemannian" | "finsler"
@@ -165,8 +187,9 @@ class MetricModel(ex.Compiled):
             object.__setattr__(self, "g_exprs", _symmetrized(self.g_exprs, n))
             if any(k >= n for row in self.g_exprs for e in row for k in ex.variables_of(e)):
                 raise ModelValidityError("riemannian coefficients may depend on positions only")
-            if not self.varying:
-                g = np.array([[e.value for e in row] for row in self.g_exprs], dtype=float)
+            graph = ex.Graph(n)
+            g = [[graph.value(graph.tree(e)) for e in row] for row in self.g_exprs]
+            if None not in (e for row in g for e in row):  # a constant g, checked once, here
                 require_positive_definite(g, "constant metric")
         elif self.kind == "finsler":
             if self.f2_expr is None or self.g_exprs is not None:
@@ -176,15 +199,6 @@ class MetricModel(ex.Compiled):
             self._spot_check_finsler()
         else:
             raise ModelValidityError(f"unknown metric kind {self.kind!r}")
-
-    @cached_property
-    def varying(self) -> bool:
-        """A Riemannian g that depends on x, so it is checked positive
-        definite where it is evaluated; a constant g is checked once, at
-        construction."""
-        return self.kind == "riemannian" and not all(
-            isinstance(e, ex.Const) for row in self.g_exprs for e in row
-        )
 
     def _functions(self, graph):
         """Functions "f2" (F^2), "tensor" (g) and "parts" ((g, c)) of z = (x, v)."""
@@ -241,17 +255,6 @@ class MetricModel(ex.Compiled):
         if self.space.kind == "torus":
             return rng.uniform(0.0, self.space.periods, n)
         return rng.uniform(-1.5, 1.5, n)
-
-
-def require_positive_definite(g, what: str):
-    """Raise :class:`ModelValidityError` naming ``what`` unless the symmetric
-    matrix g has a positive trace and a least eigenvalue above 1e-12 times it."""
-    eigs = np.linalg.eigvalsh(g)
-    trace = float(np.trace(g))
-    if trace <= 0.0 or eigs[0] <= _PD_RELATIVE_FLOOR * trace:
-        raise ModelValidityError(
-            f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})"
-        )
 
 
 def _symmetrized(entries, n: int) -> tuple:
@@ -333,15 +336,14 @@ def metric_and_spray(model: MetricModel, x, v):
 
     The geodesic equation reads xdd^k + 2 G^k(x, xd) = 0, with G positively
     2-homogeneous in v.  G solves 2 g G = c (see :func:`metric_nodes`), which
-    needs derivatives of F^2 up to second order only.  An x-dependent
-    Riemannian g is checked positive definite; a constant one was checked
-    when the model was built.
+    needs derivatives of F^2 up to second order only, by
+    :func:`solve_linear`'s elimination, whose pivots check every g.
     """
     _require_nonzero_v(model, v)
     g, c = model.run("parts", [*map(float, x), *map(float, v)])
-    if model.varying:
-        require_positive_definite(g, "fundamental tensor")
-    return g, [0.5 * s for s in solve_linear(g, c)]
+    s, pivots = _eliminate(g, c)
+    require_positive_definite(g, "fundamental tensor", pivots)
+    return g, [0.5 * e for e in s]
 
 
 def geodesic_coefficients(model: MetricModel, x, v):

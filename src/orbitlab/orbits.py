@@ -351,7 +351,8 @@ def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
     """First near-return time on the grid np.linspace(0, _T_MAX, 4096), or None.
 
     A probe that its stop event ended before _T_MAX is scanned strictly
-    before its end, where it is the probe to _T_MAX bit for bit.
+    before its end, where it is the probe to _T_MAX: bit for bit before its
+    last step, which is cut at the stop, and to rounding inside it.
     """
     n = spec.dimension
     ts = np.linspace(0.0, _T_MAX, 4096)

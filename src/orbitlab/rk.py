@@ -18,13 +18,14 @@ must be.
 Dense output is Shampine's quartic interpolant for the pair, kept as stacked
 arrays in one :class:`DenseOutput`: step k starts at ts[k] from ys[k], has
 length h[k] and coefficients q[k] (d x 4), and y(ts[k] + theta h[k]) = ys[k] +
-h[k] q[k] (theta, ..., theta^4).  At and beyond the ends of the span it gives
-the first or last stored state.  :meth:`DenseOutput.reflected` appends a
-run's steps reflected in time and in a diagonal reversor, exactly in this
-basis; it and :func:`solve_rk45` are the only code that builds one.  Events
-are located by sign change plus bisection on the current step's interpolant
-down to a 1e-12 time tolerance (four ulps of t where that is coarser), with a
-cap on the number of halvings.
+h[k] q[k] (theta, ..., theta^4).  A step that a terminal event ends is stored
+cut at the event, so every step ends at the next knot.  At and beyond the ends
+of the span it gives the first or last stored state.
+:meth:`DenseOutput.reflected` appends a run's steps reflected in time and in
+a diagonal reversor, exactly in this basis; it and :func:`solve_rk45` are
+the only code that builds one.  Events are located by sign change plus
+bisection on the current step's interpolant down to a 1e-12 time tolerance
+(four ulps of t where that is coarser), with a cap on the number of halvings.
 
 A step is one generated straight-line function, built on first use for its
 key (d, m, control_tangent) -- d the state's size, m the tangent's column
@@ -163,7 +164,9 @@ def _interpolate(y0, h, q, theta):
 
 class DenseOutput:
     """Dense solution of one run: a scalar time gives a (d,) state, a 1-D
-    array of K times a (K, d) array."""
+    array of K times a (K, d) array.  Step k spans exactly its two knots,
+    [ts[k], ts[k+1]], h[k] long up to the rounding of ts[k] + h[k], as
+    :meth:`reflected` needs."""
 
     def __init__(self, ts, ys, h, q):
         self.ts, self.ys, self.h, self.q = ts, ys, h, q
@@ -539,7 +542,11 @@ def solve_rk45(
             g_prev = g_new
 
         if stop_at is not None:
-            t, y_stop = stop_at
+            t_stop, y_stop = stop_at
+            if dense:  # the step is cut at the event: theta = (h' / h) theta'
+                hs[-1] = t_stop - t
+                qs[-1] = q * (hs[-1] / h) ** np.arange(4)
+            t = t_stop
             ts.append(t)
             ys.append(y_stop)
             finished = True

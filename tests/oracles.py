@@ -203,8 +203,9 @@ def interpreted_f_squared(model, x, v):
 
 
 def dual_solve_linear(a, b):
-    """``geo.solve_linear`` over floats or (nested) duals: Gaussian
-    elimination with partial pivoting on the float part."""
+    """Gaussian elimination with partial pivoting on the float part, over
+    floats or (nested) duals: a reference independent of ``geo.solve_linear``,
+    which swaps no rows."""
     n = len(b)
     m = [list(row) for row in a]
     r = list(b)
@@ -478,8 +479,14 @@ def _solved_acceleration(spec, z: list, name: str = "parts"):
             )
         z = z[:n] + [-c for c in grad_u]
     out = _solved_flow(spec).run(name, z)
-    if spec.metric.varying:
-        geo.require_positive_definite(out[0], "fundamental tensor")
+    metric = spec.metric
+    if metric.kind == "riemannian" and not all(
+            isinstance(e, ex.Const) for row in metric.g_exprs for e in row):
+        # the eigenvalue check a Riemannian g with non-Const entries had then
+        eigs, trace = np.linalg.eigvalsh(out[0]), float(np.trace(out[0]))
+        if trace <= 0.0 or eigs[0] <= 1e-12 * trace:
+            raise geo.ModelValidityError(
+                f"fundamental tensor is not positive definite (min eigenvalue {eigs[0]:.3e})")
     return [-a for a in geo.solve_linear(out[0], grad_u if rest else out[1])], rest, out
 
 
@@ -965,7 +972,11 @@ def stage_loop_rk45(
             g_prev = g_new
 
         if stop_at is not None:
-            t, y_stop = stop_at
+            t_stop, y_stop = stop_at
+            if dense:  # the step is cut at the event
+                hs[-1] = t_stop - t
+                qs[-1] = q * (hs[-1] / h) ** np.arange(4)
+            t = t_stop
             ts.append(t)
             ys.append(y_stop)
             finished = True

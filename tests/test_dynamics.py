@@ -556,8 +556,10 @@ class TestStepper:
         assert np.array_equal(short.dense.h[:last], full.dense.h[:last])
         assert np.array_equal(short.dense.q[:last], full.dense.q[:last])
         # a run over the same span that a terminal event stops is the long
-        # run up to the stop, every step and its dense output; find_rotation's
-        # doubling probe relies on it
+        # run up to the stop, every step and its dense output, the last step
+        # cut at the stop (h' = t_stop - t, column j of q times (h'/h)^j);
+        # find_rotation's doubling probe relies on it: bit for bit before the
+        # last step, to rounding inside it
         stopped = rk.solve_rk45(
             lambda t, z: dyn.state_rhs(spec, t, z), (0.0, 100.0), z0, rtol=1e-9, atol=1e-11,
             events=(rk.EventSpec(lambda t, z: t - 6.25, terminal=True),),
@@ -566,10 +568,17 @@ class TestStepper:
         assert steps > 10 and stopped.ts[-1] == pytest.approx(6.25, abs=1e-9)
         assert np.array_equal(stopped.ts[:-1], full.ts[:steps])
         assert np.array_equal(stopped.ys[:-1], full.ys[:steps])
-        assert np.array_equal(stopped.dense.h, full.dense.h[:steps])
-        assert np.array_equal(stopped.dense.q, full.dense.q[:steps])
+        assert np.array_equal(stopped.dense.h[:-1], full.dense.h[:steps - 1])
+        assert np.array_equal(stopped.dense.q[:-1], full.dense.q[:steps - 1])
+        cut = stopped.ts[-1] - stopped.ts[-2]
+        assert stopped.dense.h[-1] == cut
+        ratio = cut / full.dense.h[steps - 1]
+        assert np.array_equal(stopped.dense.q[-1], full.dense.q[steps - 1] * ratio ** np.arange(4))
         grid = np.linspace(0.0, stopped.ts[-1], 1001)[:-1]
-        assert np.array_equal(stopped.dense(grid), full.dense(grid))
+        before = grid < stopped.ts[-2]
+        assert np.array_equal(stopped.dense(grid[before]), full.dense(grid[before]))
+        gap = stopped.dense(grid[~before]) - full.dense(grid[~before])
+        assert 0 < len(gap) and np.max(np.abs(gap)) <= 1e-14
 
     @pytest.mark.parametrize("order", [1, -1], ids=["listed in time order", "listed reversed"])
     def test_terminal_event_ends_the_event_list(self, order):
@@ -679,7 +688,8 @@ class TestConstantMetricFold:
     ], ids=["torus-2", "spd-3", "spd-9"])
     def test_spd_fold_matches_solve_route(self, system):
         spec = system()
-        assert spec.metric.kind == "riemannian" and not spec.metric.varying
+        zero = [0.0] * (2 * spec.dimension)
+        assert spec.metric.kind == "riemannian" and spec.run("parts", zero)[1] == []  # g folded
         for z, w in self.points(spec, 7):
             f, jw = dyn.state_rhs_jvp(spec, z, w)
             f_ref, jw_ref = solved_state_rhs_jvp(spec, z, w)
@@ -719,11 +729,13 @@ class TestConstantMetricFold:
     def test_varying_metric_is_checked_on_every_call(self, monkeypatch):
         calls = []
         check = geo.require_positive_definite
-        monkeypatch.setattr(geo, "require_positive_definite",
-                            lambda g, what: calls.append(what) or check(g, what))
+        monkeypatch.setattr(geo, "require_positive_definite", lambda g, what, pivots=None: (
+            calls.append(what) or check(g, what, pivots)))
         z = [0.3, -0.2, 0.7, 0.4]
         for spec, per_route in ((conformal_exp_system(), 1), (oscillator(), 0)):
             routes = self.routes(spec, z)
+            for route in routes:  # builds, which check a constant g once
+                route()
             calls.clear()
             for _ in range(3):
                 for route in routes:

@@ -101,6 +101,15 @@ class TestMetricTensor:
         with pytest.raises(geo.ModelValidityError):
             geo.metric_tensor(model, [-1.0, 0.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("route", [geo.metric_tensor, geo.metric_and_spray,
+                                       geo.geodesic_coefficients])
+    def test_indefinite_finsler_tensor_is_rejected(self, route):
+        # g = diag(1, -1): every route takes its pivots, the spray's solve too
+        model = geo.MetricModel.finsler(ex.parse("v1^2 - v2^2", 2), 2)
+        with pytest.raises(geo.ModelValidityError,
+                           match=r"fundamental tensor is not positive definite \(pivot -1"):
+            route(model, [0.1, 0.2], [1.0, 0.5])
+
     @pytest.mark.parametrize("make_model", [quartic_metric, x_dependent_finsler_metric])
     def test_finsler_equals_half_vv_block_of_full_hessian(self, make_model):
         # compiled code against one order-2 dual in all 2n directions
@@ -131,6 +140,30 @@ class TestModelValidation:
             geo.MetricModel.finsler(
                 ex.parse("v1^2 + v2^2 + 0.5*v1*sqrt(v1^2+v2^2)", 2), 2
             )
+
+    @pytest.mark.parametrize("entries, match", [
+        ([[ex.parse("-1", 2), ex.const(0.0)], [None, ex.const(1.0)]],
+         r"constant metric is not positive definite \(pivot -1"),
+        ([[ex.const(0.0), ex.const(0.0)], [None, ex.const(0.0)]],
+         "constant metric is singular"),
+    ], ids=["folded-constant", "all-zero"])
+    def test_constant_metric_is_checked_at_construction(self, entries, match):
+        # a g is constant when its entries fold to constants, whatever their syntax
+        with pytest.raises(geo.ModelValidityError, match=match):
+            geo.MetricModel.riemannian(entries)
+
+    def test_the_pivot_floor_is_the_boundary(self):
+        # g = [[1, 1], [1, 1 + e]] has the pivot e and a least eigenvalue near
+        # e / 2: e = 1e-13 clears 1e-14 max |g_ij|, e = 1e-15 does not
+        def metric(g22):
+            return geo.MetricModel.riemannian([[ex.const(1.0), ex.const(1.0)],
+                                               [None, ex.const(g22)]])
+
+        g = geo.metric_tensor(metric(1.0 + 1e-13), [0.0, 0.0], [1.0, 0.0])
+        assert g == [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
+        with pytest.raises(geo.ModelValidityError) as info:
+            metric(1.0 + 1e-15)
+        assert type(info.value) is geo.SingularMatrixError
 
     def test_velocity_dependence_rejected_in_riemannian(self):
         with pytest.raises(geo.ModelValidityError):

@@ -195,7 +195,7 @@ def test_no_foreign_private_names():
 
 
 INTERPRETER_DUALS = ("Dual", "val_of", "eval_dual")
-# a pivoting float solve: the geometry kernel's and numpy's
+# a float solve: the geometry kernel's and numpy's
 SOLVES = ("solve_linear", "linalg")
 
 
@@ -241,6 +241,14 @@ def test_dynamics_names_no_solve():
     # the flow and its J W eliminate in the generated code (expr.Graph.negated_solve)
     path = next(p for p in MODULES if p.stem == "dynamics")
     assert names_used(path.read_text(), SOLVES) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_definiteness_rule(path):
+    # geometry.require_positive_definite decides on pivots for every g: no
+    # eigenvalue check, and no other module raises the rule's singular error
+    wanted = ("eigvalsh",) if path.stem == "geometry" else ("eigvalsh", "SingularMatrixError")
+    assert names_used(path.read_text(), wanted) == []
 
 
 def dense_output_builds(source: str) -> list[str]:

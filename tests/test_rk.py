@@ -180,6 +180,29 @@ def test_linear_runs_match_the_stage_loop(case):
     both(f, span, y0, **kwargs)
 
 
+def test_terminal_event_cuts_the_last_step():
+    # y = (cos t, -sin t) stopped at t = pi by the upward crossing of y_2;
+    # reflected through pi it must go on as (cos t, -sin t), which needs the
+    # last step to end at the stop
+    def rotation(t, y):
+        return [y[1], -y[0]]
+
+    stop = rk.EventSpec(lambda t, y: y[1], direction=1, terminal=True)
+    run = both(rotation, (0.0, 5.0), [1.0, 0.0], events=(stop,))
+    dense = run.dense
+    assert run.ts[-1] == pytest.approx(math.pi, abs=1e-10)
+    # step k spans its two knots, up to the rounding of t + h
+    assert np.allclose(dense.h, np.diff(run.ts), rtol=1e-12, atol=0.0)
+    ts = np.linspace(run.ts[-1], 2.0 * run.ts[-1], 2001)
+    exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
+    assert np.max(np.abs(dense.reflected([1.0, -1.0])(ts) - exact)) <= 1e-10
+    # the cut step is the full step's polynomial, in values and derivative
+    inside = np.linspace(run.ts[-2], run.ts[-1], 101)
+    assert np.max(np.abs(dense(inside) - np.stack([np.cos(inside), -np.sin(inside)], 1))) <= 1e-10
+    slope = np.stack([-np.sin(inside), -np.cos(inside)], axis=1)
+    assert np.max(np.abs(dense.derivative(inside) - slope)) <= 1e-8
+
+
 def test_oscillator_run_step_counts():
     # a pin of the stepper's work: a change of tableau or controller moves it
     spec = ref.oscillator_system(ref.OscillatorSpec((1.0, math.sqrt(2.0)), 0.5))

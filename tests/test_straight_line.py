@@ -410,9 +410,9 @@ def test_x_dependent_entries_are_checked_definite():
     varying = ((parse2("x1"), ex.const(0.0)), (ex.const(0.0), ex.const(1.0)))
     with pytest.raises(FrozenInstanceError):
         model.g_exprs = varying
-    assert not model.varying
-    model = geo.MetricModel.riemannian(varying)
-    assert model.varying
+    assert geo.metric_tensor(model, [-1.0, 0.0], [1.0, 1.0]) == [[1.0, 0.0], [0.0, 1.0]]
+    model = geo.MetricModel.riemannian(varying)  # not constant: constructs, checked where evaluated
+    assert geo.metric_tensor(model, [1.0, 0.0], [1.0, 1.0]) == [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(geo.ModelValidityError, match="not positive definite"):
         geo.metric_and_spray(model, [-1.0, 0.0], [1.0, 1.0])
 
