@@ -3,16 +3,17 @@
 A :class:`SystemSpec` couples a kinetic metric model with a potential and an
 energy level.  The flow lives on the velocity chart (x, v) and runs as the
 system's straight-line code over floats (:func:`orbitlab.geometry.metric_nodes`
-plus the potential and their derivatives in every state variable, compiled
-once per system), which solves g a = -c by elimination for every metric
-(:meth:`orbitlab.expr.Graph.negated_solve`).  Its tangent J W is one generated
-function of (z, W) per column count m: :func:`tangent_rhs` on flat lists of
-floats, :func:`state_rhs_jvp` over arrays.  Each call passes the pivots of a
-g that varies with the state to geometry's one definiteness rule
-(:func:`orbitlab.geometry.require_positive_definite`); a constant g is
+plus the potential and their derivatives in every state variable), built
+once per tangent width m, which solves g a = -c by elimination for every
+metric (:meth:`orbitlab.expr.Graph.negated_solve`).  One checked right-hand
+side runs it at every width: f(z) for m = 0 (:func:`state_rhs`,
+:func:`integrate`) and (f(z), J(z) W) for a 2n x m tangent W
+(:func:`tangent_rhs`, :func:`state_rhs_jvp` over arrays).  Each call passes
+the pivots of a g that varies with the state to geometry's one definiteness
+rule (:func:`orbitlab.geometry.require_positive_definite`); a constant g is
 checked once, when its code is built.  A domain failure in the code raises
 the interpreter's error naming the subexpression
-(:meth:`orbitlab.expr.Compiled.run`); the interpreter never supplies a value
+(:func:`orbitlab.expr.name_failure`); the interpreter never supplies a value
 of the flow.  The integrator records energy drift along every trajectory but
 never corrects it.
 """
@@ -81,18 +82,18 @@ class PotentialField(ex.Compiled):
 class SystemSpec(ex.Compiled):
     """Kinetic metric + potential + fixed energy level.
 
-    The flow is straight-line code built once, on first use, from the nodes
-    (g, c) of :func:`~orbitlab.geometry.metric_nodes`, grad U added to c, and
-    U: ``parts(z)`` = (f, checks), f = [v; a] with a = -g^{-1} c, checks =
-    (g, pivots) or none for a constant g, whose folded pivots are checked at
-    build (:func:`~orbitlab.geometry.require_positive_definite`).  Per tangent
-    width m (:meth:`~orbitlab.expr.Compiled.tangent_function`), ``jvp(z, w)``
-    = (f, J W, checks), W and J W flat, row by row: J W = [W_v; DA W] with
-    DA = -g^{-1} (dc + dg a) (derivatives in z) solved with the same factors.
-    A Finsler model adds ``rest(z)`` = (a, checks) and ``rest_jvp(z, w)``,
-    z carrying -grad U for v = 0: a = -g^{-1} grad U, DA = -g^{-1} (H_U +
-    dg_x a - (dg_v a) H_U) in x and 0 in v, H_U the Hessian of U.
-    ``energy(z)`` is H = F^2 / 2 + U and ``energy_gradient(z)`` grad_z H.
+    The flow is straight-line code built once per tangent width m, on first
+    use (:meth:`~orbitlab.expr.Compiled.code`), from the nodes (g, c) of
+    :func:`~orbitlab.geometry.metric_nodes`, grad U added to c, and U.
+    ``flow`` returns [f, J W for m > 0, checks]: f = [v; a] with a = -g^{-1}
+    c; J W = [W_v; DA W] with DA = -g^{-1} (dc + dg a) (derivatives in z)
+    solved with the same factors, W and J W flat, row by row; checks = (g,
+    pivots), or none for a constant g, whose folded pivots are checked at
+    build (:func:`~orbitlab.geometry.require_positive_definite`).  A Finsler
+    model adds ``rest``, the same with a in place of f, z carrying -grad U
+    for v = 0: a = -g^{-1} grad U, DA = -g^{-1} (H_U + dg_x a - (dg_v a)
+    H_U) in x and 0 in v, H_U the Hessian of U.  Width 0 also has
+    ``energy``, H = F^2 / 2 + U, and ``energy_gradient``, grad_z H.
     """
 
     metric: MetricModel
@@ -128,7 +129,7 @@ class SystemSpec(ex.Compiled):
             checks = []
         if not graph.width:
             energy = graph.add(graph.mul(graph.const(0.5), f2), u)
-            functions = [("parts", 2 * n, [f, checks], guards), ("energy", 2 * n, energy, ()),
+            functions = [("flow", 2 * n, [f, checks], guards), ("energy", 2 * n, energy, ()),
                          ("energy_gradient", 2 * n, [graph.diff(energy, k) for k in zs], guards)]
             return functions + [("rest", 2 * n, [a_rest, checks], guards)] if rest else functions
 
@@ -142,13 +143,13 @@ class SystemSpec(ex.Compiled):
         b = dg_dot(a)
         jvp = jw([[graph.add(graph.diff(c[l], k), b[l][k]) for l in range(n)] for k in zs])
         if not rest:
-            return [("jvp", 2 * n, [f, jvp, checks], guards)]
+            return [("flow", 2 * n, [f, jvp, checks], guards)]
         b, h = dg_dot(a_rest), [[graph.diff(e, k) for k in range(n)] for e in grad_u]
         jvp_rest = jw([[graph.sub(graph.add(h[l][k], b[l][k]),
                                   graph.dot(b[l][n:], [row[k] for row in h])) for l in range(n)]
                        for k in range(n)] + [[graph.zero] * n] * n)
-        return [("jvp", 2 * n, [f, jvp, checks], guards),
-                ("rest_jvp", 2 * n, [a_rest, jvp_rest, checks], guards)]
+        return [("flow", 2 * n, [f, jvp, checks], guards),
+                ("rest", 2 * n, [a_rest, jvp_rest, checks], guards)]
 
 
 @dataclass
@@ -176,17 +177,41 @@ class PhaseState:
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def _rest_state(spec: SystemSpec, z: list):
-    """None, or at a Finsler rest point v = 0 the state (x, -grad U) for the
-    ``rest`` functions: the spray extends by zero to v = 0 (degree-2
-    homogeneity), and g is taken along -grad U, where the flow leaves."""
-    n = spec.dimension
-    if spec.metric.kind != "finsler" or any(z[n:]):
-        return None
-    grad_u = spec.potential.gradient(z[:n])
-    if not any(grad_u):
-        raise geo.ModelValidityError("Finsler flow undefined at a rest point with vanishing grad U")
-    return z[:n] + [-c for c in grad_u]
+def _flow(spec: SystemSpec, m: int):
+    """f(t, z, w), the right-hand side of a :func:`orbitlab.rk.solve_rk45`
+    run with an m-column tangent: f(z) for m = 0, else (f(z), J(z) W), z a
+    list of floats, w and J W flat.  At a Finsler rest point v = 0 it runs
+    ``rest`` at (x, -grad U): the spray extends by zero to v = 0 (degree-2
+    homogeneity), and g is taken along -grad U, where the flow leaves.  Code
+    that divided by a zero pivot before the rule saw it leaves g to the
+    rule."""
+    n, (code, trees) = spec.dimension, spec.code(m)
+    flow, rest = code["flow"], code.get("rest")
+
+    def f(t, z, w=None):
+        point, function = z, flow
+        if rest is not None and not any(z[n:]):
+            grad_u = spec.potential.gradient(z[:n])
+            if not any(grad_u):
+                raise geo.ModelValidityError(
+                    "Finsler flow undefined at a rest point with vanishing grad U")
+            point, function = z[:n] + [-c for c in grad_u], rest
+        try:
+            out = function(point, w) if m else function(point)
+        except ex.DOMAIN_FAILURES as failure:
+            ex.name_failure(trees, point)
+            if isinstance(failure, ZeroDivisionError):
+                geo.require_positive_definite(spec.metric.run("tensor", point),
+                                              "fundamental tensor")
+            raise
+        if function is rest:
+            out[0] = z[n:] + out[0]  # [v; a] with v = 0
+        checks = out[-1]
+        if checks:
+            geo.require_positive_definite(checks[0], "fundamental tensor", checks[1])
+        return (out[0], out[1]) if m else out[0]
+
+    return f
 
 
 def lagrange_rhs(spec: SystemSpec, x, v):
@@ -197,20 +222,7 @@ def lagrange_rhs(spec: SystemSpec, x, v):
 def state_rhs(spec: SystemSpec, t, z):
     """First-order form over z = (x, v).  A g unfit to solve with raises
     ``SingularMatrixError`` or ``ModelValidityError``."""
-    z = list(map(float, z))
-    at = _rest_state(spec, z)
-    try:
-        if at is None:
-            f, checks = spec.run("parts", z)
-        else:
-            a, checks = spec.run("rest", at)
-            f = z[spec.dimension:] + a
-    except ZeroDivisionError:  # a zero pivot is divided by before the rule sees it
-        geo.require_positive_definite(spec.metric.run("tensor", at or z), "fundamental tensor")
-        raise
-    if checks:
-        geo.require_positive_definite(checks[0], "fundamental tensor", checks[1])
-    return f
+    return _flow(spec, 0)(t, list(map(float, z)))
 
 
 def _tangent(spec: SystemSpec, w) -> np.ndarray:
@@ -229,30 +241,12 @@ def tangent_rhs(spec: SystemSpec, m: int):
     side of a tangent run of :func:`orbitlab.rk.solve_rk45`: w and J W are
     flat, row by row, lists of 2n m floats.  f(z) is :func:`state_rhs`'s bit
     for bit.  Every derivative of the flow (shooting, monodromy, the
-    Jacobian) comes from here: the system's ``jvp``, or at a Finsler rest
-    point ``rest_jvp``, built once per m (:class:`SystemSpec`), with g
-    checked as :func:`state_rhs` checks it."""
+    Jacobian) comes from here: the system's ``flow`` of width m, or at a
+    Finsler rest point its ``rest`` (:class:`SystemSpec`), run and checked
+    as :func:`state_rhs` runs them."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"a tangent needs a positive whole number of columns, got {m!r}")
-    n, jvp = spec.dimension, spec.tangent_function("jvp", m)
-    rest_jvp = spec.tangent_function("rest_jvp", m) if spec.metric.kind == "finsler" else None
-
-    def f(t, z, w):
-        at = _rest_state(spec, z) if rest_jvp else None
-        try:
-            if at is None:
-                fz, jw, checks = jvp(z, w)
-            else:
-                a, jw, checks = rest_jvp(at, w)
-                fz = z[n:] + a
-        except ZeroDivisionError:  # as in state_rhs
-            geo.require_positive_definite(spec.metric.run("tensor", at or z), "fundamental tensor")
-            raise
-        if checks:
-            geo.require_positive_definite(checks[0], "fundamental tensor", checks[1])
-        return fz, jw
-
-    return f
+    return _flow(spec, m)
 
 
 def state_rhs_jvp(spec: SystemSpec, z, w):
@@ -364,7 +358,7 @@ def integrate(spec: SystemSpec, initial: PhaseState, t_span, rtol: float = 1e-10
     if initial.x.size != initial.v.size:
         raise ValueError(f"state has {initial.x.size} positions and {initial.v.size} velocities")
 
-    res = rk.solve_rk45(lambda t, z: state_rhs(spec, t, z), t_span, z0, rtol=rtol, atol=atol,
+    res = rk.solve_rk45(_flow(spec, 0), t_span, z0, rtol=rtol, atol=atol,
                         events=tuple(events), dense=dense)
     energies = np.array([total_energy(spec, row[:n], row[n:]) for row in res.ys])
     drift = float(np.max(np.abs(energies - energies[0])))
@@ -383,7 +377,7 @@ def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
     """
     z0 = _state(spec, z0)
     if np.shape(w0) == (len(z0), 0):
-        res = rk.solve_rk45(lambda t, z: state_rhs(spec, t, z), (0.0, t_end), z0, dense=False)
+        res = rk.solve_rk45(_flow(spec, 0), (0.0, t_end), z0, dense=False)
         return res.ys[-1], np.zeros((len(z0), 0))
     w0 = _tangent(spec, w0)
     res = rk.solve_rk45(tangent_rhs(spec, w0.shape[1]), (0.0, t_end), z0, dense=False, w0=w0)

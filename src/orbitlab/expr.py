@@ -30,13 +30,14 @@ computed in full, so the generated code raises ``ValueError``,
 
 :class:`Compiled` is the one owner of a model's compiled code.  A model
 (the potential, the metric, the system) lists its functions over a fresh
-graph; the base builds them once, on first use, keeps them out of pickles
-and copies, and runs one by name.  Functions that also take a tangent
-matrix W are built the same way, once per column count of W, from a graph
-that names W's entries as inputs.  :meth:`Compiled.run` names a failure of
-the generated code, never answers it: it re-runs the imported trees at the
-failing point through :func:`evaluate` and :func:`eval_dual`, whose errors
-name the subexpression.
+graph of a tangent width m: m = 0 for functions of z alone, m > 0 for
+functions that also take a 2n x m tangent matrix W, whose entries the graph
+names as inputs.  The base builds them once per width, on first use, keeps
+them in one cache out of pickles and copies, and runs a width-0 function by
+name.  A failure of the generated code (one of :data:`DOMAIN_FAILURES`) is
+named, never answered: :func:`name_failure` re-runs the imported trees at
+the failing point through :func:`evaluate` and :func:`eval_dual`, whose
+errors name the subexpression.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ __all__ = [
     "EvalDomainError",
     "Graph",
     "Compiled",
+    "DOMAIN_FAILURES",
+    "name_failure",
     "parse",
     "to_source",
     "variables_of",
@@ -74,7 +77,8 @@ __all__ = [
 ]
 
 
-_DOMAIN_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
+# what float arithmetic raises where a tree leaves its domain
+DOMAIN_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class ExprError(Exception):
@@ -609,7 +613,7 @@ def evaluate(node: ExprNode, values):
         return _OPS[node.op](*args)
     except EvalDomainError:
         raise
-    except _DOMAIN_FAILURES as exc:
+    except DOMAIN_FAILURES as exc:
         raise EvalDomainError(str(exc), node) from exc
 
 
@@ -673,7 +677,7 @@ class Graph:
     def __init__(self, dimension: int, width: int = 0):
         self.dimension = dimension
         self.width = width
-        self.trees: list[ExprNode] = []  # imported by :meth:`tree`, for :meth:`Compiled.run`
+        self.trees: list[ExprNode] = []  # imported by :meth:`tree`, for :func:`name_failure`
         self.ops: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         self._diffs: dict[tuple[int, int], int] = {}
@@ -715,7 +719,7 @@ class Graph:
         if None not in args:
             try:
                 return self.const(_OPS[op](*args))
-            except _DOMAIN_FAILURES:
+            except DOMAIN_FAILURES:
                 pass  # left to run time, where it raises as the interpreter does
         return self._node(op, a, b)
 
@@ -947,70 +951,50 @@ class Compiled:
 
     A subclass has a ``dimension`` and lists its functions in
     ``_functions(graph)``, as :meth:`Graph.source` takes them, with nodes of
-    ``graph``, a fresh :class:`Graph` of that dimension.  They are built once,
-    on first use, and left out of pickles and copies, which build them again
-    when used.  Asked for a graph of width m > 0, ``_functions`` lists the
-    functions of (z, W) for a 2n x m tangent W; :meth:`tangent_function`
-    builds them once per m, on first use, and keeps them as ``_code``.
+    ``graph``, a fresh :class:`Graph` of that dimension and of a tangent
+    width m >= 0.  :meth:`code` builds them once per width, on first use, and
+    keeps them in ``_code``, which pickles and copies leave out and build
+    again when used.  A function of width m > 0 takes (z, w), W a 2n x m
+    tangent, flat, row by row.
     """
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("_code", "_tangent_code")}
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
     @cached_property
-    def _code(self):
-        """(functions by name, the trees the graph imported)."""
-        return self._build(0)
-
-    @cached_property
-    def _tangent_code(self) -> dict:
-        """``_code`` of each tangent width built so far."""
+    def _code(self) -> dict:
+        """:meth:`code` of each width built so far."""
         return {}
 
-    def _build(self, width: int):
-        graph = Graph(self.dimension, width)
-        return graph.build(self._functions(graph)), graph.trees
+    def code(self, m: int = 0):
+        """(functions by name, the trees the graph imported) of width m."""
+        built = self._code.get(m)
+        if built is None:
+            graph = Graph(self.dimension, m)
+            built = self._code[m] = graph.build(self._functions(graph)), graph.trees
+        return built
 
     def run(self, name: str, z: list):
-        """Function ``name`` at the floats ``z``.
+        """Function ``name`` of width 0 at the floats ``z``.
 
-        A domain failure of the generated code is named, never answered: the
-        imported trees are re-run at z by :func:`evaluate`, then by
-        :func:`eval_dual` of order 1 and of order 2, and the first
-        :class:`EvalDomainError` is raised.  If none raises, the original
-        exception propagates; so does a failure that only a third derivative
-        meets (the flow's tangent holds third derivatives of F^2).
+        A domain failure of the generated code is named, never answered
+        (:func:`name_failure`); if the interpreter meets none, the original
+        exception propagates.
         """
-        code, trees = self._code
+        code, trees = self.code()
         try:
             return code[name](z)
-        except _DOMAIN_FAILURES:
-            _name_failure(trees, z)
+        except DOMAIN_FAILURES:
+            name_failure(trees, z)
             raise
 
-    def tangent_function(self, name: str, m: int):
-        """Function ``name`` of (z, w) for a 2n x m tangent, w flat, row by
-        row, built for m on first use; a domain failure is named as
-        :meth:`run` names it (the tangent enters only sums of products)."""
-        built = self._tangent_code.get(m)
-        if built is None:
-            built = self._tangent_code[m] = self._build(m)
-        code, trees = built
-        function = code[name]
 
-        def call(z, w):
-            try:
-                return function(z, w)
-            except _DOMAIN_FAILURES:
-                _name_failure(trees, z)
-                raise
-
-        return call
-
-
-def _name_failure(trees, z):
+def name_failure(trees, z):
     """Raise the first :class:`EvalDomainError` the interpreter meets on
-    ``trees`` at z, in values, then first and second derivatives."""
+    ``trees`` at z: they are re-run by :func:`evaluate`, then by
+    :func:`eval_dual` of order 1 and of order 2.  Return if none raises, as
+    for a failure that only a third derivative meets (the flow's tangent
+    holds third derivatives of F^2); the caller re-raises its own."""
     for tree in trees:
         evaluate(tree, z)
     for order in (1, 2):

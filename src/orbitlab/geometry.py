@@ -21,6 +21,7 @@ compiled routines and :func:`solve_linear` run over floats only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,19 @@ def require_positive_definite(g, what: str, pivots=None):
     definiteness rule: each pivot of its elimination without row swaps
     (``pivots``, in order; by default :func:`solve_linear`'s) must exceed
     1e-14 max |g_ij|, else :class:`SingularMatrixError`, and be positive,
-    else :class:`ModelValidityError` naming ``what`` and the pivot."""
+    else :class:`ModelValidityError` naming ``what`` and the pivot.  A NaN
+    pivot or floor fails the first comparison; a g with a non-finite entry
+    raises :class:`ModelValidityError` naming the entry."""
     if pivots is None:
         pivots = _eliminate(g, [0.0] * len(g))[1]
     floor = 1e-14 * max(abs(e) for row in g for e in row)
     for p in pivots:
-        if abs(p) <= floor:
+        if not abs(p) > floor:
+            for i, row in enumerate(g):
+                for j, e in enumerate(row):
+                    if not math.isfinite(e):
+                        raise ModelValidityError(
+                            f"{what} has a non-finite entry ({i + 1}, {j + 1}): {e!r}")
             raise SingularMatrixError(f"{what} is singular to working precision")
         if p < 0.0:
             raise ModelValidityError(f"{what} is not positive definite (pivot {p:.3e})")
@@ -201,10 +209,11 @@ class MetricModel(ex.Compiled):
             raise ModelValidityError(f"unknown metric kind {self.kind!r}")
 
     def _functions(self, graph):
-        """Functions "f2" (F^2), "tensor" (g) and "parts" ((g, c)) of z = (x, v)."""
+        """Functions "f2" (F^2), "tensor" (g) and "g_and_c" ((g, c)) of z = (x, v)."""
         f2, g, c = metric_nodes(graph, self)
         arity = 2 * self.dimension
-        return [("f2", arity, f2, ()), ("tensor", arity, g, (f2,)), ("parts", arity, [g, c], (f2,))]
+        return [("f2", arity, f2, ()), ("tensor", arity, g, (f2,)),
+                ("g_and_c", arity, [g, c], (f2,))]
 
     # -- constructors --------------------------------------------------------
 
@@ -340,7 +349,7 @@ def metric_and_spray(model: MetricModel, x, v):
     :func:`solve_linear`'s elimination, whose pivots check every g.
     """
     _require_nonzero_v(model, v)
-    g, c = model.run("parts", [*map(float, x), *map(float, v)])
+    g, c = model.run("g_and_c", [*map(float, x), *map(float, v)])
     s, pivots = _eliminate(g, c)
     require_positive_definite(g, "fundamental tensor", pivots)
     return g, [0.5 * e for e in s]

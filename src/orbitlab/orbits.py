@@ -39,7 +39,6 @@ Physica D 112 (1998)).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,6 @@ __all__ = [
     "PeriodicOrbit",
     "MonodromyReport",
     "PreconditionError",
-    "TransversalityError",
     "ConvergenceError",
     "ShootingSingularError",
     "UnsupportedModelError",
@@ -86,10 +84,6 @@ _PROJECT_MAX_ITER = 50  # Newton steps of the projection onto {U = E}
 
 
 class PreconditionError(OrbitLabError):
-    pass
-
-
-class TransversalityError(PreconditionError):
     pass
 
 
@@ -373,13 +367,14 @@ def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
     return float(ts[k[0] + 2]) if k.size else None
 
 
-def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> PeriodicOrbit:
+def find_rotation(spec: SystemSpec, seed: PhaseState) -> PeriodicOrbit:
     """Locate a rotation by first-return shooting.
 
-    Unknowns: position on the section hyperplane, velocity direction (the
-    magnitude is slaved to the energy level, see :func:`_rotation_chart`),
-    and the return time.  Closure is solved in the least-squares sense;
-    energy conservation makes one of the 2n closure equations redundant.
+    Unknowns: position on the section hyperplane (through the seed, normal
+    to its velocity), velocity direction (the magnitude is slaved to the
+    energy level, see :func:`_rotation_chart`), and the return time.
+    Closure is solved in the least-squares sense; energy conservation makes
+    one of the 2n closure equations redundant.
     """
     n = spec.dimension
     x_anchor = _finite_vector("seed.x", seed.x, n)
@@ -394,16 +389,8 @@ def find_rotation(spec: SystemSpec, seed: PhaseState, section_normal=None) -> Pe
     speed = float(np.linalg.norm(v_anchor))
     if speed <= 1e-12:
         raise PreconditionError("rotation seed needs a nonzero velocity")
-    normal = (
-        v_anchor / speed
-        if section_normal is None
-        else _finite_vector("section_normal", section_normal, n)
-    )
-    if not np.any(normal):
-        raise PreconditionError("section_normal must be nonzero")
-    normal = normal / np.linalg.norm(normal)
-    if abs(float(np.dot(normal, v_anchor))) <= 1e-6 * speed:
-        raise TransversalityError("seed velocity is tangent to the section")
+    normal = v_anchor / speed
+    normal = normal / np.linalg.norm(normal)  # again: the orbit found takes these bits
 
     scale = 1.0 + float(np.linalg.norm(np.concatenate([x_anchor, v_anchor])))
 
@@ -495,28 +482,24 @@ def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
 # Monodromy
 # ---------------------------------------------------------------------------
 
-def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> MonodromyReport:
+def monodromy(spec: SystemSpec, orbit: PeriodicOrbit) -> MonodromyReport:
     """Fundamental solution of the variational equations over the period.
 
     M' = J(z) M with M(0) = I is one tangent run at the integrator's default
     tolerances, with M under step-size control: a ridge rotation of the
     cosine torus is a straight line, and error control on the orbit alone
-    takes so few steps there that det M drifts from 1.  A brake orbit at
-    ``periods`` = 1 runs over the half period only.  It starts at rest, z0 =
+    takes so few steps there that det M drifts from 1.  A brake orbit runs
+    over the half period only.  It starts at rest, z0 =
     R z0 for the reversor R = diag(I, -I), and R maps the flow to its time
     reversal, so the second half is the first run backwards in R and M = R
     A^{-1} R A with A = W(T/2) (Lamb & Roberts, Physica D 112 (1998)); det M
     = 1 then holds by construction, and ``flow_defect`` checks M instead.
-    Several periods run in full, so their M is an integration of its own and
-    not a power of one period's.
 
     The trivial multiplicity is the nullity of (M - I)^2 (Jordan blocks of the
     multiplier 1 up to size 2), not a count of eigenvalues near 1: round-off
     delta splits a 2 x 2 block's eigenvalue by ~sqrt(delta) (Moro, Burke &
     Overton, SIAM J. Matrix Anal. Appl. 18 (1997)).
     """
-    if isinstance(periods, bool) or not isinstance(periods, numbers.Integral) or periods < 1:
-        raise PreconditionError(f"periods must be a positive integer, got {periods!r}")
     if spec != orbit.spec:
         raise PreconditionError("the orbit belongs to another system")
     n = spec.dimension
@@ -528,10 +511,10 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit, periods: int = 1) -> Monod
     if orbit.kind == "brake" and np.any(z0[n:]):
         raise PreconditionError("a brake orbit starts at rest")
     dim = 2 * n
-    half = orbit.kind == "brake" and periods == 1
+    half = orbit.kind == "brake"
     res = rk.solve_rk45(
         tangent_rhs(spec, dim),
-        (0.0, orbit.period / 2 if half else periods * orbit.period),
+        (0.0, orbit.period / 2 if half else orbit.period),
         z0, dense=False, w0=np.eye(dim), control_tangent=True,
     )
     matrix = res.w_final

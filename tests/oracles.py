@@ -440,7 +440,7 @@ def interpreted_acceleration(spec, x, v):
 
 @dataclass(frozen=True)
 class _SolvedFlow(ex.Compiled):
-    """A system's flow functions ``parts`` = (g, c) and ``tangent`` =
+    """A system's flow functions ``g_and_c`` = (g, c) and ``tangent`` =
     (g, c, dg, dc) for every metric kind, as ``SystemSpec`` built them before
     a constant metric's inverse was folded into its code."""
 
@@ -458,7 +458,7 @@ class _SolvedFlow(ex.Compiled):
         zs = range(2 * n)
         dg = [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
         dc = [[graph.diff(e, k) for k in zs] for e in c]
-        return [("parts", 2 * n, [g, c], (f2, u)), ("tangent", 2 * n, [g, c, dg, dc], (f2, u))]
+        return [("g_and_c", 2 * n, [g, c], (f2, u)), ("tangent", 2 * n, [g, c, dg, dc], (f2, u))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,7 +466,7 @@ def _solved_flow(spec: SystemSpec) -> _SolvedFlow:
     return _SolvedFlow(spec)
 
 
-def _solved_acceleration(spec, z: list, name: str = "parts"):
+def _solved_acceleration(spec, z: list, name: str = "g_and_c"):
     """``dynamics._acceleration`` as it was before the fold: g a = -c solved
     by ``geo.solve_linear`` at every call, for every metric."""
     n = spec.dimension
@@ -579,9 +579,9 @@ def folded_state_rhs_jvp(spec, z, w):
 
 
 def inverse_fold_source(spec, width: int = 0) -> str:
-    """``expr.Graph.source`` of a constant metric's ``parts`` (width 0) or
-    ``jvp`` (width m) as ``SystemSpec`` built them when it inverted g once,
-    at build time, and folded g^{-1} into the code: a = -g^{-1} c and
+    """``expr.Graph.source`` of a constant metric's ``flow`` of width 0 or m
+    as ``SystemSpec`` built it when it inverted g once, at build time, and
+    folded g^{-1} into the code: a = -g^{-1} c and
     DA = -g^{-1} dc as sums of products with constants, which for g = I fold
     to -c and -dc; J W = [W_v; DA W] expanded entry by entry."""
     n = spec.dimension
@@ -597,14 +597,14 @@ def inverse_fold_source(spec, width: int = 0) -> str:
         return [graph.neg(functools.reduce(graph.add, map(graph.mul, map(graph.const, row), b)))
                 for row in g_inv]
 
-    parts = [graph.var(n + i) for i in range(n)] + minus_g_inv(c)
+    f = [graph.var(n + i) for i in range(n)] + minus_g_inv(c)
     if not width:
-        return graph.source([("parts", 2 * n, parts, (f2, u))])
+        return graph.source([("flow", 2 * n, f, (f2, u))])
     da = list(zip(*[minus_g_inv(column) for column in zip(*dc)]))
     w = graph.tangent()
     jw = [e for row in w[n:] for e in row]
     jw += [graph.dot(row, column) for row in da for column in zip(*w)]
-    return graph.source([("jvp", 2 * n, [parts, jw], (f2, u))])
+    return graph.source([("flow", 2 * n, [f, jw], (f2, u))])
 
 
 def inlined_source(source: str, name: str) -> tuple[list[str], str]:

@@ -689,7 +689,7 @@ class TestConstantMetricFold:
     def test_spd_fold_matches_solve_route(self, system):
         spec = system()
         zero = [0.0] * (2 * spec.dimension)
-        assert spec.metric.kind == "riemannian" and spec.run("parts", zero)[1] == []  # g folded
+        assert spec.metric.kind == "riemannian" and spec.run("flow", zero)[1] == []  # g folded
         for z, w in self.points(spec, 7):
             f, jw = dyn.state_rhs_jvp(spec, z, w)
             f_ref, jw_ref = solved_state_rhs_jvp(spec, z, w)
@@ -744,22 +744,28 @@ class TestConstantMetricFold:
 
     def test_constant_metric_tangent_runs_are_generated(self, monkeypatch):
         # shooting (m = 1) and monodromy (m = 4) never take the numpy J W,
-        # which runs the flow's ``tangent``, and build one function per width
+        # which runs the flow's ``tangent``, and build one flow per width
         spec = oscillator()
         builds, runs = collections.Counter(), collections.Counter()
-        build, run = ex.Compiled._build, ex.Compiled.run
-        monkeypatch.setattr(ex.Compiled, "_build", lambda self, width: (
-            builds.update([(type(self).__name__, width)]) or build(self, width)))
-        monkeypatch.setattr(ex.Compiled, "run", lambda self, name, z: (
-            runs.update([name]) or run(self, name, z)))
+        build = ex.Graph.build
+
+        def counted(key, function):
+            return lambda *args: runs.update([key]) or function(*args)
+
+        def counted_build(graph, functions):
+            code = build(graph, functions)
+            builds.update([(tuple(code), graph.width)])
+            return {name: counted((name, graph.width), f) for name, f in code.items()}
+
+        monkeypatch.setattr(ex.Graph, "build", counted_build)
         for _ in range(2):
             orbit = orb.find_brake(spec, [1.01, 0.02])
             orb.monodromy(spec, orbit)
-        assert runs["tangent"] == 0 and runs["parts"] > 0
-        assert {k: v for k, v in builds.items() if k[0] == "SystemSpec"} == {
-            ("SystemSpec", 0): 1, ("SystemSpec", 1): 1, ("SystemSpec", 4): 1,
+        assert runs["tangent", 0] == 0 and runs["flow", 0] > 0
+        assert {width: v for (names, width), v in builds.items() if "flow" in names} == {
+            0: 1, 1: 1, 4: 1,
         }
-        assert sorted(spec._tangent_code) == [1, 4]
+        assert sorted(spec._code) == [0, 1, 4]
 
 
 def u_with_cross_terms():
@@ -831,13 +837,13 @@ class TestGeneratedJW:
         spec = sheared_torus()
         z, w = [0.3, -0.2, 0.7, 0.4], np.arange(8.0).reshape(4, 2) - 3.5
         f, jw = dyn.state_rhs_jvp(spec, z, w)
-        assert sorted(spec._tangent_code) == [2]
+        assert sorted(spec._code) == [2]
         clone = pickle.loads(pickle.dumps(spec))
-        assert "_tangent_code" not in vars(clone) and "_code" not in vars(clone)
+        assert "_code" not in vars(clone)
         assert clone == spec
         f_clone, jw_clone = dyn.state_rhs_jvp(clone, z, w)
         assert bits(f_clone) == bits(f) and bits(jw_clone) == bits(jw)
-        assert sorted(clone._tangent_code) == [2]
+        assert sorted(clone._code) == [2]
 
     def test_domain_failure_is_named(self):
         spec = dyn.SystemSpec(geo.MetricModel.euclidean(1), ex.parse("sqrt(x1)", 1), 1.0)
@@ -925,10 +931,10 @@ class TestOneRoute:
         # build time, and their checks are none
         spec = GENERATED_JW_SYSTEMS[name]()
         n = spec.dimension
-        for width, function in ((0, "parts"), (1, "jvp"), (2 * n, "jvp")):
+        for width in (0, 1, 2 * n):
             graph = ex.Graph(n, width)
-            lines, returned = inlined_source(graph.source(spec._functions(graph)), function)
-            fold_lines, fold_returned = inlined_source(inverse_fold_source(spec, width), function)
+            lines, returned = inlined_source(graph.source(spec._functions(graph)), "flow")
+            fold_lines, fold_returned = inlined_source(inverse_fold_source(spec, width), "flow")
             assert lines == fold_lines
             assert returned == (f"{fold_returned[:-1]}, []]" if width else f"[{fold_returned}, []]")
 
@@ -947,6 +953,8 @@ class TestPivots:
             lambda: dyn.state_rhs(spec, 0.0, z),
             lambda: dyn.state_rhs_jvp(spec, z, np.ones((4, 1))),
             lambda: dyn.rhs_jacobian(spec, z),
+            lambda: dyn.integrate(spec, PhaseState.from_flat(z), (0.0, 1.0)),
+            lambda: dyn.integrate_sensitivity(spec, z, np.ones((4, 1)), 1.0),
         ]
 
     def test_negative_pivot_is_named(self):
@@ -991,6 +999,38 @@ class TestPivots:
         assert dyn.state_rhs(spec, 0.0, z) == [0.0, 1.0, -0.3, -0.2]
         with pytest.raises(ZeroDivisionError, match="0.0 cannot be raised to a negative power"):
             dyn.state_rhs_jvp(spec, z, np.eye(4))
+
+    def test_non_finite_entry_is_named(self):
+        # g_11 = 1 + (x1 1e308) 10 - (x1 1e308) 10 is inf - inf = NaN at x1 = 1;
+        # every comparison with a NaN pivot or floor is false
+        entry = ex.parse("1 + (x1*1e308)*10 - (x1*1e308)*10", 2)
+        metric = geo.MetricModel.riemannian([[entry, ex.const(0.0)], [None, ex.const(1.0)]])
+        spec = dyn.SystemSpec(metric, ex.parse("x2^2", 2), 1.0)
+        x, v = [1.0, 0.5], [1.0, 1.0]
+        assert geo.metric_tensor(metric, [0.0, 0.5], v) == [[1.0, 0.0], [0.0, 1.0]]
+        for route in [lambda: geo.metric_tensor(metric, x, v),
+                      lambda: geo.geodesic_coefficients(metric, x, v)] + self.routes(spec, x + v):
+            with pytest.raises(geo.ModelValidityError,
+                               match=r"fundamental tensor has a non-finite entry \(1, 1\): nan"):
+                route()
+
+
+class TestInputChecks:
+    def test_potential_takes_positions_only(self):
+        with pytest.raises(geo.ModelValidityError, match="position variables only"):
+            dyn.PotentialField(ex.parse("x1 + v1", 1), 1)
+
+    def test_energy_level_is_finite(self):
+        with pytest.raises(geo.ModelValidityError, match="energy level must be finite"):
+            dyn.SystemSpec(geo.MetricModel.euclidean(1), ex.parse("x1^2", 1), float("nan"))
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_finsler_rest_point_needs_a_slope(self, m):
+        # at v = 0 the flow leaves along -grad U, which vanishes at x = 0
+        spec, z = quartic_finsler_well(), [0.0] * 4
+        with pytest.raises(geo.ModelValidityError,
+                           match="Finsler flow undefined at a rest point with vanishing grad U"):
+            dyn.state_rhs_jvp(spec, z, np.ones((4, m))) if m else dyn.state_rhs(spec, 0.0, z)
 
 
 def test_from_flat_needs_an_even_length():
