@@ -6,13 +6,16 @@ system's straight-line code over floats (:func:`orbitlab.geometry.metric_nodes`
 plus the potential and their derivatives in every state variable), built
 once per tangent width m, which solves g a = -c by elimination for every
 metric (:meth:`orbitlab.expr.Graph.negated_solve`).  One checked right-hand
-side runs it at every width: f(z) for m = 0 (:func:`state_rhs`,
-:func:`integrate`) and (f(z), J(z) W) for a 2n x m tangent W
-(:func:`tangent_rhs`, :func:`state_rhs_jvp` over arrays).  Each call passes
-the pivots of a g that varies with the state to geometry's one definiteness
-rule (:func:`orbitlab.geometry.require_positive_definite`); a constant g is
-checked once, when its code is built.  A domain failure in the code raises
-the interpreter's error naming the subexpression
+side runs it at every width, on one flat state: f(z) for m = 0
+(:func:`state_rhs`, :func:`integrate`) and [f(z); J(z) W] for y = [z; W row
+by row], W a 2n x m tangent (:func:`tangent_rhs`,
+:func:`integrate_sensitivity`, :func:`state_rhs_jvp` over arrays).
+:func:`state_rhs` and :func:`state_rhs_jvp` name a non-finite entry of their
+result; in a run the integrator names the stage that made it.  Each call
+passes the pivots of a g that varies with the state to geometry's one
+definiteness rule (:func:`orbitlab.geometry.require_positive_definite`); a
+constant g is checked once, when its code is built.  A domain failure in the
+code raises the interpreter's error naming the subexpression
 (:func:`orbitlab.expr.name_failure`); the interpreter never supplies a value
 of the flow.  The integrator records energy drift along every trajectory but
 never corrects it.
@@ -20,6 +23,7 @@ never corrects it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,11 +89,13 @@ class SystemSpec(ex.Compiled):
     The flow is straight-line code built once per tangent width m, on first
     use (:meth:`~orbitlab.expr.Compiled.code`), from the nodes (g, c) of
     :func:`~orbitlab.geometry.metric_nodes`, grad U added to c, and U.
-    ``flow`` returns [f, J W for m > 0, checks]: f = [v; a] with a = -g^{-1}
-    c; J W = [W_v; DA W] with DA = -g^{-1} (dc + dg a) (derivatives in z)
-    solved with the same factors, W and J W flat, row by row; checks = (g,
-    pivots), or none for a constant g, whose folded pivots are checked at
-    build (:func:`~orbitlab.geometry.require_positive_definite`).  A Finsler
+    A function of width m takes z = (x, v) followed by W row by row, flat.
+    ``flow`` returns [f + J W, checks], f followed for m > 0 by J W in one
+    flat list: f = [v; a] with a = -g^{-1} c; J W = [W_v; DA W] row by row,
+    DA = -g^{-1} (dc + dg a) (derivatives in z) solved with the same
+    factors; checks = (g, pivots), or none for a constant g, whose folded
+    pivots are checked at build
+    (:func:`~orbitlab.geometry.require_positive_definite`).  A Finsler
     model adds ``rest``, the same with a in place of f, z carrying -grad U
     for v = 0: a = -g^{-1} grad U, DA = -g^{-1} (H_U + dg_x a - (dg_v a)
     H_U) in x and 0 in v, H_U the Hessian of U.  Width 0 also has
@@ -143,13 +149,13 @@ class SystemSpec(ex.Compiled):
         b = dg_dot(a)
         jvp = jw([[graph.add(graph.diff(c[l], k), b[l][k]) for l in range(n)] for k in zs])
         if not rest:
-            return [("flow", 2 * n, [f, jvp, checks], guards)]
+            return [("flow", 2 * n, [f + jvp, checks], guards)]
         b, h = dg_dot(a_rest), [[graph.diff(e, k) for k in range(n)] for e in grad_u]
         jvp_rest = jw([[graph.sub(graph.add(h[l][k], b[l][k]),
                                   graph.dot(b[l][n:], [row[k] for row in h])) for l in range(n)]
                        for k in range(n)] + [[graph.zero] * n] * n)
-        return [("flow", 2 * n, [f, jvp, checks], guards),
-                ("rest", 2 * n, [a_rest, jvp_rest, checks], guards)]
+        return [("flow", 2 * n, [f + jvp, checks], guards),
+                ("rest", 2 * n, [a_rest + jvp_rest, checks], guards)]
 
 
 @dataclass
@@ -178,40 +184,46 @@ class PhaseState:
 # ---------------------------------------------------------------------------
 
 def _flow(spec: SystemSpec, m: int):
-    """f(t, z, w), the right-hand side of a :func:`orbitlab.rk.solve_rk45`
-    run with an m-column tangent: f(z) for m = 0, else (f(z), J(z) W), z a
-    list of floats, w and J W flat.  At a Finsler rest point v = 0 it runs
-    ``rest`` at (x, -grad U): the spray extends by zero to v = 0 (degree-2
-    homogeneity), and g is taken along -grad U, where the flow leaves.  Code
-    that divided by a zero pivot before the rule saw it leaves g to the
-    rule."""
+    """f(t, y), the right-hand side of a :func:`orbitlab.rk.solve_rk45` run
+    of y = [z; W row by row] for a 2n x m tangent W: [f(z); J(z) W] flat, a
+    list of floats, and f(z) for m = 0.  At a Finsler rest point v = 0 it
+    runs ``rest`` at (x, -grad U) with W passed through: the spray extends
+    by zero to v = 0 (degree-2 homogeneity), and g is taken along -grad U,
+    where the flow leaves.  Code that divided by a zero pivot before the
+    rule saw it leaves g to the rule."""
     n, (code, trees) = spec.dimension, spec.code(m)
     flow, rest = code["flow"], code.get("rest")
 
-    def f(t, z, w=None):
-        point, function = z, flow
-        if rest is not None and not any(z[n:]):
-            grad_u = spec.potential.gradient(z[:n])
+    def f(t, y):
+        point, function = y, flow
+        if rest is not None and not any(y[n:2 * n]):
+            grad_u = spec.potential.gradient(y[:n])
             if not any(grad_u):
                 raise geo.ModelValidityError(
                     "Finsler flow undefined at a rest point with vanishing grad U")
-            point, function = z[:n] + [-c for c in grad_u], rest
+            point, function = y[:n] + [-c for c in grad_u] + y[2 * n:], rest
         try:
-            out = function(point, w) if m else function(point)
+            out, checks = function(point)
         except ex.DOMAIN_FAILURES as failure:
-            ex.name_failure(trees, point)
+            z = point[:2 * n]
+            ex.name_failure(trees, z)
             if isinstance(failure, ZeroDivisionError):
-                geo.require_positive_definite(spec.metric.run("tensor", point),
-                                              "fundamental tensor")
+                geo.require_positive_definite(spec.metric.run("tensor", z), "fundamental tensor")
             raise
-        if function is rest:
-            out[0] = z[n:] + out[0]  # [v; a] with v = 0
-        checks = out[-1]
         if checks:
             geo.require_positive_definite(checks[0], "fundamental tensor", checks[1])
-        return (out[0], out[1]) if m else out[0]
+        return y[n:2 * n] + out if function is rest else out  # [v; a] with v = 0
 
     return f
+
+
+def _finite(out: list, z: list) -> list:
+    """``out``, a flow's values at the state z, checked finite: else
+    ``ModelValidityError`` naming the first non-finite entry and z."""
+    for k, value in enumerate(out):
+        if not math.isfinite(value):
+            raise geo.ModelValidityError(f"flow entry {k} is {value!r} at the state {z!r}")
+    return out
 
 
 def lagrange_rhs(spec: SystemSpec, x, v):
@@ -221,26 +233,30 @@ def lagrange_rhs(spec: SystemSpec, x, v):
 
 def state_rhs(spec: SystemSpec, t, z):
     """First-order form over z = (x, v).  A g unfit to solve with raises
-    ``SingularMatrixError`` or ``ModelValidityError``."""
-    return _flow(spec, 0)(t, list(map(float, z)))
+    ``SingularMatrixError`` or ``ModelValidityError``, and so does a
+    non-finite entry of the result."""
+    z = list(map(float, z))
+    return _finite(_flow(spec, 0)(t, z), z)
 
 
-def _tangent(spec: SystemSpec, w) -> np.ndarray:
-    """W as a float array, checked to be 2n x m with m >= 1."""
+def _tangent(spec: SystemSpec, w, columns: int = 1) -> np.ndarray:
+    """W as a float array, checked finite and 2n x m with m >= ``columns``."""
     w, rows = np.asarray(w, dtype=float), 2 * spec.dimension
-    if w.ndim != 2 or w.shape[0] != rows or w.shape[1] == 0:
+    if w.ndim != 2 or w.shape[0] != rows or w.shape[1] < columns:
         raise ValueError(
             f"tangent has shape {w.shape}; a system of dimension {spec.dimension} needs "
-            f"{rows} x m with m >= 1"
+            f"{rows} x m with m >= {columns}"
         )
+    if not np.all(np.isfinite(w)):
+        raise ValueError("the tangent must be finite")
     return w
 
 
 def tangent_rhs(spec: SystemSpec, m: int):
-    """f(t, z, w) = (f(z), J(z) W) for a 2n x m tangent W, the right-hand
-    side of a tangent run of :func:`orbitlab.rk.solve_rk45`: w and J W are
-    flat, row by row, lists of 2n m floats.  f(z) is :func:`state_rhs`'s bit
-    for bit.  Every derivative of the flow (shooting, monodromy, the
+    """f(t, y) = [f(z); J(z) W] for y = [z; W row by row], W 2n x m: the
+    right-hand side of a tangent run of :func:`orbitlab.rk.solve_rk45`, a
+    flat list of 2n (1 + m) floats.  f(z) is :func:`state_rhs`'s bit for
+    bit, unchecked.  Every derivative of the flow (shooting, monodromy, the
     Jacobian) comes from here: the system's ``flow`` of width m, or at a
     Finsler rest point its ``rest`` (:class:`SystemSpec`), run and checked
     as :func:`state_rhs` runs them."""
@@ -251,10 +267,12 @@ def tangent_rhs(spec: SystemSpec, m: int):
 
 def state_rhs_jvp(spec: SystemSpec, z, w):
     """(f(z), J(z) W) for a 2n x m tangent array W: :func:`tangent_rhs`
-    over arrays.  A state or tangent of the wrong shape raises ``ValueError``."""
+    over arrays, its entries checked finite as :func:`state_rhs` checks
+    them (entry k of [f; J W row by row]).  A state or tangent of the wrong
+    shape, or a tangent that is not finite, raises ``ValueError``."""
     z, w = _state(spec, z), _tangent(spec, w)
-    f, jw = tangent_rhs(spec, w.shape[1])(0.0, z, w.ravel().tolist())
-    return f, np.reshape(jw, w.shape)
+    out = _finite(tangent_rhs(spec, w.shape[1])(0.0, z + w.ravel().tolist()), z)
+    return out[:len(z)], np.reshape(out[len(z):], w.shape)
 
 
 def rhs_jacobian(spec: SystemSpec, z):
@@ -368,17 +386,14 @@ def integrate(spec: SystemSpec, initial: PhaseState, t_span, rtol: float = 1e-10
 def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):
     """Flow z0 over (0, t_end) with a 2n x m tangent; returns (z, W) at t_end.
 
-    W(t_end) = D phi(z0) W0, where phi is the discrete solution map along the
-    accepted steps.  It runs at the integrator's default tolerances, and
-    step-size control sees the state only, so the steps are those of the
-    plain run and W is the exact derivative Newton needs.  A 2n x 0 tangent
-    (a chart with no coordinates, as of a one-dimensional system) takes
-    that plain run.
+    One run of [z; W row by row] at the integrator's default tolerances,
+    whose step-size control sees z only (``control`` = 2n): z takes the
+    steps of the plain run, and W(t_end) = D phi(z0) W0 is the exact
+    derivative of the discrete solution map phi along them that Newton
+    needs.  A 2n x 0 tangent (a chart with no coordinates, as of a
+    one-dimensional system) makes it the plain run.
     """
-    z0 = _state(spec, z0)
-    if np.shape(w0) == (len(z0), 0):
-        res = rk.solve_rk45(_flow(spec, 0), (0.0, t_end), z0, dense=False)
-        return res.ys[-1], np.zeros((len(z0), 0))
-    w0 = _tangent(spec, w0)
-    res = rk.solve_rk45(tangent_rhs(spec, w0.shape[1]), (0.0, t_end), z0, dense=False, w0=w0)
-    return res.ys[-1], res.w_final
+    z0, w0 = _state(spec, z0), _tangent(spec, w0, columns=0)
+    res = rk.solve_rk45(_flow(spec, w0.shape[1]), (0.0, t_end), z0 + w0.ravel().tolist(),
+                        dense=False, control=len(z0))
+    return res.ys[-1, :len(z0)], np.reshape(res.ys[-1, len(z0):], w0.shape)

@@ -665,8 +665,8 @@ class Graph:
 
     A graph of ``width`` m > 0 also has the entries of a 2n x m tangent W as
     inputs: variable 2n + i m + j is W's entry (i, j), named ``w<i>_<j>``
-    (:meth:`tangent`), and every function it builds takes (z, w), w being W
-    flat, row by row.
+    (:meth:`tangent`), and every function it builds takes them after its
+    own variables, in one flat z.
 
     :meth:`tree` imports a tree as it stands, folding only constant-only
     subtrees, so every domain check of the tree runs in the generated code.
@@ -904,10 +904,10 @@ class Graph:
     def source(self, functions) -> str:
         """Python source of ``functions``: (name, arity, result, guards) each.
 
-        A function takes a sequence of ``arity`` variables, and W flat for a
-        graph of nonzero width, and returns ``result``, a node or a nested
-        list of nodes.  ``guards`` are nodes computed and dropped, for their
-        domain checks.
+        A function takes one sequence z of its ``arity`` variables followed,
+        for a graph of nonzero width, by W's entries row by row, and returns
+        ``result``, a node or a nested list of nodes.  ``guards`` are nodes
+        computed and dropped, for their domain checks.
         """
         w = [self._name(k) for row in self.tangent() for k in row]
         lines = []
@@ -930,11 +930,9 @@ class Graph:
                 roots.append(a)
                 if b is not None and op != "pow":
                     roots.append(b)
-            args = ", ".join(self._var_name(i) for i in range(arity))
-            lines.append(f"def {name}(z{', w' if w else ''}):")
+            args = ", ".join([self._var_name(i) for i in range(arity)] + w)
+            lines.append(f"def {name}(z):")
             lines.append(f"    {args}, = z")
-            if w:
-                lines.append(f"    {', '.join(w)}, = w")
             lines += [f"    t{k} = {self._line(k)}" for k in sorted(needed)]
             lines.append(f"    return {self._render(result)}")
         return "\n".join(lines) + "\n"
@@ -954,8 +952,8 @@ class Compiled:
     ``graph``, a fresh :class:`Graph` of that dimension and of a tangent
     width m >= 0.  :meth:`code` builds them once per width, on first use, and
     keeps them in ``_code``, which pickles and copies leave out and build
-    again when used.  A function of width m > 0 takes (z, w), W a 2n x m
-    tangent, flat, row by row.
+    again when used.  A function of width m > 0 takes z followed by the
+    entries of a 2n x m tangent W, row by row, in one flat sequence.
     """
 
     def __getstate__(self):

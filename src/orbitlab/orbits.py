@@ -485,10 +485,11 @@ def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
 def monodromy(spec: SystemSpec, orbit: PeriodicOrbit) -> MonodromyReport:
     """Fundamental solution of the variational equations over the period.
 
-    M' = J(z) M with M(0) = I is one tangent run at the integrator's default
-    tolerances, with M under step-size control: a ridge rotation of the
-    cosine torus is a straight line, and error control on the orbit alone
-    takes so few steps there that det M drifts from 1.  A brake orbit runs
+    M' = J(z) M with M(0) = I is one run of [z; M row by row] at the
+    integrator's default tolerances, with M under step-size control as z
+    is: a ridge rotation of the cosine torus is a straight line, and error
+    control on the orbit alone takes so few steps there that det M drifts
+    from 1.  A brake orbit runs
     over the half period only.  It starts at rest, z0 =
     R z0 for the reversor R = diag(I, -I), and R maps the flow to its time
     reversal, so the second half is the first run backwards in R and M = R
@@ -515,9 +516,9 @@ def monodromy(spec: SystemSpec, orbit: PeriodicOrbit) -> MonodromyReport:
     res = rk.solve_rk45(
         tangent_rhs(spec, dim),
         (0.0, orbit.period / 2 if half else orbit.period),
-        z0, dense=False, w0=np.eye(dim), control_tangent=True,
+        [*z0, *np.eye(dim).ravel()], dense=False,
     )
-    matrix = res.w_final
+    matrix = np.reshape(res.ys[-1, dim:], (dim, dim))
     if half:
         reversor = np.diag(np.repeat([1.0, -1.0], n))
         matrix = reversor @ np.linalg.solve(matrix, reversor @ matrix)

@@ -1,19 +1,15 @@
 """Embedded Dormand-Prince 5(4) integrator with dense output and events.
 
-The stepper works on float states, given as sequences of scalars and
-converted to Python floats on entry.  A run may also carry a d x m tangent
-matrix W through the same stages, K_s = J(y_s) (W + h sum_l a_sl K_l), with
-the right-hand side supplying the products J(y) W.  Its right-hand side
-``f(t, y, w)`` receives W flat, row by row, as a list of d m floats and
-returns the pair (f(t, y), J(t, y) W), J W flat in the same order; the result
-carries W(t1) as a d x m array.  By default step-size control looks at the
-state only, so a tangent run takes exactly the accepted-step sequence of the
-plain run and W(t1) is the derivative of the discrete solution map along
-those steps applied to W(t0) (internal numerical differentiation).  With
-``control_tangent`` the error norm and the initial step see [y; W row by
-row] instead, so the run takes the steps of the plain run of that stacked
-system and W is held to the same tolerances as y, as a monodromy matrix
-must be.
+The stepper works on one flat float state, given as a sequence of scalars
+and converted to Python floats on entry.  Its error norm and initial step see
+the first ``control`` entries, all of them by default; the rest ride along
+through the same stages.  A tangent run is a plain run of y = [z; W row by
+row], whose right-hand side returns [f(z); J(z) W] flat: with ``control``
+the size of z, and a right-hand side for z that does not read W, z takes
+exactly the steps of the plain run of z, and W is the derivative of the
+discrete solution map along them applied to W(t0) (internal numerical
+differentiation); without it, W is held to the same tolerances as z, as a
+monodromy matrix must be.
 
 Dense output is Shampine's quartic interpolant for the pair, kept as stacked
 arrays in one :class:`DenseOutput`: step k starts at ts[k] from ys[k], has
@@ -28,21 +24,16 @@ bisection on the current step's interpolant down to a 1e-12 time tolerance
 (four ulps of t where that is coarser), with a cap on the number of halvings.
 
 A step is one generated straight-line function, built on first use for its
-key (d, m, control_tangent) -- d the state's size, m the tangent's column
-count, 0 without one -- and cached.  It holds y, the six stage states, the
-error vector and the error norm's running sum as float locals and calls the
-right-hand side once per stage.  Its results equal a loop over the stages
-bit for bit because every sum keeps that loop's order: terms in stage order,
-zero coefficients skipped; a state sum starts from 0.0, as the builtin
-``sum`` does from 0, so a leading -0.0 becomes 0.0; a sum over W starts at
-its first term; the norm under ``control_tangent`` adds W row by row after
-the state.  W is held as floats at every width, from the run's start to its
-end, and the step hands the right-hand side its own list: one representation
-serves every shape, at a cost only to wide tangents that no workload builds
-(a 9-DOF monodromy, d m = 324, runs about 1.8x slower than with numpy sums
-over W, and its step takes about 0.08 s to build).  The driver loop of
-:func:`solve_rk45` keeps the step-size checks and controller, the naming of a
-non-finite stage, dense output and events.
+key (d, control) -- d the state's size -- and cached.  It holds y, the six
+stage states, the error vector and the error norm's running sum as float
+locals and calls the right-hand side once per stage.  Its results equal a
+loop over the stages bit for bit because every sum keeps that loop's order:
+terms in stage order, zero coefficients skipped, each sum started from 0.0,
+as the builtin ``sum`` starts from 0, so a leading -0.0 becomes 0.0.  Every
+entry is a float local, so a wide state pays for its size at build time (a
+9-DOF monodromy, d = 342, takes about 0.1 s to build its step).  The driver
+loop of :func:`solve_rk45` keeps the step-size checks and controller, the
+naming of a non-finite stage, dense output and events.
 """
 
 from __future__ import annotations
@@ -236,18 +227,18 @@ class RKResult:
     events: list[EventHit] = field(default_factory=list)
     n_accepted: int = 0
     n_rejected: int = 0
-    w_final: np.ndarray | None = None  # tangent at ts[-1], for a tangent run
 
 
-def _initial_step(f, t0, y0, f0, t1, rtol, atol) -> float:
+def _initial_step(f, t0, y0, f0, t1, rtol, atol, e) -> float:
     """First step from the scaled norms of y0, f0 and a difference quotient
-    of f.  A non-finite f0, or one whose scaled norm overflows (no step above
-    the floor could resolve it), raises :class:`IntegrationError`."""
+    of f over their first e entries.  A non-finite f0, or one whose scaled
+    norm overflows (no step above the floor could resolve it), raises
+    :class:`IntegrationError`."""
     if not all(map(math.isfinite, f0)):
         raise IntegrationError(f"non-finite right-hand side at t={t0!r}", t=t0, y=np.array(y0))
     span = t1 - t0
-    y = np.array(y0)
-    fv = np.array(f0)
+    y = np.array(y0[:e])
+    fv = np.array(f0[:e])
     scale = atol + rtol * np.abs(y)
     with np.errstate(over="ignore"):
         d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
@@ -262,7 +253,7 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol) -> float:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = [y0[i] + h0 * f0[i] for i in range(len(y0))]
-    f1 = np.array(f(t0 + h0, y1))
+    f1 = np.array(f(t0 + h0, y1)[:e])
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = float(np.sqrt(np.mean(((f1 - fv) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
@@ -290,20 +281,14 @@ def _bisect_event(g, t: float, h: float, y0, q, sign_lo: float):
     return t_ev, _interpolate(y0, h, q, (t_ev - t) / h)
 
 
-def _non_finite_stage(t, h, k, kw, stage_y, default):
-    """IntegrationError at the first stage whose f, or else J W, is not
-    finite; ``default`` = (stage, what) when none is (an overflow in the sums)."""
-    for s in range(7):
-        if not all(map(math.isfinite, k[s])):
-            what = "right-hand side"
-            break
-        if kw[s] is not None and not all(map(math.isfinite, kw[s])):
-            what = "tangent"
-            break
-    else:
-        s, what = default
+def _non_finite_stage(t, h, k, stage_y, default):
+    """IntegrationError at the first stage whose f is not finite, or at
+    stage ``default`` when none is (an overflow in the sums)."""
+    s = next((s for s in range(7) if not all(map(math.isfinite, k[s]))), default)
     t_bad = t + _C[s] * h
-    return IntegrationError(f"non-finite {what} at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s]))
+    return IntegrationError(
+        f"non-finite right-hand side at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s])
+    )
 
 
 def _terms(coefficients, names) -> str:
@@ -311,83 +296,46 @@ def _terms(coefficients, names) -> str:
     return " + ".join(f"{c!r} * {name}" for c, name in zip(coefficients, names) if c != 0.0)
 
 
-def _step_source(d: int, m: int, control_tangent: bool) -> str:
-    """Source of ``step(f, t, h, y, k0, w, kw0, rtol, atol)`` for a state of d
-    entries and a d x m tangent (m = 0 for none), W and J W flat lists of
-    floats.  It returns (error norm, the seven stage states, the seven f
-    values, the seven J W values, W at the 5th-order solution); the J W
-    values are None and W is None without a tangent.  The state's locals are
-    ``y<stage>_<i>`` and ``k<stage>_<i>``, W's ``w<stage>_<i>_<j>`` and
-    ``kw<stage>_<i>_<j>``."""
-    cells = [f"{i}_{j}" for i in range(d) for j in range(m)]
+def _step_source(d: int, e: int) -> str:
+    """Source of ``step(f, t, h, y, k0, rtol, atol)`` for a state of d
+    entries whose first e the error norm sees.  It returns (error norm, the
+    seven stage states, the seven f values); its locals are
+    ``y<stage>_<i>`` and ``k<stage>_<i>``."""
 
     def state(prefix):
         return ", ".join(f"{prefix}_{i}" for i in range(d))
 
-    def tangent(prefix):
-        return ", ".join(f"{prefix}_{c}" for c in cells)
+    def stages(prefix, first):
+        return "(" + ", ".join([first] + [f"{prefix}{s}" for s in range(1, 7)]) + ")"
 
-    out = [
-        "def step(f, t, h, y, k0, w, kw0, rtol, atol):",
-        f"{state('y0')}, = y",
-        f"{state('k0')}, = k0",
-    ]
-    if m:
-        out += [f"{tangent('w0')}, = w", f"{tangent('kw0')}, = kw0"]
+    out = ["def step(f, t, h, y, k0, rtol, atol):", f"{state('y0')}, = y", f"{state('k0')}, = k0"]
     for s in range(1, 7):
-        a = _A[s]
         out += [
-            f"y{s}_{i} = y0_{i} + h * (0.0 + {_terms(a, [f'k{l}_{i}' for l in range(s)])})"
+            f"y{s}_{i} = y0_{i} + h * (0.0 + {_terms(_A[s], [f'k{l}_{i}' for l in range(s)])})"
             for i in range(d)
         ]
-        out.append(f"y{s} = [{state(f'y{s}')}]")
-        if not m:
-            out.append(f"k{s} = f(t + {_C[s]!r} * h, y{s})")
-        else:
-            out += [
-                f"w{s}_{c} = w0_{c} + h * ({_terms(a, [f'kw{l}_{c}' for l in range(s)])})"
-                for c in cells
-            ]
-            out += [
-                f"w{s} = [{tangent(f'w{s}')}]",
-                f"k{s}, kw{s} = f(t + {_C[s]!r} * h, y{s}, w{s})",
-                f"{tangent(f'kw{s}')}, = kw{s}",
-            ]
-        out.append(f"{state(f'k{s}')}, = k{s}")
+        out += [
+            f"y{s} = [{state(f'y{s}')}]",
+            f"k{s} = f(t + {_C[s]!r} * h, y{s})",
+            f"{state(f'k{s}')}, = k{s}",
+        ]
     out.append("acc = 0.0")
-    for i in range(d):
+    for i in range(e):
         out += [
             f"a, b = abs(y0_{i}), abs(y6_{i})",
             f"q = h * (0.0 + {_terms(_E, [f'k{l}_{i}' for l in range(7)])})"
             " / (atol + rtol * (b if b > a else a))",
             "acc += q * q",
         ]
-    if control_tangent:
-        for c in cells:
-            # a NaN in the new W wins the max (W at the step's start is finite)
-            out += [
-                f"a, b = abs(w0_{c}), abs(w6_{c})",
-                f"q = h * ({_terms(_E, [f'kw{l}_{c}' for l in range(7)])})"
-                " / (atol + rtol * (a if b <= a else b))",
-                "acc += q * q",
-            ]
-    size = d + d * m if control_tangent else d
-
-    def stages(prefix, first):
-        return "(" + ", ".join([first] + [f"{prefix}{s}" for s in range(1, 7)]) + ")"
-
-    kws, w6 = (stages("kw", "kw0"), "w6") if m else ("(None,) * 7", "None")
-    out.append(
-        f"return math.sqrt(acc / {size}), {stages('y', 'y')}, {stages('k', 'k0')}, {kws}, {w6}"
-    )
+    out.append(f"return math.sqrt(acc / {e}), {stages('y', 'y')}, {stages('k', 'k0')}")
     return "\n    ".join(out) + "\n"
 
 
 @functools.cache
-def _step_function(d: int, m: int, control_tangent: bool):
-    """The generated step for (d, m, control_tangent), built on first use."""
+def _step_function(d: int, e: int):
+    """The generated step for (d, e), built on first use."""
     scope = {"math": math}
-    exec(compile(_step_source(d, m, control_tangent), "<rk step>", "exec"), scope)
+    exec(compile(_step_source(d, e), "<rk step>", "exec"), scope)
     return scope["step"]
 
 
@@ -399,26 +347,21 @@ def solve_rk45(
     atol: float = 1e-12,
     events: tuple = (),
     dense: bool = True,
-    w0=None,
-    control_tangent: bool = False,
+    control: int | None = None,
 ) -> RKResult:
     """Integrate y' = f(t, y) over t_span with the 5(4) pair.
 
-    With a finite tangent ``w0`` (d x m), ``f(t, y, w)`` gets W as a flat
-    list of d m floats, row by row, and returns the pair (f(t, y), J(t, y)
-    W), J W flat in the same order; the result carries W(t1) as the d x m
-    array ``w_final``.  A
-    tangent run stores no dense output and locates no events.  With
-    ``control_tangent`` its error norm and initial step cover W as well as
-    the state.  The final state is ``ys[-1]``; with ``dense`` the result
-    carries a :class:`DenseOutput`.  A right-hand side or a tangent that
-    turns NaN or infinite raises :class:`IntegrationError` with the time and
-    state of the first stage that produced it, and so does a run that takes
+    The error norm and the initial step see the first ``control`` entries
+    of y, all of them by default; the rest are checked finite at each
+    accepted step.  The final state is ``ys[-1]``; with ``dense`` the result
+    carries a :class:`DenseOutput`.  A right-hand side that turns NaN or
+    infinite raises :class:`IntegrationError` with the time and state of the
+    first stage that produced it, and so does a run that takes
     ``_MAX_STEPS`` steps, accepted and rejected, without reaching the end of
-    the span.  An empty state or tangent, a span that is not finite and
-    increasing, rtol outside [1e-13, inf), atol outside (0, inf), or a first
-    f(t0, y0) whose shape is not the state's or a J W that is not a flat
-    sequence of d m entries raises ``ValueError``.
+    the span.  An empty state, a ``control`` that is not a whole number in
+    [1, d], a span that is not finite and increasing, rtol outside [1e-13,
+    inf), atol outside (0, inf), or a first f(t0, y0) whose shape is not the
+    state's raises ``ValueError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -433,22 +376,9 @@ def solve_rk45(
     d = len(y)
     if d == 0:
         raise ValueError("the state needs at least one component")
-    w = None
-    m = 0
-    if control_tangent and w0 is None:
-        raise ValueError("control_tangent needs a tangent w0")
-    if w0 is not None:
-        if events or dense:
-            raise ValueError("events and dense output need a run without a tangent")
-        w = np.array(w0, dtype=float)
-        if w.ndim != 2 or w.shape[0] != d:
-            raise ValueError("the tangent needs one row per state component")
-        m = w.shape[1]
-        if m == 0:
-            raise ValueError("the tangent needs at least one column")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("the tangent must be finite")
-        w = w.ravel().tolist()
+    e = d if control is None else control
+    if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= d:
+        raise ValueError(f"control must be a whole number of entries in [1, {d}], got {control!r}")
 
     result = RKResult(ts=np.empty(0), ys=np.empty((0, d)))
     ts = [t0]
@@ -456,28 +386,13 @@ def solve_rk45(
     hs, qs = [], []  # length and interpolant coefficients of each accepted step
 
     t = t0
-    fv, fw = f(t, y, w) if w is not None else (f(t, y), None)
+    fv = f(t, y)
     if np.shape(fv) != (d,):
         raise ValueError(
             f"the right-hand side has shape {np.shape(fv)} for a state of shape ({d},)"
         )
-    if w is not None and np.shape(fw) != (d * m,):
-        raise ValueError(
-            f"J W must have the {d * m} entries of a {d} x {m} tangent, flat, got "
-            f"{type(fw).__name__} of shape {np.shape(fw)}"
-        )
-    step = _step_function(d, m, control_tangent)
-    if w is None:
-        h = _initial_step(f, t0, y, fv, t1, rtol, atol)
-    elif control_tangent:
-
-        def stacked(t, yw):
-            fy, fw = f(t, yw[:d], yw[d:])
-            return [*fy, *fw]
-
-        h = _initial_step(stacked, t0, [*y, *w], [*fv, *fw], t1, rtol, atol)
-    else:
-        h = _initial_step(lambda t, y: f(t, y, w)[0], t0, y, fv, t1, rtol, atol)
+    step = _step_function(d, e)
+    h = _initial_step(f, t0, y, fv, t1, rtol, atol, e)
     facold = 1e-4
     g_prev = [ev.fn(t, ys[0]) for ev in events]
     finished = False
@@ -493,9 +408,9 @@ def solve_rk45(
             h = t1 - t
             finished = True
 
-        err, stage_y, k, kw, wt = step(f, t, h, y, fv, w, fw, rtol, atol)
+        err, stage_y, k = step(f, t, h, y, fv, rtol, atol)
         if not math.isfinite(err):
-            raise _non_finite_stage(t, h, k, kw, stage_y, (0, "right-hand side"))
+            raise _non_finite_stage(t, h, k, stage_y, 0)
 
         if err > 1.0:
             # reject: shrink and retry
@@ -504,10 +419,9 @@ def solve_rk45(
             finished = False
             result.n_rejected += 1
             continue
-        # a state-only error norm does not see W, and an infinite W scales its
-        # own error to zero, so check it on acceptance
-        if w is not None and not all(map(math.isfinite, wt)):
-            raise _non_finite_stage(t, h, k, kw, stage_y, (6, "tangent"))
+        # the error norm does not see the entries past e
+        if e < d and not all(map(math.isfinite, stage_y[6][e:])):
+            raise _non_finite_stage(t, h, k, stage_y, 6)
 
         result.n_accepted += 1
         y_new = stage_y[6]  # the last stage is taken at the 5th-order solution (FSAL)
@@ -556,8 +470,6 @@ def solve_rk45(
             ts.append(t)
             ys.append(y_new_arr)
             fv = k[6]  # FSAL: stage 7 is f at the accepted solution
-            if w is not None:
-                w, fw = wt, kw[6]
 
         # PI step-size controller
         fac11 = max(err, 1e-10) ** _EXPO
@@ -570,6 +482,4 @@ def solve_rk45(
     result.ys = np.array(ys)
     if dense:
         result.dense = DenseOutput(result.ts, result.ys, np.array(hs), np.array(qs))
-    if w is not None:
-        result.w_final = np.reshape(w, (d, m))
     return result

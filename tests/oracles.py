@@ -583,7 +583,8 @@ def inverse_fold_source(spec, width: int = 0) -> str:
     as ``SystemSpec`` built it when it inverted g once, at build time, and
     folded g^{-1} into the code: a = -g^{-1} c and
     DA = -g^{-1} dc as sums of products with constants, which for g = I fold
-    to -c and -dc; J W = [W_v; DA W] expanded entry by entry."""
+    to -c and -dc; J W = [W_v; DA W] expanded entry by entry, after f in
+    one flat list."""
     n = spec.dimension
     graph = ex.Graph(n, width)
     f2, g, c = geo.metric_nodes(graph, spec.metric)
@@ -604,7 +605,7 @@ def inverse_fold_source(spec, width: int = 0) -> str:
     w = graph.tangent()
     jw = [e for row in w[n:] for e in row]
     jw += [graph.dot(row, column) for row in da for column in zip(*w)]
-    return graph.source([("flow", 2 * n, [f, jw], (f2, u))])
+    return graph.source([("flow", 2 * n, f + jw, (f2, u))])
 
 
 def inlined_source(source: str, name: str) -> tuple[list[str], str]:
@@ -796,29 +797,13 @@ def augmented_monodromy(spec, orbit, periods: int = 1):
     return np.reshape(res.ys[-1, dim:], (dim, dim))
 
 
-def error_norm(err, y0, y1, rtol, atol, tangent=None) -> float:
-    """RMS of the scaled error.  ``tangent`` = (error, W0, W1) appends W row
-    by row, accumulated in the same order as the state's components."""
+def error_norm(err, y0, y1, rtol, atol) -> float:
+    """RMS of the scaled error, accumulated in the order of the entries."""
     acc = 0.0
     for e, a, b in zip(err, y0, y1):
         q = e / (atol + rtol * max(abs(a), abs(b)))
         acc += q * q
-    size = len(err)
-    if tangent is not None:
-        e, a, b = (np.ravel(x) for x in tangent)
-        q = e / (atol + rtol * np.maximum(np.abs(a), np.abs(b)))
-        acc = np.add.accumulate(np.concatenate(([acc], q * q)))[-1]
-        size += q.size
-    return math.sqrt(acc / size)
-
-
-def tangent_increment(a, kw, s):
-    """sum_l a[l] kw[l] over the stages before s, accumulated in stage order."""
-    acc = a[0] * kw[0]
-    for l in range(1, s):
-        if a[l] != 0.0:
-            acc = acc + a[l] * kw[l]
-    return acc
+    return math.sqrt(acc / len(err))
 
 
 def stage_loop_rk45(
@@ -829,16 +814,11 @@ def stage_loop_rk45(
     atol: float = 1e-12,
     events: tuple = (),
     dense: bool = True,
-    w0=None,
-    control_tangent: bool = False,
+    control: int | None = None,
 ) -> rk.RKResult:
-    """``rk.solve_rk45`` as a loop over the stages, with W's stage sums and
-    the error norm in numpy: the reference for the generated step.  W is a
-    d x m array here; f receives it and returns J W flat, row by row, as
-    ``rk.solve_rk45``'s f does.
-
-    Same arguments and result; it lacks the entry checks on the shapes of
-    f(t0, y0) and J W and on an empty tangent.
+    """``rk.solve_rk45`` as a loop over the stages: the reference for the
+    generated step.  Same arguments and result; it lacks the entry checks on
+    ``control`` and on the shape of f(t0, y0).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -853,17 +833,7 @@ def stage_loop_rk45(
     d = len(y)
     if d == 0:
         raise ValueError("the state needs at least one component")
-    w = None
-    if control_tangent and w0 is None:
-        raise ValueError("control_tangent needs a tangent w0")
-    if w0 is not None:
-        if events or dense:
-            raise ValueError("events and dense output need a run without a tangent")
-        w = np.array(w0, dtype=float)
-        if w.ndim != 2 or w.shape[0] != d:
-            raise ValueError("the tangent needs one row per state component")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("the tangent must be finite")
+    e = d if control is None else control
 
     result = rk.RKResult(ts=np.empty(0), ys=np.empty((0, d)))
     ts = [t0]
@@ -871,23 +841,10 @@ def stage_loop_rk45(
     hs, qs = [], []  # length and interpolant coefficients of each accepted step
 
     k = [None] * 7
-    kw = [None] * 7
     stage_y = [None] * 7
     t = t0
-    fv, fw = f(t, y, w.ravel().tolist()) if w is not None else (f(t, y), None)
-    if w is None:
-        h = rk._initial_step(f, t0, y, fv, t1, rtol, atol)
-    elif control_tangent:
-
-        def stacked(t, yw):
-            fy, fw = f(t, yw[:d], yw[d:])
-            return [*fy, *fw]
-
-        h = rk._initial_step(stacked, t0, [*y, *w.ravel().tolist()], [*fv, *fw], t1, rtol, atol)
-    else:
-        h = rk._initial_step(lambda t, y: f(t, y, w.ravel().tolist())[0], t0, y, fv, t1, rtol, atol)
-    if w is not None:
-        fw = np.reshape(fw, w.shape)
+    fv = f(t, y)
+    h = rk._initial_step(f, t0, y, fv, t1, rtol, atol, e)
     facold = 1e-4
     g_prev = [ev.fn(t, ys[0]) for ev in events]
     finished = False
@@ -903,7 +860,7 @@ def stage_loop_rk45(
             h = t1 - t
             finished = True
 
-        k[0], kw[0], stage_y[0] = fv, fw, y
+        k[0], stage_y[0] = fv, y
         for s in range(1, 7):
             a = rk._A[s]
             yt = [
@@ -911,22 +868,16 @@ def stage_loop_rk45(
                 for i in range(d)
             ]
             stage_y[s] = yt
-            if w is None:
-                k[s] = f(t + rk._C[s] * h, yt)
-            else:
-                wt = w + h * tangent_increment(a, kw, s)
-                k[s], kw[s] = f(t + rk._C[s] * h, yt, wt.ravel().tolist())
-                kw[s] = np.reshape(kw[s], w.shape)
+            k[s] = f(t + rk._C[s] * h, yt)
         # the last stage is taken at the 5th-order solution (FSAL)
         y_new = stage_y[6]
         err_vec = [
             h * sum(rk._E[l] * k[l][i] for l in range(7) if rk._E[l] != 0.0)
             for i in range(d)
         ]
-        tangent_err = (h * tangent_increment(rk._E, kw, 7), w, wt) if control_tangent else None
-        err = error_norm(err_vec, y, y_new, rtol, atol, tangent_err)
+        err = error_norm(err_vec[:e], y, y_new, rtol, atol)
         if not math.isfinite(err):
-            raise rk._non_finite_stage(t, h, k, kw, stage_y, (0, "right-hand side"))
+            raise rk._non_finite_stage(t, h, k, stage_y, 0)
 
         if err > 1.0:
             # reject: shrink and retry
@@ -935,10 +886,8 @@ def stage_loop_rk45(
             finished = False
             result.n_rejected += 1
             continue
-        # a state-only error norm does not see W, and an infinite W scales its
-        # own error to zero, so check it on acceptance
-        if w is not None and not np.all(np.isfinite(wt)):
-            raise rk._non_finite_stage(t, h, k, kw, stage_y, (6, "tangent"))
+        if not np.all(np.isfinite(y_new[e:])):
+            raise rk._non_finite_stage(t, h, k, stage_y, 6)
 
         result.n_accepted += 1
         t_new = t + h
@@ -986,8 +935,6 @@ def stage_loop_rk45(
             ts.append(t)
             ys.append(y_new_arr)
             fv = k[6]  # FSAL: stage 7 is f at the accepted solution
-            if w is not None:
-                w, fw = wt, kw[6]
 
         # PI step-size controller
         fac11 = max(err, 1e-10) ** rk._EXPO
@@ -1000,7 +947,6 @@ def stage_loop_rk45(
     result.ys = np.array(ys)
     if dense:
         result.dense = rk.DenseOutput(result.ts, result.ys, np.array(hs), np.array(qs))
-    result.w_final = w
     return result
 
 

@@ -197,12 +197,15 @@ def test_no_foreign_private_names():
 INTERPRETER_DUALS = ("Dual", "val_of", "eval_dual")
 # a float solve: the geometry kernel's and numpy's
 SOLVES = ("solve_linear", "linalg")
+# a tangent carried beside the integrator's state, not in it
+TANGENT_PLUMBING = ("w0", "control_tangent", "w_final", "kw")
 
 
 def names_used(source: str, wanted) -> list[str]:
-    """Names of ``wanted`` (:data:`INTERPRETER_DUALS`, :data:`SOLVES`) that a
-    module imports (as any part of a dotted name), binds, loads or reads as
-    an attribute."""
+    """Names of ``wanted`` (:data:`INTERPRETER_DUALS`, :data:`SOLVES`,
+    :data:`TANGENT_PLUMBING`) that a module imports (as any part of a dotted
+    name), binds, loads, reads as an attribute, takes as a parameter or
+    passes as a keyword."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -212,6 +215,8 @@ def names_used(source: str, wanted) -> list[str]:
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            names = [node.arg]
         else:
             continue
         found += [f"{name} (line {node.lineno})" for name in dict.fromkeys(names) if name in wanted]
@@ -241,6 +246,21 @@ def test_dynamics_names_no_solve():
     # the flow and its J W eliminate in the generated code (expr.Graph.negated_solve)
     path = next(p for p in MODULES if p.stem == "dynamics")
     assert names_used(path.read_text(), SOLVES) == []
+
+
+def test_detects_tangent_plumbing():
+    source = "def solve(f, y0, w0=None, *, control_tangent=False):\n    kw = f(y0)\n" \
+        "    return Result(w_final=kw)\nr.w_final\n"
+    assert names_used(source, TANGENT_PLUMBING) == [
+        "control_tangent (line 1)", "kw (line 2)", "kw (line 3)", "w0 (line 1)",
+        "w_final (line 3)", "w_final (line 4)"]
+
+
+def test_rk_knows_one_state():
+    # a tangent run is a plain run of [z; W]: the integrator takes, steps and
+    # returns no tangent of its own
+    path = next(p for p in MODULES if p.stem == "rk")
+    assert names_used(path.read_text(), TANGENT_PLUMBING) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

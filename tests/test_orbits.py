@@ -471,6 +471,9 @@ MONODROMY_CASES = {
     ),
     "conformal brake": lambda: found(orb.find_brake, conformal_well(), [1.0, 0.05]),
     "cosine torus ridge rotation": ridge_rotation,
+    "cosine torus shot ridge rotation": lambda: found(
+        orb.find_rotation, cosine_torus(), rotation_seed(math.pi + 0.02, 1.0, False)
+    ),
     "cosine torus horizontal rotation": lambda: found(
         orb.find_rotation, cosine_torus(), rotation_seed(0.5, 1.0, True)
     ),
@@ -498,9 +501,10 @@ def trivial_multiplicity(matrix):
 
 
 class TestMonodromyAgainstAugmentedRoute:
-    """The tangent run against the augmented system it replaced
-    (``oracles.augmented_monodromy``): the same steps over a full period, so
-    the same M bit for bit; half a period and the reversor for a brake orbit."""
+    """The run of [z; M] against the augmented system stacked over
+    ``state_rhs_jvp`` (``oracles.augmented_monodromy``): the same steps over
+    a full period, so the same M bit for bit; half a period and the reversor
+    for a brake orbit."""
 
     @pytest.mark.parametrize("name", MONODROMY_ROTATIONS)
     def test_rotation_bit_identical(self, name):

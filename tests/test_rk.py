@@ -30,9 +30,6 @@ def assert_same_run(got, want):
     assert bits(got.ts) == bits(want.ts)
     assert bits(got.ys) == bits(want.ys)
     assert (got.n_accepted, got.n_rejected) == (want.n_accepted, want.n_rejected)
-    assert (got.w_final is None) == (want.w_final is None)
-    if want.w_final is not None:
-        assert bits(got.w_final) == bits(want.w_final)
     assert (got.dense is None) == (want.dense is None)
     if want.dense is not None:
         assert bits(got.dense.h) == bits(want.dense.h)
@@ -44,13 +41,13 @@ def assert_same_run(got, want):
 
 def both(f, *args, **kwargs):
     """The run of ``rk.solve_rk45`` and of the oracle, checked equal, and so
-    is every (t, y[, W]) they pass to f; the first run."""
+    is every (t, y) they pass to f; the first run."""
     calls = ([], [])
 
     def recording(log):
-        def g(t, *state):
-            log.append((bits(t), *(bits(x) for x in state)))
-            return f(t, *state)
+        def g(t, y):
+            log.append((bits(t), bits(y)))
+            return f(t, y)
 
         return g
 
@@ -96,29 +93,31 @@ def test_workload_runs_match_the_stage_loop(name):
 
 def test_sensitivity_run_matches_the_stage_loop():
     spec = oscillator(2)
-    w0 = np.array([[0.0], [1.0], [0.0], [0.0]])  # the brake chart's m = 1 tangent
-    both(dyn.tangent_rhs(spec, 1), (0.0, 3.1), [1.0, 0.03, 0.0, 0.0], dense=False, w0=w0)
+    w0 = [0.0, 1.0, 0.0, 0.0]  # the brake chart's m = 1 tangent, W row by row
+    both(dyn.tangent_rhs(spec, 1), (0.0, 3.1), [1.0, 0.03, 0.0, 0.0] + w0, dense=False, control=4)
 
 
 @pytest.mark.parametrize(
     "n, t_end", [(2, 6.3), (3, 6.3), (9, 1.0)], ids=["2-DOF", "3-DOF", "9-DOF"]
 )
 def test_monodromy_run_matches_the_stage_loop(n, t_end):
-    # d m = 16 and 36 as the benchmark's monodromy runs, 324 as a wide float step
+    # W of 16 and 36 entries as the benchmark's monodromy runs, 324 as a wide step
     spec = oscillator(n)
     z0 = [1.0] + [0.02] * (n - 1) + [0.0] * n
-    both(dyn.tangent_rhs(spec, 2 * n), (0.0, t_end), z0, dense=False, w0=np.eye(2 * n),
-         control_tangent=True)
+    both(dyn.tangent_rhs(spec, 2 * n), (0.0, t_end), z0 + np.eye(2 * n).ravel().tolist(),
+         dense=False)
 
 
 SCALARS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
 
 
-def linear(a, tangent):
-    """y' = A y, and J W = A W with a tangent, W and J W flat, row by row.
-    Each entry is summed from its first product, so that a -0.0 can reach
-    the stepper (numpy's products start from +0.0)."""
+def linear(a, m):
+    """y' = A y, and with m tangent columns y = [z; W row by row] and
+    y' = [A z; A W], flat, row by row.  Each entry is summed from its first
+    product, so that a -0.0 can reach the stepper (numpy's products start
+    from +0.0)."""
     rows = a.tolist()
+    d = len(rows)
 
     def dot(row, column):
         acc = row[0] * column[0]
@@ -127,14 +126,10 @@ def linear(a, tangent):
         return acc
 
     def f(t, y):
-        return [dot(row, y) for row in rows]
+        columns = [y[d + j::m] for j in range(m)]
+        return [dot(row, y[:d]) for row in rows] + [dot(row, c) for row in rows for c in columns]
 
-    def f_tangent(t, y, w):
-        m = len(w) // len(rows)
-        columns = [w[j::m] for j in range(m)]
-        return f(t, y), [dot(row, c) for row in rows for c in columns]
-
-    return f_tangent if tangent else f
+    return f
 
 
 @st.composite
@@ -146,33 +141,29 @@ def linear_runs(draw):
     y0 = draw(st.lists(SCALARS, min_size=d, max_size=d))
     kwargs = {"rtol": draw(st.floats(1e-12, 1e-6)), "atol": 1e-12}
     if m:
-        kwargs.update(
-            dense=False,
-            w0=np.array(draw(st.lists(SCALARS, min_size=d * m, max_size=d * m))).reshape(d, m),
-            control_tangent=draw(st.booleans()),
-        )
-        return linear(a, True), (0.0, 1.0), y0, kwargs
+        y0 += draw(st.lists(SCALARS, min_size=d * m, max_size=d * m))
+        kwargs.update(dense=False, control=None if draw(st.booleans()) else d)
+        return linear(a, m), (0.0, 1.0), y0, kwargs
     kwargs["dense"] = draw(st.booleans())
     if draw(st.booleans()):
         level = draw(st.floats(-1.0, 1.0))
         kwargs["events"] = (
             rk.EventSpec(lambda t, y: y[0] - level, terminal=draw(st.booleans())),
         )
-    return linear(a, False), (0.0, 1.0), y0, kwargs
+    return linear(a, 0), (0.0, 1.0), y0, kwargs
 
 
-def _square_tangent(d, m, control_tangent):
+def _square_tangent(d, m, controlled):
     a = np.diag(np.linspace(1.0, -1.0, d))
     w0 = np.ones((d, m))
     w0[:, 0] = -0.0
-    return (linear(a, True), (0.0, 1.0), [-0.0] + [1.0] * (d - 1),
-            {"rtol": 1e-9, "atol": 1e-12, "dense": False, "w0": w0,
-             "control_tangent": control_tangent})
+    return (linear(a, m), (0.0, 1.0), [-0.0] + [1.0] * (d - 1) + w0.ravel().tolist(),
+            {"rtol": 1e-9, "atol": 1e-12, "dense": False, "control": None if controlled else d})
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(linear_runs())
-@example(_square_tangent(8, 9, True))  # d m = 72 and 64: wide float steps
+@example(_square_tangent(8, 9, True))  # W of 72 and 64 entries: wide steps
 @example(_square_tangent(8, 9, False))
 @example(_square_tangent(8, 8, True))
 def test_linear_runs_match_the_stage_loop(case):
@@ -224,12 +215,17 @@ def test_one_step_function_per_shape():
     rk._step_function.cache_clear()
     for _ in range(2):
         orbit = orb.find_brake(spec, [1.01, 0.02])  # plain runs and m = 1 tangent runs
-        orb.monodromy(spec, orbit)  # a control-tangent run with m = 4
+        orb.monodromy(spec, orbit)  # a run of [z; M], M 4 x 4, all under control
     info = rk._step_function.cache_info()
     assert (info.misses, info.currsize) == (3, 3)
+    # keyed by (d, control): z, [z; W] under control of z, and [z; M] under
+    # control of all
+    for key in ((4, 4), (8, 4), (20, 20)):
+        rk._step_function(*key)
+    assert rk._step_function.cache_info().misses == 3
     # the generated source is not kept: no line cache holds it
     with pytest.raises(OSError):
-        inspect.getsource(rk._step_function(4, 1, False))
+        inspect.getsource(rk._step_function(8, 4))
 
 
 class TestShapesCheckedAtEntry:
@@ -239,33 +235,23 @@ class TestShapesCheckedAtEntry:
             (lambda t, y: [-y[0], 5.0], [1.0], "shape (2,) for a state of shape (1,)"),
             (lambda t, y: [y[1]], [1.0, 0.0], "shape (1,) for a state of shape (2,)"),
             (lambda t, y: -y[0], [1.0], "shape () for a state of shape (1,)"),
+            # y = [z; W] of a 1 x 1 tangent, whose J W part has the wrong shape
+            (lambda t, y: [-y[0], y[1], y[1]], [1.0, 1.0], "shape (3,) for a state of shape (2,)"),
+            (lambda t, y: [-y[0]], [1.0, 1.0], "shape (1,) for a state of shape (2,)"),
+            (lambda t, y: [[-y[0]], [y[1]]], [1.0, 1.0], "shape (2, 1) for a state of shape (2,)"),
         ],
-        ids=["too long", "too short", "scalar"],
+        ids=["too long", "too short", "scalar", "tangent too tall", "tangent left out",
+             "tangent not flat"],
     )
     def test_rhs_of_the_wrong_length(self, rhs, y0, message):
         with pytest.raises(ValueError) as info:
             rk.solve_rk45(rhs, (0.0, 1.0), y0)
         assert str(info.value) == f"the right-hand side has {message}"
 
-    @pytest.mark.parametrize(
-        "product, got",
-        [
-            (lambda w: w + w, "list of shape (2,)"),
-            (lambda w: w[0], "float of shape ()"),
-            (lambda w: np.array([w]), "ndarray of shape (1, 1)"),
-        ],
-        ids=["too tall", "not an array", "not flat"],
-    )
-    def test_tangent_product_of_the_wrong_shape(self, product, got):
-        def f(t, y, w):
-            return [-y[0]], product(w)
-
+    @pytest.mark.parametrize("control", [0, 3, True, 2.0], ids=["zero", "past the end", "bool",
+                                                               "float"])
+    def test_control_is_a_count_of_entries(self, control):
         with pytest.raises(ValueError) as info:
-            rk.solve_rk45(f, (0.0, 1.0), [1.0], dense=False, w0=[[1.0]])
-        assert str(info.value) == f"J W must have the 1 entries of a 1 x 1 tangent, flat, got {got}"
-
-    def test_empty_tangent(self):
-        with pytest.raises(ValueError, match="the tangent needs at least one column"):
-            rk.solve_rk45(
-                lambda t, y, w: ([-y[0]], -w), (0.0, 1.0), [1.0], dense=False, w0=np.zeros((1, 0))
-            )
+            rk.solve_rk45(lambda t, y: [y[1], -y[0]], (0.0, 1.0), [1.0, 0.0], control=control)
+        assert str(info.value) == (
+            f"control must be a whole number of entries in [1, 2], got {control!r}")
