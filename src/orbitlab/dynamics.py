@@ -17,14 +17,15 @@ definiteness rule (:func:`orbitlab.geometry.require_positive_definite`); a
 constant g is checked once, when its code is built.  A domain failure in the
 code raises the interpreter's error naming the subexpression
 (:func:`orbitlab.expr.name_failure`); the interpreter never supplies a value
-of the flow.  The integrator records energy drift along every trajectory but
-never corrects it.
+of the flow.  A trajectory derives its energies and energy drift from its
+states when they are first read; the integrator never corrects the drift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -317,7 +318,8 @@ class Trajectory:
     same samples, or None for a run without dense output.  :meth:`state` and
     :meth:`state_derivative` evaluate it at a time or a 1-D array of times,
     hold the end states outside [t0, t1], and raise ``ValueError`` when there
-    is no dense output.
+    is no dense output.  :attr:`energies` and :attr:`energy_drift` are derived
+    from ``states`` on first read.
     """
 
     spec: SystemSpec
@@ -325,8 +327,6 @@ class Trajectory:
     states: np.ndarray  # (N, 2n)
     dense: rk.DenseOutput | None = None
     events: list = field(default_factory=list)
-    energy_drift: float = 0.0
-    energies: np.ndarray | None = None
 
     @property
     def t0(self) -> float:
@@ -335,6 +335,17 @@ class Trajectory:
     @property
     def t1(self) -> float:
         return float(self.ts[-1])
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """H at every row of ``states``."""
+        n = self.spec.dimension
+        return np.array([total_energy(self.spec, row[:n], row[n:]) for row in self.states])
+
+    @property
+    def energy_drift(self) -> float:
+        """max |H - H(t0)| over the rows of ``states``."""
+        return float(np.max(np.abs(self.energies - self.energies[0])))
 
     def state(self, t):
         """Dense state at ``t``; a 1-D array of times gives a (K, 2n) array."""
@@ -371,16 +382,13 @@ def integrate(spec: SystemSpec, initial: PhaseState, t_span, rtol: float = 1e-10
 
     ``events`` are :class:`~orbitlab.rk.EventSpec` over (t, z), z = (x, v).
     """
-    n = spec.dimension
     z0 = _state(spec, initial.flat())
     if initial.x.size != initial.v.size:
         raise ValueError(f"state has {initial.x.size} positions and {initial.v.size} velocities")
 
     res = rk.solve_rk45(_flow(spec, 0), t_span, z0, rtol=rtol, atol=atol,
                         events=tuple(events), dense=dense)
-    energies = np.array([total_energy(spec, row[:n], row[n:]) for row in res.ys])
-    drift = float(np.max(np.abs(energies - energies[0])))
-    return Trajectory(spec, res.ts, res.ys, res.dense, res.events, drift, energies)
+    return Trajectory(spec, res.ts, res.ys, res.dense, res.events)
 
 
 def integrate_sensitivity(spec: SystemSpec, z0, w0, t_end: float):

@@ -643,9 +643,11 @@ def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int =
 # Straight-line code
 # ---------------------------------------------------------------------------
 
-# Library of the generated code; log, sqrt and fractional powers keep the
-# interpreter's domain checks.
-_LIB = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": _log, "sqrt": _sqrt, "pw": _pow}
+# Library of the generated code, which runs on floats only: math's log and
+# sqrt raise ValueError where the interpreter's do; powers keep its check on a
+# fractional power of a negative base.
+_LIB = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+        "pw": _pow}
 
 
 def _literal(value: float) -> str:

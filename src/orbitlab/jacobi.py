@@ -67,28 +67,32 @@ class JacobiMetric:
 
     def psi(self, x):
         """Conformal factor 2 (E - U(x))."""
-        return 2.0 * (self.spec.energy - self.spec.potential.value(list(x)))
+        return 2.0 * self.margin(x)
 
     def psi_gradient(self, x):
         grad_u = self.spec.potential.gradient(list(x))
         return [-2.0 * g for g in grad_u]
 
     def margin(self, x) -> float:
+        """E - U(x)."""
         return self.spec.energy - self.spec.potential.value(x)
 
-    def check_interior(self, x):
+    def check_interior(self, x) -> float:
+        """The margin E - U(x), checked above :attr:`delta_floor`: else
+        :class:`DegeneracyError`."""
         m = self.margin(x)
         if m <= self.delta_floor:
             raise DegeneracyError(
                 f"point at margin E - U = {m:.3e} is outside the admissible "
                 f"well interior (floor {self.delta_floor:.3e})"
             )
+        return m
 
 
 def jacobi_f2(jm: JacobiMetric, x, v):
-    """Fbar^2(x, v) = 2 (E - U(x)) F^2(x, v) on the well interior."""
-    jm.check_interior(x)
-    return jm.psi(x) * geo.f_squared(jm.spec.metric, list(x), list(v))
+    """Fbar^2(x, v) = 2 (E - U(x)) F^2(x, v) on the well interior, from one
+    evaluation of U (:meth:`JacobiMetric.check_interior`)."""
+    return 2.0 * jm.check_interior(x) * geo.f_squared(jm.spec.metric, list(x), list(v))
 
 
 def jacobi_geodesic_coefficients(jm: JacobiMetric, x, v):
@@ -98,11 +102,10 @@ def jacobi_geodesic_coefficients(jm: JacobiMetric, x, v):
     Must agree with the geometry kernel applied to the conformal expression
     model; both routes are exercised against each other in the tests.
     """
-    jm.check_interior(x)
+    psi = 2.0 * jm.check_interior(x)
     base = jm.spec.metric
     n = base.dimension
     g, spray = geo.metric_and_spray(base, list(x), list(v))
-    psi = jm.psi(x)
     dpsi = jm.psi_gradient(x)
     f2 = geo.f_squared(base, list(x), list(v))
     dpsi_v = np.dot(dpsi, v)
@@ -142,9 +145,8 @@ class GeodesicCurve:
         return self.source.position(self.time_at(s))
 
     def velocity(self, s: float) -> np.ndarray:
-        t = self.time_at(s)
-        psi = self.jm.psi(self.source.position(t))
-        return self.source.velocity(t) / psi
+        n, z = self.source.spec.dimension, self.source.state(self.time_at(s))
+        return z[n:] / self.jm.psi(z[:n])
 
 
 @dataclass
@@ -216,8 +218,6 @@ def _check_unit_speed(curve, jm: JacobiMetric, samples: int, what: str) -> float
 
 
 def _check_trajectory_energy(jm: JacobiMetric, traj: Trajectory):
-    if traj.energies is None:
-        raise EnergyMismatchError("trajectory carries no recorded energies")
     err = float(np.max(np.abs(traj.energies - jm.energy)))
     if err > 1e-6:
         raise EnergyMismatchError(

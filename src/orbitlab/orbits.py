@@ -20,12 +20,14 @@ run, so an accepted trial is the next iterate and no trajectory is
 integrated twice; the only plain runs of a search are the probe for the
 first turning point or section return and the closed run of the returned
 orbit.  A probe is one run over (0, _T_MAX) that a terminal event ends: for
-a brake orbit the kinetic-energy minimum, for a rotation the current
-horizon, which doubles from _T_MAX / 16 until the scan of a run finds a
-return.  A brake orbit's closed run covers the half period [0, T/2]: the
-second half retraces the first under the reversor R(x, v) = (x, -v), so the
-returned trajectory appends the run's steps reflected in time and in R, and
-its one closure defect is z(T/2) against R z(T/2), i.e. 2 |v(T/2)|.
+a brake orbit the first kinetic-energy minimum (run on, over the rest of the
+span, to the first stop when that minimum is none), for a rotation the
+current horizon, which doubles from _T_MAX / 16 until the scan of a run
+finds a return.  A brake orbit's closed run covers the half period
+[0, T/2]: the second half retraces the first under the reversor
+R(x, v) = (x, -v), so the returned trajectory appends the run's steps
+reflected in time and in R, and its one closure defect is z(T/2) against
+R z(T/2), i.e. 2 |v(T/2)|.
 
 Monodromy is one tangent run of the integrator from W0 = I, with step-size
 control watching W as well as the orbit; J(z) W comes from the system's
@@ -81,6 +83,7 @@ _ROTATION_MAX_NEWTON = 40
 _TOL_EIG = 1e-6  # distance from 1 below which a reported multiplier is trivial
 _TOL_NULL = 1e-7  # singular values of (M - I)^2 below this times (1 + |M|_2)^2 are zero
 _PROJECT_MAX_ITER = 50  # Newton steps of the projection onto {U = E}
+_STOP_SHARE = 0.05  # a kinetic minimum below this share of the probe's peak is a stop
 
 
 class PreconditionError(OrbitLabError):
@@ -230,10 +233,10 @@ def _shoot(spec, chart, z, period, offset, rows, tol, max_newton, kind):
     )
 
 
-def _probe(spec, initial: PhaseState, events=()) -> Trajectory:
-    """One plain run over (0, _T_MAX) at the probe tolerances; a terminal
+def _probe(spec, initial: PhaseState, events=(), t0: float = 0.0) -> Trajectory:
+    """One plain run over (t0, _T_MAX) at the probe tolerances; a terminal
     event among ``events`` ends it, so it is the run to _T_MAX up to there."""
-    return integrate(spec, initial, (0.0, _T_MAX), rtol=1e-9, atol=1e-11, events=events)
+    return integrate(spec, initial, (t0, _T_MAX), rtol=1e-9, atol=1e-11, events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +246,9 @@ def _probe(spec, initial: PhaseState, events=()) -> Trajectory:
 def _retraced(spec, half: Trajectory) -> Trajectory:
     """The brake orbit of period T = 2 t1 from its run ``half`` over [0, t1]:
     the run, then its reflection z(T - t) = R z(t) under the reversor R(x, v)
-    = (x, -v) (:meth:`~orbitlab.rk.DenseOutput.reflected`).  Energies are the
-    run's, mirrored; events are the run's hits inside (0, t1), the turning at
-    t1 (a hit within 1e-6 of t1 is that turning) and the mirrored hits."""
+    = (x, -v) (:meth:`~orbitlab.rk.DenseOutput.reflected`).  Events are the
+    run's hits inside (0, t1), the turning at t1 (a hit within 1e-6 of t1 is
+    that turning) and the mirrored hits."""
     n, t_half = spec.dimension, half.t1
     signs = np.repeat([1.0, -1.0], n)
     dense = half.dense.reflected(signs)
@@ -255,8 +258,7 @@ def _retraced(spec, half: Trajectory) -> Trajectory:
         rk.EventHit(0, t_half, half.states[-1].copy()),
         *(rk.EventHit(hit.index, 2.0 * t_half - hit.t, hit.y * signs) for hit in reversed(inner)),
     ]
-    energies = np.concatenate([half.energies, half.energies[-2::-1]])
-    return Trajectory(spec, dense.ts, dense.ys, dense, events, half.energy_drift, energies)
+    return Trajectory(spec, dense.ts, dense.ys, dense, events)
 
 
 def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
@@ -268,6 +270,13 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     orbit over twice the half-period: the closed run covers [0, T/2], and
     the returned trajectory is that run and its reflection
     (:func:`_retraced`), held to the closure bound on 2 |v(T/2)|.
+
+    The half-period guess is the first kinetic minimum along the flow from
+    the projected seed that is a stop: one where |v|^2 is at most
+    ``_STOP_SHARE`` of its largest value at the probe's steps up to the
+    first minimum, a scale that holds at every energy level.  A first
+    minimum that is no stop is run on from, over the rest of (0, _T_MAX),
+    to the next minimum that is one.
     """
     n = spec.dimension
     e_level = spec.energy
@@ -288,9 +297,17 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
 
     p = _project_to_level(spec, seed)
 
-    # first turning time from a terminal kinetic-energy-minimum event
+    # first turning time: the first kinetic minimum that is a stop
     turn = kinetic_minimum_event(spec, terminal=True)
     probe = _probe(spec, PhaseState(p, np.zeros(n)), (turn,))
+    if probe.events:
+        ceiling = _STOP_SHARE * float(np.max(np.sum(probe.states[:, n:] ** 2, axis=1)))
+        hit = probe.events[0]
+        if float(np.dot(hit.y[n:], hit.y[n:])) > ceiling:
+            stop = rk.EventSpec(  # turn's crossings where |v|^2 is below the ceiling
+                lambda t, z: max(turn.fn(t, z), float(np.dot(z[n:], z[n:])) - ceiling),
+                direction=-1, terminal=True)
+            probe = _probe(spec, PhaseState.from_flat(hit.y), (stop,), hit.t)
     if not probe.events:
         raise ConvergenceError(f"no turning event within t = {_T_MAX}")
 

@@ -361,7 +361,7 @@ def solve_rk45(
     the span.  An empty state, a ``control`` that is not a whole number in
     [1, d], a span that is not finite and increasing, rtol outside [1e-13,
     inf), atol outside (0, inf), or a first f(t0, y0) whose shape is not the
-    state's raises ``ValueError``.
+    state's, ragged included, raises ``ValueError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -387,10 +387,13 @@ def solve_rk45(
 
     t = t0
     fv = f(t, y)
-    if np.shape(fv) != (d,):
-        raise ValueError(
-            f"the right-hand side has shape {np.shape(fv)} for a state of shape ({d},)"
-        )
+    try:
+        shape = np.shape(fv)
+    except ValueError:  # sequences of unequal lengths have no shape
+        shape = None
+    if shape != (d,):
+        found = "a ragged shape" if shape is None else f"shape {shape}"
+        raise ValueError(f"the right-hand side has {found} for a state of shape ({d},)")
     step = _step_function(d, e)
     h = _initial_step(f, t0, y, fv, t1, rtol, atol, e)
     facold = 1e-4

@@ -351,6 +351,15 @@ class TestDenseArrays:
                 with pytest.raises(ValueError, match="no dense output"):
                     method(t)
 
+    def test_without_dense_output_energies_come_from_the_states(self):
+        sys = oscillator((1.0, math.sqrt(2.0)), 0.5)
+        traj = dyn.integrate(
+            sys, PhaseState([0.3, 0.4], [0.5, -0.2]), (0.5, 2.0), dense=False
+        )
+        energies = [dyn.total_energy(sys, z[:2], z[2:]) for z in traj.states]
+        assert traj.energies.tolist() == energies
+        assert traj.energy_drift == max(abs(h - energies[0]) for h in energies)
+
 
 class TestSensitivity:
     # tangent seeded with the x0 directions: W0 = [I; 0]

@@ -55,6 +55,18 @@ class TestJacobiF2:
         jm = oscillator_jm((1.0, 2.0), 1.0)
         assert jac.jacobi_f2(jm, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(2.0)
 
+    def test_one_evaluation_of_u(self, monkeypatch):
+        jm = oscillator_jm((1.0, 2.0), 1.0)
+        x, v = [0.3, -0.2], [0.4, 0.9]
+        psi, f2 = 2.0 * (jm.energy - jm.spec.potential.value(x)), geo.f_squared(jm.spec.metric, x, v)
+        assert jm.psi(x) == 2.0 * jm.margin(x) == psi
+        calls = []
+        value = dyn.PotentialField.value
+        monkeypatch.setattr(dyn.PotentialField, "value",
+                            lambda self, x: calls.append(x) or value(self, x))
+        assert jac.jacobi_f2(jm, x, v) == psi * f2
+        assert len(calls) == 1
+
     def test_boundary_degeneracy_error(self):
         jm = oscillator_jm((1.0, 2.0), 0.5)
         # U(1, 0) = 1/2 = E exactly
@@ -123,6 +135,19 @@ class TestOrbitToGeodesic:
         traj = interior_orbit(jm, [0.2, 0.1], [1.0, -0.4])
         curve = jac.orbit_to_geodesic(traj, jm)
         assert curve.max_unit_speed_error < 1e-6
+
+    def test_velocity_reads_one_source_state(self, monkeypatch):
+        jm = oscillator_jm((1.0, 2.0), 1.0)
+        traj = interior_orbit(jm, [0.2, 0.1], [1.0, -0.4])
+        curve = jac.orbit_to_geodesic(traj, jm)
+        for s in np.linspace(0.0, curve.s_total, 9):
+            t = curve.time_at(s)
+            want = traj.velocity(t) / jm.psi(traj.position(t))
+            lookups = []
+            monkeypatch.setattr(traj, "state", lambda t: lookups.append(t) or traj.dense(t))
+            assert np.array_equal(curve.velocity(s), want)
+            assert lookups == [t]
+            monkeypatch.undo()
 
     def test_round_trip_identity(self):
         jm = oscillator_jm((1.0, 2.0), 1.0)

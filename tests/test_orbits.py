@@ -120,6 +120,17 @@ class TestFindBrake:
             behind = orbit.trajectory.position(tau / 2 - t)
             assert np.max(np.abs(ahead - behind)) < 1e-7
 
+    def test_runs_on_past_minima_that_are_no_stops(self):
+        # from rest at the seed, x = (0.3 cos 2t, 0.2 cos 3t) passes kinetic
+        # minima at t = 1.169 and 1.973 holding 0.32 E before it stops at
+        # t = pi; taken as the half period, the first led Newton to the
+        # x2-axis mode, of period 2 pi / 3, from (0, 0.283)
+        spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), ex.parse("0.5*(4*x1^2 + 9*x2^2)", 2),
+                              0.36)
+        orbit = orb.find_brake(spec, [0.3, 0.2])
+        assert orbit.period == pytest.approx(2 * math.pi, abs=1e-8)
+        assert np.max(np.abs(orbit.trajectory.states[0] - [0.3, 0.2, 0.0, 0.0])) < 1e-12
+
     def test_three_dof_axis_orbits(self):
         alphas = (1.0, math.sqrt(2.0), math.sqrt(3.0))
         spec = oscillator(alphas, 0.5)
@@ -204,6 +215,17 @@ class TestBrakeHalfRun:
         gap = np.linalg.norm(traj.state(ts) - mirrored, axis=1)
         assert orbit.closure_residual == 2.0 * np.linalg.norm(traj.state(orbit.period / 2)[n:])
         assert np.max(gap) <= orbit.closure_residual + 1e-14 * scale
+
+    def test_energies_are_the_half_runs_mirrored(self):
+        # H(x, -v) is H(x, v) bit for bit for a reversible F^2
+        orbit, _, _, _ = half_run_brake("2-DOF oscillator")
+        spec, traj = orbit.spec, orbit.trajectory
+        half = dyn.integrate(spec, PhaseState.from_flat(traj.states[0]), (0.0, orbit.period / 2),
+                             rtol=orb._RTOL, atol=orb._ATOL,
+                             events=(dyn.kinetic_minimum_event(spec),))
+        assert np.array_equal(traj.states[:len(half.ts)], half.states)
+        assert np.array_equal(traj.energies, np.concatenate([half.energies, half.energies[-2::-1]]))
+        assert traj.energy_drift == half.energy_drift
 
     @pytest.mark.parametrize("name", HALF_RUN_BRAKES)
     def test_turning_event_at_half_period(self, name):
@@ -429,6 +451,22 @@ def test_plain_runs_per_search(monkeypatch, search):
     monkeypatch.setattr(orb, "integrate", counting)
     search()
     assert len(runs) == 2
+
+
+@pytest.mark.parametrize("search", [c[1] for c in NEWTON_CASES], ids=[c[0] for c in NEWTON_CASES])
+def test_energy_evaluations_per_search(monkeypatch, search):
+    # a search reads no trajectory's energies; H is evaluated only to check
+    # that a rotation seed lies on the level
+    names = []
+    run = dyn.SystemSpec.run
+
+    def counting(self, name, *args):
+        names.append(name)
+        return run(self, name, *args)
+
+    monkeypatch.setattr(dyn.SystemSpec, "run", counting)
+    orbit = search()
+    assert names.count("energy") == (orbit.kind == "rotation")
 
 
 class TestMalformedInput:

@@ -239,9 +239,11 @@ class TestShapesCheckedAtEntry:
             (lambda t, y: [-y[0], y[1], y[1]], [1.0, 1.0], "shape (3,) for a state of shape (2,)"),
             (lambda t, y: [-y[0]], [1.0, 1.0], "shape (1,) for a state of shape (2,)"),
             (lambda t, y: [[-y[0]], [y[1]]], [1.0, 1.0], "shape (2, 1) for a state of shape (2,)"),
+            (lambda t, y: ([-y[0]], [y[1], y[1]]), [1.0, 1.0],
+             "a ragged shape for a state of shape (2,)"),
         ],
         ids=["too long", "too short", "scalar", "tangent too tall", "tangent left out",
-             "tangent not flat"],
+             "tangent not flat", "ragged"],
     )
     def test_rhs_of_the_wrong_length(self, rhs, y0, message):
         with pytest.raises(ValueError) as info:
