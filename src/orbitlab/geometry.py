@@ -41,6 +41,7 @@ __all__ = [
     "geodesic_coefficients",
     "solve_linear",
     "require_positive_definite",
+    "require_nonzero_v",
 ]
 
 
@@ -283,7 +284,9 @@ def _symmetrized(entries, n: int) -> tuple:
     return tuple(tuple(upper(min(i, j), max(i, j)) for j in range(n)) for i in range(n))
 
 
-def _require_nonzero_v(model: MetricModel, v):
+def require_nonzero_v(model: MetricModel, v):
+    """Raise :class:`ModelValidityError` at v = 0 for a Finsler model, whose
+    fundamental tensor and spray are not defined there."""
     if model.kind == "finsler" and not any(v):
         raise ModelValidityError("Finsler metric quantities need v != 0")
 
@@ -334,7 +337,7 @@ def metric_nodes(graph: ex.Graph, model: MetricModel):
 def metric_tensor(model: MetricModel, x, v):
     """Fundamental tensor g_ij(x, v) = half the v-Hessian of F^2, checked
     positive definite."""
-    _require_nonzero_v(model, v)
+    require_nonzero_v(model, v)
     g = model.run("tensor", [*map(float, x), *map(float, v)])
     require_positive_definite(g, "fundamental tensor")
     return g
@@ -348,7 +351,7 @@ def metric_and_spray(model: MetricModel, x, v):
     needs derivatives of F^2 up to second order only, by
     :func:`solve_linear`'s elimination, whose pivots check every g.
     """
-    _require_nonzero_v(model, v)
+    require_nonzero_v(model, v)
     g, c = model.run("g_and_c", [*map(float, x), *map(float, v)])
     s, pivots = _eliminate(g, c)
     require_positive_definite(g, "fundamental tensor", pivots)

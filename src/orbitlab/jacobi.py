@@ -69,10 +69,6 @@ class JacobiMetric:
         """Conformal factor 2 (E - U(x))."""
         return 2.0 * self.margin(x)
 
-    def psi_gradient(self, x):
-        grad_u = self.spec.potential.gradient(list(x))
-        return [-2.0 * g for g in grad_u]
-
     def margin(self, x) -> float:
         """E - U(x)."""
         return self.spec.energy - self.spec.potential.value(x)
@@ -98,22 +94,23 @@ def jacobi_f2(jm: JacobiMetric, x, v):
 def jacobi_geodesic_coefficients(jm: JacobiMetric, x, v):
     """Spray of the conformal metric via the closed conformal correction.
 
-    Gbar = G + (1/(4 psi)) { 2 (grad psi . v) v - g^{-1} grad psi F^2 }.
-    Must agree with the geometry kernel applied to the conformal expression
-    model; both routes are exercised against each other in the tests.
+    With the base metric's 2 g G = c (:func:`geometry.metric_nodes`) and
+    grad psi = -2 grad U,
+    Gbar = (1/2) g^{-1} (c - (F^2 / (2 psi)) grad psi) + ((grad psi . v) / (2 psi)) v:
+    one solve with one right-hand side.  Must agree with the geometry kernel
+    applied to the conformal expression model; both routes are exercised
+    against each other in the tests.
     """
     psi = 2.0 * jm.check_interior(x)
     base = jm.spec.metric
-    n = base.dimension
-    g, spray = geo.metric_and_spray(base, list(x), list(v))
-    dpsi = jm.psi_gradient(x)
-    f2 = geo.f_squared(base, list(x), list(v))
-    dpsi_v = np.dot(dpsi, v)
-    pull = geo.solve_linear(g, dpsi)
-    return [
-        spray[i] + (2.0 * dpsi_v * v[i] - pull[i] * f2) / (4.0 * psi)
-        for i in range(n)
-    ]
+    geo.require_nonzero_v(base, v)
+    z = [*map(float, x), *map(float, v)]
+    g, c = base.run("g_and_c", z)
+    dpsi = [-2.0 * e for e in jm.spec.potential.gradient(x)]
+    pull = base.run("f2", z) / (2.0 * psi)
+    s = geo.solve_linear(g, [ci - pull * d for ci, d in zip(c, dpsi)])
+    push = float(np.dot(dpsi, v)) / (2.0 * psi)
+    return [0.5 * si + push * vi for si, vi in zip(s, v)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ metric's generated lines.  The Dormand-Prince stepper as a loop
 over the stages, with W's stage sums and the error norm in numpy, is the
 reference for the generated step that replaced it.  A brake orbit's closed
 run and self-scan over its full period are the references for the half run
-with its reflection and for the scan of its arc.  The member-by-member
-check of the resonant oscillator family against its closed form lives here
-too.
+with its reflection and for the scan of its arc.  The oscillator's closed
+forms that only tests lean on live here too: its linearized fields, the
+resonant family of periodic orbits with its energy, and the
+member-by-member check of the family against the equations of motion.
 """
 
 from __future__ import annotations
@@ -1123,8 +1124,68 @@ def full_period_brake_run(orbit):
 
 
 # ---------------------------------------------------------------------------
-# The resonant oscillator family
+# Closed forms of the harmonic oscillator that only tests lean on
 # ---------------------------------------------------------------------------
+
+def jacobi_field_closed_form(osc, v0, vdot0, t: float) -> np.ndarray:
+    """Linearized (Jacobi) field of the oscillator ``osc``
+    (``reference.OscillatorSpec``) at time t from its initial position part
+    ``v0`` and velocity part ``vdot0``.  The oscillator is linear, so the
+    field is the same along every orbit.
+
+    Each component solves w'' + alpha_i^2 w = 0, so
+    w^i(t) = w^i(0) cos(alpha_i t) + (wdot^i(0)/alpha_i) sin(alpha_i t).
+    The 1/alpha_i factor is required for the initial derivative to come out
+    right; the commonly quoted form without it fails that check.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    vdot0 = np.asarray(vdot0, dtype=float)
+    out = np.zeros(osc.n)
+    for i, a in enumerate(osc.alphas):
+        out[i] = v0[i] * math.cos(a * t) + (vdot0[i] / a) * math.sin(a * t)
+    return out
+
+
+def base_frequency(osc, resonance) -> float:
+    """Common base frequency w of a 2-DOF oscillator in resonance m1:m2,
+    alpha_1 = m1 w and alpha_2 = m2 w; coprime integers that do not match
+    the frequencies raise ValueError."""
+    m1, m2 = resonance
+    if math.gcd(m1, m2) != 1:
+        raise ValueError("resonance integers must be coprime")
+    base1, base2 = osc.alphas[0] / m1, osc.alphas[1] / m2
+    if abs(base1 - base2) > 1e-12 * (1 + abs(base1)):
+        raise ValueError("declared resonance does not match the frequencies")
+    return base1
+
+
+def lissajous_family(osc, resonance, a1: float, a2: float, s: float, t: float) -> PhaseState:
+    """Member of the resonant one-parameter family of periodic orbits.
+
+    x^1(t) = a1 (cos s cos(m1 w t) + sin s sin(m1 w t)), x^2 = a2 cos(m2 w t)
+    with (m1, m2) = ``resonance`` and w the common base frequency
+    (:func:`base_frequency`); every member has minimal period 2 pi / w.  The
+    energy of every member is (alpha_1^2 a1^2 + alpha_2^2 a2^2) / 2,
+    independent of s (:func:`lissajous_energy`) -- the published value
+    disagrees with direct substitution into H, which fixes the quadratic
+    frequency factors.
+    """
+    m1, m2 = resonance
+    w = base_frequency(osc, resonance)
+    x = np.zeros(osc.n)
+    v = np.zeros(osc.n)
+    c1, s1 = math.cos(m1 * w * t), math.sin(m1 * w * t)
+    x[0] = a1 * (math.cos(s) * c1 + math.sin(s) * s1)
+    v[0] = a1 * m1 * w * (-math.cos(s) * s1 + math.sin(s) * c1)
+    x[1] = a2 * math.cos(m2 * w * t)
+    v[1] = -a2 * m2 * w * math.sin(m2 * w * t)
+    return PhaseState(x, v)
+
+
+def lissajous_energy(osc, a1: float, a2: float) -> float:
+    """Energy of the resonant family by substitution into H."""
+    return 0.5 * (osc.alphas[0] ** 2 * a1 * a1 + osc.alphas[1] ** 2 * a2 * a2)
+
 
 @dataclass
 class FamilyReport:
@@ -1136,7 +1197,8 @@ class FamilyReport:
 
 
 def verify_degenerate_family(
-    osc, a1: float = 1.0, a2: float = 0.5, s_values=(0.0, 0.3, 0.7), n_samples: int = 33
+    osc, resonance, a1: float = 1.0, a2: float = 0.5, s_values=(0.0, 0.3, 0.7),
+    n_samples: int = 33,
 ) -> FamilyReport:
     """Check the resonant one-parameter family member-by-member.
 
@@ -1145,13 +1207,13 @@ def verify_degenerate_family(
     """
     spec = ref.oscillator_system(osc)
     alphas = np.asarray(osc.alphas)
-    period = 2.0 * math.pi / osc.base_frequency
+    period = 2.0 * math.pi / base_frequency(osc, resonance)
     max_res = 0.0
     energies = []
     for s in s_values:
         e_here = []
         for t in np.linspace(0.0, period, n_samples):
-            st = ref.lissajous_family(osc, a1, a2, s, float(t))
+            st = lissajous_family(osc, resonance, a1, a2, s, float(t))
             acc = np.array(lagrange_rhs(spec, list(st.x), list(st.v)))
             exact = -(alphas**2) * st.x
             max_res = max(max_res, float(np.max(np.abs(acc - exact))))

@@ -9,6 +9,7 @@ import orbitlab
 
 MODULES = sorted(Path(orbitlab.__file__).parent.glob("*.py"))
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+WORKLOADS = TRACER.parent / "workloads.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,16 +39,30 @@ def missing_exports(module) -> list[str]:
     return sorted(name for name in getattr(module, "__all__", ()) if not hasattr(module, name))
 
 
-def unlisted_exports(source: str) -> list[str]:
-    """Public module-level functions and classes that a module with an
-    ``__all__`` leaves out of it."""
-    tree = ast.parse(source)
-    listed = None
+def listed_exports(tree: ast.Module) -> list[str] | None:
+    """A module's ``__all__``, or None if it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            listed = set(ast.literal_eval(node.value))
+            return ast.literal_eval(node.value)
+    return None
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Names a module loads, by name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unlisted_exports(source: str) -> list[str]:
+    """Public module-level functions and classes that a module with an
+    ``__all__`` leaves out of it."""
+    tree = ast.parse(source)
+    listed = listed_exports(tree)
     if listed is None:
         return []
     return sorted(
@@ -80,11 +95,7 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             defined += [(module, name, name, node.lineno) for name in names]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+        loaded |= loaded_names(tree)
     return sorted(
         f"{module}.{qualified} (line {line})"
         for module, qualified, name, line in defined
@@ -153,6 +164,31 @@ def test_detects_unused_private_method():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def unread_exports(module: str, sources: dict[str, str]) -> list[str]:
+    """Names in the ``__all__`` of ``sources[module]`` that no other module of
+    ``sources`` (module name -> text) loads, by name or as an attribute."""
+    loaded = set().union(*(loaded_names(ast.parse(source))
+                           for name, source in sources.items() if name != module))
+    return sorted(set(listed_exports(ast.parse(sources[module])) or ()) - loaded)
+
+
+def test_detects_unread_export():
+    sources = {
+        "a": "__all__ = ['by_name', 'by_attribute', 'own', 'imported']\n"
+        "def own():\n    pass\nown()\n",
+        "b": "from a import by_name, imported\nimport a\nby_name()\na.by_attribute()\n",
+    }
+    assert unread_exports("a", sources) == ["imported", "own"]
+
+
+def test_reference_keeps_what_runs():
+    # the closed forms the library keeps are the ones it or the benchmark
+    # reads; the rest live with the test oracles
+    sources = {p.stem: p.read_text() for p in MODULES}
+    sources["bench.workloads"] = WORKLOADS.read_text()
+    assert unread_exports("reference", sources) == []
 
 
 def foreign_private_names(sources: dict[str, str]) -> list[str]:

@@ -33,9 +33,9 @@ def straight_rotation(spec, x0, v0, period):
 
 
 def lissajous_orbit(s_phase=math.pi / 4, a1=1.0, a2=0.5):
-    osc = ref.OscillatorSpec((1.0, 2.0), 1.0, resonance=(1, 2))
-    st = ref.lissajous_family(osc, a1, a2, s_phase, 0.0)
-    energy = ref.lissajous_energy(osc, a1, a2)
+    osc = ref.OscillatorSpec((1.0, 2.0), 1.0)
+    st = oracles.lissajous_family(osc, (1, 2), a1, a2, s_phase, 0.0)
+    energy = oracles.lissajous_energy(osc, a1, a2)
     spec = dyn.SystemSpec(
         geo.MetricModel.euclidean(2),
         ex.parse(f"0.5*(x1^2 + {2.0**2!r}*x2^2)", 2),

@@ -35,6 +35,12 @@ def constant_shift_jm(energy=1.0):
     return jac.JacobiMetric(sys)
 
 
+def finsler_jm(energy=0.5):
+    f2 = ex.parse("v1^2 + v2^2 + 0.1*sqrt(v1^4 + v2^4)", 2)
+    potential = ex.parse("0.5*x1^2 + x2^2 + 0.1*x1^2*x2^2", 2)
+    return jac.JacobiMetric(dyn.SystemSpec(geo.MetricModel.finsler(f2, 2), potential, energy))
+
+
 def interior_orbit(jm, x0, v_dir, t_end=1.0):
     """The orbit of energy E from x0 along the direction ``v_dir``."""
     x0 = np.asarray(x0, dtype=float)
@@ -106,19 +112,43 @@ class TestConformalSpray:
             b = np.array(geo.geodesic_coefficients(conf, list(x), list(v)))
             assert np.max(np.abs(a - b)) < 1e-9 * (1.0 + np.max(np.abs(a)))
 
+    def test_two_routes_agree_finsler(self):
+        jm = finsler_jm()
+        conf = oracles.conformal_model(jm)
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            x = rng.uniform(-0.5, 0.5, 2)  # U < 0.39 < E
+            v = rng.uniform(-1.0, 1.0, 2) + 0.2
+            a = np.array(jac.jacobi_geodesic_coefficients(jm, list(x), list(v)))
+            b = np.array(geo.geodesic_coefficients(conf, list(x), list(v)))
+            assert np.max(np.abs(a - b)) < 1e-9 * (1.0 + np.max(np.abs(a)))
+
     def test_componentwise_formula_euclidean_radial(self):
         # Euclidean F with radial potential: check the correction term
         jm = oscillator_jm((1.0, 1.0), 1.0)
         x = [0.5, 0.0]
         v = [0.0, 1.0]  # v perpendicular to grad psi
         psi = jm.psi(x)
-        dpsi = np.array(jm.psi_gradient(x))
+        dpsi = -2.0 * np.array(jm.spec.potential.gradient(x))
         f2 = geo.f_squared(jm.spec.metric, x, v)
         expect = (2.0 * float(np.dot(dpsi, v)) * np.asarray(v) - dpsi * f2) / (
             4.0 * psi
         )
         got = np.array(jac.jacobi_geodesic_coefficients(jm, x, v))
         assert np.allclose(got, expect, atol=1e-13)
+
+    @pytest.mark.parametrize("make", [oscillator_jm, finsler_jm], ids=["oscillator", "finsler"])
+    def test_one_elimination_per_call(self, make, monkeypatch):
+        # g is factored once, with one right-hand side
+        jm, calls = make(), []
+        eliminate = geo._eliminate
+        monkeypatch.setattr(geo, "_eliminate", lambda a, b: calls.append(b) or eliminate(a, b))
+        jac.jacobi_geodesic_coefficients(jm, [0.2, -0.1], [0.4, 0.9])
+        assert len(calls) == 1
+
+    def test_finsler_needs_nonzero_v(self):
+        with pytest.raises(geo.ModelValidityError, match="v != 0"):
+            jac.jacobi_geodesic_coefficients(finsler_jm(), [0.2, -0.1], [0.0, 0.0])
 
 
 class TestOrbitToGeodesic:

@@ -571,12 +571,27 @@ class TestMonodromy:
         assert rep.nondegenerate
         assert rep.det_error < 1e-6
 
+    @pytest.mark.parametrize("alphas", [(1.0, math.sqrt(2.0)), (1.0, 1.37, 1.61)], ids=repr)
+    def test_axis_brake_position_rows_are_the_linear_flow(self, alphas):
+        # the oscillator is linear: M is its flow over the period, whose
+        # position rows are the closed-form Jacobi fields from (e_k, 0) and (0, e_k)
+        osc = ref.OscillatorSpec(alphas, 0.5)
+        n = osc.n
+        orbit = orb.find_brake(ref.oscillator_system(osc), [1.0] + [0.0] * (n - 1))
+        rows = orb.monodromy(orbit.spec, orbit).matrix[:n]
+        e, zero = np.eye(n), np.zeros(n)
+        want = np.array(
+            [oracles.jacobi_field_closed_form(osc, e[k], zero, orbit.period) for k in range(n)]
+            + [oracles.jacobi_field_closed_form(osc, zero, e[k], orbit.period) for k in range(n)]
+        ).T
+        assert np.max(np.abs(rows - want)) < 1e-9
+
     def test_resonant_lissajous_degenerate(self):
         spec = oscillator((1.0, 2.0), 1.0)
-        osc = ref.OscillatorSpec((1.0, 2.0), 1.0, resonance=(1, 2))
+        osc = ref.OscillatorSpec((1.0, 2.0), 1.0)
         # build the periodic orbit directly from the closed form
-        st = ref.lissajous_family(osc, 1.0, 0.5, 0.3, 0.0)
-        e = ref.lissajous_energy(osc, 1.0, 0.5)
+        st = oracles.lissajous_family(osc, (1, 2), 1.0, 0.5, 0.3, 0.0)
+        e = oracles.lissajous_energy(osc, 1.0, 0.5)
         spec = dyn.SystemSpec(spec.metric, spec.potential, e)
         period = 2 * math.pi
         traj = dyn.integrate(spec, st, (0.0, period), rtol=1e-12, atol=1e-14)
@@ -680,15 +695,15 @@ class TestMonodromy:
 
 class TestDegenerateFamily:
     def test_family_report(self):
-        osc = ref.OscillatorSpec((1.0, 2.0), 1.0, resonance=(1, 2))
-        rep = oracles.verify_degenerate_family(osc, 1.0, 0.5, (0.0, 0.3, 0.7))
+        osc = ref.OscillatorSpec((1.0, 2.0), 1.0)
+        rep = oracles.verify_degenerate_family(osc, (1, 2), 1.0, 0.5, (0.0, 0.3, 0.7))
         assert rep.max_residual < 1e-10
         assert rep.energy_spread < 1e-12
         assert rep.period == pytest.approx(2 * math.pi)
 
     def test_s_zero_reproduces_cosine_member(self):
-        osc = ref.OscillatorSpec((1.0, 2.0), 1.0, resonance=(1, 2))
-        st = ref.lissajous_family(osc, 1.0, 0.5, 0.0, 0.4)
+        osc = ref.OscillatorSpec((1.0, 2.0), 1.0)
+        st = oracles.lissajous_family(osc, (1, 2), 1.0, 0.5, 0.0, 0.4)
         x1 = 1.0 * math.cos(0.4)
         assert st.x[0] == pytest.approx(x1, abs=1e-14)
 

@@ -1,10 +1,18 @@
+"""The library's closed forms (``orbitlab.reference``) and the ones that
+only tests lean on (``oracles``), each against direct substitution."""
+
 import math
 
 import numpy as np
 import pytest
 
+import oracles
+
 from orbitlab import dynamics as dyn
 from orbitlab import reference as ref
+from orbitlab.errors import OrbitLabError
+
+RESONANCE = (1, 2)
 
 
 def osc_12():
@@ -12,7 +20,26 @@ def osc_12():
 
 
 def resonant_12():
-    return ref.OscillatorSpec((1.0, 2.0), 1.0, resonance=(1, 2))
+    return ref.OscillatorSpec((1.0, 2.0), 1.0)
+
+
+class TestOscillatorSpec:
+    @pytest.mark.parametrize("alphas", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (), (0.0, 1.0), (-1.0, 1.0),
+        tuple(range(1, 11)),
+    ], ids=repr)
+    def test_frequencies_are_checked(self, alphas):
+        with pytest.raises(OrbitLabError, match="alphas"):
+            ref.OscillatorSpec(alphas, 0.5)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, 0.0, -0.5], ids=repr)
+    def test_energy_is_checked(self, energy):
+        with pytest.raises(OrbitLabError, match="energy"):
+            ref.OscillatorSpec((1.0, 2.0), energy)
+
+    def test_nine_frequencies_make_a_system(self):
+        spec = ref.oscillator_system(ref.OscillatorSpec(range(1, 10), 0.5))
+        assert spec.dimension == 9
 
 
 class TestBrakeClosedForm:
@@ -58,7 +85,7 @@ class TestJacobiField:
         for i, a in enumerate(osc.alphas):
             e = np.zeros(2)
             e[i] = 1.0
-            out = ref.jacobi_field_closed_form(osc, e, np.zeros(2), 2 * math.pi / a)
+            out = oracles.jacobi_field_closed_form(osc, e, np.zeros(2), 2 * math.pi / a)
             assert out[i] == pytest.approx(1.0, abs=1e-12)
 
     def test_initial_derivative_normalization(self):
@@ -69,8 +96,8 @@ class TestJacobiField:
             vdot0 = np.zeros(2)
             vdot0[i] = 1.0
             num = (
-                ref.jacobi_field_closed_form(osc, np.zeros(2), vdot0, h)
-                - ref.jacobi_field_closed_form(osc, np.zeros(2), vdot0, -h)
+                oracles.jacobi_field_closed_form(osc, np.zeros(2), vdot0, h)
+                - oracles.jacobi_field_closed_form(osc, np.zeros(2), vdot0, -h)
             ) / (2 * h)
             assert num[i] == pytest.approx(1.0, abs=1e-6)
 
@@ -79,20 +106,20 @@ class TestJacobiField:
         osc = osc_12()
         t = 2 * math.pi / osc.alphas[0]
         for v0, vd0 in [((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 0.3), (0, -0.4))]:
-            out = ref.jacobi_field_closed_form(osc, v0, vd0, t)
+            out = oracles.jacobi_field_closed_form(osc, v0, vd0, t)
             assert abs(out[1] - v0[1]) > 1e-3
 
     def test_resonant_transverse_closes(self):
         osc = resonant_12()
         t = 2 * math.pi
-        out = ref.jacobi_field_closed_form(osc, (0.0, 0.7), (0.0, -0.2), t)
+        out = oracles.jacobi_field_closed_form(osc, (0.0, 0.7), (0.0, -0.2), t)
         assert out[1] == pytest.approx(0.7, abs=1e-12)
 
 
 class TestLissajousFamily:
     def test_s_zero_is_cosine_orbit(self):
         osc = resonant_12()
-        st = ref.lissajous_family(osc, 1.0, 0.5, 0.0, 0.0)
+        st = oracles.lissajous_family(osc, RESONANCE, 1.0, 0.5, 0.0, 0.0)
         assert np.allclose(st.x, [1.0, 0.5])
         assert np.allclose(st.v, [0.0, 0.0])
 
@@ -101,21 +128,18 @@ class TestLissajousFamily:
         sys = ref.oscillator_system(osc)
         vals = []
         for s in (0.0, 0.3, 0.7, math.pi / 4):
-            energies = [
-                dyn.total_energy(
-                    sys, *(lambda st: (st.x, st.v))(ref.lissajous_family(osc, 1.0, 0.5, s, t))
-                )
-                for t in np.linspace(0, 6, 11)
-            ]
+            members = [oracles.lissajous_family(osc, RESONANCE, 1.0, 0.5, s, t)
+                       for t in np.linspace(0, 6, 11)]
+            energies = [dyn.total_energy(sys, st.x, st.v) for st in members]
             vals.extend(energies)
         assert max(vals) - min(vals) < 1e-12
-        assert vals[0] == pytest.approx(ref.lissajous_energy(osc, 1.0, 0.5), abs=1e-14)
+        assert vals[0] == pytest.approx(oracles.lissajous_energy(osc, 1.0, 0.5), abs=1e-14)
 
     def test_minimal_period(self):
         osc = resonant_12()
-        tau = 2 * math.pi / osc.base_frequency
-        st0 = ref.lissajous_family(osc, 1.0, 0.5, 0.3, 0.1)
-        st1 = ref.lissajous_family(osc, 1.0, 0.5, 0.3, 0.1 + tau)
+        tau = 2 * math.pi / oracles.base_frequency(osc, RESONANCE)
+        st0 = oracles.lissajous_family(osc, RESONANCE, 1.0, 0.5, 0.3, 0.1)
+        st1 = oracles.lissajous_family(osc, RESONANCE, 1.0, 0.5, 0.3, 0.1 + tau)
         assert np.allclose(st0.x, st1.x, atol=1e-12)
         assert np.allclose(st0.v, st1.v, atol=1e-12)
 
@@ -124,11 +148,12 @@ class TestLissajousFamily:
         sys = ref.oscillator_system(osc)
         for s in (0.0, 0.3, 0.7):
             for t in np.linspace(0, 3, 7):
-                st = ref.lissajous_family(osc, 1.0, 0.5, s, t)
+                st = oracles.lissajous_family(osc, RESONANCE, 1.0, 0.5, s, t)
                 acc = np.array(dyn.lagrange_rhs(sys, list(st.x), list(st.v)))
                 exact = -(np.array(osc.alphas) ** 2) * st.x
                 assert np.max(np.abs(acc - exact)) < 1e-10
 
     def test_requires_resonance(self):
-        with pytest.raises(Exception):
-            ref.lissajous_family(osc_12(), 1.0, 0.5, 0.0, 0.0)
+        # (1, 2) is no resonance of alpha = (1, sqrt 2)
+        with pytest.raises(ValueError, match="does not match"):
+            oracles.lissajous_family(osc_12(), RESONANCE, 1.0, 0.5, 0.0, 0.0)
