@@ -58,7 +58,7 @@ class PotentialField(ex.Compiled):
     """Potential U(x) given by an expression over the position variables.
 
     U and grad U run as straight-line code over floats, built once, on
-    first use (:class:`~orbitlab.expr.Compiled`).
+    first use (:class:`~orbitlab.expr.Compiled`); U also runs over arrays.
     """
 
     node: ex.ExprNode
@@ -77,6 +77,9 @@ class PotentialField(ex.Compiled):
         return [("value", n, u, ()), ("gradient", n, [graph.diff(u, i) for i in range(n)], (u,))]
 
     def value(self, x):
+        """U at a point x, or at each row of a (K, n) array x in one array call."""
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            return self.run_array("value", x.T)
         return self.run("value", list(map(float, x)))
 
     def gradient(self, x):

@@ -37,7 +37,9 @@ them in one cache out of pickles and copies, and runs a width-0 function by
 name.  A failure of the generated code (one of :data:`DOMAIN_FAILURES`) is
 named, never answered: :func:`name_failure` re-runs the imported trees at
 the failing point through :func:`evaluate` and :func:`eval_dual`, whose
-errors name the subexpression.
+errors name the subexpression.  The same compiled text also runs over numpy
+arrays, one point per column (:meth:`Compiled.run_array`); a point where it
+fails is named by the float code's route.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import FunctionType
+
+import numpy as np
 
 __all__ = [
     "Const",
@@ -649,6 +654,11 @@ def eval_dual(node: ExprNode, point, directions=None, order: int = 1, tag: int =
 _LIB = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
         "pw": _pow}
 
+# Library of the array build, the same code over numpy arrays: where math
+# raises, numpy returns NaN or +-inf and sets an error flag.
+_ARRAY_LIB = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+              "pw": np.power}
+
 
 def _literal(value: float) -> str:
     if not math.isfinite(value):
@@ -956,6 +966,18 @@ class Compiled:
     keeps them in ``_code``, which pickles and copies leave out and build
     again when used.  A function of width m > 0 takes z followed by the
     entries of a 2n x m tangent W, row by row, in one flat sequence.
+
+    A width-0 function also runs over arrays (:meth:`run_array`): the
+    scalar build's compiled code, bound at each call to numpy's ``sin``,
+    ``cos``, ``exp``, ``log``, ``sqrt`` and ``power``, so there is no second
+    generator or cache.  It runs under a numpy error state that neither
+    warns nor raises.  The scalar function then runs on the first result
+    column that is not finite, and on every column in order where numpy
+    flagged a division by zero, an overflow or an invalid operation (as in
+    a guard, or in exp(-1/0), which is finite) or where the array code
+    raised (on a failing constant subexpression); the first that raises
+    names the failure as :meth:`run` does.  If none raises, the array result
+    stands: the scalar code gives the same non-finite values.
     """
 
     def __getstate__(self):
@@ -987,6 +1009,35 @@ class Compiled:
         except DOMAIN_FAILURES:
             name_failure(trees, z)
             raise
+
+    def run_array(self, name: str, z):
+        """Function ``name`` of width 0 at each column of a (arity, K) float
+        array z: its result with every leaf a (K,) array, a constant
+        broadcast to K.  A failure at a column is named as :meth:`run` names
+        it (the class docstring has the rule)."""
+        code, _ = self.code()
+        flagged, leaves, k = [], [], z.shape[1]
+        try:
+            with np.errstate(all="call", under="ignore", call=lambda kind, flag: flagged.append(kind)):
+                out = _broadcast(FunctionType(code[name].__code__, _ARRAY_LIB)(z), k, leaves)
+        except DOMAIN_FAILURES:  # floats alone, a constant subexpression left to run time
+            for j in range(k):
+                self.run(name, z[:, j].tolist())
+            raise
+        finite = np.logical_and.reduce([np.isfinite(leaf) for leaf in leaves])
+        for j in np.flatnonzero(~finite)[:1].tolist() + (list(range(k)) if flagged else []):
+            self.run(name, z[:, j].tolist())
+        return out
+
+
+def _broadcast(result, k: int, leaves: list):
+    """``result`` with every leaf a (k,) array, a constant broadcast to k;
+    each leaf is also appended to ``leaves``."""
+    if isinstance(result, list):
+        return [_broadcast(r, k, leaves) for r in result]
+    leaf = result if isinstance(result, np.ndarray) else np.full(k, result)
+    leaves.append(leaf)
+    return leaf
 
 
 def name_failure(trees, z):

@@ -295,8 +295,11 @@ def require_nonzero_v(model: MetricModel, v):
 # Core evaluations
 # ---------------------------------------------------------------------------
 
-def f_squared(model: MetricModel, x, v) -> float:
-    """F^2(x, v); for Riemannian models g_ij(x) v^i v^j."""
+def f_squared(model: MetricModel, x, v):
+    """F^2(x, v); for Riemannian models g_ij(x) v^i v^j.  At each row of
+    (K, n) arrays x and v, in one array call."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return model.run_array("f2", np.concatenate([x, v], axis=1).T)
     return model.run("f2", [*map(float, x), *map(float, v)])
 
 

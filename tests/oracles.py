@@ -652,25 +652,27 @@ def geodesic_flow_system(jm) -> SystemSpec:
     return SystemSpec(model, PotentialField(ex.const(0.0), model.dimension), 0.5)
 
 
-def two_run_reparametrize(rate, inverse_rate, a, b):
-    """Exchange of parameters old -> new with d(new)/d(old) = rate(old).
+def two_run_reparametrize(rate, inverse_rate, a, b, rtol=1e-13):
+    """Exchange of parameters old -> new with d(new)/d(old) = rate(old), by
+    two dense runs at ``rtol``: new(old) over old in [a, b] from 0, whose end
+    value is the total new length, then old(new) as a run of d(old)/d(new) =
+    inverse_rate(old) over [0, total] from old = a.  Returns (forward run,
+    inverse run).
 
-    Integrates the total new-parameter length over old in [a, b], then the
-    inverse map as a dense run of d(old)/d(new) = inverse_rate(old) from
-    old = a.  Returns (total, inverse run).
-
-    The reference for ``jacobi._reparametrize``, which makes the inverse run
-    alone and stops it with an event at old = b.
+    The reference for ``jacobi._Exchange``, which takes the same exchange by
+    quadrature on the source's steps.  At rtol 1e-13 the forward run is the
+    more accurate: on the orbits of ``test_jacobi``, the quadrature's total is
+    within 4.4e-14 relative of it and its dense values within 1e-12 of the
+    quadrature's; the inverse run's are within 1.3e-11.
     """
     fwd = rk.solve_rk45(
-        lambda p, y: [rate(p)], (a, b), [0.0], rtol=1e-12, atol=1e-14, dense=False
+        lambda p, y: [rate(p)], (a, b), [0.0], rtol=rtol, atol=1e-14, dense=True
     )
-    total = float(fwd.ys[-1, 0])
     inv = rk.solve_rk45(
-        lambda q, y: [inverse_rate(y[0])], (0.0, total), [a], rtol=1e-12, atol=1e-14,
-        dense=True,
+        lambda q, y: [inverse_rate(y[0])], (0.0, float(fwd.ys[-1, 0])), [a], rtol=rtol,
+        atol=1e-14, dense=True,
     )
-    return total, inv
+    return fwd, inv
 
 
 # ---------------------------------------------------------------------------

@@ -239,13 +239,15 @@ TANGENT_PLUMBING = ("w0", "control_tangent", "w_final", "kw")
 
 def names_used(source: str, wanted) -> list[str]:
     """Names of ``wanted`` (:data:`INTERPRETER_DUALS`, :data:`SOLVES`,
-    :data:`TANGENT_PLUMBING`) that a module imports (as any part of a dotted
-    name), binds, loads, reads as an attribute, takes as a parameter or
-    passes as a keyword."""
+    :data:`TANGENT_PLUMBING`) that a module imports or imports from (as any
+    part of a dotted name), binds, loads, reads as an attribute, takes as a
+    parameter or passes as a keyword."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [part for alias in node.names for name in (alias.name, alias.asname)
+            modules = [getattr(node, "module", None)]
+            names = [part for name in modules + [n for alias in node.names
+                                                 for n in (alias.name, alias.asname)]
                      if name for part in name.split(".")]
         elif isinstance(node, ast.Name):
             names = [node.id]
@@ -273,9 +275,10 @@ def test_only_expr_names_duals(path):
 
 
 def test_detects_solve_names():
-    source = "import numpy.linalg\nfrom .geometry import solve_linear as s\nnp.linalg.solve(a, b)\n"
+    source = "import numpy.linalg\nfrom .geometry import solve_linear as s\nnp.linalg.solve(a, b)\n" \
+        "from numpy.linalg import solve\n"
     assert names_used(source, SOLVES) == [
-        "linalg (line 1)", "linalg (line 3)", "solve_linear (line 2)"]
+        "linalg (line 1)", "linalg (line 3)", "linalg (line 4)", "solve_linear (line 2)"]
 
 
 def test_dynamics_names_no_solve():
@@ -305,6 +308,19 @@ def test_one_definiteness_rule(path):
     # eigenvalue check, and no other module raises the rule's singular error
     wanted = ("eigvalsh",) if path.stem == "geometry" else ("eigvalsh", "SingularMatrixError")
     assert names_used(path.read_text(), wanted) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_polynomial_module(path):
+    # the quadrature's Gauss-Legendre rule is tabulated in jacobi: importing
+    # numpy.polynomial for it raised the benchmark's peak RSS by about 0.8 MiB
+    assert names_used(path.read_text(), ("polynomial",)) == []
+
+
+def test_jacobi_runs_no_integrator():
+    # the Jacobi maps take their exchange by quadrature on the source's steps
+    path = next(p for p in MODULES if p.stem == "jacobi")
+    assert names_used(path.read_text(), ("solve_rk45", "rk")) == []
 
 
 def dense_output_builds(source: str) -> list[str]:

@@ -229,6 +229,41 @@ class TestOrbitToGeodesic:
         with pytest.raises(jac.EnergyMismatchError, match="by 2.01"):
             jac.geodesic_to_orbit(geo_traj, jm)
 
+    def test_geodesic_of_another_system_rejected(self):
+        # accepted before, with t_total 1.0000001060835655 for 1.0
+        curve = jac.orbit_to_geodesic(
+            interior_orbit(oscillator_jm((1.0, 2.0)), [0.2, 0.1], [0.3, 1.0]), oscillator_jm((1.0, 2.0))
+        )
+        with pytest.raises(jac.JacobiError, match="another system"):
+            jac.geodesic_to_orbit(curve, oscillator_jm((1.0, 2.00000001)))
+
+    def test_shifted_inverse_rejected(self, monkeypatch):
+        # the unit-speed check reads the orbit's energy, whatever t(s) is; the
+        # inversion residual |s(t(s)) - s| sees a shift of t(s)
+        jm = oscillator_jm((1.0, 2.0), 1.0)
+        traj = interior_orbit(jm, [0.2, 0.1], [1.0, -0.4])
+        curve = jac.orbit_to_geodesic(traj, jm)
+        assert curve.max_inversion_error <= 1e-12 * (1.0 + curve.s_total)
+        time_at = jac.GeodesicCurve.time_at
+        monkeypatch.setattr(jac.GeodesicCurve, "time_at", lambda self, s: time_at(self, s) + 1e-3)
+        with pytest.raises(jac.JacobiError, match="t\\(s\\) misses s by 1.[0-9]+e-03"):
+            jac.orbit_to_geodesic(traj, jm)
+
+    def test_curve_without_knots_rejected(self):
+        jm = constant_shift_jm()  # psi = 1: a straight line at unit speed is a unit-speed geodesic
+
+        class Line:
+            t0, t1 = 0.0, 1.0
+
+            def position(self, s):
+                return np.array([0.6 * s, 0.8 * s])
+
+            def velocity(self, s):
+                return np.array([0.6, 0.8])
+
+        with pytest.raises(jac.JacobiError, match="no knots"):
+            jac.geodesic_to_orbit(Line(), jm)
+
     def test_geodesic_with_nan_velocity_rejected(self):
         jm = oscillator_jm((1.0, 2.0), 1.0)
         unit = 1.0 / math.sqrt(jm.psi([0.2, 0.1]))
@@ -247,48 +282,51 @@ class TestOrbitToGeodesic:
 
 
 class TestReparametrize:
-    """One event-stopped run per map, against the two-run reference."""
+    """Quadrature on the source's steps, with no integrator run, against the
+    two-run reference at rtol 1e-13 (``oracles.two_run_reparametrize``)."""
 
-    def test_one_run_per_map(self, monkeypatch):
+    def test_no_run_per_map(self, monkeypatch):
+        # no integrator run, and U and F^2 over arrays: no scalar call of
+        # either per guard point or unit-speed sample
         jm = oscillator_jm((1.0, 2.0), 1.0)
         traj = interior_orbit(jm, [0.2, 0.1], [0.3, 1.0])
-        runs = []
-        solve = rk.solve_rk45
-
-        def counting(*args, **kwargs):
-            runs.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(rk, "solve_rk45", counting)
+        traj.energies  # the energy check's H, read before counting
+        runs, scalar, arrays = [], [], []
+        solve, run, run_array = rk.solve_rk45, ex.Compiled.run, ex.Compiled.run_array
+        monkeypatch.setattr(rk, "solve_rk45", lambda *a, **k: runs.append(a) or solve(*a, **k))
+        monkeypatch.setattr(ex.Compiled, "run",
+                            lambda self, name, z: scalar.append(name) or run(self, name, z))
+        monkeypatch.setattr(ex.Compiled, "run_array",
+                            lambda self, name, z: arrays.append(name) or run_array(self, name, z))
         curve = jac.orbit_to_geodesic(traj, jm)
-        assert len(runs) == 1
+        assert runs == [] and scalar == []
+        # U: the guard, the knots, each Newton step, the inversion check, the
+        # unit-speed velocity and F^2's factor; whatever the number of samples
+        assert arrays.count("f2") == 1
+        assert arrays.count("value") <= 5 + jac._NEWTON_CAP
         jac.geodesic_to_orbit(curve, jm)
-        assert len(runs) == 2
+        assert runs == []
 
     @staticmethod
-    def assert_matches_oracle(total, run, rate, inverse_rate, a, b):
-        """Totals within 1e-8 (1 + total), and the same steps and dense
-        values, bit for bit, on every oracle step before the first one whose
-        attempts the oracle may have cut to end at its total: a step attempt
-        is at most ``rk._MAX_FACTOR`` times the step before it.  From there
-        the runs may part: a cut attempt that fails its error test shrinks
-        from the cut length, the map's from its own longer proposal."""
-        want_total, want = oracles.two_run_reparametrize(rate, inverse_rate, a, b)
-        assert abs(total - want_total) <= 1e-8 * (1.0 + want_total)
-        starts = want.ts[:-1]
-        uncut = starts[1:] + rk._MAX_FACTOR * np.diff(starts) < want_total
-        m = 1 + int(np.argmin(uncut))  # steps 0 .. m - 1 were never cut
-        assert m > 3
-        assert np.array_equal(run.ts[: m + 1], want.ts[: m + 1])
-        mids = 0.5 * (want.ts[:m] + want.ts[1 : m + 1])
-        assert np.array_equal(run.dense(mids), want.dense(mids))
+    def assert_matches_oracle(curve, rate, inverse_rate, knots, total):
+        """``curve``'s total, its knots' new parameters and its inverse at 65
+        points against the reference runs: the total within 1e-12 relative,
+        the rest within 5e-12 (1 + total) of the forward run and, for the
+        inverse, within 5e-11 (1 + |old|) of the inverse run."""
+        fwd, inv = oracles.two_run_reparametrize(rate, inverse_rate, knots[0], knots[-1])
+        want = float(fwd.ys[-1, 0])
+        assert abs(total - want) <= 1e-12 * want
+        tol = 5e-12 * (1.0 + want)
+        assert np.max(np.abs(curve.exchange.q - fwd.dense(knots)[:, 0])) <= tol
+        new = np.linspace(0.0, min(total, want), 65)
+        old = curve.exchange.inverse(new)
+        assert np.max(np.abs(fwd.dense(old)[:, 0] - new)) <= tol
+        assert np.max(np.abs(old - inv.dense(new)[:, 0])) <= 5e-11 * (1.0 + np.abs(old)).max()
 
     def assert_orbit_to_geodesic_matches(self, jm, traj):
         curve = jac.orbit_to_geodesic(traj, jm)
         psi = lambda t: jm.psi(traj.position(t))  # noqa: E731
-        self.assert_matches_oracle(
-            curve.s_total, curve.t_of_s, psi, lambda t: 1.0 / psi(t), traj.t0, traj.t1
-        )
+        self.assert_matches_oracle(curve, psi, lambda t: 1.0 / psi(t), traj.ts, curve.s_total)
         return curve
 
     @pytest.mark.parametrize(
@@ -307,18 +345,34 @@ class TestReparametrize:
         )
         back = jac.geodesic_to_orbit(curve, jm)
         psi = lambda s: jm.psi(curve.position(s))  # noqa: E731
-        self.assert_matches_oracle(
-            back.t_total, back.s_of_t, lambda s: 1.0 / psi(s), psi, 0.0, curve.s_total
-        )
+        self.assert_matches_oracle(back, lambda s: 1.0 / psi(s), psi, curve.ts, back.t_total)
 
     @pytest.mark.parametrize(
-        "rate, a, b",
-        [(-1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.5, 0.5)],
+        "rate, knots",
+        [(-1.0, [0.0, 1.0]), (0.0, [0.0, 1.0]), (1.0, [1.0, 0.0]), (1.0, [0.5, 0.5])],
         ids=["negative_rate", "zero_rate", "reversed", "empty"],
     )
-    def test_run_without_event_is_named(self, rate, a, b):
+    def test_exchange_without_positive_rate_is_named(self, rate, knots):
         with pytest.raises(jac.JacobiError, match="never reached"):
-            jac._reparametrize(lambda p: rate, a, b)
+            jac._Exchange(lambda p: np.full(p.shape, rate), knots)
+
+
+class TestGaussLegendre:
+    def test_literals_are_the_8_node_rule(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(8)
+        assert np.allclose(2.0 * jac._NODES - 1.0, nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(2.0 * jac._WEIGHTS, weights, rtol=0.0, atol=1e-15)
+
+    def test_exact_up_to_degree_15(self):
+        # the integral of x^d over [0, 1] is 1 / (d + 1); degree 16 is 3.6e-10 off
+        for degree in range(17):
+            got = float(jac._WEIGHTS @ jac._NODES**degree)
+            if degree <= 15:
+                assert got == pytest.approx(1.0 / (degree + 1), rel=1e-15)
+            else:
+                assert abs(got - 1.0 / (degree + 1)) > 1e-12
 
 
 class TestPropositionOracle:
