@@ -27,7 +27,14 @@ finds a return.  A brake orbit's closed run covers the half period
 [0, T/2]: the second half retraces the first under the reversor
 R(x, v) = (x, -v), so the returned trajectory appends the run's steps
 reflected in time and in R, and its one closure defect is z(T/2) against
-R z(T/2), i.e. 2 |v(T/2)|.
+R z(T/2), i.e. 2 |v(T/2)|.  The closed run passes no event, so a brake
+orbit's trajectory carries none; its turning time is ``rest_points[1]``.
+
+Both kinds are returned prime under one rule (:func:`_earlier_closure`): a
+closed orbit that already closes at T/m for some m <= 6, to 1e-7 (1 + |z0|),
+is rebuilt over T/m, at most four times, and a rebuild that fails the
+closure bound raises :class:`ConvergenceError`.  An orbit that closes first
+at T/k only for a prime k > 6 is returned as it stands.
 
 Monodromy is one tangent run of the integrator from W0 = I, with step-size
 control watching W as well as the orbit; J(z) W comes from the system's
@@ -104,13 +111,16 @@ class UnsupportedModelError(OrbitLabError):
 
 @dataclass
 class PeriodicOrbit:
+    """A closed orbit, of either kind prime under the module docstring's
+    rule.  A brake orbit rests at ``rest_points[0]`` (t = 0) and turns at
+    ``rest_points[1]`` (t = T/2); a rotation has no rest points."""
+
     spec: SystemSpec
     trajectory: Trajectory
     period: float
     kind: str  # "brake" | "rotation"
     rest_points: list = field(default_factory=list)  # [(t, position)]
     closure_residual: float = 0.0
-    minimal_period_flag: bool = True
 
     @property
     def energy(self) -> float:
@@ -233,6 +243,14 @@ def _shoot(spec, chart, z, period, offset, rows, tol, max_newton, kind):
     )
 
 
+def _earlier_closure(spec, traj: Trajectory, z0, period):
+    """The least m in 2..6 at which ``traj``, closed at ``period``, already
+    closes at period / m (closure residual below 1e-7 (1 + |z0|)), or None."""
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(z0)))
+    return next((m for m in range(2, 7)
+                 if _closure_residual(spec, traj.state(period / m), z0) < tol), None)
+
+
 def _probe(spec, initial: PhaseState, events=(), t0: float = 0.0) -> Trajectory:
     """One plain run over (t0, _T_MAX) at the probe tolerances; a terminal
     event among ``events`` ends it, so it is the run to _T_MAX up to there."""
@@ -243,33 +261,19 @@ def _probe(spec, initial: PhaseState, events=(), t0: float = 0.0) -> Trajectory:
 # Brake orbits
 # ---------------------------------------------------------------------------
 
-def _retraced(spec, half: Trajectory) -> Trajectory:
-    """The brake orbit of period T = 2 t1 from its run ``half`` over [0, t1]:
-    the run, then its reflection z(T - t) = R z(t) under the reversor R(x, v)
-    = (x, -v) (:meth:`~orbitlab.rk.DenseOutput.reflected`).  Events are the
-    run's hits inside (0, t1), the turning at t1 (a hit within 1e-6 of t1 is
-    that turning) and the mirrored hits."""
-    n, t_half = spec.dimension, half.t1
-    signs = np.repeat([1.0, -1.0], n)
-    dense = half.dense.reflected(signs)
-    inner = [hit for hit in half.events if hit.t < t_half - 1e-6]
-    events = [
-        *inner,
-        rk.EventHit(0, t_half, half.states[-1].copy()),
-        *(rk.EventHit(hit.index, 2.0 * t_half - hit.t, hit.y * signs) for hit in reversed(inner)),
-    ]
-    return Trajectory(spec, dense.ts, dense.ys, dense, events)
-
-
 def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
     """Locate a brake orbit from a rest-point seed near {U = E}.
 
     Newton unknowns are a local chart of the boundary (graph over its
     tangent plane, re-anchored every step) and the half-period; the residual
     is the full velocity at the half-period.  Reversibility then closes the
-    orbit over twice the half-period: the closed run covers [0, T/2], and
-    the returned trajectory is that run and its reflection
-    (:func:`_retraced`), held to the closure bound on 2 |v(T/2)|.
+    orbit over twice the half-period: the closed run covers [0, T/2] and
+    passes no event, and the returned trajectory is that run and its
+    reflection (:func:`_build_brake`), held to the closure bound on
+    2 |v(T/2)|.  An orbit that closes at T/m for an m <= 6 is rebuilt over
+    T/m, at most four times, as a rotation is; a rebuild that fails the
+    closure bound raises :class:`ConvergenceError`, and a first closure at
+    T/k only for a prime k > 6 goes uncaught.
 
     The half-period guess is the first kinetic minimum along the flow from
     the projected seed that is a stop: one where |v|^2 is at most
@@ -325,32 +329,29 @@ def find_brake(spec: SystemSpec, seed) -> PeriodicOrbit:
         spec, chart, np.concatenate([p, np.zeros(n)]), probe.events[0].t,
         0.0, slice(n, None), v_tol, _BRAKE_MAX_NEWTON, "brake orbit",
     )
-    period = 2.0 * t_half
-    half = integrate(spec, PhaseState.from_flat(z0), (0.0, t_half), rtol=_RTOL, atol=_ATOL,
-                     events=(kinetic_minimum_event(spec),))
-    # the glued orbit's one defect: z(T/2) against R z(T/2), which the
-    # reflected half starts from
+    return _build_brake(spec, z0, t_half)
+
+
+def _build_brake(spec, z0, t_half, _depth=0) -> PeriodicOrbit:
+    """The brake orbit of period 2 ``t_half`` from rest at ``z0``: the closed
+    half run, then its reflection in R (:meth:`~orbitlab.rk.DenseOutput.reflected`);
+    an earlier closure at T/m (:func:`_earlier_closure`) rebuilds it at ``t_half`` / m."""
+    n = spec.dimension
+    half = integrate(spec, PhaseState.from_flat(z0), (0.0, t_half), rtol=_RTOL, atol=_ATOL)
     closure = 2.0 * float(np.linalg.norm(half.states[-1][n:]))
     if closure >= 1e-8 * (1.0 + float(np.linalg.norm(z0))):
         raise ConvergenceError(f"brake orbit failed the closure bound ({closure:.3e})")
-    traj = _retraced(spec, half)
-
-    # a stop strictly inside (0, T/2) means the orbit closes earlier
-    ke_floor = 1e-14 * (1.0 + abs(e_level))
-    minimal = not any(
-        0.5 * float(np.dot(hit.y[n:], hit.y[n:])) < ke_floor
-        for hit in traj.events if 0.0 < hit.t < t_half
-    )
-    rest_points = [(0.0, traj.position(0.0).copy()), (t_half, traj.position(t_half).copy())]
-
+    dense = half.dense.reflected(np.repeat([1.0, -1.0], n))
+    traj = Trajectory(spec, dense.ts, dense.ys, dense)
+    if _depth < 4 and (mdiv := _earlier_closure(spec, traj, z0, 2.0 * t_half)):
+        return _build_brake(spec, z0, t_half / mdiv, _depth + 1)
     return PeriodicOrbit(
         spec=spec,
         trajectory=traj,
-        period=period,
+        period=2.0 * t_half,
         kind="brake",
-        rest_points=rest_points,
+        rest_points=[(0.0, traj.position(0.0).copy()), (t_half, traj.position(t_half).copy())],
         closure_residual=closure,
-        minimal_period_flag=minimal,
     )
 
 
@@ -466,16 +467,11 @@ def _rotation_chart(spec, section_basis, z):
 def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
     traj = integrate(spec, PhaseState.from_flat(z0), (0.0, period), rtol=_RTOL, atol=_ATOL)
     closure = _closure_residual(spec, traj.states[-1], z0)
-    scale = 1.0 + float(np.linalg.norm(z0))
-    if closure >= 1e-8 * scale:
+    if closure >= 1e-8 * (1.0 + float(np.linalg.norm(z0))):
         raise ConvergenceError(f"rotation failed the closure bound ({closure:.3e})")
 
-    # minimality probe: an earlier closure at period/m wins
-    if _depth < 4:
-        for mdiv in range(2, 7):
-            z_frac = traj.state(period / mdiv)
-            if _closure_residual(spec, z_frac, z0) < 1e-7 * scale:
-                return _build_rotation(spec, z0, period / mdiv, _depth + 1)
+    if _depth < 4 and (mdiv := _earlier_closure(spec, traj, z0, period)):
+        return _build_rotation(spec, z0, period / mdiv, _depth + 1)
 
     v = traj.velocity(np.linspace(0.0, period, 257))
     ke_min = 0.5 * float(np.min(np.einsum("kd,kd->k", v, v)))
@@ -491,7 +487,6 @@ def _build_rotation(spec, z0, period, _depth=0) -> PeriodicOrbit:
         kind="rotation",
         rest_points=[],
         closure_residual=closure,
-        minimal_period_flag=True,
     )
 
 
@@ -565,7 +560,6 @@ def orbit_report_dict(orbit: PeriodicOrbit, mono: MonodromyReport | None = None)
         "period": orbit.period,
         "energy": orbit.energy,
         "closure_residual": orbit.closure_residual,
-        "minimal_period": orbit.minimal_period_flag,
         "rest_points": [
             {"t": float(t), "x": [float(c) for c in x]} for t, x in orbit.rest_points
         ],

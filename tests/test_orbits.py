@@ -109,7 +109,6 @@ class TestFindBrake:
         assert len(orbit.rest_points) == 2
         assert orbit.rest_points[0][0] == 0.0
         assert orbit.rest_points[1][0] == pytest.approx(orbit.period / 2, rel=1e-9)
-        assert orbit.minimal_period_flag
 
     def test_retrace_symmetry(self):
         spec = oscillator((1.0, math.sqrt(3.0)), 0.5)
@@ -221,33 +220,41 @@ class TestBrakeHalfRun:
         orbit, _, _, _ = half_run_brake("2-DOF oscillator")
         spec, traj = orbit.spec, orbit.trajectory
         half = dyn.integrate(spec, PhaseState.from_flat(traj.states[0]), (0.0, orbit.period / 2),
-                             rtol=orb._RTOL, atol=orb._ATOL,
-                             events=(dyn.kinetic_minimum_event(spec),))
+                             rtol=orb._RTOL, atol=orb._ATOL)
         assert np.array_equal(traj.states[:len(half.ts)], half.states)
         assert np.array_equal(traj.energies, np.concatenate([half.energies, half.energies[-2::-1]]))
         assert traj.energy_drift == half.energy_drift
 
     @pytest.mark.parametrize("name", HALF_RUN_BRAKES)
     def test_turning_event_at_half_period(self, name):
+        # the closed half run passes no event; the turning time is the
+        # second rest point, at the full run's first kinetic minimum
         orbit, full, _, _ = half_run_brake(name)
-        times = [hit.t for hit in orbit.trajectory.events]
-        assert times == [orbit.period / 2]
-        assert full.events[0].t == pytest.approx(orbit.period / 2, abs=1e-9)
+        assert orbit.trajectory.events == []
+        assert orbit.rest_points[1][0] == orbit.period / 2
+        assert full.events[0].t == pytest.approx(orbit.rest_points[1][0], abs=1e-9)
 
-    def test_events_inside_the_half_are_mirrored(self):
-        # x = (cos t, 0.3 cos 3t), at rest at t = 0 and pi, passes kinetic
-        # energy minima inside (0, pi) that are no stops
-        spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), ex.parse("0.5*(x1^2 + 9*x2^2)", 2),
-                              0.905)
-        half = dyn.integrate(spec, PhaseState([1.0, 0.3], [0.0, 0.0]), (0.0, math.pi),
-                             rtol=1e-12, atol=1e-14, events=(dyn.kinetic_minimum_event(spec),))
-        traj = orb._retraced(spec, half)
-        inner = [hit.t for hit in half.events if hit.t < math.pi - 1e-6]
-        assert inner
-        times = [hit.t for hit in traj.events]
-        assert times == [*inner, math.pi, *(2 * math.pi - t for t in reversed(inner))]
-        for hit in traj.events:
-            assert np.max(np.abs(hit.y - traj.state(hit.t))) < 1e-9
+
+class TestPrimeRebuild:
+    """A closed orbit built over k times its prime period is rebuilt over
+    the prime period, from the same initial state, for either kind."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_brake(self, k):
+        orbit = half_run_brake("2-DOF oscillator")[0]
+        z0, period = orbit.trajectory.states[0], orbit.period
+        rebuilt = orb._build_brake(orbit.spec, z0, k * period / 2)
+        assert rebuilt.period == pytest.approx(period, abs=1e-12 * period)
+        assert np.array_equal(rebuilt.trajectory.states[0], z0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rotation(self, k):
+        spec = cosine_torus()
+        orbit = orb.find_rotation(spec, rotation_seed(math.pi + 0.02, 1.0, False))
+        z0, period = orbit.trajectory.states[0], orbit.period
+        rebuilt = orb._build_rotation(spec, z0, k * period)
+        assert rebuilt.period == pytest.approx(period, abs=1e-12 * period)
+        assert np.array_equal(rebuilt.trajectory.states[0], z0)
 
 
 class TestFindRotation:
@@ -440,17 +447,18 @@ def test_newton_iterations(monkeypatch, search, iterations):
 @pytest.mark.parametrize("search", [c[1] for c in NEWTON_CASES], ids=[c[0] for c in NEWTON_CASES])
 def test_plain_runs_per_search(monkeypatch, search):
     # one probe (each of these seeds returns within the first horizon,
-    # _T_MAX / 16) and the closed run; every shooting trial is a tangent run
+    # _T_MAX / 16) and the closed run; every shooting trial is a tangent run,
+    # and the probe is the only run that passes events
     runs = []
     plain_run = orb.integrate
 
     def counting(*args, **kwargs):
-        runs.append(args)
+        runs.append(bool(kwargs.get("events")))
         return plain_run(*args, **kwargs)
 
     monkeypatch.setattr(orb, "integrate", counting)
     search()
-    assert len(runs) == 2
+    assert runs == [True, False]
 
 
 @pytest.mark.parametrize("search", [c[1] for c in NEWTON_CASES], ids=[c[0] for c in NEWTON_CASES])
