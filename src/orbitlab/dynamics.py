@@ -302,13 +302,16 @@ def kinetic_minimum_event(spec: SystemSpec, terminal: bool = False) -> EventSpec
     """Event over (t, z) firing at minima of the kinetic energy along the flow.
 
     Energy conservation makes d(KE)/dt = -grad U . v, so KE minima are the
-    downward crossings of g = grad U . v.
+    downward crossings of g = grad U . v, summed over floats in index order.
     """
     n = spec.dimension
 
     def g(t, z):
-        grad_u = spec.potential.gradient(list(z[:n]))
-        return float(np.dot(grad_u, z[n:]))
+        z = list(map(float, z))
+        acc = 0.0
+        for du, v in zip(spec.potential.gradient(z[:n]), z[n:]):
+            acc += du * v
+        return acc
 
     return EventSpec(g, direction=-1, terminal=terminal)
 

@@ -9,18 +9,24 @@ boundary-touching work (brake orbits) stays in the time parametrization.
 Each reparametrization exchanges an old parameter p for a new one q,
 dq/dp = rate(p) > 0, by quadrature on the source curve's own steps, over
 each of which its dense output is one polynomial (:class:`_Exchange`): q at
-the knots is the cumulative sum of one 8-node Gauss-Legendre rule per step
-(Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed., Springer 1993,
-section II.7), with the rate evaluated over arrays, and p(q) is Newton's
-method on the same rule.  Along an orbit ds/dt = psi = 2 (E - U), so the map
-needs no integrator run.  It replaced one dense run of dt/ds = 1/psi at
-rtol 1e-12 per map.  Measured on 16 seed-1 horizontal rotations of the
-cosine torus (100-115 source steps each): 16 nodes on 4 sub-steps of every
-step give s_total within 4e-16 relative, and a forward run of ds/dt at
-rtol 1e-13 within 2.3e-14, where the run was up to 1.2e-10 off; the map
-took about 1 ms per orbit in place of about 15 ms.  The unit-speed check
-reads only the orbit's energy, whatever t(s) is, so the mapped curve also
-records the inversion residual |s(t(s)) - s|.
+the knots is the cumulative sum of one 8-node Gauss-Legendre rule on each
+eighth of a step (Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed.,
+Springer 1993, section II.7), with the rate evaluated over arrays, and p(q)
+is Newton's method on the same rule.  Along an orbit ds/dt = psi =
+2 (E - U), so the map needs no integrator run.  It replaced one dense run
+of dt/ds = 1/psi at rtol 1e-12 per map.  Measured on 16 seed-1 horizontal
+rotations of the cosine torus (20-21 source steps each): s_total is within
+6e-16 relative of 16 nodes on 32 sub-steps of every step, and within
+1.6e-14 of a forward run of ds/dt at rtol 1e-13; the map took about 1.2 ms
+per orbit.  These rotations do not need the split (the rule once per step
+gives s_total within 4e-16 and the round trip through
+:func:`geodesic_to_orbit` within 2e-16, in 1.1 ms); an orbit where psi is
+small does: on an oscillator orbit whose psi falls to 0.03 over 11 steps,
+the round trip returns the orbit's duration within 3e-15, and within
+1.4e-6, 1.1e-9 and 3e-12 with the rule once, twice and four times a
+step.  The unit-speed check reads only the orbit's energy,
+whatever t(s) is, so the mapped curve also records the inversion residual
+|s(t(s)) - s|.
 """
 
 from __future__ import annotations
@@ -136,7 +142,10 @@ _GL_W = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853
 _NODES = 0.5 + 0.5 * np.concatenate([-np.array(_GL_X[::-1]), _GL_X])
 _WEIGHTS = 0.5 * np.array(_GL_W[::-1] + _GL_W)
 
+_SPLIT = 8
 _NEWTON_CAP = 8
+# points a source step at which orbit_to_geodesic checks the interior
+_GUARD_PER_STEP = 32
 
 
 class _Exchange:
@@ -144,19 +153,23 @@ class _Exchange:
     over the knots p_0 < ... < p_N of a source curve; ``rate`` takes and
     returns 1-D arrays.
 
-    ``q`` holds q at the knots: q_0 = 0 and the cumulative sum of the rule
-    on each step.  :meth:`forward` is q(p) = q_k + the rule on [p_k, p].
-    :meth:`inverse` takes Newton steps p <- p - (q(p) - q) / rate(p) from
-    the linear guess in q's step, kept inside that step, until every
-    correction is at most 1e-8 of its step's length: by quadratic
-    convergence the next one would be below rounding.  After ``_NEWTON_CAP``
-    (8) corrections it raises :class:`JacobiError`.  A rate that is not
-    positive at every node, or knots that do not increase, raise
-    :class:`JacobiError`.
+    ``p`` holds the exchange's knots, each of the source's steps split into
+    ``_SPLIT`` (8) equal steps, short enough for the rule where the rate
+    varies fast (the module docstring has the measurements); ``q`` holds q
+    there: q_0 = 0 and the cumulative sum of the rule on each step.
+    :meth:`forward` is q(p) = q_k + the rule on [p_k, p].  :meth:`inverse`
+    takes Newton steps p <- p - (q(p) - q) / rate(p) from the linear guess
+    in q's step, kept inside that step, until every correction is at most
+    1e-8 of its step's length: by quadratic convergence the next one would
+    be below rounding.  After ``_NEWTON_CAP`` (8) corrections it raises
+    :class:`JacobiError`.  A rate that is not positive at every node, or
+    knots that do not increase, raise :class:`JacobiError`.
     """
 
     def __init__(self, rate, knots):
-        self.rate, self.p = rate, np.asarray(knots, dtype=float)
+        knots = np.asarray(knots, dtype=float)
+        parts = knots[:-1, None] + np.diff(knots)[:, None] * (np.arange(_SPLIT) / _SPLIT)
+        self.rate, self.p = rate, np.append(parts.ravel(), knots[-1:])
         steps = np.diff(self.p)
         values = self._rates(self.p[:-1], steps)
         if not (steps.size and np.all(steps > 0) and np.all(values > 0)):
@@ -212,9 +225,9 @@ class _Exchange:
 class GeodesicCurve:
     """Arc-length picture of an orbit: positions indexed by Fbar arc length.
 
-    ``exchange`` holds s(t) on the source's knots; :attr:`ts` are those
-    knots' arc lengths.  Positions, velocities and times take a scalar s or a
-    1-D array.
+    ``exchange`` holds s(t) on the source's knots and the points that split
+    its steps; :attr:`ts` are the source knots' arc lengths.  Positions,
+    velocities and times take a scalar s or a 1-D array.
     """
 
     jm: JacobiMetric
@@ -234,7 +247,7 @@ class GeodesicCurve:
 
     @property
     def ts(self) -> np.ndarray:
-        return self.exchange.q
+        return self.exchange.q[::_SPLIT]
 
     def time_at(self, s):
         return self.exchange.inverse(s)
@@ -249,7 +262,8 @@ class GeodesicCurve:
 @dataclass
 class OrbitCurve:
     """Time picture of a unit-speed geodesic of the conformal metric;
-    ``exchange`` holds t(s) on the source's knots."""
+    ``exchange`` holds t(s) on the source's knots and the points that split
+    its steps."""
 
     jm: JacobiMetric
     source: object  # anything with position(s), velocity(s)
@@ -316,7 +330,8 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
     _check_trajectory_energy(jm, traj)
 
     # interior guard along the whole curve, including between samples
-    jm.check_interior(traj.position(np.linspace(traj.t0, traj.t1, 4 * len(traj.ts) + 1)))
+    guard = np.linspace(traj.t0, traj.t1, _GUARD_PER_STEP * len(traj.ts) + 1)
+    jm.check_interior(traj.position(guard))
 
     n = traj.spec.dimension
     exchange = _Exchange(lambda t: jm.psi(traj.dense(t)[:, :n]), traj.ts)

@@ -24,14 +24,17 @@ search it replaced.  The flow's solve route, which solves g a = -c and
 g DA = -(dc + dg a) by a pivoting solve at every call, is the reference for
 the generated flow and J W, which eliminate in the code; the fold that
 inverted a constant g at build time is the reference for the identity
-metric's generated lines.  The Dormand-Prince stepper as a loop
-over the stages, with W's stage sums and the error norm in numpy, is the
-reference for the generated step that replaced it.  A brake orbit's closed
-run and self-scan over its full period are the references for the half run
-with its reflection and for the scan of its arc.  The oscillator's closed
-forms that only tests lean on live here too: its linearized fields, the
-resonant family of periodic orbits with its energy, and the
-member-by-member check of the family against the equations of motion.
+metric's generated lines.  A Runge-Kutta pair run as a loop over its
+stages (:func:`stage_loop_rk`) is the reference for the generated DOP853
+step and interpolant, bit for bit, and with the Dormand-Prince 5(4) pair
+and Shampine's interpolant, which the library used before DOP853, the
+reference for differential tests of the library's orbits.  A brake
+orbit's closed run and self-scan over its full period are the references
+for the half run with its reflection and for the scan of its arc.  The
+oscillator's closed forms that only tests lean on live here too: its
+linearized fields, the resonant family of periodic orbits with its energy,
+and the member-by-member check of the family against the equations of
+motion.
 """
 
 from __future__ import annotations
@@ -800,6 +803,134 @@ def augmented_monodromy(spec, orbit, periods: int = 1):
     return np.reshape(res.ys[-1, dim:], (dim, dim))
 
 
+def _terms(coefficients, values) -> float:
+    """sum_l c_l v_l over the nonzero c_l, in order, started from 0.0: the
+    order of every sum of the generated step."""
+    acc = 0.0
+    for c, v in zip(coefficients, values):
+        if c != 0.0:
+            acc = acc + c * v
+    return acc
+
+
+@dataclass(frozen=True)
+class Pair:
+    """An embedded Runge-Kutta pair as :func:`stage_loop_rk` runs it.
+
+    ``c`` and ``a`` are its stage times and rows, row ``solution`` the
+    weights of the new state, whose stage is f there.  An attempted step
+    takes f at stages 0 to ``stages`` - 1: past ``solution`` for a pair
+    whose error reads f at the new state (first same as last), short of it
+    for one that takes it only once the step is accepted.
+    ``error(h, y, y_new, k, e, rtol, atol)`` is the error norm of a step
+    from its stages' f values; ``interpolant(f, t, h, y, y_new, k)``, with
+    f at the new state at index ``solution`` of k, gives the step's
+    power-basis coefficients (d x degree), the states of any stages it
+    adds and their f values.  ``defect(f, t, h, y, y_new, q, e, rtol,
+    atol)``, None for a pair without defect control, gives the
+    interpolant's midpoint state and its defect there in the error norm;
+    a defect above 1 rejects the step.  The rest are the controller's
+    constants.
+    """
+
+    c: tuple
+    a: tuple
+    solution: int
+    stages: int
+    error: object
+    interpolant: object
+    defect: object
+    expo: float
+    beta: float
+    safety: float
+    min_factor: float
+    max_factor: float
+
+
+def _dop853_error(h, y, y_new, k, e, rtol, atol) -> float:
+    """Hairer's DOP853 norm: h |e5|^2 / sqrt(e (|e5|^2 + 0.01 |e3|^2))."""
+    acc5 = acc3 = 0.0
+    for i in range(e):
+        ki = [k[l][i] for l in range(12)]
+        scale = atol + rtol * max(abs(y[i]), abs(y_new[i]))
+        q = _terms(rk._E5, ki) / scale
+        acc5 += q * q
+        q = (_terms(rk._A[12], ki) - _terms(rk._BHH, ki)) / scale
+        acc3 += q * q
+    deno = acc5 + 0.01 * acc3
+    if deno == 0.0:
+        return 0.0
+    return h * acc5 / math.sqrt(e * deno) if deno < math.inf else math.nan
+
+
+def _stage_state(a, h, y, k):
+    """y + h sum_l a_l k_l, entry by entry."""
+    return [y[i] + h * _terms(a, [kl[i] for kl in k]) for i in range(len(y))]
+
+
+def _dop853_interpolant(f, t, h, y, y_new, k):
+    """Stages 13-15, then Hairer's r_0..r_6 and their power-basis sums."""
+    k = list(k)
+    states = []
+    for s in range(13, 16):
+        states.append(_stage_state(rk._A[s], h, y, k))
+        k.append(f(t + rk._C[s] * h, states[-1]))
+    q = []
+    for i in range(len(y)):
+        r0 = (y_new[i] - y[i]) / h
+        r1 = k[0][i] - r0
+        r = [r0, r1, r0 - k[12][i] - r1] + [_terms(row, [kl[i] for kl in k]) for row in rk._D]
+        q.append([_terms(p, r) for p in rk._TO_POWERS])
+    return np.array(q), states, k[13:]
+
+
+def _dop853_defect(f, t, h, y, y_new, q, e, rtol, atol):
+    """(u(1/2), h |u'(1/2) - f(u(1/2))| in the error norm) of the step's
+    interpolant u."""
+    mid = [y[i] + h * _terms(rk._MID, row) for i, row in enumerate(q.tolist())]
+    slope = [_terms(rk._MID_SLOPE, row) for row in q.tolist()]
+    km = f(t + 0.5 * h, mid)
+    acc = 0.0
+    for i in range(e):
+        r = (slope[i] - km[i]) / (atol + rtol * max(abs(y[i]), abs(y_new[i])))
+        acc += r * r
+    return mid, h * math.sqrt(acc / e)
+
+
+DOP853 = Pair(rk._C, rk._A, 12, 12, _dop853_error, _dop853_interpolant, _dop853_defect,
+              rk._EXPO, rk._BETA, rk._SAFETY, rk._MIN_FACTOR, rk._MAX_FACTOR)
+
+# the Dormand-Prince 5(4) pair and Shampine's quartic interpolant for it,
+# which the library's stepper used before DOP853
+DP5_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+DP5_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+)
+# difference between the 5th- and embedded 4th-order weights
+DP5_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+         22.0 / 525.0, -1.0 / 40.0)
+DP5_P = np.array([
+    [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0],
+    [0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0],
+    [0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0],
+    [0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0],
+    [0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0],
+])
+
+
 def error_norm(err, y0, y1, rtol, atol) -> float:
     """RMS of the scaled error, accumulated in the order of the entries."""
     acc = 0.0
@@ -809,7 +940,26 @@ def error_norm(err, y0, y1, rtol, atol) -> float:
     return math.sqrt(acc / len(err))
 
 
-def stage_loop_rk45(
+def _dp5_error(h, y, y_new, k, e, rtol, atol) -> float:
+    err = [h * _terms(DP5_E, [kl[i] for kl in k]) for i in range(e)]
+    return error_norm(err, y, y_new, rtol, atol)
+
+
+DP5 = Pair(DP5_C, DP5_A, 6, 7, _dp5_error,
+           lambda f, t, h, y, y_new, k: (np.array(k).T @ DP5_P, [], []), None,
+           0.2 - 0.75 * 0.04, 0.04, 0.9, 0.1, 5.0)
+
+
+def _non_finite_stage(pair, t, h, k, stage_y, default):
+    """``rk._non_finite_stage`` for the stage times of ``pair``."""
+    s = next((s for s in range(len(k)) if not all(map(math.isfinite, k[s]))), default)
+    t_bad = t + pair.c[s] * h
+    return rk.IntegrationError(
+        f"non-finite right-hand side at t={t_bad!r}", t=t_bad, y=np.array(stage_y[s])
+    )
+
+
+def stage_loop_rk(
     f,
     t_span,
     y0,
@@ -818,10 +968,14 @@ def stage_loop_rk45(
     events: tuple = (),
     dense: bool = True,
     control: int | None = None,
+    pair: Pair = DOP853,
 ) -> rk.RKResult:
-    """``rk.solve_rk45`` as a loop over the stages: the reference for the
-    generated step.  Same arguments and result; it lacks the entry checks on
-    ``control`` and on the shape of f(t0, y0).
+    """``rk.solve_rk45`` as a loop over the stages of ``pair``: with
+    :data:`DOP853` the reference for the generated step and interpolant,
+    with :data:`DP5` the 5(4) pair they replaced.  Same arguments and
+    result; it lacks the entry checks on ``control`` and on the shape of
+    f(t0, y0), and both pairs take the library's first step
+    (``rk._initial_step``, whose exponent is DOP853's 1/8).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -837,14 +991,13 @@ def stage_loop_rk45(
     if d == 0:
         raise ValueError("the state needs at least one component")
     e = d if control is None else control
+    new = pair.solution
 
     result = rk.RKResult(ts=np.empty(0), ys=np.empty((0, d)))
     ts = [t0]
     ys = [np.array(y)]
     hs, qs = [], []  # length and interpolant coefficients of each accepted step
 
-    k = [None] * 7
-    stage_y = [None] * 7
     t = t0
     fv = f(t, y)
     h = rk._initial_step(f, t0, y, fv, t1, rtol, atol, e)
@@ -863,43 +1016,56 @@ def stage_loop_rk45(
             h = t1 - t
             finished = True
 
-        k[0], stage_y[0] = fv, y
-        for s in range(1, 7):
-            a = rk._A[s]
-            yt = [
-                y[i] + h * sum(a[l] * k[l][i] for l in range(s) if a[l] != 0.0)
-                for i in range(d)
-            ]
-            stage_y[s] = yt
-            k[s] = f(t + rk._C[s] * h, yt)
-        # the last stage is taken at the 5th-order solution (FSAL)
-        y_new = stage_y[6]
-        err_vec = [
-            h * sum(rk._E[l] * k[l][i] for l in range(7) if rk._E[l] != 0.0)
-            for i in range(d)
-        ]
-        err = error_norm(err_vec[:e], y, y_new, rtol, atol)
+        k, stage_y = [fv], [y]
+        for s in range(1, new + 1):
+            stage_y.append(_stage_state(pair.a[s], h, y, k))
+            if s < pair.stages:
+                k.append(f(t + pair.c[s] * h, stage_y[s]))
+        y_new = stage_y[new]
+        err = pair.error(h, y, y_new, k, e, rtol, atol)
         if not math.isfinite(err):
-            raise rk._non_finite_stage(t, h, k, stage_y, 0)
+            raise _non_finite_stage(pair, t, h, k, stage_y, 0)
 
         if err > 1.0:
             # reject: shrink and retry
-            fac11 = err**rk._EXPO
-            h = h / min(1.0 / rk._MIN_FACTOR, fac11 / rk._SAFETY)
+            fac11 = err**pair.expo
+            h = h / min(1.0 / pair.min_factor, fac11 / pair.safety)
             finished = False
             result.n_rejected += 1
             continue
-        if not np.all(np.isfinite(y_new[e:])):
-            raise rk._non_finite_stage(t, h, k, stage_y, 6)
+        if not all(map(math.isfinite, y_new[e:])):
+            raise _non_finite_stage(pair, t, h, k, stage_y, new)
 
-        result.n_accepted += 1
         t_new = t + h
         y_new_arr = np.array(y_new)
         if dense or events:
-            q = np.array(k).T @ rk._P
-        if dense:
-            hs.append(h)
-            qs.append(q)
+            if len(k) == new:
+                k.append(f(t_new, y_new))
+            fv = k[new]
+            q, extra_y, extra_k = pair.interpolant(f, t, h, y, y_new, k)
+            if not np.isfinite(q).all():
+                raise _non_finite_stage(pair, t, h, k + extra_k, stage_y + extra_y, new)
+            if pair.defect is not None:
+                mid, defect = pair.defect(f, t, h, y, y_new, q, e, rtol, atol)
+                if not math.isfinite(defect):
+                    t_mid = t + 0.5 * h
+                    raise rk.IntegrationError(
+                        f"non-finite right-hand side at t={t_mid!r}", t=t_mid, y=np.array(mid)
+                    )
+                if defect > 1.0:
+                    h = h / min(1.0 / pair.min_factor, defect**pair.expo / pair.safety)
+                    fv = k[0]
+                    finished = False
+                    result.n_rejected += 1
+                    continue
+            if dense:
+                hs.append(h)
+                qs.append(q)
+        elif len(k) > new:
+            fv = k[new]
+        elif not finished:
+            fv = f(t_new, y_new)
+        result.n_accepted += 1
 
         stop_at = None
         if events:
@@ -914,7 +1080,7 @@ def stage_loop_rk45(
                     continue
                 if ev.direction == -1 and rising:
                     continue
-                t_ev, y_ev = rk._bisect_event(ev.fn, t, h, ys[-1], q, np.sign(g0))
+                t_ev, y_ev = rk._bisect_event(ev.fn, t, h, ys[-1], q, g0)
                 hits_here.append((t_ev, idx, y_ev))
             for t_ev, idx, y_ev in sorted(hits_here):
                 result.events.append(rk.EventHit(idx, t_ev, y_ev))
@@ -927,7 +1093,7 @@ def stage_loop_rk45(
             t_stop, y_stop = stop_at
             if dense:  # the step is cut at the event
                 hs[-1] = t_stop - t
-                qs[-1] = q * (hs[-1] / h) ** np.arange(4)
+                qs[-1] = q * (hs[-1] / h) ** np.arange(q.shape[-1])
             t = t_stop
             ts.append(t)
             ys.append(y_stop)
@@ -937,12 +1103,11 @@ def stage_loop_rk45(
             y = y_new
             ts.append(t)
             ys.append(y_new_arr)
-            fv = k[6]  # FSAL: stage 7 is f at the accepted solution
 
         # PI step-size controller
-        fac11 = max(err, 1e-10) ** rk._EXPO
-        fac = fac11 / (facold**rk._BETA)
-        fac = max(1.0 / rk._MAX_FACTOR, min(1.0 / rk._MIN_FACTOR, fac / rk._SAFETY))
+        fac11 = max(err, 1e-10) ** pair.expo
+        fac = fac11 / (facold**pair.beta)
+        fac = max(1.0 / pair.max_factor, min(1.0 / pair.min_factor, fac / pair.safety))
         h = h / fac
         facold = max(err, 1e-4)
 

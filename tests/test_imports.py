@@ -1,11 +1,14 @@
 import ast
 import importlib
+import math
 import types
 from pathlib import Path
 
 import pytest
 
 import orbitlab
+
+from oracles import DP5_A, DP5_C, DP5_E, DP5_P
 
 MODULES = sorted(Path(orbitlab.__file__).parent.glob("*.py"))
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -235,6 +238,14 @@ INTERPRETER_DUALS = ("Dual", "val_of", "eval_dual")
 SOLVES = ("solve_linear", "linalg")
 # a tangent carried beside the integrator's state, not in it
 TANGENT_PLUMBING = ("w0", "control_tangent", "w_final", "kw")
+# the 5(4) pair's error weights and Shampine's interpolant, by their names in rk
+FIVE_FOUR_NAMES = ("_E", "_P")
+# the 5(4) pair's coefficients that DOP853 does not share: round values such
+# as 1/5 and 1 are stage times of both
+FIVE_FOUR_VALUES = {
+    abs(v) for v in (*DP5_C, *DP5_E, *(a for row in DP5_A for a in row), *DP5_P.ravel())
+    if not (40.0 * v).is_integer()
+}
 
 
 def names_used(source: str, wanted) -> list[str]:
@@ -300,6 +311,61 @@ def test_rk_knows_one_state():
     # returns no tangent of its own
     path = next(p for p in MODULES if p.stem == "rk")
     assert names_used(path.read_text(), TANGENT_PLUMBING) == []
+
+
+def _literal(node):
+    """The float of a number literal, negated or not, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _literal(node.operand)
+        return None if value is None else -value
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return float(node.value)
+    return None
+
+
+def five_four_coefficients(source: str) -> list[str]:
+    """Numbers in a module's source, written as a literal or a quotient of
+    literals, that equal one of :data:`FIVE_FOUR_VALUES` to 1e-12."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            num, den = _literal(node.left), _literal(node.right)
+            value = None if num is None or den is None or den == 0.0 else num / den
+        else:
+            value = _literal(node) if isinstance(node, ast.Constant) else None
+        if value is not None and any(
+            math.isclose(abs(value), v, rel_tol=1e-12) for v in FIVE_FOUR_VALUES
+        ):
+            found.append((node.lineno, f"{value!r} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_detects_five_four_remnants():
+    source = ("_P = np.array([[1.0, -8048581381.0 / 2820520608.0]])\nx = 0.2 + 71.0 / 57600.0\n"
+              "a = -0.44923629829290207\n_E = (1.0 / 5.0,)\n")
+    assert names_used(source, FIVE_FOUR_NAMES) == ["_E (line 4)", "_P (line 1)"]
+    assert five_four_coefficients(source) == [
+        "-2.8535800653862835 (line 1)", "0.0012326388888888888 (line 2)",
+        "0.44923629829290207 (line 3)"]
+
+
+def test_rk_keeps_no_five_four_pair():
+    # one stepper: the 5(4) pair and Shampine's interpolant live in the test
+    # oracles (oracles.DP5) as the reference that DOP853 replaced
+    source = next(p for p in MODULES if p.stem == "rk").read_text()
+    assert names_used(source, FIVE_FOUR_NAMES) == []
+    assert five_four_coefficients(source) == []
+
+
+def test_detects_scipy_imports():
+    source = "import scipy.integrate\nfrom scipy.linalg import solve\nimport numpy as np\n"
+    assert names_used(source, ("scipy",)) == ["scipy (line 1)", "scipy (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy(path):
+    # the library needs numpy only; DOP853's coefficients are written out in rk
+    assert names_used(path.read_text(), ("scipy",)) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

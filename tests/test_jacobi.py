@@ -317,7 +317,7 @@ class TestReparametrize:
         want = float(fwd.ys[-1, 0])
         assert abs(total - want) <= 1e-12 * want
         tol = 5e-12 * (1.0 + want)
-        assert np.max(np.abs(curve.exchange.q - fwd.dense(knots)[:, 0])) <= tol
+        assert np.max(np.abs(curve.exchange.q - fwd.dense(curve.exchange.p)[:, 0])) <= tol
         new = np.linspace(0.0, min(total, want), 65)
         old = curve.exchange.inverse(new)
         assert np.max(np.abs(fwd.dense(old)[:, 0] - new)) <= tol

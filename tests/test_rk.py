@@ -1,7 +1,9 @@
-"""The generated Dormand-Prince step against the loop over the stages it
-replaced (``oracles.stage_loop_rk45``), its cache, and the shape checks at
-the entry of ``rk.solve_rk45``."""
+"""The DOP853 tableau and its interpolant, the generated step and
+interpolant against a loop over the stages (``oracles.stage_loop_rk``),
+their caches, the shape checks at the entry of ``rk.solve_rk45``, and the
+library's orbits and events against the 5(4) pair that DOP853 replaced."""
 
+import functools
 import inspect
 import math
 
@@ -16,8 +18,9 @@ from orbitlab import geometry as geo
 from orbitlab import orbits as orb
 from orbitlab import reference as ref
 from orbitlab import rk
+from orbitlab.dynamics import PhaseState
 
-from oracles import stage_loop_rk45
+from oracles import DP5, stage_loop_rk
 
 
 def bits(x):
@@ -52,7 +55,7 @@ def both(f, *args, **kwargs):
         return g
 
     got = rk.solve_rk45(recording(calls[0]), *args, **kwargs)
-    assert_same_run(got, stage_loop_rk45(recording(calls[1]), *args, **kwargs))
+    assert_same_run(got, stage_loop_rk(recording(calls[1]), *args, **kwargs))
     assert calls[0] == calls[1]
     return got
 
@@ -78,6 +81,87 @@ WORKLOAD_RUNS = {
     "torus_rotation": (cosine_torus, [0.5, 1.0, math.sqrt(2.0 * (1.0 - 0.1 * math.cos(0.5))), 0.0]),
     "finsler_flow": (quartic_finsler, [0.4, -0.3, 0.0, 0.0]),
 }
+
+
+EPS = np.finfo(float).eps
+
+
+class TestTableau:
+    """DOP853's coefficients as Hairer, Norsett & Wanner give them."""
+
+    def test_stage_times_are_row_sums(self):
+        for a, c in zip(rk._A[1:], rk._C[1:]):
+            assert abs(math.fsum(a) - c) <= 4 * EPS * math.fsum(map(abs, a))
+
+    def test_weights_meet_the_quadrature_conditions_to_order_8(self):
+        b, c = rk._A[12], rk._C[:12]
+        moment = [math.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, c)) for k in range(1, 10)]
+        for k in range(1, 9):
+            assert abs(moment[k - 1] - 1.0 / k) <= 4 * EPS
+        assert abs(moment[8] - 1.0 / 9.0) > 1e-6  # an 8th-order rule, not a 9th
+
+    def test_error_weights_sum_to_zero(self):
+        e3 = [b - bhh for b, bhh in zip(rk._A[12], rk._BHH)]
+        for weights in (rk._E5, e3):
+            assert abs(math.fsum(weights)) <= 4 * EPS * math.fsum(map(abs, weights))
+
+    def test_interpolant_meets_the_quadrature_conditions_to_order_7(self):
+        # y(theta) = y + h sum_i b_i(theta) k_i over the sixteen stages, k_12 at
+        # the new state; b_i(theta) from Hairer's r_j through the power basis
+        def weights(theta):
+            out = []
+            for i, b in enumerate(rk._A[12] + (0.0,) * 4):
+                r0 = b
+                r1 = (i == 0) - r0
+                r = [r0, r1, r0 - (i == 12) - r1] + [row[i] for row in rk._D]
+                out.append(sum(theta ** (p + 1) * math.fsum(m * rj for m, rj in zip(row, r))
+                               for p, row in enumerate(rk._TO_POWERS)))
+            return out
+
+        for theta in (0.25, 0.5, 0.8):
+            b = weights(theta)
+            moment = [math.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, rk._C))
+                      for k in range(1, 9)]
+            for k in range(1, 8):
+                assert abs(moment[k - 1] - theta**k / k) <= 2e-13
+            assert abs(moment[7] - theta**8 / 8) > 1e-7  # degree 7, not 8
+
+    def test_power_basis_table(self):
+        # column j is theta^(j//2 + 1) (1 - theta)^((j + 1)//2) in powers of theta
+        for j in range(7):
+            low, high = j // 2 + 1, (j + 1) // 2
+            want = [math.comb(high, p - low) * (-1) ** (p - low) if low <= p <= low + high else 0
+                    for p in range(1, 8)]
+            assert [row[j] for row in rk._TO_POWERS] == want
+
+
+def test_float_sign_test_matches_numpy_sign():
+    # the event path's float sign test answers as np.sign(a) == np.sign(b)
+    # for every a that solve_rk45 passes it: g at a step start, never zero
+    values = [-math.inf, -2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0, math.inf, math.nan]
+    for a in values:
+        for b in values:
+            if a != 0.0:
+                assert rk._same_sign(a, b) == (np.sign(a) == np.sign(b))
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_RUNS))
+def test_interpolant_meets_the_knots(name):
+    # each step's polynomial starts at ys[k], ends at ys[k + 1] within 4
+    # ulps, and leaves with the slope f(ts[k], ys[k])
+    build, z0 = WORKLOAD_RUNS[name]
+    spec = build()
+    run = rk.solve_rk45(lambda t, z: dyn.state_rhs(spec, t, z), (0.0, 20.0), z0)
+    dense = run.dense
+    ends = [rk._interpolate(dense.ys[k], dense.h[k], dense.q[k], theta)
+            for k in range(len(dense.h)) for theta in (0.0, 1.0)]
+    assert np.array_equal(ends[::2], dense.ys[:-1])
+    ulp = np.spacing(np.maximum(np.abs(dense.ys[1:]), 1e-300))
+    assert np.all(np.abs(ends[1::2] - dense.ys[1:]) <= 4 * ulp)
+    slopes = np.array([dyn.state_rhs(spec, t, z.tolist()) for t, z in zip(run.ts, run.ys[:-1])])
+    chord = np.diff(dense.ys, axis=0) / dense.h[:, None]
+    ulp = np.spacing(np.maximum(np.abs(slopes), np.abs(chord)))
+    assert np.all(np.abs(dense.derivative(run.ts[:-1]) - slopes) <= 2 * ulp)
 
 
 @pytest.mark.parametrize("name", list(WORKLOAD_RUNS))
@@ -187,6 +271,10 @@ def test_terminal_event_cuts_the_last_step():
     ts = np.linspace(run.ts[-1], 2.0 * run.ts[-1], 2001)
     exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
     assert np.max(np.abs(dense.reflected([1.0, -1.0])(ts) - exact)) <= 1e-10
+    # reflecting in the power basis is exact up to rounding: the reflected
+    # output is the output mirrored through the stop
+    mirrored = dense(2.0 * run.ts[-1] - ts) * [1.0, -1.0]
+    assert np.max(np.abs(dense.reflected([1.0, -1.0])(ts) - mirrored)) <= 1e-12
     # the cut step is the full step's polynomial, in values and derivative
     inside = np.linspace(run.ts[-2], run.ts[-1], 101)
     assert np.max(np.abs(dense(inside) - np.stack([np.cos(inside), -np.sin(inside)], 1))) <= 1e-10
@@ -205,14 +293,17 @@ def test_oscillator_run_step_counts():
         return dyn.state_rhs(spec, t, z)
 
     run = rk.solve_rk45(counting, (0.0, 100.0), [1.0, 0.0, 0.0, 0.0], rtol=1e-10)
-    assert (run.n_accepted, run.n_rejected) == (3118, 50)
-    # six stages a step, plus f(t0) and the initial step's difference quotient
-    assert calls == 6 * (run.n_accepted + run.n_rejected) + 2 == 19010
+    assert (run.n_accepted, run.n_rejected) == (340, 0)
+    # eleven stages an attempted step; an accepted step of a dense run adds f
+    # at the new state, the interpolant's three stages and f at its midpoint;
+    # plus f(t0) and the initial step's difference quotient
+    assert calls == 11 * (run.n_accepted + run.n_rejected) + 5 * run.n_accepted + 2 == 5442
 
 
 def test_one_step_function_per_shape():
     spec = oscillator(2)
     rk._step_function.cache_clear()
+    rk._dense_function.cache_clear()
     for _ in range(2):
         orbit = orb.find_brake(spec, [1.01, 0.02])  # plain runs and m = 1 tangent runs
         orb.monodromy(spec, orbit)  # a run of [z; M], M 4 x 4, all under control
@@ -223,9 +314,17 @@ def test_one_step_function_per_shape():
     for key in ((4, 4), (8, 4), (20, 20)):
         rk._step_function(*key)
     assert rk._step_function.cache_info().misses == 3
+    # the interpolant is keyed like the step, and only z's dense runs (the
+    # probe and the closed half run) build one
+    info = rk._dense_function.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    rk._dense_function(4, 4)
+    assert rk._dense_function.cache_info().misses == 1
     # the generated source is not kept: no line cache holds it
     with pytest.raises(OSError):
         inspect.getsource(rk._step_function(8, 4))
+    with pytest.raises(OSError):
+        inspect.getsource(rk._dense_function(4, 4))
 
 
 class TestShapesCheckedAtEntry:
@@ -257,3 +356,64 @@ class TestShapesCheckedAtEntry:
             rk.solve_rk45(lambda t, y: [y[1], -y[0]], (0.0, 1.0), [1.0, 0.0], control=control)
         assert str(info.value) == (
             f"control must be a whole number of entries in [1, 2], got {control!r}")
+
+
+class TestAgainstTheFiveFourPair:
+    """The library's runs with DOP853 against the same runs with the 5(4)
+    pair it replaced (``oracles.DP5``): periods within 1e-9, starts within
+    1e-8, monodromy entries within 1e-7, kinetic-minimum times within 1e-8,
+    and as many events.  Steps 6-13 times longer must miss no crossing."""
+
+    @staticmethod
+    def both_pairs(monkeypatch, work):
+        """``work()`` with the library's stepper, then with the 5(4) pair."""
+        new = work()
+        monkeypatch.setattr(rk, "solve_rk45", functools.partial(stage_loop_rk, pair=DP5))
+        return new, work()
+
+    @pytest.mark.parametrize("n, seed", [(2, [1.01, 0.02]), (3, [1.01, 0.02, -0.015])],
+                             ids=["2-DOF", "3-DOF"])
+    def test_oscillator_brake_orbit(self, monkeypatch, n, seed):
+        spec = oscillator(n)
+
+        def work():
+            orbit = orb.find_brake(spec, seed)
+            probe = orb._probe(spec, PhaseState(seed, [0.0] * n),
+                               events=(dyn.kinetic_minimum_event(spec, terminal=True),))
+            return orbit, orb.monodromy(spec, orbit).matrix, probe.events[0].t
+
+        (orbit, m, turn), (orbit5, m5, turn5) = self.both_pairs(monkeypatch, work)
+        self.assert_same_orbit(orbit, m, orbit5, m5)
+        assert abs(turn - turn5) <= 1e-8
+
+    @pytest.mark.parametrize("horizontal", [False, True], ids=["ridge", "horizontal"])
+    def test_cosine_torus_rotation(self, monkeypatch, horizontal):
+        spec = cosine_torus()
+        x1 = 1.0 if horizontal else math.pi + 0.02
+        speed = math.sqrt(2.0 * (1.0 - 0.1 * math.cos(x1)))
+        seed = PhaseState([x1, 2.0], [speed, 0.0] if horizontal else [0.0, speed])
+
+        def work():
+            orbit = orb.find_rotation(spec, seed)
+            return orbit, orb.monodromy(spec, orbit).matrix
+
+        (orbit, m), (orbit5, m5) = self.both_pairs(monkeypatch, work)
+        self.assert_same_orbit(orbit, m, orbit5, m5)
+
+    @staticmethod
+    def assert_same_orbit(orbit, m, orbit5, m5):
+        assert abs(orbit.period - orbit5.period) <= 1e-9
+        assert np.max(np.abs(orbit.trajectory.states[0] - orbit5.trajectory.states[0])) <= 1e-8
+        assert np.max(np.abs(m - m5)) <= 1e-7
+
+    def test_quartic_finsler_events(self, monkeypatch):
+        spec = quartic_finsler()
+        z0 = WORKLOAD_RUNS["finsler_flow"][1]
+
+        def work():
+            return dyn.integrate(spec, PhaseState(z0[:2], z0[2:]), (0.0, 20.0),
+                                 events=(dyn.kinetic_minimum_event(spec),))
+
+        run, run5 = self.both_pairs(monkeypatch, work)
+        assert len(run.events) == len(run5.events) > 0
+        assert max(abs(a.t - b.t) for a, b in zip(run.events, run5.events)) <= 1e-8
