@@ -1,29 +1,42 @@
 """Detection and classification of orbit intersections.
 
-Candidate coincidences come from a sort-and-sweep broad phase over a dense
-polyline resampling of the orbit (Cohen, Lin, Manocha & Ponamgi, I-COLLIDE,
-1995).  Boxes of two segments overlap within the acceptance margin only if
-their centres lie, on every axis, within reach = the largest half-extents of
-both strands plus the margin.  One axis is swept: two binary searches in the
-sorted centres of b give each box of a its run of b's boxes within reach (on
-a torus the centres wrap into one period, unrolled once on either side).  It
-is the axis whose runs hold the fewest boxes, found on every call; the axis
-of largest spread fails on a torus, where a winding axis spans many periods
-of the cover while its wrapped centres crowd one.  The pairs of the runs
-pass a minimal-image box test (:meth:`Space.delta
+A strand is an orbit's integrator steps.  Each step's polynomial lies in the
+box of its Bernstein coefficients (:meth:`DenseOutput.boxes
+<orbitlab.rk.DenseOutput.boxes>`), which encloses the dense output, not the
+exact orbit: the interpolant errs by up to about the tolerance inside a
+step, and a bound on the separation must add that error.  Candidates come
+from a sort-and-sweep broad phase over the step boxes (Cohen, Lin, Manocha &
+Ponamgi, I-COLLIDE, 1995).  Boxes of two steps overlap within the margin
+only if their centres lie, on every axis, within reach = the largest
+half-extents of both strands plus the margin.  One axis is swept: two binary
+searches in the sorted centres of b give each box of a its run of b's boxes
+within reach (on a torus the centres wrap into one period, unrolled once on
+either side).  It is the axis whose runs hold the fewest boxes, found on
+every call; the axis of largest spread fails on a torus, where a winding
+axis spans many periods of the cover while its wrapped centres crowd one.
+The pairs of the runs pass a minimal-image box test (:meth:`Space.delta
 <orbitlab.geometry.Space.delta>`), so the candidate list equals that of the
 O(N^2) all-pairs generator, which the tests keep as the oracle
-(``oracles.brute_candidates``).  The candidates become arrays of segment
-indices and midpoint times with one live flag each.  Each live candidate,
-in order, is refined by a damped Newton iteration on the squared separation
-of the two strands (time parameters wrap modulo the period, and fold onto
-the arc of a brake orbit), and the pair it records retires every candidate
-it covers: for a reversal those whose s + t lies within 6 segments of its
-own, else those within 6 segments of it in both s and t.  The acceptance
-gap is 1e-6 of the strands' largest extent, each axis capped at its period
-on a torus, so that a winding orbit's tolerances do not grow with the
-winding.  Pairs, each image on its own, are classified by the angle between
-their velocities:
+(``oracles.brute_candidates``).  Each live candidate, in order, is refined
+by a damped Newton iteration on the squared separation of the two strands
+from the midpoints of its two steps (times wrap modulo the period, and fold
+onto the arc of a brake orbit), and the pair it records retires the
+candidates it covers.  The acceptance gap is 1e-6 of the strands' largest
+``scale``, the extent of their boxes with each axis capped at its period on
+a torus, so that a winding orbit's tolerances do not grow with the winding.
+The rules count steps:
+
+* a self-scan drops pairs of the same or adjacent steps, around the ring of
+  a closed strand, and a refined pair whose s and t lie in the same or
+  adjacent steps has collapsed onto the diagonal;
+* a recorded reversal retires the candidates whose s_mid + t_mid lies within
+  the sum of their two step lengths of its s + t; another pair retires those
+  within one step of its steps in both s and t;
+* near misses merge within twice the longest step; reversal keys s + t are
+  distinct beyond the longest step, double points beyond 8 acceptance gaps.
+
+Pairs, each image on its own, are classified by the angle between their
+velocities:
 
 * ``reversal``     -- antiparallel strands; on a brake orbit these include
                       the retrace coincidences with s + t = T (mod T), which
@@ -32,15 +45,16 @@ their velocities:
 * ``tangential``   -- parallel within the angular tolerance; reported as an
                       ambiguity because transversality cannot be certified.
 
-A rotation's polyline is a closed ring over its period T.  A brake orbit's
-is its arc x([0, T/2]), an open polyline: the second half retraces the arc,
-x(T - t) = x(t), so the arc holds every point of the orbit, and a pair (a,
-b) found on arcs stands for its images {a, T - a} x {b, T - b} over the
-full periods (one image where T - a lies within 6 segments of a).  This
-holds for self and mutual scans alike.  On a self-scan a brake orbit meets
-itself along the whole retrace line s + t = 0 (mod T); the scan records
-that line by construction, as one ``reversal`` pair at (T/4, 3T/4), and
-never searches for it.
+A rotation's strand is a closed ring of steps over its period T.  A brake
+orbit's is its arc x([0, T/2]), the steps that start before T/2 (a
+``find_brake`` orbit's half run): the second half retraces the arc, x(T - t)
+= x(t), so the arc holds every point of the orbit, and a pair (a, b) found
+on arcs stands for its images {a, T - a} x {b, T - b} over the full periods
+(one image where a lies in the arc's first or last step).  This holds for
+self and mutual scans alike.  On a self-scan a brake orbit meets itself
+along the whole retrace line s + t = 0 (mod T); the scan records that line
+by construction, as one ``reversal`` pair at (T/4, 3T/4), and never
+searches for it.
 
 Pairs whose refinement stalls, and near misses between the acceptance and
 rejection thresholds, are reported in ``unresolved`` rather than silently
@@ -58,12 +72,7 @@ import numpy as np
 from .errors import OrbitLabError
 from .orbits import PeriodicOrbit
 
-__all__ = [
-    "IntersectionPair",
-    "IntersectionReport",
-    "self_intersections",
-    "mutual_intersections",
-]
+__all__ = ["IntersectionPair", "IntersectionReport", "self_intersections", "mutual_intersections"]
 
 _NEAR_MISS_FACTOR = 10.0
 _TOL_ANGLE = 1e-3  # radians from (anti)parallel that still count as parallel
@@ -108,17 +117,15 @@ class IntersectionReport:
 
 
 # ---------------------------------------------------------------------------
-# Polyline machinery
+# Step boxes
 # ---------------------------------------------------------------------------
 
 class _Strand:
-    """Dense-output view of one periodic orbit plus its polyline.
-
-    The polyline of a rotation is a closed ring over [0, T].  That of a
-    brake orbit is its arc over [0, T/2], an open one (``arc``): the second
-    half retraces it, and :meth:`images` gives the times of the full period
-    at which the orbit passes a point of the arc.  Times wrap modulo T.
-    """
+    """Dense-output view of one periodic orbit plus the boxes of its steps:
+    step i starts at ``ts[i]``, is ``h[i]`` long, and its positions lie in
+    the box ``centres[i]`` +- ``half[i]``.  A rotation's steps are a closed
+    ring over [0, T], a brake orbit's those that start before T/2, an open
+    arc (``arc``; :meth:`images`).  Times wrap modulo T."""
 
     def __init__(self, orbit: PeriodicOrbit):
         self.orbit = orbit
@@ -126,29 +133,19 @@ class _Strand:
         self.n = orbit.spec.dimension
         self.period = orbit.period
         self.arc = orbit.kind == "brake"
-        self.span = self.period / 2 if self.arc else self.period
-        pts = self._resample(1024)
-        extent = np.max(pts, axis=0) - np.min(pts, axis=0)
-        self.diameter = max(float(np.max(extent)), 1e-12)
+        dense = orbit.trajectory.dense
+        if dense is None:
+            raise ValueError("trajectory carries no dense output")
+        span = self.period / 2 if self.arc else self.period
+        count = min(int(np.searchsorted(dense.ts, span)), len(dense.h))
+        self.ts, self.h = dense.ts[:count], dense.h[:count]
+        lo, hi = (bound[:, : self.n] for bound in dense.boxes(count))
+        self.centres, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         # the tolerances' length: on a torus an axis spans at most one period,
         # however often the orbit winds around it
+        extent = np.max(hi, axis=0) - np.min(lo, axis=0)
         periods = self.space.periods if self.space.kind == "torus" else math.inf
         self.scale = max(float(np.max(np.minimum(extent, periods))), 1e-12)
-        max_step = self.diameter / 512.0
-        count = 1024
-        while count < 65536:
-            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1).max()
-            if seg <= max_step:
-                break
-            count *= 2
-            pts = self._resample(count)
-        self.ts = np.linspace(0.0, self.span, len(pts))
-        self.dt = self.span / count
-        self.pts = pts
-
-    def _resample(self, count: int) -> np.ndarray:
-        ts = np.linspace(0.0, self.span, count + 1)
-        return self.orbit.trajectory.position(ts)
 
     def state(self, t):
         """Dense state at t (scalar or 1-D array), wrapped into one period."""
@@ -169,18 +166,22 @@ class _Strand:
         t = float(np.mod(t, self.period))
         return min(t, self.period - t) if self.arc else t
 
+    def step(self, t):
+        """The index of the step that holds the folded time t (or times)."""
+        return np.clip(np.searchsorted(self.ts, t, "right") - 1, 0, len(self.h) - 1)
+
+    def steps_apart(self, i, j):
+        """|i - j| for step indices, around the ring of a closed strand."""
+        gap = np.abs(i - j)
+        return gap if self.arc else np.minimum(gap, len(self.h) - gap)
+
     def images(self, t: float) -> list[float]:
-        """The times of one period at which the orbit passes the polyline's
-        point at t: t, and on an arc T - t too, unless within 6 segments of t."""
-        if self.arc and min(2.0 * t, self.period - 2.0 * t) >= 6 * self.dt:
+        """The times of one period at which the orbit passes the strand's
+        point at t: t, and on an arc T - t too, unless t lies in the arc's
+        first or last step."""
+        if self.arc and self.h[0] < t < self.ts[-1]:
             return [t, self.period - t]
         return [t]
-
-
-def _box_centres(strand: _Strand):
-    lo = np.minimum(strand.pts[:-1], strand.pts[1:])
-    hi = np.maximum(strand.pts[:-1], strand.pts[1:])
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def _boxes_overlap(ca, ea, cb, eb, space, margin):
@@ -206,11 +207,11 @@ def _runs(a, b, reach, period):
 
 
 def _candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
-    """Sorted segment index pairs (i, j) whose boxes overlap within margin,
+    """Sorted step index pairs (i, j) whose boxes overlap within margin,
     i < j for a self-scan (``strand_b`` None): one sweep (module docstring)."""
     same = strand_b is None
-    ca, ea = _box_centres(strand_a)
-    cb, eb = (ca, ea) if same else _box_centres(strand_b)
+    ca, ea = strand_a.centres, strand_a.half
+    cb, eb = (ca, ea) if same else (strand_b.centres, strand_b.half)
     space, n, nb = strand_a.space, ca.shape[1], len(cb)
     periods = space.periods if space.kind == "torus" else (None,) * n
     # runs reach a few ulps of the largest coordinate or period further, past
@@ -326,12 +327,9 @@ def _merge_near_misses(unresolved: list, pa: float, pb: float, win_a: float, win
     """
     merged, prev = [], None
     for p in sorted(unresolved, key=lambda p: (p.s, p.t)):
-        if (
-            prev is not None
-            and p.kind == prev.kind == "near_miss"
-            and _param_gap_circular(p.s, prev.s, pa) < win_a
-            and _param_gap_circular(p.t, prev.t, pb) < win_b
-        ):
+        if (prev is not None and p.kind == prev.kind == "near_miss"
+                and _param_gap_circular(p.s, prev.s, pa) < win_a
+                and _param_gap_circular(p.t, prev.t, pb) < win_b):
             merged[-1] = min(merged[-1], p, key=lambda q: q.gap)
         else:
             merged.append(p)
@@ -353,31 +351,27 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
     tol_space = 1e-6 * max(strand_a.scale, sb.scale)
     reject_gap = _NEAR_MISS_FACTOR * tol_space
     pa, pb = strand_a.period, sb.period
-    n_seg_a = len(strand_a.pts) - 1
-    dt_a, dt_b = strand_a.dt, sb.dt
 
-    candidates = _candidates(strand_a, strand_b, reject_gap)
-    i, j = np.array(candidates, dtype=np.int64).reshape(-1, 2).T
-    if same:  # drop segments within 4 of each other (around the ring if closed)
-        ring = np.abs(i - j)
-        keep = (ring if strand_a.arc else np.minimum(ring, n_seg_a - ring)) > 4
+    i, j = np.array(_candidates(strand_a, strand_b, reject_gap), dtype=np.int64).reshape(-1, 2).T
+    if same:  # drop pairs of the same or adjacent steps
+        keep = strand_a.steps_apart(i, j) > 1
         i, j = i[keep], j[keep]
-    s_mid = strand_a.ts[i] + 0.5 * dt_a
-    t_mid = sb.ts[j] + 0.5 * dt_b
+    s_mid = strand_a.ts[i] + 0.5 * strand_a.h[i]
+    t_mid = sb.ts[j] + 0.5 * sb.h[j]
 
     def covers(p: IntersectionPair) -> np.ndarray:
-        """The candidates whose midpoints the recorded pair p stands for."""
+        """The candidates the recorded pair p stands for."""
         if p.kind == "reversal":  # the whole retrace line s + t = const
             key = np.fmod(s_mid + t_mid, pa)
-            return _param_gap_circular(key, p.s + p.t, pa) < 6 * dt_a
-        near_s = _param_gap_circular(s_mid, p.s, pa) < 6 * dt_a
-        return near_s & (_param_gap_circular(t_mid, p.t, pb) < 6 * dt_b)
+            return _param_gap_circular(key, p.s + p.t, pa) < strand_a.h[i] + sb.h[j]
+        near_s = strand_a.steps_apart(i, strand_a.step(p.s)) <= 1
+        return near_s & (sb.steps_apart(j, sb.step(p.t)) <= 1)
 
     def classify(s: float, t: float, gap: float, ok: bool) -> list[IntersectionPair]:
         """The pairs a refined (s, t) stands for: none, or the one on the
-        polylines, then its other images over the full periods."""
+        strands, then its other images over the full periods."""
         s, t = strand_a.fold(s), sb.fold(t)
-        if same and _param_gap_circular(s, t, pa) < 4 * dt_a:
+        if same and strand_a.steps_apart(strand_a.step(s), strand_a.step(t)) <= 1:
             return []  # collapsed onto the diagonal; not a coincidence
         if not ok and gap > tol_space:
             kind = "stalled"
@@ -400,8 +394,7 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
 
     # refine, in order, each candidate that no pair recorded so far covers
     live = np.ones(len(s_mid), dtype=bool)
-    accepted: list[IntersectionPair] = []
-    unresolved: list[IntersectionPair] = []
+    accepted, unresolved = [], []
     for c in range(len(s_mid)):
         if live[c]:
             pairs = classify(*_refine_pair(strand_a, sb, float(s_mid[c]), float(t_mid[c])))
@@ -415,37 +408,27 @@ def _scan(strand_a: _Strand, strand_b: _Strand | None):
         gap = float(np.linalg.norm(space.delta(x_s, strand_a.position(t))))
         accepted.append(IntersectionPair(s, t, space.wrap(x_s), "reversal", gap))
     accepted.sort(key=lambda p: (p.s, p.t))
-    unresolved = _merge_near_misses(unresolved, pa, pb, 12 * dt_a, 12 * dt_b)
+    longest_a, longest_b = float(np.max(strand_a.h)), float(np.max(sb.h))
+    unresolved = _merge_near_misses(unresolved, pa, pb, 2 * longest_a, 2 * longest_b)
 
-    # distinct double points by location (minimal-image metric)
-    dp_points: list[np.ndarray] = []
-    for p in accepted:
-        if p.kind != "double_point":
-            continue
-        if all(
-            np.linalg.norm(space.delta(p.point, q)) > 8.0 * tol_space for q in dp_points
-        ):
-            dp_points.append(p.point)
+    def distinct(kind: str, key, apart) -> int:
+        """How many pairs of this kind have keys apart from every one before."""
+        kept: list = []
+        for k in (key(p) for p in accepted if p.kind == kind):
+            if all(apart(k, q) for q in kept):
+                kept.append(k)
+        return len(kept)
 
-    reversal_keys: list[float] = []
-    for p in accepted:
-        if p.kind != "reversal":
-            continue
-        key = math.fmod(p.s + p.t, strand_a.period)
-        if all(
-            _param_gap_circular(key, k, strand_a.period) > 6 * dt_a
-            for k in reversal_keys
-        ):
-            reversal_keys.append(key)
-
-    report = IntersectionReport(
+    return IntersectionReport(
         pairs=accepted,
         unresolved=unresolved,
-        dp_count=len(dp_points),
-        reversal_count=len(reversal_keys),
+        # double points by location (minimal-image metric), reversals by s + t
+        dp_count=distinct("double_point", lambda p: p.point,
+                          lambda x, y: np.linalg.norm(space.delta(x, y)) > 8.0 * tol_space),
+        reversal_count=distinct("reversal", lambda p: math.fmod(p.s + p.t, pa),
+                                lambda x, y: _param_gap_circular(x, y, pa) > longest_a),
         tangential_count=sum(1 for p in accepted if p.kind == "tangential"),
     )
-    return report
 
 
 def self_intersections(orbit: PeriodicOrbit) -> IntersectionReport:

@@ -19,8 +19,9 @@ vectorised consumers of dense trajectory output are checked against the
 one-point-at-a-time loops they replaced, which live here as references, the
 monodromy matrix against the augmented system that carried the variational
 equations in the state, the intersection scan's sort-and-sweep against the
-all-pairs candidate generator, and its cover rule against the candidate
-search it replaced.  The flow's solve route, which solves g a = -c and
+all-pairs candidate generator, its cover rule against the candidate
+search it replaced, and its step boxes against the resampled polyline
+that it swept before.  The flow's solve route, which solves g a = -c and
 g DA = -(dc + dg a) by a pivoting solve at every call, is the reference for
 the generated flow and J W, which eliminate in the code; the fold that
 inverted a constant g at build time is the reference for the identity
@@ -1119,7 +1120,7 @@ def stage_loop_rk(
 
 
 def brute_candidates(strand_a, strand_b, margin: float):
-    """All segment pairs whose inflated boxes overlap (minimal-image aware).
+    """All step pairs whose inflated boxes overlap (minimal-image aware).
 
     The reference for ``intersect._candidates``, with the same
     arguments and result.  Row-chunked so the N^2 broadcast stays
@@ -1128,8 +1129,8 @@ def brute_candidates(strand_a, strand_b, margin: float):
     same = strand_b is None
     if same:
         strand_b = strand_a
-    ca, ea = isect._box_centres(strand_a)
-    cb, eb = isect._box_centres(strand_b)
+    ca, ea = strand_a.centres, strand_a.half
+    cb, eb = strand_b.centres, strand_b.half
     out = []
     chunk = max(1, 2**22 // max(len(cb) * cb.shape[1], 1))  # rows x columns x dimension
     for start in range(0, len(ca), chunk):
@@ -1159,33 +1160,32 @@ def scan_by_search(strand_a, strand_b):
     The reference for ``intersect._scan``, which instead retires the
     candidates a pair covers when the pair is recorded.  It shares the
     candidate generator (looked up at call time, so a test may swap it),
-    the refinement, the angle test and the strands' image map
-    (``_Strand.images``) with the library.  It records the pairs found on
-    the polylines and maps them to their images over the full periods at
-    the end, and reports every near miss as found, without merging runs.
-    On a ring strand of a brake orbit (:func:`full_period_strand`) it is
-    the full-period scan, which tells the retrace line s + t = 0 by its
-    position as well as by antiparallel velocities.
+    the refinement, the angle test and the strands' steps and image map
+    (``_Strand.step``, ``steps_apart`` and ``images``) with the library.
+    It records the pairs found on the strands and maps them to their images
+    over the full periods at the end, and reports every near miss as found,
+    without merging runs.  On a ring strand of a brake orbit
+    (:func:`full_period_strand`) it is the full-period scan, which tells the
+    retrace line s + t = 0 by its position as well as by antiparallel
+    velocities.
     """
     same = strand_b is None
     sb = strand_a if same else strand_b
     tol_space = 1e-6 * max(strand_a.scale, sb.scale)
     reject_gap = isect._NEAR_MISS_FACTOR * tol_space
     candidates = isect._candidates(strand_a, strand_b, reject_gap)
-    pa, pb = strand_a.period, sb.period
-    n_seg_a = len(strand_a.pts) - 1
-    dt_a, dt_b = strand_a.dt, sb.dt
+    pa = strand_a.period
     accepted, unresolved = [], []
 
-    def near_existing(s_mid, t_mid):
+    def near_existing(i, j):
         def windows(p):
-            near_s = _circular_gap(s_mid, p.s, pa) < 6 * dt_a
-            return near_s and _circular_gap(t_mid, p.t, pb) < 6 * dt_b
+            near_s = strand_a.steps_apart(i, strand_a.step(p.s)) <= 1
+            return near_s and sb.steps_apart(j, sb.step(p.t)) <= 1
 
         for p in accepted:
             if p.kind == "reversal" and same:
-                key = math.fmod(s_mid + t_mid, pa)
-                if _circular_gap(key, p.s + p.t, pa) < 6 * dt_a:
+                key = math.fmod(strand_a.ts[i] + 0.5 * strand_a.h[i] + sb.ts[j] + 0.5 * sb.h[j], pa)
+                if _circular_gap(key, p.s + p.t, pa) < strand_a.h[i] + sb.h[j]:
                     return True
             elif windows(p):
                 return True
@@ -1204,7 +1204,7 @@ def scan_by_search(strand_a, strand_b):
         s, t = strand_a.fold(s), sb.fold(t)
         if same and strand_a.arc:
             s, t = min(s, t), max(s, t)
-        if same and _circular_gap(s, t, pa) < 4 * dt_a:
+        if same and strand_a.steps_apart(strand_a.step(s), strand_a.step(t)) <= 1:
             return
         point = strand_a.space.wrap(strand_a.position(s))
         if not ok and gap > tol_space:
@@ -1215,12 +1215,11 @@ def scan_by_search(strand_a, strand_b):
             unresolved.append(isect.IntersectionPair(s, t, point, "near_miss", gap))
 
     for i, j in candidates:
-        ring = abs(i - j) if strand_a.arc else min(abs(i - j), n_seg_a - abs(i - j))
-        if same and ring <= 4:
+        if same and strand_a.steps_apart(i, j) <= 1:
             continue
-        s_mid = float(strand_a.ts[i] + 0.5 * dt_a)
-        t_mid = float(sb.ts[j] + 0.5 * dt_b)
-        if not near_existing(s_mid, t_mid):
+        if not near_existing(i, j):
+            s_mid = float(strand_a.ts[i] + 0.5 * strand_a.h[i])
+            t_mid = float(sb.ts[j] + 0.5 * sb.h[j])
             classify(*isect._refine_pair(strand_a, sb, s_mid, t_mid))
 
     def images(pairs):
@@ -1253,6 +1252,140 @@ def scan_by_search(strand_a, strand_b):
     keys = []
     for p in accepted:
         key = math.fmod(p.s + p.t, pa)
+        if p.kind == "reversal" and all(_circular_gap(key, k, pa) > max(strand_a.h) for k in keys):
+            keys.append(key)
+    return isect.IntersectionReport(
+        pairs=accepted,
+        unresolved=unresolved,
+        dp_count=len(dp_points),
+        reversal_count=len(keys),
+        tangential_count=sum(1 for p in accepted if p.kind == "tangential"),
+    )
+
+
+class PolylineStrand(isect._Strand):
+    """The strand the scan swept before it swept the integrator's steps: the
+    dense output resampled at 1,024 equal time segments, doubled up to
+    65,536 until no segment is longer than 1/512 of the largest extent,
+    with the boxes of its chords.  Its tolerances' ``scale`` is the
+    polyline's extent, capped per torus axis at the period, and an arc time
+    t has the second image T - t unless within 6 segments of it.  With
+    :func:`polyline_scan` it is a second reference for the scan."""
+
+    def __init__(self, orbit):
+        self.orbit = orbit
+        self.space = orbit.spec.metric.space
+        self.n = orbit.spec.dimension
+        self.period = orbit.period
+        self.arc = orbit.kind == "brake"
+        self.span = self.period / 2 if self.arc else self.period
+        pts = self._resample(1024)
+        extent = np.max(pts, axis=0) - np.min(pts, axis=0)
+        self.diameter = max(float(np.max(extent)), 1e-12)
+        periods = self.space.periods if self.space.kind == "torus" else math.inf
+        self.scale = max(float(np.max(np.minimum(extent, periods))), 1e-12)
+        count = 1024
+        while count < 65536:
+            if np.linalg.norm(np.diff(pts, axis=0), axis=1).max() <= self.diameter / 512.0:
+                break
+            count *= 2
+            pts = self._resample(count)
+        self.ts = np.linspace(0.0, self.span, len(pts))
+        self.dt = self.span / count
+        self.pts = pts
+        lo, hi = np.minimum(pts[:-1], pts[1:]), np.maximum(pts[:-1], pts[1:])
+        self.centres, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def _resample(self, count: int) -> np.ndarray:
+        return self.orbit.trajectory.position(np.linspace(0.0, self.span, count + 1))
+
+    def images(self, t: float) -> list[float]:
+        if self.arc and min(2.0 * t, self.period - 2.0 * t) >= 6 * self.dt:
+            return [t, self.period - t]
+        return [t]
+
+
+def polyline_scan(strand_a, strand_b):
+    """The scan as it ran on :class:`PolylineStrand`, its rules counted in
+    segments: a self-scan drops pairs of segments within 4 of each other
+    (around the ring of a closed strand) and takes a refined pair with s
+    and t within 4 segments to have collapsed onto the diagonal; refinement
+    starts at the segments' midpoints; a recorded reversal retires the
+    candidates whose s + t lies within 6 segments of its own, any other pair
+    those within 6 segments of it in both s and t; near misses merge within
+    12 segments, and reversal keys count as distinct beyond 6.  It shares
+    the sweep, the refinement, the angle test and the merge with the
+    library."""
+    same = strand_b is None
+    sb = strand_a if same else strand_b
+    space = strand_a.space
+    tol_space = 1e-6 * max(strand_a.scale, sb.scale)
+    reject_gap = isect._NEAR_MISS_FACTOR * tol_space
+    pa, pb = strand_a.period, sb.period
+    n_seg_a = len(strand_a.pts) - 1
+    dt_a, dt_b = strand_a.dt, sb.dt
+
+    i, j = np.array(isect._candidates(strand_a, strand_b, reject_gap), dtype=np.int64).reshape(-1, 2).T
+    if same:
+        ring = np.abs(i - j)
+        keep = (ring if strand_a.arc else np.minimum(ring, n_seg_a - ring)) > 4
+        i, j = i[keep], j[keep]
+    s_mid = strand_a.ts[i] + 0.5 * dt_a
+    t_mid = sb.ts[j] + 0.5 * dt_b
+
+    def covers(p):
+        if p.kind == "reversal":
+            key = np.fmod(s_mid + t_mid, pa)
+            return isect._param_gap_circular(key, p.s + p.t, pa) < 6 * dt_a
+        near_s = isect._param_gap_circular(s_mid, p.s, pa) < 6 * dt_a
+        return near_s & (isect._param_gap_circular(t_mid, p.t, pb) < 6 * dt_b)
+
+    def classify(s, t, gap, ok):
+        s, t = strand_a.fold(s), sb.fold(t)
+        if same and isect._param_gap_circular(s, t, pa) < 4 * dt_a:
+            return []
+        if not ok and gap > tol_space:
+            kind = "stalled"
+        elif gap <= tol_space:
+            kind = None
+        elif gap <= reject_gap:
+            kind = "near_miss"
+        else:
+            return []
+        point = space.wrap(strand_a.position(s))
+        pairs = []
+        for s_image in strand_a.images(s):
+            for t_image in sb.images(t):
+                if same and strand_a.arc:
+                    s_image, t_image = sorted((s_image, t_image))
+                rel = isect._classify_angle(strand_a.velocity(s_image), sb.velocity(t_image))
+                pairs.append(isect.IntersectionPair(
+                    s_image, t_image, point, kind or isect._kind(rel, same), gap))
+        return pairs
+
+    live = np.ones(len(s_mid), dtype=bool)
+    accepted, unresolved = [], []
+    for c in range(len(s_mid)):
+        if live[c]:
+            pairs = classify(*isect._refine_pair(strand_a, sb, float(s_mid[c]), float(t_mid[c])))
+            if pairs:
+                found = unresolved if pairs[0].kind in ("stalled", "near_miss") else accepted
+                found += pairs
+                live &= ~covers(pairs[0])
+    if same and strand_a.arc:
+        s, t = 0.25 * pa, 0.75 * pa
+        x_s = strand_a.position(s)
+        gap = float(np.linalg.norm(space.delta(x_s, strand_a.position(t))))
+        accepted.append(isect.IntersectionPair(s, t, space.wrap(x_s), "reversal", gap))
+    accepted.sort(key=lambda p: (p.s, p.t))
+    unresolved = isect._merge_near_misses(unresolved, pa, pb, 12 * dt_a, 12 * dt_b)
+    dp_points, keys = [], []
+    for p in accepted:
+        if p.kind == "double_point" and all(
+            np.linalg.norm(space.delta(p.point, q)) > 8.0 * tol_space for q in dp_points
+        ):
+            dp_points.append(p.point)
+        key = math.fmod(p.s + p.t, pa)
         if p.kind == "reversal" and all(_circular_gap(key, k, pa) > 6 * dt_a for k in keys):
             keys.append(key)
     return isect.IntersectionReport(
@@ -1265,8 +1398,8 @@ def scan_by_search(strand_a, strand_b):
 
 
 def full_period_strand(orbit):
-    """A brake orbit's strand as the closed ring over its full period, the
-    polyline the scan swept before a brake strand became its arc."""
+    """A brake orbit's strand as the closed ring of steps over its full
+    period, the strand the scan swept before a brake strand became its arc."""
     strand = isect._Strand(replace(orbit, kind="rotation"))
     strand.orbit = orbit
     return strand

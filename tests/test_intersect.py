@@ -118,6 +118,16 @@ class TestSelfIntersections:
         report = isect.self_intersections(orbit)
         assert report.pairs == [] and report.unresolved == []
 
+    def test_winding_across_both_axes(self):
+        # (999, 1000): most step boxes span both axes' periods, so nearly
+        # every pair of steps is a candidate; each is refined at most once
+        # (the 1,024 chords of the polyline it replaced made 519,680)
+        orbit = straight_winding((999, 1000))
+        k = len(isect._Strand(orbit).h)
+        report, starts = refined(scan, (orbit, None), False)
+        assert report["pairs"] == [] and report["unresolved"] == []
+        assert len(starts) <= k * (k - 1) // 2
+
     def test_lissajous_one_double_point_at_origin(self):
         orbit = lissajous_orbit()
         report = isect.self_intersections(orbit)
@@ -367,7 +377,7 @@ class TestCandidatesMatchBruteForce:
     def check_diagonal_rotation(n):
         orbit = straight_winding([1] * n)
         strand = isect._Strand(orbit)
-        assert len(strand.pts) - 1 == 2048
+        assert len(strand.h) == len(orbit.trajectory.dense.h)
         report = isect.self_intersections(orbit)
         assert report.pairs == [] and report.unresolved == []
         assert_candidates_match(strand)
@@ -385,10 +395,7 @@ class TestCandidatesMatchBruteForce:
         orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="rotation")
         report = isect.self_intersections(orbit)
         assert report.pairs == [] and report.unresolved == []
-        # every 8th of its 16,384 segments keeps the all-pairs oracle fast
-        strand = isect._Strand(orbit)
-        strand.pts = strand.pts[::8]
-        assert_candidates_match(strand)
+        assert_candidates_match(isect._Strand(orbit))
 
     @pytest.mark.parametrize("turns", [(1, 20), (1, 60), (1, 20, 7.4)], ids=str)
     def test_windings(self, turns):
@@ -396,20 +403,21 @@ class TestCandidatesMatchBruteForce:
         assert_candidates_match(isect._Strand(straight_winding(turns)))
 
     def test_boxes_longer_than_half_a_period(self):
-        # (1, 1000): a segment spans almost a whole period of x2
+        # (1, 1000): a step spans more than half a period of x2
         strand = isect._Strand(straight_winding((1, 1000)))
-        assert 2 * np.max(isect._box_centres(strand)[1][:, 1]) > math.pi
+        assert 2 * np.max(strand.half[:, 1]) > math.pi
         assert_candidates_match(strand)
-        # (999, 1000): segments span almost a period on both axes, so on
-        # either axis the runs reach across more than a period and are cut
+        # (999, 1000): steps span more than half a period on both axes (the
+        # first steps are short), so on either axis the runs reach across
+        # more than a period and are cut
         strand = isect._Strand(straight_winding((999, 1000)))
-        assert np.all(2 * np.min(isect._box_centres(strand)[1], axis=0) > math.pi)
+        assert np.any(np.all(2 * strand.half > math.pi, axis=1))
         assert assert_candidates_match(strand)
 
     def test_mutual_scan_of_unequal_strands(self, scan_cases):
         brake = isect._Strand(scan_cases["brake"][0])
         lissajous = isect._Strand(scan_cases["lissajous"][0])
-        assert len(brake.pts) != len(lissajous.pts)
+        assert len(brake.h) != len(lissajous.h)
         assert assert_candidates_match(lissajous, brake)
 
     def test_runs_reach_past_rounding(self):
@@ -418,14 +426,16 @@ class TestCandidatesMatchBruteForce:
         # them, as the wrap and the minimal-image difference round apart
         width, margin = 0.47752279114035545, 0.1145049517737946
         strands = [
-            types.SimpleNamespace(pts=np.array([[x], [x + width]]),
+            types.SimpleNamespace(centres=np.array([[0.5 * (x + (x + width))]]),
+                                  half=np.array([[0.5 * ((x + width) - x)]]),
                                   space=geo.Space.torus([2 * math.pi]))
             for x in (1565.7746694754533, -230.62430063499423)
         ]
         assert isect._candidates(*strands, margin) == [(0, 0)]
         assert oracles.brute_candidates(*strands, margin) == [(0, 0)]
 
-    @pytest.mark.parametrize("chunk", [isect._PAIR_CHUNK, 64])
+    # the Lissajous strand's 78 steps make 630 swept pairs, one default chunk
+    @pytest.mark.parametrize("chunk", [256, 64])
     def test_overlap_tests_are_chunked(self, monkeypatch, scan_cases, chunk):
         strand = isect._Strand(scan_cases["lissajous"][0])
         margin = scan_margin(strand)
@@ -441,7 +451,7 @@ class TestCandidatesMatchBruteForce:
         monkeypatch.setattr(isect, "_PAIR_CHUNK", chunk)
         assert isect._candidates(strand, None, margin) == expected
         # at most one chunk, or one run, which holds each box at most once
-        assert len(sizes) > 1 and max(sizes) <= max(chunk, len(strand.pts) - 1)
+        assert len(sizes) > 1 and max(sizes) <= max(chunk, len(strand.h))
 
 
 @pytest.mark.parametrize("brute_force", [False, True])
@@ -465,7 +475,8 @@ class TestScanExits:
             report = scan((orbit, None), brute_force=brute_force)
         assert report.pairs == []
         assert [p.kind for p in report.unresolved] == ["stalled"]
-        assert report.unresolved[0].gap == pytest.approx(1.534e-3, rel=1e-3)
+        # the separation at the first candidate's step midpoints
+        assert report.unresolved[0].gap == pytest.approx(0.0543, rel=1e-3)
 
 
 def scan_by_search(case, brute_force):
@@ -540,7 +551,7 @@ class TestCoverRule:
         expected, expected_starts = refined(scan_by_search, (a, b), brute_force)
         assert starts == expected_starts
         assert merged["pairs"] == expected["pairs"]
-        assert len(expected["unresolved"]) == 170
+        assert len(expected["unresolved"]) == 5
         least = min(expected["unresolved"], key=lambda p: (p["gap"], p["s"], p["t"]))
         assert merged["unresolved"] == [least]
 
@@ -559,6 +570,49 @@ class TestStrandWrap:
             shifted = t + orbit.period
             assert np.allclose(strand.position(shifted), strand.position(t), atol=1e-8)
             assert np.allclose(strand.velocity(t - orbit.period), strand.velocity(t), atol=1e-8)
+
+
+class TestStrandSteps:
+    def test_arc_is_the_steps_that_start_before_half_the_period(self):
+        # a full-period run whose steps are not mirrored: its first
+        # len(h) // 2 steps end short of T/2
+        orbit = crossing_brake()
+        strand, dense, half = isect._Strand(orbit), orbit.trajectory.dense, orbit.period / 2
+        assert dense.ts[len(dense.h) // 2] < half
+        assert strand.ts[0] == 0.0 and np.array_equal(strand.ts[1:], strand.ts[:-1] + strand.h[:-1])
+        assert strand.ts[-1] < half <= strand.ts[-1] + strand.h[-1]
+
+    def test_orbit_without_dense_output_rejected(self):
+        spec = flat_torus()
+        traj = dyn.integrate(spec, PhaseState([0.0, 0.0], [1.0, 0.0]), (0.0, 2 * math.pi), dense=False)
+        orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="rotation")
+        with pytest.raises(ValueError, match="no dense output"):
+            isect.self_intersections(orbit)
+
+    def test_find_brake_arc_is_its_half_run(self, scan_cases):
+        orbit, _ = scan_cases["brake"]
+        strand, dense = isect._Strand(orbit), orbit.trajectory.dense
+        half = len(dense.h) // 2
+        assert np.array_equal(strand.ts, dense.ts[:half])
+        assert np.array_equal(strand.h, dense.h[:half])
+        assert dense.ts[half] == orbit.period / 2
+
+
+@pytest.mark.parametrize("name", [*CASE_NAMES, "2-DOF", "3-DOF"])
+def test_reports_match_the_polyline_scan(scan_cases, survey_brakes, name):
+    """The step scan reports what the scan of the resampled polyline
+    (``oracles.PolylineStrand``) reported."""
+    a, b = scan_cases[name] if name in scan_cases else (survey_brakes[name], None)
+    report = scan((a, b), brute_force=False)
+    polyline = oracles.polyline_scan(
+        oracles.PolylineStrand(a), None if b is None else oracles.PolylineStrand(b))
+    counts = ("dp_count", "reversal_count", "tangential_count")
+    assert [getattr(report, c) for c in counts] == [getattr(polyline, c) for c in counts]
+    for got, want in ((report.pairs, polyline.pairs), (report.unresolved, polyline.unresolved)):
+        assert [p.kind for p in got] == [p.kind for p in want]
+        for p, q in zip(got, want):
+            assert abs(p.s - q.s) <= 1e-12 * a.period
+            assert abs(p.t - q.t) <= 1e-12 * (b or a).period
 
 
 def on_zero_curve(sa, sb, s, t):
@@ -599,7 +653,7 @@ class TestRefinePair:
                 assert abs(t - t_ref) <= 1e-10 * sb.period, k
                 continue
             # on a zero curve: same gap, same curve
-            assert abs(gap - gap_ref) <= 1e-9 * sa.diameter, k
+            assert abs(gap - gap_ref) <= 1e-9 * sa.scale, k
             for combine in (lambda u, v: u - v, lambda u, v: u + v):
                 off = isect._param_gap_circular(combine(s, t), 0.0, sa.period)
                 off_ref = isect._param_gap_circular(combine(s_ref, t_ref), 0.0, sa.period)

@@ -1,7 +1,8 @@
 """The DOP853 tableau and its interpolant, the generated step and
 interpolant against a loop over the stages (``oracles.stage_loop_rk``),
-their caches, the shape checks at the entry of ``rk.solve_rk45``, and the
-library's orbits and events against the 5(4) pair that DOP853 replaced."""
+their caches, the boxes that enclose the dense steps, the shape checks at
+the entry of ``rk.solve_rk45``, and the library's orbits and events against
+the 5(4) pair that DOP853 replaced."""
 
 import functools
 import inspect
@@ -20,7 +21,7 @@ from orbitlab import reference as ref
 from orbitlab import rk
 from orbitlab.dynamics import PhaseState
 
-from oracles import DP5, stage_loop_rk
+from oracles import DP5, lissajous_energy, lissajous_family, stage_loop_rk
 
 
 def bits(x):
@@ -280,6 +281,63 @@ def test_terminal_event_cuts_the_last_step():
     assert np.max(np.abs(dense(inside) - np.stack([np.cos(inside), -np.sin(inside)], 1))) <= 1e-10
     slope = np.stack([-np.sin(inside), -np.cos(inside)], axis=1)
     assert np.max(np.abs(dense.derivative(inside) - slope)) <= 1e-8
+
+
+def brake_dense():
+    """A ``find_brake`` orbit's dense output: its half run, then reflected."""
+    return orb.find_brake(oscillator(2), [1.01, 0.02]).trajectory.dense
+
+
+def lissajous_dense():
+    """The 1:2 Lissajous orbit that the intersection tests scan."""
+    osc = ref.OscillatorSpec((1.0, 2.0), 1.0)
+    spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), ex.parse("0.5*(x1^2 + 4.0*x2^2)", 2),
+                          lissajous_energy(osc, 1.0, 0.5))
+    start = lissajous_family(osc, (1, 2), 1.0, 0.5, math.pi / 4, 0.0)
+    return dyn.integrate(spec, start, (0.0, 2 * math.pi), rtol=1e-12, atol=1e-14).dense
+
+
+def plain_dense(build, z0):
+    spec = build()
+    return rk.solve_rk45(lambda t, z: dyn.state_rhs(spec, t, z), (0.0, 20.0), z0).dense
+
+
+BOXED_RUNS = {
+    "brake": brake_dense,
+    "lissajous": lissajous_dense,
+    "finsler": lambda: plain_dense(quartic_finsler, [0.4, -0.3, 0.0, 0.0]),
+    "3-DOF": lambda: plain_dense(lambda: oscillator(3), [1.0, 0.03, -0.02, 0.0, 0.0, 0.0]),
+}
+
+
+class TestStepBoxes:
+    """``DenseOutput.boxes`` encloses each step's dense output."""
+
+    @pytest.mark.parametrize("name", list(BOXED_RUNS))
+    def test_samples_lie_in_their_step_box(self, name):
+        dense = BOXED_RUNS[name]()
+        lo, hi = dense.boxes(len(dense.h))
+        theta = np.arange(257) / 257  # a step's end knot starts the next step
+        for k in range(len(dense.h)):
+            y = dense(dense.ts[k] + theta * dense.h[k])
+            assert np.all((lo[k] <= y) & (y <= hi[k])), k
+
+    def test_reflected_boxes_mirror_the_half_run(self):
+        dense = brake_dense()
+        lo, hi = dense.boxes(len(dense.h))
+        half = len(dense.h) // 2
+        signs = np.repeat([1.0, -1.0], 2)
+        # step half + i is step half - 1 - i run backwards and mapped by R,
+        # which swaps the bounds of a negated entry
+        mirror_lo = np.where(signs > 0, lo[half - 1 :: -1], -hi[half - 1 :: -1])
+        mirror_hi = np.where(signs > 0, hi[half - 1 :: -1], -lo[half - 1 :: -1])
+        largest = np.maximum(np.max(np.abs(lo), axis=1), np.max(np.abs(hi), axis=1))
+        bound = np.repeat(8 * np.spacing(largest[half:])[:, None], 4, axis=1)
+        # the first reflected step starts from the rest point itself, not its
+        # image, so its velocity bounds also differ by twice the rest speed
+        bound[0] += 2 * np.abs(dense.ys[half]) * (signs < 0)
+        assert np.all(np.abs(lo[half:] - mirror_lo) <= bound)
+        assert np.all(np.abs(hi[half:] - mirror_hi) <= bound)
 
 
 def test_oscillator_run_step_counts():
