@@ -434,10 +434,14 @@ class TestCandidatesMatchBruteForce:
         assert isect._candidates(*strands, margin) == [(0, 0)]
         assert oracles.brute_candidates(*strands, margin) == [(0, 0)]
 
-    # the Lissajous strand's 78 steps make 630 swept pairs, one default chunk
-    @pytest.mark.parametrize("chunk", [256, 64])
-    def test_overlap_tests_are_chunked(self, monkeypatch, scan_cases, chunk):
-        strand = isect._Strand(scan_cases["lissajous"][0])
+    @pytest.mark.parametrize("chunk", [isect._PAIR_CHUNK, 64])
+    def test_overlap_tests_are_chunked(self, monkeypatch, chunk):
+        # a (5, 7) Lissajous figure: its 148 steps make more swept pairs
+        # than one default chunk holds
+        spec = ref.oscillator_system(ref.OscillatorSpec((5.0, 7.0), 1.0))
+        traj = dyn.integrate(spec, PhaseState([0.1, 0.1], [0.05, 0.05]), (0.0, 2 * math.pi))
+        orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="rotation")
+        strand = isect._Strand(orbit)
         margin = scan_margin(strand)
         expected = isect._candidates(strand, None, margin)
         sizes = []
