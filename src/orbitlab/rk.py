@@ -40,21 +40,23 @@ brake half run of a Finsler well ends at a rest point whose velocity,
 about 1e-13, has no accurate direction, which the spray depends on, and
 without the defect test the last step of one such run left the dense
 output 9e-6 off.  On smooth flows the defect is about the error norm and
-rejects almost no step.  A step that a terminal event ends is stored cut at
-the event, so every step ends at the next knot.  At and beyond the ends of
-the span it gives the first or last stored state.
+rejects almost no step.  A step that a terminal event ends
+is stored cut at the event, so every step ends at the next knot.  At and
+beyond the ends of the span it gives the first or last stored state.
 :meth:`DenseOutput.reflected` appends a run's steps reflected in time and in
 a diagonal reversor, exactly in this basis; it and :func:`solve_rk45` are
-the only code that builds one, and :meth:`DenseOutput.boxes` encloses each
-step in the box of its Bernstein coefficients.  Events are located by sign change plus
+the only code that builds one.  Events are located by sign change plus
 bisection on the current step's interpolant down to a 1e-12 time tolerance
 (four ulps of t where that is coarser), with a cap on the number of halvings.
+:meth:`DenseOutput.bernstein` gives each step's Bernstein coefficients,
+whose hull encloses the step.
 
 A step is generated straight-line code, built on first use for its key
 (d, control) -- d the state's size -- and cached; the interpolant's stages,
-coefficients and defect are a second function with the same key.  They hold
-the stage states, the error sums and the coefficients as float locals and
-call the right-hand side once per stage.  A wide state's step is compiled in pieces
+coefficients and defect are a second function with the same key.  They
+hold the stage
+states, the error sums and the coefficients as float locals and call the
+right-hand side once per stage.  A wide state's step is compiled in pieces
 of at most ``_PIECE_CHARS`` characters of source, each unpacking the stage
 lists it reads, which bounds the compiler's transient memory; the step of
 a 3-DOF state, d = 6, is one piece.  Their results equal a loop over the
@@ -272,22 +274,22 @@ class DenseOutput:
             np.concatenate([self.q, (self.q @ flip)[::-1] * signs[:, None]]),
         )
 
-    def boxes(self, k: int):
-        """(lo, hi), each (k, d): per entry, the least and greatest Bernstein
-        coefficient b_i = sum_j binom(i, j) / binom(m, j) a_j of each of steps
-        0..k-1 (a_0 its start state, a_j = h q[:, j-1], m = ``q.shape[-1]``),
-        padded outward by 8 ulps of the step's largest, past the rounding of
-        this sum and of :meth:`__call__`.  A step lies in the hull of its b
-        (Farin, *Curves and Surfaces for CAGD*, 5th ed., 2002), so its box
-        encloses the dense output; not the solution, from which the
-        interpolant errs by up to about the tolerance."""
+    def bernstein(self, k: int):
+        """(b, ulp): b (k, d, m + 1), the Bernstein coefficients b_i = sum_j
+        binom(i, j) / binom(m, j) a_j of each of steps 0..k-1, per entry (a_0
+        its start state, a_j = h q[:, j-1], m = ``q.shape[-1]``), and ulp (k,)
+        the spacing of each step's largest sum_j |a_j|, which bounds its b and
+        the terms :meth:`__call__` sums.  A step lies in the hull of its b
+        (Farin, *Curves and Surfaces for CAGD*, 5th ed., 2002), so the box of
+        its least and greatest b per entry, padded outward by 8 ulp past the
+        rounding of this sum and of :meth:`__call__`, encloses the dense
+        output; not the solution, from which the interpolant errs by up to
+        about the tolerance."""
         m = self.q.shape[-1]
         to_bernstein = [[math.comb(i, j) / math.comb(m, j) for i in range(m + 1)]
                         for j in range(m + 1)]
         a = np.concatenate([self.ys[:k, :, None], self.h[:k, None, None] * self.q[:k]], axis=2)
-        b = a @ np.array(to_bernstein)
-        pad = 8.0 * np.spacing(np.max(np.abs(b), axis=(1, 2)))[:, None]
-        return np.min(b, axis=2) - pad, np.max(b, axis=2) + pad
+        return a @ np.array(to_bernstein), np.spacing(np.max(np.sum(np.abs(a), axis=2), axis=1))
 
     def derivative(self, t):
         """Time derivative; outside the span the first or last step's polynomial."""

@@ -20,7 +20,7 @@ one-point-at-a-time loops they replaced, which live here as references, the
 monodromy matrix against the augmented system that carried the variational
 equations in the state, the intersection scan's sort-and-sweep against the
 all-pairs candidate generator, its cover rule against the candidate
-search it replaced, and its step boxes against the resampled polyline
+search it replaced, and its step pieces against the resampled polyline
 that it swept before.  The flow's solve route, which solves g a = -c and
 g DA = -(dc + dg a) by a pivoting solve at every call, is the reference for
 the generated flow and J W, which eliminate in the code; the fold that
@@ -1120,7 +1120,8 @@ def stage_loop_rk(
 
 
 def brute_candidates(strand_a, strand_b, margin: float):
-    """All step pairs whose inflated boxes overlap (minimal-image aware).
+    """All piece pairs whose inflated boxes overlap (minimal-image aware)
+    and whose capsules meet.
 
     The reference for ``intersect._candidates``, with the same
     arguments and result.  Row-chunked so the N^2 broadcast stays
@@ -1144,7 +1145,8 @@ def brute_candidates(strand_a, strand_b, margin: float):
         if same:
             mask = ii < jj
             ii, jj = ii[mask], jj[mask]
-        out.extend(zip(ii.tolist(), jj.tolist()))
+        meet = isect._capsules_meet(strand_a, ii, strand_b, jj, margin)
+        out.extend(zip(ii[meet].tolist(), jj[meet].tolist()))
     return sorted(out)
 
 
@@ -1160,8 +1162,9 @@ def scan_by_search(strand_a, strand_b):
     The reference for ``intersect._scan``, which instead retires the
     candidates a pair covers when the pair is recorded.  It shares the
     candidate generator (looked up at call time, so a test may swap it),
-    the refinement, the angle test and the strands' steps and image map
-    (``_Strand.step``, ``steps_apart`` and ``images``) with the library.
+    the refinement, the angle test and the strands' pieces and image map
+    (``_Strand.piece``, ``pieces_apart``, ``one_point`` and ``images``)
+    with the library.
     It records the pairs found on the strands and maps them to their images
     over the full periods at the end, and reports every near miss as found,
     without merging runs.  On a ring strand of a brake orbit
@@ -1179,8 +1182,8 @@ def scan_by_search(strand_a, strand_b):
 
     def near_existing(i, j):
         def windows(p):
-            near_s = strand_a.steps_apart(i, strand_a.step(p.s)) <= 1
-            return near_s and sb.steps_apart(j, sb.step(p.t)) <= 1
+            near_s = strand_a.pieces_apart(i, strand_a.piece(p.s)) <= 1
+            return near_s and sb.pieces_apart(j, sb.piece(p.t)) <= 1
 
         for p in accepted:
             if p.kind == "reversal" and same:
@@ -1202,10 +1205,10 @@ def scan_by_search(strand_a, strand_b):
 
     def classify(s, t, gap, ok):
         s, t = strand_a.fold(s), sb.fold(t)
+        if same and strand_a.one_point(s, t, reject_gap):
+            return
         if same and strand_a.arc:
             s, t = min(s, t), max(s, t)
-        if same and strand_a.steps_apart(strand_a.step(s), strand_a.step(t)) <= 1:
-            return
         point = strand_a.space.wrap(strand_a.position(s))
         if not ok and gap > tol_space:
             unresolved.append(isect.IntersectionPair(s, t, point, "stalled", gap))
@@ -1215,7 +1218,7 @@ def scan_by_search(strand_a, strand_b):
             unresolved.append(isect.IntersectionPair(s, t, point, "near_miss", gap))
 
     for i, j in candidates:
-        if same and strand_a.steps_apart(i, j) <= 1:
+        if same and strand_a.pieces_apart(i, j) <= 1:
             continue
         if not near_existing(i, j):
             s_mid = float(strand_a.ts[i] + 0.5 * strand_a.h[i])
@@ -1225,8 +1228,8 @@ def scan_by_search(strand_a, strand_b):
     def images(pairs):
         out = []
         for p in pairs:
-            for s_image in strand_a.images(p.s):
-                for t_image in sb.images(p.t):
+            for s_image in strand_a.images(p.s, reject_gap):
+                for t_image in sb.images(p.t, reject_gap):
                     s, t = s_image, t_image
                     if same and strand_a.arc:
                         s, t = min(s, t), max(s, t)
@@ -1252,7 +1255,8 @@ def scan_by_search(strand_a, strand_b):
     keys = []
     for p in accepted:
         key = math.fmod(p.s + p.t, pa)
-        if p.kind == "reversal" and all(_circular_gap(key, k, pa) > max(strand_a.h) for k in keys):
+        window = strand_a.h[strand_a.piece(strand_a.fold(p.s))] + sb.h[sb.piece(sb.fold(p.t))]
+        if p.kind == "reversal" and all(_circular_gap(key, k, pa) > window for k in keys):
             keys.append(key)
     return isect.IntersectionReport(
         pairs=accepted,
@@ -1295,6 +1299,8 @@ class PolylineStrand(isect._Strand):
         self.pts = pts
         lo, hi = np.minimum(pts[:-1], pts[1:]), np.maximum(pts[:-1], pts[1:])
         self.centres, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        # infinite radii: its candidates are those of the boxes alone
+        self.chords, self.radius = (pts[:-1], pts[1:]), np.full(count, math.inf)
 
     def _resample(self, count: int) -> np.ndarray:
         return self.orbit.trajectory.position(np.linspace(0.0, self.span, count + 1))
@@ -1325,7 +1331,8 @@ def polyline_scan(strand_a, strand_b):
     n_seg_a = len(strand_a.pts) - 1
     dt_a, dt_b = strand_a.dt, sb.dt
 
-    i, j = np.array(isect._candidates(strand_a, strand_b, reject_gap), dtype=np.int64).reshape(-1, 2).T
+    candidates = isect._candidates(strand_a, strand_b, reject_gap)
+    i, j = np.array(candidates, dtype=np.int64).reshape(-1, 2).T
     if same:
         ring = np.abs(i - j)
         keep = (ring if strand_a.arc else np.minimum(ring, n_seg_a - ring)) > 4
@@ -1378,7 +1385,9 @@ def polyline_scan(strand_a, strand_b):
         gap = float(np.linalg.norm(space.delta(x_s, strand_a.position(t))))
         accepted.append(isect.IntersectionPair(s, t, space.wrap(x_s), "reversal", gap))
     accepted.sort(key=lambda p: (p.s, p.t))
-    unresolved = isect._merge_near_misses(unresolved, pa, pb, 12 * dt_a, 12 * dt_b)
+    unresolved = isect._merge_near_misses(
+        unresolved, lambda p, q: isect._param_gap_circular(p.s, q.s, pa) < 12 * dt_a
+        and isect._param_gap_circular(p.t, q.t, pb) < 12 * dt_b)
     dp_points, keys = [], []
     for p in accepted:
         if p.kind == "double_point" and all(
@@ -1398,7 +1407,7 @@ def polyline_scan(strand_a, strand_b):
 
 
 def full_period_strand(orbit):
-    """A brake orbit's strand as the closed ring of steps over its full
+    """A brake orbit's strand as the closed ring of pieces over its full
     period, the strand the scan swept before a brake strand became its arc."""
     strand = isect._Strand(replace(orbit, kind="rotation"))
     strand.orbit = orbit

@@ -119,14 +119,41 @@ class TestSelfIntersections:
         assert report.pairs == [] and report.unresolved == []
 
     def test_winding_across_both_axes(self):
-        # (999, 1000): most step boxes span both axes' periods, so nearly
-        # every pair of steps is a candidate; each is refined at most once
-        # (the 1,024 chords of the polyline it replaced made 519,680)
+        # (999, 1000): its passes lie 2 pi / 1414 apart, side by side in the
+        # piece boxes, and the capsules drop them all (the 1,024 chords of
+        # the polyline the pieces replaced made 519,680 refinements)
         orbit = straight_winding((999, 1000))
-        k = len(isect._Strand(orbit).h)
         report, starts = refined(scan, (orbit, None), False)
         assert report["pairs"] == [] and report["unresolved"] == []
-        assert len(starts) <= k * (k - 1) // 2
+        assert starts == []
+
+    @pytest.mark.parametrize("turns", [(1, 20), (1, 60), (3, 7)], ids=str)
+    def test_winding_crosses_a_rotation_det_times(self, turns):
+        # the winding (p, q) meets the (1, 0) rotation |det| = q times, each
+        # crossing in its own pair of pieces
+        report = isect.mutual_intersections(*winding_and_rotation(turns))
+        assert report.dp_count == len(report.pairs) == turns[1]
+        assert all(p.kind == "double_point" for p in report.pairs) and report.unresolved == []
+
+    def test_short_loop_around_a_narrow_well(self):
+        # an open run, scanned as a ring, that whips once around a well 0.01
+        # wide: a loop 0.03 across, 1/57 of the run's extent, that closes
+        # 0.057 after it opens; the error control keeps the steps short
+        # there, and the loop spans 107 pieces
+        depth, width, offset = 20.0, 0.01, 0.025
+        spec = dyn.SystemSpec(
+            geo.MetricModel.euclidean(2),
+            ex.parse(f"-{depth!r}*exp(-(x1^2 + x2^2)/{width * width!r})", 2),
+            0.5 - depth * math.exp(-(1.0 + offset * offset) / width**2),
+        )
+        traj = dyn.integrate(spec, PhaseState([-1.0, offset], [1.0, 0.0]), (0.0, 2.0),
+                             rtol=1e-12, atol=1e-14)
+        orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2.0, kind="rotation")
+        report = isect.self_intersections(orbit)
+        assert report.dp_count == 1 and report.unresolved == []
+        [pair] = report.pairs
+        assert pair.kind == "double_point"
+        assert pair.t - pair.s == pytest.approx(0.0570, abs=1e-4)
 
     def test_lissajous_one_double_point_at_origin(self):
         orbit = lissajous_orbit()
@@ -352,6 +379,24 @@ def assert_candidates_match(strand_a, strand_b=None):
     return swept
 
 
+def assert_pieces_halve_steps(strand, dense, count):
+    """The strand's pieces are steps 0..count-1 of dense, each halved 2^k
+    times, in order, none spanning more than ``_PIECE_SHARE`` of the scale
+    (or of a period) on an axis."""
+    step = np.searchsorted(dense.ts, strand.ts, "right") - 1
+    assert np.array_equal(np.unique(step), np.arange(count))
+    assert set(dense.ts[:count].tolist()) <= set(strand.ts.tolist())
+    halvings = np.log2(dense.h[step] / strand.h)
+    assert np.array_equal(halvings, np.round(halvings))
+    ends = strand.ts + strand.h
+    assert np.allclose(ends[:-1], strand.ts[1:], rtol=0, atol=4 * np.spacing(strand.period))
+    assert abs(ends[-1] - dense.ts[count]) <= 4 * np.spacing(strand.period)
+    periods = strand.space.periods if strand.space.kind == "torus" else math.inf
+    limit = np.minimum(strand.scale, periods) * isect._PIECE_SHARE
+    # the padded boxes may reach some ulps of the coordinates past the limit
+    assert np.all(2 * strand.half <= limit + 1e-12 * (1 + np.max(np.abs(strand.centres))))
+
+
 def straight_winding(turns, period=2 * math.pi):
     """The straight closed winding of the flat torus T^n along ``turns``."""
     n = len(turns)
@@ -377,7 +422,7 @@ class TestCandidatesMatchBruteForce:
     def check_diagonal_rotation(n):
         orbit = straight_winding([1] * n)
         strand = isect._Strand(orbit)
-        assert len(strand.h) == len(orbit.trajectory.dense.h)
+        assert_pieces_halve_steps(strand, orbit.trajectory.dense, len(orbit.trajectory.dense.h))
         report = isect.self_intersections(orbit)
         assert report.pairs == [] and report.unresolved == []
         assert_candidates_match(strand)
@@ -402,7 +447,10 @@ class TestCandidatesMatchBruteForce:
         # the winding axis spans many periods in cover coordinates
         assert_candidates_match(isect._Strand(straight_winding(turns)))
 
-    def test_boxes_longer_than_half_a_period(self):
+    def test_boxes_longer_than_half_a_period(self, monkeypatch):
+        # steps left whole, as pieces: a strand's own pieces span at most
+        # 1/16 of a period
+        monkeypatch.setattr(isect, "_PIECE_SHARE", math.inf)
         # (1, 1000): a step spans more than half a period of x2
         strand = isect._Strand(straight_winding((1, 1000)))
         assert 2 * np.max(strand.half[:, 1]) > math.pi
@@ -428,7 +476,8 @@ class TestCandidatesMatchBruteForce:
         strands = [
             types.SimpleNamespace(centres=np.array([[0.5 * (x + (x + width))]]),
                                   half=np.array([[0.5 * ((x + width) - x)]]),
-                                  space=geo.Space.torus([2 * math.pi]))
+                                  chords=(np.array([[x]]), np.array([[x + width]])),
+                                  radius=np.zeros(1), space=geo.Space.torus([2 * math.pi]))
             for x in (1565.7746694754533, -230.62430063499423)
         ]
         assert isect._candidates(*strands, margin) == [(0, 0)]
@@ -436,8 +485,8 @@ class TestCandidatesMatchBruteForce:
 
     @pytest.mark.parametrize("chunk", [isect._PAIR_CHUNK, 64])
     def test_overlap_tests_are_chunked(self, monkeypatch, chunk):
-        # a (5, 7) Lissajous figure: its 148 steps make more swept pairs
-        # than one default chunk holds
+        # a (5, 7) Lissajous figure: its 148 steps, 393 pieces, make more
+        # swept pairs than one default chunk holds
         spec = ref.oscillator_system(ref.OscillatorSpec((5.0, 7.0), 1.0))
         traj = dyn.integrate(spec, PhaseState([0.1, 0.1], [0.05, 0.05]), (0.0, 2 * math.pi))
         orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="rotation")
@@ -479,7 +528,7 @@ class TestScanExits:
             report = scan((orbit, None), brute_force=brute_force)
         assert report.pairs == []
         assert [p.kind for p in report.unresolved] == ["stalled"]
-        # the separation at the first candidate's step midpoints
+        # the separation at the first candidate's piece midpoints
         assert report.unresolved[0].gap == pytest.approx(0.0543, rel=1e-3)
 
 
@@ -555,7 +604,7 @@ class TestCoverRule:
         expected, expected_starts = refined(scan_by_search, (a, b), brute_force)
         assert starts == expected_starts
         assert merged["pairs"] == expected["pairs"]
-        assert len(expected["unresolved"]) == 5
+        assert len(expected["unresolved"]) == 25
         least = min(expected["unresolved"], key=lambda p: (p["gap"], p["s"], p["t"]))
         assert merged["unresolved"] == [least]
 
@@ -583,12 +632,24 @@ class TestStrandSteps:
         orbit = crossing_brake()
         strand, dense, half = isect._Strand(orbit), orbit.trajectory.dense, orbit.period / 2
         assert dense.ts[len(dense.h) // 2] < half
-        assert strand.ts[0] == 0.0 and np.array_equal(strand.ts[1:], strand.ts[:-1] + strand.h[:-1])
-        assert strand.ts[-1] < half <= strand.ts[-1] + strand.h[-1]
+        count = int(np.searchsorted(dense.ts, half))
+        assert dense.ts[count - 1] < half <= dense.ts[count]
+        assert_pieces_halve_steps(strand, dense, count)
+
+    def test_halving_ends_on_a_still_orbit_far_out(self):
+        # 1e-13 of travel at 1,000: the coordinates' rounding is wider than
+        # 1/16 of an absolute 1e-12 floor, and the halving never ended on it
+        spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), ex.parse("0", 2), 0.5e-26)
+        traj = dyn.integrate(spec, PhaseState([1000.0, -500.0], [1e-13, 0.0]), (0.0, 1.0))
+        orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=1.0, kind="rotation")
+        strand = isect._Strand(orbit)
+        assert strand.scale == pytest.approx(1e-12 * 1001)
+        assert len(strand.h) < 4 * len(traj.dense.h)
 
     def test_orbit_without_dense_output_rejected(self):
         spec = flat_torus()
-        traj = dyn.integrate(spec, PhaseState([0.0, 0.0], [1.0, 0.0]), (0.0, 2 * math.pi), dense=False)
+        traj = dyn.integrate(spec, PhaseState([0.0, 0.0], [1.0, 0.0]), (0.0, 2 * math.pi),
+                             dense=False)
         orbit = orb.PeriodicOrbit(spec=spec, trajectory=traj, period=2 * math.pi, kind="rotation")
         with pytest.raises(ValueError, match="no dense output"):
             isect.self_intersections(orbit)
@@ -597,16 +658,36 @@ class TestStrandSteps:
         orbit, _ = scan_cases["brake"]
         strand, dense = isect._Strand(orbit), orbit.trajectory.dense
         half = len(dense.h) // 2
-        assert np.array_equal(strand.ts, dense.ts[:half])
-        assert np.array_equal(strand.h, dense.h[:half])
+        assert_pieces_halve_steps(strand, dense, half)
         assert dense.ts[half] == orbit.period / 2
 
 
-@pytest.mark.parametrize("name", [*CASE_NAMES, "2-DOF", "3-DOF"])
+@pytest.mark.parametrize("name", ["brake", "lissajous", "seam_windings", "start_crossing", "3-DOF"])
+def test_pieces_enclose_their_dense_output(scan_cases, survey_brakes, name):
+    orbit = scan_cases[name][0] if name in scan_cases else survey_brakes[name]
+    strand = isect._Strand(orbit)
+    theta = (np.arange(64) + 0.5) / 64  # inside: a piece's end knot rounds
+    x = orbit.trajectory.position((strand.ts[:, None] + theta * strand.h[:, None]).ravel())
+    x = x.reshape(len(strand.h), len(theta), -1)
+    assert np.all(np.abs(x - strand.centres[:, None]) <= strand.half[:, None])
+    for i in range(len(strand.h)):
+        chord = [end[i][None] for end in strand.chords]
+        assert np.all(isect._segment_gaps(x[i], x[i], *chord) <= strand.radius[i]), i
+
+
+def winding_and_rotation(turns):
+    return (straight_winding(turns),
+            straight_rotation(flat_torus(), [0.0, 0.5], [1.0, 0.0], 2 * math.pi))
+
+
+@pytest.mark.parametrize("name", [*CASE_NAMES, "2-DOF", "3-DOF", "winding_20"])
 def test_reports_match_the_polyline_scan(scan_cases, survey_brakes, name):
-    """The step scan reports what the scan of the resampled polyline
+    """The piece scan reports what the scan of the resampled polyline
     (``oracles.PolylineStrand``) reported."""
-    a, b = scan_cases[name] if name in scan_cases else (survey_brakes[name], None)
+    if name == "winding_20":
+        a, b = winding_and_rotation((1, 20))
+    else:
+        a, b = scan_cases[name] if name in scan_cases else (survey_brakes[name], None)
     report = scan((a, b), brute_force=False)
     polyline = oracles.polyline_scan(
         oracles.PolylineStrand(a), None if b is None else oracles.PolylineStrand(b))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
+from orbitlab import intersect as isect
 from orbitlab import orbits as orb
 from orbitlab import reference as ref
 from orbitlab import rk
@@ -310,29 +311,55 @@ BOXED_RUNS = {
 }
 
 
+def padded_boxes(b, ulp, ulps=8.0):
+    """The boxes of Bernstein coefficients b (k, d, m + 1), padded by ``ulps``
+    of each one's ``ulp`` (``DenseOutput.bernstein``)."""
+    pad = (ulps * ulp)[:, None]
+    return np.min(b, axis=2) - pad, np.max(b, axis=2) + pad
+
+
 class TestStepBoxes:
-    """``DenseOutput.boxes`` encloses each step's dense output."""
+    """The box of a step's Bernstein coefficients encloses its dense output,
+    and so do those of its halves."""
 
     @pytest.mark.parametrize("name", list(BOXED_RUNS))
     def test_samples_lie_in_their_step_box(self, name):
         dense = BOXED_RUNS[name]()
-        lo, hi = dense.boxes(len(dense.h))
+        lo, hi = padded_boxes(*dense.bernstein(len(dense.h)))
         theta = np.arange(257) / 257  # a step's end knot starts the next step
         for k in range(len(dense.h)):
             y = dense(dense.ts[k] + theta * dense.h[k])
             assert np.all((lo[k] <= y) & (y <= hi[k])), k
 
+    @pytest.mark.parametrize("name", list(BOXED_RUNS))
+    def test_samples_lie_in_their_half_step_boxes(self, name):
+        dense = BOXED_RUNS[name]()
+        b, ulp = dense.bernstein(len(dense.h))
+        # inside the half: ts + h/2 rounds by ulps of t, across the midpoint
+        theta = (np.arange(128) + 0.5) / 256
+        for start, half in zip((0.0, 0.5), isect._halve(b)):
+            # a half rounds by m/2 ulps more
+            lo, hi = padded_boxes(half, ulp, 8 + 0.5 * (b.shape[-1] - 1))
+            for k in range(len(dense.h)):
+                y = dense(dense.ts[k] + (start + 0.5 * theta) * dense.h[k])
+                assert np.all((lo[k] <= y) & (y <= hi[k])), k
+        left, right = isect._halve(b)
+        # the halves meet at the step's midpoint and keep its ends
+        assert np.array_equal(left[..., 0], b[..., 0])
+        assert np.array_equal(right[..., -1], b[..., -1])
+        assert np.array_equal(left[..., -1], right[..., 0])
+
     def test_reflected_boxes_mirror_the_half_run(self):
         dense = brake_dense()
-        lo, hi = dense.boxes(len(dense.h))
+        b, ulp = dense.bernstein(len(dense.h))
+        lo, hi = np.min(b, axis=2), np.max(b, axis=2)
         half = len(dense.h) // 2
         signs = np.repeat([1.0, -1.0], 2)
         # step half + i is step half - 1 - i run backwards and mapped by R,
         # which swaps the bounds of a negated entry
         mirror_lo = np.where(signs > 0, lo[half - 1 :: -1], -hi[half - 1 :: -1])
         mirror_hi = np.where(signs > 0, hi[half - 1 :: -1], -lo[half - 1 :: -1])
-        largest = np.maximum(np.max(np.abs(lo), axis=1), np.max(np.abs(hi), axis=1))
-        bound = np.repeat(8 * np.spacing(largest[half:])[:, None], 4, axis=1)
+        bound = np.repeat(8 * np.maximum(ulp[half:], ulp[half - 1 :: -1])[:, None], 4, axis=1)
         # the first reflected step starts from the rest point itself, not its
         # image, so its velocity bounds also differ by twice the rest speed
         bound[0] += 2 * np.abs(dense.ys[half]) * (signs < 0)
