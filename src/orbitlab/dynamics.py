@@ -103,7 +103,10 @@ class SystemSpec(ex.Compiled):
     model adds ``rest``, the same with a in place of f, z carrying -grad U
     for v = 0: a = -g^{-1} grad U, DA = -g^{-1} (H_U + dg_x a - (dg_v a)
     H_U) in x and 0 in v, H_U the Hessian of U.  Width 0 also has
-    ``energy``, H = F^2 / 2 + U, and ``energy_gradient``, grad_z H.
+    ``energy``, H = F^2 / 2 + U, ``energy_gradient``, grad_z H, and
+    ``potential_rate``, grad U . v summed from +0.0 in index order
+    (:meth:`~orbitlab.expr.Graph.dot`), the rate at which U grows along the
+    flow.
     """
 
     metric: MetricModel
@@ -140,7 +143,8 @@ class SystemSpec(ex.Compiled):
         if not graph.width:
             energy = graph.add(graph.mul(graph.const(0.5), f2), u)
             functions = [("flow", 2 * n, [f, checks], guards), ("energy", 2 * n, energy, ()),
-                         ("energy_gradient", 2 * n, [graph.diff(energy, k) for k in zs], guards)]
+                         ("energy_gradient", 2 * n, [graph.diff(energy, k) for k in zs], guards),
+                         ("potential_rate", 2 * n, graph.dot(grad_u, f[:n]), (u,))]
             return functions + [("rest", 2 * n, [a_rest, checks], guards)] if rest else functions
 
         w, dg = graph.tangent(), [[[graph.diff(e, k) for e in row] for k in zs] for row in g]
@@ -302,16 +306,11 @@ def kinetic_minimum_event(spec: SystemSpec, terminal: bool = False) -> EventSpec
     """Event over (t, z) firing at minima of the kinetic energy along the flow.
 
     Energy conservation makes d(KE)/dt = -grad U . v, so KE minima are the
-    downward crossings of g = grad U . v, summed over floats in index order.
+    downward crossings of g = grad U . v, the system's generated
+    ``potential_rate`` (:class:`SystemSpec`).
     """
-    n = spec.dimension
-
     def g(t, z):
-        z = list(map(float, z))
-        acc = 0.0
-        for du, v in zip(spec.potential.gradient(z[:n]), z[n:]):
-            acc += du * v
-        return acc
+        return spec.run("potential_rate", list(map(float, z)))
 
     return EventSpec(g, direction=-1, terminal=terminal)
 

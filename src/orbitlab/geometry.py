@@ -6,17 +6,16 @@ single expression for F^2(x, v) (Finsler case).  :func:`metric_nodes` is the
 one construction of F^2, the fundamental tensor and the spray's right-hand
 side as symbolic derivatives in an :class:`~orbitlab.expr.Graph`.  The flow
 compiles it together with the potential (see :mod:`orbitlab.dynamics`);
-:func:`metric_tensor`, :func:`metric_and_spray` and
-:func:`geodesic_coefficients` run the model's own metric-only build of it
-(:class:`~orbitlab.expr.Compiled`).  :func:`require_positive_definite` is
-the one definiteness rule for every g, at construction, in these routes and
-in the flow: the pivots of g's elimination without row swaps
-(:func:`solve_linear`, or the flow's generated twin of it) must be positive
-and clear of zero.  Finite differences never enter these code paths; they
-are reserved for test oracles.
-
-F^2 itself (:func:`f_squared`) is one more function of that build.  The
-compiled routines and :func:`solve_linear` run over floats only.
+:func:`f_squared`, :func:`metric_tensor` and :func:`geodesic_coefficients`
+run the model's own metric-only build of it (:class:`~orbitlab.expr.Compiled`),
+which a Riemannian model builds on first use and a Finsler model at
+construction, where its F^2 is spot-checked in one array call of that code.
+:func:`require_positive_definite` is the one definiteness rule for every g,
+at construction, in these routes and in the flow: the pivots of g's
+elimination without row swaps (:func:`solve_linear`, or the flow's generated
+twin of it) must be positive and clear of zero.  Finite differences never
+enter these code paths; they are reserved for test oracles.  The compiled
+routines and :func:`solve_linear` run over floats only.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "f_squared",
     "metric_nodes",
     "metric_tensor",
-    "metric_and_spray",
     "geodesic_coefficients",
     "solve_linear",
     "require_positive_definite",
@@ -169,9 +167,11 @@ class MetricModel(ex.Compiled):
     symmetrized from its upper triangle, and an entry given as None is taken
     from its mirror.  A Finsler F^2 expression uses both positions and
     velocities and must be positively homogeneous of degree 2 and reversible
-    in v (spot-checked at construction).  A model takes no field of the other
-    kind.  Every construction is validated; a Riemannian g whose entries fold
-    to constants in a :class:`~orbitlab.expr.Graph` is checked by
+    in v, spot-checked at construction on the model's compiled F^2, so a
+    Finsler model builds its width-0 code there and a Riemannian one on first
+    use.  A model takes no field of the other kind.  Every construction is
+    validated; a Riemannian g whose entries fold to constants in a
+    :class:`~orbitlab.expr.Graph` is checked by
     :func:`require_positive_definite` there, and any other g where it is
     evaluated.
     """
@@ -238,25 +238,24 @@ class MetricModel(ex.Compiled):
     # -- validation ----------------------------------------------------------
 
     def _spot_check_finsler(self):
-        rng = np.random.default_rng(20240331)
-        n = self.dimension
+        """F^2 at 20 sampled states (x, v) and at (x, lam v), lam = 0.5, 2, 3
+        and -1, in one array call of the compiled F^2, which names a domain
+        failure at any of them first; then the states are checked in order,
+        homogeneity before reversibility."""
+        rng, n, points = np.random.default_rng(20240331), self.dimension, []
         for _ in range(20):
             x = self._sample_position(rng)
             v = rng.uniform(-1.0, 1.0, n)
             if np.linalg.norm(v) < 0.3:
                 v = v + 0.5
-            point = list(x) + list(v)
-            f2 = ex.evaluate(self.f2_expr, point)
+            points += [np.concatenate([x, lam * v]) for lam in (1.0, 0.5, 2.0, 3.0, -1.0)]
+        for f2, *scaled, f2m in self.run_array("f2", np.array(points).T).reshape(20, 5).tolist():
             tol = 1e-10 * (1.0 + abs(f2))
-            for lam in (0.5, 2.0, 3.0):
-                scaled = list(x) + list(lam * v)
-                f2s = ex.evaluate(self.f2_expr, scaled)
+            for lam, f2s in zip((0.5, 2.0, 3.0), scaled):
                 if abs(f2s - lam * lam * f2) > tol * lam * lam:
                     raise ModelValidityError(
                         "F^2 is not positively homogeneous of degree 2"
                     )
-            mirrored = list(x) + list(-v)
-            f2m = ex.evaluate(self.f2_expr, mirrored)
             if abs(f2m - f2) > tol:
                 raise ModelValidityError("F^2 is not reversible")
 
@@ -346,8 +345,8 @@ def metric_tensor(model: MetricModel, x, v):
     return g
 
 
-def metric_and_spray(model: MetricModel, x, v):
-    """(g, G): fundamental tensor and spray coefficients from one evaluation.
+def geodesic_coefficients(model: MetricModel, x, v):
+    """Spray coefficients G^k(x, v).
 
     The geodesic equation reads xdd^k + 2 G^k(x, xd) = 0, with G positively
     2-homogeneous in v.  G solves 2 g G = c (see :func:`metric_nodes`), which
@@ -358,9 +357,4 @@ def metric_and_spray(model: MetricModel, x, v):
     g, c = model.run("g_and_c", [*map(float, x), *map(float, v)])
     s, pivots = _eliminate(g, c)
     require_positive_definite(g, "fundamental tensor", pivots)
-    return g, [0.5 * e for e in s]
-
-
-def geodesic_coefficients(model: MetricModel, x, v):
-    """Spray coefficients G^k(x, v); see :func:`metric_and_spray`."""
-    return metric_and_spray(model, x, v)[1]
+    return [0.5 * e for e in s]

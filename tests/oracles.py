@@ -32,6 +32,9 @@ and Shampine's interpolant, which the library used before DOP853, the
 reference for differential tests of the library's orbits.  A brake
 orbit's closed run and self-scan over its full period are the references
 for the half run with its reflection and for the scan of its arc.  The
+Finsler spot check as the interpreter ran it, state by state, is the
+reference for the library's one array call of the compiled F^2, and the
+(g, G) route, whose G is ``geodesic_coefficients``, lives here too.  The
 oscillator's closed forms that only tests lean on live here too: its
 linearized fields, the resonant family of periodic orbits with its energy,
 and the member-by-member check of the family against the equations of
@@ -207,6 +210,34 @@ def interpreted_f_squared(model, x, v):
     return _dot(v, [_dot(row, v) for row in g])
 
 
+def interpreted_spot_check(model):
+    """``MetricModel``'s Finsler spot check as the interpreter ran it, state
+    by state: F^2 at 20 sampled (x, v), then at (x, lam v) for lam = 0.5, 2
+    and 3, each checked for homogeneity, then at (x, -v) for reversibility.
+    The reference for the one array call of the compiled F^2."""
+    rng = np.random.default_rng(20240331)
+    n = model.dimension
+    for _ in range(20):
+        x = model._sample_position(rng)
+        v = rng.uniform(-1.0, 1.0, n)
+        if np.linalg.norm(v) < 0.3:
+            v = v + 0.5
+        point = list(x) + list(v)
+        f2 = ex.evaluate(model.f2_expr, point)
+        tol = 1e-10 * (1.0 + abs(f2))
+        for lam in (0.5, 2.0, 3.0):
+            scaled = list(x) + list(lam * v)
+            f2s = ex.evaluate(model.f2_expr, scaled)
+            if abs(f2s - lam * lam * f2) > tol * lam * lam:
+                raise geo.ModelValidityError(
+                    "F^2 is not positively homogeneous of degree 2"
+                )
+        mirrored = list(x) + list(-v)
+        f2m = ex.evaluate(model.f2_expr, mirrored)
+        if abs(f2m - f2) > tol:
+            raise geo.ModelValidityError("F^2 is not reversible")
+
+
 def dual_solve_linear(a, b):
     """Gaussian elimination with partial pivoting on the float part, over
     floats or (nested) duals: a reference independent of ``geo.solve_linear``,
@@ -310,7 +341,7 @@ def christoffel_second(model, x, v):
 
 
 def geodesic_coefficients_via_christoffel(model, x, v):
-    """G^k = Gamma^k_ij v^i v^j / 2, independent of ``geo.metric_and_spray``."""
+    """G^k = Gamma^k_ij v^i v^j / 2, independent of ``geo.geodesic_coefficients``."""
     n = model.dimension
     gamma2 = christoffel_second(model, x, v)
     return [
@@ -426,6 +457,18 @@ def interpreted_metric_and_spray(model, x, v):
                 acc = acc + d.hess[j][n + l] * v[j]
             rhs.append(acc)
     return g, [0.25 * s for s in dual_solve_linear(g, rhs)]
+
+
+def metric_and_spray(model, x, v):
+    """(g, G): fundamental tensor and spray coefficients from one evaluation
+    of the model's compiled ``g_and_c``, G solving 2 g G = c by
+    ``geo.solve_linear``'s elimination, whose pivots check every g; G is
+    ``geo.geodesic_coefficients``."""
+    geo.require_nonzero_v(model, v)
+    g, c = model.run("g_and_c", [*map(float, x), *map(float, v)])
+    s, pivots = geo._eliminate(g, c)
+    geo.require_positive_definite(g, "fundamental tensor", pivots)
+    return g, [0.5 * e for e in s]
 
 
 def interpreted_acceleration(spec, x, v):

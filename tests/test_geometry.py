@@ -14,8 +14,10 @@ from oracles import (
     fd_second,
     fd_third,
     geodesic_coefficients_via_christoffel,
+    interpreted_spot_check,
     legendre,
     legendre_inverse,
+    metric_and_spray,
     metric_x_derivatives,
 )
 from test_straight_line import REL
@@ -101,7 +103,7 @@ class TestMetricTensor:
         with pytest.raises(geo.ModelValidityError):
             geo.metric_tensor(model, [-1.0, 0.0], [1.0, 1.0])
 
-    @pytest.mark.parametrize("route", [geo.metric_tensor, geo.metric_and_spray,
+    @pytest.mark.parametrize("route", [geo.metric_tensor, metric_and_spray,
                                        geo.geodesic_coefficients])
     def test_indefinite_finsler_tensor_is_rejected(self, route):
         # g = diag(1, -1): every route takes its pivots, the spray's solve too
@@ -127,6 +129,43 @@ class TestMetricTensor:
     def test_finsler_needs_nonzero_v(self):
         with pytest.raises(geo.ModelValidityError):
             geo.metric_tensor(quartic_metric(), [0.0, 0.0], [0.0, 0.0])
+
+
+TORUS = geo.Space.torus([2 * math.pi, 2 * math.pi])
+# (F^2, dimension, space): accepted, rejected by a check, or failing in its domain
+SPOT_CHECK_CASES = [
+    ("v1^2 + v2^2 + 0.1*sqrt(v1^4 + v2^4)", 2, None),
+    ("v1^2 + v2^2", 2, None),
+    ("v1^2 + v2^3", 2, None),
+    ("v1^2 + v2^2 + 0.3*v1*sqrt(v1^2 + v2^2)", 2, None),
+    ("(v1^2 + v2^2)^1.0000001", 2, None),
+    ("sqrt(v1)*v1^1.5 + v2^2", 2, None),
+    ("log(x1)*(v1^2 + v2^2)", 2, None),
+    ("(1 + 0.3*sin(x1)*cos(x2))*(v1^2 + v2^2)", 2, TORUS),
+    ("(1 + 0.3*sin(x1)*cos(x2))*(v1^2 + v2^2) + 0.1*exp(x2)*sqrt(v1^4 + v2^4)/(2 + cos(x1))",
+     2, None),
+    ("v1^2 + v2^2 + v3^2 + 0.1*sqrt(v1^4 + v2^4 + v3^4)", 3, None),
+    ("v1^2/x2 + v2^2", 2, None),
+    ("exp(x1)*v1^2", 1, None),
+]
+
+
+def spot_check_outcome(check):
+    """None if ``check`` returns, else the type, message and named node of
+    what it raised."""
+    try:
+        check()
+    except (geo.ModelValidityError, ex.EvalDomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "node", None)
+    return None
+
+
+def unchecked_finsler(monkeypatch, f2, n, space=None):
+    """A Finsler model of F^2 built without the library's spot check, for
+    the interpreter's."""
+    with monkeypatch.context() as patched:
+        patched.setattr(geo.MetricModel, "_spot_check_finsler", lambda self: None)
+        return geo.MetricModel.finsler(f2, n, space)
 
 
 class TestModelValidation:
@@ -212,6 +251,28 @@ class TestModelValidation:
             geo.MetricModel("riemannian", 2, geo.Space.euclidean(), g_exprs=entries, f2_expr=f2)
         with pytest.raises(geo.ModelValidityError, match="no entries"):
             geo.MetricModel("finsler", 2, geo.Space.euclidean(), g_exprs=entries, f2_expr=f2)
+
+    @pytest.mark.parametrize("source, n, space", SPOT_CHECK_CASES,
+                             ids=[case[0] for case in SPOT_CHECK_CASES])
+    def test_spot_check_ends_as_the_interpreter_loop(self, monkeypatch, source, n, space):
+        # one array call of the compiled F^2 in place of 100 interpreted
+        # points: the same acceptance, or the same exception and message
+        f2 = ex.parse(source, n)
+        unchecked = unchecked_finsler(monkeypatch, f2, n, space)
+        library = spot_check_outcome(lambda: geo.MetricModel.finsler(f2, n, space))
+        assert library == spot_check_outcome(lambda: interpreted_spot_check(unchecked))
+
+    def test_domain_failure_is_named_before_the_checks(self, monkeypatch):
+        # the array call names a failure at any sampled point before any
+        # state is checked, where the interpreter's state-by-state loop
+        # reports the first state's homogeneity failure (v2^3) before the
+        # third state's log(x2), x2 < 0
+        f2 = ex.parse("v1^2 + v2^3 + log(x2)*v1^2", 2)
+        with pytest.raises(ex.EvalDomainError) as info:
+            geo.MetricModel.finsler(f2, 2)
+        assert info.value.node == ex.parse("log(x2)", 2)
+        with pytest.raises(geo.ModelValidityError, match="not positively homogeneous"):
+            interpreted_spot_check(unchecked_finsler(monkeypatch, f2, 2))
 
     def test_homogeneity_property_sweep(self):
         model = quartic_metric()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import orbitlab
+from orbitlab import dynamics as dyn
 
 from oracles import DP5_A, DP5_C, DP5_E, DP5_P
 
@@ -233,7 +234,8 @@ def test_no_foreign_private_names():
     assert foreign_private_names({p.stem: p.read_text() for p in MODULES}) == []
 
 
-INTERPRETER_DUALS = ("Dual", "val_of", "eval_dual")
+# the interpreter: its duals and its tree walk
+INTERPRETER_NAMES = ("Dual", "val_of", "eval_dual", "evaluate")
 # a float solve: the geometry kernel's and numpy's
 SOLVES = ("solve_linear", "linalg")
 # a tangent carried beside the integrator's state, not in it
@@ -249,7 +251,7 @@ FIVE_FOUR_VALUES = {
 
 
 def names_used(source: str, wanted) -> list[str]:
-    """Names of ``wanted`` (:data:`INTERPRETER_DUALS`, :data:`SOLVES`,
+    """Names of ``wanted`` (:data:`INTERPRETER_NAMES`, :data:`SOLVES`,
     :data:`TANGENT_PLUMBING`) that a module imports or imports from (as any
     part of a dotted name), binds, loads, reads as an attribute, takes as a
     parameter or passes as a keyword."""
@@ -273,16 +275,29 @@ def names_used(source: str, wanted) -> list[str]:
 
 
 def test_detects_dual_names():
-    source = "from .expr import Dual as D\nimport x\nx.val_of(1)\neval_dual = 2\n"
-    assert names_used(source, INTERPRETER_DUALS) == [
-        "Dual (line 1)", "eval_dual (line 4)", "val_of (line 3)"]
+    source = "from .expr import Dual as D\nimport x\nx.val_of(1)\neval_dual = 2\n" \
+        "from . import expr as ex\nex.evaluate(node, z)\nfrom .expr import evaluate\n"
+    assert names_used(source, INTERPRETER_NAMES) == [
+        "Dual (line 1)", "eval_dual (line 4)", "evaluate (line 6)", "evaluate (line 7)",
+        "val_of (line 3)"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "expr"], ids=lambda p: p.name)
 def test_only_expr_names_duals(path):
-    # the library runs over floats; the interpreter's duals serve failure
-    # naming in expr and the test oracles
-    assert names_used(path.read_text(), INTERPRETER_DUALS) == []
+    # the library runs its generated code over floats; the interpreter, its
+    # tree walk and its duals, serves failure naming in expr and the test oracles
+    assert names_used(path.read_text(), INTERPRETER_NAMES) == []
+
+
+def test_kinetic_minimum_event_runs_the_system_code():
+    # its g is the system's generated grad U . v, not a sum over the
+    # potential's own gradient
+    tree = ast.parse(next(p for p in MODULES if p.stem == "dynamics").read_text())
+    event = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "kinetic_minimum_event")
+    methods = [name for name, value in vars(dyn.PotentialField).items() if callable(value)]
+    assert {"value", "gradient"} <= set(methods)
+    assert names_used(ast.unparse(event), methods) == []
 
 
 def test_detects_solve_names():

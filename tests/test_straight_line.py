@@ -3,8 +3,8 @@
 The interpreter route (``expr.evaluate``/``eval_dual`` and the geometry
 routes of ``oracles`` over order-2 and nested duals) is the oracle.
 Compiled U and grad U, ``state_rhs``, J W (also at Finsler
-rest points) and the geometry kernel's ``f_squared``, ``metric_tensor``,
-``metric_and_spray`` and ``geodesic_coefficients`` must agree with it within
+rest points) and the geometry kernel's ``f_squared``, ``metric_tensor``
+and ``geodesic_coefficients`` must agree with it within
 ``REL`` relative to 1 + |oracle| (measured: at most 9.8e-16; first
 derivatives of a potential round exactly as the duals do).  A
 tangent run's values must equal the plain run's bit for bit, and a domain
@@ -36,6 +36,7 @@ from oracles import (
     interpreted_gradient,
     interpreted_metric_and_spray,
     interpreted_value,
+    metric_and_spray,
     random_expression,
 )
 from test_dynamics import (
@@ -197,7 +198,7 @@ def test_geometry_kernel_matches_interpreter(system):
     for _ in range(20):
         x, v = rng.uniform(-1.0, 1.0, n).tolist(), rng.uniform(-1.0, 1.0, n).tolist()
         g_ref, spray_ref = interpreted_metric_and_spray(model, x, v)
-        g, spray = geo.metric_and_spray(model, x, v)
+        g, spray = metric_and_spray(model, x, v)
         assert_close(g, g_ref)
         assert_close(spray, spray_ref)
         assert_close(geo.metric_tensor(model, x, v), g_ref)
@@ -365,7 +366,8 @@ def test_failure_of_a_metric_derivative_only_is_named():
     spec = dyn.SystemSpec(geo.MetricModel.finsler(f2, 2), parse2("x2^2"), 1.0)
     x, v = [0.0, 0.5], [0.25, -0.5]
     assert geo.metric_tensor(spec.metric, x, v) == [[1.0, 0.0], [0.0, 1.0]]
-    runs = [lambda: dyn.state_rhs(spec, 0.0, x + v), lambda: geo.metric_and_spray(spec.metric, x, v)]
+    runs = [lambda: dyn.state_rhs(spec, 0.0, x + v),
+            lambda: geo.geodesic_coefficients(spec.metric, x, v)]
     for run in runs:
         with pytest.raises(ex.EvalDomainError) as err:
             run()
@@ -500,7 +502,7 @@ def test_x_dependent_entries_are_checked_definite():
     model = geo.MetricModel.riemannian(varying)  # not constant: constructs, checked where evaluated
     assert geo.metric_tensor(model, [1.0, 0.0], [1.0, 1.0]) == [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(geo.ModelValidityError, match="not positive definite"):
-        geo.metric_and_spray(model, [-1.0, 0.0], [1.0, 1.0])
+        geo.geodesic_coefficients(model, [-1.0, 0.0], [1.0, 1.0])
 
 
 def test_finsler_rest_point_takes_the_metric_in_the_descent_direction():
@@ -510,22 +512,32 @@ def test_finsler_rest_point_takes_the_metric_in_the_descent_direction():
 
 
 def test_metric_build_is_lazy():
+    # a Finsler model builds its width-0 code at construction, where its F^2
+    # is spot-checked by one array call of that code; later routes reuse it
     model = geo.MetricModel.finsler(parse2("v1^2 + v2^2"), 2)
     x, v = [0.1, 0.2], [0.3, 0.4]
-    assert "_code" not in vars(model)
+    code = vars(model)["_code"]
+    built = code[0]
+    assert list(code) == [0]
     assert geo.metric_tensor(model, x, v) == [[1.0, 0.0], [0.0, 1.0]]
-    code = model._code
-    geo.metric_and_spray(model, x, v)
-    assert model._code is code
+    geo.geodesic_coefficients(model, x, v)
+    assert model._code is code and code == {0: built}
+    # a Riemannian model still builds on first use
+    model = geo.MetricModel.riemannian([[parse2("1 + x1^2"), ex.const(0.0)],
+                                        [None, ex.const(1.0)]])
+    assert "_code" not in vars(model)
+    assert geo.metric_tensor(model, x, v) == [[1.01, 0.0], [0.0, 1.0]]
+    assert list(model._code) == [0]
 
 
 def test_used_metric_pickles_and_copies():
     model = quartic_finsler_well().metric
     x, v = [0.3, -0.2], [0.7, 0.4]
-    g, spray = geo.metric_and_spray(model, x, v)
+    g, spray = geo.metric_tensor(model, x, v), geo.geodesic_coefficients(model, x, v)
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert "_code" not in vars(clone)
-        assert geo.metric_and_spray(clone, x, v) == (g, spray)
+        assert geo.metric_tensor(clone, x, v) == g
+        assert geo.geodesic_coefficients(clone, x, v) == spray
 
 
 def test_used_system_pickles_and_copies():
