@@ -53,6 +53,8 @@ from types import FunctionType
 
 import numpy as np
 
+from .errors import OrbitLabError
+
 __all__ = [
     "Const",
     "Var",
@@ -86,7 +88,7 @@ __all__ = [
 DOMAIN_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
 
 
-class ExprError(Exception):
+class ExprError(OrbitLabError):
     """Base class for expression-layer failures."""
 
 
@@ -681,7 +683,8 @@ class Graph:
     own variables, in one flat z.
 
     :meth:`tree` imports a tree as it stands, folding only constant-only
-    subtrees, so every domain check of the tree runs in the generated code.
+    subtrees, so every domain check of the tree runs in the generated code;
+    an op the interpreter lacks raises its :class:`EvalDomainError` there.
     The arithmetic helpers (:meth:`add` ... :meth:`pow`) also drop zero and
     unit operands; :meth:`diff` builds derivatives from them.
     """
@@ -746,10 +749,14 @@ class Graph:
         if isinstance(node, Var):
             return self.var(node.index)
         if isinstance(node, Unary):
-            return self._apply(node.op, self._import(node.arg))
-        if node.op == "pow":
-            return self._apply("pow", self._import(node.left), node.right.value)
-        return self._apply(node.op, self._import(node.left), self._import(node.right))
+            args = (self._import(node.arg),)
+        elif node.op == "pow":
+            args = (self._import(node.left), node.right.value)
+        else:
+            args = (self._import(node.left), self._import(node.right))
+        if node.op not in _OPS:  # named as the interpreter names it
+            raise EvalDomainError(f"unknown op {node.op!r}", node)
+        return self._apply(node.op, *args)
 
     # -- arithmetic with zero and unit operands dropped ---------------------
 

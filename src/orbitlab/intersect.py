@@ -95,7 +95,7 @@ _NEAR_MISS_FACTOR = 10.0
 _TOL_ANGLE = 1e-3  # radians from (anti)parallel that still count as parallel
 _REFINE_MAX_ITER = 60  # Newton iterations per refined pair
 _PIECE_SHARE = 1 / 16  # a piece's largest extent on an axis, as a share of the scale
-_PAIR_CHUNK = 2048  # swept pairs per overlap test, or one longer run; bounds peak memory
+_PAIR_CHUNK = 16384  # swept pairs per overlap test; bounds peak memory
 
 
 @dataclass
@@ -318,16 +318,13 @@ def _candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
     reach = np.max(ea, axis=0) + np.max(eb, axis=0) + margin + 8 * np.spacing(big)
     runs = [_runs(ca[:, k], cb[:, k], reach[k], periods[k]) for k in range(n)]
     lo, hi, order = min(runs, key=lambda run: int(np.sum(run[1] - run[0])))
-    sizes = hi - lo
-    first = np.concatenate([[0], np.cumsum(sizes)])  # pairs before each box of a
-    codes, start = [], 0
-    while start < len(ca):
-        # the next boxes whose runs hold at most _PAIR_CHUNK pairs, or one box
-        stop = max(int(np.searchsorted(first, first[start] + _PAIR_CHUNK, "right")) - 1,
-                   start + 1)
-        i = np.repeat(np.arange(start, stop), sizes[start:stop])
-        at = np.arange(first[start], first[stop])
-        j = order[at - np.repeat(first[start:stop] - lo[start:stop], sizes[start:stop])]
+    first = np.concatenate([[0], np.cumsum(hi - lo)])  # pairs before each box of a
+    codes = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, int(first[-1]), _PAIR_CHUNK):
+        # the next _PAIR_CHUNK swept pairs, cut across boxes of a
+        at = np.arange(start, min(start + _PAIR_CHUNK, int(first[-1])))
+        i = np.searchsorted(first, at, "right") - 1
+        j = order[lo[i] + at - first[i]]
         if same:
             upper = i < j
             i, j = i[upper], j[upper]
@@ -335,7 +332,6 @@ def _candidates(strand_a: _Strand, strand_b: _Strand | None, margin: float):
         i, j = i[keep], j[keep]
         keep = _capsules_meet(strand_a, i, strand_a if same else strand_b, j, margin)
         codes.append(i[keep] * nb + j[keep])
-        start = stop
     ii, jj = np.divmod(np.sort(np.concatenate(codes)), nb)
     return list(zip(ii.tolist(), jj.tolist()))
 

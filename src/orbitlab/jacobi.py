@@ -3,8 +3,10 @@
 At energy E, orbits of L = F^2/2 - U reparametrize to unit-speed geodesics
 of the conformal metric Fbar^2 = 2 (E - U) F^2 on the interior of the well
 {U < E}, and back.  The conformal factor degenerates on the boundary
-{U = E}, so every operation here guards a positive floor on E - U;
-boundary-touching work (brake orbits) stays in the time parametrization.
+{U = E}, so the metric's functions and the orbit-to-geodesic map guard a
+positive floor on E - U at every point where they evaluate it, the map also
+at the orbit's knots; boundary-touching work (brake orbits) stays in the
+time parametrization.
 
 Each reparametrization exchanges an old parameter p for a new one q,
 dq/dp = rate(p) > 0, by quadrature on the source curve's own steps, over
@@ -144,8 +146,6 @@ _WEIGHTS = 0.5 * np.array(_GL_W[::-1] + _GL_W)
 
 _SPLIT = 8
 _NEWTON_CAP = 8
-# points a source step at which orbit_to_geodesic checks the interior
-_GUARD_PER_STEP = 32
 
 
 class _Exchange:
@@ -320,6 +320,8 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
 
     s(t) is the quadrature of ds/dt = psi(x(t)), psi = 2 (E - U), on the
     trajectory's steps, and t(s) its Newton inverse (:class:`_Exchange`).
+    E - U is checked above its floor (:class:`DegeneracyError`) at the
+    knots and wherever the quadrature or the inverse evaluates psi.
     At 65 evenly spaced arc lengths the curve is checked for unit Fbar speed
     (:class:`EnergyMismatchError` above 1e-6) and for the inversion residual
     |s(t(s)) - s| (:class:`JacobiError` above 1e-12 (1 + s_total)).  A
@@ -328,13 +330,9 @@ def orbit_to_geodesic(traj: Trajectory, jm: JacobiMetric) -> GeodesicCurve:
     if traj.spec != jm.spec:
         raise JacobiError("the trajectory belongs to another system")
     _check_trajectory_energy(jm, traj)
-
-    # interior guard along the whole curve, including between samples
-    guard = np.linspace(traj.t0, traj.t1, _GUARD_PER_STEP * len(traj.ts) + 1)
-    jm.check_interior(traj.position(guard))
-
     n = traj.spec.dimension
-    exchange = _Exchange(lambda t: jm.psi(traj.dense(t)[:, :n]), traj.ts)
+    jm.check_interior(traj.states[:, :n])
+    exchange = _Exchange(lambda t: 2.0 * jm.check_interior(traj.dense(t)[:, :n]), traj.ts)
     curve = GeodesicCurve(jm, traj, exchange, float(exchange.q[-1]))
     s = np.linspace(0.0, curve.s_total, 65)
     t = curve.time_at(s)

@@ -19,11 +19,12 @@ derivative of the discrete flow.  Every line-search trial is such a tangent
 run, so an accepted trial is the next iterate and no trajectory is
 integrated twice; the only plain runs of a search are the probe for the
 first turning point or section return and the closed run of the returned
-orbit.  A probe is one run over (0, _T_MAX) that a terminal event ends: for
-a brake orbit the first kinetic-energy minimum (run on, over the rest of the
-span, to the first stop when that minimum is none), for a rotation the
-current horizon, which doubles from _T_MAX / 16 until the scan of a run
-finds a return.  A brake orbit's closed run covers the half period
+orbit.  A brake orbit's probe is one run over (0, _T_MAX) that a terminal
+event ends at the first kinetic-energy minimum (run on, over the rest of
+the span, to the first stop when that minimum is none), the only run of
+the library that passes events; a rotation's is a plain run over
+(0, horizon), the horizon doubling from _T_MAX / 16 until the scan of a
+run finds a return.  A brake orbit's closed run covers the half period
 [0, T/2]: the second half retraces the first under the reversor
 R(x, v) = (x, -v), so the returned trajectory appends the run's steps
 reflected in time and in R, and its one closure defect is z(T/2) against
@@ -251,10 +252,10 @@ def _earlier_closure(spec, traj: Trajectory, z0, period):
                  if _closure_residual(spec, traj.state(period / m), z0) < tol), None)
 
 
-def _probe(spec, initial: PhaseState, events=(), t0: float = 0.0) -> Trajectory:
-    """One plain run over (t0, _T_MAX) at the probe tolerances; a terminal
-    event among ``events`` ends it, so it is the run to _T_MAX up to there."""
-    return integrate(spec, initial, (t0, _T_MAX), rtol=1e-9, atol=1e-11, events=events)
+def _probe(spec, initial: PhaseState, events=(), t0=0.0, t1=_T_MAX) -> Trajectory:
+    """One plain run over (t0, t1) at the probe tolerances; a terminal event
+    among ``events`` ends it, so it is the run to t1 up to there."""
+    return integrate(spec, initial, (t0, t1), rtol=1e-9, atol=1e-11, events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +361,11 @@ def _build_brake(spec, z0, t_half, _depth=0) -> PeriodicOrbit:
 # ---------------------------------------------------------------------------
 
 def _rotation_seed_scan(spec, traj, z0, t_guard, threshold):
-    """First near-return time on the grid np.linspace(0, _T_MAX, 4096), or None.
-
-    A probe that its stop event ended before _T_MAX is scanned strictly
-    before its end, where it is the probe to _T_MAX: bit for bit before its
-    last step, which is cut at the stop, and to rounding inside it.
-    """
+    """First near-return time on the grid np.linspace(0, _T_MAX, 4096) up to
+    the probe's end, or None."""
     n = spec.dimension
     ts = np.linspace(0.0, _T_MAX, 4096)
-    if traj.t1 < _T_MAX:
-        ts = ts[ts < traj.t1]
+    ts = ts[ts <= traj.t1]
     z = traj.state(ts)
     dx = spec.metric.space.delta(z[:, :n], z0[:n])
     dv = z[:, n:] - z0[n:]
@@ -415,8 +411,7 @@ def find_rotation(spec: SystemSpec, seed: PhaseState) -> PeriodicOrbit:
     z_seed = np.concatenate([x_anchor, v_anchor])
     horizon = _T_MAX / 16
     while True:
-        stop = (rk.EventSpec(lambda t, z: t - horizon, terminal=True),) if horizon < _T_MAX else ()
-        probe = _probe(spec, PhaseState(x_anchor, v_anchor), stop)
+        probe = _probe(spec, PhaseState(x_anchor, v_anchor), t1=horizon)
         t_ret = _rotation_seed_scan(
             spec, probe, z_seed, t_guard=20 * _T_MAX / 4096, threshold=0.25 * scale
         )

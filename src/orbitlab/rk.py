@@ -262,14 +262,14 @@ class DenseOutput:
         that R fixes at t1.  Step k reflected runs over [2 t1 - ts[k+1],
         2 t1 - ts[k]] from R ys[k+1] with coefficients R q[k] C, C_ji =
         binom(j, i) (-1)^i, which is theta -> 1 - theta in the power basis.
-        The knot at t1 keeps ys[-1], which the first reflected step starts
-        from."""
+        The knot at t1 is R ys[-1], so the one jump, from the last forward
+        step's end ys[-1], sits at t1."""
         signs = np.asarray(reversor, dtype=float)
         powers = range(1, self.q.shape[-1] + 1)
         flip = np.array([[math.comb(j, i) * (-1.0) ** i for i in powers] for j in powers])
         return DenseOutput(
             np.concatenate([self.ts, 2.0 * self.ts[-1] - self.ts[-2::-1]]),
-            np.concatenate([self.ys, self.ys[-2::-1] * signs]),
+            np.concatenate([self.ys[:-1], self.ys[::-1] * signs]),
             np.concatenate([self.h, self.h[::-1]]),
             np.concatenate([self.q, (self.q @ flip)[::-1] * signs[:, None]]),
         )

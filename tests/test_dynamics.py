@@ -553,9 +553,8 @@ class TestStepper:
         assert np.array_equal(short.dense.q[:last], full.dense.q[:last])
         # a run over the same span that a terminal event stops is the long
         # run up to the stop, every step and its dense output, the last step
-        # cut at the stop (h' = t_stop - t, column j of q times (h'/h)^j);
-        # find_rotation's doubling probe relies on it: bit for bit before the
-        # last step, to rounding inside it
+        # cut at the stop (h' = t_stop - t, column j of q times (h'/h)^j):
+        # bit for bit before the last step, to rounding inside it
         stopped = rk.solve_rk45(
             lambda t, z: dyn.state_rhs(spec, t, z), (0.0, 100.0), z0, rtol=1e-9, atol=1e-11,
             events=(rk.EventSpec(lambda t, z: t - 20.25, terminal=True),),

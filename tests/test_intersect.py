@@ -503,8 +503,8 @@ class TestCandidatesMatchBruteForce:
         monkeypatch.setattr(isect, "_boxes_overlap", counting)
         monkeypatch.setattr(isect, "_PAIR_CHUNK", chunk)
         assert isect._candidates(strand, None, margin) == expected
-        # at most one chunk, or one run, which holds each box at most once
-        assert len(sizes) > 1 and max(sizes) <= max(chunk, len(strand.h))
+        # chunks cut across boxes: no pass holds more than one chunk
+        assert len(sizes) > 1 and max(sizes) <= chunk
 
 
 @pytest.mark.parametrize("brute_force", [False, True])

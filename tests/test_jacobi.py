@@ -199,6 +199,24 @@ class TestOrbitToGeodesic:
         with pytest.raises(jac.DegeneracyError):
             jac.orbit_to_geodesic(traj, jm)
 
+    def test_margin_below_the_floor_between_knots_is_named(self):
+        # energy E + 5e-7, within the map's energy tolerance: E - U dips
+        # below the floor for 2e-3 around the turning point at t = pi/2, a
+        # moving point inside a step; no knot is there, and a quadrature
+        # node of the exchange's rate catches it
+        jm = oscillator_jm((1.0, 2.0), 0.5)
+        traj = dyn.integrate(jm.spec, PhaseState([0.0, 0.0], [math.sqrt(1.0 + 1e-6), 0.0]),
+                             (0.0, 2.0), rtol=1e-11, atol=1e-13)
+        assert np.min(jm.margin(traj.states[:, :2])) > jm.delta_floor
+        # the exchange's nodes in time order: the rule on each split of each step
+        split = np.arange(jac._SPLIT) / jac._SPLIT
+        p = np.append((traj.ts[:-1, None] + np.diff(traj.ts)[:, None] * split).ravel(), traj.t1)
+        nodes = p[:-1, None] + np.diff(p)[:, None] * jac._NODES
+        margins = jm.margin(traj.position(nodes.ravel()))
+        low = margins[margins <= jm.delta_floor][0]
+        with pytest.raises(jac.DegeneracyError, match=f"margin E - U = {low:.3e} "):
+            jac.orbit_to_geodesic(traj, jm)
+
     def test_energy_mismatch_rejected(self):
         jm = oscillator_jm((1.0, 2.0), 1.0)
         # orbit with energy far from E

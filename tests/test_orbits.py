@@ -224,8 +224,9 @@ class TestBrakeHalfRun:
 
     @pytest.mark.parametrize("name", HALF_RUN_BRAKES)
     def test_second_half_retraces_first(self, name):
-        # the knot at T/2 keeps the run's state, which the first reflected
-        # step starts from: 2 |v(T/2)| off R z(T/2), the closure residual
+        # the knot at T/2 is R z(T/2), which the first reflected step starts
+        # from and the last forward step ends 2 |v(T/2)| off: the closure
+        # residual
         orbit, _, ts, scale = half_run_brake(name)
         n, traj = orbit.spec.dimension, orbit.trajectory
         mirrored = traj.state(orbit.period - ts) * np.repeat([1.0, -1.0], n)
@@ -234,12 +235,15 @@ class TestBrakeHalfRun:
         assert np.max(gap) <= orbit.closure_residual + 1e-14 * scale
 
     def test_energies_are_the_half_runs_mirrored(self):
-        # H(x, -v) is H(x, v) bit for bit for a reversible F^2
+        # the knots are the half run's, the one at T/2 mapped by R; H(x, -v)
+        # is H(x, v) bit for bit for a reversible F^2
         orbit, _, _, _ = half_run_brake("2-DOF oscillator")
         spec, traj = orbit.spec, orbit.trajectory
         half = dyn.integrate(spec, PhaseState.from_flat(traj.states[0]), (0.0, orbit.period / 2),
                              rtol=orb._RTOL, atol=orb._ATOL)
-        assert np.array_equal(traj.states[:len(half.ts)], half.states)
+        k = len(half.ts) - 1
+        assert np.array_equal(traj.states[:k], half.states[:-1])
+        assert np.array_equal(traj.states[k], half.states[-1] * np.repeat([1.0, -1.0], 2))
         assert np.array_equal(traj.energies, np.concatenate([half.energies, half.energies[-2::-1]]))
         assert traj.energy_drift == half.energy_drift
 
@@ -468,7 +472,7 @@ def test_newton_iterations(monkeypatch, search, iterations):
 def test_plain_runs_per_search(monkeypatch, search):
     # one probe (each of these seeds returns within the first horizon,
     # _T_MAX / 16) and the closed run; every shooting trial is a tangent run,
-    # and the probe is the only run that passes events
+    # and a brake orbit's probe is the only run that passes events
     runs = []
     plain_run = orb.integrate
 
@@ -477,8 +481,8 @@ def test_plain_runs_per_search(monkeypatch, search):
         return plain_run(*args, **kwargs)
 
     monkeypatch.setattr(orb, "integrate", counting)
-    search()
-    assert runs == [True, False]
+    orbit = search()
+    assert runs == [orbit.kind == "brake", False]
 
 
 @pytest.mark.parametrize("search", [c[1] for c in NEWTON_CASES], ids=[c[0] for c in NEWTON_CASES])

@@ -359,12 +359,23 @@ class TestStepBoxes:
         # which swaps the bounds of a negated entry
         mirror_lo = np.where(signs > 0, lo[half - 1 :: -1], -hi[half - 1 :: -1])
         mirror_hi = np.where(signs > 0, hi[half - 1 :: -1], -lo[half - 1 :: -1])
-        bound = np.repeat(8 * np.maximum(ulp[half:], ulp[half - 1 :: -1])[:, None], 4, axis=1)
-        # the first reflected step starts from the rest point itself, not its
-        # image, so its velocity bounds also differ by twice the rest speed
-        bound[0] += 2 * np.abs(dense.ys[half]) * (signs < 0)
+        bound = 8 * np.maximum(ulp[half:], ulp[half - 1 :: -1])[:, None]
         assert np.all(np.abs(lo[half:] - mirror_lo) <= bound)
         assert np.all(np.abs(hi[half:] - mirror_hi) <= bound)
+
+    def test_reflected_steps_end_at_their_knots(self):
+        # every reflected step starts from the image of its forward step's
+        # end; only the last forward step misses its knot, R z(T/2), by the
+        # closure defect 2 |v(T/2)|
+        dense = brake_dense()
+        half = len(dense.h) // 2
+        ends = np.array([rk._interpolate(y, h, q, 1.0)
+                         for y, h, q in zip(dense.ys, dense.h, dense.q)])
+        gaps = np.max(np.abs(ends - dense.ys[1:]), axis=1)
+        bound = 1e-15 * (1.0 + np.linalg.norm(dense.ys[1:], axis=1))
+        assert np.all(np.delete(gaps <= bound, half - 1))
+        rest_speed = np.max(np.abs(dense.ys[half][2:]))
+        assert rest_speed > 0 and gaps[half - 1] == pytest.approx(2 * rest_speed, rel=1e-3)
 
 
 def test_oscillator_run_step_counts():

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from orbitlab import dynamics as dyn
 from orbitlab import expr as ex
 from orbitlab import geometry as geo
+from orbitlab.errors import OrbitLabError
 
 from oracles import (
     interpreted_acceleration,
@@ -395,6 +396,44 @@ def test_failure_no_tree_reproduces_propagates():
 
     with pytest.raises(ZeroDivisionError, match="float division by zero"):
         Reciprocal().run("f", [0.0])
+
+
+UNKNOWN_OPS = {"tan": lambda x: ex.Unary("tan", x),
+               "mod": lambda x: ex.Binary("mod", x, ex.const(2.0))}
+UNKNOWN_OP_MODELS = {
+    # (the tree holding the unknown op, the use that imports it)
+    "potential": lambda op: (ex.add(parse2("x2^2"), op),
+                             lambda t: dyn.PotentialField(t, 2).value([0.5, 0.5])),
+    "riemannian entry": lambda op: (
+        ex.add(ex.const(2.0), op),
+        lambda t: geo.MetricModel.riemannian([[t, ex.const(0.0)], [None, ex.const(1.0)]])),
+    "finsler F^2": lambda op: (ex.mul(ex.add(ex.const(2.0), op), parse2("v1^2 + v2^2")),
+                               lambda t: geo.MetricModel.finsler(t, 2)),
+}
+
+
+@pytest.mark.parametrize("op", list(UNKNOWN_OPS))
+@pytest.mark.parametrize("model", list(UNKNOWN_OP_MODELS))
+def test_unknown_op_is_named_at_import(model, op):
+    # a hand-built op the grammar lacks: the graph's import names it as the
+    # interpreter does, where the generated code would raise a bare
+    # NameError or KeyError
+    culprit = UNKNOWN_OPS[op](ex.var(0))
+    tree, use = UNKNOWN_OP_MODELS[model](culprit)
+    with pytest.raises(ex.EvalDomainError, match=f"unknown op '{op}'") as err:
+        use(tree)
+    assert err.value.node == culprit
+    with pytest.raises(ex.EvalDomainError) as interpreted:
+        ex.evaluate(tree, [0.5, 0.5, 0.25, -0.5])
+    assert str(err.value) == str(interpreted.value)
+
+
+def test_named_domain_failure_is_an_orbitlab_error():
+    spec = dyn.SystemSpec(geo.MetricModel.euclidean(2), parse2("x2^2 + log(x1)"), 1.0)
+    with pytest.raises(OrbitLabError) as err:
+        dyn.state_rhs(spec, 0.0, [0.0, 0.5, 0.25, -0.5])
+    assert isinstance(err.value, ex.EvalDomainError)
+    assert err.value.node == parse2("log(x1)")
 
 
 def test_fractional_power_of_negative_base_is_not_complex():
